@@ -2,8 +2,8 @@
 
 Measures the sharded :class:`~repro.serving.service.IndexService`
 against the monolithic batch engine over a shard-count sweep — wall
-clock lookups/s (routing overhead included), threaded variant, mixed
-read/write workload throughput, and the simulated-ns latency the cost
+clock lookups/s (routing overhead included), mixed read/write
+workload throughput, and the simulated-ns latency the cost
 model assigns — and merges the results into ``BENCH_perf.json`` under
 the ``"serving"`` key (the smoothing/lookup/insert sections written by
 ``bench_perf_regression.py`` are preserved).
@@ -56,7 +56,6 @@ def bench_family(
     keys: np.ndarray,
     queries: np.ndarray,
     n_ops: int,
-    max_workers: int,
     seed: int,
 ) -> dict:
     out = {}
@@ -70,20 +69,6 @@ def bench_family(
             row["lookups_per_s"] = round(queries.size / wall, 1)
             row["avg_sim_ns"] = round(float(ns.mean()), 1)
             row["p99_sim_ns"] = round(float(np.percentile(ns, 99)), 1)
-        with IndexService.build(
-            keys, family=family, n_shards=k, max_workers=max_workers
-        ) as service:
-            start = time.perf_counter()
-            threaded_batch = service.lookup_many(queries)
-            wall = time.perf_counter() - start
-            row["threaded_lookups_per_s"] = round(queries.size / wall, 1)
-            if not (
-                np.array_equal(threaded_batch.found, batch.found)
-                and np.array_equal(threaded_batch.values, batch.values)
-                and np.array_equal(threaded_batch.levels, batch.levels)
-                and np.array_equal(threaded_batch.search_steps, batch.search_steps)
-            ):
-                raise AssertionError(f"{family} K={k}: threaded gather diverged")
         with IndexService.build(
             keys, family=family, n_shards=k, staleness_threshold=0.2
         ) as service:
@@ -141,7 +126,6 @@ def run(quick: bool, out_path: Path, seed: int = 0) -> dict:
     n = 4_000 if quick else 20_000
     n_queries = 8_000 if quick else 40_000
     n_ops = 5_000 if quick else 30_000
-    max_workers = 4
     rng = np.random.default_rng(seed)
     keys = np.unique(rng.integers(0, n * 10_000, n))
     queries = rng.choice(keys, n_queries)
@@ -153,14 +137,13 @@ def run(quick: bool, out_path: Path, seed: int = 0) -> dict:
             "n": n,
             "n_queries": n_queries,
             "n_ops": n_ops,
-            "max_workers": max_workers,
             "shard_counts": list(SHARD_COUNTS),
             "process_shard_counts": list(PROCESS_SHARD_COUNTS),
             "cpu_count": os.cpu_count(),
             "seed": seed,
         },
         "scaling": {
-            family: bench_family(family, keys, queries, n_ops, max_workers, seed)
+            family: bench_family(family, keys, queries, n_ops, seed)
             for family in FAMILIES
         },
         "process_scaling": {
@@ -191,7 +174,6 @@ def main(argv: list[str] | None = None) -> int:
         for label, row in sweep.items():
             print(
                 f"{family:8s} {label:3s} lookups {row['lookups_per_s']:>12,.0f}/s  "
-                f"threaded {row['threaded_lookups_per_s']:>12,.0f}/s  "
                 f"mixed {row['mixed_ops_per_s']:>10,.0f} ops/s  "
                 f"avg {row['avg_sim_ns']:>6.0f} sim-ns"
             )

@@ -122,13 +122,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--zipf", action="store_true", help="Zipf-skewed reads instead of uniform"
     )
     p_serve.add_argument(
-        "--executor", choices=["serial", "thread", "process"], default=None,
+        "--executor", choices=["serial", "process"], default="serial",
         help="shard execution backend; 'process' serves zero-copy shard "
              "views out of shared memory on worker processes",
     )
     p_serve.add_argument(
         "--workers", type=int, default=0,
-        help="worker count for --executor thread/process "
+        help="worker count for --executor process "
              "(default: sized to the shard count)",
     )
     p_serve.add_argument(
@@ -139,11 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--timeout-s", type=float, default=30.0,
         help="process executor: per-batch IPC timeout in seconds",
     )
-    p_serve.add_argument(
-        "--threads", type=int, default=0,
-        help="[deprecated] shard worker threads; use --executor thread --workers N",
-    )
-    p_serve.add_argument("--cache-blocks", type=int, default=0, help="LRU cache size")
     p_serve.add_argument("--staleness", type=float, default=0.1,
                          help="write-buffer merge threshold (buffered/stored)")
     p_serve.add_argument(
@@ -201,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--store", default=None, metavar="PATH",
         help="HTTP mode: SQLite-WAL runtime store persisting op "
-             "counters, the op log, and the query cache across restarts",
+             "counters and the op log across restarts",
     )
     p_serve.add_argument(
         "--no-replay", action="store_true",
@@ -332,15 +327,9 @@ def _parse_alpha(raw: str | None) -> float | str | None:
 
 
 def _executor_spec(args: argparse.Namespace):
-    """Build the ExecutorSpec requested on the serve command line.
-
-    Returns None when only the deprecated ``--threads`` knob (or
-    nothing) was given — the legacy ``max_workers`` shim then decides.
-    """
+    """Build the ExecutorSpec requested on the serve command line."""
     from .serving import ExecutorSpec
 
-    if args.executor is None:
-        return None
     return ExecutorSpec(
         kind=args.executor,
         n_workers=args.workers or None,
@@ -370,8 +359,6 @@ def _make_service(args: argparse.Namespace, keys: np.ndarray):
         service = IndexService.open_snapshot(
             store,
             executor=_executor_spec(args),
-            max_workers=args.threads or None,
-            cache_blocks=args.cache_blocks,
             staleness_threshold=args.staleness,
             flush_threshold=args.flush_threshold,
             compaction=args.compaction,
@@ -390,8 +377,6 @@ def _make_service(args: argparse.Namespace, keys: np.ndarray):
         mode=args.mode,
         alpha=_parse_alpha(args.alpha),
         executor=_executor_spec(args),
-        max_workers=args.threads or None,
-        cache_blocks=args.cache_blocks,
         staleness_threshold=args.staleness,
         **durability,
     )
@@ -467,10 +452,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .obs.metrics import MetricsRegistry, scoped_registry
     from .workloads import run_service_workload
 
-    if args.executor and args.threads:
-        _say("--threads is superseded by --executor; "
-             "use --executor thread --workers N")
-        return 2
     if args.http:
         if args.compare:
             _say("--http and --compare are mutually exclusive")
@@ -489,7 +470,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             n_queries=max(args.ops, 1),
             seed=args.seed,
             executor=executor,
-            max_workers=args.threads or None,
         )
         _say(
             ascii_table(
@@ -530,8 +510,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             exec_desc += f" (replicas={spec.n_replicas})"
         _say(
             f"{service.family} x {plan.n_shards} shards ({plan.mode}) over "
-            f"{keys.size} {args.dataset} keys; executor={exec_desc}, "
-            f"cache={args.cache_blocks} blocks"
+            f"{keys.size} {args.dataset} keys; executor={exec_desc}"
         )
         _say(
             "  shard sizes: "
@@ -580,8 +559,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         _say(
             f"buffers: {stats.buffer_hits} hits, {stats.merges} merges "
             f"({stats.merged_keys} keys merged, {stats.resmoothed_shards} "
-            f"re-smoothed); cache: {stats.cache_hits} hits / "
-            f"{stats.cache_misses} misses ({stats.cache_fills} fills)"
+            f"re-smoothed)"
         )
         if service.store is not None:
             _say(

@@ -250,9 +250,9 @@ class ShardedExperimentRow:
     """One configuration of the sharded-vs-monolithic comparison.
 
     ``label`` is "monolithic" for the bare unsharded index, else
-    "<mode> K=<shards>[ +threads]".  Simulated-ns figures come from
-    the deterministic cost model; throughput is wall clock through the
-    batch engine (routing overhead included for the sharded rows).
+    "<mode> K=<shards>[ +<executor kind>]".  Simulated-ns figures come
+    from the deterministic cost model; throughput is wall clock through
+    the batch engine (routing overhead included for the sharded rows).
     """
 
     index_family: str
@@ -260,7 +260,7 @@ class ShardedExperimentRow:
     n: int
     label: str
     n_shards: int
-    threads: bool
+    parallel: bool
     build_seconds: float
     lookups_per_second: float
     inserts_per_second: float
@@ -275,7 +275,7 @@ def _sharded_row(
     dataset: str,
     label: str,
     n_shards: int,
-    threads: bool,
+    parallel: bool,
     build_seconds: float,
     lookup_target,
     queries: np.ndarray,
@@ -300,7 +300,7 @@ def _sharded_row(
         n=0,  # patched by the caller
         label=label,
         n_shards=n_shards,
-        threads=threads,
+        parallel=parallel,
         build_seconds=build_seconds,
         lookups_per_second=queries.size / lookup_wall if lookup_wall > 0 else 0.0,
         inserts_per_second=inserts_per_s,
@@ -322,27 +322,26 @@ def run_sharded_experiment(
     n_inserts: int = 0,
     seed: int = 0,
     constants: CostConstants | None = None,
-    max_workers: int | None = None,
     executor=None,
 ) -> list[ShardedExperimentRow]:
     """Sharded-vs-monolithic comparison over a shard-count sweep.
 
     Builds the bare index once as the baseline row, then one
     :class:`~repro.serving.service.IndexService` per shard count (and,
-    when an *executor* spec — or the deprecated *max_workers* — asks
-    for a parallel backend, a parallel variant of each), all over
+    when an *executor* spec asks for a parallel backend, a parallel
+    variant of each), all over
     the same keys and the same uniform query sample — the batch found
     / value vectors are asserted identical to the monolithic answer,
     so the table compares cost, never correctness.
 
     *executor* takes an :class:`~repro.serving.executor.ExecutorSpec`
-    (or a string like ``"process"`` / ``"thread:4"``); rows of the
+    (or a string like ``"process"`` / ``"process:4"``); rows of the
     parallel variant are labelled with the executor kind.
     """
     from ..serving import ExecutorSpec, IndexService
     from ..serving.service import UPDATABLE_FAMILIES
 
-    spec = ExecutorSpec.parse(executor) if executor is not None else None
+    spec = ExecutorSpec.parse(executor)
 
     consts = constants or CostConstants()
     keys = load(dataset, n)
@@ -367,8 +366,7 @@ def run_sharded_experiment(
     )
     rows = [baseline]
 
-    has_parallel = bool(max_workers) or (spec is not None and spec.kind != "serial")
-    suffix = f" +{spec.kind}" if spec is not None else " +threads"
+    has_parallel = spec.kind != "serial"
     for k in shard_counts:
         for parallel in ((False, True) if has_parallel else (False,)):
             start = time.perf_counter()
@@ -379,16 +377,12 @@ def run_sharded_experiment(
                 mode=mode,
                 alpha=alpha,
                 constants=consts,
-                executor=spec if parallel and spec is not None else None,
-                max_workers=(
-                    max_workers if parallel and spec is None else None
-                ),
+                executor=spec if parallel else None,
             )
             build_seconds = time.perf_counter() - start
-            threads = parallel
-            label = f"{mode} K={k}" + (suffix if parallel else "")
+            label = f"{mode} K={k}" + (f" +{spec.kind}" if parallel else "")
             __, row = _sharded_row(
-                family, dataset, label, k, threads, build_seconds,
+                family, dataset, label, k, parallel, build_seconds,
                 service.lookup_many, queries, fresh, consts,
                 service.plan.cost_imbalance(),
                 insert_target=service.insert_many if n_inserts > 0 else None,

@@ -390,8 +390,8 @@ class LearnedIndex(ABC):
         Generic implementation: walk :meth:`iter_keys` (ascending) and
         resolve each in-range key's value, stopping past *high*.
         Backends with an ordered physical layout override this with a
-        direct scan; the serving layer's block cache and range path
-        rely on every backend answering it.
+        direct scan; the serving layer's merge and range paths rely
+        on every backend answering it.
         """
         low = int(low)
         high = int(high)

@@ -92,7 +92,6 @@ class HealthReport:
     shards: tuple[ShardHealth, ...]
     merge_queue_depth: int
     merges: int
-    cache_hit_rate: float
     buffer_hit_rate: float
     cost_imbalance: float
     status: str  # "ok" | "warn"
@@ -148,7 +147,6 @@ class HealthReport:
         summary = (
             f"status={self.status}  merges={self.merges}  "
             f"merge_queue={self.merge_queue_depth}  "
-            f"cache_hit_rate={self.cache_hit_rate:.3f}  "
             f"buffer_hit_rate={self.buffer_hit_rate:.3f}  "
             f"cost_imbalance={self.cost_imbalance:.2f}"
         )

@@ -14,8 +14,7 @@ like the rest of the repo:
   answers ``429 + Retry-After`` instead of building invisible
   backlog, and shutdown drains every accepted batch.
 * :mod:`~repro.server.runtime_store` — SQLite-WAL persistence of op
-  counters, an append-only op log (replayed on reopen), and the
-  service's query-cache blocks.
+  counters and an append-only op log (replayed on reopen).
 * :mod:`~repro.server.loadgen` — the closed-loop client + load
   driver ``benchmarks/bench_http.py`` records into ``BENCH_perf.json``.
 * :mod:`~repro.server.harness` — background-thread server for tests

@@ -27,9 +27,8 @@ ints are arbitrary-precision, so the wire answers are bit-identical
 to in-process ``lookup_many`` (the parity suite holds this).
 
 With a :class:`~repro.server.runtime_store.RuntimeStore` attached,
-accepted write batches are logged durably before they are applied,
-op counters persist across restarts, and the service's query cache is
-saved at shutdown / restored at startup; ``metrics_out`` streams the
+accepted write batches are logged durably before they are applied
+and op counters persist across restarts; ``metrics_out`` streams the
 same JSON-lines snapshots ``repro serve --metrics-out`` writes, so
 ``repro metrics --validate`` passes on a live server's file.
 """
@@ -86,9 +85,6 @@ SERVICE_STAT_FIELDS = (
     "n_lookups",
     "n_inserts",
     "buffer_hits",
-    "cache_hits",
-    "cache_misses",
-    "cache_fills",
     "merges",
     "merged_keys",
     "resmoothed_shards",
@@ -298,12 +294,8 @@ class HttpFrontDoor:
                 if record.op == "insert":
                     self.service.insert_many(record.keys, record.values)
                     self._c_replayed_ops.inc()
-        imported = self.service.import_cache_blocks(state.cache_blocks)
-        if state.ops or imported:
-            _log.info(
-                f"runtime store: replayed {len(state.ops)} op(s), "
-                f"restored {imported} cache block(s)"
-            )
+        if state.ops:
+            _log.info(f"runtime store: replayed {len(state.ops)} op(s)")
         # Counter restore comes *after* replay so the persisted totals
         # overwrite the bumps replaying just caused.
         service_counters = {
@@ -394,7 +386,6 @@ class HttpFrontDoor:
         self.durable_sync()
         if self.store is not None:
             self.store.save_counters(self._persistable_counters())
-            self.store.save_cache_blocks(self.service.export_cache_blocks())
             self.store.close()
         self._snapshot()
 

@@ -4,7 +4,7 @@ The index stack is deliberately memory-resident — shards are rebuilt
 from the dataset at startup — so anything that arrived *over the
 wire* would vanish with the process.  The runtime store closes that
 gap with one SQLite database in WAL mode (readers never block the
-writer, commits are a single fsync of the log) holding three kinds of
+writer, commits are a single fsync of the log) holding two kinds of
 state:
 
 * **op counters** — cumulative served-operation totals (HTTP requests
@@ -16,9 +16,6 @@ state:
   :meth:`replay` hands the ops back in arrival order; re-applying
   them through ``insert_many`` is idempotent (last write wins on
   equal keys), so replay-after-crash is at-least-once and converges.
-* **query cache blocks** — the service's read-through LRU blocks,
-  saved at shutdown and re-imported at startup so a restarted server
-  does not begin cache-cold.
 
 Arrays cross the boundary as raw little-endian int64 BLOBs
 (``ndarray.tobytes`` / ``np.frombuffer``) — bit-exact, no JSON float
@@ -34,7 +31,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -56,14 +53,6 @@ CREATE TABLE IF NOT EXISTS op_log (
     n_keys INTEGER NOT NULL,
     keys   BLOB NOT NULL,
     vals   BLOB
-);
-CREATE TABLE IF NOT EXISTS query_cache (
-    shard    INTEGER NOT NULL,
-    block    INTEGER NOT NULL,
-    keys     BLOB NOT NULL,
-    vals     BLOB NOT NULL,
-    saved_ts REAL NOT NULL,
-    PRIMARY KEY (shard, block)
 );
 """
 
@@ -88,7 +77,6 @@ class RuntimeState:
 
     counters: dict[str, int] = field(default_factory=dict)
     ops: tuple[OpRecord, ...] = ()
-    cache_blocks: tuple[tuple[int, int, np.ndarray, np.ndarray], ...] = ()
 
 
 def _to_blob(arr: np.ndarray) -> bytes:
@@ -254,46 +242,13 @@ class RuntimeStore:
         return {str(name): int(value) for name, value in rows}
 
     # ------------------------------------------------------------------
-    # Query cache
-    # ------------------------------------------------------------------
-    def save_cache_blocks(
-        self, blocks: Iterable[tuple[int, int, np.ndarray, np.ndarray]]
-    ) -> int:
-        """Replace the persisted cache with *blocks*; returns count."""
-        rows = [
-            (int(shard), int(block), _to_blob(k), _to_blob(v), time.time())
-            for shard, block, k, v in blocks
-        ]
-        with self._lock:
-            self._conn.execute("DELETE FROM query_cache")
-            self._conn.executemany(
-                "INSERT INTO query_cache (shard, block, keys, vals, saved_ts) "
-                "VALUES (?, ?, ?, ?, ?)",
-                rows,
-            )
-            self._conn.commit()
-        return len(rows)
-
-    def load_cache_blocks(self) -> list[tuple[int, int, np.ndarray, np.ndarray]]:
-        """Saved cache blocks as (shard, block, keys, vals), oldest first."""
-        rows = self._conn.execute(
-            "SELECT shard, block, keys, vals FROM query_cache "
-            "ORDER BY saved_ts, shard, block"
-        ).fetchall()
-        return [
-            (int(shard), int(block), _from_blob(k), _from_blob(v))
-            for shard, block, k, v in rows
-        ]
-
-    # ------------------------------------------------------------------
     # Replay + lifecycle
     # ------------------------------------------------------------------
     def replay(self) -> RuntimeState:
-        """The full restorable state: counters, ops, cache blocks."""
+        """The full restorable state: counters and ops."""
         return RuntimeState(
             counters=self.load_counters(),
             ops=tuple(self.iter_ops()),
-            cache_blocks=tuple(self.load_cache_blocks()),
         )
 
     def close(self) -> None:

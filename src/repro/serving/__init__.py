@@ -1,5 +1,5 @@
 """Sharded serving layer: range partitioning, routing, and a
-cache-fronted index service.
+write-buffered index service.
 
 The paper evaluates one monolithic index at a time; this package
 scales the PR-1 batch query engine horizontally.  A key set is
@@ -9,17 +9,15 @@ an independent index, a vectorised scatter/gather router fans query
 batches out and gathers the per-shard :class:`~repro.indexes.base.
 BatchQueryStats` back into positional order
 (:mod:`~repro.serving.router`), and :class:`~repro.serving.service.
-IndexService` fronts the shards with a read-through LRU block cache,
-per-shard write buffers with staleness-triggered merge + re-smoothing,
-and per-shard latency percentile reporting.
+IndexService` fronts the shards with per-shard write buffers
+(staleness-triggered merge + re-smoothing) and per-shard latency
+percentile reporting.
 
-Execution backends: the router runs shards serially, on a thread
-pool, or on *worker processes* that serve zero-copy views of the
-shard buffers out of shared memory — pick one with an
-:class:`~repro.serving.executor.ExecutorSpec` (``"serial"``,
-``"thread"``, ``"process"``; plus ``n_replicas`` / ``timeout_s`` for
-process mode).  The legacy ``max_workers=`` / ``threaded=`` knobs
-still work behind a deprecation shim.
+Execution backends: the router runs shards serially or on *worker
+processes* that serve zero-copy views of the shard buffers out of
+shared memory — pick one with an
+:class:`~repro.serving.executor.ExecutorSpec` (``"serial"`` or
+``"process"``; plus ``n_replicas`` / ``timeout_s`` for process mode).
 
 Observability: the service keeps always-on per-shard latency
 histograms (mergeable fixed-layout log buckets, see :mod:`repro.obs`)

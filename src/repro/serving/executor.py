@@ -1,11 +1,9 @@
 """Executor specs and the process-parallel shard-serving backend.
 
-:class:`ExecutorSpec` is the typed knob the serving API takes in place
-of the old ``threaded=`` / ``max_workers=`` booleans: ``"serial"``
-runs shard work inline, ``"thread"`` fans out on a shared thread pool
-(the GIL bounds real scaling), and ``"process"`` runs shard replicas
-in worker *processes* that serve lookups from shared-memory index
-buffers — the backend whose throughput actually scales with cores.
+:class:`ExecutorSpec` is the typed knob the serving API takes:
+``"serial"`` runs shard work inline, and ``"process"`` runs shard
+replicas in worker *processes* that serve lookups from shared-memory
+index buffers — the backend whose throughput scales with cores.
 
 Process mode (:class:`ProcessShardExecutor`):
 
@@ -34,7 +32,6 @@ import multiprocessing
 import os
 import threading
 import time
-import warnings
 from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
 from multiprocessing import get_context
@@ -50,9 +47,9 @@ from .shm import ShardSegment, attach_segment_index, publish_index
 if TYPE_CHECKING:
     from ..indexes.base import LearnedIndex
 
-__all__ = ["ExecutorSpec", "ExecutorError", "ProcessShardExecutor", "resolve_executor"]
+__all__ = ["ExecutorSpec", "ExecutorError", "ProcessShardExecutor"]
 
-EXECUTOR_KINDS = ("serial", "thread", "process")
+EXECUTOR_KINDS = ("serial", "process")
 
 #: Environment override of the multiprocessing start method
 #: ("fork" | "spawn" | "forkserver"); defaults to fork where available
@@ -77,8 +74,8 @@ class ExecutorSpec:
     """Typed description of how shard work is executed.
 
     Attributes:
-        kind: ``"serial"`` (inline), ``"thread"`` (shared pool), or
-            ``"process"`` (shared-memory worker processes).
+        kind: ``"serial"`` (inline) or ``"process"`` (shared-memory
+            worker processes).
         n_workers: pool size; None picks ``min(n_shards, cpu_count)``
             (process mode never below *n_replicas*).
         n_replicas: process mode — workers eligible to serve each
@@ -131,53 +128,6 @@ class ExecutorSpec:
         cores = os.cpu_count() or 1
         base = max(min(max(n_shards, 1), cores), 1)
         return max(base, self.n_replicas) if self.kind == "process" else base
-
-
-#: Legacy knobs already warned about this process (warn once each).
-_DEPRECATION_WARNED: set[str] = set()
-
-
-def _warn_once(knob: str, hint: str) -> None:
-    if knob in _DEPRECATION_WARNED:
-        return
-    _DEPRECATION_WARNED.add(knob)
-    warnings.warn(
-        f"{knob} is deprecated; pass executor={hint} instead",
-        DeprecationWarning,
-        stacklevel=4,
-    )
-
-
-def resolve_executor(
-    executor: ExecutorSpec | str | None = None,
-    *,
-    max_workers: int | None = None,
-    threaded: bool | None = None,
-) -> ExecutorSpec:
-    """Resolve the executor spec, mapping the deprecated knobs.
-
-    ``threaded=True`` and ``max_workers=N`` (N > 1) both meant "fan
-    out on a thread pool"; they now map onto a thread
-    :class:`ExecutorSpec` with a once-per-process
-    ``DeprecationWarning``.  An explicit *executor* wins; combining it
-    with a legacy knob is an error rather than a silent preference.
-    """
-    if executor is not None:
-        if max_workers is not None or threaded is not None:
-            raise IndexStateError(
-                "pass either executor= or the deprecated threaded=/max_workers=, "
-                "not both"
-            )
-        return ExecutorSpec.parse(executor)
-    if threaded is not None:
-        _warn_once("threaded=", "ExecutorSpec('thread')")
-        return ExecutorSpec(kind="thread" if threaded else "serial")
-    if max_workers is not None:
-        _warn_once("max_workers=", "ExecutorSpec('thread', n_workers=...)")
-        if max_workers > 1:
-            return ExecutorSpec(kind="thread", n_workers=max_workers)
-        return ExecutorSpec()
-    return ExecutorSpec()
 
 
 # ----------------------------------------------------------------------

@@ -7,11 +7,11 @@ per-shard contiguous runs; each run goes down its shard's
 :class:`~repro.indexes.base.BatchQueryStats` are gathered back into
 the caller's positional order.  *How* the per-shard runs execute is
 the :class:`~repro.serving.executor.ExecutorSpec`: inline
-(``"serial"``), on a shared ``ThreadPoolExecutor`` (``"thread"``), or
-on replicated shared-memory worker processes (``"process"`` — see
-:mod:`~repro.serving.executor`).  The gather is *exact* for every
-executor: entry ``i`` of the gathered batch is bit-identical to
-routing ``keys[i]`` alone and looking it up in its shard.
+(``"serial"``) or on replicated shared-memory worker processes
+(``"process"`` — see :mod:`~repro.serving.executor`).  The gather is
+*exact* for both executors: entry ``i`` of the gathered batch is
+bit-identical to routing ``keys[i]`` alone and looking it up in its
+shard.
 
 In process mode the router keeps its in-process shard objects as the
 *authoritative* copies: writes (``insert_many``, ``replace_shard``)
@@ -22,7 +22,6 @@ the authoritative copies directly.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -38,7 +37,7 @@ from ..indexes.base import (
 )
 from ..obs.health import ReplicaHealth
 from ..obs.metrics import get_registry
-from .executor import ExecutorSpec, ProcessShardExecutor, resolve_executor
+from .executor import ExecutorSpec, ProcessShardExecutor
 
 __all__ = ["RoutedBatch", "ShardRouter", "dedupe_last_wins"]
 
@@ -75,10 +74,8 @@ class ShardRouter:
         self,
         shards: Sequence[LearnedIndex | None],
         boundaries: np.ndarray,
-        max_workers: int | None = None,
         build_factory: Callable[[np.ndarray, np.ndarray], LearnedIndex] | None = None,
         executor: ExecutorSpec | str | None = None,
-        threaded: bool | None = None,
     ):
         boundaries = np.asarray(boundaries, dtype=np.int64)
         if boundaries.size != len(shards) - 1:
@@ -91,22 +88,9 @@ class ShardRouter:
         self._shards = list(shards)
         self._boundaries = boundaries
         self._build_factory = build_factory
-        #: ``executor=`` is the API; ``max_workers=`` / ``threaded=``
-        #: are the deprecated PR-2 knobs, mapped (with a one-time
-        #: warning) onto a thread spec by :func:`resolve_executor`.
-        self._spec = resolve_executor(
-            executor, max_workers=max_workers, threaded=threaded
-        )
-        self._executor: ThreadPoolExecutor | None = None
+        self._spec = ExecutorSpec.parse(executor)
         self._proc: ProcessShardExecutor | None = None
-        if self._spec.kind == "thread":
-            self._executor = ThreadPoolExecutor(
-                max_workers=min(
-                    self._spec.resolved_workers(len(shards)), max(len(shards), 1)
-                ),
-                thread_name_prefix="shard",
-            )
-        elif self._spec.kind == "process":
+        if self._spec.kind == "process":
             self._proc = ProcessShardExecutor(self._spec, len(shards))
             try:
                 for shard_no, shard in enumerate(self._shards):
@@ -137,15 +121,11 @@ class ShardRouter:
         return self._spec
 
     @property
-    def threaded(self) -> bool:
-        return self._executor is not None
-
-    @property
     def process_based(self) -> bool:
         return self._proc is not None
 
     def executor_report(self) -> tuple[ReplicaHealth, ...]:
-        """Per-replica health rows (empty for serial/thread executors)."""
+        """Per-replica health rows (empty for the serial executor)."""
         return self._proc.health() if self._proc is not None else ()
 
     def worker_restarts(self) -> int:
@@ -189,13 +169,6 @@ class ShardRouter:
         offsets = np.concatenate([[0], np.cumsum(counts)])
         return shard_ids, order, offsets
 
-    def _map_shards(self, tasks: list[tuple[int, Callable[[], object]]]) -> dict[int, object]:
-        """Run one closure per shard, on the pool when configured."""
-        if self._executor is None or len(tasks) <= 1:
-            return {shard: task() for shard, task in tasks}
-        futures = {shard: self._executor.submit(task) for shard, task in tasks}
-        return {shard: future.result() for shard, future in futures.items()}
-
     def lookup_many(self, keys: np.ndarray | list) -> RoutedBatch:
         """Routed batched lookups with exact positional gather."""
         q = _as_query_array(keys)
@@ -207,14 +180,13 @@ class ShardRouter:
         steps = np.zeros(m, dtype=np.int64)
         per_shard: list[BatchQueryStats | None] = [None] * self.n_shards
 
-        tasks = []
+        slices: dict[int, np.ndarray] = {}
         for shard_no in range(self.n_shards):
             lo, hi = int(offsets[shard_no]), int(offsets[shard_no + 1])
             if lo == hi:
                 continue
             positions = order[lo:hi]
-            shard = self._shards[shard_no]
-            if shard is None:
+            if self._shards[shard_no] is None:
                 # Empty shard: a definite miss with no structure to
                 # traverse (levels=0, steps=0 — only base_ns accrues).
                 per_shard[shard_no] = BatchQueryStats(
@@ -225,15 +197,11 @@ class ShardRouter:
                     search_steps=np.zeros(positions.size, dtype=np.int64),
                 )
                 continue
-            tasks.append((shard_no, (lambda s=shard, p=positions: s.lookup_many(q[p]))))
-        if self._proc is not None and tasks:
+            slices[shard_no] = q[positions]
+        if self._proc is not None and slices:
             # Process fan-out: ship each shard's key slice to a replica
             # worker; the response is the shard's BatchQueryStats as
             # bare arrays (the keys we already hold).
-            slices = {
-                shard_no: q[order[int(offsets[shard_no]) : int(offsets[shard_no + 1])]]
-                for shard_no, __ in tasks
-            }
             for shard_no, arrays in self._proc.lookup(list(slices.items())).items():
                 per_shard[shard_no] = BatchQueryStats(
                     keys=slices[shard_no],
@@ -243,8 +211,8 @@ class ShardRouter:
                     search_steps=arrays[3],
                 )
         else:
-            for shard_no, batch in self._map_shards(tasks).items():
-                per_shard[shard_no] = batch
+            for shard_no, sub in slices.items():
+                per_shard[shard_no] = self._shards[shard_no].lookup_many(sub)
 
         for shard_no, batch in enumerate(per_shard):
             if batch is None:
@@ -288,7 +256,6 @@ class ShardRouter:
         arr, vals = _as_batch_kv(keys, values)
         __, order, offsets = self.group_by_shard(arr)
         counts = np.zeros(self.n_shards, dtype=np.int64)
-        tasks = []
         touched: list[int] = []
         for shard_no in range(self.n_shards):
             lo, hi = int(offsets[shard_no]), int(offsets[shard_no + 1])
@@ -302,25 +269,16 @@ class ShardRouter:
                 self._shards[shard_no] = self._materialise(
                     arr[positions], vals[positions]
                 )
-                continue
-            tasks.append(
-                (
-                    shard_no,
-                    (lambda s=shard, p=positions: s.insert_many(arr[p], vals[p])),
-                )
-            )
+            else:
+                shard.insert_many(arr[positions], vals[positions])
         if self._proc is not None:
-            # Writes apply to the authoritative in-process shards, then
-            # each touched shard is republished so the replicas serve
-            # the new state.  (The service's write path buffers instead
-            # and republishes only on merge — this direct path trades
-            # write throughput for simplicity.)
-            for __, task in tasks:
-                task()
+            # Writes applied to the authoritative in-process shards
+            # above; each touched shard is republished so the replicas
+            # serve the new state.  (The service's write path buffers
+            # instead and republishes only on merge — this direct path
+            # trades write throughput for simplicity.)
             for shard_no in touched:
                 self._proc.publish(shard_no, self._shards[shard_no])
-        else:
-            self._map_shards(tasks)
         reg = get_registry()
         if reg.enabled:
             reg.counter("router_inserted_keys_total").inc(int(arr.size))
@@ -376,10 +334,7 @@ class ShardRouter:
                 self._proc.publish(shard_no, index)
 
     def close(self) -> None:
-        """Shut the worker pool / processes down (no-op when serial)."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
+        """Shut the worker processes down (no-op when serial)."""
         if self._proc is not None:
             self._proc.close()
 

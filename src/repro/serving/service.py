@@ -1,4 +1,4 @@
-"""`IndexService`: the cache-fronted, write-buffered serving facade.
+"""`IndexService`: the write-buffered serving facade.
 
 Read path (per batch, all vectorised):
 
@@ -6,25 +6,19 @@ Read path (per batch, all vectorised):
    memtable consulted first; a buffered hit answers without touching
    the shard (levels 0, one sorted-probe charge), and any query in a
    shard with a non-empty buffer pays the failed memtable probe.
-2. **LRU block cache** — the key space is diced into fixed-span
-   blocks (``key >> block_bits``); a cached block answers membership
-   *and* misses for its span at levels 0 / 1 search step.  Uncached
-   blocks touched by the batch are filled read-through with one
-   ``range_query`` per block against the owning shard.
-3. **Scatter/gather** — everything still pending goes down the
+2. **Scatter/gather** — everything still pending goes down the
    :class:`~repro.serving.router.ShardRouter`.
 
 Write path: ``insert_many`` lands in the per-shard buffers (last
-write wins), invalidates the affected cache blocks, and when a
-shard's staleness ``buffered / stored`` crosses the threshold the
-buffer is merged into the shard and the shard is re-smoothed with its
-own α (CSV families) — synchronously by default, or on a background
-thread with ``background_merge=True``.
+write wins), and when a shard's staleness ``buffered / stored``
+crosses the threshold the buffer is merged into the shard and the
+shard is re-smoothed with its own α (CSV families) — synchronously by
+default, or on a background thread with ``background_merge=True``.
 
-With the cache off and no writes buffered the service is
-cost-transparent: a K=1 service is bit-identical to the bare index,
-and any-K gathers are bit-identical to per-key routing (the
-acceptance parity tests in ``tests/serving/``).
+With no writes buffered the service is cost-transparent: a K=1
+service is bit-identical to the bare index, and any-K gathers are
+bit-identical to per-key routing (the acceptance parity tests in
+``tests/serving/``).
 """
 
 from __future__ import annotations
@@ -33,7 +27,6 @@ import math
 import queue
 import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import Future, wait as futures_wait
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -74,6 +67,35 @@ UPDATABLE_FAMILIES = ("sorted_array", "btree", "alex", "lipp", "sali")
 def _memtable_steps(n: int) -> int:
     """Probe charge for one sorted-memtable search over *n* entries."""
     return max(1, int(math.ceil(math.log2(n + 1))))
+
+
+def _scan_shard(shard: LearnedIndex | None) -> tuple[np.ndarray, np.ndarray]:
+    """Every stored (key, value) of one shard, as two sorted arrays.
+
+    One ordered scan — cheaper than probing the index once per key.
+    """
+    if shard is None:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    bounds = np.iinfo(np.int64)
+    pairs = shard.range_query(int(bounds.min), int(bounds.max))
+    return (
+        np.fromiter((p[0] for p in pairs), dtype=np.int64, count=len(pairs)),
+        np.fromiter((p[1] for p in pairs), dtype=np.int64, count=len(pairs)),
+    )
+
+
+def _prewarm_flat(shard: LearnedIndex | None) -> None:
+    """Compile a tree backend's flat lookup view now, not on first read.
+
+    The lazy compile rebinds the tree's slot arrays onto the flat
+    buffers and takes no lock, so a shard must never reach concurrent
+    readers cold: two first reads compiling at once leave the tree and
+    the view on different buffers, and the next in-place merge then
+    silently drops keys.
+    """
+    prewarm = getattr(shard, "prewarm_flat", None)
+    if prewarm is not None:
+        prewarm()
 
 
 #: Default bound on how long :meth:`IndexService.close` waits for
@@ -135,20 +157,12 @@ class ServiceStats:
     n_lookups: int = 0
     n_inserts: int = 0
     buffer_hits: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_fills: int = 0
     merges: int = 0
     merged_keys: int = 0
     resmoothed_shards: int = 0
     flushes: int = 0
     flushed_keys: int = 0
     compactions: int = 0
-
-    @property
-    def cache_hit_rate(self) -> float:
-        probed = self.cache_hits + self.cache_misses
-        return self.cache_hits / probed if probed else 0.0
 
 
 @dataclass(frozen=True)
@@ -250,7 +264,7 @@ class _WriteBuffer:
 
 
 class IndexService:
-    """Sharded, cache-fronted serving facade over one index family."""
+    """Sharded, write-buffered serving facade over one index family."""
 
     def __init__(
         self,
@@ -258,8 +272,6 @@ class IndexService:
         family: str,
         plan: ShardPlan,
         constants: CostConstants | None = None,
-        cache_blocks: int = 0,
-        block_bits: int = 14,
         staleness_threshold: float = 0.1,
         background_merge: bool = False,
         metrics: MetricsRegistry | None = None,
@@ -271,8 +283,10 @@ class IndexService:
         self.family = family
         self.plan = plan
         self.constants = constants or CostConstants()
-        self.block_bits = int(block_bits)
-        self.cache_blocks = int(cache_blocks)
+        # No shard reaches a reader cold; done here so that build,
+        # open_snapshot and direct construction are all covered.
+        for shard in router.shards:
+            _prewarm_flat(shard)
         self.staleness_threshold = float(staleness_threshold)
         self.stats = ServiceStats()
         self._buffers = [_WriteBuffer() for _ in range(router.n_shards)]
@@ -290,9 +304,6 @@ class IndexService:
         self._c_lookups = reg.counter("service_lookups_total")
         self._c_inserts = reg.counter("service_inserts_total")
         self._c_buffer_hits = reg.counter("service_buffer_hits_total")
-        self._c_cache_hits = reg.counter("service_cache_hits_total")
-        self._c_cache_misses = reg.counter("service_cache_misses_total")
-        self._c_cache_fills = reg.counter("service_cache_fills_total")
         self._c_merges = reg.counter("service_merges_total")
         self._c_merged_keys = reg.counter("service_merged_keys_total")
         self._c_resmoothed = reg.counter("service_resmoothed_shards_total")
@@ -318,15 +329,6 @@ class IndexService:
             else 0.0
             for i in range(router.n_shards)
         ]
-        #: (shard, block_id) -> (sorted keys, values) of the block span.
-        #: The lock serialises LRU mutation against the merge thread's
-        #: invalidations.
-        self._cache: OrderedDict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = OrderedDict()
-        self._cache_lock = threading.Lock()
-        #: Bumped (under the lock) whenever a merge invalidates a
-        #: shard; read-through fills started before the bump are
-        #: discarded instead of caching a pre-merge snapshot.
-        self._shard_epochs = [0] * router.n_shards
         self._merge_pool = _MergeWorker() if background_merge else None
         self._merge_futures: list[Future] = []
         self._closed = False
@@ -359,10 +361,7 @@ class IndexService:
         mode: str = "equi_depth",
         alpha: float | Sequence[float] | str | None = None,
         executor: ExecutorSpec | str | None = None,
-        max_workers: int | None = None,
         constants: CostConstants | None = None,
-        cache_blocks: int = 0,
-        block_bits: int = 14,
         staleness_threshold: float = 0.1,
         background_merge: bool = False,
         metrics: MetricsRegistry | None = None,
@@ -374,9 +373,7 @@ class IndexService:
 
         *executor* picks the shard execution backend (an
         :class:`~repro.serving.executor.ExecutorSpec` or one of
-        ``"serial"`` / ``"thread"`` / ``"process"``); the old
-        ``max_workers=`` thread knob still works behind a deprecation
-        warning.
+        ``"serial"`` / ``"process"``).
         """
         consts = constants or CostConstants()
         plan = plan_shards(
@@ -386,7 +383,6 @@ class IndexService:
         router = ShardRouter(
             shards,
             plan.boundaries,
-            max_workers=max_workers,
             executor=executor,
             build_factory=INDEX_FAMILIES[family].build,
         )
@@ -395,8 +391,6 @@ class IndexService:
             family,
             plan,
             constants=consts,
-            cache_blocks=cache_blocks,
-            block_bits=block_bits,
             staleness_threshold=staleness_threshold,
             background_merge=background_merge,
             metrics=metrics,
@@ -411,9 +405,6 @@ class IndexService:
         store: DurableStore | str,
         constants: CostConstants | None = None,
         executor: ExecutorSpec | str | None = None,
-        max_workers: int | None = None,
-        cache_blocks: int = 0,
-        block_bits: int = 14,
         staleness_threshold: float = 0.1,
         background_merge: bool = False,
         metrics: MetricsRegistry | None = None,
@@ -442,7 +433,6 @@ class IndexService:
             )
         consts = constants or CostConstants()
         family_cls = INDEX_FAMILIES[manifest.family]
-        bounds = np.iinfo(np.int64)
         shards: list[LearnedIndex | None] = []
         shard_keys: list[np.ndarray] = []
         shard_values: list[np.ndarray] = []
@@ -461,17 +451,9 @@ class IndexService:
             ):
                 apply_csv(adapter_for(shard, consts), CsvConfig(alpha=alpha))
             shards.append(shard)
-            pairs = (
-                []
-                if shard is None
-                else shard.range_query(int(bounds.min), int(bounds.max))
-            )
-            shard_keys.append(
-                np.fromiter((p[0] for p in pairs), dtype=np.int64, count=len(pairs))
-            )
-            shard_values.append(
-                np.fromiter((p[1] for p in pairs), dtype=np.int64, count=len(pairs))
-            )
+            skeys, svals = _scan_shard(shard)
+            shard_keys.append(skeys)
+            shard_values.append(svals)
         plan = ShardPlan(
             boundaries=np.asarray(manifest.boundaries, dtype=np.int64),
             shard_keys=tuple(shard_keys),
@@ -485,7 +467,6 @@ class IndexService:
         router = ShardRouter(
             shards,
             plan.boundaries,
-            max_workers=max_workers,
             executor=executor,
             build_factory=family_cls.build,
         )
@@ -494,8 +475,6 @@ class IndexService:
             manifest.family,
             plan,
             constants=consts,
-            cache_blocks=cache_blocks,
-            block_bits=block_bits,
             staleness_threshold=staleness_threshold,
             background_merge=background_merge,
             metrics=metrics,
@@ -542,44 +521,6 @@ class IndexService:
     # ------------------------------------------------------------------
     # Runtime-store hooks (the HTTP front door's persistence points)
     # ------------------------------------------------------------------
-    def export_cache_blocks(self) -> list[tuple[int, int, np.ndarray, np.ndarray]]:
-        """Snapshot the LRU block cache as ``(shard, block, keys, values)``
-        tuples, oldest first — what the runtime store persists at
-        shutdown so a restarted server does not begin cache-cold."""
-        with self._cache_lock:
-            return [
-                (shard, block, ckeys.copy(), cvals.copy())
-                for (shard, block), (ckeys, cvals) in self._cache.items()
-            ]
-
-    def import_cache_blocks(
-        self, blocks: Sequence[tuple[int, int, np.ndarray, np.ndarray]]
-    ) -> int:
-        """Refill the block cache from an exported snapshot.
-
-        Blocks for unknown shards are skipped, LRU order follows the
-        given order (last block is most recent), and the cache budget
-        still applies.  Returns how many blocks were imported; a
-        cache-less service (``cache_blocks == 0``) imports none.
-        """
-        if self.cache_blocks <= 0:
-            return 0
-        imported = 0
-        with self._cache_lock:
-            for shard_no, block_id, ckeys, cvals in blocks:
-                if not 0 <= int(shard_no) < self.n_shards:
-                    continue
-                token = (int(shard_no), int(block_id))
-                self._cache[token] = (
-                    np.asarray(ckeys, dtype=np.int64),
-                    np.asarray(cvals, dtype=np.int64),
-                )
-                self._cache.move_to_end(token)
-                imported += 1
-                while len(self._cache) > self.cache_blocks:
-                    self._cache.popitem(last=False)
-        return imported
-
     def restore_stats(self, counters: dict) -> None:
         """Overwrite :class:`ServiceStats` fields from persisted totals.
 
@@ -654,15 +595,7 @@ class IndexService:
 
     def _shard_arrays(self, shard_no: int) -> tuple[np.ndarray, np.ndarray]:
         """One shard's full current contents: stored ∪ buffered, last wins."""
-        shard = self.router.shards[shard_no]
-        bounds = np.iinfo(np.int64)
-        pairs = (
-            []
-            if shard is None
-            else shard.range_query(int(bounds.min), int(bounds.max))
-        )
-        keys = np.fromiter((p[0] for p in pairs), dtype=np.int64, count=len(pairs))
-        vals = np.fromiter((p[1] for p in pairs), dtype=np.int64, count=len(pairs))
+        keys, vals = _scan_shard(self.router.shards[shard_no])
         buffer = self._buffers[shard_no]
         if len(buffer):
             bkeys, bvals = buffer.arrays()
@@ -760,7 +693,7 @@ class IndexService:
     # Read path
     # ------------------------------------------------------------------
     def lookup_many(self, keys: np.ndarray | list) -> BatchQueryStats:
-        """Batched lookups through buffer → cache → shards."""
+        """Batched lookups through buffer → shards."""
         q = _as_query_array(keys)
         m = int(q.size)
         self.stats.n_lookups += m
@@ -772,52 +705,41 @@ class IndexService:
         values = np.zeros(m, dtype=np.int64)
         levels = np.zeros(m, dtype=np.int64)
         steps = np.zeros(m, dtype=np.int64)
-        extra_steps = np.zeros(m, dtype=np.int64)
         pending = np.ones(m, dtype=bool)
 
-        # 1. Write-buffer overlay.
+        # 1. Write-buffer overlay.  Every query into a shard with a
+        #    non-empty buffer pays the memtable probe: a hit is
+        #    answered here, a miss carries the charge into stage 2.
         for shard_no, buffer in enumerate(self._buffers):
             if not len(buffer):
                 continue
-            mask = pending & (shard_ids == shard_no)
-            if not np.any(mask):
+            idx = np.nonzero(shard_ids == shard_no)[0]
+            if not idx.size:
                 continue
             bkeys, bvals = buffer.arrays()
-            probe = _memtable_steps(len(buffer))
-            sub = q[mask]
+            steps[idx] = _memtable_steps(len(buffer))
+            sub = q[idx]
             pos = np.searchsorted(bkeys, sub)
             hit = np.zeros(sub.size, dtype=bool)
             in_range = pos < bkeys.size
             hit[in_range] = bkeys[pos[in_range]] == sub[in_range]
-            idx = np.nonzero(mask)[0]
             hit_idx = idx[hit]
             found[hit_idx] = True
             values[hit_idx] = bvals[pos[hit]]
-            steps[hit_idx] = probe
             pending[hit_idx] = False
             self.stats.buffer_hits += int(hit_idx.size)
             if self.metrics.enabled:
                 self._c_buffer_hits.inc(int(hit_idx.size))
-            # Buffer misses pay the failed memtable probe on top of
-            # whatever the cache/shard path charges.
-            extra_steps[idx[~hit]] += probe
 
-        # 2. LRU block cache.
-        if self.cache_blocks > 0 and np.any(pending):
-            self._cache_pass(q, shard_ids, pending, found, values, levels, steps)
-
-        # 3. Scatter/gather for the remainder.
+        # 2. Scatter/gather for whatever the buffers did not answer.
         if np.any(pending):
             routed = self.router.lookup_many(q[pending])
             idx = np.nonzero(pending)[0]
             found[idx] = routed.gathered.found
             values[idx] = routed.gathered.values
             levels[idx] = routed.gathered.levels
-            steps[idx] = routed.gathered.search_steps
-            if self.cache_blocks > 0:
-                self._fill_blocks(q[pending], shard_ids[pending])
+            steps[idx] += routed.gathered.search_steps
 
-        steps += extra_steps
         batch = BatchQueryStats(
             keys=q, found=found, values=values, levels=levels, search_steps=steps
         )
@@ -828,105 +750,6 @@ class IndexService:
         """Single-key convenience wrapper over :meth:`lookup_many`."""
         batch = self.lookup_many(np.asarray([int(key)], dtype=np.int64))
         return int(batch.values[0]) if batch.found[0] else None
-
-    def _cache_pass(
-        self,
-        q: np.ndarray,
-        shard_ids: np.ndarray,
-        pending: np.ndarray,
-        found: np.ndarray,
-        values: np.ndarray,
-        levels: np.ndarray,
-        steps: np.ndarray,
-    ) -> None:
-        """Serve every pending query whose block is cached (hits *and*
-        definite misses — a cached block covers its whole span).
-
-        Grouped by (shard, block) token: one cache probe and one
-        vectorised ``searchsorted`` per distinct block, not per query.
-        """
-        blocks = q >> self.block_bits
-        idx = np.nonzero(pending)[0]
-        # Group the pending queries by block token (order within a
-        # group is irrelevant: results go back positionally).  The
-        # composite is collision-free: shard ids live in [0, K).
-        tokens = blocks[idx] * np.int64(self.n_shards) + shard_ids[idx]
-        grouping = np.argsort(tokens, kind="stable")
-        starts = np.concatenate(
-            [[0], np.nonzero(np.diff(tokens[grouping]))[0] + 1, [idx.size]]
-        )
-        for lo, hi in zip(starts[:-1], starts[1:]):
-            group = idx[grouping[lo:hi]]
-            first = int(group[0])
-            token = (int(shard_ids[first]), int(blocks[first]))
-            with self._cache_lock:
-                entry = self._cache.get(token)
-                if entry is not None:
-                    self._cache.move_to_end(token)
-            if entry is None:
-                self.stats.cache_misses += int(group.size)
-                if self.metrics.enabled:
-                    self._c_cache_misses.inc(int(group.size))
-                continue
-            ckeys, cvals = entry
-            sub = q[group]
-            pos = np.searchsorted(ckeys, sub)
-            hit = np.zeros(sub.size, dtype=bool)
-            in_range = pos < ckeys.size
-            hit[in_range] = ckeys[pos[in_range]] == sub[in_range]
-            found[group] = hit
-            values[group[hit]] = cvals[pos[hit]]
-            levels[group] = 0
-            steps[group] = 1
-            pending[group] = False
-            self.stats.cache_hits += int(group.size)
-            if self.metrics.enabled:
-                self._c_cache_hits.inc(int(group.size))
-
-    def _fill_blocks(self, q: np.ndarray, shard_ids: np.ndarray) -> None:
-        """Read-through fill of the uncached blocks a batch touched.
-
-        At most ``cache_blocks`` fills per batch, hottest blocks (most
-        queries in this batch) first — filling every distinct block of
-        a wide batch would evict each fill before it could ever be hit
-        and pay one ``range_query`` per query for nothing.
-        """
-        blocks = q >> self.block_bits
-        span = np.int64(1) << self.block_bits
-        touch_counts: dict[tuple[int, int], int] = {}
-        for s, b in zip(shard_ids.tolist(), blocks.tolist()):
-            token = (int(s), int(b))
-            touch_counts[token] = touch_counts.get(token, 0) + 1
-        hottest = sorted(touch_counts, key=lambda t: (-touch_counts[t], t))
-        for token in hottest[: self.cache_blocks]:
-            shard_no, block_id = token
-            with self._cache_lock:
-                if token in self._cache:
-                    continue
-                epoch = self._shard_epochs[shard_no]
-            shard = self.router.shards[shard_no]
-            low = int(block_id * span)
-            high = int(low + span - 1)
-            pairs = [] if shard is None else shard.range_query(low, high)
-            ckeys = np.asarray([p[0] for p in pairs], dtype=np.int64)
-            cvals = np.asarray([p[1] for p in pairs], dtype=np.int64)
-            with self._cache_lock:
-                if self._shard_epochs[shard_no] != epoch:
-                    continue  # a merge landed mid-scan; block is stale
-                self._cache[token] = (ckeys, cvals)
-                self._cache.move_to_end(token)
-                while len(self._cache) > self.cache_blocks:
-                    self._cache.popitem(last=False)
-            self.stats.cache_fills += 1
-            if self.metrics.enabled:
-                self._c_cache_fills.inc()
-
-    def _invalidate_blocks(self, keys: np.ndarray, shard_ids: np.ndarray) -> None:
-        blocks = keys >> self.block_bits
-        tokens = {(int(s), int(b)) for s, b in zip(shard_ids.tolist(), blocks.tolist())}
-        with self._cache_lock:
-            for token in tokens:
-                self._cache.pop(token, None)
 
     # ------------------------------------------------------------------
     # Write path
@@ -949,9 +772,7 @@ class IndexService:
         instrumented = self.metrics.enabled
         if instrumented:
             self._c_inserts.inc(int(arr.size))
-        shard_ids, order, offsets = self.router.group_by_shard(arr)
-        if self.cache_blocks > 0:
-            self._invalidate_blocks(arr, shard_ids)
+        __, order, offsets = self.router.group_by_shard(arr)
         for shard_no in range(self.n_shards):
             lo, hi = int(offsets[shard_no]), int(offsets[shard_no + 1])
             if lo == hi:
@@ -1051,16 +872,7 @@ class IndexService:
             shard.bulk_insert_many(bkeys, bvals)
             merged = shard
         else:
-            # One ordered scan recovers the stored pairs — cheaper
-            # than probing the index once per stored key.
-            bounds = np.iinfo(np.int64)
-            pairs = shard.range_query(int(bounds.min), int(bounds.max))
-            old_keys = np.fromiter(
-                (p[0] for p in pairs), dtype=np.int64, count=len(pairs)
-            )
-            old_vals = np.fromiter(
-                (p[1] for p in pairs), dtype=np.int64, count=len(pairs)
-            )
+            old_keys, old_vals = _scan_shard(shard)
             merged_keys, merged_vals = dedupe_last_wins(
                 np.concatenate([old_keys, bkeys]),
                 np.concatenate([old_vals, bvals]),
@@ -1078,17 +890,10 @@ class IndexService:
         if resmoothed:
             apply_csv(adapter_for(merged, self.constants), CsvConfig(alpha=alpha))
             self.stats.resmoothed_shards += 1
-        # Tree backends with a compiled flat lookup view pay its
-        # (re)compile before the swap, not on the first query after it.
-        prewarm = getattr(merged, "prewarm_flat", None)
-        if prewarm is not None:
-            prewarm()
+        # The (re)compile is paid before the swap, not on the first
+        # query after it.
+        _prewarm_flat(merged)
         self.router.replace_shard(shard_no, merged)
-        if self.cache_blocks > 0:
-            with self._cache_lock:
-                self._shard_epochs[shard_no] += 1
-                for token in [t for t in self._cache if t[0] == shard_no]:
-                    self._cache.pop(token, None)
         self.stats.merges += 1
         self.stats.merged_keys += len(merged_entries)
         # Drop exactly what was merged: writes that landed mid-merge
@@ -1198,7 +1003,7 @@ class IndexService:
         histograms, the compile-time expected per-key cost (Eq. 22,
         refreshed when a merge rebuilds the shard), and the drift of
         observed mean over that expectation.  Aggregates: merge-queue
-        depth, cache/buffer hit rates, and the observed per-shard cost
+        depth, buffer hit rate, and the observed per-shard cost
         imbalance (max/mean of shard means — the runtime counterpart
         of the partitioner's predicted ``cost_imbalance``).
         """
@@ -1242,7 +1047,6 @@ class IndexService:
             shards=tuple(shards),
             merge_queue_depth=self.merge_queue_depth(),
             merges=self.stats.merges,
-            cache_hit_rate=self.stats.cache_hit_rate,
             buffer_hit_rate=(
                 self.stats.buffer_hits / self.stats.n_lookups
                 if self.stats.n_lookups

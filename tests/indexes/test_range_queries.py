@@ -3,8 +3,8 @@
 Every index family answers ``range_query`` (the base class provides a
 generic ordered-walk default; the array-backed and tree backends
 override it with direct scans), and all of them must agree with the
-brute-force oracle — the serving layer's block cache and range path
-sit on this contract.
+brute-force oracle — the serving layer's merge and range paths sit
+on this contract.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 """Shared fixtures for the HTTP front-door suite.
 
 Parity here is always *twin parity*: lookup cost telemetry (levels /
-search_steps) is deliberately non-idempotent on one service — the
-read-through block cache turns repeat blocks into levels-0 answers —
-so a response can only be compared against a second ``IndexService``
-built from the same keys and fed the same op sequence in-process.
+search_steps) depends on the write history — a buffered write answers
+at levels 0, a merge restructures its shard — so a response can only
+be compared against a second ``IndexService`` built from the same
+keys and fed the same op sequence in-process.
 """
 
 from __future__ import annotations

@@ -39,14 +39,16 @@ class TestLookupParity:
         assert resp["levels"] == ref.levels.tolist()
         assert resp["search_steps"] == ref.search_steps.tolist()
 
-    def test_repeat_batches_track_twin_cache_state(self, twin_pair, rng):
-        # Cost telemetry changes across calls (cache warms up); both
-        # sides must change in lockstep.
+    def test_repeat_batches_are_idempotent(self, twin_pair, rng):
+        # With no writes in between a read leaves nothing behind: the
+        # same batch gets the same answer and cost telemetry each time.
         client, twin, keys = twin_pair
         q = rng.choice(keys, 256)
+        ref = twin.lookup_many(q)
         for _ in range(3):
             resp = client.lookup(q.tolist())
-            ref = twin.lookup_many(q)
+            assert resp["found"] == ref.found.tolist()
+            assert resp["values"] == ref.values.tolist()
             assert resp["levels"] == ref.levels.tolist()
             assert resp["search_steps"] == ref.search_steps.tolist()
 
@@ -100,6 +102,13 @@ class TestObservabilityEndpoints:
         assert stats["service"]["n_lookups"] >= 32
         assert stats["n_shards"] >= 1
         assert stats["store"] is None
+
+    def test_stats_and_health_carry_no_cache_fields(self, twin_pair, rng):
+        client, _twin, keys = twin_pair
+        client.lookup(rng.choice(keys, 16).tolist())
+        stats = client.stats()
+        names = [*client.health(), *stats["service"], *stats["http"]]
+        assert not [name for name in names if "cache" in name]
 
     def test_metrics_prometheus_exposition(self, twin_pair, rng):
         client, _twin, keys = twin_pair

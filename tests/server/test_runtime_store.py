@@ -8,6 +8,8 @@ the end-to-end test exercises through a full HTTP restart cycle.
 
 from __future__ import annotations
 
+import sqlite3
+
 import numpy as np
 import pytest
 
@@ -63,26 +65,13 @@ class TestStoreUnit:
         store.save_counters({"b": 20, "c": 3})
         assert store.load_counters() == {"a": 1, "b": 20, "c": 3}
 
-    def test_cache_blocks_roundtrip(self, store, rng):
-        blocks = [
-            (0, 7, rng.integers(0, 100, 8), rng.integers(0, 100, 8)),
-            (2, 1, rng.integers(0, 100, 3), rng.integers(0, 100, 3)),
-        ]
-        store.save_cache_blocks(blocks)
-        loaded = store.load_cache_blocks()
-        assert [(s, b) for s, b, _, _ in loaded] == [(0, 7), (2, 1)]
-        for (_, _, keys, vals), (_, _, k2, v2) in zip(blocks, loaded):
-            assert np.array_equal(keys, k2) and np.array_equal(vals, v2)
-
     def test_replay_bundles_everything(self, store, rng):
         keys = rng.integers(0, 1000, 10)
         store.record_op("insert", keys)
         store.save_counters({"x": 5})
-        store.save_cache_blocks([(1, 2, keys, keys * 2)])
         state = store.replay()
         assert state.counters == {"x": 5}
         assert len(state.ops) == 1 and np.array_equal(state.ops[0].keys, keys)
-        assert len(state.cache_blocks) == 1
 
     def test_survives_reopen(self, tmp_path, rng):
         path = tmp_path / "r.db"
@@ -158,6 +147,83 @@ class TestRestartRecovery:
                         resp = client.lookup(fresh.tolist())
             service2.close()
         assert not any(resp["found"])
+
+
+#: The runtime.db layout of the release that still had the block
+#: cache (store version 1), written out so the fixture does not
+#: depend on code that no longer exists.
+LEGACY_SCHEMA = """
+CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
+CREATE TABLE counters (name TEXT PRIMARY KEY, value INTEGER NOT NULL);
+CREATE TABLE op_log (
+    seq INTEGER PRIMARY KEY AUTOINCREMENT, ts REAL NOT NULL, op TEXT NOT NULL,
+    n_keys INTEGER NOT NULL, keys BLOB NOT NULL, vals BLOB
+);
+CREATE TABLE query_cache (
+    shard INTEGER NOT NULL, block INTEGER NOT NULL, keys BLOB NOT NULL,
+    vals BLOB NOT NULL, saved_ts REAL NOT NULL, PRIMARY KEY (shard, block)
+);
+"""
+
+
+class TestLegacyDataDir:
+    def test_runtime_db_with_query_cache_table_still_opens(self, tmp_path, rng):
+        base = np.unique(rng.integers(0, 10**8, 1_000))
+        batches = [int(base[-1]) + 1 + np.arange(i * 50, (i + 1) * 50) for i in range(3)]
+        path = tmp_path / "runtime.db"
+        conn = sqlite3.connect(path)
+        conn.executescript(LEGACY_SCHEMA)
+        conn.execute("INSERT INTO meta VALUES ('version', '1')")
+        conn.executemany(
+            "INSERT INTO counters VALUES (?, ?)",
+            [
+                ("service.n_lookups", 700),
+                ("service.merges", 4),
+                ("service.cache_hits", 11),
+                ("service.cache_misses", 22),
+                ("service.cache_fills", 3),
+                ("http_keys_inserted_total", 150),
+            ],
+        )
+        for keys in batches:  # un-pruned rows: nothing was durably synced
+            blob = keys.astype("<i8").tobytes()
+            conn.execute(
+                "INSERT INTO op_log (ts, op, n_keys, keys, vals) VALUES (0, 'insert', ?, ?, ?)",
+                (keys.size, blob, (keys * 2).astype("<i8").tobytes()),
+            )
+        conn.execute(
+            "INSERT INTO query_cache VALUES (0, 7, ?, ?, 0)",
+            (base[:8].astype("<i8").tobytes(), base[:8].astype("<i8").tobytes()),
+        )
+        conn.commit()
+        conn.close()
+
+        registry = MetricsRegistry(enabled=True)
+        with scoped_registry(registry):
+            service = IndexService.build(base, family=FAMILY, n_shards=N_SHARDS)
+            with RuntimeStore(path) as store:
+                assert store.meta_get("version") == "1"
+                with ServerThread(service, registry=registry, store=store) as srv:
+                    with HttpIndexClient(srv.host, srv.port) as client:
+                        fresh = np.concatenate(batches)
+                        resp = client.lookup(fresh.tolist())
+                        stats = client.stats()
+            service.close()
+        assert all(resp["found"])  # every logged op replayed, in order
+        assert resp["values"] == (fresh * 2).tolist()
+        # Known counters carry on from their persisted totals ...
+        assert stats["service"]["n_lookups"] == 700 + fresh.size
+        assert stats["service"]["merges"] == 4
+        assert stats["http"]["http_keys_inserted_total"] == 150
+        # ... and what the old version left behind is neither read nor
+        # touched: no cache field comes back, the table keeps its row.
+        assert not [name for name in stats["service"] if "cache" in name]
+        conn = sqlite3.connect(path)
+        assert conn.execute("SELECT COUNT(*) FROM query_cache").fetchone() == (1,)
+        assert conn.execute(
+            "SELECT value FROM counters WHERE name = 'service.cache_hits'"
+        ).fetchone() == (11,)
+        conn.close()
 
 
 class TestOpLogPruning:

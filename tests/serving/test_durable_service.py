@@ -9,6 +9,11 @@ without being asked, and ``close()`` leaves nothing volatile behind.
 
 from __future__ import annotations
 
+import shutil
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -177,3 +182,54 @@ class TestReopenThenWrite:
         with IndexService.open_snapshot(tmp_path / "data") as final:
             got = final.lookup_many(np.concatenate([first[:50], second[:50]]))
             assert bool(got.found.all())
+
+
+class TestColdConcurrentReads:
+    def test_racing_first_reads_lose_no_merged_write(self, tmp_path, rng):
+        """A service is warm before anyone can read it.
+
+        The LIPP flat view compiles lazily and unlocked, re-pointing
+        the tree's slot arrays at its own buffers.  Two first reads
+        compiling one cold shard together used to leave the tree on
+        one compile's buffers and lookups on the other's; the next
+        merge wrote slots into one and rebuilt from the other, and
+        acknowledged keys vanished.
+        """
+        keys = np.unique(rng.integers(0, 10**9, 8_000))
+        IndexService.build(
+            keys, family=FAMILY, n_shards=2, store=DurableStore(tmp_path / "snap")
+        ).close()
+        barrier = threading.Barrier(2)
+
+        def first_read(service):
+            barrier.wait()
+            service.lookup_many(keys[:256])
+
+        for trial in range(12):  # the race needs both timing windows to line up
+            data_dir = tmp_path / f"trial{trial}"
+            shutil.copytree(tmp_path / "snap", data_dir)
+            with IndexService.open_snapshot(data_dir) as service:
+                # A tiny switch interval interleaves the two readers
+                # the way a loaded two-worker server does by chance.
+                interval = sys.getswitchinterval()
+                sys.setswitchinterval(1e-5)
+                try:
+                    with ThreadPoolExecutor(2) as pool:
+                        reads = [pool.submit(first_read, service) for _ in range(2)]
+                        for read in reads:
+                            read.result()
+                finally:
+                    sys.setswitchinterval(interval)
+                acked = []
+                for _ in range(30):  # 64-key writes until shards merge
+                    fresh = np.setdiff1d(
+                        rng.integers(int(keys[0]), int(keys[-1]), 64), keys
+                    )
+                    service.insert_many(fresh, fresh + 1)
+                    acked.append(fresh)
+                assert service.stats.merges > 0
+                acked = np.unique(np.concatenate(acked))
+                got = service.lookup_many(acked)
+                assert got.found.all(), f"trial {trial}: lost {(~got.found).sum()}"
+                assert np.array_equal(got.values, acked + 1)
+                assert service.lookup_many(keys).found.all()

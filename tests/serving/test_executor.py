@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 import signal
-import warnings
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -27,8 +26,6 @@ from repro.serving import (
     build_shard_indexes,
     plan_shards,
 )
-from repro.serving import executor as executor_mod
-from repro.serving.executor import resolve_executor
 
 
 def service_keys(rng, n=6000):
@@ -54,8 +51,8 @@ class TestExecutorSpec:
 
     def test_parse_strings(self):
         assert ExecutorSpec.parse("process").kind == "process"
-        spec = ExecutorSpec.parse("thread:4")
-        assert (spec.kind, spec.n_workers) == ("thread", 4)
+        spec = ExecutorSpec.parse("process:4")
+        assert (spec.kind, spec.n_workers) == ("process", 4)
         assert ExecutorSpec.parse(None) == ExecutorSpec()
         existing = ExecutorSpec(kind="process", n_replicas=2)
         assert ExecutorSpec.parse(existing) is existing
@@ -75,49 +72,27 @@ class TestExecutorSpec:
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(IndexStateError):
-            ExecutorSpec.parse("thread:lots")
+            ExecutorSpec.parse("process:lots")
         with pytest.raises(IndexStateError):
             ExecutorSpec.parse(7)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: ExecutorSpec("thread"),
+            lambda: ExecutorSpec.parse("thread"),
+            lambda: ExecutorSpec.parse("thread:4"),
+        ],
+        ids=["ctor", "parse", "parse-workers"],
+    )
+    def test_removed_thread_kind_is_rejected(self, make):
+        with pytest.raises(IndexStateError, match="serial.*process"):
+            make()
 
     def test_resolved_workers_never_below_replicas(self):
         spec = ExecutorSpec(kind="process", n_replicas=3)
         assert spec.resolved_workers(1) >= 3
         assert ExecutorSpec(kind="process", n_workers=2).resolved_workers(8) == 2
-
-
-class TestDeprecationShims:
-    def setup_method(self):
-        executor_mod._DEPRECATION_WARNED.clear()
-
-    def test_max_workers_maps_to_thread_and_warns_once(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            spec = resolve_executor(max_workers=4)
-            again = resolve_executor(max_workers=8)
-        assert (spec.kind, spec.n_workers) == ("thread", 4)
-        assert again.kind == "thread"
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deprecations) == 1
-        assert "max_workers" in str(deprecations[0].message)
-
-    def test_threaded_bool_maps_and_warns_once(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert resolve_executor(threaded=True).kind == "thread"
-            assert resolve_executor(threaded=False).kind == "serial"
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deprecations) == 1
-
-    def test_explicit_spec_plus_legacy_knob_is_an_error(self):
-        with pytest.raises(IndexStateError):
-            resolve_executor(ExecutorSpec(kind="process"), max_workers=4)
-        with pytest.raises(IndexStateError):
-            resolve_executor("thread", threaded=True)
-
-    def test_max_workers_one_stays_serial(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert resolve_executor(max_workers=1).kind == "serial"
 
 
 class TestProcessParity:

@@ -124,17 +124,6 @@ class TestGatherExactness:
             assert stat.levels == int(routed.gathered.levels[i])
             assert stat.search_steps == int(routed.gathered.search_steps[i])
 
-    def test_threaded_gather_identical_to_serial(self, rng):
-        keys = np.unique(rng.integers(0, 10**7, 1500))
-        queries = rng.choice(keys, 800)
-        serial = make_router(keys, 6, family="btree")
-        with make_router(keys, 6, family="btree", max_workers=4) as threaded:
-            assert threaded.threaded
-            a = serial.lookup_many(queries).gathered
-            b = threaded.lookup_many(queries).gathered
-        for field in ("found", "values", "levels", "search_steps"):
-            assert np.array_equal(getattr(a, field), getattr(b, field))
-
     def test_per_shard_stats_sum_to_gathered(self, rng):
         keys = np.unique(rng.integers(0, 10**7, 1000))
         queries = rng.choice(keys, 500)

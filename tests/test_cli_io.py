@@ -136,3 +136,14 @@ class TestCli:
     def test_unknown_dataset_rejected(self):
         with pytest.raises(SystemExit):
             main(["build", "--dataset", "nope"])
+
+    @pytest.mark.parametrize(
+        "removed",
+        [["--cache-blocks", "1"], ["--threads", "2"], ["--executor", "thread"]],
+        ids=["cache-blocks", "threads", "executor-thread"],
+    )
+    def test_serve_rejects_removed_flags(self, removed, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", *removed])
+        assert exc.value.code == 2
+        assert removed[0] in capsys.readouterr().err
