@@ -155,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--compaction", default="tiered", metavar="STRATEGY",
-        help="with --data-dir: background compaction strategy — "
+        help="with --data-dir: compaction strategy run after each merge — "
              "'tiered' (size-tiered bin-pack, default), 'sortmerge' "
              "(full fold into fresh bases), optionally with a run "
              "bound like 'tiered:8' / 'sortmerge:4'",
@@ -394,7 +394,7 @@ def _close_on_signals():
     """Convert SIGTERM into an orderly :class:`SystemExit`.
 
     The ``serve`` body runs inside ``with IndexService...``, whose
-    ``close()`` does the ordered merge-drain + executor teardown — but
+    ``close()`` flushes buffered writes and stops the executor — but
     only when the exception actually unwinds through the block.
     SIGINT already raises ``KeyboardInterrupt`` there; an unhandled
     SIGTERM, by contrast, kills the process outright and skips the
@@ -539,9 +539,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 ),
             )
         except (KeyboardInterrupt, SystemExit):
-            # The with-block still runs IndexService.close(): merges
-            # drain and executor workers stop in order before exit.
-            _say("\ninterrupted — draining merges and closing shards")
+            # The with-block still runs IndexService.close(): buffered
+            # writes flush and executor workers stop before exit.
+            _say("\ninterrupted — closing shards")
             snap()
             return 130
         _say(

@@ -207,8 +207,8 @@ def dedupe_last_wins(
 
     The batch-order last-wins semantics of sequential ``insert`` calls,
     as sorted unique arrays ready for a bulk ``build`` or sorted merge
-    — shared by the bulk-ingest paths, the router's empty-shard
-    materialisation and the service's merge path.
+    — shared by the bulk-ingest paths, the service's memtable and
+    merge path, and the store's run files.
     """
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]

@@ -90,7 +90,6 @@ class HealthReport:
     """Service-wide health: per-shard rows plus aggregate signals."""
 
     shards: tuple[ShardHealth, ...]
-    merge_queue_depth: int
     merges: int
     buffer_hit_rate: float
     cost_imbalance: float
@@ -146,7 +145,6 @@ class HealthReport:
         )
         summary = (
             f"status={self.status}  merges={self.merges}  "
-            f"merge_queue={self.merge_queue_depth}  "
             f"buffer_hit_rate={self.buffer_hit_rate:.3f}  "
             f"cost_imbalance={self.cost_imbalance:.2f}"
         )

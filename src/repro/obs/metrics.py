@@ -113,8 +113,8 @@ class Histogram:
     """Streaming log-bucket histogram with exact count/sum/min/max.
 
     See the module docstring for the fixed bucket layout.  All
-    mutating operations take the instance lock so a background merge
-    thread and the serving thread can share one histogram.
+    mutating operations take the instance lock so the front door's
+    concurrent reader threads can share one histogram.
     """
 
     __slots__ = ("_counts", "count", "sum", "min", "max", "_lock")

@@ -98,6 +98,14 @@ class BadRequestError(Exception):
     """Client-side request error (HTTP 400)."""
 
 
+class _FramingError(Exception):
+    """A request whose body must not be read: answer *status*, close."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
+
+
 class _ReadWriteLock:
     """Many concurrent readers XOR one writer.
 
@@ -451,7 +459,17 @@ class HttpFrontDoor:
             task.add_done_callback(self._conn_tasks.discard)
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except _FramingError as exc:
+                    # Nothing of the body was read, so the stream cannot
+                    # be resynchronised: answer, then drop the connection.
+                    self._c_errors.inc()
+                    await self._write_response(
+                        writer, exc.status, _error_body(str(exc)),
+                        JSON_CONTENT_TYPE, [], keep_alive=False,
+                    )
+                    break
                 if request is None:
                     break
                 keep_alive = await self._dispatch(request, writer)
@@ -488,7 +506,16 @@ class HttpFrontDoor:
                 break
             name, _, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", 0) or 0)
+        # The declared length is checked before any body byte is read:
+        # the cap bounds what a client can make the server buffer.
+        try:
+            length = int(headers.get("content-length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise _FramingError(400, "invalid Content-Length")
+        if length > MAX_BODY_BYTES:
+            raise _FramingError(413, "request body too large")
         body = await reader.readexactly(length) if length > 0 else b""
         return method.upper(), target.split("?", 1)[0], headers, body
 
@@ -505,29 +532,26 @@ class HttpFrontDoor:
         extra: list[tuple[str, str]] = []
         keep_alive = headers.get("connection", "").lower() != "close"
         try:
-            if len(body) > MAX_BODY_BYTES:
-                status, payload = 413, _error_body("request body too large")
+            handler = self._routes.get((method, path))
+            if handler is None:
+                known_paths = {p for (_m, p) in self._routes}
+                status = 405 if path in known_paths else 404
+                payload = _error_body(
+                    "method not allowed" if status == 405 else "no such route"
+                )
             else:
-                handler = self._routes.get((method, path))
-                if handler is None:
-                    known_paths = {p for (_m, p) in self._routes}
-                    status = 405 if path in known_paths else 404
-                    payload = _error_body(
-                        "method not allowed" if status == 405 else "no such route"
-                    )
-                else:
-                    obj = None
-                    if method == "POST":
-                        try:
-                            obj = json.loads(body.decode("utf-8")) if body else {}
-                        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                            raise BadRequestError(f"invalid JSON body: {exc}") from exc
-                    status, result, content_type = await handler(obj)
-                    payload = (
-                        result
-                        if isinstance(result, bytes)
-                        else json.dumps(result, sort_keys=True).encode("utf-8")
-                    )
+                obj = None
+                if method == "POST":
+                    try:
+                        obj = json.loads(body.decode("utf-8")) if body else {}
+                    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                        raise BadRequestError(f"invalid JSON body: {exc}") from exc
+                status, result, content_type = await handler(obj)
+                payload = (
+                    result
+                    if isinstance(result, bytes)
+                    else json.dumps(result, sort_keys=True).encode("utf-8")
+                )
         except BadRequestError as exc:
             status, payload = 400, _error_body(str(exc))
         except OverloadedError as exc:

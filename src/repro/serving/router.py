@@ -1,9 +1,12 @@
 """Vectorised scatter/gather routing over range-partitioned shards.
 
-One ``np.searchsorted`` against the boundary array assigns every query
+The router routes reads and swaps shards; it has no write path of its
+own (writes buffer in :class:`~repro.serving.service.IndexService`
+and reach a shard through :meth:`ShardRouter.replace_shard`).  One
+``np.searchsorted`` against the boundary array assigns every query
 of a batch to its shard; a stable argsort groups the batch into
 per-shard contiguous runs; each run goes down its shard's
-``lookup_many`` / ``insert_many``; and the per-shard
+``lookup_many``; and the per-shard
 :class:`~repro.indexes.base.BatchQueryStats` are gathered back into
 the caller's positional order.  *How* the per-shard runs execute is
 the :class:`~repro.serving.executor.ExecutorSpec`: inline
@@ -14,32 +17,26 @@ bit-identical to routing ``keys[i]`` alone and looking it up in its
 shard.
 
 In process mode the router keeps its in-process shard objects as the
-*authoritative* copies: writes (``insert_many``, ``replace_shard``)
-apply there and the shard is republished to the worker replicas;
-reads fan out to the replicas; ``range_query`` and ``iter_keys`` scan
-the authoritative copies directly.
+*authoritative* copies: ``replace_shard`` swaps one there and
+republishes it to the worker replicas; reads fan out to the
+replicas; ``range_query`` and ``iter_keys`` scan the authoritative
+copies directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..core.exceptions import IndexStateError
-from ..indexes.base import (
-    BatchQueryStats,
-    LearnedIndex,
-    _as_batch_kv,
-    _as_query_array,
-    dedupe_last_wins,
-)
+from ..indexes.base import BatchQueryStats, LearnedIndex, _as_query_array
 from ..obs.health import ReplicaHealth
 from ..obs.metrics import get_registry
 from .executor import ExecutorSpec, ProcessShardExecutor
 
-__all__ = ["RoutedBatch", "ShardRouter", "dedupe_last_wins"]
+__all__ = ["RoutedBatch", "ShardRouter"]
 
 
 @dataclass(frozen=True)
@@ -66,15 +63,13 @@ class ShardRouter:
     """Scatter/gather router over a list of shard indexes.
 
     ``shards[i]`` may be None (an empty shard): lookups routed there
-    miss with zero traversal cost, and inserts materialise the shard
-    through *build_factory* on first write.
+    miss with zero traversal cost.
     """
 
     def __init__(
         self,
         shards: Sequence[LearnedIndex | None],
         boundaries: np.ndarray,
-        build_factory: Callable[[np.ndarray, np.ndarray], LearnedIndex] | None = None,
         executor: ExecutorSpec | str | None = None,
     ):
         boundaries = np.asarray(boundaries, dtype=np.int64)
@@ -87,7 +82,6 @@ class ShardRouter:
             raise IndexStateError("shard boundaries must be non-decreasing")
         self._shards = list(shards)
         self._boundaries = boundaries
-        self._build_factory = build_factory
         self._spec = ExecutorSpec.parse(executor)
         self._proc: ProcessShardExecutor | None = None
         if self._spec.kind == "process":
@@ -241,57 +235,6 @@ class ShardRouter:
             gathered=gathered, shard_ids=shard_ids, per_shard=tuple(per_shard)
         )
 
-    def insert_many(
-        self,
-        keys: np.ndarray | list,
-        values: np.ndarray | list | None = None,
-    ) -> np.ndarray:
-        """Routed batched inserts; returns the per-shard insert counts.
-
-        Within a shard the batch order is preserved (stable grouping),
-        so duplicate keys keep the sequential last-wins semantics.
-        Inserting into an empty shard builds it from the run's sorted,
-        deduplicated keys via the router's *build_factory*.
-        """
-        arr, vals = _as_batch_kv(keys, values)
-        __, order, offsets = self.group_by_shard(arr)
-        counts = np.zeros(self.n_shards, dtype=np.int64)
-        touched: list[int] = []
-        for shard_no in range(self.n_shards):
-            lo, hi = int(offsets[shard_no]), int(offsets[shard_no + 1])
-            if lo == hi:
-                continue
-            positions = order[lo:hi]
-            counts[shard_no] = positions.size
-            touched.append(shard_no)
-            shard = self._shards[shard_no]
-            if shard is None:
-                self._shards[shard_no] = self._materialise(
-                    arr[positions], vals[positions]
-                )
-            else:
-                shard.insert_many(arr[positions], vals[positions])
-        if self._proc is not None:
-            # Writes applied to the authoritative in-process shards
-            # above; each touched shard is republished so the replicas
-            # serve the new state.  (The service's write path buffers
-            # instead and republishes only on merge — this direct path
-            # trades write throughput for simplicity.)
-            for shard_no in touched:
-                self._proc.publish(shard_no, self._shards[shard_no])
-        reg = get_registry()
-        if reg.enabled:
-            reg.counter("router_inserted_keys_total").inc(int(arr.size))
-        return counts
-
-    def _materialise(self, run_keys: np.ndarray, run_values: np.ndarray) -> LearnedIndex:
-        """Build an empty shard from its first insert run (last wins)."""
-        if self._build_factory is None:
-            raise IndexStateError(
-                "cannot insert into an empty shard without a build_factory"
-            )
-        return self._build_factory(*dedupe_last_wins(run_keys, run_values))
-
     def range_query(self, low: int, high: int) -> list[tuple[int, int]]:
         """Gathered range scan across every shard overlapping the range."""
         low = int(low)
@@ -322,8 +265,8 @@ class ShardRouter:
         In process mode the new index is republished to the shard's
         replicas (or the publication withdrawn when *index* is None);
         a router whose executor is already closed just swaps locally,
-        so a straggling background merge landing during shutdown can
-        not crash against dead workers.
+        so a merge run on a closed service does not crash against
+        dead workers.
         """
         shard_no = int(shard_no)
         self._shards[shard_no] = index

@@ -9,11 +9,16 @@ Read path (per batch, all vectorised):
 2. **Scatter/gather** — everything still pending goes down the
    :class:`~repro.serving.router.ShardRouter`.
 
-Write path: ``insert_many`` lands in the per-shard buffers (last
-write wins), and when a shard's staleness ``buffered / stored``
-crosses the threshold the buffer is merged into the shard and the
-shard is re-smoothed with its own α (CSV families) — synchronously by
-default, or on a background thread with ``background_merge=True``.
+Write path (single driver: one writer at a time, every step on the
+caller's thread): ``insert_many`` lands in the per-shard memtables
+(last write wins); with a store attached, a shard whose unflushed
+writes reach ``flush_threshold`` freezes them into a run; and when a
+shard's staleness ``buffered / stored`` crosses the threshold the
+memtable is flushed, merged into the shard, the shard re-smoothed
+with its own α (CSV families), and the run stack compacted — all
+before ``insert_many`` returns, so merge timing (and with it the
+``levels`` / ``search_steps`` / buffered-hit telemetry) is a function
+of the write history alone.
 
 With no writes buffered the service is cost-transparent: a K=1
 service is bit-identical to the bare index, and any-K gathers are
@@ -24,12 +29,9 @@ bit-identical to per-key routing (the acceptance parity tests in
 from __future__ import annotations
 
 import math
-import queue
-import threading
 import time
-from concurrent.futures import Future, wait as futures_wait
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -42,6 +44,7 @@ from ..indexes.base import (
     LearnedIndex,
     _as_batch_kv,
     _as_query_array,
+    dedupe_last_wins,
 )
 from ..obs.health import HealthReport, IMBALANCE_WARN, ShardHealth, shard_status
 from ..obs.metrics import Histogram, MetricsRegistry, get_registry
@@ -55,7 +58,7 @@ from .partitioner import (
     predicted_shard_cost,
 )
 from ..store import CompactionStrategy, DurableStore, make_strategy
-from .router import ShardRouter, dedupe_last_wins
+from .router import ShardRouter
 
 __all__ = ["IndexService", "LatencyReport", "ServiceStats", "ShardLatency"]
 
@@ -96,58 +99,6 @@ def _prewarm_flat(shard: LearnedIndex | None) -> None:
     prewarm = getattr(shard, "prewarm_flat", None)
     if prewarm is not None:
         prewarm()
-
-
-#: Default bound on how long :meth:`IndexService.close` waits for
-#: in-flight background merges before abandoning them.
-DEFAULT_CLOSE_TIMEOUT = 30.0
-
-
-class _MergeWorker:
-    """Single *daemon* merge thread with Future-based handoff.
-
-    A stdlib ``ThreadPoolExecutor`` would do, except its threads are
-    non-daemon and joined by an atexit hook — one hung merge would
-    wedge the ``serve`` CLI (and any embedding process) on interpreter
-    exit.  This worker keeps the Future interface but runs as a daemon
-    thread, so :meth:`shutdown` can give up after a timeout and the
-    process still exits.
-    """
-
-    def __init__(self) -> None:
-        self._queue: queue.SimpleQueue = queue.SimpleQueue()
-        self._thread = threading.Thread(
-            target=self._run, name="merge", daemon=True
-        )
-        self._thread.start()
-
-    def submit(self, fn: Callable, *args) -> Future:
-        future: Future = Future()
-        self._queue.put((future, fn, args))
-        return future
-
-    def qsize(self) -> int:
-        """Merges accepted but not yet picked up by the worker."""
-        return self._queue.qsize()
-
-    def _run(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is None:
-                return
-            future, fn, args = item
-            if not future.set_running_or_notify_cancel():
-                continue
-            try:
-                future.set_result(fn(*args))
-            except BaseException as exc:  # propagate through the Future
-                future.set_exception(exc)
-
-    def shutdown(self, timeout: float | None = None) -> bool:
-        """Stop after the queued work; True if the thread exited."""
-        self._queue.put(None)
-        self._thread.join(timeout)
-        return not self._thread.is_alive()
 
 
 @dataclass
@@ -215,52 +166,73 @@ def _latency_row(shard: int, hist: Histogram) -> ShardLatency:
     )
 
 
-@dataclass
-class _WriteBuffer:
-    """One shard's memtable: insertion dict + sorted-array view.
+class _Memtable:
+    """One shard's buffered writes, as three parallel int64 arrays.
 
-    A lock serialises mutation against the background-merge thread;
-    merges work from a :meth:`snapshot` and afterwards
-    :meth:`drop_merged` only the entries the snapshot covered, so a
-    write landing mid-merge survives in the buffer instead of being
-    wiped by a blanket clear.
+    ``keys`` (sorted, unique), their latest ``values``, and for each
+    the number of the write batch that last set it.  Every mutation
+    builds new arrays and swaps them — with the newest batch number —
+    as one tuple, so a reader takes a consistent view with one
+    attribute load and no lock.
+
+    The batch numbers make the memtable its own dirty set.  A flush or
+    a merge works from a snapshot and afterwards advances a watermark
+    to the newest batch that snapshot saw: entries numbered at or
+    below ``flushed`` are already in a run on disk, and a merge drops
+    the entries numbered at or below its mark.  A write — or a rewrite
+    of a covered key — that lands between a snapshot and its
+    completion carries a later number and survives both.
     """
 
-    entries: dict[int, int] = field(default_factory=dict)
-    _sorted: tuple[np.ndarray, np.ndarray] | None = None
-    _lock: threading.Lock = field(default_factory=threading.Lock)
+    def __init__(self) -> None:
+        empty = np.empty(0, dtype=np.int64)
+        #: (keys, values, batch numbers, newest batch number)
+        self._view = (empty, empty, empty, 0)
+        self._flushed = 0
 
     def put_run(self, keys: np.ndarray, values: np.ndarray) -> None:
-        with self._lock:
-            self.entries.update(zip(keys.tolist(), values.tolist()))
-            self._sorted = None
+        """Absorb one write batch (batch order, last write wins)."""
+        old_keys, old_vals, old_seqs, newest = self._view
+        newest += 1
+        keys = np.concatenate([old_keys, keys])
+        vals = np.concatenate([old_vals, values])
+        seqs = np.concatenate(
+            [old_seqs, np.full(values.size, newest, dtype=np.int64)]
+        )
+        keys, keep = dedupe_last_wins(keys, np.arange(keys.size))
+        self._view = (keys, vals[keep], seqs[keep], newest)
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        with self._lock:
-            if self._sorted is None:
-                keys = np.fromiter(
-                    self.entries.keys(), dtype=np.int64, count=len(self.entries)
-                )
-                order = np.argsort(keys)
-                vals = np.fromiter(
-                    self.entries.values(), dtype=np.int64, count=len(self.entries)
-                )
-                self._sorted = (keys[order], vals[order])
-            return self._sorted
+        """Every buffered (key, value), sorted by key."""
+        return self._view[:2]
 
-    def snapshot(self) -> dict[int, int]:
-        with self._lock:
-            return dict(self.entries)
+    def snapshot(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """What a merge folds in, and the mark to drop it by."""
+        keys, vals, __, newest = self._view
+        return keys, vals, newest
 
-    def drop_merged(self, merged: dict[int, int]) -> None:
-        with self._lock:
-            for key, value in merged.items():
-                if self.entries.get(key) == value:
-                    del self.entries[key]
-            self._sorted = None
+    def drop_through(self, mark: int) -> None:
+        """A merge covering batches ``<= mark`` completed."""
+        keys, vals, seqs, newest = self._view
+        later = seqs > mark
+        self._view = (keys[later], vals[later], seqs[later], newest)
+
+    def unflushed(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """The entries in no run on disk yet, and the mark to flush by."""
+        keys, vals, seqs, newest = self._view
+        dirty = seqs > self._flushed
+        return keys[dirty], vals[dirty], newest
+
+    def mark_flushed(self, mark: int) -> None:
+        """A run (or base) covering batches ``<= mark`` was committed."""
+        self._flushed = max(self._flushed, mark)
+
+    def n_unflushed(self) -> int:
+        """Unique keys in no run on disk yet (what ``flush_threshold`` counts)."""
+        return int(np.count_nonzero(self._view[2] > self._flushed))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return int(self._view[0].size)
 
 
 class IndexService:
@@ -273,7 +245,6 @@ class IndexService:
         plan: ShardPlan,
         constants: CostConstants | None = None,
         staleness_threshold: float = 0.1,
-        background_merge: bool = False,
         metrics: MetricsRegistry | None = None,
         store: DurableStore | None = None,
         flush_threshold: int = 0,
@@ -289,7 +260,7 @@ class IndexService:
             _prewarm_flat(shard)
         self.staleness_threshold = float(staleness_threshold)
         self.stats = ServiceStats()
-        self._buffers = [_WriteBuffer() for _ in range(router.n_shards)]
+        self._buffers = [_Memtable() for _ in range(router.n_shards)]
         #: Observability.  The per-shard latency histograms are
         #: *always on* — they are what `latency_report()` and
         #: `health_report()` read, replacing the decimated sample
@@ -309,7 +280,6 @@ class IndexService:
         self._c_resmoothed = reg.counter("service_resmoothed_shards_total")
         self._h_batch = reg.histogram("service_batch_keys")
         self._h_merge_s = reg.histogram("service_merge_seconds")
-        self._g_queue = reg.gauge("merge_queue_depth")
         self._g_staleness = [
             reg.gauge("shard_staleness", shard=i) for i in range(router.n_shards)
         ]
@@ -329,20 +299,15 @@ class IndexService:
             else 0.0
             for i in range(router.n_shards)
         ]
-        self._merge_pool = _MergeWorker() if background_merge else None
-        self._merge_futures: list[Future] = []
         self._closed = False
-        self._clean_close = True
-        #: Durability (see ``repro.store``).  ``_dirty`` shadows the
-        #: write buffers with the entries not yet frozen into a run on
-        #: disk: flushes drain it, merges flush it first (a merge
-        #: folds the buffer into a rebuilt in-memory structure, which
+        #: Durability (see ``repro.store``).  Each memtable knows which
+        #: of its entries are not yet frozen into a run on disk:
+        #: flushes advance that watermark, merges flush first (a merge
+        #: folds the memtable into a rebuilt in-memory structure, which
         #: is exactly the state a crash would lose).
         self._store: DurableStore | None = None
         self._flush_threshold = 0
         self._compaction: CompactionStrategy | None = None
-        self._dirty: list[dict[int, int]] = [{} for _ in range(router.n_shards)]
-        self._dirty_lock = threading.Lock()
         if store is not None:
             self.attach_store(
                 store, flush_threshold=flush_threshold, compaction=compaction
@@ -363,7 +328,6 @@ class IndexService:
         executor: ExecutorSpec | str | None = None,
         constants: CostConstants | None = None,
         staleness_threshold: float = 0.1,
-        background_merge: bool = False,
         metrics: MetricsRegistry | None = None,
         store: DurableStore | None = None,
         flush_threshold: int = 0,
@@ -380,19 +344,13 @@ class IndexService:
             keys, n_shards, values=values, mode=mode, alpha=alpha, constants=consts
         )
         shards, __ = build_shard_indexes(plan, family, consts)
-        router = ShardRouter(
-            shards,
-            plan.boundaries,
-            executor=executor,
-            build_factory=INDEX_FAMILIES[family].build,
-        )
+        router = ShardRouter(shards, plan.boundaries, executor=executor)
         return cls(
             router,
             family,
             plan,
             constants=consts,
             staleness_threshold=staleness_threshold,
-            background_merge=background_merge,
             metrics=metrics,
             store=store,
             flush_threshold=flush_threshold,
@@ -406,7 +364,6 @@ class IndexService:
         constants: CostConstants | None = None,
         executor: ExecutorSpec | str | None = None,
         staleness_threshold: float = 0.1,
-        background_merge: bool = False,
         metrics: MetricsRegistry | None = None,
         flush_threshold: int = 0,
         compaction: CompactionStrategy | str | None = None,
@@ -464,19 +421,13 @@ class IndexService:
                 predicted_shard_cost(k, consts) for k in shard_keys
             ),
         )
-        router = ShardRouter(
-            shards,
-            plan.boundaries,
-            executor=executor,
-            build_factory=family_cls.build,
-        )
+        router = ShardRouter(shards, plan.boundaries, executor=executor)
         return cls(
             router,
             manifest.family,
             plan,
             constants=consts,
             staleness_threshold=staleness_threshold,
-            background_merge=background_merge,
             metrics=metrics,
             store=store,
             flush_threshold=flush_threshold,
@@ -569,11 +520,8 @@ class IndexService:
         self._store = store
         self._flush_threshold = int(flush_threshold)
         self._compaction = compaction
-        # Writes buffered before the attach predate any run on disk.
-        with self._dirty_lock:
-            for shard_no, buffer in enumerate(self._buffers):
-                if len(buffer):
-                    self._dirty[shard_no].update(buffer.snapshot())
+        # Writes buffered before the attach predate any run on disk:
+        # no flush has advanced a watermark, so all count as unflushed.
         if manifest is None:
             self.snapshot()
 
@@ -593,16 +541,16 @@ class IndexService:
         """The store's committed generation (0 without a store)."""
         return 0 if self._store is None else self._store.generation
 
-    def _shard_arrays(self, shard_no: int) -> tuple[np.ndarray, np.ndarray]:
-        """One shard's full current contents: stored ∪ buffered, last wins."""
+    def _shard_arrays(self, shard_no: int) -> tuple[np.ndarray, np.ndarray, int]:
+        """One shard's full current contents — stored ∪ buffered, last
+        wins — and the memtable mark they cover."""
         keys, vals = _scan_shard(self.router.shards[shard_no])
-        buffer = self._buffers[shard_no]
-        if len(buffer):
-            bkeys, bvals = buffer.arrays()
+        bkeys, bvals, mark = self._buffers[shard_no].snapshot()
+        if bkeys.size:
             keys, vals = dedupe_last_wins(
                 np.concatenate([keys, bkeys]), np.concatenate([vals, bvals])
             )
-        return keys, vals
+        return keys, vals, mark
 
     def snapshot(self) -> int:
         """Commit the full service state durably; returns the generation.
@@ -615,18 +563,17 @@ class IndexService:
         """
         store = self._require_store()
         if store.manifest is None:
-            arrays = [self._shard_arrays(i) for i in range(self.n_shards)]
+            contents = [self._shard_arrays(i) for i in range(self.n_shards)]
             store.initialize(
                 self.family,
                 [int(b) for b in self.plan.boundaries],
                 self.plan.alphas,
                 self.plan.mode,
-                arrays,
+                [(keys, vals) for keys, vals, __ in contents],
             )
             # The bases hold everything, including what was buffered.
-            with self._dirty_lock:
-                for dirty in self._dirty:
-                    dirty.clear()
+            for buffer, (__, __, mark) in zip(self._buffers, contents):
+                buffer.mark_flushed(mark)
         else:
             self.flush_durable()
             self.stats.compactions += store.compact(make_strategy("sortmerge"))
@@ -640,54 +587,33 @@ class IndexService:
         generation).  Flushed entries stay in the write buffers — the
         read overlay is untouched; only their *durability* changes.
         """
-        store = self._require_store()
-        with self._dirty_lock:
-            snap = {
-                shard_no: dict(dirty)
-                for shard_no, dirty in enumerate(self._dirty)
-                if dirty
-            }
-        if not snap:
-            return store.generation
+        self._require_store()
+        return self._flush_shards(range(self.n_shards))
+
+    def _flush_shards(self, shard_nos: Iterable[int]) -> int:
+        """Commit one generation holding *shard_nos*' unflushed writes.
+
+        The per-shard helper behind :meth:`flush_durable` (every
+        shard), the flush threshold and flush-on-merge (one shard).
+        """
+        store = self._store
         batches = {}
-        total = 0
-        for shard_no, entries in snap.items():
-            keys = np.fromiter(entries.keys(), dtype=np.int64, count=len(entries))
-            vals = np.fromiter(entries.values(), dtype=np.int64, count=len(entries))
-            batches[shard_no] = (keys, vals)
-            total += len(entries)
+        marks = {}
+        for shard_no in shard_nos:
+            keys, vals, mark = self._buffers[shard_no].unflushed()
+            if keys.size:
+                batches[shard_no] = (keys, vals)
+                marks[shard_no] = mark
+        if not batches:
+            return store.generation
         generation = store.append_runs(batches)
         self.stats.flushes += 1
-        self.stats.flushed_keys += total
-        # Drop exactly what was flushed: a write landing mid-flush
-        # stays dirty for the next one (same shape as drop_merged).
-        with self._dirty_lock:
-            for shard_no, entries in snap.items():
-                dirty = self._dirty[shard_no]
-                for key, value in entries.items():
-                    if dirty.get(key) == value:
-                        del dirty[key]
+        self.stats.flushed_keys += sum(k.size for k, __ in batches.values())
+        # Only now is the snapshot durable; a write that landed during
+        # the commit is numbered past its mark and stays unflushed.
+        for shard_no, mark in marks.items():
+            self._buffers[shard_no].mark_flushed(mark)
         return generation
-
-    def _flush_shard_durable(self, shard_no: int) -> None:
-        """Flush one shard's unflushed writes (threshold / merge path)."""
-        store = self._store
-        if store is None:
-            return
-        with self._dirty_lock:
-            entries = dict(self._dirty[shard_no])
-        if not entries:
-            return
-        keys = np.fromiter(entries.keys(), dtype=np.int64, count=len(entries))
-        vals = np.fromiter(entries.values(), dtype=np.int64, count=len(entries))
-        store.append_run(shard_no, keys, vals)
-        self.stats.flushes += 1
-        self.stats.flushed_keys += len(entries)
-        with self._dirty_lock:
-            dirty = self._dirty[shard_no]
-            for key, value in entries.items():
-                if dirty.get(key) == value:
-                    del dirty[key]
 
     # ------------------------------------------------------------------
     # Read path
@@ -711,13 +637,13 @@ class IndexService:
         #    non-empty buffer pays the memtable probe: a hit is
         #    answered here, a miss carries the charge into stage 2.
         for shard_no, buffer in enumerate(self._buffers):
-            if not len(buffer):
+            bkeys, bvals = buffer.arrays()
+            if not bkeys.size:
                 continue
             idx = np.nonzero(shard_ids == shard_no)[0]
             if not idx.size:
                 continue
-            bkeys, bvals = buffer.arrays()
-            steps[idx] = _memtable_steps(len(buffer))
+            steps[idx] = _memtable_steps(bkeys.size)
             sub = q[idx]
             pos = np.searchsorted(bkeys, sub)
             hit = np.zeros(sub.size, dtype=bool)
@@ -778,21 +704,16 @@ class IndexService:
             if lo == hi:
                 continue
             run = order[lo:hi]
-            self._buffers[shard_no].put_run(arr[run], vals[run])
-            if self._store is not None:
-                with self._dirty_lock:
-                    self._dirty[shard_no].update(
-                        zip(arr[run].tolist(), vals[run].tolist())
-                    )
-                    dirty_n = len(self._dirty[shard_no])
-                if 0 < self._flush_threshold <= dirty_n:
-                    self._flush_shard_durable(shard_no)
+            buffer = self._buffers[shard_no]
+            buffer.put_run(arr[run], vals[run])
+            if 0 < self._flush_threshold <= buffer.n_unflushed():
+                self._flush_shards((shard_no,))
             staleness = self._staleness(shard_no)
             if instrumented:
                 self._g_staleness[shard_no].set(staleness)
-                self._g_buffered[shard_no].set(len(self._buffers[shard_no]))
+                self._g_buffered[shard_no].set(len(buffer))
             if staleness > self.staleness_threshold:
-                self._schedule_merge(shard_no)
+                self._merge_shard(shard_no)
 
     def _staleness(self, shard_no: int) -> float:
         buffered = len(self._buffers[shard_no])
@@ -800,61 +721,38 @@ class IndexService:
         stored = shard.n_keys if shard is not None else 0
         return buffered / max(stored, 1)
 
-    def _schedule_merge(self, shard_no: int) -> None:
-        if self._merge_pool is None:
-            self._merge_shard(shard_no)
-        else:
-            self._merge_futures.append(
-                self._merge_pool.submit(self._merge_shard, shard_no)
-            )
-            if self.metrics.enabled:
-                self._g_queue.set(self.merge_queue_depth())
-
-    def merge_queue_depth(self) -> int:
-        """Scheduled background merges not yet completed."""
-        return sum(1 for f in self._merge_futures if not f.done())
-
     def _merge_shard(self, shard_no: int) -> None:
         """Merge one shard's buffer into its index and re-smooth.
 
-        Synchronous merges on updatable families absorb the buffer
-        in-place through ``insert_many``; static families (pgm, rmi)
-        — and *every* background merge — rebuild a fresh index from
-        the merged key set and atomically swap it in, so concurrent
-        readers only ever traverse a fully built structure (they see
-        the old shard plus the still-buffered writes until the swap).
-        CSV families with a per-shard α are re-smoothed afterwards —
-        the background counterpart of the paper's one-shot
-        preprocessing.
+        Runs on the inserting caller's thread, start to finish.
+        Updatable families absorb the memtable in place through
+        ``bulk_insert_many``; static families (pgm, rmi) rebuild a
+        fresh index from the merged key set and swap it in.  CSV
+        families with a per-shard α are re-smoothed afterwards — the
+        online counterpart of the paper's one-shot preprocessing.
         """
-        buffer = self._buffers[shard_no]
-        merged_entries = buffer.snapshot()
-        if not merged_entries:
+        bkeys, bvals, mark = self._buffers[shard_no].snapshot()
+        if not bkeys.size:
             return
         with trace(
             "merge_shard", registry=self.metrics,
-            shard=shard_no, keys=len(merged_entries),
+            shard=shard_no, keys=int(bkeys.size),
         ):
-            self._run_merge(shard_no, buffer, merged_entries)
+            self._run_merge(shard_no, bkeys, bvals, mark)
 
     def _run_merge(
-        self, shard_no: int, buffer: _WriteBuffer, merged_entries: dict[int, int]
+        self, shard_no: int, bkeys: np.ndarray, bvals: np.ndarray, mark: int
     ) -> None:
         instrumented = self.metrics.enabled
         merge_start = time.perf_counter() if instrumented else 0.0
         # Flush-on-merge: the buffer is about to fold into a rebuilt
         # in-memory structure — exactly the state a crash would lose —
         # so its unflushed entries become a durable run first.
-        self._flush_shard_durable(shard_no)
-        bkeys = np.asarray(sorted(merged_entries), dtype=np.int64)
-        bvals = np.asarray([merged_entries[k] for k in bkeys.tolist()], dtype=np.int64)
+        if self._store is not None:
+            self._flush_shards((shard_no,))
         shard = self.router.shards[shard_no]
         cls = INDEX_FAMILIES[self.family]
-        in_place = (
-            shard is not None
-            and self.family in UPDATABLE_FAMILIES
-            and self._merge_pool is None
-        )
+        in_place = shard is not None and self.family in UPDATABLE_FAMILIES
         #: Full key set of a rebuilt shard — refreshes the drift
         #: baseline (compile-time expected cost).  In-place merges keep
         #: the previous baseline: the structure is incrementally
@@ -895,10 +793,10 @@ class IndexService:
         _prewarm_flat(merged)
         self.router.replace_shard(shard_no, merged)
         self.stats.merges += 1
-        self.stats.merged_keys += len(merged_entries)
-        # Drop exactly what was merged: writes that landed mid-merge
-        # stay buffered for the next one.
-        buffer.drop_merged(merged_entries)
+        self.stats.merged_keys += int(bkeys.size)
+        # Drop exactly what was merged: a write that landed mid-merge
+        # is numbered past the mark and stays buffered for the next one.
+        self._buffers[shard_no].drop_through(mark)
         # Staleness crossed the merge threshold, so the on-disk run
         # stack just grew too — let the compactor fold it back down.
         if self._store is not None and self._compaction is not None:
@@ -913,43 +811,17 @@ class IndexService:
         if instrumented:
             self._h_merge_s.observe(time.perf_counter() - merge_start)
             self._c_merges.inc()
-            self._c_merged_keys.inc(len(merged_entries))
+            self._c_merged_keys.inc(int(bkeys.size))
             if resmoothed:
                 self._c_resmoothed.inc()
-            self._g_queue.set(self.merge_queue_depth())
             self._g_staleness[shard_no].set(self._staleness(shard_no))
-            self._g_buffered[shard_no].set(len(buffer))
+            self._g_buffered[shard_no].set(len(self._buffers[shard_no]))
 
     def flush(self) -> None:
-        """Merge every non-empty buffer now (and wait for background merges)."""
-        self.drain()
+        """Merge every non-empty buffer now."""
         for shard_no, buffer in enumerate(self._buffers):
             if len(buffer):
                 self._merge_shard(shard_no)
-
-    def drain(self, timeout: float | None = None) -> bool:
-        """Wait for scheduled background merges, optionally bounded.
-
-        Returns True once every scheduled merge has finished.  With a
-        *timeout*, unfinished merges stay scheduled (a later drain can
-        still collect them) and False is returned instead of blocking
-        forever.  Exceptions raised by completed merges propagate.
-        """
-        if not self._merge_futures:
-            return True
-        done, not_done = futures_wait(self._merge_futures, timeout=timeout)
-        self._merge_futures = list(not_done)
-        # Retrieve every completed future's outcome before raising, so
-        # no failure is silently dropped; the first error propagates
-        # with any others attached as context.
-        errors = [exc for f in done if (exc := f.exception()) is not None]
-        if errors:
-            if len(errors) > 1:
-                errors[0].__notes__ = getattr(errors[0], "__notes__", []) + [
-                    f"(+{len(errors) - 1} further background merge failure(s))"
-                ]
-            raise errors[0]
-        return not not_done
 
     # ------------------------------------------------------------------
     # Range path
@@ -958,9 +830,9 @@ class IndexService:
         """Gathered range scan, overlaid with in-range buffered writes."""
         merged = dict(self.router.range_query(low, high))
         for buffer in self._buffers:
-            if not len(buffer):
-                continue
             bkeys, bvals = buffer.arrays()
+            if not bkeys.size:
+                continue
             lo = int(np.searchsorted(bkeys, int(low), side="left"))
             hi = int(np.searchsorted(bkeys, int(high), side="right"))
             merged.update(zip(bkeys[lo:hi].tolist(), bvals[lo:hi].tolist()))
@@ -1002,8 +874,8 @@ class IndexService:
         ratio), observed latency moments from the always-on
         histograms, the compile-time expected per-key cost (Eq. 22,
         refreshed when a merge rebuilds the shard), and the drift of
-        observed mean over that expectation.  Aggregates: merge-queue
-        depth, buffer hit rate, and the observed per-shard cost
+        observed mean over that expectation.  Aggregates: merges run,
+        buffer hit rate, and the observed per-shard cost
         imbalance (max/mean of shard means — the runtime counterpart
         of the partitioner's predicted ``cost_imbalance``).
         """
@@ -1045,7 +917,6 @@ class IndexService:
             status = "warn"
         return HealthReport(
             shards=tuple(shards),
-            merge_queue_depth=self.merge_queue_depth(),
             merges=self.stats.merges,
             buffer_hit_rate=(
                 self.stats.buffer_hits / self.stats.n_lookups
@@ -1061,58 +932,23 @@ class IndexService:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def close(self, timeout: float | None = DEFAULT_CLOSE_TIMEOUT) -> bool:
-        """Finish background merges, then tear down executor workers.
+    def close(self) -> None:
+        """Make buffered writes durable, then stop the executor workers.
 
-        Ordering is load-bearing: scheduled merges are drained and the
-        merge worker joined *before* ``router.close()`` stops the
-        executor — a background merge republishes its shard through
-        the router, so tearing down a process pool first would race a
-        dying worker set (the executor masks it by refusing IPC after
-        close, but the merge's republish would then be lost).
-
-        Idempotent: repeated calls are no-ops returning the first
-        call's outcome.  The whole close — draining scheduled merges
-        plus joining the worker — shares one *timeout* budget (None
-        waits indefinitely): a merge that hangs past it is abandoned
-        on its daemon thread — the close returns False and the process
-        can still exit — instead of wedging the ``serve`` CLI.
-        Returns True when everything drained cleanly; a close that
-        raises (a background merge failed) reports False thereafter.
+        Idempotent.  With a store attached, whatever is still buffered
+        becomes a durable run, so a clean shutdown never needs the
+        HTTP op log to replay; the executor is stopped even when that
+        flush raises.  The service object stays usable for in-process
+        work afterwards (merges just swap shards locally).
         """
         if self._closed:
-            return self._clean_close
+            return
         self._closed = True
-        self._clean_close = False
-        deadline = None if timeout is None else time.monotonic() + timeout
-        clean = False
-        error: BaseException | None = None
         try:
-            clean = self.drain(timeout=timeout)
-        except BaseException as exc:  # keep draining order; re-raise below
-            error = exc
-        if self._store is not None:
-            # Whatever is still buffered becomes a durable run, so a
-            # clean shutdown never needs the HTTP op log to replay.
-            try:
+            if self._store is not None:
                 self.flush_durable()
-            except BaseException as exc:
-                clean = False
-                if error is None:
-                    error = exc
-        if self._merge_pool is not None:
-            remaining = (
-                None if deadline is None
-                else max(0.0, deadline - time.monotonic())
-            )
-            clean = self._merge_pool.shutdown(timeout=remaining) and clean
-            self._merge_pool = None
-        # Only now — with no merge able to start — stop the executor.
-        self.router.close()
-        self._clean_close = clean
-        if error is not None:
-            raise error
-        return clean
+        finally:
+            self.router.close()
 
     def __enter__(self) -> "IndexService":
         return self

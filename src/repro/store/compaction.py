@@ -3,8 +3,8 @@
 Flushes leave a stack of small sorted runs behind each shard's base
 snapshot.  Reads stay correct regardless (recovery replays runs in
 generation order, last write winning), but every outstanding run is
-extra replay work at reopen and extra bytes on disk, so a background
-compactor periodically folds them.  Two classic shapes are offered,
+extra replay work at reopen and extra bytes on disk, so the serving
+layer folds them after every merge.  Two classic shapes are offered,
 selectable from the CLI (``--compaction tiered|sortmerge``):
 
 * **size-tiered** (:class:`SizeTieredStrategy`) — bin-pack runs of

@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from ..core.exceptions import IndexStateError
+from ..indexes.base import dedupe_last_wins
 from .faults import crashpoint
 
 __all__ = [
@@ -58,14 +59,7 @@ def sorted_unique_run(
     values = np.asarray(values, dtype=np.int64)
     if keys.shape != values.shape:
         raise IndexStateError("run values must parallel keys")
-    # Stable sort + keep the *last* duplicate: reverse, stable-sort,
-    # keep first of each group, then the result is ascending again.
-    order = np.argsort(keys[::-1], kind="stable")
-    k = keys[::-1][order]
-    v = values[::-1][order]
-    keep = np.ones(k.size, dtype=bool)
-    keep[1:] = k[1:] != k[:-1]
-    return k[keep], v[keep]
+    return dedupe_last_wins(keys, values)
 
 
 def write_run_file(

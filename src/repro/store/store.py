@@ -60,9 +60,8 @@ def _run_stats(keys: np.ndarray) -> tuple[int, int, int]:
 class DurableStore:
     """One durable data directory (see module docstring).
 
-    All public methods are thread-safe under one reentrant lock: the
-    serving layer's merge worker flushes while a compaction trigger
-    fires from another thread, and both serialise here.
+    All public methods are thread-safe under one reentrant lock, so
+    the store never depends on its caller being single-threaded.
 
     Args:
         data_dir: directory to own (created if missing).

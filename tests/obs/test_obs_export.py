@@ -19,7 +19,7 @@ from repro.obs.tracing import trace
 def _populated_registry() -> MetricsRegistry:
     reg = MetricsRegistry(enabled=True)
     reg.counter("service_lookups_total").inc(4096)
-    reg.gauge("merge_queue_depth").set(2)
+    reg.gauge("store_runs_outstanding").set(2)
     h = reg.histogram("service_lookup_ns", shard=0)
     for v in (50.0, 90.0, 120.0, 400.0):
         h.observe(v)
@@ -69,7 +69,7 @@ def test_prometheus_exposition_format():
     text = to_prometheus(_populated_registry())
     assert "# TYPE service_lookups_total counter" in text
     assert "service_lookups_total 4096" in text
-    assert "# TYPE merge_queue_depth gauge" in text
+    assert "# TYPE store_runs_outstanding gauge" in text
     assert "# TYPE service_lookup_ns histogram" in text
     assert 'service_lookup_ns_bucket{shard="0",le="+Inf"} 4' in text
     assert "service_lookup_ns_count{shard=\"0\"} 4" in text
@@ -85,7 +85,7 @@ def test_prometheus_exposition_format():
 def test_snapshot_table_renders_all_kinds():
     table = snapshot_table(snapshot(_populated_registry()))
     assert "service_lookups_total" in table
-    assert "merge_queue_depth" in table
+    assert "store_runs_outstanding" in table
     assert "p99" in table
     assert "service_lookup_ns{shard=0}" in table
 

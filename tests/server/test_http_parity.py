@@ -1,7 +1,8 @@
 """HTTP responses must be bit-identical to in-process twin calls.
 
 Plus the protocol edges: malformed bodies → 400, unknown routes →
-404, wrong methods → 405, and the observability endpoints
+404, wrong methods → 405, a hostile ``Content-Length`` → 400 / 413
+before any body is read, and the observability endpoints
 (``/v1/health``, ``/v1/stats``, ``/metrics``) carrying the shapes the
 CLI and CI contract on.
 """
@@ -10,12 +11,14 @@ from __future__ import annotations
 
 import http.client
 import json
+import logging
+import socket
 
 import numpy as np
 import pytest
 
 from repro.obs.export import PROMETHEUS_CONTENT_TYPE
-from repro.server import HttpStatusError
+from repro.server import HttpIndexClient, HttpStatusError
 from repro.server.app import (
     BadRequestError,
     parse_insert_request,
@@ -179,6 +182,45 @@ class TestProtocolErrors:
             assert conn.getresponse().status == 400
         finally:
             conn.close()
+
+    @pytest.mark.parametrize(
+        "declared, want",
+        [("99999999999", 413), ("abc", 400), ("-1", 400)],
+        ids=["over-cap", "not-a-number", "negative"],
+    )
+    def test_hostile_content_length_answered_then_dropped(
+        self, twin_pair, rng, caplog, declared, want
+    ):
+        """The declared length is judged before a body byte is read:
+        the reply comes at once, with no body sent, and the connection
+        is closed (the stream cannot be resynchronised)."""
+        client, twin, keys = twin_pair
+        errors = client.stats()["http"]["http_errors_total"]
+        request = (
+            f"POST /v1/lookup HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Length: {declared}\r\n\r\n"
+        ).encode("latin-1")
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with socket.create_connection(
+                (client.host, client.port), timeout=1.0
+            ) as sock:
+                sock.sendall(request)
+                reply = b""
+                while chunk := sock.recv(65536):  # until the server closes
+                    reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(f"HTTP/1.1 {want} ".encode()), reply
+        assert b"connection: close" in head.lower()
+        assert "error" in json.loads(body)
+        # No "Unhandled exception in client_connected_cb".
+        assert not caplog.records
+        assert client.stats()["http"]["http_errors_total"] == errors + 1
+        q = rng.choice(keys, 16)
+        with HttpIndexClient(client.host, client.port) as fresh:
+            got = fresh.lookup(q.tolist())
+        reference = twin.lookup_many(q)
+        assert got["found"] == reference.found.tolist()
+        assert got["values"] == reference.values.tolist()
 
     def test_server_survives_error_barrage(self, twin_pair, rng):
         client, twin, keys = twin_pair

@@ -20,6 +20,7 @@ import pytest
 from repro.core.exceptions import IndexStateError
 from repro.serving import IndexService
 from repro.store import DurableStore, make_strategy
+from repro.store.runs import read_run_file
 
 FAMILY = "lipp"
 N_SHARDS = 3
@@ -160,6 +161,42 @@ class TestFlushPaths:
             g2 = service.flush_durable()  # nothing new: same generation
             assert g2 == g1
             assert service.stats.flushes == 1
+
+
+    def test_writes_landing_mid_flush_stay_unflushed(self, tmp_path, rng, keyset):
+        """A write that lands after the run is committed but before the
+        flush is acknowledged — a new key, and a rewrite of a key the
+        run holds — is not covered by that flush: it is in the next run."""
+        store = DurableStore(tmp_path / "data")
+        a, b, c = (int(keyset.max()) + i for i in (1, 2, 3))
+        with IndexService.build(
+            keyset, family="sorted_array", n_shards=1, store=store,
+            staleness_threshold=10.0,
+        ) as service:
+            service.insert_many([a, b], [10, 20])
+            commit = store.append_runs
+
+            def commit_then_write(batches):
+                generation = commit(batches)
+                store.append_runs = commit
+                service.insert_many([c, b], [30, 22])
+                return generation
+
+            store.append_runs = commit_then_write
+            service.flush_durable()
+            assert service.stats.flushed_keys == 2
+            first, = store.manifest.runs_for(0)
+            service.flush_durable()
+            assert service.stats.flushes == 2
+            assert service.stats.flushed_keys == 4
+            __, second = store.manifest.runs_for(0)
+            keys, values = read_run_file(store.data_dir, second.name, second.checksum)
+            assert keys.tolist() == [b, c] and values.tolist() == [22, 30]
+            keys, values = read_run_file(store.data_dir, first.name, first.checksum)
+            assert keys.tolist() == [a, b] and values.tolist() == [10, 20]
+        with IndexService.open_snapshot(tmp_path / "data") as reopened:
+            got = reopened.lookup_many([a, b, c])
+            assert got.found.all() and got.values.tolist() == [10, 22, 30]
 
 
 class TestReopenThenWrite:

@@ -50,7 +50,7 @@ def test_health_report_fields_and_statuses(dataset, rng):
             total_queries += row.queries
         assert total_queries == queries.size
         assert report.status == "ok"
-        assert report.merge_queue_depth == 0
+        assert not hasattr(report, "merge_queue_depth")  # nothing queues
         assert report.cost_imbalance >= 1.0
         assert report.warnings() == []
         table = report.to_table()
@@ -88,7 +88,6 @@ def test_health_report_warns_past_merge_threshold(dataset, rng):
         assert report.status == "warn"
         assert any("shard 0" in w for w in report.warnings())
     finally:
-        svc._buffers[0].entries.clear()
         svc.close()
 
 

@@ -6,19 +6,14 @@ import numpy as np
 import pytest
 
 from repro.core.exceptions import IndexStateError
-from repro.indexes import INDEX_FAMILIES, SortedArrayIndex
-from repro.serving import ShardRouter, build_shard_indexes, plan_shards
+from repro.indexes import SortedArrayIndex
+from repro.serving import IndexService, ShardRouter, build_shard_indexes, plan_shards
 
 
 def make_router(keys, k, family="sorted_array", **kwargs) -> ShardRouter:
     plan = plan_shards(keys, k)
     shards, __ = build_shard_indexes(plan, family)
-    return ShardRouter(
-        shards,
-        plan.boundaries,
-        build_factory=INDEX_FAMILIES[family].build,
-        **kwargs,
-    )
+    return ShardRouter(shards, plan.boundaries, **kwargs)
 
 
 class TestRoutingEdges:
@@ -73,17 +68,26 @@ class TestRoutingEdges:
 
 
 class TestInsertRouting:
+    """Writes reach the router's shards only through the service:
+    buffered by ``insert_many``, swapped in by the merge."""
+
     def test_duplicate_keys_straddling_a_boundary_last_wins(self, rng):
         keys = np.unique(rng.integers(0, 10**7, 1000))
-        router = make_router(keys, 4)
+        service = IndexService.build(
+            keys, family="sorted_array", n_shards=4, staleness_threshold=10.0
+        )
+        router = service.router
         boundary = int(router.boundaries[1])  # first key of shard 2
         neighbour = boundary - 1              # routes to shard 1
         batch_keys = np.asarray(
             [boundary, neighbour, boundary, neighbour, boundary], dtype=np.int64
         )
         batch_vals = np.asarray([1, 2, 3, 4, 5], dtype=np.int64)
-        counts = router.insert_many(batch_keys, batch_vals)
-        assert counts[1] == 2 and counts[2] == 3
+        service.insert_many(batch_keys, batch_vals)
+        buffered = service.buffered_counts()
+        assert buffered[1] == 1 and buffered[2] == 1
+        service.flush()
+        assert service.buffered_counts() == (0, 0, 0, 0)
         got = router.lookup_many(np.asarray([neighbour, boundary])).gathered
         assert got.found.all()
         # Sequential last-wins semantics survive the scatter.
@@ -91,23 +95,19 @@ class TestInsertRouting:
 
     def test_insert_into_empty_shard_materialises_it(self):
         keys = np.asarray([10, 20, 30], dtype=np.int64)
-        router = make_router(keys, 8)
+        service = IndexService.build(
+            keys, family="sorted_array", n_shards=8, staleness_threshold=10.0
+        )
+        router = service.router
         # Shard 0 (everything below the first boundary) is empty here.
         assert router.shards[0] is None
         fresh = np.asarray([3, 3, 3], dtype=np.int64)  # duplicate batch too
-        router.insert_many(fresh, np.asarray([7, 8, 9], dtype=np.int64))
+        service.insert_many(fresh, np.asarray([7, 8, 9], dtype=np.int64))
+        service.flush()
         assert router.shards[0] is not None
         got = router.lookup_many(np.asarray([3])).gathered
         # Last write wins even through the materialising build.
         assert bool(got.found[0]) and int(got.values[0]) == 9
-
-    def test_insert_without_factory_raises(self):
-        plan = plan_shards(np.asarray([10, 20, 30], dtype=np.int64), 8)
-        shards, __ = build_shard_indexes(plan, "sorted_array")
-        router = ShardRouter(shards, plan.boundaries)
-        assert router.shards[0] is None
-        with pytest.raises(IndexStateError):
-            router.insert_many(np.asarray([3], dtype=np.int64))
 
 
 class TestGatherExactness:

@@ -158,31 +158,22 @@ class TestWriteBuffer:
     def test_writes_landing_mid_merge_survive(self):
         """The merge path drops exactly its snapshot: entries added or
         rewritten after the snapshot stay buffered."""
-        from repro.serving.service import _WriteBuffer
+        from repro.serving.service import _Memtable
 
-        buffer = _WriteBuffer()
+        buffer = _Memtable()
         buffer.put_run(
             np.asarray([1, 2], dtype=np.int64), np.asarray([10, 20], dtype=np.int64)
         )
-        snapshot = buffer.snapshot()
-        # A concurrent writer lands a fresh key and rewrites key 2.
+        merged_keys, merged_vals, mark = buffer.snapshot()
+        assert merged_keys.tolist() == [1, 2] and merged_vals.tolist() == [10, 20]
+        # A writer lands a fresh key and rewrites key 2 mid-merge.
         buffer.put_run(
             np.asarray([3, 2], dtype=np.int64), np.asarray([30, 22], dtype=np.int64)
         )
-        buffer.drop_merged(snapshot)
-        assert buffer.entries == {3: 30, 2: 22}
-
-    def test_background_merge_drains(self, rng):
-        keys, __, service = service_fixture(
-            rng, "btree", n_shards=4, staleness_threshold=0.01,
-            background_merge=True,
-        )
-        with service:
-            fresh = np.setdiff1d(np.unique(rng.integers(0, 10**7, 300)), keys)
-            service.insert_many(fresh)
-            service.drain()
-            assert service.stats.merges > 0
-            assert service.lookup_many(fresh).found.all()
+        buffer.drop_through(mark)
+        keys, vals = buffer.arrays()
+        assert keys.tolist() == [2, 3] and vals.tolist() == [22, 30]
+        assert len(buffer) == 2
 
 
 class TestServiceRangeAndReporting:

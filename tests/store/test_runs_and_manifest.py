@@ -42,6 +42,22 @@ class TestSortedUniqueRun:
         assert k.tolist() == [3, 5, 9]
         assert v.tolist() == [31, 51, 90]  # later occurrence won
 
+    def test_repeated_keys_freeze_to_the_same_bytes(self, tmp_path, rng):
+        """The reference is the run builder this module used to carry
+        (reverse, stable sort, keep first): same arrays, same file."""
+        keys = rng.integers(0, 40, 300)
+        vals = rng.integers(-(2**62), 2**62, 300)
+        order = np.argsort(keys[::-1], kind="stable")
+        ref_k, ref_v = keys[::-1][order], vals[::-1][order]
+        first = np.ones(ref_k.size, dtype=bool)
+        first[1:] = ref_k[1:] != ref_k[:-1]
+        k, v = sorted_unique_run(keys.tolist(), vals.tolist())
+        assert k.dtype == v.dtype == np.int64
+        assert np.array_equal(k, ref_k[first]) and np.array_equal(v, ref_v[first])
+        assert write_run_file(tmp_path, "a.npz", k, v) == write_run_file(
+            tmp_path, "b.npz", ref_k[first], ref_v[first]
+        )
+
     def test_empty_batch(self):
         k, v = sorted_unique_run(np.empty(0, np.int64), np.empty(0, np.int64))
         assert k.size == 0 and v.size == 0
