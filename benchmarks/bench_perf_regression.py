@@ -11,16 +11,10 @@ have numbers to defend:
   as a behavioural oracle: the virtual-point sequences must match.
 * **Lookups** — per backend, the per-key ``lookup_stats`` loop vs the
   vectorised ``lookup_many`` batch engine (results asserted equal).
-* **Inserts** — for the updatable backends, the per-key ``insert``
-  loop vs ``insert_many``.
-* **Bulk inserts** — for the tree backends, the per-key
-  ``insert_many`` loop vs the vectorised ``bulk_insert_many``
-  sorted-merge path on a large sorted batch (lookup parity asserted
-  over the full merged key set).
-* **Flat view** (``lipp_flat``/``sali_flat``) — LIPP/SALI batch
-  lookups and sparse gapped bulk merges through the compiled
-  level-ordered flat representation vs the node-object oracle
-  (``use_flat=False``), exact parity asserted.
+* **Bulk inserts** — for the updatable backends, the per-key
+  ``insert`` loop vs the vectorised ``bulk_insert_many`` sorted-merge
+  path on a large sorted batch (lookup parity asserted over the full
+  merged key set).
 * **Metrics overhead** (``metrics_overhead``) — sharded-service
   ``lookup_many`` throughput with instrumentation fully enabled vs
   disabled (bit-identical results asserted); the recorded
@@ -57,10 +51,8 @@ from repro.core.segment_stats import (  # noqa: E402
 from repro.core.smoothing import smooth_keys  # noqa: E402
 from repro.indexes import INDEX_FAMILIES  # noqa: E402
 
-UPDATABLE = ("sorted_array", "btree", "alex", "lipp", "sali")
-
-#: Backends with a structural (tree) bulk-ingest path worth recording.
-BULK_FAMILIES = ("btree", "alex", "lipp", "sali")
+#: Backends with a vectorised bulk-ingest path worth recording.
+BULK_FAMILIES = ("sorted_array", "btree", "alex", "lipp", "sali")
 
 
 # ----------------------------------------------------------------------
@@ -220,36 +212,9 @@ def bench_lookups(n: int, n_queries: int, seed: int) -> dict:
     return out
 
 
-def bench_inserts(n: int, n_inserts: int, seed: int) -> dict:
-    rng = np.random.default_rng(seed)
-    universe = np.unique(rng.integers(0, n * 10_000, n + 2 * n_inserts))
-    rng.shuffle(universe)
-    build_keys = np.sort(universe[:n])
-    fresh = universe[n : n + n_inserts]
-    out = {}
-    for family in UPDATABLE:
-        cls = INDEX_FAMILIES[family]
-        loop_index = cls.build(build_keys)
-        start = time.perf_counter()
-        for k in fresh.tolist():
-            loop_index.insert(int(k), int(k))
-        loop_s = time.perf_counter() - start
-
-        batch_index = cls.build(build_keys)
-        start = time.perf_counter()
-        batch_index.insert_many(fresh)
-        batch_s = time.perf_counter() - start
-        out[family] = {
-            "loop_inserts_per_s": round(n_inserts / loop_s, 1),
-            "batch_inserts_per_s": round(n_inserts / batch_s, 1),
-            "speedup": round(loop_s / batch_s, 2),
-        }
-    return out
-
-
 def bench_bulk_inserts(n: int, n_bulk: int, seed: int) -> dict:
-    """Per-key ``insert_many`` loop vs ``bulk_insert_many`` on a
-    sorted batch of *n_bulk* fresh keys into an *n*-key index.
+    """Per-key ``insert`` loop vs ``bulk_insert_many`` on a sorted
+    batch of *n_bulk* fresh keys into an *n*-key index.
 
     Parity is asserted over the full merged key set: both indexes must
     find every key with identical values.
@@ -269,7 +234,8 @@ def bench_bulk_inserts(n: int, n_bulk: int, seed: int) -> dict:
         for __ in range(2):
             loop_index = cls.build(build_keys)
             start = time.perf_counter()
-            loop_index.insert_many(batch)
+            for key in batch.tolist():
+                loop_index.insert(key, key)
             loop_s = min(loop_s, time.perf_counter() - start)
 
             bulk_index = cls.build(build_keys)
@@ -291,84 +257,6 @@ def bench_bulk_inserts(n: int, n_bulk: int, seed: int) -> dict:
             "loop_inserts_per_s": round(n_batch / loop_s, 1),
             "bulk_inserts_per_s": round(n_batch / bulk_s, 1),
             "speedup": round(loop_s / bulk_s, 2),
-        }
-    return out
-
-
-def bench_flat(n: int, n_queries: int, seed: int) -> dict:
-    """Flat level-ordered view vs the node-object oracle (LIPP/SALI).
-
-    Two comparisons per family, same built tree:
-
-    * ``lookups`` — ``lookup_many`` through the compiled flat view
-      (vectorised per-level gathers) vs the ``use_flat=False`` grouped
-      frontier sweep, with exact per-key stats parity asserted;
-    * ``sparse_bulk`` — a fresh batch sized below the dense-rebuild
-      threshold, merged via the in-place gapped path vs the oracle's
-      recursive sorted-merge, with content parity asserted.
-
-    Returns ``{"lipp_flat": {...}, "sali_flat": {...}}`` top-level
-    sections.
-    """
-    rng = np.random.default_rng(seed)
-    keys = np.unique(rng.integers(0, n * 10_000, n))
-    queries = rng.choice(keys, n_queries)
-    n_sparse = max(8, n // 8)  # well under the 25% wholesale threshold
-    sparse = np.setdiff1d(
-        rng.integers(0, n * 10_000, 4 * n_sparse), keys
-    )[:n_sparse]
-    out = {}
-    for family in ("lipp", "sali"):
-        cls = INDEX_FAMILIES[family]
-        flat_index = cls.build(keys)
-        flat_index.prewarm_flat()
-        node_index = cls.build(keys, use_flat=False)
-
-        node_stats, node_s = _best_of(lambda: node_index.lookup_many(queries))
-        flat_stats, flat_s = _best_of(lambda: flat_index.lookup_many(queries))
-
-        if not (
-            np.array_equal(flat_stats.found, node_stats.found)
-            and np.array_equal(flat_stats.values, node_stats.values)
-            and np.array_equal(flat_stats.levels, node_stats.levels)
-            and np.array_equal(flat_stats.search_steps, node_stats.search_steps)
-        ):
-            raise AssertionError(f"{family}: flat lookup diverged from the node oracle")
-
-        # Bulk merge mutates the tree, so best-of-2 rebuilds a fresh
-        # pair per repeat instead of re-timing the same call.
-        node_bulk_s = flat_bulk_s = float("inf")
-        for __ in range(2):
-            node_index = cls.build(keys, use_flat=False)
-            start = time.perf_counter()
-            node_index.bulk_insert_many(sparse)
-            node_bulk_s = min(node_bulk_s, time.perf_counter() - start)
-
-            flat_index = cls.build(keys)
-            flat_index.prewarm_flat()
-            start = time.perf_counter()
-            flat_index.bulk_insert_many(sparse)
-            flat_bulk_s = min(flat_bulk_s, time.perf_counter() - start)
-
-        merged = np.fromiter(node_index.iter_keys(), dtype=np.int64)
-        if not (
-            np.array_equal(merged, np.fromiter(flat_index.iter_keys(), dtype=np.int64))
-            and flat_index.n_keys == node_index.n_keys
-            and bool(np.all(flat_index.lookup_many(merged).found))
-        ):
-            raise AssertionError(f"{family}: gapped merge diverged from the node oracle")
-
-        out[f"{family}_flat"] = {
-            "lookups": {
-                "node_batch_lookups_per_s": round(n_queries / node_s, 1),
-                "flat_batch_lookups_per_s": round(n_queries / flat_s, 1),
-                "speedup": round(node_s / flat_s, 2),
-            },
-            "sparse_bulk": {
-                "node_bulk_inserts_per_s": round(sparse.size / node_bulk_s, 1),
-                "flat_bulk_inserts_per_s": round(sparse.size / flat_bulk_s, 1),
-                "speedup": round(node_bulk_s / flat_bulk_s, 2),
-            },
         }
     return out
 
@@ -429,20 +317,15 @@ def _measure(quick: bool, seed: int) -> dict:
     n = 2_000 if quick else 10_000
     alpha = 0.2
     n_queries = 4_000 if quick else 20_000
-    n_inserts = 500 if quick else 2_000
     n_bulk = 5_000 if quick else 100_000
-    report = {
+    return {
         "config": {"quick": quick, "n": n, "alpha": alpha,
-                   "n_queries": n_queries, "n_inserts": n_inserts,
-                   "n_bulk": n_bulk, "seed": seed},
+                   "n_queries": n_queries, "n_bulk": n_bulk, "seed": seed},
         "smoothing": bench_smoothing(n, alpha, seed),
         "lookups": bench_lookups(n, n_queries, seed),
-        "inserts": bench_inserts(n, n_inserts, seed),
         "bulk_inserts": bench_bulk_inserts(n, n_bulk, seed),
         "metrics_overhead": bench_metrics_overhead(n, n_queries, seed),
     }
-    report.update(bench_flat(n, n_queries, seed))
-    return report
 
 
 def run(quick: bool, out_path: Path, seed: int = 0) -> dict:
@@ -491,17 +374,9 @@ def main(argv: list[str] | None = None) -> int:
     for family, row in report["lookups"].items():
         print(f"lookup {family:12s} loop {row['loop_lookups_per_s']:>12.0f}/s  "
               f"batch {row['batch_lookups_per_s']:>12.0f}/s  ({row['speedup']}x)")
-    for family, row in report["inserts"].items():
-        print(f"insert {family:12s} loop {row['loop_inserts_per_s']:>12.0f}/s  "
-              f"batch {row['batch_inserts_per_s']:>12.0f}/s  ({row['speedup']}x)")
     for family, row in report["bulk_inserts"].items():
         print(f"bulk   {family:12s} loop {row['loop_inserts_per_s']:>12.0f}/s  "
               f"bulk  {row['bulk_inserts_per_s']:>12.0f}/s  ({row['speedup']}x)")
-    for section in ("lipp_flat", "sali_flat"):
-        for sub, row in report[section].items():
-            per_s = [v for k, v in row.items() if k.endswith("_per_s")]
-            print(f"flat   {section}.{sub:12s} node {per_s[0]:>12.0f}/s  "
-                  f"flat  {per_s[1]:>12.0f}/s  ({row['speedup']}x)")
     obs = report["metrics_overhead"]["lookup_many"]
     print(f"metrics overhead      off {obs['metrics_off_lookups_per_s']:>12.0f}/s  "
           f"on    {obs['metrics_on_lookups_per_s']:>12.0f}/s  "

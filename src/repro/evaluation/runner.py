@@ -5,11 +5,14 @@ harness under ``benchmarks/`` formats them into the same tables/series
 the paper reports and asserts the expected *shape* (who wins, trends),
 not absolute nanoseconds (see DESIGN.md §3-4).
 
-All query profiling and batched insertion goes through the vectorised
-batch engine (:func:`repro.workloads.readonly.profile_queries` →
-``LearnedIndex.lookup_many``, :mod:`repro.workloads.readwrite` →
-``LearnedIndex.insert_many``), so experiment wall time is dominated by
-the structures themselves rather than per-key Python dispatch.
+All query profiling goes through the vectorised batch engine
+(:func:`repro.workloads.readonly.profile_queries` →
+``LearnedIndex.lookup_many``), so read wall time is dominated by the
+structures themselves rather than per-key Python dispatch.  Fig. 10's
+insertion batches are per-key ``insert`` loops
+(:mod:`repro.workloads.readwrite`), as in the paper; the sharded
+experiment's monolithic row ingests through ``bulk_insert_many``, the
+primitive the service's merge uses.
 """
 
 from __future__ import annotations
@@ -361,7 +364,7 @@ def run_sharded_experiment(
         family, dataset, "monolithic", 1, False, mono_build,
         mono.lookup_many, queries, fresh, consts, 1.0,
         insert_target=(
-            mono.insert_many if n_inserts > 0 and updatable_mono else None
+            mono.bulk_insert_many if n_inserts > 0 and updatable_mono else None
         ),
     )
     rows = [baseline]

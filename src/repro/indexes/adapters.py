@@ -25,17 +25,24 @@ from .alex.data_node import AlexDataNode
 from .alex.index import AlexIndex
 from .alex.inner_node import AlexInnerNode
 from .lipp.index import LippIndex
-from .lipp.node import LippNode
+from .lipp.node import SLOT_DATA, LippNode
 from .sali.index import SaliIndex
 
 __all__ = ["LippCsvAdapter", "SaliCsvAdapter", "AlexCsvAdapter", "adapter_for"]
 
 
-def _level_map(node) -> dict[int, int]:
-    """key → level over a (duck-typed) subtree."""
-    levels: dict[int, int] = {}
-    node.visit_data_levels(lambda key, level: levels.__setitem__(key, level))
-    return levels
+def _key_levels(node: LippNode) -> np.ndarray:
+    """Level of every key under *node*, in ascending key order."""
+    keys: list[np.ndarray] = []
+    levels: list[np.ndarray] = []
+    for sub in node.walk():
+        if isinstance(sub, LippNode):
+            stored = sub.slot_keys[sub.slot_type == SLOT_DATA]
+        else:  # SALI's flattened leaf: a dense key array
+            stored = sub.keys
+        keys.append(stored)
+        levels.append(np.full(stored.size, sub.level, dtype=np.int64))
+    return np.concatenate(levels)[np.argsort(np.concatenate(keys))]
 
 
 class LippCsvAdapter:
@@ -83,7 +90,7 @@ class LippCsvAdapter:
     def rebuild(self, handle: LippNode, smoothing: SmoothingResult) -> int:
         """Replace the subtree with one smoothed node; count promotions."""
         keys, values = handle.collect_arrays()
-        levels_before = _level_map(handle)
+        levels_before = _key_levels(handle)
         merged = LippNode.from_keys(
             keys,
             values,
@@ -94,12 +101,8 @@ class LippCsvAdapter:
         )
         merged.virtual_slots = smoothing.n_virtual
         self._attach(handle, merged)
-        levels_after = _level_map(merged)
-        return sum(
-            1
-            for key, before in levels_before.items()
-            if levels_after.get(key, before) < before
-        )
+        # Same key set on both sides, so the sorted orders align.
+        return int(np.count_nonzero(_key_levels(merged) < levels_before))
 
     def _attach(self, old: LippNode, new: LippNode) -> None:
         parent = old.parent

@@ -12,9 +12,9 @@ wall-clock nanoseconds (see DESIGN.md §3).
 Batch query engine
 ------------------
 
-Workload drivers never loop over keys in Python: they call
-:meth:`LearnedIndex.lookup_many` / :meth:`LearnedIndex.insert_many`
-and receive a :class:`BatchQueryStats` — a struct-of-arrays mirror of
+Read drivers never loop over keys in Python: they call
+:meth:`LearnedIndex.lookup_many` and receive a
+:class:`BatchQueryStats` — a struct-of-arrays mirror of
 :class:`QueryStats` whose aggregation (hit rate, average levels/steps,
 simulated nanoseconds) is pure numpy.  Every backend overrides
 ``lookup_many`` with a vectorised implementation (model predictions,
@@ -24,6 +24,13 @@ backend is correct before it is fast.  Batch results are positionally
 parallel to the query array and bit-identical to the per-key loop —
 ``tests/indexes/test_batch_api.py`` asserts exact parity for every
 backend.
+
+Writes have two entry points: :meth:`LearnedIndex.insert` (one key;
+the per-key protocol Fig. 10 measures) and
+:meth:`LearnedIndex.bulk_insert_many` (one batch; what the serving
+layer's merge and the store's replay call).  The base class's batch
+write is the per-key loop, and every updatable backend overrides it
+with a vectorised sorted merge.
 """
 
 from __future__ import annotations
@@ -447,55 +454,34 @@ class LearnedIndex(ABC):
             [self.lookup_stats(int(k)) for k in arr]
         )
 
-    def insert_many(
-        self,
-        keys: np.ndarray | list,
-        values: np.ndarray | list | None = None,
-    ) -> None:
-        """Insert a batch of keys (values default to the keys).
-
-        Semantically equivalent to calling :meth:`insert` per key in
-        batch order (duplicates within the batch: last value wins).
-        Backends whose layout allows it override this with a vectorised
-        implementation; structural indexes keep the per-key loop but
-        hide it behind this entry point so drivers stay loop-free.
-        """
-        arr = np.asarray(keys)
-        if values is None:
-            vals = arr
-        else:
-            vals = np.asarray(values)
-            if vals.shape != arr.shape:
-                raise IndexStateError("values must parallel keys")
-        for key, value in zip(arr.tolist(), vals.tolist()):
-            self.insert(int(key), int(value))
-
     def bulk_insert_many(
         self,
         keys: np.ndarray | list,
         values: np.ndarray | list | None = None,
     ) -> None:
-        """Bulk-ingest a write batch (values default to the keys).
+        """Ingest a write batch (values default to the keys).
 
-        *Content*-equivalent to :meth:`insert_many` — duplicates within
-        the batch resolve last-wins, keys already stored are
-        overwritten, and afterwards every batch key looks up to its
-        batch value with all other stored keys untouched.  The tree
-        backends override this with sorted-merge implementations that
-        amortise structural maintenance across the whole batch (bulk
-        rebuilds of the touched nodes/subtrees instead of one
-        root-to-leaf descent per key), so the *physical layout* after a
-        bulk ingest may legitimately differ from the per-key loop's —
-        typically it is the fresher, better-packed structure a bulk
-        load would produce.  Lookup results (found/value) are exactly
-        identical; ``tests/indexes/test_bulk_insert.py`` asserts this
-        parity per backend.
+        *Content*-equivalent to calling :meth:`insert` per key in batch
+        order — duplicates within the batch resolve last-wins, keys
+        already stored are overwritten, and afterwards every batch key
+        looks up to its batch value with all other stored keys
+        untouched.  The updatable backends override this with
+        sorted-merge implementations that amortise structural
+        maintenance across the whole batch (bulk rebuilds of the
+        touched nodes/subtrees instead of one root-to-leaf descent per
+        key), so the *physical layout* after a bulk ingest may
+        legitimately differ from the per-key loop's — typically it is
+        the fresher, better-packed structure a bulk load would produce.
+        Lookup results (found/value) are exactly identical;
+        ``tests/indexes/test_bulk_insert.py`` asserts this parity per
+        backend.
 
-        This generic implementation simply delegates to
-        :meth:`insert_many`, so a new backend is correct before it is
-        fast.
+        This generic implementation is that per-key loop, so a new
+        backend is correct before it is fast.
         """
-        self.insert_many(keys, values)
+        arr, vals = _as_batch_kv(keys, values)
+        for key, value in zip(arr.tolist(), vals.tolist()):
+            self.insert(key, value)
 
     # ------------------------------------------------------------------
     # Buffer export / attach (the process-serving handoff)
@@ -534,14 +520,6 @@ class LearnedIndex(ABC):
     def key_levels(self, keys: np.ndarray) -> np.ndarray:
         """Vector of :meth:`key_level` over *keys*."""
         return np.asarray([self.key_level(int(k)) for k in keys], dtype=np.int64)
-
-    def batch_stats(self, keys: np.ndarray) -> list[QueryStats]:
-        """:meth:`lookup_stats` over *keys* (order preserved).
-
-        Kept for API compatibility; routed through the vectorised
-        :meth:`lookup_many`.
-        """
-        return self.lookup_many(keys).to_list()
 
     def verify_against(self, keys: np.ndarray, values: np.ndarray) -> None:
         """Assert every (key, value) pair is retrievable — test helper.

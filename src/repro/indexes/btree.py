@@ -225,7 +225,8 @@ class BPlusTree(LearnedIndex):
         if arr.size == 0:
             return
         if arr.size * self.BULK_LOOP_DIVISOR < self._n:
-            self.insert_many(arr, vals)
+            for key, value in zip(arr.tolist(), vals.tolist()):
+                self.insert(key, value)
             return
         old_keys, old_vals = self._harvest_arrays()
         merged_keys, merged_vals = dedupe_last_wins(

@@ -1,11 +1,14 @@
 """Level-ordered flat (struct-of-arrays) view of a LIPP/SALI tree.
 
 The node-object representation (:class:`~repro.indexes.lipp.node.
-LippNode`) is ideal for mutation but terrible for batch traversal: the
-grouped frontier sweep pays a Python dispatch per visited node, and a
-LIPP tree built at slot factor 1.0 has *thousands* of two-key conflict
-children, so batch lookups were structure-bound at ~1.5x over the
-scalar loop while every array-backed index family enjoyed 10-850x.
+LippNode`) is ideal for mutation but terrible for batch traversal:
+walking it pays a Python dispatch per visited node, and a LIPP tree
+built at slot factor 1.0 has *thousands* of two-key conflict children.
+The flat view is therefore the only batch representation of a
+LIPP/SALI tree — batch lookups, the sparse bulk merge and the
+structure reports all run on it; the node objects serve per-key
+``insert`` / ``lookup_stats`` (the scalar walk the parity tests use as
+their oracle).
 
 :class:`FlatLipp` compiles the tree into contiguous level-ordered
 arrays:
@@ -50,6 +53,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ...core.exceptions import IndexStateError
 from ...core.linear_model import LinearModel, QuadraticModel
 from ..base import group_runs
 from .node import SLOT_CHILD, SLOT_DATA, SLOT_EMPTY, LippNode
@@ -102,15 +106,13 @@ class FlatLipp:
     # Compilation
     # ------------------------------------------------------------------
     @classmethod
-    def compile(cls, root) -> "FlatLipp | None":
+    def compile(cls, root: LippNode) -> "FlatLipp":
         """Flatten the tree under *root* (BFS), sharing slot buffers.
 
-        Returns None when the tree cannot be represented (non-LippNode
-        root, or a node model that is neither linear nor quadratic) —
-        callers fall back to the node-object sweep.
+        Raises :class:`IndexStateError` on a node model that is
+        neither linear nor quadratic (the two forms the coefficient
+        arrays can hold).
         """
-        if _leaf_like(root):
-            return None
         flat = cls()
         nodes = flat.nodes
         leaves = flat.leaves
@@ -123,7 +125,9 @@ class FlatLipp:
             node = nodes[head]
             head += 1
             if not isinstance(node.model, (LinearModel, QuadraticModel)):
-                return None
+                raise IndexStateError(
+                    f"cannot compile a {type(node.model).__name__} node model"
+                )
             for __, child in sorted(node.children.items()):
                 if _leaf_like(child):
                     continue  # registered while emitting slot_child

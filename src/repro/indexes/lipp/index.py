@@ -5,11 +5,18 @@ lookup purely by traversal: each level evaluates one linear model and
 lands exactly on a slot.  Its query time is therefore proportional to
 the depth of the key — the effect Fig. 1 of the paper measures and CSV
 attacks.
+
+There is one traversal per granularity.  Per key, ``insert`` /
+``lookup_stats`` / ``key_level`` walk the node objects.  Per batch,
+``lookup_many``, the sparse ``bulk_insert_many`` merge and the
+structure reports (``height``, ``size_bytes``, ``level_histogram`` …)
+run on the compiled flat view (:mod:`~repro.indexes.lipp.flat`),
+which is compiled lazily and dropped on every structural change.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -41,26 +48,16 @@ __all__ = ["LippIndex"]
 #: Bytes per slot: 1 type byte + key + value/pointer union.
 SLOT_BYTES = 1 + KEY_BYTES + VALUE_BYTES
 
-#: Query groups at or below this size descend scalar-style inside
-#: :meth:`LippIndex.lookup_many` — conflict subtrees are tiny, and a
-#: handful of Python ops beats a dozen numpy dispatches on 2-3 keys.
-SMALL_GROUP = 4
-
 
 class LippIndex(LearnedIndex):
     """Updatable precise-position learned index."""
 
     name = "lipp"
 
-    def __init__(self, root: LippNode, slot_factor: float, use_flat: bool = True):
+    def __init__(self, root: LippNode, slot_factor: float):
         self._root = root
         self._slot_factor = slot_factor
-        #: With ``use_flat`` unset the index runs entirely on the
-        #: node-object sweeps — the authoritative oracle the flat
-        #: parity suite compares against.
-        self._use_flat = bool(use_flat)
         self._flat: FlatLipp | None = None
-        self._flat_uncompilable = False
 
     # ------------------------------------------------------------------
     @classmethod
@@ -69,11 +66,10 @@ class LippIndex(LearnedIndex):
         keys,
         values=None,
         slot_factor: float = DEFAULT_SLOT_FACTOR,
-        use_flat: bool = True,
     ) -> "LippIndex":
         arr, vals = prepare_key_values(keys, values)
         root = LippNode.from_keys(arr, vals, level=1, slot_factor=slot_factor)
-        return cls(root, slot_factor, use_flat=use_flat)
+        return cls(root, slot_factor)
 
     @property
     def root(self) -> LippNode:
@@ -97,16 +93,13 @@ class LippIndex(LearnedIndex):
         must call it too.
         """
         self._flat = None
-        self._flat_uncompilable = False
 
     def prewarm_flat(self) -> None:
         """Compile the flat view now (e.g. before serving a shard)."""
         self._flat_view()
 
-    def _flat_view(self) -> FlatLipp | None:
-        """The compiled flat view, or None when disabled/unsupported."""
-        if not self._use_flat or self._flat_uncompilable:
-            return None
+    def _flat_view(self) -> FlatLipp:
+        """The compiled flat view, compiling it on first use."""
         if self._flat is None:
             reg = get_registry()
             if reg.enabled:
@@ -115,9 +108,23 @@ class LippIndex(LearnedIndex):
                 reg.counter("flat_compiles_total", family=self.name).inc()
             else:
                 self._flat = FlatLipp.compile(self._root)
-            if self._flat is None:
-                self._flat_uncompilable = True
         return self._flat
+
+    def _on_fresh_flat(self, sweep: Callable[..., None], *args) -> None:
+        """Run ``sweep(flat, *args)``, recompiling once if *flat* is stale.
+
+        :class:`StaleFlatError` is raised before a sweep writes
+        anything, so a structural edit that bypassed
+        :meth:`invalidate_flat` costs one recompile-and-retry.
+        """
+        try:
+            sweep(self._flat_view(), *args)
+        except StaleFlatError:
+            reg = get_registry()
+            if reg.enabled:
+                reg.counter("flat_stale_retries_total", family=self.name).inc()
+            self.invalidate_flat()
+            sweep(self._flat_view(), *args)
 
     # ------------------------------------------------------------------
     def _descend(self, key: int) -> tuple[LippNode, int, int]:
@@ -155,52 +162,23 @@ class LippIndex(LearnedIndex):
     def lookup_many(self, keys) -> BatchQueryStats:
         """Batched precise-position lookups.
 
-        With the flat view enabled (the default) the whole batch is
-        answered by :meth:`FlatLipp.lookup_many_into` — a few
-        vectorised gathers per tree level over the surviving query
-        frontier.  The node-object sweep (:meth:`_batch_descend`)
-        remains the authoritative oracle (``use_flat=False``) and the
-        fallback for trees the flat view cannot represent.  LIPP
-        lookups have no search component, so ``search_steps`` is all
-        zeros, exactly as in :meth:`lookup_stats`.
+        The whole batch is answered by :meth:`FlatLipp.
+        lookup_many_into` — a few vectorised gathers per tree level
+        over the surviving query frontier.  LIPP lookups have no
+        search component, so ``search_steps`` is all zeros, exactly as
+        in :meth:`lookup_stats`.
         """
+        return self._lookup_batch(keys, track=False)
+
+    def _lookup_batch(self, keys, track: bool) -> BatchQueryStats:
+        """:meth:`lookup_many`; with *track*, every node on each
+        query's path has its ``access_count`` credited
+        (aggregate-equivalent to SALI's per-query ``record_path``)."""
         q = _as_query_array(keys)
         found, values, levels, steps = alloc_batch_outputs(q.size)
         if q.size:
-            self._batch_lookup(q, found, values, levels, steps, track=False)
+            self._on_fresh_flat(self._flat_sweep, q, found, values, levels, steps, track)
         return BatchQueryStats(keys=q, found=found, values=values, levels=levels, search_steps=steps)
-
-    def _batch_lookup(
-        self,
-        q: np.ndarray,
-        found: np.ndarray,
-        values: np.ndarray,
-        levels: np.ndarray,
-        steps: np.ndarray,
-        track: bool,
-    ) -> None:
-        """Route a batch through the flat view, falling back to the
-        node-object oracle sweep.
-
-        A :class:`StaleFlatError` (raised before any output is
-        written) triggers one recompile-and-retry; trees that cannot
-        be compiled at all descend through :meth:`_batch_descend`.
-        """
-        flat = self._flat_view()
-        if flat is not None:
-            try:
-                self._flat_sweep(flat, q, found, values, levels, steps, track)
-                return
-            except StaleFlatError:
-                reg = get_registry()
-                if reg.enabled:
-                    reg.counter("flat_stale_retries_total", family=self.name).inc()
-                self.invalidate_flat()
-                flat = self._flat_view()
-                if flat is not None:
-                    self._flat_sweep(flat, q, found, values, levels, steps, track)
-                    return
-        self._batch_descend(q, found, values, levels, steps, track)
 
     @staticmethod
     def _flat_sweep(
@@ -220,86 +198,6 @@ class LippIndex(LearnedIndex):
         leaf_visits = np.zeros(len(flat.leaves), dtype=np.int64)
         flat.lookup_many_into(q, found, values, levels, steps, visit_counts, leaf_visits)
         flat.credit_access(visit_counts, leaf_visits)
-
-    def _batch_descend(
-        self,
-        q: np.ndarray,
-        found: np.ndarray,
-        values: np.ndarray,
-        levels: np.ndarray,
-        steps: np.ndarray,
-        track: bool,
-    ) -> None:
-        """Grouped frontier sweep shared by LIPP and SALI.
-
-        Scatters results into the caller's output arrays.  With
-        ``track`` set, every node on each query's path has its
-        ``access_count`` credited (aggregate-equivalent to SALI's
-        per-query ``record_path``).  Leaves that are not
-        :class:`LippNode` (SALI's flattened subtrees) are answered via
-        their ``lookup``/``lookup_batch`` duck-type interface.
-        """
-        frontier: list[tuple[object, np.ndarray, int]] = [(self._root, np.arange(q.size), 1)]
-        while frontier:
-            node, idx, depth = frontier.pop()
-            if idx.size <= SMALL_GROUP:
-                # Tiny conflict subtrees: scalar descent beats numpy
-                # dispatch on 2-3 keys.
-                for j in idx.tolist():
-                    key = int(q[j])
-                    sub, lvl = node, depth
-                    while True:
-                        if track:
-                            sub.access_count += 1
-                        if not isinstance(sub, LippNode):
-                            f, v, s = sub.lookup(key)
-                            found[j] = f
-                            if f:
-                                values[j] = v
-                            steps[j] = s
-                            levels[j] = lvl
-                            break
-                        slot = sub.slot_of(key)
-                        kind = int(sub.slot_type[slot])
-                        if kind == SLOT_CHILD:
-                            sub = sub.children[slot]
-                            lvl += 1
-                            continue
-                        levels[j] = lvl
-                        if kind == SLOT_DATA and int(sub.slot_keys[slot]) == key:
-                            found[j] = True
-                            values[j] = sub.slot_values[slot]
-                        break
-                continue
-            if track:
-                node.access_count += int(idx.size)
-            if not isinstance(node, LippNode):
-                node_found, node_values, node_steps = node.lookup_batch(q[idx])
-                found[idx] = node_found
-                values[idx] = node_values
-                steps[idx] = node_steps
-                levels[idx] = depth
-                continue
-            slots = np.clip(
-                np.rint(node.model.predict_array(q[idx])).astype(np.int64), 0, node.m - 1
-            )
-            kinds = node.slot_type[slots]
-            terminal = kinds != SLOT_CHILD
-            if np.any(terminal):
-                t_idx = idx[terminal]
-                t_slots = slots[terminal]
-                levels[t_idx] = depth
-                hit = (kinds[terminal] == SLOT_DATA) & (node.slot_keys[t_slots] == q[t_idx])
-                hit_idx = t_idx[hit]
-                found[hit_idx] = True
-                values[hit_idx] = node.slot_values[t_slots[hit]]
-            child_mask = ~terminal
-            if np.any(child_mask):
-                c_idx = idx[child_mask]
-                c_slots = slots[child_mask]
-                for group in group_runs(c_slots):
-                    child = node.children[int(c_slots[group[0]])]
-                    frontier.append((child, c_idx[group], depth + 1))
 
     def insert(self, key: int, value: int) -> None:
         """Insert one entry; conflicts may create a child or trigger a
@@ -347,29 +245,28 @@ class LippIndex(LearnedIndex):
     # ------------------------------------------------------------------
     # Bulk ingest
     # ------------------------------------------------------------------
-    #: A batch group covering at least this fraction of the subtree it
-    #: lands in triggers a sorted-merge rebuild of the whole subtree
-    #: (flatten + merge + ``from_keys``) instead of a grouped descent.
+    #: A batch of at least this fraction of the stored keys triggers a
+    #: sorted-merge rebuild of the whole tree (flatten + merge +
+    #: ``from_keys``) instead of the in-place gapped merge.
     BULK_REBUILD_FRACTION = 0.25
-    #: Subtrees at or below this many keys are always rebuilt — the
-    #: flatten/merge is a handful of array ops, cheaper than recursing.
+    #: Trees at or below this many keys are always rebuilt — the
+    #: flatten/merge is a handful of array ops.
     BULK_SMALL_SUBTREE = 64
 
     def bulk_insert_many(self, keys, values=None) -> None:
         """Bulk ingest: in-place gapped merge of the touched slots.
 
         A batch *dense* relative to the whole index (or landing in a
-        tiny tree) still takes the wholesale sorted-merge rebuild
-        (:meth:`_bulk_into`: flatten + merge + one
-        :meth:`LippNode.from_keys`), which amortises model fits across
-        the group.  Sparse batches instead run the ALEX-style gapped
-        merge over the flat view: one vectorised :meth:`FlatLipp.
-        locate` sweep addresses every key's terminal slot, overwrites
-        and unique-gap fills are pure array scatters through the
-        shared slot buffers, and only genuinely conflicting slots
-        (several keys colliding, or colliding with an existing entry)
-        build conflict children — no subtree is rebuilt unless its
-        accumulated conflicts cross LIPP's adjustment threshold.
+        tiny tree) takes the wholesale sorted-merge rebuild (flatten +
+        merge + one :meth:`LippNode.from_keys`), which amortises model
+        fits across the batch.  Sparse batches instead run the
+        ALEX-style gapped merge over the flat view: one vectorised
+        :meth:`FlatLipp.locate` sweep addresses every key's terminal
+        slot, overwrites and unique-gap fills are pure array scatters
+        through the shared slot buffers, and only genuinely conflicting
+        slots (several keys colliding, or colliding with an existing
+        entry) build conflict children — no subtree is rebuilt unless
+        its accumulated conflicts cross LIPP's adjustment threshold.
         Rebuilt subtrees start with fresh conflict counters, so the
         physical layout may differ from the per-key loop's; lookup
         contents are identical.
@@ -383,30 +280,16 @@ class LippIndex(LearnedIndex):
             reg.counter("bulk_insert_keys_total", family=self.name).inc(int(arr.size))
         bkeys, bvals = dedupe_last_wins(arr, vals)
         n = self._root.n_subtree_keys
-        dense = n <= self.BULK_SMALL_SUBTREE or bkeys.size >= self.BULK_REBUILD_FRACTION * n
-        if not dense:
-            flat = self._flat_view()
-            if flat is not None:
-                try:
-                    self._gapped_merge(flat, bkeys, bvals)
-                    if reg.enabled:
-                        reg.counter("bulk_gapped_merges_total", family=self.name).inc()
-                    return
-                except StaleFlatError:
-                    if reg.enabled:
-                        reg.counter("flat_stale_retries_total", family=self.name).inc()
-                    self.invalidate_flat()
-                    flat = self._flat_view()
-                    if flat is not None:
-                        self._gapped_merge(flat, bkeys, bvals)
-                        if reg.enabled:
-                            reg.counter("bulk_gapped_merges_total", family=self.name).inc()
-                        return
-        replacement, __ = self._bulk_into(self._root, bkeys, bvals)
-        if replacement is not self._root:
-            replacement.parent = None
-            replacement.parent_slot = None
-            self._root = replacement
+        if n > self.BULK_SMALL_SUBTREE and bkeys.size < self.BULK_REBUILD_FRACTION * n:
+            self._on_fresh_flat(self._gapped_merge, bkeys, bvals)
+            if reg.enabled:
+                reg.counter("bulk_gapped_merges_total", family=self.name).inc()
+            return
+        old_keys, old_vals = self._root.collect_arrays()
+        merged_k, merged_v = dedupe_last_wins(
+            np.concatenate([old_keys, bkeys]), np.concatenate([old_vals, bvals])
+        )
+        self._root = LippNode.from_keys(merged_k, merged_v, self._root.level, self._slot_factor)
         self.invalidate_flat()
         if reg.enabled:
             reg.counter("bulk_rebuilds_total", family=self.name).inc()
@@ -552,83 +435,6 @@ class LippIndex(LearnedIndex):
             node.n_subtree_keys += net
             node = node.parent
 
-    def _bulk_into(self, node, bkeys: np.ndarray, bvals: np.ndarray):
-        """Merge a sorted unique batch run into *node*'s subtree.
-
-        Returns ``(replacement, net_new_keys)``; *replacement* is
-        *node* itself when patched in place, or a freshly rebuilt
-        subtree the caller must re-attach.  Handles SALI's flattened
-        leaves by duck-type (rebuilt as flattened nodes, preserving
-        their adaptation).
-        """
-        if not isinstance(node, LippNode):
-            # Flattened leaf: merge into its dense arrays and rebuild
-            # the segmentation once for the whole group.
-            old_keys, old_vals = node.collect_arrays()
-            merged_k, merged_v = dedupe_last_wins(
-                np.concatenate([old_keys, bkeys]), np.concatenate([old_vals, bvals])
-            )
-            rebuilt = type(node)(merged_k, merged_v, node.level, node.epsilon)
-            return rebuilt, int(merged_k.size) - int(old_keys.size)
-        n = node.n_subtree_keys
-        if n <= self.BULK_SMALL_SUBTREE or bkeys.size >= self.BULK_REBUILD_FRACTION * n:
-            old_keys, old_vals = node.collect_arrays()
-            merged_k, merged_v = dedupe_last_wins(
-                np.concatenate([old_keys, bkeys]), np.concatenate([old_vals, bvals])
-            )
-            rebuilt = LippNode.from_keys(
-                merged_k, merged_v, node.level, self._slot_factor
-            )
-            return rebuilt, int(merged_k.size) - int(old_keys.size)
-        # Sparse batch: group by predicted slot, patch terminals in
-        # place and recurse into child subtrees.
-        slots = np.clip(
-            np.rint(node.model.predict_array(bkeys)).astype(np.int64), 0, node.m - 1
-        )
-        net_total = 0
-        for group in group_runs(slots):
-            slot = int(slots[group[0]])
-            gkeys = bkeys[group]
-            gvals = bvals[group]
-            kind = int(node.slot_type[slot])
-            if kind == SLOT_CHILD:
-                child = node.children[slot]
-                replacement, net = self._bulk_into(child, gkeys, gvals)
-                if replacement is not child:
-                    replacement.parent = node
-                    replacement.parent_slot = slot
-                    node.children[slot] = replacement
-            elif kind == SLOT_EMPTY:
-                if gkeys.size == 1:
-                    node.slot_type[slot] = SLOT_DATA
-                    node.slot_keys[slot] = gkeys[0]
-                    node.slot_values[slot] = gvals[0]
-                else:
-                    self._attach_bulk_child(node, slot, gkeys, gvals)
-                net = int(gkeys.size)
-            else:  # SLOT_DATA
-                existing_key = int(node.slot_keys[slot])
-                if gkeys.size == 1 and int(gkeys[0]) == existing_key:
-                    node.slot_values[slot] = gvals[0]
-                    net = 0
-                else:
-                    merged_k, merged_v = dedupe_last_wins(
-                        np.concatenate(
-                            [np.asarray([existing_key], dtype=np.int64), gkeys]
-                        ),
-                        np.concatenate(
-                            [np.asarray([int(node.slot_values[slot])], dtype=np.int64), gvals]
-                        ),
-                    )
-                    node.slot_keys[slot] = 0
-                    node.slot_values[slot] = 0
-                    self._attach_bulk_child(node, slot, merged_k, merged_v)
-                    node.conflicts_since_build += 1
-                    net = int(merged_k.size) - 1
-            net_total += net
-        node.n_subtree_keys += net_total
-        return node, net_total
-
     def _attach_bulk_child(
         self, node: LippNode, slot: int, keys: np.ndarray, values: np.ndarray
     ) -> None:
@@ -642,10 +448,6 @@ class LippIndex(LearnedIndex):
     def _maybe_rebuild(self, path: list[LippNode]) -> None:
         """Rebuild the shallowest over-conflicted node on *path*."""
         for node in path:
-            if node.level == 1 and node is self._root and len(path) == 1:
-                # Root rebuilds are allowed but only when truly needed;
-                # fall through to the threshold test like any node.
-                pass
             threshold = max(self.REBUILD_MIN_CONFLICTS, self.REBUILD_RATIO * node.n_subtree_keys)
             if node.conflicts_since_build < threshold:
                 continue
@@ -669,16 +471,11 @@ class LippIndex(LearnedIndex):
         return self._root.n_subtree_keys
 
     def height(self) -> int:
-        flat = self._flat_view()
-        if flat is not None:
-            return flat.height()
-        return max(node.level for node in self._root.walk())
+        return self._flat_view().height()
 
     def node_count(self) -> int:
         flat = self._flat_view()
-        if flat is not None:
-            return flat.n_nodes + len(flat.leaves)
-        return sum(1 for __ in self._root.walk())
+        return flat.n_nodes + len(flat.leaves)
 
     def size_bytes(self) -> int:
         """Resident bytes of the flat representation.
@@ -687,20 +484,12 @@ class LippIndex(LearnedIndex):
         coefficients (:data:`~repro.indexes.base.MODEL_BYTES`) and its
         entry in the CSR slot-offset array
         (:data:`~repro.indexes.base.OFFSET_BYTES`); per CHILD slot one
-        pointer.  The legacy walk charges the identical formula so the
-        oracle reports the same size.
+        pointer.
         """
         flat = self._flat_view()
-        if flat is not None:
-            total = flat.n_nodes * (NODE_HEADER_BYTES + MODEL_BYTES + OFFSET_BYTES)
-            total += flat.total_slots * SLOT_BYTES
-            total += flat.child_slot_count() * POINTER_BYTES
-            return total
-        total = 0
-        for node in self._root.walk():
-            total += NODE_HEADER_BYTES + MODEL_BYTES + OFFSET_BYTES
-            total += node.m * SLOT_BYTES
-            total += len(node.children) * POINTER_BYTES
+        total = flat.n_nodes * (NODE_HEADER_BYTES + MODEL_BYTES + OFFSET_BYTES)
+        total += flat.total_slots * SLOT_BYTES
+        total += flat.child_slot_count() * POINTER_BYTES
         return total
 
     def key_level(self, key: int) -> int:
@@ -718,42 +507,21 @@ class LippIndex(LearnedIndex):
     # Structure reports used by the evaluation harness
     # ------------------------------------------------------------------
     def level_histogram(self) -> dict[int, int]:
-        """Number of keys stored at each level (reproduces Fig. 1's x-axis).
-
-        With the flat view this is one bincount over the DATA slots'
-        owning-node levels instead of a per-key Python visit.
-        """
-        flat = self._flat_view()
-        if flat is not None:
-            return flat.level_histogram()
-        histogram: dict[int, int] = {}
-
-        def visit(key: int, level: int) -> None:
-            histogram[level] = histogram.get(level, 0) + 1
-
-        self._root.visit_data_levels(visit)
-        return dict(sorted(histogram.items()))
+        """Number of keys stored at each level (reproduces Fig. 1's
+        x-axis) — one bincount over the DATA slots' owning-node levels."""
+        return self._flat_view().level_histogram()
 
     def keys_at_or_below(self, level: int) -> np.ndarray:
         """Keys stored at *level* or deeper ("promotable data")."""
-        flat = self._flat_view()
-        if flat is not None:
-            return flat.keys_at_or_below(level)
-        out: list[int] = []
-
-        def visit(key: int, key_level: int) -> None:
-            if key_level >= level:
-                out.append(key)
-
-        self._root.visit_data_levels(visit)
-        return np.asarray(sorted(out), dtype=np.int64)
+        return self._flat_view().keys_at_or_below(level)
 
     def range_query(self, low: int, high: int) -> list[tuple[int, int]]:
         """All (key, value) pairs with ``low <= key <= high``.
 
-        LIPP stores entries in slot order, so an in-order subtree walk
-        bounded by the range suffices; cost is proportional to the
-        number of slots overlapping the range.
+        LIPP stores entries in slot order, so an in-order walk that
+        stops past *high* suffices.  The walk starts at slot 0 of the
+        root, so its cost is proportional to the number of keys at or
+        below *high*, not to the size of the overlap.
         """
         low = int(low)
         high = int(high)
@@ -766,15 +534,9 @@ class LippIndex(LearnedIndex):
         return out
 
     def node_levels(self) -> list[int]:
-        """Level of every node (for the node-reduction metric).
-
-        Order is unspecified (the flat view reports BFS order, the
-        legacy walk pre-order); consumers aggregate.
-        """
-        flat = self._flat_view()
-        if flat is not None:
-            return flat.node_levels()
-        return [node.level for node in self._root.walk()]
+        """Level of every node (for the node-reduction metric), in
+        unspecified order; consumers aggregate."""
+        return self._flat_view().node_levels()
 
     def empty_slot_fraction(self) -> float:
         """Share of EMPTY slots over all slots (gap availability).
@@ -782,16 +544,5 @@ class LippIndex(LearnedIndex):
         Flattened leaves (SALI) store dense sorted arrays, so their
         entries count as fully occupied slots in the denominator.
         """
-        flat = self._flat_view()
-        if flat is not None:
-            empty, total = flat.empty_and_total_slots()
-            return empty / total if total else 0.0
-        empty = 0
-        total = 0
-        for node in self._root.walk():
-            if isinstance(node, LippNode):
-                empty += int(np.count_nonzero(node.slot_type == SLOT_EMPTY))
-                total += node.m
-            else:
-                total += int(node.keys.size)
+        empty, total = self._flat_view().empty_and_total_slots()
         return empty / total if total else 0.0

@@ -17,7 +17,7 @@ would dump every key into a single slot (which would not terminate).
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -251,11 +251,6 @@ class LippNode:
     # ------------------------------------------------------------------
     # Traversals
     # ------------------------------------------------------------------
-    def local_entries(self) -> Iterator[tuple[int, int]]:
-        """Yield (key, value) pairs stored directly in this node."""
-        for slot in np.nonzero(self.slot_type == SLOT_DATA)[0]:
-            yield int(self.slot_keys[slot]), int(self.slot_values[slot])
-
     def iter_entries(self) -> Iterator[tuple[int, int]]:
         """Yield (key, value) pairs of the subtree in ascending order."""
         for slot in range(self.m):
@@ -303,24 +298,3 @@ class LippNode:
             node = stack.pop()
             yield node
             stack.extend(node.children.values())
-
-    def visit_data_levels(self, visit: Callable[[int, int], None]) -> None:
-        """Call ``visit(key, level)`` for every key of the subtree."""
-        for node in self.walk():
-            for key, __ in node.local_entries():
-                visit(key, node.level)
-
-    def subtree_loss(self) -> float:
-        """Aggregate per-node SSE over the subtree (Eq. 2 restricted).
-
-        For each node, the error of a key is the distance between its
-        predicted slot and... zero: LIPP keys sit exactly where the
-        model puts them, so per-node loss counts *conflicts* instead —
-        the squared size of each conflict group, matching how unresolved
-        prediction mass pushes keys into children.
-        """
-        total = 0.0
-        for node in self.walk():
-            for child in node.children.values():
-                total += float(child.n_subtree_keys) ** 2
-        return total

@@ -155,10 +155,6 @@ class FlattenedNode:
     # ------------------------------------------------------------------
     # LIPP-walk compatibility
     # ------------------------------------------------------------------
-    def local_entries(self) -> Iterator[tuple[int, int]]:
-        """All entries live directly in a flattened node."""
-        yield from self.iter_entries()
-
     def iter_entries(self) -> Iterator[tuple[int, int]]:
         """Yield (key, value) pairs in ascending key order."""
         for key, value in zip(self.keys.tolist(), self.values.tolist()):
@@ -179,12 +175,3 @@ class FlattenedNode:
     def walk(self):
         """A flattened node is a leaf of the LIPP-style walk."""
         yield self
-
-    def visit_data_levels(self, visit) -> None:
-        """Call ``visit(key, level)`` for every stored key."""
-        for key in self.keys.tolist():
-            visit(int(key), self.level)
-
-    def subtree_loss(self) -> float:
-        """Flattened nodes hold no conflict subtrees (loss 0)."""
-        return 0.0

@@ -10,22 +10,11 @@ step (see :mod:`repro.indexes.sali.flatten`).
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
 from ...core.exceptions import IndexStateError
-from ..base import (
-    MODEL_BYTES,
-    NODE_HEADER_BYTES,
-    OFFSET_BYTES,
-    POINTER_BYTES,
-    BatchQueryStats,
-    QueryStats,
-    _as_query_array,
-    alloc_batch_outputs,
-)
-from ..lipp.index import SLOT_BYTES, LippIndex
+from ..base import BatchQueryStats, QueryStats
+from ..lipp.index import LippIndex
 from ..lipp.node import DEFAULT_SLOT_FACTOR, SLOT_CHILD, SLOT_DATA, LippNode
 from .flatten import DEFAULT_EPSILON, FlattenedNode
 from .probability import AccessTracker
@@ -43,9 +32,8 @@ class SaliIndex(LippIndex):
         root: LippNode,
         slot_factor: float,
         flatten_epsilon: int = DEFAULT_EPSILON,
-        use_flat: bool = True,
     ):
-        super().__init__(root, slot_factor, use_flat=use_flat)
+        super().__init__(root, slot_factor)
         self.tracker = AccessTracker()
         self._flatten_epsilon = int(flatten_epsilon)
 
@@ -56,10 +44,9 @@ class SaliIndex(LippIndex):
         values=None,
         slot_factor: float = DEFAULT_SLOT_FACTOR,
         flatten_epsilon: int = DEFAULT_EPSILON,
-        use_flat: bool = True,
     ) -> "SaliIndex":
         base = LippIndex.build(keys, values, slot_factor)
-        return cls(base.root, slot_factor, flatten_epsilon, use_flat=use_flat)
+        return cls(base.root, slot_factor, flatten_epsilon)
 
     # ------------------------------------------------------------------
     # Queries (track access statistics; handle flattened children)
@@ -98,14 +85,10 @@ class SaliIndex(LippIndex):
         (aggregate-equivalent to per-query ``record_path``); flattened
         subtrees answer their groups via
         :meth:`~repro.indexes.sali.flatten.FlattenedNode.lookup_batch`.
-        The node-object sweep remains the ``use_flat=False`` oracle.
         """
-        q = _as_query_array(keys)
-        found, values, levels, steps = alloc_batch_outputs(q.size)
-        if q.size:
-            self.tracker.total_queries += int(q.size)
-            self._batch_lookup(q, found, values, levels, steps, track=True)
-        return BatchQueryStats(keys=q, found=found, values=values, levels=levels, search_steps=steps)
+        batch = self._lookup_batch(keys, track=True)
+        self.tracker.total_queries += batch.n_queries
+        return batch
 
     def key_level(self, key: int) -> int:
         key = int(key)
@@ -166,12 +149,11 @@ class SaliIndex(LippIndex):
             node.slot_keys[slot] = key
             node.slot_values[slot] = value
 
-    # Bulk ingest is inherited from LippIndex: `bulk_insert_many`'s
-    # recursive sorted-merge (`_bulk_into`) duck-types non-LippNode
-    # leaves, so batches landing in a flattened subtree merge into its
-    # dense arrays and rebuild it *as a flattened node* — one
-    # re-segmentation per touched flat leaf, preserving SALI's
-    # adaptation instead of per-key `FlattenedNode.insert` rebuilds.
+    # Bulk ingest is inherited from LippIndex: the gapped merge routes
+    # batch keys landing in a flattened subtree into its dense arrays
+    # and rebuilds it *as a flattened node* — one re-segmentation per
+    # touched flat leaf, preserving SALI's adaptation instead of
+    # per-key `FlattenedNode.insert` rebuilds.
 
     # ------------------------------------------------------------------
     # SALI's own adaptation: flattening hot subtrees
@@ -221,25 +203,9 @@ class SaliIndex(LippIndex):
         report their dense arrays and PLA segments through
         :meth:`~repro.indexes.sali.flatten.FlattenedNode.leaf_size_bytes`.
         """
-        flat = self._flat_view()
-        if flat is not None:
-            total = flat.n_nodes * (NODE_HEADER_BYTES + MODEL_BYTES + OFFSET_BYTES)
-            total += flat.total_slots * SLOT_BYTES
-            total += flat.child_slot_count() * POINTER_BYTES
-            return total + sum(leaf.leaf_size_bytes() for leaf in flat.leaves)
-        total = 0
-        for node in self._root.walk():
-            if isinstance(node, FlattenedNode):
-                total += node.leaf_size_bytes()
-            else:
-                total += NODE_HEADER_BYTES + MODEL_BYTES + OFFSET_BYTES
-                total += node.m * SLOT_BYTES
-                total += len(node.children) * POINTER_BYTES
-        return total
-
-    def iter_keys(self) -> Iterator[int]:
-        for key, __ in self._root.iter_entries():
-            yield key
+        return super().size_bytes() + sum(
+            leaf.leaf_size_bytes() for leaf in self._flat_view().leaves
+        )
 
     # ------------------------------------------------------------------
     # Range queries (flattening-aware)
@@ -247,11 +213,13 @@ class SaliIndex(LippIndex):
     def range_query(self, low: int, high: int) -> list[tuple[int, int]]:
         """All (key, value) pairs with ``low <= key <= high``.
 
-        Same in-order bounded walk as LIPP, except flattened subtrees —
-        whose entries are dense sorted arrays — are answered with a
-        single ``searchsorted`` slice instead of entry-by-entry
-        iteration.  Returns True from the helper once a key above
-        *high* is seen, which cuts the remainder of the walk.
+        Same in-order walk as LIPP — from slot 0 of the root, so its
+        cost grows with the number of keys at or below *high*, not
+        with the overlap — except flattened subtrees, whose entries
+        are dense sorted arrays, are answered with a single
+        ``searchsorted`` slice instead of entry-by-entry iteration.
+        Returns True from the helper once a key above *high* is seen,
+        which cuts the remainder of the walk.
         """
         low = int(low)
         high = int(high)

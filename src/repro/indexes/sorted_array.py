@@ -18,8 +18,10 @@ from .base import (
     BatchQueryStats,
     LearnedIndex,
     QueryStats,
+    _as_batch_kv,
     _as_query_array,
     _range_from_sorted_arrays,
+    dedupe_last_wins,
     prepare_key_values,
 )
 
@@ -52,7 +54,7 @@ class SortedArrayIndex(LearnedIndex):
         self._values = np.insert(self._values, pos, value)
         self._probe_tables = None
 
-    def insert_many(self, keys, values=None) -> None:
+    def bulk_insert_many(self, keys, values=None) -> None:
         """Vectorised bulk insert: one merged reallocation per batch.
 
         Equivalent to per-key :meth:`insert` in batch order — existing
@@ -60,24 +62,10 @@ class SortedArrayIndex(LearnedIndex):
         single ``np.insert`` (duplicates within the batch: last value
         wins, as in the sequential loop).
         """
-        arr = _as_query_array(keys)
-        if values is None:
-            vals = arr
-        else:
-            vals = np.ascontiguousarray(np.asarray(values), dtype=np.int64)
-            if vals.shape != arr.shape:
-                raise ValueError("values must parallel keys")
+        arr, vals = _as_batch_kv(keys, values)
         if arr.size == 0:
             return
-        # Stable sort: within equal keys, the LAST input occurrence
-        # ends each run and must win (sequential-loop semantics).
-        order = np.argsort(arr, kind="stable")
-        sorted_keys = arr[order]
-        sorted_vals = vals[order]
-        last_of_run = np.ones(sorted_keys.size, dtype=bool)
-        last_of_run[:-1] = sorted_keys[:-1] != sorted_keys[1:]
-        unique_keys = sorted_keys[last_of_run]
-        unique_vals = sorted_vals[last_of_run]
+        unique_keys, unique_vals = dedupe_last_wins(arr, vals)
         pos = np.searchsorted(self._keys, unique_keys)
         in_range = pos < self._keys.size
         present = np.zeros(unique_keys.size, dtype=bool)

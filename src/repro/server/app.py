@@ -62,6 +62,16 @@ JSON_CONTENT_TYPE = "application/json; charset=utf-8"
 #: keys, far past any sane batch.
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
+#: Hard cap on header lines per request.  (A single line is capped by
+#: asyncio's 64 KiB stream-reader limit.)
+MAX_HEADER_LINES = 100
+
+#: After a framing error the server stops sending, then discards the
+#: client's unread bytes for at most this long before closing: closing
+#: a socket with unread input resets the connection, which can destroy
+#: the reply before the client has read it.
+LINGER_S = 0.5
+
 #: Hard cap on keys per batch request.
 MAX_BATCH_KEYS = 1_000_000
 
@@ -75,6 +85,7 @@ _REASONS = {
     405: "Method Not Allowed",
     413: "Payload Too Large",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
@@ -99,11 +110,38 @@ class BadRequestError(Exception):
 
 
 class _FramingError(Exception):
-    """A request whose body must not be read: answer *status*, close."""
+    """A request that cannot be framed, or whose body must not be
+    read: answer *status*, close."""
 
     def __init__(self, status: int, message: str):
         super().__init__(message)
         self.status = status
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """One line of the request head; 431 if it overruns the reader's limit."""
+    try:
+        return await reader.readline()
+    except ValueError:  # how StreamReader.readline reports LimitOverrunError
+        raise _FramingError(431, "request or header line too long") from None
+
+
+async def _discard_unread(
+    reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+) -> None:
+    """Half-close, then drop input until the client closes or
+    :data:`LINGER_S` passes."""
+    if writer.can_write_eof():
+        writer.write_eof()
+
+    async def until_eof() -> None:
+        while await reader.read(65536):
+            pass
+
+    try:
+        await asyncio.wait_for(until_eof(), LINGER_S)
+    except asyncio.TimeoutError:
+        pass
 
 
 class _ReadWriteLock:
@@ -469,6 +507,7 @@ class HttpFrontDoor:
                         writer, exc.status, _error_body(str(exc)),
                         JSON_CONTENT_TYPE, [], keep_alive=False,
                     )
+                    await _discard_unread(reader, writer)
                     break
                 if request is None:
                     break
@@ -492,20 +531,22 @@ class HttpFrontDoor:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> tuple[str, str, dict[str, str], bytes] | None:
-        line = await reader.readline()
+        line = await _read_line(reader)
         if not line:
             return None
         parts = line.decode("latin-1").strip().split()
         if len(parts) != 3:
-            raise asyncio.IncompleteReadError(line, None)
+            raise _FramingError(400, "malformed request line")
         method, target, _version = parts
         headers: dict[str, str] = {}
-        while True:
-            raw = await reader.readline()
+        for _ in range(MAX_HEADER_LINES + 1):
+            raw = await _read_line(reader)
             if raw in (b"\r\n", b"\n", b""):
                 break
             name, _, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
+        else:
+            raise _FramingError(431, f"more than {MAX_HEADER_LINES} header lines")
         # The declared length is checked before any body byte is read:
         # the cap bounds what a client can make the server buffer.
         try:

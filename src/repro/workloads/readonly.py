@@ -15,7 +15,7 @@ import numpy as np
 
 from ..core.cost_model import CostConstants
 from ..core.exceptions import InvalidKeysError
-from ..indexes.base import BatchQueryStats, LearnedIndex, QueryStats
+from ..indexes.base import BatchQueryStats, LearnedIndex
 
 __all__ = ["QueryProfile", "profile_queries"]
 
@@ -53,15 +53,6 @@ class QueryProfile:
             avg_simulated_ns=float(ns.mean()),
             total_simulated_ns=float(ns.sum()),
         )
-
-    @classmethod
-    def from_stats(
-        cls, stats: list[QueryStats], constants: CostConstants | None = None
-    ) -> "QueryProfile":
-        """Aggregate scalar :class:`QueryStats` (compatibility path)."""
-        if not stats:
-            raise InvalidKeysError("cannot profile an empty query batch")
-        return cls.from_batch(BatchQueryStats.from_query_stats(stats), constants)
 
 
 def profile_queries(

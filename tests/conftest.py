@@ -45,3 +45,22 @@ def clustered_keys(rng: np.random.Generator) -> np.ndarray:
 def sorted_unique(rng: np.random.Generator, n: int, span: int) -> np.ndarray:
     """Helper used by hypothesis-free randomised tests."""
     return np.unique(rng.integers(0, span, n))
+
+
+def _insert_each(index, keys, values=None) -> None:
+    """Per-key ``insert`` loop in batch order (values default to keys).
+
+    The reference every ``bulk_insert_many`` is checked against: run it
+    on a twin built from the same keys and compare contents.
+    """
+    keys = np.asarray(keys)
+    values = keys if values is None else np.asarray(values)
+    assert values.shape == keys.shape
+    for key, value in zip(keys.tolist(), values.tolist()):
+        index.insert(key, value)
+
+
+@pytest.fixture(scope="session")
+def insert_each():
+    """:func:`_insert_each` (session-scoped so ``@given`` tests may take it)."""
+    return _insert_each

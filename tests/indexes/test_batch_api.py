@@ -2,8 +2,8 @@
 
 Every backend's ``lookup_many`` must return, field for field, what the
 per-key ``lookup_stats`` loop returns — found flags, values, levels
-AND search-step counts — and ``insert_many`` must leave the index in
-the same state as the sequential insert loop.  Aggregation through
+AND search-step counts — and ``bulk_insert_many`` must leave the index
+holding what the sequential insert loop leaves.  Aggregation through
 ``QueryProfile`` must agree between the scalar and the batch paths.
 """
 
@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.cost_model import CostConstants
+from repro.core.exceptions import IndexStateError
 from repro.indexes import INDEX_FAMILIES
 from repro.indexes.base import BatchQueryStats
 from repro.workloads.readonly import QueryProfile
@@ -100,7 +101,7 @@ class TestLookupManyParity:
 
 class TestInsertManyParity:
     @pytest.mark.parametrize("family", UPDATABLE)
-    def test_state_matches_sequential_loop(self, family, small_keys, rng):
+    def test_state_matches_sequential_loop(self, insert_each, family, small_keys, rng):
         fresh = np.setdiff1d(
             rng.integers(int(small_keys[0]), int(small_keys[-1]), 400), small_keys
         )[:150]
@@ -110,13 +111,19 @@ class TestInsertManyParity:
         batch_vals = np.concatenate([fresh * 2, fresh[:20] * 3])
         loop_index = INDEX_FAMILIES[family].build(small_keys)
         batch_index = INDEX_FAMILIES[family].build(small_keys)
-        for k, v in zip(batch_keys.tolist(), batch_vals.tolist()):
-            loop_index.insert(int(k), int(v))
-        batch_index.insert_many(batch_keys, batch_vals)
+        insert_each(loop_index, batch_keys, batch_vals)
+        batch_index.bulk_insert_many(batch_keys, batch_vals)
         assert list(loop_index.iter_keys()) == list(batch_index.iter_keys())
+        # Same contents (the bulk layout may differ, so no level parity
+        # across the two trees) ...
         probe = np.concatenate([small_keys, fresh])
-        scalar = [loop_index.lookup_stats(int(k)) for k in probe]
-        assert_batch_matches_loop(batch_index.lookup_many(probe), scalar)
+        want = loop_index.lookup_many(probe)
+        got = batch_index.lookup_many(probe)
+        assert bool(np.all(got.found)) and bool(np.all(want.found))
+        assert np.array_equal(got.values, want.values)
+        # ... and the batch answer is the scalar walk of its own tree.
+        scalar = [batch_index.lookup_stats(int(k)) for k in probe]
+        assert_batch_matches_loop(got, scalar)
 
     @pytest.mark.parametrize("family", UPDATABLE)
     def test_values_default_to_keys(self, family, small_keys, rng):
@@ -124,7 +131,7 @@ class TestInsertManyParity:
             rng.integers(int(small_keys[0]), int(small_keys[-1]), 100), small_keys
         )[:30]
         index = INDEX_FAMILIES[family].build(small_keys)
-        index.insert_many(fresh)
+        index.bulk_insert_many(fresh)
         for k in fresh.tolist():
             assert index.lookup(int(k)) == int(k)
 
@@ -132,13 +139,21 @@ class TestInsertManyParity:
     def test_static_indexes_raise(self, family, small_keys):
         index = INDEX_FAMILIES[family].build(small_keys)
         with pytest.raises(NotImplementedError):
-            index.insert_many(np.array([int(small_keys[-1]) + 10]))
+            index.bulk_insert_many(np.array([int(small_keys[-1]) + 10]))
 
     def test_sorted_array_updates_existing(self, small_keys):
         index = INDEX_FAMILIES["sorted_array"].build(small_keys)
-        index.insert_many(small_keys[:5], small_keys[:5] * 7)
+        index.bulk_insert_many(small_keys[:5], small_keys[:5] * 7)
         for k in small_keys[:5].tolist():
             assert index.lookup(int(k)) == int(k) * 7
+        assert index.n_keys == small_keys.size
+
+    @pytest.mark.parametrize("family", UPDATABLE)
+    def test_mismatched_values_raise_index_state_error(self, family, small_keys):
+        """One error type for a bad write batch, on every backend."""
+        index = INDEX_FAMILIES[family].build(small_keys)
+        with pytest.raises(IndexStateError):
+            index.bulk_insert_many(small_keys[:4], small_keys[:3])
         assert index.n_keys == small_keys.size
 
 
@@ -149,7 +164,7 @@ class TestAggregation:
         loop_index = INDEX_FAMILIES[family].build(small_keys)
         batch_index = INDEX_FAMILIES[family].build(small_keys)
         scalar = [loop_index.lookup_stats(int(k)) for k in mixed_queries]
-        from_stats = QueryProfile.from_stats(scalar, consts)
+        from_stats = QueryProfile.from_batch(BatchQueryStats.from_query_stats(scalar), consts)
         from_batch = QueryProfile.from_batch(batch_index.lookup_many(mixed_queries), consts)
         assert from_stats == from_batch
 

@@ -1,7 +1,8 @@
 """Parity suite for the vectorised bulk-ingest path.
 
-``bulk_insert_many`` is *content*-equivalent to the per-key
-``insert_many`` loop: after both, an index holds exactly the same key
+``bulk_insert_many`` is *content*-equivalent to a per-key ``insert``
+loop (the shared ``insert_each`` helper, run on a twin built from the
+same keys): after both, an index holds exactly the same key
 set and every key looks up to the same value.  The physical layout may
 differ (bulk rebuilds produce fresh, well-packed nodes), so parity is
 asserted through the lookup interface — found flags and values over
@@ -70,11 +71,11 @@ def base_keys(rng):
 
 class TestBulkParity:
     @pytest.mark.parametrize("family", BULK_FAMILIES)
-    def test_fresh_sorted_batch(self, family, base_keys, rng):
+    def test_fresh_sorted_batch(self, insert_each, family, base_keys, rng):
         fresh = np.setdiff1d(rng.integers(10_000, 1_000_000, 3_000), base_keys)
         loop_index = INDEX_FAMILIES[family].build(base_keys)
         bulk_index = INDEX_FAMILIES[family].build(base_keys)
-        loop_index.insert_many(fresh, fresh * 3)
+        insert_each(loop_index, fresh, fresh * 3)
         bulk_index.bulk_insert_many(fresh, fresh * 3)
         miss = np.setdiff1d(
             rng.integers(0, 2_000_000, 200), np.concatenate([base_keys, fresh])
@@ -82,7 +83,7 @@ class TestBulkParity:
         assert_content_parity(loop_index, bulk_index, miss)
 
     @pytest.mark.parametrize("family", BULK_FAMILIES)
-    def test_unsorted_batch_with_duplicates(self, family, base_keys, rng):
+    def test_unsorted_batch_with_duplicates(self, insert_each, family, base_keys, rng):
         """Internal duplicates resolve last-wins; stored keys are
         overwritten — exactly as the sequential loop does it."""
         fresh = np.setdiff1d(rng.integers(10_000, 1_000_000, 800), base_keys)
@@ -92,7 +93,7 @@ class TestBulkParity:
         values = rng.integers(0, 1 << 40, batch.size)
         loop_index = INDEX_FAMILIES[family].build(base_keys)
         bulk_index = INDEX_FAMILIES[family].build(base_keys)
-        loop_index.insert_many(batch, values)
+        insert_each(loop_index, batch, values)
         bulk_index.bulk_insert_many(batch, values)
         assert_content_parity(loop_index, bulk_index)
         # Spot-check last-wins directly: the final occurrence of a
@@ -102,7 +103,7 @@ class TestBulkParity:
         assert bulk_index.lookup(dup_key) == last_value
 
     @pytest.mark.parametrize("family", BULK_FAMILIES)
-    def test_boundary_straddling_batch(self, family, base_keys, rng):
+    def test_boundary_straddling_batch(self, insert_each, family, base_keys, rng):
         """Keys strictly below the stored minimum and above the stored
         maximum (plus the extremes themselves) must merge cleanly."""
         lo, hi = int(base_keys[0]), int(base_keys[-1])
@@ -114,21 +115,21 @@ class TestBulkParity:
         rng.shuffle(batch)
         loop_index = INDEX_FAMILIES[family].build(base_keys)
         bulk_index = INDEX_FAMILIES[family].build(base_keys)
-        loop_index.insert_many(batch)
+        insert_each(loop_index, batch)
         bulk_index.bulk_insert_many(batch)
         assert_content_parity(loop_index, bulk_index)
         assert bulk_index.lookup(lo - 40) == lo - 40
         assert bulk_index.lookup(hi + 39) == hi + 39
 
     @pytest.mark.parametrize("family", BULK_FAMILIES)
-    def test_empty_index_bulk_load(self, family, rng):
+    def test_empty_index_bulk_load(self, insert_each, family, rng):
         """Bulk into an empty index is a pure bulk load."""
         batch = rng.integers(0, 10**7, 4_000)
         values = rng.integers(0, 1 << 40, batch.size)
         bulk_index = _empty_index(family)
         bulk_index.bulk_insert_many(batch, values)
         loop_index = _empty_index(family)
-        loop_index.insert_many(batch, values)
+        insert_each(loop_index, batch, values)
         assert_content_parity(loop_index, bulk_index)
 
     @pytest.mark.parametrize("family", BULK_FAMILIES)
@@ -151,7 +152,7 @@ class TestBulkParity:
         assert np.array_equal(probe.values, np.unique(batch) + 2)
 
     @pytest.mark.parametrize("family", TREE_FAMILIES)
-    def test_large_dense_batch(self, family, rng):
+    def test_large_dense_batch(self, insert_each, family, rng):
         """A batch several times the index size (the merge-heavy
         regime the bulk path exists for) keeps exact content parity."""
         universe = np.unique(rng.integers(0, 10**8, 14_000))
@@ -160,7 +161,7 @@ class TestBulkParity:
         batch = np.sort(universe[2_000:12_000])
         loop_index = INDEX_FAMILIES[family].build(base)
         bulk_index = INDEX_FAMILIES[family].build(base)
-        loop_index.insert_many(batch)
+        insert_each(loop_index, batch)
         bulk_index.bulk_insert_many(batch)
         assert_content_parity(loop_index, bulk_index)
 
@@ -186,7 +187,7 @@ def _force_flatten(index, limit=3) -> int:
 
 
 class TestSaliFlattenedBulk:
-    def test_bulk_into_flattened_subtree(self, clustered_keys, rng):
+    def test_bulk_into_flattened_subtree(self, insert_each, clustered_keys, rng):
         """Bulk ingest through flattened SALI subtrees keeps content
         parity with the per-key loop."""
         loop_index = INDEX_FAMILIES["sali"].build(clustered_keys)
@@ -197,7 +198,7 @@ class TestSaliFlattenedBulk:
             rng.integers(int(clustered_keys[0]), int(clustered_keys[-1]), 500),
             clustered_keys,
         )[:400]
-        loop_index.insert_many(fresh)
+        insert_each(loop_index, fresh)
         bulk_index.bulk_insert_many(fresh)
         assert_content_parity(loop_index, bulk_index)
 

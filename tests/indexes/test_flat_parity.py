@@ -1,24 +1,29 @@
-"""Property-based flat-vs-node parity for LIPP/SALI.
+"""Property-based parity of the LIPP/SALI flat view with the node tree.
 
 The flat level-ordered representation (:mod:`repro.indexes.lipp.flat`)
-must be observationally identical to the node-object oracle
-(``use_flat=False``) for every query the index answers.  Hypothesis
+is the only batch representation of a LIPP/SALI tree, so every batch
+answer is checked against something that never touches it.  Hypothesis
 drives the comparison across random key distributions, duplicates,
 inserts, sparse and dense bulk merges, CSV-smoothed builds and SALI's
 hot-subtree flattening.
 
-Parity contract:
+Oracles:
 
-* ``lookup_many`` — exact per-key stats parity (found / value / level /
-  search_steps) for any build + ``insert`` history, and for CSV-smoothed
-  trees (quadratic models);
-* ``bulk_insert_many`` — *content* parity (same sorted key set, same
-  values, same total key count).  The physical layouts legitimately
-  diverge: the flat path runs the in-place gapped merge while the
-  oracle sorted-merge-rebuilds whole subtrees, and rebuilt subtrees
-  reset their conflict counters;
-* ``range_query`` and the structural introspection helpers — exact
-  parity on identical (non-bulk-diverged) trees.
+* ``lookup_many`` — the scalar walk on the *same* tree:
+  ``LearnedIndex.lookup_many(index, q)``, the base-class loop over
+  ``lookup_stats``.  Exact per-key parity (found / value / level /
+  search_steps) for any build + ``insert`` history, and for
+  CSV-smoothed trees (quadratic models);
+* ``bulk_insert_many`` — a per-key ``insert`` loop on a twin built from
+  the same keys: *content* parity (same sorted key set, same values,
+  same total key count).  The physical layouts legitimately diverge:
+  the bulk path runs the in-place gapped merge or one root rebuild,
+  and rebuilt subtrees reset their conflict counters;
+* SALI access counts — a twin fed the same queries one ``lookup_stats``
+  (``record_path``) at a time;
+* ``range_query`` — a filter over the sorted build arrays;
+* the structural introspection helpers — :func:`_walk_report`, the same
+  figures computed by a ``root.walk()`` over the node objects.
 """
 
 from __future__ import annotations
@@ -30,7 +35,15 @@ from hypothesis import strategies as st
 
 from repro.core.csv_algorithm import CsvConfig, apply_csv
 from repro.indexes.adapters import adapter_for
-from repro.indexes.lipp.index import LippIndex
+from repro.indexes.base import (
+    MODEL_BYTES,
+    NODE_HEADER_BYTES,
+    OFFSET_BYTES,
+    POINTER_BYTES,
+    LearnedIndex,
+)
+from repro.indexes.lipp.index import SLOT_BYTES, LippIndex
+from repro.indexes.lipp.node import SLOT_DATA, SLOT_EMPTY, LippNode
 from repro.indexes.sali.index import SaliIndex
 
 INDEX_CLASSES = [LippIndex, SaliIndex]
@@ -46,10 +59,10 @@ key_lists = st.lists(
 )
 
 
-def _build_pair(cls, raw_keys):
+def _build(cls, raw_keys):
     keys = np.unique(np.asarray(raw_keys, dtype=np.int64))
     values = np.arange(keys.size, dtype=np.int64) * 3
-    return keys, cls.build(keys, values), cls.build(keys, values, use_flat=False)
+    return keys, values, cls.build(keys, values)
 
 
 def _assert_stats_parity(flat_stats, oracle_stats):
@@ -61,16 +74,65 @@ def _assert_stats_parity(flat_stats, oracle_stats):
     assert np.array_equal(flat_stats.search_steps, oracle_stats.search_steps)
 
 
-def _assert_content_parity(flat_index, oracle_index):
-    flat_keys = np.fromiter(flat_index.iter_keys(), dtype=np.int64)
-    oracle_keys = np.fromiter(oracle_index.iter_keys(), dtype=np.int64)
-    assert np.array_equal(flat_keys, oracle_keys)
-    assert flat_index.n_keys == oracle_index.n_keys == flat_keys.size
-    if flat_keys.size:
-        fs = flat_index.lookup_many(flat_keys)
-        os_ = oracle_index.lookup_many(oracle_keys)
-        assert bool(np.all(fs.found))
-        assert np.array_equal(fs.values, os_.values)
+def _assert_lookup_parity(index, q):
+    """Flat sweep vs the scalar node walk on the same tree."""
+    _assert_stats_parity(index.lookup_many(q), LearnedIndex.lookup_many(index, q))
+
+
+def _assert_content_parity(index, loop_index):
+    keys = np.fromiter(index.iter_keys(), dtype=np.int64)
+    loop_keys = np.fromiter(loop_index.iter_keys(), dtype=np.int64)
+    assert np.array_equal(keys, loop_keys)
+    assert index.n_keys == loop_index.n_keys == keys.size
+    if keys.size:
+        got = index.lookup_many(keys)
+        want = LearnedIndex.lookup_many(loop_index, loop_keys)
+        assert bool(np.all(got.found))
+        assert np.array_equal(got.values, want.values)
+
+
+def _walk_report(index) -> dict:
+    """The introspection helpers' figures, from the node objects."""
+    nodes = list(index.root.walk())
+    histogram: dict[int, int] = {}
+    key_levels: list[tuple[int, int]] = []
+    size = empty = slots = 0
+    for node in nodes:
+        if isinstance(node, LippNode):
+            stored = node.slot_keys[node.slot_type == SLOT_DATA].tolist()
+            size += NODE_HEADER_BYTES + MODEL_BYTES + OFFSET_BYTES
+            size += node.m * SLOT_BYTES + len(node.children) * POINTER_BYTES
+            empty += int(np.count_nonzero(node.slot_type == SLOT_EMPTY))
+            slots += node.m
+        else:  # SALI's flattened leaf
+            stored = node.keys.tolist()
+            size += node.leaf_size_bytes()
+            slots += len(stored)
+        if stored:
+            histogram[node.level] = histogram.get(node.level, 0) + len(stored)
+        key_levels.extend((key, node.level) for key in stored)
+    return {
+        "height": max(node.level for node in nodes),
+        "node_count": len(nodes),
+        "node_levels": sorted(node.level for node in nodes),
+        "size_bytes": size,
+        "level_histogram": dict(sorted(histogram.items())),
+        "empty_slot_fraction": empty / slots if slots else 0.0,
+        "key_levels": sorted(key_levels),
+    }
+
+
+def _assert_introspection_parity(index):
+    want = _walk_report(index)
+    assert index.height() == want["height"]
+    assert index.node_count() == want["node_count"]
+    assert sorted(index.node_levels()) == want["node_levels"]
+    assert index.size_bytes() == want["size_bytes"]
+    assert index.level_histogram() == want["level_histogram"]
+    assert index.empty_slot_fraction() == pytest.approx(want["empty_slot_fraction"])
+    for level in (1, 2, 3):
+        deep = [key for key, key_level in want["key_levels"] if key_level >= level]
+        assert index.keys_at_or_below(level).tolist() == deep
 
 
 @pytest.mark.parametrize("cls", INDEX_CLASSES)
@@ -78,18 +140,18 @@ class TestLookupParity:
     @SETTINGS
     @given(raw=key_lists, probes=key_lists)
     def test_lookup_many_matches_oracle(self, cls, raw, probes):
-        keys, flat, oracle = _build_pair(cls, raw)
+        keys, __, index = _build(cls, raw)
         q = np.concatenate([keys, np.asarray(probes, dtype=np.int64)])
-        _assert_stats_parity(flat.lookup_many(q), oracle.lookup_many(q))
+        _assert_lookup_parity(index, q)
 
     @SETTINGS
     @given(raw=key_lists)
     def test_batch_matches_scalar(self, cls, raw):
-        keys, flat, __ = _build_pair(cls, raw)
+        keys, __, index = _build(cls, raw)
         q = np.concatenate([keys, keys + 1])
-        batch = flat.lookup_many(q)
+        batch = index.lookup_many(q)
         for j, key in enumerate(q.tolist()):
-            scalar = flat.lookup_stats(key)
+            scalar = index.lookup_stats(key)
             assert scalar.found == bool(batch.found[j])
             if scalar.found:
                 assert scalar.value == int(batch.values[j])
@@ -99,42 +161,52 @@ class TestLookupParity:
     @SETTINGS
     @given(raw=key_lists, extra=key_lists)
     def test_insert_history_parity(self, cls, raw, extra):
-        keys, flat, oracle = _build_pair(cls, raw)
+        keys, values, index = _build(cls, raw)
+        index.lookup_many(keys)  # compile, so the inserts must invalidate
+        expected = dict(zip(keys.tolist(), values.tolist()))
         for i, key in enumerate(extra):
-            flat.insert(key, i)
-            oracle.insert(key, i)
+            index.insert(key, i)
+            expected[key] = i
         q = np.concatenate([keys, np.asarray(extra, dtype=np.int64)])
-        _assert_stats_parity(flat.lookup_many(q), oracle.lookup_many(q))
-        _assert_content_parity(flat, oracle)
+        _assert_lookup_parity(index, q)
+        stored = np.asarray(sorted(expected), dtype=np.int64)
+        assert list(index.iter_keys()) == stored.tolist()
+        assert index.n_keys == stored.size
+        got = index.lookup_many(stored)
+        assert bool(np.all(got.found))
+        assert got.values.tolist() == [expected[k] for k in stored.tolist()]
 
 
 @pytest.mark.parametrize("cls", INDEX_CLASSES)
 class TestBulkParity:
     @SETTINGS
     @given(raw=key_lists, batch=key_lists)
-    def test_bulk_content_parity(self, cls, raw, batch):
-        __, flat, oracle = _build_pair(cls, raw)
+    def test_bulk_content_parity(self, cls, insert_each, raw, batch):
+        keys, values, index = _build(cls, raw)
+        loop_index = cls.build(keys, values)
         bkeys = np.asarray(batch, dtype=np.int64)
         bvals = np.arange(bkeys.size, dtype=np.int64) + 10_000
-        flat.bulk_insert_many(bkeys, bvals)
-        oracle.bulk_insert_many(bkeys, bvals)
-        _assert_content_parity(flat, oracle)
+        index.bulk_insert_many(bkeys, bvals)
+        insert_each(loop_index, bkeys, bvals)
+        _assert_content_parity(index, loop_index)
 
     @SETTINGS
     @given(raw=key_lists, b1=key_lists, b2=key_lists)
-    def test_repeated_bulk_content_parity(self, cls, raw, b1, b2):
-        __, flat, oracle = _build_pair(cls, raw)
+    def test_repeated_bulk_content_parity(self, cls, insert_each, raw, b1, b2):
+        keys, values, index = _build(cls, raw)
+        loop_index = cls.build(keys, values)
         for i, batch in enumerate((b1, b2)):
             bkeys = np.asarray(batch, dtype=np.int64)
             bvals = np.full(bkeys.size, 77 + i, dtype=np.int64)
-            flat.bulk_insert_many(bkeys, bvals)
-            oracle.bulk_insert_many(bkeys, bvals)
-        _assert_content_parity(flat, oracle)
+            index.bulk_insert_many(bkeys, bvals)
+            insert_each(loop_index, bkeys, bvals)
+        _assert_content_parity(index, loop_index)
 
     @SETTINGS
     @given(raw=key_lists)
-    def test_bulk_duplicates_last_wins(self, cls, raw):
-        keys, flat, oracle = _build_pair(cls, raw)
+    def test_bulk_duplicates_last_wins(self, cls, insert_each, raw):
+        keys, values, index = _build(cls, raw)
+        loop_index = cls.build(keys, values)
         # Re-insert every existing key (duplicate overwrite) plus its
         # successor (gap/conflict), duplicated within the batch.
         bkeys = np.concatenate([keys, keys, keys + 1])
@@ -145,10 +217,10 @@ class TestBulkParity:
                 np.full(keys.size, 2, dtype=np.int64),
             ]
         )
-        flat.bulk_insert_many(bkeys, bvals)
-        oracle.bulk_insert_many(bkeys, bvals)
-        _assert_content_parity(flat, oracle)
-        stats = flat.lookup_many(keys)
+        index.bulk_insert_many(bkeys, bvals)
+        insert_each(loop_index, bkeys, bvals)
+        _assert_content_parity(index, loop_index)
+        stats = index.lookup_many(keys)
         # Last wins: an existing key k ends at 1 (second keys section),
         # unless k-1 is also stored — then k == (k-1) + 1 reappears in
         # the successor section, which comes last, and ends at 2.
@@ -161,25 +233,18 @@ class TestRangeAndIntrospectionParity:
     @SETTINGS
     @given(raw=key_lists, bounds=st.tuples(st.integers(0, 1 << 44), st.integers(0, 1 << 44)))
     def test_range_query_parity(self, cls, raw, bounds):
-        __, flat, oracle = _build_pair(cls, raw)
+        keys, values, index = _build(cls, raw)
         low, high = min(bounds), max(bounds)
-        assert flat.range_query(low, high) == oracle.range_query(low, high)
+        inside = (keys >= low) & (keys <= high)
+        want = list(zip(keys[inside].tolist(), values[inside].tolist()))
+        assert index.range_query(low, high) == want
 
     @SETTINGS
     @given(raw=key_lists)
     def test_introspection_parity(self, cls, raw):
-        keys, flat, oracle = _build_pair(cls, raw)
-        assert flat.level_histogram() == oracle.level_histogram()
-        assert sum(flat.level_histogram().values()) == keys.size
-        assert flat.height() == oracle.height()
-        assert flat.node_count() == oracle.node_count()
-        assert sorted(flat.node_levels()) == sorted(oracle.node_levels())
-        assert flat.size_bytes() == oracle.size_bytes()
-        assert flat.empty_slot_fraction() == pytest.approx(oracle.empty_slot_fraction())
-        for level in (1, 2, 3):
-            assert np.array_equal(
-                flat.keys_at_or_below(level), oracle.keys_at_or_below(level)
-            )
+        keys, __, index = _build(cls, raw)
+        _assert_introspection_parity(index)
+        assert sum(index.level_histogram().values()) == keys.size
 
 
 @pytest.mark.parametrize("cls", INDEX_CLASSES)
@@ -187,52 +252,54 @@ class TestCsvSmoothedParity:
     @SETTINGS
     @given(raw=st.lists(st.integers(0, 1 << 38), min_size=64, max_size=300))
     def test_smoothed_lookup_parity(self, cls, raw):
-        keys, flat, oracle = _build_pair(cls, raw)
-        apply_csv(adapter_for(flat), CsvConfig(alpha=0.2))
-        apply_csv(adapter_for(oracle), CsvConfig(alpha=0.2))
-        q = np.concatenate([keys, keys + 1])
-        _assert_stats_parity(flat.lookup_many(q), oracle.lookup_many(q))
-        assert flat.level_histogram() == oracle.level_histogram()
-        assert flat.size_bytes() == oracle.size_bytes()
+        keys, __, index = _build(cls, raw)
+        apply_csv(adapter_for(index), CsvConfig(alpha=0.2))
+        _assert_lookup_parity(index, np.concatenate([keys, keys + 1]))
+        _assert_introspection_parity(index)
 
 
 class TestSaliFlattenedParity:
     def _hot_pair(self, rng):
+        """A SALI index warmed by batches and a twin warmed per key."""
         keys = np.unique(rng.integers(0, 1 << 40, 3000))
         values = np.arange(keys.size, dtype=np.int64)
-        flat = SaliIndex.build(keys, values)
-        oracle = SaliIndex.build(keys, values, use_flat=False)
+        index = SaliIndex.build(keys, values)
+        twin = SaliIndex.build(keys, values)
         hot = rng.choice(keys[: keys.size // 4], 6000)
-        flat.lookup_many(hot)
-        oracle.lookup_many(hot)
-        assert flat.flatten_hot_subtrees(0.01) == oracle.flatten_hot_subtrees(0.01)
-        return keys, hot, flat, oracle
+        index.lookup_many(hot)
+        for key in hot.tolist():
+            twin.lookup_stats(key)
+        assert index.flatten_hot_subtrees(0.01) == twin.flatten_hot_subtrees(0.01)
+        return keys, hot, index, twin
 
     def test_flattened_lookup_parity(self):
         rng = np.random.default_rng(2024)
-        keys, hot, flat, oracle = self._hot_pair(rng)
-        assert len(flat.flattened_nodes()) > 0
-        q = np.concatenate([keys, rng.integers(0, 1 << 40, 500)])
-        _assert_stats_parity(flat.lookup_many(q), oracle.lookup_many(q))
-        assert flat.size_bytes() == oracle.size_bytes()
-        assert flat.empty_slot_fraction() == pytest.approx(oracle.empty_slot_fraction())
+        keys, hot, index, __ = self._hot_pair(rng)
+        assert len(index.flattened_nodes()) > 0
+        _assert_lookup_parity(index, np.concatenate([keys, rng.integers(0, 1 << 40, 500)]))
+        _assert_introspection_parity(index)
 
-    def test_flattened_bulk_content_parity(self):
+    def test_flattened_bulk_content_parity(self, insert_each):
         rng = np.random.default_rng(2025)
-        keys, __, flat, oracle = self._hot_pair(rng)
+        keys, __, index, twin = self._hot_pair(rng)
         bkeys = np.unique(rng.choice(keys[: keys.size // 4], 200) + 1)
         bvals = np.full(bkeys.size, 5, dtype=np.int64)
-        flat.bulk_insert_many(bkeys, bvals)
-        oracle.bulk_insert_many(bkeys, bvals)
-        _assert_content_parity(flat, oracle)
+        index.bulk_insert_many(bkeys, bvals)
+        insert_each(twin, bkeys, bvals)
+        _assert_content_parity(index, twin)
 
     def test_access_tracking_parity(self):
         rng = np.random.default_rng(2026)
-        keys, __, flat, oracle = self._hot_pair(rng)
-        assert flat.tracker.total_queries == oracle.tracker.total_queries
-        flat_counts = sorted(n.access_count for n in flat.root.walk())
-        oracle_counts = sorted(n.access_count for n in oracle.root.walk())
-        assert flat_counts == oracle_counts
+        keys, __, index, twin = self._hot_pair(rng)
+        # Keep counting through the flattened leaves.
+        again = rng.choice(keys, 2000)
+        index.lookup_many(again)
+        for key in again.tolist():
+            twin.lookup_stats(key)
+        assert index.tracker.total_queries == twin.tracker.total_queries
+        counts = sorted(n.access_count for n in index.root.walk())
+        twin_counts = sorted(n.access_count for n in twin.root.walk())
+        assert counts == twin_counts
 
 
 class TestFlatCacheLifecycle:
@@ -256,9 +323,3 @@ class TestFlatCacheLifecycle:
         assert index._flat_view() is view
         index.invalidate_flat()
         assert index._flat_view() is not view
-
-    def test_oracle_mode_never_compiles(self):
-        keys = np.arange(0, 3000, 7, dtype=np.int64)
-        index = LippIndex.build(keys, use_flat=False)
-        index.lookup_many(keys)
-        assert index._flat_view() is None

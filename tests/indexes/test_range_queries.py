@@ -60,10 +60,12 @@ class TestRangeQueries:
 
 @pytest.mark.parametrize("cls", UPDATABLE_BACKENDS, ids=lambda c: c.name)
 class TestRangeAfterInserts:
-    def test_range_after_inserts(self, cls, small_keys, rng):
+    def test_range_after_inserts(self, cls, insert_each, small_keys, rng):
         index = cls.build(small_keys)
         new = np.setdiff1d(np.unique(rng.integers(0, 10**8, 200)), small_keys)
-        index.insert_many(new)
+        rng.shuffle(new)
+        insert_each(index, new[:100])
+        index.bulk_insert_many(new[100:])
         combined = np.sort(np.concatenate([small_keys, new]))
         low, high = int(combined[20]), int(combined[-20])
         assert index.range_query(low, high) == oracle(combined, low, high)

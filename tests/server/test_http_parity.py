@@ -194,12 +194,32 @@ class TestProtocolErrors:
         """The declared length is judged before a body byte is read:
         the reply comes at once, with no body sent, and the connection
         is closed (the stream cannot be resynchronised)."""
-        client, twin, keys = twin_pair
-        errors = client.stats()["http"]["http_errors_total"]
         request = (
             f"POST /v1/lookup HTTP/1.1\r\nHost: x\r\n"
             f"Content-Length: {declared}\r\n\r\n"
         ).encode("latin-1")
+        self._answered_then_dropped(twin_pair, rng, caplog, request, want)
+
+    @pytest.mark.parametrize(
+        "request_bytes, want",
+        [
+            (b"GET /v1/health HTTP/1.1\r\nX-Pad: " + b"a" * 200_000 + b"\r\n\r\n", 431),
+            (b"GET /v1/health HTTP/1.1\r\n" + b"X-Pad: a\r\n" * 101 + b"\r\n", 431),
+            (b"GARBAGE\r\n\r\n", 400),
+        ],
+        ids=["over-long-line", "too-many-headers", "garbage-request-line"],
+    )
+    def test_hostile_framing_answered_then_dropped(
+        self, twin_pair, rng, caplog, request_bytes, want
+    ):
+        """A request head that cannot be framed gets a 4xx, not a
+        silent close or an unhandled exception in the connection task."""
+        self._answered_then_dropped(twin_pair, rng, caplog, request_bytes, want)
+
+    @staticmethod
+    def _answered_then_dropped(twin_pair, rng, caplog, request, want):
+        client, twin, keys = twin_pair
+        errors = client.stats()["http"]["http_errors_total"]
         with caplog.at_level(logging.ERROR, logger="asyncio"):
             with socket.create_connection(
                 (client.host, client.port), timeout=1.0

@@ -9,9 +9,12 @@ content parity between merge-via-bulk and the per-key merge-via-loop,
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
+from repro.indexes.base import LearnedIndex
 from repro.serving.service import UPDATABLE_FAMILIES, IndexService
 
 
@@ -29,8 +32,8 @@ def _expected_contents(keys, batches):
 class TestMergeViaBulk:
     @pytest.mark.parametrize("family", UPDATABLE_FAMILIES)
     def test_merge_via_bulk_matches_merge_via_loop(self, family, rng):
-        """The bulk-drained merge stores exactly what the per-key
-        ``insert_many`` merge stored: every written key resolves to its
+        """The bulk-drained merge stores exactly what a per-key
+        ``insert`` merge stores: every written key resolves to its
         last value after a flush, on every shard."""
         keys = _seed_keys(rng)
         bulk_service = IndexService.build(
@@ -39,10 +42,13 @@ class TestMergeViaBulk:
         loop_service = IndexService.build(
             keys, family=family, n_shards=3, staleness_threshold=0.05
         )
-        # Force the comparison service's merges down the per-key path.
+        # Force the comparison service's merges down the per-key path
+        # (the base class's batch write is the ``insert`` loop).
         for shard in loop_service.router.shards:
             if shard is not None:
-                shard.bulk_insert_many = shard.insert_many
+                shard.bulk_insert_many = functools.partial(
+                    LearnedIndex.bulk_insert_many, shard
+                )
         batches = []
         for round_no in range(4):
             bkeys = rng.integers(0, 10**7, 900)

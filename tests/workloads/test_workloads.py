@@ -8,6 +8,7 @@ import pytest
 from repro.core.cost_model import CostConstants
 from repro.core.exceptions import InvalidKeysError
 from repro.indexes import LippIndex, SortedArrayIndex
+from repro.indexes.base import BatchQueryStats
 from repro.workloads import (
     QueryProfile,
     profile_queries,
@@ -100,7 +101,7 @@ class TestProfileQueries:
 
     def test_rejects_empty_batch(self, small_keys):
         with pytest.raises(InvalidKeysError):
-            QueryProfile.from_stats([])
+            QueryProfile.from_batch(BatchQueryStats.from_query_stats([]))
 
 
 class TestRunInsertBatches:
