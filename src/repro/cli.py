@@ -46,6 +46,7 @@ import sys
 
 import numpy as np
 
+from .core.exceptions import ReproError
 from .core.smoothing import smooth_keys
 from .datasets import DATASETS, load, summarize
 from .evaluation import ascii_table, run_csv_experiment, run_level_query_times
@@ -628,7 +629,13 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
     configure_logging(args.log_format)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except ReproError as exc:
+        # A value the library rejects (--alpha 2) is the user's to fix:
+        # one line and argparse's exit status, not a traceback.
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -15,10 +15,10 @@ like the rest of the repo:
   backlog, and shutdown drains every accepted batch.
 * :mod:`~repro.server.runtime_store` — SQLite-WAL persistence of op
   counters and an append-only op log (replayed on reopen).
-* :mod:`~repro.server.loadgen` — the closed-loop client + load
-  driver ``benchmarks/bench_http.py`` records into ``BENCH_perf.json``.
+* :mod:`~repro.server.loadgen` — the synchronous keep-alive JSON
+  client tests and ``benchmarks/ladder`` talk to the server with.
 * :mod:`~repro.server.harness` — background-thread server for tests
-  and benchmarks.
+  and the ladder's traced runs.
 
 The names re-exported here are the stable public surface of the
 wire layer.
@@ -27,7 +27,7 @@ wire layer.
 from .admission import AdmissionController, ClosingError, OverloadedError
 from .app import BadRequestError, HttpFrontDoor, run_http_server
 from .harness import ServerThread
-from .loadgen import HttpIndexClient, HttpStatusError, LoadReport, run_load
+from .loadgen import HttpIndexClient, HttpStatusError
 from .runtime_store import OpRecord, RuntimeState, RuntimeStore
 
 __all__ = [
@@ -37,12 +37,10 @@ __all__ = [
     "HttpFrontDoor",
     "HttpIndexClient",
     "HttpStatusError",
-    "LoadReport",
     "OpRecord",
     "OverloadedError",
     "RuntimeState",
     "RuntimeStore",
     "ServerThread",
     "run_http_server",
-    "run_load",
 ]

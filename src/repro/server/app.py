@@ -585,7 +585,9 @@ class HttpFrontDoor:
                 if method == "POST":
                     try:
                         obj = json.loads(body.decode("utf-8")) if body else {}
-                    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                    # ValueError covers bad UTF-8, JSONDecodeError and the
+                    # int digit limit; RecursionError is hostile nesting.
+                    except (ValueError, RecursionError) as exc:
                         raise BadRequestError(f"invalid JSON body: {exc}") from exc
                 status, result, content_type = await handler(obj)
                 payload = (

@@ -1,6 +1,6 @@
 """In-process server harness: run the front door on a background thread.
 
-Tests and the ``bench_http`` load driver need a live HTTP endpoint
+Tests and the ladder's traced runs need a live HTTP endpoint
 without forking a subprocess (same interpreter → same service object,
 so parity can be asserted against in-process calls directly).
 :class:`ServerThread` owns a private event loop on a daemon thread,

@@ -1,30 +1,19 @@
-"""Closed-loop HTTP load driver and the client it is built from.
+"""Synchronous HTTP client for the front door's endpoints.
 
-:class:`HttpIndexClient` is a thin synchronous JSON client over one
-keep-alive ``http.client`` connection — the per-request cost is one
-``send`` + one ``recv``, so the driver measures the server, not
-client-side connection churn.
-
-:func:`run_load` drives N concurrent closed-loop clients (each waits
-for its response before issuing the next request — offered load is
-``clients / latency``, the classical closed-loop model) against the
-batch endpoints for a fixed duration and reports sustained RPS,
-keys/s, and p50/p99 request latency.  ``429`` responses are counted
-and backed off, not treated as errors: hitting the admission limit
-under deliberate overload is the server working as designed.
+:class:`HttpIndexClient` is a thin JSON client over one keep-alive
+``http.client`` connection — the per-request cost is one ``send`` +
+one ``recv``, so a caller timing requests measures the server, not
+client-side connection churn.  A non-2xx reply raises
+:class:`HttpStatusError`; a ``429`` carries the server's
+``Retry-After`` as ``retry_after_s``.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
-import threading
-import time
-from dataclasses import dataclass
 
-import numpy as np
-
-__all__ = ["HttpIndexClient", "HttpStatusError", "LoadReport", "run_load"]
+__all__ = ["HttpIndexClient", "HttpStatusError"]
 
 
 class HttpStatusError(Exception):
@@ -135,132 +124,3 @@ class HttpIndexClient:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-@dataclass(frozen=True)
-class LoadReport:
-    """Aggregate outcome of one closed-loop load run."""
-
-    clients: int
-    batch: int
-    requests: int
-    keys: int
-    rejected: int
-    errors: int
-    wall_seconds: float
-    requests_per_s: float
-    keys_per_s: float
-    avg_ms: float
-    p50_ms: float
-    p99_ms: float
-
-    def to_dict(self) -> dict:
-        """JSON-safe row for BENCH_perf.json (``_per_s`` keys gate CI)."""
-        return {
-            "clients": self.clients,
-            "batch": self.batch,
-            "requests": self.requests,
-            "keys": self.keys,
-            "rejected": self.rejected,
-            "errors": self.errors,
-            "wall_seconds": round(self.wall_seconds, 3),
-            "requests_per_s": round(self.requests_per_s, 1),
-            "keys_per_s": round(self.keys_per_s, 1),
-            "avg_ms": round(self.avg_ms, 3),
-            "p50_ms": round(self.p50_ms, 3),
-            "p99_ms": round(self.p99_ms, 3),
-        }
-
-
-def run_load(
-    host: str,
-    port: int,
-    key_pool: np.ndarray,
-    *,
-    clients: int = 4,
-    batch: int = 128,
-    duration_s: float = 3.0,
-    write_fraction: float = 0.0,
-    seed: int = 0,
-) -> LoadReport:
-    """Hammer the endpoint with *clients* closed-loop workers.
-
-    Each worker owns one keep-alive connection and loops until the
-    deadline: sample *batch* keys from *key_pool*, POST a lookup (or,
-    with probability *write_fraction*, an insert of fresh keys above
-    the pool), and record the request's wall latency.  Returns the
-    merged :class:`LoadReport`.
-    """
-    if not 0.0 <= write_fraction <= 1.0:
-        raise ValueError("write_fraction must be in [0, 1]")
-    key_pool = np.asarray(key_pool, dtype=np.int64)
-    deadline = time.perf_counter() + float(duration_s)
-    fresh_base = int(key_pool[-1]) + 1
-    results: list[tuple[list[float], int, int, int, int]] = []
-    lock = threading.Lock()
-
-    def worker(worker_no: int) -> None:
-        rng = np.random.default_rng(seed * 10_007 + worker_no)
-        latencies: list[float] = []
-        n_keys = n_rejected = n_errors = n_requests = 0
-        with HttpIndexClient(host, port) as client:
-            while time.perf_counter() < deadline:
-                is_write = write_fraction > 0 and rng.random() < write_fraction
-                if is_write:
-                    keys = fresh_base + rng.integers(0, 2**40, batch)
-                else:
-                    keys = rng.choice(key_pool, batch)
-                start = time.perf_counter()
-                try:
-                    if is_write:
-                        client.insert(keys.tolist())
-                    else:
-                        client.lookup(keys.tolist())
-                except HttpStatusError as exc:
-                    if exc.status == 429:
-                        n_rejected += 1
-                        time.sleep(min(exc.retry_after_s, 0.05))
-                    else:
-                        n_errors += 1
-                    continue
-                except (ConnectionError, OSError):
-                    n_errors += 1
-                    continue
-                latencies.append(time.perf_counter() - start)
-                n_requests += 1
-                n_keys += batch
-        with lock:
-            results.append((latencies, n_requests, n_keys, n_rejected, n_errors))
-
-    threads = [
-        threading.Thread(target=worker, args=(i,), daemon=True)
-        for i in range(int(clients))
-    ]
-    start = time.perf_counter()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    wall = time.perf_counter() - start
-    all_latencies = np.asarray(
-        [lat for lats, *_ in results for lat in lats], dtype=np.float64
-    )
-    requests = sum(r[1] for r in results)
-    keys_total = sum(r[2] for r in results)
-    rejected = sum(r[3] for r in results)
-    errors = sum(r[4] for r in results)
-    have = all_latencies.size > 0
-    return LoadReport(
-        clients=int(clients),
-        batch=int(batch),
-        requests=requests,
-        keys=keys_total,
-        rejected=rejected,
-        errors=errors,
-        wall_seconds=wall,
-        requests_per_s=requests / wall if wall > 0 else 0.0,
-        keys_per_s=keys_total / wall if wall > 0 else 0.0,
-        avg_ms=float(all_latencies.mean() * 1e3) if have else 0.0,
-        p50_ms=float(np.percentile(all_latencies, 50) * 1e3) if have else 0.0,
-        p99_ms=float(np.percentile(all_latencies, 99) * 1e3) if have else 0.0,
-    )

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core.exceptions import InvalidKeysError
-from repro.core.segment_stats import SegmentStats
+from repro.core.segment_stats import SegmentStats, sum_of_ranks
 from repro.core.smoothing import _best_candidate, smooth_keys
 
 
@@ -94,6 +94,78 @@ class TestCommitMatchesRebuild:
             stats.commit(value)
 
 
+class _SeedStats(SegmentStats):
+    """SegmentStats with the seed's commit: ``np.insert`` + a full
+    recompute, no incremental statistics."""
+
+    def commit(self, value: int) -> int:  # type: ignore[override]
+        value = int(value)
+        rank = self.insertion_rank(value)
+        merged = np.insert(self.points, rank, value)
+        self.__init__(merged)
+        return rank
+
+
+def _seed_best_candidate(stats: SegmentStats) -> tuple[int, float] | None:
+    """The seed kernel's greedy step, written independently of
+    ``_best_candidate``: one Python-level suffix sum per open gap, the
+    closed-form optimum per gap, and every candidate scored through
+    ``evaluate_many`` in one concatenated array."""
+    points = stats.points
+    lows = points[:-1] + 1
+    highs = points[1:] - 1
+    gap_mask = highs >= lows
+    if not np.any(gap_mask):
+        return None
+    lows = lows[gap_mask]
+    highs = highs[gap_mask]
+    ranks = np.nonzero(gap_mask)[0] + 1
+    big_n = stats.n + 1
+    ybar = sum_of_ranks(big_n) / big_n
+    sk, skk, sky = stats.centered_sums()
+    suffix = np.array([stats.suffix_key_sum(int(r)) for r in ranks])
+    c0 = (sky + suffix) - sk * ybar
+    c1 = ranks - ybar
+    v0 = skk - sk * sk / big_n
+    v1 = -2.0 * sk / big_n
+    v2 = 1.0 - 1.0 / big_n
+    denom = c1 * v1 - 2.0 * c0 * v2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_star = np.where(denom != 0.0, (c0 * v1 - 2.0 * c1 * v0) / denom, np.nan)
+    star = t_star + stats.reference
+    cand_values = [lows, highs]
+    cand_ranks = [ranks, ranks]
+    interior = np.isfinite(star) & (star > lows) & (star < highs)
+    if np.any(interior):
+        floor_v = np.floor(star[interior]).astype(np.int64)
+        lo_i = lows[interior]
+        hi_i = highs[interior]
+        cand_values.append(np.clip(floor_v, lo_i, hi_i))
+        cand_ranks.append(ranks[interior])
+        cand_values.append(np.clip(floor_v + 1, lo_i, hi_i))
+        cand_ranks.append(ranks[interior])
+    values = np.concatenate(cand_values)
+    losses = stats.evaluate_many(values, np.concatenate(cand_ranks))
+    best = int(np.argmin(losses))
+    return int(values[best]), float(losses[best])
+
+
+def _seed_smooth(keys: np.ndarray, budget: int) -> list[int]:
+    """The seed greedy loop (virtual points only)."""
+    stats = _SeedStats(keys)
+    previous = stats.base_loss()
+    virtual: list[int] = []
+    while len(virtual) < budget:
+        found = _seed_best_candidate(stats)
+        if found is None or found[1] >= previous:
+            break
+        value, loss = found
+        stats.commit(value)
+        virtual.append(value)
+        previous = loss
+    return virtual
+
+
 class TestGreedyMatchesRebuildDrivenGreedy:
     def test_smooth_keys_identical_to_rebuild_per_step(self, small_keys):
         """Algorithm 1 run on incremental stats == a reference run that
@@ -117,3 +189,14 @@ class TestGreedyMatchesRebuildDrivenGreedy:
 
         assert result.virtual_points == virtual
         assert result.loss_trace == trace
+
+    def test_smooth_keys_identical_to_seed_kernel(self):
+        """Algorithm 1 == the seed kernel's per-gap scoring with a full
+        recompute per commit, on uniform keys (n = 2000, alpha = 0.2:
+        the greedy loop stops on its own after ~200 points)."""
+        rng = np.random.default_rng(0)
+        keys = np.unique(rng.integers(0, 2_000_000, 2_000))
+        budget = keys.size // 5
+        virtual = smooth_keys(keys, budget=budget).virtual_points
+        assert len(virtual) > 100
+        assert virtual == _seed_smooth(keys, budget)

@@ -184,6 +184,35 @@ class TestProtocolErrors:
             conn.close()
 
     @pytest.mark.parametrize(
+        "body",
+        [
+            b"[" * 100_000,
+            b"1" * 5_000,
+            b'{"keys": [1, ' + b"1" * 5_000 + b"]}",
+        ],
+        ids=["deep-array", "huge-int", "huge-int-in-keys"],
+    )
+    def test_hostile_json_400(self, twin_pair, rng, body):
+        """``json.loads`` raises ``RecursionError`` on the first body
+        and a plain ``ValueError`` on the digit-limit ones: a client
+        fault (400), not a 500 that reads as a server fault."""
+        client, _twin, _keys = twin_pair
+        conn = http.client.HTTPConnection(client.host, client.port, timeout=10)
+        try:
+            conn.request(
+                "POST",
+                "/v1/lookup",
+                body=body,
+                headers={"Content-Type": "application/json"},
+            )
+            response = conn.getresponse()
+            assert response.status == 400
+            assert "error" in json.loads(response.read())
+        finally:
+            conn.close()
+        self._fresh_connection_answers(twin_pair, rng)
+
+    @pytest.mark.parametrize(
         "declared, want",
         [("99999999999", 413), ("abc", 400), ("-1", 400)],
         ids=["over-cap", "not-a-number", "negative"],
@@ -217,8 +246,17 @@ class TestProtocolErrors:
         self._answered_then_dropped(twin_pair, rng, caplog, request_bytes, want)
 
     @staticmethod
-    def _answered_then_dropped(twin_pair, rng, caplog, request, want):
+    def _fresh_connection_answers(twin_pair, rng):
         client, twin, keys = twin_pair
+        q = rng.choice(keys, 16)
+        with HttpIndexClient(client.host, client.port) as fresh:
+            got = fresh.lookup(q.tolist())
+        reference = twin.lookup_many(q)
+        assert got["found"] == reference.found.tolist()
+        assert got["values"] == reference.values.tolist()
+
+    def _answered_then_dropped(self, twin_pair, rng, caplog, request, want):
+        client, _twin, _keys = twin_pair
         errors = client.stats()["http"]["http_errors_total"]
         with caplog.at_level(logging.ERROR, logger="asyncio"):
             with socket.create_connection(
@@ -235,12 +273,7 @@ class TestProtocolErrors:
         # No "Unhandled exception in client_connected_cb".
         assert not caplog.records
         assert client.stats()["http"]["http_errors_total"] == errors + 1
-        q = rng.choice(keys, 16)
-        with HttpIndexClient(client.host, client.port) as fresh:
-            got = fresh.lookup(q.tolist())
-        reference = twin.lookup_many(q)
-        assert got["found"] == reference.found.tolist()
-        assert got["values"] == reference.values.tolist()
+        self._fresh_connection_answers(twin_pair, rng)
 
     def test_server_survives_error_barrage(self, twin_pair, rng):
         client, twin, keys = twin_pair

@@ -147,3 +147,10 @@ class TestCli:
             main(["serve", *removed])
         assert exc.value.code == 2
         assert removed[0] in capsys.readouterr().err
+
+    def test_value_the_library_rejects_is_one_line_and_exit_2(self, capsys):
+        argv = ["csv", "--index", "lipp", "--dataset", "osm", "--n", "2000", "--alpha", "2"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: alpha must be in (0, 1)")
+        assert "Traceback" not in err

@@ -1,11 +1,15 @@
 """The documentation is part of the contract: links resolve, examples run.
 
-Two layers:
+Three layers:
 
 * **Link check** (fast, tier-1): every markdown link in ``docs/*.md``
   and ``README.md`` must resolve — relative paths to real files,
   ``#fragments`` to real headings. External ``http(s)`` links and
   GitHub-side paths (the CI badge) are skipped; no network.
+* **CI path check** (fast, tier-1): every ``benchmarks/…``,
+  ``tests/…`` and ``docs/…`` path a step of
+  ``.github/workflows/ci.yml`` names must exist — nobody runs Actions
+  before a merge, and a step pointing at a deleted script fails late.
 * **Example smoke** (slow-marked; the CI ``docs`` job runs with
   ``-m ''``): every fenced ````bash```` / ````python```` block in
   ``docs/*.md`` executes against the real package, blocks of one file
@@ -98,6 +102,17 @@ def test_every_doc_is_linked_from_readme():
     readme = _strip_fences((REPO_ROOT / "README.md").read_text())
     for doc in (REPO_ROOT / "docs").glob("*.md"):
         assert f"docs/{doc.name}" in readme, f"README does not link {doc.name}"
+
+
+def test_ci_steps_name_existing_paths():
+    workflow = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    steps = "\n".join(
+        line for line in workflow.splitlines() if not line.lstrip().startswith("#")
+    )
+    named = set(re.findall(r"(?<![\w/.-])(?:benchmarks|tests|docs)/[\w./-]+", steps))
+    assert named, "no repo path found in ci.yml: the pattern has rotted"
+    missing = sorted(path for path in named if not (REPO_ROOT / path).exists())
+    assert not missing, f"ci.yml names paths that do not exist: {missing}"
 
 
 @pytest.mark.slow
