@@ -1,7 +1,7 @@
 """CSV — CDF Smoothing via Virtual points for hierarchies (Algorithm 2).
 
-CSV walks a *constructed* hierarchical learned index bottom-up.  For
-every node that roots a subtree it:
+CSV walks a *constructed* hierarchical learned index depth-first from
+the root's children.  For every node that roots a subtree it:
 
 1. collects the keys stored in the node and its descendants,
 2. smooths their CDF with Algorithm 1
@@ -11,6 +11,14 @@ every node that roots a subtree it:
 4. if the condition passes, rebuilds the subtree as a single node whose
    slot layout follows the smoothed point set — the virtual points
    materialise as gaps that later absorb insertions.
+
+The walk is parent-first where the adapter declares that a rebuild
+depends on the key set alone, children-first otherwise.  Parent-first,
+a rebuilt subtree is not descended into: smoothing its descendants
+first could not change the merged node, so the paper's "start at level
+2 (big subtrees)" for LIPP/SALI falls out of the order.  Children-first
+is the paper's bottom-up pass, for an accept test that reads the
+structure beneath the handle (ALEX).
 
 The engine is index-agnostic: concrete indexes plug in through the
 :class:`CsvAdapter` protocol implemented in
@@ -36,21 +44,25 @@ class CsvAdapter(Protocol):
     """What an index must expose for Algorithm 2 to optimise it.
 
     A *handle* is an adapter-chosen opaque reference to one node that
-    roots a subtree (never the index root itself).  Handles from one
-    level must stay valid until that level's pass completes; rebuilds
-    happen only through :meth:`rebuild`.
+    roots a subtree (never the index root itself).  A handle stays
+    valid until it is rebuilt or an ancestor of it is; rebuilds happen
+    only through :meth:`rebuild`.
     """
 
-    def max_level(self) -> int:
-        """Deepest level (root = 1) that contains subtree-rooting nodes."""
+    #: True when :meth:`cost_delta` and the node :meth:`rebuild`
+    #: installs are functions of the handle's key set alone: the walk
+    #: is then parent-first and skips the descendants of a rebuilt
+    #: handle, otherwise children-first (see the module docstring).
+    rebuild_depends_on_keys_alone: bool
+
+    def child_handles(self, handle: Any | None) -> Iterable[Any]:
+        """Subtree-rooting children of *handle* (of the index root for
+        ``None``)."""
         ...
 
-    def subtree_handles(self, level: int) -> Iterable[Any]:
-        """Nodes at *level* that currently root a subtree."""
-        ...
-
-    def collect_keys(self, handle: Any) -> np.ndarray:
-        """All keys stored in the node and its descendants, sorted."""
+    def collect(self, handle: Any) -> tuple:
+        """One walk of the subtree: its sorted keys first, then whatever
+        else :meth:`rebuild` wants from that walk (it gets the tuple back)."""
         ...
 
     def cost_delta(self, handle: Any, smoothing: SmoothingResult) -> float:
@@ -61,7 +73,7 @@ class CsvAdapter(Protocol):
         """
         ...
 
-    def rebuild(self, handle: Any, smoothing: SmoothingResult) -> int:
+    def rebuild(self, handle: Any, smoothing: SmoothingResult, collected: tuple) -> int:
         """Replace the subtree with a merged node; return promoted keys."""
         ...
 
@@ -75,29 +87,16 @@ class CsvConfig:
             the paper's default).
         cost_threshold: rebuild when ``cost_delta < cost_threshold``;
             the paper recommends values below 0 for ALEX-like indexes.
-        start_level: level at which the bottom-up pass starts.  ``None``
-            means the adapter's deepest subtree level.  The paper starts
-            LIPP/SALI at level 2 (big subtrees) and ALEX at the bottom.
-        stop_level: the pass handles levels strictly deeper than this;
-            2 reproduces the paper ("CSV stops at the second level from
-            the top"), i.e. children of the root are the last handles.
-        max_subtree_keys: skip subtrees bigger than this many keys (a
-            practical guard; ``None`` disables it).
         min_subtree_keys: skip trivial subtrees below this size.
     """
 
     alpha: float = 0.1
     cost_threshold: float = 0.0
-    start_level: int | None = None
-    stop_level: int = 2
-    max_subtree_keys: int | None = None
     min_subtree_keys: int = 3
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise SmoothingBudgetError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.stop_level < 1:
-            raise SmoothingBudgetError("stop_level must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -150,46 +149,57 @@ class CsvReport:
 
 
 def apply_csv(adapter: CsvAdapter, config: CsvConfig | None = None) -> CsvReport:
-    """Algorithm 2: optimise a built index by bottom-up CDF smoothing.
+    """Algorithm 2: optimise a built index by depth-first CDF smoothing.
 
-    Walks levels from ``config.start_level`` (default: the deepest
-    subtree level) up to, and including, ``config.stop_level``.  At
-    each level every subtree-rooting node is smoothed and, when the
-    cost condition passes, rebuilt in place via the adapter.
+    Starts at the root's children (CSV stops at the second level from
+    the top): depth-first, parent-first where the adapter declares that
+    a rebuild depends on the key set alone — a rebuilt handle's
+    descendants are then never visited — children-first otherwise.
 
     Returns a :class:`CsvReport` with one record per node examined.
     """
     cfg = config or CsvConfig()
     report = CsvReport(config=cfg)
     start_time = time.perf_counter()
-    deepest = adapter.max_level()
-    current_level = deepest if cfg.start_level is None else min(cfg.start_level, deepest)
-    while current_level >= cfg.stop_level:
-        handles = list(adapter.subtree_handles(current_level))
-        for handle in handles:
-            keys = adapter.collect_keys(handle)
-            if keys.size < cfg.min_subtree_keys:
-                continue
-            if cfg.max_subtree_keys is not None and keys.size > cfg.max_subtree_keys:
-                continue
-            smoothing = smooth_keys(keys, alpha=cfg.alpha)
-            delta = adapter.cost_delta(handle, smoothing)
-            rebuilt = delta < cfg.cost_threshold
-            promoted = 0
-            if rebuilt:
-                promoted = adapter.rebuild(handle, smoothing)
-            report.records.append(
-                CsvNodeRecord(
-                    level=current_level,
-                    n_keys=int(keys.size),
-                    loss_before=smoothing.original_loss,
-                    loss_after=smoothing.final_loss,
-                    n_virtual=smoothing.n_virtual,
-                    cost_delta=float(delta),
-                    rebuilt=rebuilt,
-                    promoted_keys=int(promoted),
-                )
-            )
-        current_level -= 1
+    parent_first = adapter.rebuild_depends_on_keys_alone
+    # (handle, level, examine now?) — children-first handles are pushed
+    # back once, to be examined after everything beneath them.
+    stack = [(handle, 2, parent_first) for handle in adapter.child_handles(None)]
+    while stack:
+        handle, level, ready = stack.pop()
+        if not ready:
+            stack.append((handle, level, True))
+        elif _examine(adapter, cfg, handle, level, report) or not parent_first:
+            continue
+        stack.extend(
+            (child, level + 1, parent_first) for child in adapter.child_handles(handle)
+        )
     report.preprocessing_seconds = time.perf_counter() - start_time
     return report
+
+
+def _examine(
+    adapter: CsvAdapter, cfg: CsvConfig, handle: Any, level: int, report: CsvReport
+) -> bool:
+    """Smooth one subtree, rebuild it if that pays; True when rebuilt."""
+    collected = adapter.collect(handle)
+    keys = collected[0]
+    if keys.size < cfg.min_subtree_keys:
+        return False
+    smoothing = smooth_keys(keys, alpha=cfg.alpha)
+    delta = adapter.cost_delta(handle, smoothing)
+    rebuilt = delta < cfg.cost_threshold
+    promoted = adapter.rebuild(handle, smoothing, collected) if rebuilt else 0
+    report.records.append(
+        CsvNodeRecord(
+            level=level,
+            n_keys=int(keys.size),
+            loss_before=smoothing.original_loss,
+            loss_after=smoothing.final_loss,
+            n_virtual=smoothing.n_virtual,
+            cost_delta=float(delta),
+            rebuilt=rebuilt,
+            promoted_keys=int(promoted),
+        )
+    )
+    return rebuilt

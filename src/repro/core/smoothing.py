@@ -143,11 +143,12 @@ def _best_candidate(stats: SegmentStats) -> tuple[int, float] | None:
 
     The per-gap constants ``c0, c1`` (and the scalar ``v*`` terms) of
     Eqs. 10-16 are computed once per gap from the vectorised suffix
-    sums; every candidate in a gap then costs a handful of float ops on
-    its centered value ``t`` — the same closed forms
+    sums; every candidate then costs a handful of float ops on its
+    centered value ``t`` — the same closed forms
     :meth:`~repro.core.segment_stats.SegmentStats.evaluate_many`
-    applies, without materialising a concatenated candidate array.
-    Returns ``None`` when no free value exists.
+    applies — in one pass over all candidates of all gaps: at a few
+    thousand points an iteration is bound by numpy dispatch, not
+    arithmetic.  Returns ``None`` when no free value exists.
     """
     points = stats.points
     lows = points[:-1] + 1
@@ -159,8 +160,7 @@ def _best_candidate(stats: SegmentStats) -> tuple[int, float] | None:
     highs = highs[gap_mask]
     ranks = np.nonzero(gap_mask)[0] + 1
 
-    n = stats.n
-    big_n = n + 1
+    big_n = stats.n + 1
     sy = sum_of_ranks(big_n)
     syy = sum_of_rank_squares(big_n)
     ybar = sy / big_n
@@ -174,52 +174,33 @@ def _best_candidate(stats: SegmentStats) -> tuple[int, float] | None:
     syyc = syy - sy * sy / big_n
     ref = np.int64(stats.reference)
 
-    def losses_at(t: np.ndarray, cc0: np.ndarray, cc1: np.ndarray) -> np.ndarray:
-        cov = cc0 + cc1 * t
-        var = v0 + v1 * t + v2 * t * t
-        with np.errstate(divide="ignore", invalid="ignore"):
-            loss = syyc - np.where(var > 0.0, cov * cov / var, 0.0)
-        return np.maximum(loss, 0.0)
-
-    # Candidate blocks, evaluated in the scalar reference's
-    # concatenation order: all lows, all highs, interior floors,
-    # interior ceils.  Strict `<` between blocks (and first-occurrence
-    # argmin inside each) reproduces the reference argmin exactly,
-    # ties included.
-    blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = [
-        (lows, c0, c1),
-        (highs, c0, c1),
-    ]
+    # Candidates in the scalar reference's concatenation order: all
+    # lows, all highs, interior floors, interior ceils.  One
+    # first-occurrence argmin over the concatenation reproduces the
+    # reference argmin exactly, ties included.
     denom = c1 * v1 - 2.0 * c0 * v2
     with np.errstate(divide="ignore", invalid="ignore"):
         t_star = np.where(denom != 0.0, (c0 * v1 - 2.0 * c1 * v0) / denom, np.nan)
     star = t_star + stats.reference
-    interior = np.isfinite(star) & (star > lows) & (star < highs)
-    if np.any(interior):
-        idx = np.nonzero(interior)[0]
-        lo_i = lows[idx]
-        hi_i = highs[idx]
-        floor_v = np.clip(np.floor(star[idx]).astype(np.int64), lo_i, hi_i)
-        blocks.append((floor_v, c0[idx], c1[idx]))
-        blocks.append((np.clip(floor_v + 1, lo_i, hi_i), c0[idx], c1[idx]))
+    idx = np.nonzero(np.isfinite(star) & (star > lows) & (star < highs))[0]
+    lo_i, hi_i, c0_i, c1_i = lows[idx], highs[idx], c0[idx], c1[idx]
+    floor_v = np.clip(np.floor(star[idx]).astype(np.int64), lo_i, hi_i)
+    values = np.concatenate([lows, highs, floor_v, np.clip(floor_v + 1, lo_i, hi_i)])
+    cc0 = np.concatenate([c0, c0, c0_i, c0_i])
+    cc1 = np.concatenate([c1, c1, c1_i, c1_i])
 
-    best_value: int | None = None
-    best_loss = np.inf
-    for values, cc0, cc1 in blocks:
-        losses = losses_at((values - ref).astype(np.float64), cc0, cc1)
-        pick = int(np.argmin(losses))
-        if float(losses[pick]) < best_loss:
-            best_loss = float(losses[pick])
-            best_value = int(values[pick])
+    t = (values - ref).astype(np.float64)
+    cov = cc0 + cc1 * t
+    var = v0 + v1 * t + v2 * t * t
+    with np.errstate(divide="ignore", invalid="ignore"):
+        losses = np.maximum(syyc - np.where(var > 0.0, cov * cov / var, 0.0), 0.0)
+    pick = int(np.argmin(losses))
 
     reg = get_registry()
     if reg.enabled:
         reg.counter("smooth_gap_segments_total").inc(int(lows.size))
-        reg.counter("smooth_candidate_evals_total").inc(
-            sum(int(v.size) for v, __, __ in blocks)
-        )
-    assert best_value is not None
-    return best_value, best_loss
+        reg.counter("smooth_candidate_evals_total").inc(int(values.size))
+    return int(values[pick]), float(losses[pick])
 
 
 def smooth_keys(

@@ -12,6 +12,15 @@ for one index family, encoding the paper's per-index decisions
   removed traversal levels and the merged node's expected search
   steps; a rebuilt subtree becomes one gapped data node laid out at
   the smoothed ranks.
+
+The same split decides the order of the walk
+(``rebuild_depends_on_keys_alone``).  LIPP/SALI's loss change and
+``LippNode.from_keys(keys, …, m, model)`` read nothing but the handle's
+key set, so whatever was smoothed beneath a handle is gone once the
+handle is rebuilt: the engine may visit parent-first and skip the
+descendants.  ALEX's ``cost_delta`` prices the data nodes that are
+beneath the handle *now* (``_subtree_profile``), so its descendants
+must be settled before it is priced: children-first.
 """
 
 from __future__ import annotations
@@ -25,24 +34,10 @@ from .alex.data_node import AlexDataNode
 from .alex.index import AlexIndex
 from .alex.inner_node import AlexInnerNode
 from .lipp.index import LippIndex
-from .lipp.node import SLOT_DATA, LippNode
+from .lipp.node import LippNode
 from .sali.index import SaliIndex
 
 __all__ = ["LippCsvAdapter", "SaliCsvAdapter", "AlexCsvAdapter", "adapter_for"]
-
-
-def _key_levels(node: LippNode) -> np.ndarray:
-    """Level of every key under *node*, in ascending key order."""
-    keys: list[np.ndarray] = []
-    levels: list[np.ndarray] = []
-    for sub in node.walk():
-        if isinstance(sub, LippNode):
-            stored = sub.slot_keys[sub.slot_type == SLOT_DATA]
-        else:  # SALI's flattened leaf: a dense key array
-            stored = sub.keys
-        keys.append(stored)
-        levels.append(np.full(stored.size, sub.level, dtype=np.int64))
-    return np.concatenate(levels)[np.argsort(np.concatenate(keys))]
 
 
 class LippCsvAdapter:
@@ -50,47 +45,32 @@ class LippCsvAdapter:
 
     Handles are :class:`LippNode` objects that root a subtree.  The
     root is never a handle (CSV stops at the second level from the
-    top; the engine's ``stop_level`` enforces this, and the adapter
-    additionally requires a parent so rebuilds have an attachment
-    point).
+    top; a rebuild needs a parent to attach to).
     """
+
+    rebuild_depends_on_keys_alone = True
 
     def __init__(self, index: LippIndex):
         self.index = index
 
-    # -- enumeration ----------------------------------------------------
-    def _subtree_nodes(self) -> list[LippNode]:
-        return [
-            node
-            for node in self.index.root.walk()
-            if isinstance(node, LippNode) and node.has_subtree and node.parent is not None
-        ]
-
-    def max_level(self) -> int:
-        """Deepest level with a subtree-rooting node (0 if none)."""
-        nodes = self._subtree_nodes()
-        if not nodes:
-            return 0
-        return max(node.level for node in nodes)
-
-    def subtree_handles(self, level: int) -> list[LippNode]:
-        """Subtree-rooting nodes at *level* (excluding the root)."""
-        return [node for node in self._subtree_nodes() if node.level == level]
-
     # -- Algorithm 2 hooks ----------------------------------------------
-    def collect_keys(self, handle: LippNode) -> np.ndarray:
-        """Sorted keys of the subtree rooted at *handle*."""
-        keys, __ = handle.collect_arrays()
-        return keys
+    def child_handles(self, handle: LippNode | None) -> list[LippNode]:
+        """Children of *handle* (of the root for ``None``) that root a
+        subtree; SALI's flattened leaves never do."""
+        node = self.index.root if handle is None else handle
+        return [c for c in node.children.values() if isinstance(c, LippNode) and c.has_subtree]
+
+    def collect(self, handle: LippNode) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sorted keys of the subtree, their values and their levels."""
+        return handle.collect_leveled()
 
     def cost_delta(self, handle: LippNode, smoothing: SmoothingResult) -> float:
         """Loss change (Section 5.1: the loss *is* the condition)."""
         return smoothing.final_loss - smoothing.original_loss
 
-    def rebuild(self, handle: LippNode, smoothing: SmoothingResult) -> int:
+    def rebuild(self, handle: LippNode, smoothing: SmoothingResult, collected: tuple) -> int:
         """Replace the subtree with one smoothed node; count promotions."""
-        keys, values = handle.collect_arrays()
-        levels_before = _key_levels(handle)
+        keys, values, levels_before = collected
         merged = LippNode.from_keys(
             keys,
             values,
@@ -102,7 +82,7 @@ class LippCsvAdapter:
         merged.virtual_slots = smoothing.n_virtual
         self._attach(handle, merged)
         # Same key set on both sides, so the sorted orders align.
-        return int(np.count_nonzero(_key_levels(merged) < levels_before))
+        return int(np.count_nonzero(merged.collect_leveled()[2] < levels_before))
 
     def _attach(self, old: LippNode, new: LippNode) -> None:
         parent = old.parent
@@ -123,9 +103,6 @@ class SaliCsvAdapter(LippCsvAdapter):
     LIPP's precise-position query path; flattened nodes are left
     untouched because they are SALI's own optimisation)."""
 
-    def __init__(self, index: SaliIndex):
-        super().__init__(index)
-
 
 class AlexCsvAdapter:
     """CSV adapter for :class:`~repro.indexes.alex.index.AlexIndex`.
@@ -139,33 +116,19 @@ class AlexCsvAdapter:
         self.index = index
         self.constants = constants or CostConstants()
 
-    # -- enumeration ----------------------------------------------------
-    def _inner_nodes(self) -> list[AlexInnerNode]:
-        root = self.index.root
-        if not isinstance(root, AlexInnerNode):
-            return []
-        return [n for n in root.walk() if isinstance(n, AlexInnerNode)]
-
-    def max_level(self) -> int:
-        """Deepest level with a non-root inner node (0 if none)."""
-        nodes = [n for n in self._inner_nodes() if n.parent is not None]
-        if not nodes:
-            return 0
-        return max(node.level for node in nodes)
-
-    def subtree_handles(self, level: int) -> list[AlexInnerNode]:
-        """Non-root inner nodes at *level*."""
-        return [
-            node
-            for node in self._inner_nodes()
-            if node.level == level and node.parent is not None
-        ]
+    rebuild_depends_on_keys_alone = False
 
     # -- Algorithm 2 hooks ----------------------------------------------
-    def collect_keys(self, handle: AlexInnerNode) -> np.ndarray:
-        """Sorted keys of the subtree rooted at *handle*."""
-        keys, __ = handle.collect_arrays()
-        return keys
+    def child_handles(self, handle: AlexInnerNode | None) -> list[AlexInnerNode]:
+        """Inner-node children of *handle* (of the root for ``None``)."""
+        node = self.index.root if handle is None else handle
+        if not isinstance(node, AlexInnerNode):
+            return []
+        return [c for c in node.iter_unique_children() if isinstance(c, AlexInnerNode)]
+
+    def collect(self, handle: AlexInnerNode) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted keys of the subtree, with their values."""
+        return handle.collect_arrays()
 
     def _subtree_profile(self, handle: AlexInnerNode) -> tuple[float, float, int]:
         """(weighted expected search steps, weighted key level, keys)."""
@@ -199,9 +162,9 @@ class AlexCsvAdapter:
         )
         return cost_after - cost_before
 
-    def rebuild(self, handle: AlexInnerNode, smoothing: SmoothingResult) -> int:
+    def rebuild(self, handle: AlexInnerNode, smoothing: SmoothingResult, collected: tuple) -> int:
         """Replace the subtree with one gapped data node; count promotions."""
-        keys, values = handle.collect_arrays()
+        keys, values = collected
         promoted = 0
         for node in handle.walk():
             if isinstance(node, AlexDataNode) and node.level > handle.level:

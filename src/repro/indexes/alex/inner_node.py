@@ -75,10 +75,7 @@ class AlexInnerNode:
         keys_parts: list[np.ndarray] = []
         values_parts: list[np.ndarray] = []
         for child in self.iter_unique_children():
-            if isinstance(child, AlexDataNode):
-                k, v = child.collect_arrays()
-            else:
-                k, v = child.collect_arrays()
+            k, v = child.collect_arrays()
             if k.size:
                 keys_parts.append(k)
                 values_parts.append(v)
@@ -88,7 +85,3 @@ class AlexInnerNode:
         values = np.concatenate(values_parts)
         order = np.argsort(keys, kind="stable")
         return keys[order], values[order]
-
-    def has_subtree(self) -> bool:
-        """True when at least one child is itself an inner node."""
-        return any(isinstance(c, AlexInnerNode) for c in self.iter_unique_children())

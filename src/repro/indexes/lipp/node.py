@@ -260,36 +260,41 @@ class LippNode:
             elif kind == SLOT_CHILD:
                 yield from self.children[slot].iter_entries()
 
-    def collect_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Subtree keys and values as sorted parallel arrays.
+    def collect_leveled(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Subtree keys, values and the level each entry is stored at,
+        as parallel arrays in ascending key order.
 
         Vectorised flatten: every node contributes its DATA slots with
         one masked gather (non-``LippNode`` leaves — SALI's flattened
         subtrees — contribute their dense arrays), and a final argsort
         restores global key order.  Keys are unique across a subtree,
         so sorting the unordered concatenation is exact.  This is the
-        primitive the bulk-ingest and subtree-rebuild paths lean on; a
-        per-entry Python walk here would dominate their cost.
+        primitive the bulk-ingest, subtree-rebuild and CSV paths lean
+        on; a per-entry Python walk here would dominate their cost.
         """
         key_parts: list[np.ndarray] = []
         val_parts: list[np.ndarray] = []
+        levels: list[int] = []
         for node in self.walk():
             if isinstance(node, LippNode):
                 data = np.nonzero(node.slot_type == SLOT_DATA)[0]
-                if data.size:
-                    key_parts.append(node.slot_keys[data])
-                    val_parts.append(node.slot_values[data])
+                k, v = node.slot_keys[data], node.slot_values[data]
             else:  # flattened leaf (duck-typed): already dense arrays
                 k, v = node.collect_arrays()
-                if k.size:
-                    key_parts.append(k)
-                    val_parts.append(v)
+            if k.size:
+                key_parts.append(k)
+                val_parts.append(v)
+                levels.append(node.level)
         if not key_parts:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+            return tuple(np.empty(0, dtype=np.int64) for __ in range(3))
         keys = np.concatenate(key_parts)
-        values = np.concatenate(val_parts)
         order = np.argsort(keys, kind="stable")
-        return keys[order], values[order]
+        per_key = np.repeat(levels, [k.size for k in key_parts])
+        return keys[order], np.concatenate(val_parts)[order], per_key[order]
+
+    def collect_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Subtree keys and values as sorted parallel arrays."""
+        return self.collect_leveled()[:2]
 
     def walk(self) -> Iterator["LippNode"]:
         """Yield every node of the subtree (pre-order)."""

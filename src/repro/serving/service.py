@@ -57,7 +57,13 @@ from .partitioner import (
     plan_shards,
     predicted_shard_cost,
 )
-from ..store import CompactionStrategy, DurableStore, make_strategy
+from ..store import (
+    MANIFEST_NAME,
+    CompactionStrategy,
+    DurableStore,
+    StoreCorruptionError,
+    make_strategy,
+)
 from .router import ShardRouter
 
 __all__ = ["IndexService", "LatencyReport", "ServiceStats", "ShardLatency"]
@@ -389,7 +395,13 @@ class IndexService:
                 "(MANIFEST.json missing; build + snapshot() first)"
             )
         consts = constants or CostConstants()
-        family_cls = INDEX_FAMILIES[manifest.family]
+        family_cls = INDEX_FAMILIES.get(manifest.family)
+        if family_cls is None:
+            raise StoreCorruptionError(
+                f"{store.data_dir / MANIFEST_NAME}: manifest field 'service.family' "
+                f"names no index family: {manifest.family!r} "
+                f"(known: {', '.join(sorted(INDEX_FAMILIES))})"
+            )
         shards: list[LearnedIndex | None] = []
         shard_keys: list[np.ndarray] = []
         shard_values: list[np.ndarray] = []

@@ -25,11 +25,12 @@ import json
 import os
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 from ..core.exceptions import IndexStateError
 from .faults import crashpoint
-from .runs import fsync_dir
+from .runs import StoreCorruptionError, fsync_dir
 
 __all__ = [
     "FORMAT_VERSION",
@@ -45,6 +46,28 @@ FORMAT_VERSION = 1
 
 #: The manifest file name inside a data directory.
 MANIFEST_NAME = "MANIFEST.json"
+
+
+def _field(obj, section: str, name: str, convert, *default):
+    """``convert(obj[name])``, or :class:`StoreCorruptionError` naming
+    the field: a data directory is operator-supplied input."""
+    try:
+        if default and name not in obj:
+            return default[0]
+        return convert(obj[name])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise StoreCorruptionError(
+            f"manifest field '{section}{name}' is missing or malformed ({exc!r})"
+        ) from exc
+
+
+def _list_of(convert):
+    def convert_list(value) -> tuple:
+        if not isinstance(value, list):
+            raise TypeError(f"expected a list, got {type(value).__name__}")
+        return tuple(convert(item) for item in value)
+
+    return convert_list
 
 
 @dataclass(frozen=True)
@@ -91,16 +114,17 @@ class RunMeta:
 
     @classmethod
     def from_json(cls, obj: dict) -> "RunMeta":
+        get = partial(_field, obj, "artefacts[].")
         return cls(
-            name=str(obj["name"]),
-            kind=str(obj["kind"]),
-            shard=int(obj["shard"]),
-            generation=int(obj["generation"]),
-            n_keys=int(obj["n_keys"]),
-            min_key=int(obj["min_key"]),
-            max_key=int(obj["max_key"]),
-            checksum=str(obj["checksum"]),
-            size_bytes=int(obj["size_bytes"]),
+            name=get("name", str),
+            kind=get("kind", str),
+            shard=get("shard", int),
+            generation=get("generation", int),
+            n_keys=get("n_keys", int),
+            min_key=get("min_key", int),
+            max_key=get("max_key", int),
+            checksum=get("checksum", str),
+            size_bytes=get("size_bytes", int),
         )
 
 
@@ -189,25 +213,28 @@ class Manifest:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Manifest":
-        version = int(obj.get("format_version", -1))
+        if not isinstance(obj, dict):
+            raise StoreCorruptionError(
+                f"manifest is a JSON {type(obj).__name__}, not an object"
+            )
+        top = partial(_field, obj, "")
+        version = top("format_version", int, -1)
         if version != FORMAT_VERSION:
             raise IndexStateError(
                 f"manifest format_version {version} unsupported "
                 f"(this library reads version {FORMAT_VERSION})"
             )
-        service = obj["service"]
+        service = partial(_field, top("service", dict), "service.")
         return cls(
-            generation=int(obj["generation"]),
-            family=str(service["family"]),
-            n_shards=int(service["n_shards"]),
-            boundaries=tuple(int(b) for b in service["boundaries"]),
-            alphas=tuple(
-                None if a is None else float(a) for a in service["alphas"]
-            ),
-            mode=str(service.get("mode", "equi_depth")),
-            artefacts=tuple(RunMeta.from_json(m) for m in obj["artefacts"]),
+            generation=top("generation", int),
+            family=service("family", str),
+            n_shards=service("n_shards", int),
+            boundaries=service("boundaries", _list_of(int)),
+            alphas=service("alphas", _list_of(lambda a: None if a is None else float(a))),
+            mode=service("mode", str, "equi_depth"),
+            artefacts=top("artefacts", _list_of(RunMeta.from_json)),
             format_version=version,
-            updated_ts=float(obj.get("updated_ts", 0.0)),
+            updated_ts=top("updated_ts", float, 0.0),
         )
 
 
@@ -216,7 +243,12 @@ def load_manifest(directory: str | Path) -> Manifest | None:
     path = Path(directory) / MANIFEST_NAME
     if not path.exists():
         return None
-    return Manifest.from_json(json.loads(path.read_text(encoding="utf-8")))
+    try:
+        return Manifest.from_json(json.loads(path.read_text(encoding="utf-8")))
+    except StoreCorruptionError as exc:
+        raise StoreCorruptionError(f"{path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # truncated, empty, not UTF-8
+        raise StoreCorruptionError(f"{path}: not a JSON document ({exc})") from exc
 
 
 def commit_manifest(directory: str | Path, manifest: Manifest) -> Manifest:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core.exceptions import InvalidKeysError
-from repro.core.segment_stats import SegmentStats, sum_of_ranks
+from repro.core.segment_stats import SegmentStats, sum_of_rank_squares, sum_of_ranks
 from repro.core.smoothing import _best_candidate, smooth_keys
 
 
@@ -200,3 +200,87 @@ class TestGreedyMatchesRebuildDrivenGreedy:
         virtual = smooth_keys(keys, budget=budget).virtual_points
         assert len(virtual) > 100
         assert virtual == _seed_smooth(keys, budget)
+
+
+def _four_block_best_candidate(stats: SegmentStats) -> tuple[int, float] | None:
+    """The greedy step as it was before the scan was fused: the four
+    candidate blocks (lows, highs, interior floors, interior ceils)
+    scored one after another, first-occurrence argmin inside each and
+    a strict ``<`` between them."""
+    points = stats.points
+    lows = points[:-1] + 1
+    highs = points[1:] - 1
+    gap_mask = highs >= lows
+    if not np.any(gap_mask):
+        return None
+    lows = lows[gap_mask]
+    highs = highs[gap_mask]
+    ranks = np.nonzero(gap_mask)[0] + 1
+    big_n = stats.n + 1
+    sy = sum_of_ranks(big_n)
+    syy = sum_of_rank_squares(big_n)
+    ybar = sy / big_n
+    sk, skk, sky = stats.centered_sums()
+    c0 = (sky + stats.suffix_key_sums(ranks)) - sk * ybar
+    c1 = ranks - ybar
+    v0 = skk - sk * sk / big_n
+    v1 = -2.0 * sk / big_n
+    v2 = 1.0 - 1.0 / big_n
+    syyc = syy - sy * sy / big_n
+    ref = np.int64(stats.reference)
+    blocks = [(lows, c0, c1), (highs, c0, c1)]
+    denom = c1 * v1 - 2.0 * c0 * v2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_star = np.where(denom != 0.0, (c0 * v1 - 2.0 * c1 * v0) / denom, np.nan)
+    star = t_star + stats.reference
+    interior = np.isfinite(star) & (star > lows) & (star < highs)
+    if np.any(interior):
+        idx = np.nonzero(interior)[0]
+        floor_v = np.clip(np.floor(star[idx]).astype(np.int64), lows[idx], highs[idx])
+        blocks.append((floor_v, c0[idx], c1[idx]))
+        blocks.append((np.clip(floor_v + 1, lows[idx], highs[idx]), c0[idx], c1[idx]))
+    best: tuple[int, float] | None = None
+    for values, cc0, cc1 in blocks:
+        t = (values - ref).astype(np.float64)
+        cov = cc0 + cc1 * t
+        var = v0 + v1 * t + v2 * t * t
+        with np.errstate(divide="ignore", invalid="ignore"):
+            losses = np.maximum(syyc - np.where(var > 0.0, cov * cov / var, 0.0), 0.0)
+        pick = int(np.argmin(losses))
+        if best is None or float(losses[pick]) < best[1]:
+            best = int(values[pick]), float(losses[pick])
+    return best
+
+
+def _tie_prone_key_sets() -> dict[str, np.ndarray]:
+    """Key sets whose candidates tie on the loss: equal-width gaps make
+    mirrored candidates score alike, width-2 gaps make a gap's low and
+    high the same value."""
+    return {
+        "equal_gaps": np.arange(0, 4_000, 10, dtype=np.int64),
+        "width_two_gaps": np.arange(0, 600, 2, dtype=np.int64),
+        "mirrored_clusters": np.unique(
+            np.concatenate([c + np.arange(0, 300, 3) for c in (0, 10_000, 20_000)])
+        ),
+    }
+
+
+class TestFusedScanMatchesFourBlockScan:
+    @pytest.mark.parametrize("name", sorted(_tie_prone_key_sets()))
+    def test_same_pick_at_every_step(self, name):
+        stats = SegmentStats(_tie_prone_key_sets()[name])
+        tied_steps = 0
+        for __ in range(60):
+            found = _best_candidate(stats)
+            assert found == _four_block_best_candidate(stats)
+            if found is None:
+                break
+            # The pick is the first of several candidates with its loss?
+            points = stats.points
+            lows, highs = points[:-1] + 1, points[1:] - 1
+            gaps = np.nonzero(highs >= lows)[0]
+            ends = np.concatenate([lows[gaps], highs[gaps]])
+            losses = stats.evaluate_many(ends, np.concatenate([gaps, gaps]) + 1)
+            tied_steps += int(np.count_nonzero(losses == losses.min()) > 1)
+            stats.commit(found[0])
+        assert tied_steps > 0, "key set was meant to produce loss ties"

@@ -18,6 +18,15 @@ from repro.indexes import (
     SaliIndex,
     adapter_for,
 )
+from repro.indexes.alex.inner_node import AlexInnerNode
+
+
+def _all_handles(adapter) -> list:
+    """Every handle reachable from the root, parents before children."""
+    out = list(adapter.child_handles(None))
+    for handle in out:  # grows while iterating: a breadth-first walk
+        out.extend(adapter.child_handles(handle))
+    return out
 
 
 class TestAdapterFor:
@@ -38,62 +47,64 @@ class TestAdapterFor:
 
 class TestLippAdapter:
     def test_handles_exclude_root(self, clustered_keys):
-        adapter = LippCsvAdapter(LippIndex.build(clustered_keys))
-        for level in range(2, adapter.max_level() + 1):
-            for handle in adapter.subtree_handles(level):
-                assert handle.parent is not None
-                assert handle.level == level
-                assert handle.has_subtree
+        index = LippIndex.build(clustered_keys)
+        adapter = LippCsvAdapter(index)
+        handles = _all_handles(adapter)
+        assert handles
+        for handle in handles:
+            assert handle is not index.root
+            assert handle.parent is not None
+            assert handle.level == handle.parent.level + 1
+            assert handle.has_subtree
+        # child_handles misses no subtree-rooting node of the tree.
+        rooted = [n for n in index.root.walk() if n.has_subtree and n.parent is not None]
+        assert {id(h) for h in handles} == {id(n) for n in rooted}
+
+    def test_keys_decide_the_rebuild(self):
+        assert LippCsvAdapter.rebuild_depends_on_keys_alone
+        assert SaliCsvAdapter.rebuild_depends_on_keys_alone
 
     def test_collect_keys_sorted(self, clustered_keys):
-        adapter = LippCsvAdapter(LippIndex.build(clustered_keys))
-        level = adapter.max_level()
-        handles = adapter.subtree_handles(level)
-        if not handles:
-            pytest.skip("no subtree at max level")
-        keys = adapter.collect_keys(handles[0])
+        index = LippIndex.build(clustered_keys)
+        adapter = LippCsvAdapter(index)
+        handle = adapter.child_handles(None)[0]
+        keys, values, levels = adapter.collect(handle)
         assert np.all(np.diff(keys) > 0)
+        expected_keys, expected_values = handle.collect_arrays()
+        assert np.array_equal(keys, expected_keys)
+        assert np.array_equal(values, expected_values)
+        assert np.array_equal(levels, index.lookup_many(keys).levels)
 
     def test_cost_delta_is_loss_change(self, clustered_keys):
         adapter = LippCsvAdapter(LippIndex.build(clustered_keys))
-        handles = adapter.subtree_handles(2)
-        if not handles:
-            pytest.skip("no level-2 subtree")
-        keys = adapter.collect_keys(handles[0])
-        if keys.size < 3:
-            pytest.skip("subtree too small")
+        handle = adapter.child_handles(None)[0]
+        keys = adapter.collect(handle)[0]
         smoothing = smooth_keys(keys, alpha=0.2)
-        delta = adapter.cost_delta(handles[0], smoothing)
+        delta = adapter.cost_delta(handle, smoothing)
         assert delta == pytest.approx(smoothing.final_loss - smoothing.original_loss)
 
     def test_rebuild_preserves_lookups(self, clustered_keys):
         index = LippIndex.build(clustered_keys)
         adapter = LippCsvAdapter(index)
-        handles = adapter.subtree_handles(2)
-        if not handles:
-            pytest.skip("no level-2 subtree")
-        handle = handles[0]
-        keys = adapter.collect_keys(handle)
-        if keys.size < 3:
-            pytest.skip("subtree too small")
+        handle = adapter.child_handles(None)[0]
+        collected = adapter.collect(handle)
+        keys, __, levels_before = collected
         smoothing = smooth_keys(keys, alpha=0.3)
-        promoted = adapter.rebuild(handle, smoothing)
-        assert promoted >= 0
+        promoted = adapter.rebuild(handle, smoothing, collected)
+        levels_after = index.lookup_many(keys).levels
+        assert promoted == np.count_nonzero(levels_after < levels_before)
         for key in keys.tolist():
             assert index.lookup(key) == key
 
     def test_rebuild_marks_virtual_slots(self, clustered_keys):
         index = LippIndex.build(clustered_keys)
         adapter = LippCsvAdapter(index)
-        handles = [
-            h for h in adapter.subtree_handles(2) if adapter.collect_keys(h).size >= 10
-        ]
-        if not handles:
-            pytest.skip("no sizable subtree")
-        handle = handles[0]
-        keys = adapter.collect_keys(handle)
+        handle = max(adapter.child_handles(None), key=lambda h: h.n_subtree_keys)
+        collected = adapter.collect(handle)
+        keys = collected[0]
+        assert keys.size >= 10
         smoothing = smooth_keys(keys, alpha=0.3)
-        adapter.rebuild(handle, smoothing)
+        adapter.rebuild(handle, smoothing, collected)
         parent = handle.parent
         new_child = parent.children[handle.parent_slot]
         assert new_child.virtual_slots == smoothing.n_virtual
@@ -102,41 +113,47 @@ class TestLippAdapter:
 
 class TestAlexAdapter:
     def test_handles_are_inner_non_root(self, clustered_keys):
-        adapter = AlexCsvAdapter(AlexIndex.build(clustered_keys))
-        for level in range(2, adapter.max_level() + 1):
-            for handle in adapter.subtree_handles(level):
-                assert handle.parent is not None
+        index = AlexIndex.build(clustered_keys)
+        adapter = AlexCsvAdapter(index)
+        handles = _all_handles(adapter)
+        assert handles
+        for handle in handles:
+            assert isinstance(handle, AlexInnerNode)
+            assert handle is not index.root
+            assert handle.parent is not None
+        inner = [
+            n for n in index.root.walk()
+            if isinstance(n, AlexInnerNode) and n.parent is not None
+        ]
+        assert {id(h) for h in handles} == {id(n) for n in inner}
+
+    def test_structure_decides_the_rebuild(self):
+        assert not AlexCsvAdapter.rebuild_depends_on_keys_alone
 
     def test_cost_delta_negative_for_good_merge(self, clustered_keys):
         """Deep, well-smoothable subtrees should price below zero."""
         adapter = AlexCsvAdapter(AlexIndex.build(clustered_keys))
         found_negative = False
-        for level in range(adapter.max_level(), 1, -1):
-            for handle in adapter.subtree_handles(level):
-                keys = adapter.collect_keys(handle)
-                if keys.size < 10:
-                    continue
-                smoothing = smooth_keys(keys, alpha=0.2)
-                if adapter.cost_delta(handle, smoothing) < 0:
-                    found_negative = True
-                    break
-            if found_negative:
+        for handle in reversed(_all_handles(adapter)):  # deepest first
+            keys = adapter.collect(handle)[0]
+            if keys.size < 10:
+                continue
+            smoothing = smooth_keys(keys, alpha=0.2)
+            if adapter.cost_delta(handle, smoothing) < 0:
+                found_negative = True
                 break
         assert found_negative
 
     def test_rebuild_preserves_lookups(self, clustered_keys):
         index = AlexIndex.build(clustered_keys)
         adapter = AlexCsvAdapter(index)
-        level = adapter.max_level()
-        handles = [
-            h for h in adapter.subtree_handles(level) if adapter.collect_keys(h).size >= 5
-        ]
-        if not handles:
-            pytest.skip("no sizable subtree")
-        handle = handles[0]
-        keys = adapter.collect_keys(handle)
+        handle = next(
+            h for h in reversed(_all_handles(adapter)) if adapter.collect(h)[0].size >= 5
+        )
+        collected = adapter.collect(handle)
+        keys = collected[0]
         smoothing = smooth_keys(keys, alpha=0.2)
-        promoted = adapter.rebuild(handle, smoothing)
+        promoted = adapter.rebuild(handle, smoothing, collected)
         assert promoted >= 0
         for key in keys.tolist():
             assert index.lookup(key) == key

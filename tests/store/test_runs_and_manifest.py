@@ -9,12 +9,15 @@ a strictly growing generation.
 from __future__ import annotations
 
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from repro.core.exceptions import IndexStateError
+from repro.serving import IndexService
 from repro.store import (
+    DurableStore,
     FORMAT_VERSION,
     MANIFEST_NAME,
     Manifest,
@@ -180,3 +183,77 @@ class TestManifest:
         assert obj["format_version"] == FORMAT_VERSION
         assert obj["service"]["family"] == "lipp"
         assert obj["artefacts"][0]["checksum"].startswith("sha256:")
+
+
+def _set(path, value):
+    """An edit that sets ``obj[path[0]][path[1]]...`` to *value*."""
+
+    def edit(text: str) -> str:
+        obj = json.loads(text)
+        target = obj
+        for name in path[:-1]:
+            target = target[name]
+        target[path[-1]] = value
+        return json.dumps(obj)
+
+    return edit
+
+
+#: (what happened to MANIFEST.json, what the error must name)
+DAMAGE = {
+    "truncated": (lambda text: text[: len(text) // 2], "not a JSON document"),
+    "empty": (lambda text: "", "not a JSON document"),
+    "json_list": (lambda text: "[1, 2, 3]", "JSON list"),
+    "service_null": (_set(["service"], None), "'service'"),
+    "unknown_family": (_set(["service", "family"], "nosuch"), "'service.family'"),
+    "n_shards_word": (_set(["service", "n_shards"], "two"), "'service.n_shards'"),
+    "boundaries_string": (_set(["service", "boundaries"], "abc"), "'service.boundaries'"),
+    "alphas_word": (_set(["service", "alphas"], ["x"]), "'service.alphas'"),
+    "generation_word": (_set(["generation"], "x"), "'generation'"),
+    "artefacts_string": (_set(["artefacts"], "abc"), "'artefacts'"),
+}
+
+
+class TestDamagedManifest:
+    """A data directory is operator-supplied input: whatever is wrong
+    with its manifest, opening it raises :class:`StoreCorruptionError`
+    naming the file and the field, never a bare Python error."""
+
+    @pytest.fixture(scope="class")
+    def good_dir(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("good")
+        keys = np.arange(0, 4_000, 7, dtype=np.int64)
+        service = IndexService.build(
+            keys, family="lipp", n_shards=2, alpha=0.1, store=DurableStore(path)
+        )
+        service.snapshot()
+        service.close()
+        return path
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    def test_open_snapshot_names_file_and_field(self, damage, good_dir, tmp_path):
+        edit, named = DAMAGE[damage]
+        bad = tmp_path / "bad"
+        shutil.copytree(good_dir, bad)
+        manifest = bad / MANIFEST_NAME
+        manifest.write_text(edit(manifest.read_text()))
+        with pytest.raises(StoreCorruptionError) as caught:
+            IndexService.open_snapshot(str(bad))
+        assert str(manifest) in str(caught.value)
+        assert named in str(caught.value)
+
+        # The damage is in that copy only: an undamaged one still opens.
+        fine = tmp_path / "fine"
+        shutil.copytree(good_dir, fine)
+        service = IndexService.open_snapshot(str(fine))
+        try:
+            assert service.lookup(7 * 123) == 7 * 123
+        finally:
+            service.close()
+
+    def test_artefact_field_is_named(self, tmp_path):
+        obj = _manifest([_meta()]).to_json()
+        obj["artefacts"][0]["shard"] = "zero"
+        (tmp_path / MANIFEST_NAME).write_text(json.dumps(obj))
+        with pytest.raises(StoreCorruptionError, match=r"'artefacts\[\]\.shard'"):
+            load_manifest(tmp_path)
