@@ -28,7 +28,6 @@ Examples::
     python -m repro build --index lipp --dataset osm --n 10000
     python -m repro csv --index alex --dataset facebook --alpha 0.1
     python -m repro serve --index lipp --shards 8 --dataset osm --ops 50000
-    python -m repro serve --index lipp --shards 4 --executor process --replicas 2
     python -m repro serve --index lipp --shards 4 --data-dir ./data --ops 20000
     python -m repro serve --index btree --shards 4 --compare
     python -m repro serve --metrics-out metrics.jsonl --ops 20000
@@ -121,24 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--batch", type=int, default=2_048)
     p_serve.add_argument(
         "--zipf", action="store_true", help="Zipf-skewed reads instead of uniform"
-    )
-    p_serve.add_argument(
-        "--executor", choices=["serial", "process"], default="serial",
-        help="shard execution backend; 'process' serves zero-copy shard "
-             "views out of shared memory on worker processes",
-    )
-    p_serve.add_argument(
-        "--workers", type=int, default=0,
-        help="worker count for --executor process "
-             "(default: sized to the shard count)",
-    )
-    p_serve.add_argument(
-        "--replicas", type=int, default=1,
-        help="process executor: replicas per shard (read fan-out + failover)",
-    )
-    p_serve.add_argument(
-        "--timeout-s", type=float, default=30.0,
-        help="process executor: per-batch IPC timeout in seconds",
     )
     p_serve.add_argument("--staleness", type=float, default=0.1,
                          help="write-buffer merge threshold (buffered/stored)")
@@ -327,18 +308,6 @@ def _parse_alpha(raw: str | None) -> float | str | None:
     return float(raw)
 
 
-def _executor_spec(args: argparse.Namespace):
-    """Build the ExecutorSpec requested on the serve command line."""
-    from .serving import ExecutorSpec
-
-    return ExecutorSpec(
-        kind=args.executor,
-        n_workers=args.workers or None,
-        n_replicas=args.replicas,
-        timeout_s=args.timeout_s,
-    )
-
-
 def _make_service(args: argparse.Namespace, keys: np.ndarray):
     """Open-or-build the :class:`IndexService` a serve run drives.
 
@@ -359,7 +328,6 @@ def _make_service(args: argparse.Namespace, keys: np.ndarray):
     if store is not None and store.is_initialized():
         service = IndexService.open_snapshot(
             store,
-            executor=_executor_spec(args),
             staleness_threshold=args.staleness,
             flush_threshold=args.flush_threshold,
             compaction=args.compaction,
@@ -377,7 +345,6 @@ def _make_service(args: argparse.Namespace, keys: np.ndarray):
         n_shards=args.shards,
         mode=args.mode,
         alpha=_parse_alpha(args.alpha),
-        executor=_executor_spec(args),
         staleness_threshold=args.staleness,
         **durability,
     )
@@ -395,11 +362,11 @@ def _close_on_signals():
     """Convert SIGTERM into an orderly :class:`SystemExit`.
 
     The ``serve`` body runs inside ``with IndexService...``, whose
-    ``close()`` flushes buffered writes and stops the executor — but
-    only when the exception actually unwinds through the block.
-    SIGINT already raises ``KeyboardInterrupt`` there; an unhandled
-    SIGTERM, by contrast, kills the process outright and skips the
-    teardown.  Installed for the duration of a ``serve`` run.
+    ``close()`` flushes buffered writes — but only when the exception
+    actually unwinds through the block.  SIGINT already raises
+    ``KeyboardInterrupt`` there; an unhandled SIGTERM, by contrast,
+    kills the process outright and skips the teardown.  Installed for
+    the duration of a ``serve`` run.
     """
 
     def _handler(signum: int, frame) -> None:
@@ -458,7 +425,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             _say("--http and --compare are mutually exclusive")
             return 2
         return _cmd_serve_http(args)
-    executor = _executor_spec(args)
 
     if args.compare:
         rows = run_sharded_experiment(
@@ -470,7 +436,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             alpha=_parse_alpha(args.alpha),
             n_queries=max(args.ops, 1),
             seed=args.seed,
-            executor=executor,
         )
         _say(
             ascii_table(
@@ -503,15 +468,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     ) as service, _close_on_signals():
         snap()
         plan = service.plan
-        spec = service.router.executor_spec
-        exec_desc = spec.kind
-        if spec.kind != "serial":
-            exec_desc += f" x{spec.resolved_workers(plan.n_shards)}"
-        if spec.kind == "process" and spec.n_replicas > 1:
-            exec_desc += f" (replicas={spec.n_replicas})"
         _say(
             f"{service.family} x {plan.n_shards} shards ({plan.mode}) over "
-            f"{keys.size} {args.dataset} keys; executor={exec_desc}"
+            f"{keys.size} {args.dataset} keys"
         )
         _say(
             "  shard sizes: "
@@ -541,7 +500,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             )
         except (KeyboardInterrupt, SystemExit):
             # The with-block still runs IndexService.close(): buffered
-            # writes flush and executor workers stop before exit.
+            # writes flush before exit.
             _say("\ninterrupted — closing shards")
             snap()
             return 130
@@ -550,11 +509,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"{report.n_batches} batches, {report.wall_seconds:.2f}s wall "
             f"({report.ops_per_second:,.0f} ops/s), read hit rate "
             f"{report.read_hit_rate:.3f}"
-            + (
-                f", {report.worker_restarts} worker restart(s)"
-                if report.worker_restarts
-                else ""
-            )
         )
         stats = service.stats
         _say(

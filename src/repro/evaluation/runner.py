@@ -253,7 +253,7 @@ class ShardedExperimentRow:
     """One configuration of the sharded-vs-monolithic comparison.
 
     ``label`` is "monolithic" for the bare unsharded index, else
-    "<mode> K=<shards>[ +<executor kind>]".  Simulated-ns figures come
+    "<mode> K=<shards>".  Simulated-ns figures come
     from the deterministic cost model; throughput is wall clock through
     the batch engine (routing overhead included for the sharded rows).
     """
@@ -263,7 +263,6 @@ class ShardedExperimentRow:
     n: int
     label: str
     n_shards: int
-    parallel: bool
     build_seconds: float
     lookups_per_second: float
     inserts_per_second: float
@@ -278,7 +277,6 @@ def _sharded_row(
     dataset: str,
     label: str,
     n_shards: int,
-    parallel: bool,
     build_seconds: float,
     lookup_target,
     queries: np.ndarray,
@@ -303,7 +301,6 @@ def _sharded_row(
         n=0,  # patched by the caller
         label=label,
         n_shards=n_shards,
-        parallel=parallel,
         build_seconds=build_seconds,
         lookups_per_second=queries.size / lookup_wall if lookup_wall > 0 else 0.0,
         inserts_per_second=inserts_per_s,
@@ -325,26 +322,17 @@ def run_sharded_experiment(
     n_inserts: int = 0,
     seed: int = 0,
     constants: CostConstants | None = None,
-    executor=None,
 ) -> list[ShardedExperimentRow]:
     """Sharded-vs-monolithic comparison over a shard-count sweep.
 
     Builds the bare index once as the baseline row, then one
-    :class:`~repro.serving.service.IndexService` per shard count (and,
-    when an *executor* spec asks for a parallel backend, a parallel
-    variant of each), all over
-    the same keys and the same uniform query sample — the batch found
-    / value vectors are asserted identical to the monolithic answer,
-    so the table compares cost, never correctness.
-
-    *executor* takes an :class:`~repro.serving.executor.ExecutorSpec`
-    (or a string like ``"process"`` / ``"process:4"``); rows of the
-    parallel variant are labelled with the executor kind.
+    :class:`~repro.serving.service.IndexService` per shard count, all
+    over the same keys and the same uniform query sample — the batch
+    found / value vectors are asserted identical to the monolithic
+    answer, so the table compares cost, never correctness.
     """
-    from ..serving import ExecutorSpec, IndexService
+    from ..serving import IndexService
     from ..serving.service import UPDATABLE_FAMILIES
-
-    spec = ExecutorSpec.parse(executor)
 
     consts = constants or CostConstants()
     keys = load(dataset, n)
@@ -361,7 +349,7 @@ def run_sharded_experiment(
     mono_build = time.perf_counter() - start
     updatable_mono = family in UPDATABLE_FAMILIES
     reference, baseline = _sharded_row(
-        family, dataset, "monolithic", 1, False, mono_build,
+        family, dataset, "monolithic", 1, mono_build,
         mono.lookup_many, queries, fresh, consts, 1.0,
         insert_target=(
             mono.bulk_insert_many if n_inserts > 0 and updatable_mono else None
@@ -369,37 +357,33 @@ def run_sharded_experiment(
     )
     rows = [baseline]
 
-    has_parallel = spec.kind != "serial"
     for k in shard_counts:
-        for parallel in ((False, True) if has_parallel else (False,)):
-            start = time.perf_counter()
-            service = IndexService.build(
-                keys,
-                family=family,
-                n_shards=k,
-                mode=mode,
-                alpha=alpha,
-                constants=consts,
-                executor=spec if parallel else None,
+        start = time.perf_counter()
+        service = IndexService.build(
+            keys,
+            family=family,
+            n_shards=k,
+            mode=mode,
+            alpha=alpha,
+            constants=consts,
+        )
+        build_seconds = time.perf_counter() - start
+        __, row = _sharded_row(
+            family, dataset, f"{mode} K={k}", k, build_seconds,
+            service.lookup_many, queries, fresh, consts,
+            service.plan.cost_imbalance(),
+            insert_target=service.insert_many if n_inserts > 0 else None,
+        )
+        check = service.lookup_many(queries[: min(1000, queries.size)])
+        if not (
+            np.array_equal(check.found, reference.found[: check.n_queries])
+            and np.array_equal(check.values, reference.values[: check.n_queries])
+        ):
+            raise InvalidKeysError(
+                f"sharded service diverged from the monolithic index (K={k})"
             )
-            build_seconds = time.perf_counter() - start
-            label = f"{mode} K={k}" + (f" +{spec.kind}" if parallel else "")
-            __, row = _sharded_row(
-                family, dataset, label, k, parallel, build_seconds,
-                service.lookup_many, queries, fresh, consts,
-                service.plan.cost_imbalance(),
-                insert_target=service.insert_many if n_inserts > 0 else None,
-            )
-            check = service.lookup_many(queries[: min(1000, queries.size)])
-            if not (
-                np.array_equal(check.found, reference.found[: check.n_queries])
-                and np.array_equal(check.values, reference.values[: check.n_queries])
-            ):
-                raise InvalidKeysError(
-                    f"sharded service diverged from the monolithic index (K={k})"
-                )
-            service.close()
-            rows.append(row)
+        service.close()
+        rows.append(row)
 
     n_keys = int(keys.size)
     return [replace(row, n=n_keys) for row in rows]

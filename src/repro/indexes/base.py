@@ -35,9 +35,6 @@ with a vectorised sorted merge.
 
 from __future__ import annotations
 
-import io
-import pickle
-import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -53,7 +50,6 @@ __all__ = [
     "BatchQueryStats",
     "LearnedIndex",
     "alloc_batch_outputs",
-    "attach_from_buffers",
     "dedupe_last_wins",
     "group_runs",
     "prepare_key_values",
@@ -250,81 +246,6 @@ def _range_from_sorted_arrays(
     return list(zip(keys[lo:hi].tolist(), values[lo:hi].tolist()))
 
 
-#: Arrays at or above this size are extracted into the buffer list by
-#: :meth:`LearnedIndex.export_buffers` instead of travelling inside the
-#: pickle payload.  Small per-node arrays (a handful of slots) stay in
-#: the payload: extracting thousands of tiny buffers would cost more in
-#: bookkeeping than the copy it avoids.
-SHM_MIN_BUFFER_BYTES = 4096
-
-_BUFFER_TAG = "repro-index-buffer"
-
-
-class _BufferExtractor(pickle.Pickler):
-    """Pickler that swaps large numpy arrays out of the stream.
-
-    Every array of at least *min_bytes* is appended to :attr:`buffers`
-    and replaced by a persistent id, so the resulting payload is the
-    index's *structure* (node objects, scalars, small arrays) while the
-    heavy struct-of-arrays buffers can be published out-of-band — e.g.
-    into a shared-memory segment that worker processes attach zero-copy
-    (:mod:`repro.serving.shm`).  Arrays are deduplicated by identity:
-    a buffer shared between a node object and a flat compiled view is
-    extracted once and re-shared on attach.
-    """
-
-    def __init__(self, file, min_bytes: int):
-        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
-        self.buffers: list[np.ndarray] = []
-        self._refs: dict[int, int] = {}
-        self._min_bytes = int(min_bytes)
-
-    def persistent_id(self, obj):  # noqa: D102 (pickle hook)
-        if (
-            isinstance(obj, np.ndarray)
-            and obj.dtype != object
-            and obj.nbytes >= self._min_bytes
-        ):
-            ref = self._refs.get(id(obj))
-            if ref is None:
-                ref = len(self.buffers)
-                self._refs[id(obj)] = ref
-                self.buffers.append(obj)
-            return (_BUFFER_TAG, ref)
-        return None
-
-
-class _BufferAttacher(pickle.Unpickler):
-    """Unpickler that resolves persistent ids against a buffer list."""
-
-    def __init__(self, file, buffers: Sequence[np.ndarray]):
-        super().__init__(file)
-        self._buffers = buffers
-
-    def persistent_load(self, pid):  # noqa: D102 (pickle hook)
-        tag, ref = pid
-        if tag != _BUFFER_TAG:
-            raise pickle.UnpicklingError(f"unknown persistent id {pid!r}")
-        return self._buffers[ref]
-
-
-def attach_from_buffers(
-    payload: bytes, buffers: Sequence[np.ndarray]
-) -> "LearnedIndex":
-    """Rebuild an index from :meth:`LearnedIndex.export_buffers` output.
-
-    *buffers* may be the original arrays, or views of the same bytes in
-    a different address space (the shared-memory serving path); the
-    reconstructed index answers lookups bit-identically either way.
-    """
-    index = _BufferAttacher(io.BytesIO(payload), buffers).load()
-    if not isinstance(index, LearnedIndex):
-        raise IndexStateError(
-            f"payload decoded to {type(index).__name__}, not a LearnedIndex"
-        )
-    return index
-
-
 def prepare_key_values(
     keys: np.ndarray | list,
     values: np.ndarray | list | None = None,
@@ -482,37 +403,6 @@ class LearnedIndex(ABC):
         arr, vals = _as_batch_kv(keys, values)
         for key, value in zip(arr.tolist(), vals.tolist()):
             self.insert(key, value)
-
-    # ------------------------------------------------------------------
-    # Buffer export / attach (the process-serving handoff)
-    # ------------------------------------------------------------------
-    def export_buffers(
-        self, min_bytes: int = SHM_MIN_BUFFER_BYTES
-    ) -> tuple[bytes, list[np.ndarray]]:
-        """Split the index into ``(payload, buffers)`` for re-attach.
-
-        *payload* is a pickle of the index structure with every numpy
-        array of at least *min_bytes* replaced by a reference into
-        *buffers* (the struct-of-arrays key/value/prefix buffers that
-        dominate an index's footprint).  :func:`attach_from_buffers`
-        inverts the split — in this process, or in a worker process
-        that maps the buffers from shared memory without copying them.
-        The exported index is untouched and stays fully usable.
-        """
-        stream = io.BytesIO()
-        extractor = _BufferExtractor(stream, min_bytes)
-        # Pickling recurses through linked node structures (e.g. the
-        # B+-tree leaf chain), so the depth scales with node count —
-        # size the limit to the index, not the interpreter default.
-        # Unpickling is a stack machine and needs no such bump.
-        limit = sys.getrecursionlimit()
-        needed = max(limit, 1000 + 8 * max(self.node_count(), 0))
-        sys.setrecursionlimit(needed)
-        try:
-            extractor.dump(self)
-        finally:
-            sys.setrecursionlimit(limit)
-        return stream.getvalue(), extractor.buffers
 
     # ------------------------------------------------------------------
     # Convenience batch helpers used by the evaluation harness

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 __all__ = [
     "ShardHealth",
-    "ReplicaHealth",
     "HealthReport",
     "DRIFT_WARN",
     "IMBALANCE_WARN",
@@ -65,27 +64,6 @@ class ShardHealth:
 
 
 @dataclass(frozen=True)
-class ReplicaHealth:
-    """One serving replica (a shard worker process) of the executor.
-
-    Filled by the router's process executor: which worker slot, the
-    OS pid, liveness, the shards the replica is attached to, its
-    in-flight request count (the load the least-loaded fan-out
-    balances on), batches served, and how many times the slot has
-    been respawned after a crash or timeout.  Serial and thread
-    executors report no replicas.
-    """
-
-    slot: int
-    pid: int | None
-    alive: bool
-    shards: tuple[int, ...]
-    in_flight: int
-    served_batches: int
-    restarts: int
-
-
-@dataclass(frozen=True)
 class HealthReport:
     """Service-wide health: per-shard rows plus aggregate signals."""
 
@@ -94,8 +72,6 @@ class HealthReport:
     buffer_hit_rate: float
     cost_imbalance: float
     status: str  # "ok" | "warn"
-    replicas: tuple[ReplicaHealth, ...] = ()
-    worker_restarts: int = 0
 
     def warnings(self) -> list[str]:
         """Human summaries of every warn-level signal (empty = healthy)."""
@@ -108,11 +84,6 @@ class HealthReport:
                 )
         if self.cost_imbalance > IMBALANCE_WARN:
             out.append(f"cost imbalance {self.cost_imbalance:.2f} across shards")
-        for replica in self.replicas:
-            if not replica.alive:
-                out.append(f"replica {replica.slot}: worker dead (pid {replica.pid})")
-        if self.worker_restarts:
-            out.append(f"{self.worker_restarts} worker restart(s) since start")
         return out
 
     def to_table(self) -> str:
@@ -148,17 +119,6 @@ class HealthReport:
             f"buffer_hit_rate={self.buffer_hit_rate:.3f}  "
             f"cost_imbalance={self.cost_imbalance:.2f}"
         )
-        if self.replicas:
-            live = sum(1 for r in self.replicas if r.alive)
-            summary += (
-                f"\nreplicas: {live}/{len(self.replicas)} live, "
-                f"{self.worker_restarts} restart(s)  "
-                + "  ".join(
-                    f"[{r.slot}] pid={r.pid} {'up' if r.alive else 'DOWN'} "
-                    f"served={r.served_batches}"
-                    for r in self.replicas
-                )
-            )
         return table + "\n" + summary
 
 

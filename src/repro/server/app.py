@@ -711,9 +711,30 @@ class HttpFrontDoor:
         self._c_requests["range"].inc()
         return 200, result, JSON_CONTENT_TYPE
 
+    async def _monitor(self, read: Callable[[], Any]) -> Any:
+        """Run a monitoring read of the service under the reader lock.
+
+        ``IndexService.n_keys`` probes every shard that has a
+        non-empty memtable and ALEX's ``n_keys`` walks its node tree,
+        so a poll racing the in-place merge of an insert batch is the
+        stale-flat-view race that drops acknowledged keys.  The read
+        therefore takes the lock like any other reader — on a thread
+        of the loop's default executor, so the event loop never waits
+        for a writer, and not through admission, so monitoring still
+        answers under overload.
+        """
+
+        def work() -> Any:
+            with self._rwlock.read():
+                return read()
+
+        return await asyncio.to_thread(work)
+
     async def _h_health(self, _obj: Any):
         self._c_requests["health"].inc()
-        report = dataclasses.asdict(self.service.health_report())
+        report = await self._monitor(
+            lambda: dataclasses.asdict(self.service.health_report())
+        )
         assert self.admission is not None
         report["admission"] = {
             "queued": self.admission.queued,
@@ -727,12 +748,13 @@ class HttpFrontDoor:
     async def _h_stats(self, _obj: Any):
         self._c_requests["stats"].inc()
         stats = self.service.stats
+        n_keys = await self._monitor(lambda: int(self.service.n_keys))
         out = {
             "service": {
                 name: int(getattr(stats, name)) for name in SERVICE_STAT_FIELDS
             },
             "http": self._persistable_counters(),
-            "n_keys": int(self.service.n_keys),
+            "n_keys": n_keys,
             "n_shards": int(self.service.n_shards),
             "store": None
             if self.store is None

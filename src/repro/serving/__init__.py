@@ -13,32 +13,25 @@ IndexService` fronts the shards with per-shard write buffers
 (staleness-triggered merge + re-smoothing) and per-shard latency
 percentile reporting.
 
-Execution backends: the router runs shards serially or on *worker
-processes* that serve zero-copy views of the shard buffers out of
-shared memory — pick one with an
-:class:`~repro.serving.executor.ExecutorSpec` (``"serial"`` or
-``"process"``; plus ``n_replicas`` / ``timeout_s`` for process mode).
+Execution: the router runs a batch's per-shard slices inline, one
+after another, on the caller's thread; there is no other backend.
 
 Observability: the service keeps always-on per-shard latency
 histograms (mergeable fixed-layout log buckets, see :mod:`repro.obs`)
 behind :meth:`~repro.serving.service.IndexService.latency_report` and
-:meth:`~repro.serving.service.IndexService.health_report`; process
-executors additionally report per-replica liveness and restarts
-(:class:`~repro.obs.health.ReplicaHealth`).  Everything else —
-counters, gauges, spans — only records when an enabled
-:class:`~repro.obs.metrics.MetricsRegistry` is installed.
+:meth:`~repro.serving.service.IndexService.health_report`.
+Everything else — counters, gauges, spans — only records when an
+enabled :class:`~repro.obs.metrics.MetricsRegistry` is installed.
 
 The names re-exported here are the stable public surface of the
-serving layer: routing types (:class:`RoutedBatch`), report types
+serving layer: routing types (:class:`RoutedBatch`) and report types
 (:class:`LatencyReport`, :class:`ShardLatency`, :class:`HealthReport`,
-:class:`ShardHealth`, :class:`ReplicaHealth`), and the executor API
-(:class:`ExecutorSpec`, :class:`ExecutorError`).  Callers should use
-these rather than reaching into router internals.
+:class:`ShardHealth`).  Callers should use these rather than reaching
+into router internals.
 """
 
-from ..obs.health import HealthReport, ReplicaHealth, ShardHealth
+from ..obs.health import HealthReport, ShardHealth
 
-from .executor import ExecutorError, ExecutorSpec
 from .partitioner import (
     SMOOTHABLE_FAMILIES,
     ShardPlan,
@@ -51,12 +44,9 @@ from .router import RoutedBatch, ShardRouter
 from .service import IndexService, LatencyReport, ServiceStats, ShardLatency
 
 __all__ = [
-    "ExecutorError",
-    "ExecutorSpec",
     "HealthReport",
     "IndexService",
     "LatencyReport",
-    "ReplicaHealth",
     "RoutedBatch",
     "ShardHealth",
     "ShardLatency",

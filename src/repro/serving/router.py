@@ -8,19 +8,10 @@ of a batch to its shard; a stable argsort groups the batch into
 per-shard contiguous runs; each run goes down its shard's
 ``lookup_many``; and the per-shard
 :class:`~repro.indexes.base.BatchQueryStats` are gathered back into
-the caller's positional order.  *How* the per-shard runs execute is
-the :class:`~repro.serving.executor.ExecutorSpec`: inline
-(``"serial"``) or on replicated shared-memory worker processes
-(``"process"`` — see :mod:`~repro.serving.executor`).  The gather is
-*exact* for both executors: entry ``i`` of the gathered batch is
-bit-identical to routing ``keys[i]`` alone and looking it up in its
-shard.
-
-In process mode the router keeps its in-process shard objects as the
-*authoritative* copies: ``replace_shard`` swaps one there and
-republishes it to the worker replicas; reads fan out to the
-replicas; ``range_query`` and ``iter_keys`` scan the authoritative
-copies directly.
+the caller's positional order.  The per-shard runs execute inline,
+one after another, on the caller's thread.  The gather is *exact*:
+entry ``i`` of the gathered batch is bit-identical to routing
+``keys[i]`` alone and looking it up in its shard.
 """
 
 from __future__ import annotations
@@ -32,9 +23,7 @@ import numpy as np
 
 from ..core.exceptions import IndexStateError
 from ..indexes.base import BatchQueryStats, LearnedIndex, _as_query_array
-from ..obs.health import ReplicaHealth
 from ..obs.metrics import get_registry
-from .executor import ExecutorSpec, ProcessShardExecutor
 
 __all__ = ["RoutedBatch", "ShardRouter"]
 
@@ -70,7 +59,6 @@ class ShardRouter:
         self,
         shards: Sequence[LearnedIndex | None],
         boundaries: np.ndarray,
-        executor: ExecutorSpec | str | None = None,
     ):
         boundaries = np.asarray(boundaries, dtype=np.int64)
         if boundaries.size != len(shards) - 1:
@@ -82,17 +70,6 @@ class ShardRouter:
             raise IndexStateError("shard boundaries must be non-decreasing")
         self._shards = list(shards)
         self._boundaries = boundaries
-        self._spec = ExecutorSpec.parse(executor)
-        self._proc: ProcessShardExecutor | None = None
-        if self._spec.kind == "process":
-            self._proc = ProcessShardExecutor(self._spec, len(shards))
-            try:
-                for shard_no, shard in enumerate(self._shards):
-                    if shard is not None:
-                        self._proc.publish(shard_no, shard)
-            except BaseException:
-                self._proc.close()
-                raise
 
     # ------------------------------------------------------------------
     # Introspection
@@ -108,27 +85,6 @@ class ShardRouter:
     @property
     def boundaries(self) -> np.ndarray:
         return self._boundaries.copy()
-
-    @property
-    def executor_spec(self) -> ExecutorSpec:
-        """The resolved executor configuration serving this router."""
-        return self._spec
-
-    @property
-    def process_based(self) -> bool:
-        return self._proc is not None
-
-    def executor_report(self) -> tuple[ReplicaHealth, ...]:
-        """Per-replica health rows (empty for the serial executor)."""
-        return self._proc.health() if self._proc is not None else ()
-
-    def worker_restarts(self) -> int:
-        """Worker processes respawned after a crash or timeout."""
-        return self._proc.restarts_total() if self._proc is not None else 0
-
-    def shm_segment_names(self) -> tuple[str, ...]:
-        """Live shared-memory segment names (lifecycle tests)."""
-        return self._proc.segment_names() if self._proc is not None else ()
 
     @property
     def n_keys(self) -> int:
@@ -174,15 +130,16 @@ class ShardRouter:
         steps = np.zeros(m, dtype=np.int64)
         per_shard: list[BatchQueryStats | None] = [None] * self.n_shards
 
-        slices: dict[int, np.ndarray] = {}
         for shard_no in range(self.n_shards):
             lo, hi = int(offsets[shard_no]), int(offsets[shard_no + 1])
             if lo == hi:
                 continue
             positions = order[lo:hi]
-            if self._shards[shard_no] is None:
+            shard = self._shards[shard_no]
+            if shard is None:
                 # Empty shard: a definite miss with no structure to
-                # traverse (levels=0, steps=0 — only base_ns accrues).
+                # traverse (levels=0, steps=0 — only base_ns accrues);
+                # the gathered arrays already say so.
                 per_shard[shard_no] = BatchQueryStats(
                     keys=q[positions],
                     found=np.zeros(positions.size, dtype=bool),
@@ -191,28 +148,7 @@ class ShardRouter:
                     search_steps=np.zeros(positions.size, dtype=np.int64),
                 )
                 continue
-            slices[shard_no] = q[positions]
-        if self._proc is not None and slices:
-            # Process fan-out: ship each shard's key slice to a replica
-            # worker; the response is the shard's BatchQueryStats as
-            # bare arrays (the keys we already hold).
-            for shard_no, arrays in self._proc.lookup(list(slices.items())).items():
-                per_shard[shard_no] = BatchQueryStats(
-                    keys=slices[shard_no],
-                    found=arrays[0],
-                    values=arrays[1],
-                    levels=arrays[2],
-                    search_steps=arrays[3],
-                )
-        else:
-            for shard_no, sub in slices.items():
-                per_shard[shard_no] = self._shards[shard_no].lookup_many(sub)
-
-        for shard_no, batch in enumerate(per_shard):
-            if batch is None:
-                continue
-            lo, hi = int(offsets[shard_no]), int(offsets[shard_no + 1])
-            positions = order[lo:hi]
+            batch = per_shard[shard_no] = shard.lookup_many(q[positions])
             found[positions] = batch.found
             values[positions] = batch.values
             levels[positions] = batch.levels
@@ -260,29 +196,5 @@ class ShardRouter:
     # Lifecycle
     # ------------------------------------------------------------------
     def replace_shard(self, shard_no: int, index: LearnedIndex | None) -> None:
-        """Swap one shard's index (the service's merge path).
-
-        In process mode the new index is republished to the shard's
-        replicas (or the publication withdrawn when *index* is None);
-        a router whose executor is already closed just swaps locally,
-        so a merge run on a closed service does not crash against
-        dead workers.
-        """
-        shard_no = int(shard_no)
-        self._shards[shard_no] = index
-        if self._proc is not None and not self._proc.closed:
-            if index is None:
-                self._proc.withdraw(shard_no)
-            else:
-                self._proc.publish(shard_no, index)
-
-    def close(self) -> None:
-        """Shut the worker processes down (no-op when serial)."""
-        if self._proc is not None:
-            self._proc.close()
-
-    def __enter__(self) -> "ShardRouter":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        """Swap one shard's index (the service's merge path)."""
+        self._shards[int(shard_no)] = index

@@ -49,7 +49,6 @@ from ..indexes.base import (
 from ..obs.health import HealthReport, IMBALANCE_WARN, ShardHealth, shard_status
 from ..obs.metrics import Histogram, MetricsRegistry, get_registry
 from ..obs.tracing import trace
-from .executor import ExecutorSpec
 from .partitioner import (
     SMOOTHABLE_FAMILIES,
     ShardPlan,
@@ -331,7 +330,6 @@ class IndexService:
         values: np.ndarray | list | None = None,
         mode: str = "equi_depth",
         alpha: float | Sequence[float] | str | None = None,
-        executor: ExecutorSpec | str | None = None,
         constants: CostConstants | None = None,
         staleness_threshold: float = 0.1,
         metrics: MetricsRegistry | None = None,
@@ -339,18 +337,13 @@ class IndexService:
         flush_threshold: int = 0,
         compaction: CompactionStrategy | str | None = None,
     ) -> "IndexService":
-        """Partition → smooth → build → route, in one call.
-
-        *executor* picks the shard execution backend (an
-        :class:`~repro.serving.executor.ExecutorSpec` or one of
-        ``"serial"`` / ``"process"``).
-        """
+        """Partition → smooth → build → route, in one call."""
         consts = constants or CostConstants()
         plan = plan_shards(
             keys, n_shards, values=values, mode=mode, alpha=alpha, constants=consts
         )
         shards, __ = build_shard_indexes(plan, family, consts)
-        router = ShardRouter(shards, plan.boundaries, executor=executor)
+        router = ShardRouter(shards, plan.boundaries)
         return cls(
             router,
             family,
@@ -368,7 +361,6 @@ class IndexService:
         cls,
         store: DurableStore | str,
         constants: CostConstants | None = None,
-        executor: ExecutorSpec | str | None = None,
         staleness_threshold: float = 0.1,
         metrics: MetricsRegistry | None = None,
         flush_threshold: int = 0,
@@ -433,7 +425,7 @@ class IndexService:
                 predicted_shard_cost(k, consts) for k in shard_keys
             ),
         )
-        router = ShardRouter(shards, plan.boundaries, executor=executor)
+        router = ShardRouter(shards, plan.boundaries)
         return cls(
             router,
             manifest.family,
@@ -477,10 +469,6 @@ class IndexService:
         """Unmerged write-buffer entries per shard."""
         return tuple(len(b) for b in self._buffers)
 
-    def executor_report(self):
-        """Per-replica worker health (empty unless process-executed)."""
-        return self.router.executor_report()
-
     # ------------------------------------------------------------------
     # Runtime-store hooks (the HTTP front door's persistence points)
     # ------------------------------------------------------------------
@@ -493,10 +481,6 @@ class IndexService:
         for name, value in counters.items():
             if hasattr(self.stats, name):
                 setattr(self.stats, name, int(value))
-
-    def worker_restarts(self) -> int:
-        """Shard workers respawned after a crash or timeout."""
-        return self.router.worker_restarts()
 
     # ------------------------------------------------------------------
     # Durability (repro.store)
@@ -924,9 +908,6 @@ class IndexService:
         status = "ok"
         if any(s.status != "ok" for s in shards) or imbalance > IMBALANCE_WARN:
             status = "warn"
-        replicas = self.router.executor_report()
-        if any(not r.alive for r in replicas):
-            status = "warn"
         return HealthReport(
             shards=tuple(shards),
             merges=self.stats.merges,
@@ -937,30 +918,24 @@ class IndexService:
             ),
             cost_imbalance=imbalance,
             status=status,
-            replicas=replicas,
-            worker_restarts=self.router.worker_restarts(),
         )
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Make buffered writes durable, then stop the executor workers.
+        """Make buffered writes durable.
 
         Idempotent.  With a store attached, whatever is still buffered
         becomes a durable run, so a clean shutdown never needs the
-        HTTP op log to replay; the executor is stopped even when that
-        flush raises.  The service object stays usable for in-process
-        work afterwards (merges just swap shards locally).
+        HTTP op log to replay.  The service object stays usable for
+        in-process work afterwards.
         """
         if self._closed:
             return
         self._closed = True
-        try:
-            if self._store is not None:
-                self.flush_durable()
-        finally:
-            self.router.close()
+        if self._store is not None:
+            self.flush_durable()
 
     def __enter__(self) -> "IndexService":
         return self

@@ -23,12 +23,7 @@ __all__ = ["ServiceWorkloadReport", "run_service_workload"]
 
 @dataclass(frozen=True)
 class ServiceWorkloadReport:
-    """Outcome of one driven workload against an IndexService.
-
-    ``worker_restarts`` counts executor worker respawns over the run
-    (always 0 for serial/thread executors) — a nonzero value means the
-    process backend rode through crashes or timeouts mid-workload.
-    """
+    """Outcome of one driven workload against an IndexService."""
 
     n_reads: int
     n_writes: int
@@ -36,7 +31,6 @@ class ServiceWorkloadReport:
     read_hit_rate: float
     wall_seconds: float
     avg_simulated_ns: float
-    worker_restarts: int = 0
 
     @property
     def n_ops(self) -> int:
@@ -109,7 +103,6 @@ def run_service_workload(
         n_batches += 1
         remaining -= batch
     wall = time.perf_counter() - start
-    restarts = getattr(service, "worker_restarts", lambda: 0)()
     return ServiceWorkloadReport(
         n_reads=n_reads,
         n_writes=n_writes,
@@ -117,5 +110,4 @@ def run_service_workload(
         read_hit_rate=hits / n_reads if n_reads else 0.0,
         wall_seconds=wall,
         avg_simulated_ns=total_ns / n_reads if n_reads else 0.0,
-        worker_restarts=int(restarts),
     )

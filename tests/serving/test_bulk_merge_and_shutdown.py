@@ -16,6 +16,7 @@ import pytest
 
 from repro.indexes.base import LearnedIndex
 from repro.serving.service import UPDATABLE_FAMILIES, IndexService
+from repro.store import DurableStore
 
 
 def _seed_keys(rng, n=3_000):
@@ -90,23 +91,25 @@ class TestMergeViaBulk:
 
 
 class TestShutdown:
-    def test_close_is_idempotent(self, rng):
+    def test_close_is_idempotent(self, rng, tmp_path):
         keys = _seed_keys(rng, 1_500)
         service = IndexService.build(
-            keys, family="btree", n_shards=2, staleness_threshold=0.05,
+            keys, family="btree", n_shards=2, staleness_threshold=10.0,
+            store=DurableStore(tmp_path / "data"),
         )
         service.insert_many(rng.integers(0, 10**7, 500))
-        closes = []
-        real_close = service.router.close
+        flushes = []
+        real_flush = service.flush_durable
 
-        def counting_close():
-            closes.append(1)
-            real_close()
+        def counting_flush():
+            flushes.append(1)
+            return real_flush()
 
-        service.router.close = counting_close
+        service.flush_durable = counting_flush
         service.close()
+        assert service.stats.flushed_keys == sum(service.buffered_counts()) > 0
         service.close()  # second close: a no-op
-        assert len(closes) == 1
+        assert len(flushes) == 1
 
     def test_flush_after_close_still_merges_synchronously(self, rng):
         """Late writes after close still buffer and merge (the

@@ -30,16 +30,14 @@ def service_fixture(rng, family, **kwargs):
     return keys, queries, service
 
 
-# The serial executor is the oracle; process-executor parity against
-# it lives in test_executor.py.  The one-valued axis keeps these ids
-# (``[serial-<family>]``) what they were beside the thread executor.
+# Shard work runs inline; the one-valued axis only keeps these ids
+# (``[serial-<family>]``) what they were beside the thread and process
+# executors, so the test floor still names them.
 @pytest.mark.parametrize("family", ALL_FAMILIES)
-@pytest.mark.parametrize("executor", ["serial"])
+@pytest.mark.parametrize("execution", ["serial"])
 class TestScatterGatherParity:
-    def test_matches_monolithic_and_per_key(self, rng, family, executor):
-        keys, queries, service = service_fixture(
-            rng, family, n_shards=4, executor=executor
-        )
+    def test_matches_monolithic_and_per_key(self, rng, family, execution):
+        keys, queries, service = service_fixture(rng, family, n_shards=4)
         with service:
             mono = INDEX_FAMILIES[family].build(keys)
             reference = mono.lookup_many(queries)
@@ -60,10 +58,8 @@ class TestScatterGatherParity:
                 assert stat.levels == int(batch.levels[i])
                 assert stat.search_steps == int(batch.search_steps[i])
 
-    def test_per_shard_ns_sums_to_total(self, rng, family, executor):
-        keys, queries, service = service_fixture(
-            rng, family, n_shards=4, executor=executor
-        )
+    def test_per_shard_ns_sums_to_total(self, rng, family, execution):
+        keys, queries, service = service_fixture(rng, family, n_shards=4)
         with service:
             routed = service.router.lookup_many(queries)
             per_shard_total = sum(

@@ -139,8 +139,19 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "removed",
-        [["--cache-blocks", "1"], ["--threads", "2"], ["--executor", "thread"]],
-        ids=["cache-blocks", "threads", "executor-thread"],
+        [
+            ["--cache-blocks", "1"],
+            ["--threads", "2"],
+            ["--executor", "thread"],
+            ["--executor", "process"],
+            ["--workers", "2"],
+            ["--replicas", "2"],
+            ["--timeout-s", "5"],
+        ],
+        ids=[
+            "cache-blocks", "threads", "executor-thread",
+            "executor-process", "workers", "replicas", "timeout-s",
+        ],
     )
     def test_serve_rejects_removed_flags(self, removed, capsys):
         with pytest.raises(SystemExit) as exc:
