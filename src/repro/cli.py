@@ -273,6 +273,7 @@ def _cmd_csv(args: argparse.Namespace) -> int:
                 ["alpha", row.alpha],
                 ["height", f"{row.height_before} -> {row.height_after}"],
                 ["promoted keys", f"{row.promoted_keys} ({row.promoted_pct:.1f}% of promotable)"],
+                ["demoted keys", row.demoted_keys],
                 ["query improvement", f"{row.query_improvement_pct:.1f}%"],
                 ["total time saved", f"{row.total_time_saved_ns:,.0f} sim-ns"],
                 ["storage change", f"{row.storage_increase_pct:+.1f}%"],

@@ -73,8 +73,12 @@ class CsvAdapter(Protocol):
         """
         ...
 
-    def rebuild(self, handle: Any, smoothing: SmoothingResult, collected: tuple) -> int:
-        """Replace the subtree with a merged node; return promoted keys."""
+    def rebuild(
+        self, handle: Any, smoothing: SmoothingResult, collected: tuple
+    ) -> tuple[int, int]:
+        """Replace the subtree with a merged node; return how many of
+        its keys now sit at a shallower level (promoted) and how many
+        at a deeper one (demoted)."""
         ...
 
 
@@ -111,6 +115,10 @@ class CsvNodeRecord:
     cost_delta: float
     rebuilt: bool
     promoted_keys: int
+    #: Keys the merged node's own conflicts pushed a level *down*
+    #: (``level_after > level_before``); the paper counts only the
+    #: promoted ones.
+    demoted_keys: int
 
 
 @dataclass
@@ -134,6 +142,10 @@ class CsvReport:
         return sum(r.promoted_keys for r in self.records if r.rebuilt)
 
     @property
+    def keys_demoted(self) -> int:
+        return sum(r.demoted_keys for r in self.records if r.rebuilt)
+
+    @property
     def virtual_points_inserted(self) -> int:
         return sum(r.n_virtual for r in self.records if r.rebuilt)
 
@@ -143,6 +155,7 @@ class CsvReport:
             "nodes_examined": self.nodes_examined,
             "nodes_rebuilt": self.nodes_rebuilt,
             "keys_promoted": self.keys_promoted,
+            "keys_demoted": self.keys_demoted,
             "virtual_points": self.virtual_points_inserted,
             "preprocessing_seconds": self.preprocessing_seconds,
         }
@@ -189,7 +202,7 @@ def _examine(
     smoothing = smooth_keys(keys, alpha=cfg.alpha)
     delta = adapter.cost_delta(handle, smoothing)
     rebuilt = delta < cfg.cost_threshold
-    promoted = adapter.rebuild(handle, smoothing, collected) if rebuilt else 0
+    promoted, demoted = adapter.rebuild(handle, smoothing, collected) if rebuilt else (0, 0)
     report.records.append(
         CsvNodeRecord(
             level=level,
@@ -200,6 +213,7 @@ def _examine(
             cost_delta=float(delta),
             rebuilt=rebuilt,
             promoted_keys=int(promoted),
+            demoted_keys=int(demoted),
         )
     )
     return rebuilt

@@ -69,6 +69,9 @@ class CsvExperimentRow:
     alpha: float
     promotable_keys: int
     promoted_keys: int
+    #: Keys CSV's merged nodes pushed a level down (``CsvReport.
+    #: keys_demoted``); the paper's metrics count promoted keys only.
+    demoted_keys: int
     promoted_pct: float
     avg_query_ns_before: float
     avg_query_ns_after: float
@@ -151,6 +154,7 @@ def run_csv_experiment(
         alpha=config.alpha,
         promotable_keys=len(promotable),
         promoted_keys=int(promoted.size),
+        demoted_keys=report.keys_demoted,
         promoted_pct=promoted_pct,
         avg_query_ns_before=avg_before,
         avg_query_ns_after=avg_after,

@@ -68,10 +68,13 @@ class LippCsvAdapter:
         """Loss change (Section 5.1: the loss *is* the condition)."""
         return smoothing.final_loss - smoothing.original_loss
 
-    def rebuild(self, handle: LippNode, smoothing: SmoothingResult, collected: tuple) -> int:
-        """Replace the subtree with one smoothed node; count promotions."""
+    def rebuild(
+        self, handle: LippNode, smoothing: SmoothingResult, collected: tuple
+    ) -> tuple[int, int]:
+        """Replace the subtree with one smoothed node; count the keys
+        it promoted and the keys it demoted."""
         keys, values, levels_before = collected
-        merged = LippNode.from_keys(
+        merged, levels_after = LippNode.from_keys_leveled(
             keys,
             values,
             level=handle.level,
@@ -81,8 +84,11 @@ class LippCsvAdapter:
         )
         merged.virtual_slots = smoothing.n_virtual
         self._attach(handle, merged)
-        # Same key set on both sides, so the sorted orders align.
-        return int(np.count_nonzero(merged.collect_leveled()[2] < levels_before))
+        # Both level arrays parallel the same sorted key set.
+        return (
+            int(np.count_nonzero(levels_after < levels_before)),
+            int(np.count_nonzero(levels_after > levels_before)),
+        )
 
     def _attach(self, old: LippNode, new: LippNode) -> None:
         parent = old.parent
@@ -93,6 +99,12 @@ class LippCsvAdapter:
         parent.children[slot] = new
         new.parent = parent
         new.parent_slot = slot
+        # The replaced subtree is garbage, but cyclic (child.parent <->
+        # node.children): cut the parent links so it is freed here, by
+        # reference count, not by a later pass of the cycle collector.
+        for node in old.walk():
+            for child in node.children.values():
+                child.parent = None
         # Direct tree surgery: the index's compiled flat view no
         # longer matches the structure.
         self.index.invalidate_flat()
@@ -162,8 +174,11 @@ class AlexCsvAdapter:
         )
         return cost_after - cost_before
 
-    def rebuild(self, handle: AlexInnerNode, smoothing: SmoothingResult, collected: tuple) -> int:
-        """Replace the subtree with one gapped data node; count promotions."""
+    def rebuild(
+        self, handle: AlexInnerNode, smoothing: SmoothingResult, collected: tuple
+    ) -> tuple[int, int]:
+        """Replace the subtree with one gapped data node; count
+        promotions (the merge only lifts keys: none is demoted)."""
         keys, values = collected
         promoted = 0
         for node in handle.walk():
@@ -195,7 +210,7 @@ class AlexCsvAdapter:
             raise IndexStateError("CSV never rebuilds the root node")
         assert handle.parent_slot is not None
         parent.attach(handle.parent_slot, merged)
-        return promoted
+        return promoted, 0
 
 
 def adapter_for(index, constants: CostConstants | None = None):

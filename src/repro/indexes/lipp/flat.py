@@ -35,14 +35,19 @@ Python-object walk per node.  The same ``locate`` sweep drives the
 in-place gapped bulk merge in
 :meth:`~repro.indexes.lipp.index.LippIndex.bulk_insert_many`.
 
-**Buffer sharing.**  ``compile`` does not *copy* the tree: after
-concatenating the slot arrays it re-points every node's
-``slot_type`` / ``slot_keys`` / ``slot_values`` at views into the big
-buffers.  The node objects remain the authoritative mutable structure,
-and any in-place slot write (an EMPTY slot filled by ``insert``, a
-DATA value overwritten) is immediately visible to the flat view with
-no invalidation.  Only *structural* changes — a conflict child
-created, a subtree rebuilt, a hot subtree flattened — stale the
+**Buffer sharing.**  Before ``compile`` a node's slot arrays are views
+into whatever built it — the per-level buffer of a
+:meth:`~repro.indexes.lipp.node.LippNode.from_keys` build, or the
+previous flat view's buffers.  ``compile`` walks the tree once
+(breadth-first, collecting one ``(parent id, slot, child id)`` triple
+per CHILD slot, scattered into ``slot_child`` in one assignment),
+concatenates the slot arrays into buffers the new view owns, and
+re-points every node's ``slot_type`` / ``slot_keys`` / ``slot_values``
+at views into them.  The node objects remain the authoritative
+mutable structure, and any in-place slot write (an EMPTY slot filled
+by ``insert``, a DATA value overwritten) is immediately visible to the
+flat view with no invalidation.  Only *structural* changes — a conflict
+child created, a subtree rebuilt, a hot subtree flattened — stale the
 compiled mapping; the index invalidates and lazily recompiles.
 ``StaleFlatError`` is the safety net for structural edits that bypass
 the index API (tests performing direct tree surgery must call
@@ -117,76 +122,65 @@ class FlatLipp:
         nodes = flat.nodes
         leaves = flat.leaves
         nodes.append(root)
-        node_of: dict[int, int] = {id(root): 0}
+        # One (parent id, slot, child id) triple per CHILD slot; a
+        # flattened leaf's child id is its encoded index in ``leaves``.
+        link_parent: list[int] = []
+        link_slot: list[int] = []
+        link_child: list[int] = []
+        level: list[int] = []
+        a: list[float] = []
+        b: list[float] = []
+        c: list[float] = []
+        pivot: list[int] = []
         # BFS: children are appended strictly after their parents, so
         # node ids are level-ordered and each level is contiguous.
-        head = 0
-        while head < len(nodes):
-            node = nodes[head]
-            head += 1
-            if not isinstance(node.model, (LinearModel, QuadraticModel)):
-                raise IndexStateError(
-                    f"cannot compile a {type(node.model).__name__} node model"
-                )
-            for __, child in sorted(node.children.items()):
-                if _leaf_like(child):
-                    continue  # registered while emitting slot_child
-                node_of[id(child)] = len(nodes)
-                nodes.append(child)
-        n_nodes = len(nodes)
-        level = np.empty(n_nodes, dtype=np.int64)
-        a = np.zeros(n_nodes, dtype=np.float64)
-        b = np.empty(n_nodes, dtype=np.float64)
-        c = np.empty(n_nodes, dtype=np.float64)
-        pivot = np.empty(n_nodes, dtype=np.int64)
-        slot_start = np.empty(n_nodes + 1, dtype=np.int64)
-        type_parts: list[np.ndarray] = []
-        key_parts: list[np.ndarray] = []
-        val_parts: list[np.ndarray] = []
-        child_parts: list[np.ndarray] = []
-        offset = 0
-        for i, node in enumerate(nodes):
-            level[i] = node.level
+        for head, node in enumerate(nodes):
             model = node.model
-            if isinstance(model, QuadraticModel):
-                a[i] = model.a
-                b[i] = model.b
-                c[i] = model.c
+            if isinstance(model, LinearModel):
+                a.append(0.0)
+                b.append(model.slope)
+                c.append(model.intercept)
+            elif isinstance(model, QuadraticModel):
+                a.append(model.a)
+                b.append(model.b)
+                c.append(model.c)
             else:
-                b[i] = model.slope
-                c[i] = model.intercept
-            pivot[i] = model.pivot
-            m = node.m
-            slot_start[i] = offset
-            offset += m
-            type_parts.append(node.slot_type)
-            key_parts.append(node.slot_keys)
-            val_parts.append(node.slot_values)
-            child = np.full(m, NO_CHILD, dtype=np.int64)
-            for slot, sub in node.children.items():
-                if _leaf_like(sub):
-                    child[slot] = FLAT_LEAF_BASE - len(leaves)
-                    leaves.append(sub)
+                raise IndexStateError(
+                    f"cannot compile a {type(model).__name__} node model"
+                )
+            pivot.append(model.pivot)
+            level.append(node.level)
+            if not node.children:
+                continue
+            for slot, child in sorted(node.children.items()):
+                link_parent.append(head)
+                link_slot.append(slot)
+                if _leaf_like(child):
+                    link_child.append(FLAT_LEAF_BASE - len(leaves))
+                    leaves.append(child)
                 else:
-                    child[slot] = node_of[id(sub)]
-            child_parts.append(child)
-        slot_start[n_nodes] = offset
-        flat.node_level = level
-        flat.node_a = a
-        flat.node_b = b
-        flat.node_c = c
-        flat.node_pivot = pivot
+                    link_child.append(len(nodes))
+                    nodes.append(child)
+        flat.node_level = np.asarray(level, dtype=np.int64)
+        flat.node_a = np.asarray(a, dtype=np.float64)
+        flat.node_b = np.asarray(b, dtype=np.float64)
+        flat.node_c = np.asarray(c, dtype=np.float64)
+        flat.node_pivot = np.asarray(pivot, dtype=np.int64)
+        slot_start = np.zeros(len(nodes) + 1, dtype=np.int64)
+        np.cumsum([node.slot_type.size for node in nodes], out=slot_start[1:])
         flat.slot_start = slot_start
-        flat.slot_type = np.concatenate(type_parts) if type_parts else np.empty(0, np.uint8)
-        flat.slot_keys = np.concatenate(key_parts) if key_parts else np.empty(0, np.int64)
-        flat.slot_values = np.concatenate(val_parts) if val_parts else np.empty(0, np.int64)
-        flat.slot_child = np.concatenate(child_parts) if child_parts else np.empty(0, np.int64)
+        flat.slot_type = np.concatenate([node.slot_type for node in nodes])
+        flat.slot_keys = np.concatenate([node.slot_keys for node in nodes])
+        flat.slot_values = np.concatenate([node.slot_values for node in nodes])
+        flat.slot_child = np.full(int(slot_start[-1]), NO_CHILD, dtype=np.int64)
+        if link_child:
+            flat.slot_child[slot_start[link_parent] + link_slot] = link_child
         # Re-point every node's slot arrays at views into the shared
         # buffers: in-place slot writes through the node API stay
         # visible to the flat view with no recompile.
+        bounds = slot_start.tolist()
         for i, node in enumerate(nodes):
-            base = int(slot_start[i])
-            end = int(slot_start[i + 1])
+            base, end = bounds[i], bounds[i + 1]
             node.slot_type = flat.slot_type[base:end]
             node.slot_keys = flat.slot_keys[base:end]
             node.slot_values = flat.slot_values[base:end]
@@ -352,6 +346,20 @@ class FlatLipp:
         data_slots = np.nonzero(self.slot_type == SLOT_DATA)[0]
         node_of = np.searchsorted(self.slot_start, data_slots, side="right") - 1
         return data_slots, node_of
+
+    def entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every stored key with its value, as arrays in key order —
+        one masked gather over the DATA slots plus the flattened
+        leaves' dense arrays, and one argsort."""
+        data_slots = np.flatnonzero(self.slot_type == SLOT_DATA)
+        keys = np.concatenate(
+            [self.slot_keys[data_slots], *(leaf.keys for leaf in self.leaves)]
+        )
+        values = np.concatenate(
+            [self.slot_values[data_slots], *(leaf.values for leaf in self.leaves)]
+        )
+        order = np.argsort(keys, kind="stable")
+        return keys[order], values[order]
 
     def level_histogram(self) -> dict[int, int]:
         """Keys stored per level — one bincount over the DATA slots."""

@@ -12,16 +12,37 @@ Model choice at build time follows LIPP's FMCD idea in simplified
 form: an OLS fit over the keys' ranks, scaled to the slot count, with
 a min-max (endpoint interpolation) fallback whenever the OLS model
 would dump every key into a single slot (which would not terminate).
+
+**Frontier build.**  LIPP builds top-down by conflict groups, and every
+conflict group is a contiguous run of the one sorted key array.  A
+level of the tree is therefore a list of segments over that array, and
+:meth:`LippNode.from_keys` builds the tree one level per
+:func:`_layout_level` call — fit every segment, predict and clamp every
+key, scatter the keys that landed alone, hand the colliding runs on as
+the next level's segments — instead of one Python call per node (a
+10k-key shard has ~2,900 nodes, two thirds of them two-key conflict
+children, on five levels).  The tree is the one the per-node build
+produced, bit for bit; ``tests/indexes/test_lipp_build_parity.py``
+keeps that build as its oracle.
+
+**Who owns the slots.**  :func:`_layout_level` allocates one slot buffer
+per level and the level's nodes are created as views into it, so a
+freshly built tree owns no per-node arrays.  ``FlatLipp.compile``
+concatenates the nodes' slots into the flat view's buffers and
+re-points every node at those (see :mod:`~repro.indexes.lipp.flat`);
+the level buffers are dropped with their last view.  Either way a
+node's ``slot_type`` / ``slot_keys`` / ``slot_values`` are live,
+writable arrays: an in-place write through the node is never lost.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Iterator
+import math
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from ...core.linear_model import LinearModel, fit_linear
+from ...core.linear_model import LinearModel
 
 __all__ = ["SLOT_EMPTY", "SLOT_DATA", "SLOT_CHILD", "LippNode"]
 
@@ -38,15 +59,191 @@ DEFAULT_SLOT_FACTOR = 1.0
 MIN_SLOTS = 2
 
 
-def _fallback_model(keys: np.ndarray, m: int) -> LinearModel:
-    """Endpoint interpolation: first key → slot 0, last key → slot m-1.
+#: Key spans from here up are not exact in float64, so a conflict
+#: pair that wide takes its slope from Python's exact int division.
+_EXACT_FLOAT_SPAN = 1 << 53
 
-    Guarantees at least two distinct predicted slots for n >= 2 keys,
-    so recursion on conflict groups strictly shrinks.
+
+class _Level(NamedTuple):
+    """One laid-out level: its nodes' models and slots, and what is left."""
+
+    #: Per segment (= per node of this level).
+    models: list
+    #: The level's slot buffer; node ``i`` owns
+    #: ``[slot_bounds[i], slot_bounds[i + 1])`` of each array.
+    slot_type: np.ndarray
+    slot_keys: np.ndarray
+    slot_values: np.ndarray
+    slot_bounds: list[int]
+    #: Indexes (into the level's keys) of the keys stored at this level.
+    placed: np.ndarray
+    #: Mask of the keys that collided; they are the next level's keys,
+    #: cut into segments of ``next_counts`` keys, segment ``j`` hanging
+    #: off slot ``next_slot[j]`` of this level's node ``next_parent[j]``.
+    unplaced: np.ndarray
+    next_counts: np.ndarray
+    next_parent: list[int]
+    next_slot: list[int]
+
+
+def _empty_slots(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(slot_type, slot_keys, slot_values)`` of *m* EMPTY slots."""
+    return (
+        np.zeros(m, dtype=np.uint8),
+        np.zeros(m, dtype=np.int64),
+        np.zeros(m, dtype=np.int64),
+    )
+
+
+def _fit_segments(
+    lk: np.ndarray, starts: np.ndarray, counts: np.ndarray, slots: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``fit_linear(segment).scaled((m - 1) / (n - 1))`` of every
+    segment at once, as ``(slope, intercept)`` arrays (the pivot is the
+    segment's first key).
+
+    Bit-for-bit the per-segment fit: two keys reduce analytically to
+    endpoint interpolation; longer segments are stacked by length and
+    fitted row-wise with the same reductions ``fit_linear`` uses — a
+    pairwise ``mean`` per row, and ``np.dot`` per row (which is what
+    ``matmul`` runs for a ``(1, n) @ (n, 1)`` product; ``einsum`` or
+    ``(x * x).sum`` accumulate in another order).
     """
-    span = float(int(keys[-1]) - int(keys[0]))
-    slope = (m - 1) / span
-    return LinearModel(slope, 0.0, pivot=int(keys[0]))
+    top = slots - 1
+    slope = np.zeros(counts.size)
+    intercept = np.zeros(counts.size)
+    pair = (counts == 2).nonzero()[0]
+    if pair.size:
+        first = lk[starts[pair]]
+        last = lk[starts[pair] + 1]
+        span = last.view(np.uint64) - first.view(np.uint64)
+        slope[pair] = top[pair] / span.astype(np.float64)
+        for i in (span >= _EXACT_FLOAT_SPAN).nonzero()[0].tolist():
+            slope[pair[i]] = int(top[pair[i]]) / (int(last[i]) - int(first[i]))
+    longer = (counts >= 3).nonzero()[0]
+    if longer.size:
+        by_length = longer[np.argsort(counts[longer], kind="stable")]
+        lengths = counts[by_length]
+        cuts = [0, *((lengths[1:] != lengths[:-1]).nonzero()[0] + 1).tolist(), longer.size]
+        for group_start, group_end in zip(cuts, cuts[1:]):
+            rows = by_length[group_start:group_end]
+            length = int(lengths[group_start])
+            first = starts[rows]
+            t = lk[first[:, None] + np.arange(length)] - lk[first][:, None]
+            t = t.astype(np.float64)
+            # ``mean`` spelled as the sum and division it is (its Python
+            # wrapper costs more than the reduction on a short row); the
+            # mean of ranks 0..n-1 is (n - 1) / 2 exactly.
+            t_mean = np.add.reduce(t, axis=1) / length
+            y_mean = (length - 1) / 2
+            tc = t - t_mean[:, None]
+            yc = np.arange(length, dtype=np.float64) - y_mean
+            var = (tc[:, None, :] @ tc[:, :, None])[:, 0, 0]
+            cov = (tc[:, None, :] @ yc[None, :, None])[:, 0, 0]
+            # Equal keys cannot reach here, but distinct keys beyond
+            # 2**53 apart can round to one float: a constant model,
+            # which the caller's degenerate-model fallback replaces.
+            fitted = np.divide(cov, var, out=np.zeros_like(cov), where=var != 0.0)
+            scale = top[rows] / (length - 1)
+            slope[rows] = fitted * scale
+            intercept[rows] = (y_mean - fitted * t_mean) * scale
+    return slope, intercept
+
+
+def _clamped_slots(raw: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """``clip(round(raw), 0, top)`` as int64 slots."""
+    return np.minimum(np.maximum(np.rint(raw).astype(np.int64), 0), top)
+
+
+def _layout_level(
+    lk: np.ndarray,
+    lv: np.ndarray,
+    counts: np.ndarray,
+    slots: np.ndarray,
+    model: LinearModel | None,
+) -> _Level:
+    """Lay out every node of one level in one pass.
+
+    *lk* (sorted, with values *lv*) is the level's segments back to
+    back; segment ``i``, the next ``counts[i]`` keys, becomes a node of
+    ``slots[i]`` slots.  *model* is a caller-chosen model for a level that is one
+    segment (a CSV rebuild's root); otherwise every segment is fitted.
+    Each key is predicted and clamped, segments whose model puts all
+    their keys in one slot fall back to endpoint interpolation (first
+    key -> slot 0, last -> slot m-1: two or more distinct slots, so the
+    next level's segments are strictly smaller), runs of one key are
+    written into the level's slot buffer with one scatter, and longer
+    runs are returned as the next level's segments.
+    """
+    n_segs = int(counts.size)
+    starts = np.cumsum(counts) - counts
+    seg_of = np.repeat(np.arange(n_segs), counts)
+    top = slots - 1
+    if model is None:
+        pivot = lk[starts]
+        slope, intercept = _fit_segments(lk, starts, counts, slots)
+        raw = slope[seg_of] * (lk - pivot[seg_of]).astype(np.float64) + intercept[seg_of]
+    else:
+        raw = model.predict_array(lk)
+    predicted = _clamped_slots(raw, top[seg_of])
+    if model is None:
+        # A fitted pair sits at its node's two ends by construction.
+        pair = (counts == 2).nonzero()[0]
+        predicted[starts[pair]] = 0
+        predicted[starts[pair] + 1] = top[pair]
+    same_slot = np.minimum.reduceat(predicted, starts) == np.maximum.reduceat(predicted, starts)
+    degenerate = (same_slot & (counts >= 2)).nonzero()[0]
+    if degenerate.size:
+        if model is not None:
+            slope, intercept, pivot = np.zeros(1), np.zeros(1), np.zeros(1, dtype=np.int64)
+            model = None
+        first = lk[starts[degenerate]]
+        last = lk[starts[degenerate] + counts[degenerate] - 1]
+        span = (last.view(np.uint64) - first.view(np.uint64)).astype(np.float64)
+        slope[degenerate] = top[degenerate] / span
+        intercept[degenerate] = 0.0
+        pivot[degenerate] = first
+        redo = np.zeros(n_segs, dtype=bool)
+        redo[degenerate] = True
+        redo = redo[seg_of].nonzero()[0]
+        seg = seg_of[redo]
+        raw = slope[seg] * (lk[redo] - pivot[seg]).astype(np.float64) + intercept[seg]
+        predicted[redo] = _clamped_slots(raw, top[seg])
+    if model is None:
+        models = [
+            LinearModel(*coefficients)
+            for coefficients in zip(slope.tolist(), intercept.tolist(), pivot.tolist())
+        ]
+    else:
+        models = [model]
+    # Consecutive keys sharing a slot form a run (segments own disjoint
+    # slot ranges, so a run never spans two of them).
+    bounds = np.concatenate(([0], np.cumsum(slots)))
+    gslot = bounds[seg_of] + predicted
+    run_edge = np.concatenate(([0], (gslot[1:] != gslot[:-1]).nonzero()[0] + 1, [lk.size]))
+    run_start = run_edge[:-1]
+    run_len = run_edge[1:] - run_start
+    single = run_len == 1
+    slot_type, slot_keys, slot_values = _empty_slots(int(bounds[-1]))
+    placed = run_start[single]
+    at = gslot[placed]
+    slot_type[at] = SLOT_DATA
+    slot_keys[at] = lk[placed]
+    slot_values[at] = lv[placed]
+    conflict = run_start[~single]
+    slot_type[gslot[conflict]] = SLOT_CHILD
+    return _Level(
+        models=models,
+        slot_type=slot_type,
+        slot_keys=slot_keys,
+        slot_values=slot_values,
+        slot_bounds=bounds.tolist(),
+        placed=placed,
+        unplaced=np.repeat(~single, run_len),
+        next_counts=run_len[~single],
+        next_parent=seg_of[conflict].tolist(),
+        next_slot=predicted[conflict].tolist(),
+    )
 
 
 class LippNode:
@@ -67,16 +264,27 @@ class LippNode:
         "access_count",
     )
 
-    def __init__(self, m: int, model: LinearModel, level: int):
+    def __init__(
+        self,
+        model: LinearModel,
+        level: int,
+        slot_type: np.ndarray,
+        slot_keys: np.ndarray,
+        slot_values: np.ndarray,
+        n_subtree_keys: int,
+    ):
         self.model = model
-        self.slot_type = np.zeros(m, dtype=np.uint8)
-        self.slot_keys = np.zeros(m, dtype=np.int64)
-        self.slot_values = np.zeros(m, dtype=np.int64)
+        #: Three parallel slot arrays.  They are *views*: into the
+        #: per-level buffer of the build that created the node, and,
+        #: once the tree is compiled, into the flat view's buffers.
+        self.slot_type = slot_type
+        self.slot_keys = slot_keys
+        self.slot_values = slot_values
         self.children: dict[int, "LippNode"] = {}
         self.level = level
         self.parent: "LippNode | None" = None
         self.parent_slot: int | None = None
-        self.n_subtree_keys = 0
+        self.n_subtree_keys = n_subtree_keys
         #: Slots that exist because of CSV virtual points (gap budget).
         self.virtual_slots = 0
         #: Insert-time conflicts accumulated since this node was built;
@@ -99,109 +307,100 @@ class LippNode:
         m: int | None = None,
         model: LinearModel | None = None,
     ) -> "LippNode":
-        """Build a node (and conflict children) over level frontiers.
+        """Build a node (and conflict children) from sorted unique keys.
 
         With *m*/*model* given, the caller controls the root layout —
         this is how CSV rebuilds install the smoothed model over an
-        array sized to the smoothed point set.  Construction is an
-        explicit breadth-first worklist: every node lays out its whole
-        key run with vectorised grouping, and conflict runs are queued
-        as the next level's frontier instead of recursing — bounded
-        stack depth on adversarially deep conflict chains, and the
-        natural emission order for the level-ordered flat compile.
+        array sized to the smoothed point set.
         """
-        root, pending = cls._layout(keys, values, level, slot_factor, m, model)
-        frontier = deque(pending)
-        while frontier:
-            parent, slot, group_keys, group_values = frontier.popleft()
-            child, sub_pending = cls._layout(
-                group_keys, group_values, parent.level + 1, slot_factor, None, None
-            )
-            child.parent = parent
-            child.parent_slot = slot
-            parent.slot_type[slot] = SLOT_CHILD
-            parent.children[slot] = child
-            frontier.extend(sub_pending)
-        return root
+        if model is None and keys.size == 2:
+            # A lone conflict pair (the child every colliding per-key
+            # ``insert`` makes): the layout is known without a fit —
+            # first key -> slot 0, last -> slot m-1 — so skip the level
+            # pass.  It lays a pair out identically.
+            if m is None:
+                m = max(MIN_SLOTS, math.ceil(2 * slot_factor))
+            k0 = int(keys[0])
+            slot_type, slot_keys, slot_values = _empty_slots(m)
+            slot_type[0] = slot_type[m - 1] = SLOT_DATA
+            slot_keys[0] = k0
+            slot_keys[m - 1] = keys[1]
+            slot_values[0] = values[0]
+            slot_values[m - 1] = values[1]
+            pair_model = LinearModel((m - 1) / (int(keys[1]) - k0), 0.0, k0)
+            return cls(pair_model, level, slot_type, slot_keys, slot_values, 2)
+        return cls.from_keys_leveled(keys, values, level, slot_factor, m, model)[0]
 
     @classmethod
-    def _layout(
+    def from_keys_leveled(
         cls,
         keys: np.ndarray,
         values: np.ndarray,
         level: int,
-        slot_factor: float,
-        m: int | None,
-        model: LinearModel | None,
-    ) -> tuple["LippNode", list]:
-        """Lay out one node; conflict runs are returned, not built.
+        slot_factor: float = DEFAULT_SLOT_FACTOR,
+        m: int | None = None,
+        model: LinearModel | None = None,
+    ) -> tuple["LippNode", np.ndarray]:
+        """:meth:`from_keys`, plus the level each key is stored at
+        (parallel to *keys*).
 
-        Returns ``(node, pending)`` where each pending entry is
-        ``(node, slot, keys, values)`` — a conflict group the caller
-        must attach as a child.
+        The tree is built one level at a time.  Every conflict group is
+        a contiguous run of the sorted *keys*, so a level is a list of
+        segments that :func:`_layout_level` fits, places and splits in
+        one numpy pass; the runs it could not place are the next
+        level's segments.  Nothing recurses, so the stack stays flat on
+        adversarially deep conflict chains, and the work per level is a
+        fixed number of array operations however many nodes it holds.
         """
         n = int(keys.size)
         if m is None:
-            m = max(MIN_SLOTS, int(np.ceil(n * slot_factor)))
-        if model is None and n == 2:
-            # Conflict pairs are the bulk of all child builds; the OLS
-            # fit over two ranks reduces analytically to endpoint
-            # interpolation (first key -> slot 0, last -> slot m-1),
-            # so skip the generic fit/predict/group machinery.  The
-            # resulting layout is identical to the generic path's.
-            k0 = int(keys[0])
-            span = int(keys[1]) - k0
-            node = cls(m, LinearModel((m - 1) / span, 0.0, pivot=k0), level)
-            node.n_subtree_keys = 2
-            node.slot_type[0] = SLOT_DATA
-            node.slot_keys[0] = keys[0]
-            node.slot_values[0] = values[0]
-            node.slot_type[m - 1] = SLOT_DATA
-            node.slot_keys[m - 1] = keys[1]
-            node.slot_values[m - 1] = values[1]
-            return node, []
-        if model is None:
-            if n <= 1:
-                # Zero or one key: constant model (the n == 0 case is
-                # the empty-index bulk-load seed; fit_linear rejects
-                # empty inputs).
-                model = LinearModel(0.0, 0.0)
-            else:
-                scaled = fit_linear(keys).scaled((m - 1) / max(n - 1, 1))
-                model = scaled
-        node = cls(m, model, level)
-        node.n_subtree_keys = n
+            m = max(MIN_SLOTS, math.ceil(n * slot_factor))
+        if model is None and n <= 1:
+            # Zero or one key: constant model (the n == 0 case is the
+            # empty-index bulk-load seed; an OLS fit needs two keys).
+            model = LinearModel(0.0, 0.0)
         if n == 0:
-            return node, []
-        predicted = np.clip(
-            np.round(model.predict_array(keys)).astype(np.int64), 0, m - 1
-        )
-        if n >= 2 and np.all(predicted == predicted[0]):
-            # Degenerate model: every key in one slot.  Fall back to
-            # min-max interpolation (two or more distinct slots).
-            node.model = _fallback_model(keys, m)
-            predicted = np.clip(
-                np.round(node.model.predict_array(keys)).astype(np.int64), 0, m - 1
-            )
-        # Group consecutive keys sharing a predicted slot.  Runs of
-        # one key (the common case) are written with a single scatter;
-        # only conflict runs become next-frontier children.
-        boundaries = np.nonzero(np.diff(predicted))[0] + 1
-        starts = np.concatenate([[0], boundaries])
-        ends = np.concatenate([boundaries, [n]])
-        single = (ends - starts) == 1
-        if np.any(single):
-            s_starts = starts[single]
-            s_slots = predicted[s_starts]
-            node.slot_type[s_slots] = SLOT_DATA
-            node.slot_keys[s_slots] = keys[s_starts]
-            node.slot_values[s_slots] = values[s_starts]
-        multi = ~single
-        pending = [
-            (node, int(predicted[start]), keys[start:end], values[start:end])
-            for start, end in zip(starts[multi].tolist(), ends[multi].tolist())
-        ]
-        return node, pending
+            return cls(model, level, *_empty_slots(m), 0), np.empty(0, dtype=np.int64)
+        key_level = np.empty(n, dtype=np.int64)
+        #: The frontier: ``lk`` holds the level's segments back to back,
+        #: ``counts[i]`` keys each; ``where`` maps ``lk`` back into *keys*.
+        lk, lv, where = keys, values, np.arange(n)
+        counts = np.asarray([n], dtype=np.int64)
+        slots = np.asarray([m], dtype=np.int64)
+        root: LippNode | None = None
+        parents: list[LippNode] = []
+        parent_of: list[int] = []
+        parent_slot: list[int] = []
+        while True:
+            laid = _layout_level(lk, lv, counts, slots, model)
+            key_level[where[laid.placed]] = level
+            bounds = laid.slot_bounds
+            nodes = [
+                cls(
+                    node_model,
+                    level,
+                    laid.slot_type[bounds[i] : bounds[i + 1]],
+                    laid.slot_keys[bounds[i] : bounds[i + 1]],
+                    laid.slot_values[bounds[i] : bounds[i + 1]],
+                    count,
+                )
+                for i, (node_model, count) in enumerate(zip(laid.models, counts.tolist()))
+            ]
+            if root is None:
+                root = nodes[0]
+            for node, p, slot in zip(nodes, parent_of, parent_slot):
+                parent = parents[p]
+                node.parent = parent
+                node.parent_slot = slot
+                parent.children[slot] = node
+            if not laid.next_counts.size:
+                return root, key_level
+            lk, lv, where = lk[laid.unplaced], lv[laid.unplaced], where[laid.unplaced]
+            counts = laid.next_counts
+            slots = np.maximum(MIN_SLOTS, np.ceil(counts * slot_factor).astype(np.int64))
+            parents, parent_of, parent_slot = nodes, laid.next_parent, laid.next_slot
+            model = None
+            level += 1
 
     @property
     def m(self) -> int:

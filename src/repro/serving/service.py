@@ -80,10 +80,15 @@ def _memtable_steps(n: int) -> int:
 def _scan_shard(shard: LearnedIndex | None) -> tuple[np.ndarray, np.ndarray]:
     """Every stored (key, value) of one shard, as two sorted arrays.
 
-    One ordered scan — cheaper than probing the index once per key.
+    LIPP/SALI hand them over as arrays (``collect_arrays``, off the
+    flat view); the other families answer one ordered scan — cheaper
+    than probing the index once per key.
     """
     if shard is None:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    collect = getattr(shard, "collect_arrays", None)
+    if collect is not None:
+        return collect()
     bounds = np.iinfo(np.int64)
     pairs = shard.range_query(int(bounds.min), int(bounds.max))
     return (

@@ -40,11 +40,11 @@ class FakeAdapter:
     def cost_delta(self, handle: FakeNode, smoothing: SmoothingResult) -> float:
         return handle.delta
 
-    def rebuild(self, handle: FakeNode, smoothing: SmoothingResult, collected) -> int:
+    def rebuild(self, handle: FakeNode, smoothing: SmoothingResult, collected) -> tuple[int, int]:
         assert collected[0] is handle.keys and collected[1] == handle.name  # handed back
         self.rebuilt.append(handle.name)
         handle.children = []
-        return int(handle.keys.size)
+        return int(handle.keys.size), 1
 
 
 def _keys(rng, n=30):
@@ -137,8 +137,10 @@ class TestApplyCsv:
             [FakeNode("a", keys_a, -1.0), FakeNode("b", keys_b, -2.0)]
         )
         report = apply_csv(adapter, CsvConfig(alpha=0.2))
-        # The fake adapter's rebuild() reports every key as promoted.
+        # The fake adapter's rebuild() reports every key as promoted
+        # and one key per rebuild as demoted.
         assert report.keys_promoted == keys_a.size + keys_b.size
+        assert report.keys_demoted == report.summary()["keys_demoted"] == 2
         assert report.nodes_rebuilt == 2
         assert report.preprocessing_seconds > 0.0
         summary = report.summary()

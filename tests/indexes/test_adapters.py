@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from repro.indexes import (
     adapter_for,
 )
 from repro.indexes.alex.inner_node import AlexInnerNode
+from repro.indexes.lipp.node import LippNode
 
 
 def _all_handles(adapter) -> list:
@@ -90,11 +93,27 @@ class TestLippAdapter:
         collected = adapter.collect(handle)
         keys, __, levels_before = collected
         smoothing = smooth_keys(keys, alpha=0.3)
-        promoted = adapter.rebuild(handle, smoothing, collected)
+        promoted, demoted = adapter.rebuild(handle, smoothing, collected)
         levels_after = index.lookup_many(keys).levels
         assert promoted == np.count_nonzero(levels_after < levels_before)
+        assert demoted == np.count_nonzero(levels_after > levels_before)
         for key in keys.tolist():
             assert index.lookup(key) == key
+
+    def test_replaced_subtrees_are_freed_without_the_cycle_collector(self, clustered_keys):
+        """A rebuilt handle's old subtree is cyclic garbage (child.parent
+        <-> node.children); the adapter cuts it loose, so a smoothed
+        index leaves nothing for ``gc`` to find."""
+        index = LippIndex.build(clustered_keys)
+        gc.collect()
+        gc.disable()
+        try:
+            report = apply_csv(adapter_for(index), CsvConfig(alpha=0.2))
+            alive = sum(isinstance(obj, LippNode) for obj in gc.get_objects())
+        finally:
+            gc.enable()
+        assert report.nodes_rebuilt > 0
+        assert alive == index.node_count()
 
     def test_rebuild_marks_virtual_slots(self, clustered_keys):
         index = LippIndex.build(clustered_keys)
@@ -153,8 +172,9 @@ class TestAlexAdapter:
         collected = adapter.collect(handle)
         keys = collected[0]
         smoothing = smooth_keys(keys, alpha=0.2)
-        promoted = adapter.rebuild(handle, smoothing, collected)
+        promoted, demoted = adapter.rebuild(handle, smoothing, collected)
         assert promoted >= 0
+        assert demoted == 0  # the merge only lifts
         for key in keys.tolist():
             assert index.lookup(key) == key
 

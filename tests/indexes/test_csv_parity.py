@@ -218,8 +218,23 @@ def test_report_equals_tree(family, dataset):
     reported on osm 10k at alpha = 0.1, 997 in the tree)."""
     keys = _keys(dataset, 10_000)
     index = _build(family, keys)
+    levels_before = index.lookup_many(keys).levels
     report = apply_csv(adapter_for(index), CsvConfig(alpha=0.1))
     smoothed = [n for n in index.root.walk() if n.virtual_slots > 0]
     assert report.virtual_points_inserted == sum(n.virtual_slots for n in smoothed) > 0
     assert report.virtual_points_inserted <= 0.1 * keys.size
     assert report.nodes_rebuilt == len(smoothed)
+    # ... and the keys it says moved are the keys that moved, both ways
+    # (the merged node's own conflicts push keys down a level).
+    levels_after = index.lookup_many(keys).levels
+    assert report.keys_promoted == np.count_nonzero(levels_after < levels_before) > 0
+    assert report.keys_demoted == np.count_nonzero(levels_after > levels_before) > 0
+
+
+def test_alex_demotes_nothing():
+    keys = _keys("osm", 3_000)
+    index = _build("alex", keys)
+    levels_before = index.lookup_many(keys).levels
+    report = apply_csv(adapter_for(index), CsvConfig(alpha=0.1))
+    assert report.nodes_rebuilt > 0 and report.keys_demoted == 0
+    assert not np.any(index.lookup_many(keys).levels > levels_before)

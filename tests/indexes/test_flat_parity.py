@@ -23,7 +23,11 @@ Oracles:
   (``record_path``) at a time;
 * ``range_query`` — a filter over the sorted build arrays;
 * the structural introspection helpers — :func:`_walk_report`, the same
-  figures computed by a ``root.walk()`` over the node objects.
+  figures computed by a ``root.walk()`` over the node objects;
+* ``FlatLipp.compile`` — :func:`_assert_compile_parity`: the arrays the
+  old compile filled one node at a time (an ``np.full`` and a dict loop
+  per node for ``slot_child``), rebuilt from the node objects and
+  compared with the ones the single scatter produced.
 """
 
 from __future__ import annotations
@@ -42,8 +46,10 @@ from repro.indexes.base import (
     POINTER_BYTES,
     LearnedIndex,
 )
+from repro.core.linear_model import QuadraticModel
+from repro.indexes.lipp.flat import FLAT_LEAF_BASE, NO_CHILD
 from repro.indexes.lipp.index import SLOT_BYTES, LippIndex
-from repro.indexes.lipp.node import SLOT_DATA, SLOT_EMPTY, LippNode
+from repro.indexes.lipp.node import SLOT_CHILD, SLOT_DATA, SLOT_EMPTY, LippNode
 from repro.indexes.sali.index import SaliIndex
 
 INDEX_CLASSES = [LippIndex, SaliIndex]
@@ -122,7 +128,48 @@ def _walk_report(index) -> dict:
     }
 
 
+def _assert_compile_parity(index):
+    """The compiled arrays against a per-node rebuild of them."""
+    index.invalidate_flat()
+    flat = index._flat_view()
+    nodes, leaves = flat.nodes, flat.leaves
+    assert nodes[0] is index.root
+    assert {id(n) for n in nodes} | {id(n) for n in leaves} == {
+        id(n) for n in index.root.walk()
+    }
+    assert np.all(np.diff(flat.node_level) >= 0)  # level-ordered ids
+    node_of = {id(node): i for i, node in enumerate(nodes)}
+    leaf_of = {id(leaf): i for i, leaf in enumerate(leaves)}
+    child_parts = []
+    for i, node in enumerate(nodes):
+        model = node.model
+        if isinstance(model, QuadraticModel):
+            coefficients = (model.a, model.b, model.c)
+        else:
+            coefficients = (0.0, model.slope, model.intercept)
+        assert (flat.node_a[i], flat.node_b[i], flat.node_c[i]) == coefficients
+        assert flat.node_pivot[i] == model.pivot and flat.node_level[i] == node.level
+        base, end = int(flat.slot_start[i]), int(flat.slot_start[i + 1])
+        assert end - base == node.m
+        for name in ("slot_type", "slot_keys", "slot_values"):
+            buffer = getattr(flat, name)
+            assert np.shares_memory(getattr(node, name), buffer[base:end])
+            assert np.array_equal(getattr(node, name), buffer[base:end])
+        child = np.full(node.m, NO_CHILD, dtype=np.int64)
+        for slot, sub in node.children.items():
+            if isinstance(sub, LippNode):
+                child[slot] = node_of[id(sub)]
+            else:
+                child[slot] = FLAT_LEAF_BASE - leaf_of[id(sub)]
+        child_parts.append(child)
+    want = np.concatenate(child_parts)
+    assert flat.slot_child.dtype == want.dtype
+    assert np.array_equal(flat.slot_child, want)
+    assert np.array_equal(flat.slot_child != NO_CHILD, flat.slot_type == SLOT_CHILD)
+
+
 def _assert_introspection_parity(index):
+    _assert_compile_parity(index)
     want = _walk_report(index)
     assert index.height() == want["height"]
     assert index.node_count() == want["node_count"]
@@ -175,6 +222,7 @@ class TestLookupParity:
         got = index.lookup_many(stored)
         assert bool(np.all(got.found))
         assert got.values.tolist() == [expected[k] for k in stored.tolist()]
+        _assert_compile_parity(index)  # children dicts no longer in slot order
 
 
 @pytest.mark.parametrize("cls", INDEX_CLASSES)

@@ -17,8 +17,12 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from repro.core.csv_algorithm import CsvConfig, apply_csv
 from repro.core.exceptions import IndexStateError
+from repro.indexes import INDEX_FAMILIES
+from repro.indexes.adapters import adapter_for
 from repro.serving import IndexService
+from repro.serving.service import _scan_shard
 from repro.store import DurableStore, make_strategy
 from repro.store.runs import read_run_file
 
@@ -270,3 +274,67 @@ class TestColdConcurrentReads:
                 assert got.found.all(), f"trial {trial}: lost {(~got.found).sum()}"
                 assert np.array_equal(got.values, acked + 1)
                 assert service.lookup_many(keys).found.all()
+
+
+class TestShardScan:
+    """``_scan_shard``: what a snapshot writes and a reopen reads back.
+
+    LIPP/SALI hand their contents over as arrays off the flat view, the
+    other families through one ordered ``range_query``; either way the
+    dump is every stored pair, sorted, int64.
+    """
+
+    @pytest.mark.parametrize("buffered", [False, True], ids=["empty-memtable", "memtable"])
+    @pytest.mark.parametrize("family", sorted(INDEX_FAMILIES))
+    def test_snapshot_reopen_roundtrips_byte_equal(self, tmp_path, rng, keyset, family, buffered):
+        expected = dict(zip(keyset.tolist(), (keyset * 3 + 1).tolist()))
+        with IndexService.build(
+            keyset, family=family, n_shards=N_SHARDS, values=keyset * 3 + 1,
+            alpha=0.1 if family in ("lipp", "sali", "alex") else None,
+            store=DurableStore(tmp_path / "data"),
+            staleness_threshold=10.0,  # writes stay in the memtable
+        ) as service:
+            if buffered:
+                fresh = fresh_batches(rng, keyset, n_batches=1)[0]
+                batch = np.concatenate([fresh, keyset[::9], keyset[::5] + 1])
+                service.insert_many(batch, -batch)
+                expected.update(zip(batch.tolist(), (-batch).tolist()))
+                assert service.stats.merges == 0
+            service.snapshot()
+        want_keys = np.asarray(sorted(expected), dtype=np.int64)
+        want_values = np.asarray([expected[k] for k in want_keys.tolist()], dtype=np.int64)
+        with IndexService.open_snapshot(tmp_path / "data") as reopened:
+            got_keys = np.concatenate(reopened.plan.shard_keys)
+            got_values = np.concatenate(reopened.plan.shard_values)
+            assert got_keys.dtype == got_values.dtype == np.int64
+            assert got_keys.tobytes() == want_keys.tobytes()
+            assert got_values.tobytes() == want_values.tobytes()
+            answers = reopened.lookup_many(want_keys)
+            assert bool(answers.found.all())
+            assert np.array_equal(answers.values, want_values)
+
+    @pytest.mark.parametrize("family", ["lipp", "sali"])
+    def test_tree_dump_equals_the_ordered_walk(self, rng, family):
+        def assert_dump(index):
+            entries = sorted(index.root.iter_entries())
+            keys, values = _scan_shard(index)
+            assert keys.dtype == values.dtype == np.int64
+            assert list(zip(keys.tolist(), values.tolist())) == entries
+            assert len(entries) == index.n_keys
+
+        keys = np.unique(rng.integers(0, 1 << 40, 4_000))
+        index = INDEX_FAMILIES[family].build(keys, keys * 3 + 1)
+        assert_dump(index)
+        apply_csv(adapter_for(index), CsvConfig(alpha=0.1))
+        assert_dump(index)
+        # A sparse batch: the in-place gapped merge (overwrites, gap
+        # fills and fresh conflict children), not a rebuild.
+        batch = np.unique(np.concatenate([keys[::40], keys[::55] + 1]))
+        index.bulk_insert_many(batch, -batch)
+        assert_dump(index)
+        if family == "sali":
+            index.lookup_many(rng.choice(keys[: keys.size // 4], 6_000))
+            assert index.flatten_hot_subtrees(0.01) > 0
+            assert_dump(index)
+            index.bulk_insert_many(batch + 2, batch)  # through flattened leaves
+            assert_dump(index)
