@@ -30,10 +30,40 @@ from .exceptions import InvalidKeysError
 __all__ = ["LinearModel", "QuadraticModel", "fit_linear", "fit_quadratic"]
 
 
+_INT64 = np.iinfo(np.int64)
+
+
+def delta_may_wrap(keys: np.ndarray, pivot_min: int, pivot_max: int) -> bool:
+    """Whether ``keys - pivot`` can leave int64 for some pivot in
+    ``[pivot_min, pivot_max]`` — one min/max test per batch, so a batch
+    that cannot overflow pays no per-element check."""
+    return bool(keys.size) and (
+        (pivot_min < 0 and int(keys.max()) > _INT64.max + pivot_min)
+        or (pivot_max > 0 and int(keys.min()) < _INT64.min + pivot_max)
+    )
+
+
+def exact_delta(keys: np.ndarray, pivot) -> np.ndarray:
+    """``float64(keys - pivot)`` for int64 operands whose difference may
+    not fit int64 (*pivot*: a scalar, or an array parallel to *keys*).
+
+    The magnitude always fits uint64 — wrapping int64 subtraction leaves
+    the right bits — and uint64 -> float64 rounds correctly, so each
+    element is bit-equal to ``float(int(key) - int(pivot))``, which is
+    what :meth:`LinearModel.predict` computes per key.
+    """
+    below = keys < pivot
+    magnitude = np.where(below, pivot - keys, keys - pivot)
+    t = magnitude.view(np.uint64).astype(np.float64)
+    return np.negative(t, out=t, where=below)
+
+
 def _delta(keys, pivot: int):
     """``keys - pivot`` computed exactly for integer inputs."""
     arr = np.asarray(keys)
     if np.issubdtype(arr.dtype, np.integer):
+        if delta_may_wrap(arr, pivot, pivot):
+            return exact_delta(arr.astype(np.int64, copy=False), np.int64(pivot))
         return (arr - np.int64(pivot)).astype(np.float64)
     return arr.astype(np.float64) - float(pivot)
 

@@ -96,10 +96,11 @@ def validate_keys(keys: np.ndarray | list) -> np.ndarray:
     else:
         arr = arr.astype(np.int64)
     if arr.size > 1:
-        diffs = np.diff(arr)
-        if np.any(diffs < 0):
+        # Neighbours are compared, not subtracted: a gap of 2**63 or
+        # more would wrap in int64 and read as a descent.
+        if np.any(arr[1:] < arr[:-1]):
             raise InvalidKeysError("keys must be sorted ascending")
-        if np.any(diffs == 0):
+        if np.any(arr[1:] == arr[:-1]):
             raise InvalidKeysError("keys must not contain duplicates")
     return arr
 

@@ -23,9 +23,10 @@ arrays:
   ``[slot_start[i], slot_start[i+1])``;
 * per slot (concatenated in node order): ``slot_type`` /
   ``slot_keys`` / ``slot_values`` exactly as in the nodes, plus
-  ``slot_child`` holding the child *node id* for CHILD slots (or an
-  encoded index into :attr:`leaves` when the child is one of SALI's
-  flattened subtrees).
+  ``slot_child`` (int32: it is the largest array a view owns outright)
+  holding the child *node id* for CHILD slots (or an encoded index
+  into :attr:`leaves` when the child is one of SALI's flattened
+  subtrees).
 
 A batch lookup is then a few vectorised gathers per level over the
 whole surviving frontier — predict slots for every active query at
@@ -35,31 +36,63 @@ Python-object walk per node.  The same ``locate`` sweep drives the
 in-place gapped bulk merge in
 :meth:`~repro.indexes.lipp.index.LippIndex.bulk_insert_many`.
 
-**Buffer sharing.**  Before ``compile`` a node's slot arrays are views
-into whatever built it — the per-level buffer of a
-:meth:`~repro.indexes.lipp.node.LippNode.from_keys` build, or the
-previous flat view's buffers.  ``compile`` walks the tree once
-(breadth-first, collecting one ``(parent id, slot, child id)`` triple
-per CHILD slot, scattered into ``slot_child`` in one assignment),
-concatenates the slot arrays into buffers the new view owns, and
-re-points every node's ``slot_type`` / ``slot_keys`` / ``slot_values``
-at views into them.  The node objects remain the authoritative
-mutable structure, and any in-place slot write (an EMPTY slot filled
-by ``insert``, a DATA value overwritten) is immediately visible to the
-flat view with no invalidation.  Only *structural* changes — a conflict
-child created, a subtree rebuilt, a hot subtree flattened — stale the
-compiled mapping; the index invalidates and lazily recompiles.
-``StaleFlatError`` is the safety net for structural edits that bypass
-the index API (tests performing direct tree surgery must call
-``invalidate_flat``).
+**Who owns the slot buffers: build -> shard view -> forest.**  A node's
+``slot_type`` / ``slot_keys`` / ``slot_values`` are always views into
+buffers someone else allocated, and the owner changes twice:
+
+1. *The build.*  A :meth:`~repro.indexes.lipp.node.LippNode.from_keys`
+   build allocates one buffer per level; its nodes are views into it.
+2. *The shard's view.*  ``compile`` walks the tree once (breadth-first,
+   collecting one ``(parent id, slot, child id)`` triple per CHILD slot,
+   scattered into ``slot_child`` in one assignment), concatenates the
+   slot arrays into buffers the new view owns, and re-points every
+   node at views into them; the level buffers die with their last view.
+3. *The forest.*  :meth:`FlatLipp.concat` — the one view a router
+   sweeps for all its shards — allocates the buffers for every tree at
+   once, a region each, and re-points each shard's view, and through it
+   each node, at its region: ``compile``'s contract one level up.  A
+   tree that was only :meth:`FlatLipp.walk`-ed (everything but step 2's
+   buffers) goes from level buffers to forest buffers directly, and a
+   shard that a merge changed structurally is walked again and written
+   back over its own region (:meth:`FlatLipp.replace_tree`).  The
+   (immutable) node arrays are handed over the same way; what the
+   forest holds beside the shards' copies is its own ``slot_child``
+   (their mappings with every id shifted) and ``slot_start``.
+
+At every stage there is one copy of the slots, the node objects remain
+the authoritative mutable structure, and an in-place slot write — an
+EMPTY slot filled by ``insert`` or the gapped merge, a DATA value
+overwritten — through a node, a shard's view or the forest is seen by
+all three with no invalidation.  (Which is why nothing derived from the
+slots is cached on a view: it would go stale unnoticed.)  Only
+*structural* changes — a conflict child created, a subtree rebuilt, a
+hot subtree flattened, a flattened leaf re-segmented — stale the
+compiled mapping; the index drops its view and recompiles lazily, and a
+forest over the dropped view refuses to sweep until its owner builds a
+new one.  ``StaleFlatError`` is the safety net for structural edits
+that bypass the index API (tests performing direct tree surgery must
+call ``invalidate_flat``).
+
+**Differences that cannot wrap.**  ``key - pivot`` is taken in int64
+only when one per-batch min/max test against the pivots' range shows it
+cannot overflow; otherwise in uint64 magnitude
+(:func:`~repro.core.linear_model.exact_delta`), which is bit-equal to
+the Python-int difference the scalar walk takes.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from ...core.exceptions import IndexStateError
-from ...core.linear_model import LinearModel, QuadraticModel
+from ...core.linear_model import (
+    LinearModel,
+    QuadraticModel,
+    delta_may_wrap,
+    exact_delta,
+)
 from ..base import group_runs
 from .node import SLOT_CHILD, SLOT_DATA, SLOT_EMPTY, LippNode
 
@@ -70,6 +103,25 @@ __all__ = ["FlatLipp", "StaleFlatError"]
 #: index ``FLAT_LEAF_BASE - value``.
 NO_CHILD = -1
 FLAT_LEAF_BASE = -2
+
+_INT64 = np.iinfo(np.int64)
+
+#: Share of a tree's node / slot / leaf count a forest leaves unused
+#: after it, for the tree to grow into.  A merge of a tenth of a shard's
+#: keys adds 8-13 % to its nodes and 6-7 % to its slots (osm, alpha
+#: 0.1), so a quarter holds two merges between rebuilds; in a process
+#: whose heap has been through a build the slack is resident memory
+#: (osm 40k, K = 4: 0.9 MB at a quarter), which is why it is not more.
+REGION_SLACK = 0.25
+
+_NODE_ARRAYS = (
+    ("node_level", np.int64),
+    ("node_a", np.float64),
+    ("node_b", np.float64),
+    ("node_c", np.float64),
+    ("node_pivot", np.int64),
+)
+_SLOT_ARRAYS = (("slot_type", np.uint8), ("slot_keys", np.int64), ("slot_values", np.int64))
 
 
 class StaleFlatError(RuntimeError):
@@ -101,11 +153,19 @@ class FlatLipp:
         "slot_keys",
         "slot_values",
         "slot_child",
+        "roots",
+        "pivot_min",
+        "pivot_max",
+        "n_links",
+        "regions",
+        "tree_sizes",
     )
 
     def __init__(self) -> None:
         self.nodes: list[LippNode] = []
         self.leaves: list = []
+        #: None until the slot buffers exist (see :meth:`walk`).
+        self.slot_type: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # Compilation
@@ -118,6 +178,16 @@ class FlatLipp:
         neither linear nor quadratic (the two forms the coefficient
         arrays can hold).
         """
+        flat = cls.walk(root)
+        flat._adopt_slots(*(np.concatenate(parts) for parts in flat._slot_parts()))
+        return flat
+
+    @classmethod
+    def walk(cls, root: LippNode) -> "FlatLipp":
+        """:meth:`compile` short of its last step: everything but the
+        slot buffers, which are left for a forest to allocate
+        (:meth:`concat` fills them straight from the nodes, so the
+        tree's slots are never held twice)."""
         flat = cls()
         nodes = flat.nodes
         leaves = flat.leaves
@@ -166,25 +236,145 @@ class FlatLipp:
         flat.node_b = np.asarray(b, dtype=np.float64)
         flat.node_c = np.asarray(c, dtype=np.float64)
         flat.node_pivot = np.asarray(pivot, dtype=np.int64)
+        flat.pivot_min, flat.pivot_max = min(pivot), max(pivot)
         slot_start = np.zeros(len(nodes) + 1, dtype=np.int64)
         np.cumsum([node.slot_type.size for node in nodes], out=slot_start[1:])
         flat.slot_start = slot_start
-        flat.slot_type = np.concatenate([node.slot_type for node in nodes])
-        flat.slot_keys = np.concatenate([node.slot_keys for node in nodes])
-        flat.slot_values = np.concatenate([node.slot_values for node in nodes])
-        flat.slot_child = np.full(int(slot_start[-1]), NO_CHILD, dtype=np.int64)
+        flat.slot_child = np.full(int(slot_start[-1]), NO_CHILD, dtype=np.int32)
+        flat.n_links = len(link_child)
         if link_child:
             flat.slot_child[slot_start[link_parent] + link_slot] = link_child
-        # Re-point every node's slot arrays at views into the shared
-        # buffers: in-place slot writes through the node API stay
-        # visible to the flat view with no recompile.
-        bounds = slot_start.tolist()
-        for i, node in enumerate(nodes):
-            base, end = bounds[i], bounds[i + 1]
-            node.slot_type = flat.slot_type[base:end]
-            node.slot_keys = flat.slot_keys[base:end]
-            node.slot_values = flat.slot_values[base:end]
         return flat
+
+    def _slot_parts(self) -> tuple[list, list, list]:
+        """What the three slot buffers are concatenated from: the
+        buffers themselves, or — not allocated yet — every node's."""
+        if self.slot_type is not None:
+            return [self.slot_type], [self.slot_keys], [self.slot_values]
+        nodes = self.nodes
+        return (
+            [node.slot_type for node in nodes],
+            [node.slot_keys for node in nodes],
+            [node.slot_values for node in nodes],
+        )
+
+    def _adopt_slots(
+        self, slot_type: np.ndarray, slot_keys: np.ndarray, slot_values: np.ndarray
+    ) -> None:
+        """Make the three arrays — holding this view's slots, node after
+        node — its slot buffers, and re-point every node's slot arrays
+        at views into them, so in-place slot writes through the node
+        API stay visible to the view with no recompile."""
+        self.slot_type, self.slot_keys, self.slot_values = slot_type, slot_keys, slot_values
+        bounds = self.slot_start.tolist()
+        for i, node in enumerate(self.nodes):
+            base, end = bounds[i], bounds[i + 1]
+            node.slot_type = slot_type[base:end]
+            node.slot_keys = slot_keys[base:end]
+            node.slot_values = slot_values[base:end]
+
+    @classmethod
+    def concat(cls, views: Sequence["FlatLipp | None"]) -> "FlatLipp":
+        """One view over several trees — a forest.
+
+        Tree ``i`` keeps its node order inside a contiguous *region* of
+        node, slot and leaf ids, so ``slot_child`` is the trees' own
+        mapping with every id shifted by its region's base; ``roots[i]``
+        is where tree ``i`` starts (-1 for a ``None`` entry: an empty
+        shard).  The forest allocates the slot buffers and every input
+        view — compiled, or only :meth:`walk`-ed — and through it every
+        node is re-pointed at its slice of them: ``compile``'s contract
+        one level up, so there is still one copy of the slots, and a
+        write through a node, a tree's view or the forest is seen by
+        all three.  The views' node arrays become slices of the
+        forest's too.
+
+        Every region ends in :data:`REGION_SLACK` of unused ids, so a
+        tree that a merge has grown is re-placed where it was
+        (:meth:`replace_tree`) without a second copy of every other
+        tree.
+        """
+        forest = cls()
+        forest.regions = []
+        ends = [0, 0, 0]
+        for view in views:
+            # One node id more than the tree has nodes: ``slot_start``
+            # holds each region's closing offset there.
+            sizes = (0, 0, 0) if view is None else (
+                view.n_nodes + 1, view.total_slots, len(view.leaves)
+            )
+            region = []
+            for which, size in enumerate(sizes):
+                region += [ends[which], size + int(size * REGION_SLACK)]
+                ends[which] += region[-1]
+            forest.regions.append(tuple(region))
+        n_nodes, n_slots, n_leaves = ends
+        #: Node id of each tree's root (where its sweep starts).
+        forest.roots = np.asarray(
+            [-1 if view is None else region[0] for view, region in zip(views, forest.regions)],
+            dtype=np.int64,
+        )
+        forest.nodes = [None] * n_nodes
+        forest.leaves = [None] * n_leaves
+        # Slack is never read — except ``slot_type``'s, which the
+        # staleness check counts and which must read EMPTY.
+        for name, dtype in _NODE_ARRAYS + (("slot_start", np.int64),):
+            setattr(forest, name, np.empty(n_nodes, dtype=dtype))
+        for name, dtype in _SLOT_ARRAYS + (("slot_child", np.int32),):
+            setattr(forest, name, np.empty(n_slots, dtype=dtype))
+        forest.slot_type.fill(SLOT_EMPTY)
+        forest.tree_sizes = [(0, 0)] * len(views)
+        forest.n_links = 0
+        # The overflow guard's range only has to *cover* the pivots.
+        forest.pivot_min = forest.pivot_max = 0
+        for tree, view in enumerate(views):
+            if view is not None:
+                forest._place(tree, view)
+        return forest
+
+    def replace_tree(self, tree: int, view: "FlatLipp") -> bool:
+        """Put *view* where tree *tree* of this forest was — False, and
+        nothing done, when it has outgrown the region's slack (the
+        caller then builds a new forest)."""
+        __, node_cap, __, slot_cap, __, leaf_cap = self.regions[tree]
+        fits = (
+            view.n_nodes + 1 <= node_cap
+            and view.total_slots <= slot_cap
+            and len(view.leaves) <= leaf_cap
+        )
+        if fits:
+            self._place(tree, view)
+        return fits
+
+    def _place(self, tree: int, view: "FlatLipp") -> None:
+        """Write *view* into region *tree* and re-point it there."""
+        node_off, node_cap, slot_off, __, leaf_off, leaf_cap = self.regions[tree]
+        n, n_slots, n_leaves = view.n_nodes, view.total_slots, len(view.leaves)
+        old_slots, old_links = self.tree_sizes[tree]
+        self.tree_sizes[tree] = (n_slots, view.n_links)
+        self.n_links += view.n_links - old_links
+        self.pivot_min = min(self.pivot_min, view.pivot_min)
+        self.pivot_max = max(self.pivot_max, view.pivot_max)
+        self.nodes[node_off : node_off + node_cap] = view.nodes + [None] * (node_cap - n)
+        self.leaves[leaf_off : leaf_off + leaf_cap] = view.leaves + [None] * (leaf_cap - n_leaves)
+        for name, __ in _NODE_ARRAYS:
+            mine = getattr(self, name)[node_off : node_off + n]
+            mine[:] = getattr(view, name)
+            setattr(view, name, mine)
+        self.slot_start[node_off : node_off + n + 1] = view.slot_start + slot_off
+        child = self.slot_child[slot_off : slot_off + n_slots]
+        child[:] = view.slot_child
+        child[child >= 0] += node_off
+        child[child <= FLAT_LEAF_BASE] -= leaf_off
+        # Each buffer is gathered before it is written: re-placed, the
+        # tree's surviving nodes are views into this very region.
+        mine = []
+        for (name, __), parts in zip(_SLOT_ARRAYS, view._slot_parts()):
+            mine.append(getattr(self, name)[slot_off : slot_off + n_slots])
+            mine[-1][:] = np.concatenate(parts)
+        del parts  # or the old per-node arrays outlive their replacements
+        self.slot_type[slot_off + n_slots : slot_off + old_slots] = SLOT_EMPTY
+        view._adopt_slots(*mine)
 
     # ------------------------------------------------------------------
     @property
@@ -194,22 +384,29 @@ class FlatLipp:
 
     @property
     def total_slots(self) -> int:
-        """Total slot count across every compiled node."""
-        return int(self.slot_start[-1])
+        """Total slot count across every compiled node (a forest's
+        slack included)."""
+        return int(self.slot_child.size)
 
     def _check_fresh(self) -> None:
         """Raise :class:`StaleFlatError` on a detectable structural skew.
 
         A CHILD slot whose ``slot_child`` mapping is missing means a
         conflict child was created through the shared buffers without
-        an ``invalidate_flat`` — refuse to traverse."""
-        bad = (self.slot_type == SLOT_CHILD) & (self.slot_child == NO_CHILD)
-        if bool(np.any(bad)):
+        an ``invalidate_flat`` — refuse to traverse.  Slots only ever
+        *become* CHILD, so one exists exactly when there are more CHILD
+        slots than the compile mapped."""
+        if self.child_slot_count() != self.n_links:
             raise StaleFlatError("flat view is stale: unmapped CHILD slot")
 
-    def _predict_slots(self, ids: np.ndarray, keys: np.ndarray) -> np.ndarray:
-        """Global slot index each node model assigns to its query key."""
-        t = (keys - self.node_pivot[ids]).astype(np.float64)
+    def _predict_slots(self, ids: np.ndarray, keys: np.ndarray, exact: bool) -> np.ndarray:
+        """Global slot index each node model assigns to its query key.
+
+        *exact* is the batch's :func:`delta_may_wrap` verdict: only a
+        batch holding a key further than int64 from some pivot pays
+        for the difference that cannot wrap."""
+        pivots = self.node_pivot[ids]
+        t = exact_delta(keys, pivots) if exact else (keys - pivots).astype(np.float64)
         pos = (self.node_a[ids] * t + self.node_b[ids]) * t + self.node_c[ids]
         base = self.slot_start[ids]
         width = (self.slot_start[ids + 1] - base).astype(np.float64)
@@ -231,6 +428,7 @@ class FlatLipp:
         steps: np.ndarray,
         visit_counts: np.ndarray | None = None,
         leaf_visits: np.ndarray | None = None,
+        tree: np.ndarray | None = None,
     ) -> None:
         """Vectorised multi-level lookup sweep, scattered into outputs.
 
@@ -238,18 +436,29 @@ class FlatLipp:
         int64 cell per node) every node on each query's path is
         credited one visit — the aggregate equivalent of SALI's
         per-query ``record_path``; *leaf_visits* does the same for
-        flattened leaves.  Raises :class:`StaleFlatError` (before
-        writing anything) when the view no longer matches the tree.
+        flattened leaves.  On a forest, ``tree[i]`` names the tree
+        query ``i`` descends: its walk starts at ``roots[tree[i]]``
+        with ``levels`` counting from 1 there, and a query into an
+        absent tree stays the miss at level 0 the outputs start as.
+        Raises :class:`StaleFlatError` (before writing anything) when
+        the view no longer matches the tree.
         """
         self._check_fresh()
-        active = np.arange(q.size)
-        cur = np.zeros(q.size, dtype=np.int64)  # everyone starts at the root
+        exact = delta_may_wrap(q, self.pivot_min, self.pivot_max)
+        if tree is None:
+            active = np.arange(q.size)
+            cur = np.zeros(q.size, dtype=np.int64)  # everyone starts at the root
+        else:
+            cur = self.roots[tree]
+            active = np.flatnonzero(cur >= 0)
+            if active.size < cur.size:
+                cur = cur[active]
         depth = 1
         while active.size:
             if visit_counts is not None:
                 visit_counts += np.bincount(cur, minlength=self.n_nodes)
             keys = q[active]
-            gslot = self._predict_slots(cur, keys)
+            gslot = self._predict_slots(cur, keys, exact)
             kinds = self.slot_type[gslot]
             is_child = kinds == SLOT_CHILD
             terminal = ~is_child
@@ -262,7 +471,7 @@ class FlatLipp:
                 found[hit_active] = True
                 values[hit_active] = self.slot_values[t_slot[hit]]
             c_active = active[is_child]
-            nxt = self.slot_child[gslot[is_child]]
+            nxt = self.slot_child[gslot[is_child]].astype(np.int64)
             leaf_sel = nxt <= FLAT_LEAF_BASE
             if np.any(leaf_sel):
                 l_active = c_active[leaf_sel]
@@ -297,6 +506,7 @@ class FlatLipp:
         addressing pass of the in-place gapped bulk merge.
         """
         self._check_fresh()
+        exact = delta_may_wrap(bkeys, self.pivot_min, self.pivot_max)
         n = int(bkeys.size)
         term_node = np.full(n, -1, dtype=np.int64)
         term_slot = np.full(n, -1, dtype=np.int64)
@@ -305,7 +515,7 @@ class FlatLipp:
         active = np.arange(n)
         cur = np.zeros(n, dtype=np.int64)
         while active.size:
-            gslot = self._predict_slots(cur, bkeys[active])
+            gslot = self._predict_slots(cur, bkeys[active], exact)
             kinds = self.slot_type[gslot]
             is_child = kinds == SLOT_CHILD
             terminal = ~is_child
@@ -315,7 +525,7 @@ class FlatLipp:
                 term_slot[t_active] = gslot[terminal]
                 term_kind[t_active] = kinds[terminal]
             active = active[is_child]
-            nxt = self.slot_child[gslot[is_child]]
+            nxt = self.slot_child[gslot[is_child]].astype(np.int64)
             leaf_sel = nxt <= FLAT_LEAF_BASE
             if np.any(leaf_sel):
                 leaf_of[active[leaf_sel]] = FLAT_LEAF_BASE - nxt[leaf_sel]
@@ -347,19 +557,36 @@ class FlatLipp:
         node_of = np.searchsorted(self.slot_start, data_slots, side="right") - 1
         return data_slots, node_of
 
-    def entries(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every stored key with its value, as arrays in key order —
-        one masked gather over the DATA slots plus the flattened
-        leaves' dense arrays, and one argsort."""
-        data_slots = np.flatnonzero(self.slot_type == SLOT_DATA)
-        keys = np.concatenate(
-            [self.slot_keys[data_slots], *(leaf.keys for leaf in self.leaves)]
+    def entries(
+        self, low: int = _INT64.min, high: int = _INT64.max
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The stored keys in ``[low, high]`` with their values, as
+        arrays in key order — one mask over the slots (DATA, and in
+        range), one gather, the in-range ``searchsorted`` slice of each
+        flattened leaf's dense arrays, and one argsort of the overlap.
+
+        Read off the live buffers on every call and never cached: gap
+        fills and value overwrites go through the shared buffers
+        without invalidating the view, so a sorted copy kept per
+        compile would go stale unnoticed.  The cost is proportional to
+        the view's slot count, wherever the range lies.
+        """
+        low = max(int(low), _INT64.min)
+        high = min(int(high), _INT64.max)
+        slot_keys = self.slot_keys
+        hit = np.flatnonzero(
+            (self.slot_type == SLOT_DATA) & (slot_keys >= low) & (slot_keys <= high)
         )
-        values = np.concatenate(
-            [self.slot_values[data_slots], *(leaf.values for leaf in self.leaves)]
-        )
+        key_parts = [slot_keys[hit]]
+        value_parts = [self.slot_values[hit]]
+        for leaf in self.leaves:
+            lo = np.searchsorted(leaf.keys, low, side="left")
+            hi = np.searchsorted(leaf.keys, high, side="right")
+            key_parts.append(leaf.keys[lo:hi])
+            value_parts.append(leaf.values[lo:hi])
+        keys = np.concatenate(key_parts)
         order = np.argsort(keys, kind="stable")
-        return keys[order], values[order]
+        return keys[order], np.concatenate(value_parts)[order]
 
     def level_histogram(self) -> dict[int, int]:
         """Keys stored per level — one bincount over the DATA slots."""

@@ -8,10 +8,12 @@ attacks.
 
 There is one traversal per granularity.  Per key, ``insert`` /
 ``lookup_stats`` / ``key_level`` walk the node objects.  Per batch,
-``lookup_many``, the sparse ``bulk_insert_many`` merge and the
-structure reports (``height``, ``size_bytes``, ``level_histogram`` …)
-run on the compiled flat view (:mod:`~repro.indexes.lipp.flat`),
-which is compiled lazily and dropped on every structural change.
+``lookup_many``, ``range_query``, the sparse ``bulk_insert_many`` merge
+and the structure reports (``height``, ``size_bytes``,
+``level_histogram`` …) run on the compiled flat view
+(:mod:`~repro.indexes.lipp.flat`), which is compiled lazily and dropped
+on every structural change.  The shards of a service are additionally
+read through one :class:`~repro.indexes.lipp.forest.LippForest`.
 """
 
 from __future__ import annotations
@@ -98,16 +100,19 @@ class LippIndex(LearnedIndex):
         """Compile the flat view now (e.g. before serving a shard)."""
         self._flat_view()
 
-    def _flat_view(self) -> FlatLipp:
-        """The compiled flat view, compiling it on first use."""
+    def _flat_view(self, slots: bool = True) -> FlatLipp:
+        """The compiled flat view, compiling it on first use (``slots``
+        False: short of the slot buffers — for the forest about to
+        allocate them, see :meth:`FlatLipp.walk`)."""
         if self._flat is None:
+            compile_ = FlatLipp.compile if slots else FlatLipp.walk
             reg = get_registry()
             if reg.enabled:
                 with trace("flat_compile", registry=reg, family=self.name):
-                    self._flat = FlatLipp.compile(self._root)
+                    self._flat = compile_(self._root)
                 reg.counter("flat_compiles_total", family=self.name).inc()
             else:
-                self._flat = FlatLipp.compile(self._root)
+                self._flat = compile_(self._root)
         return self._flat
 
     def _on_fresh_flat(self, sweep: Callable[..., None], *args) -> None:
@@ -189,14 +194,16 @@ class LippIndex(LearnedIndex):
         levels: np.ndarray,
         steps: np.ndarray,
         track: bool,
+        tree: np.ndarray | None = None,
     ) -> None:
-        """One flat lookup sweep, crediting access counts when tracked."""
+        """One flat lookup sweep, crediting access counts when tracked
+        (*tree*: each query's tree when *flat* is a forest)."""
         if not track:
-            flat.lookup_many_into(q, found, values, levels, steps)
+            flat.lookup_many_into(q, found, values, levels, steps, tree=tree)
             return
         visit_counts = np.zeros(flat.n_nodes, dtype=np.int64)
         leaf_visits = np.zeros(len(flat.leaves), dtype=np.int64)
-        flat.lookup_many_into(q, found, values, levels, steps, visit_counts, leaf_visits)
+        flat.lookup_many_into(q, found, values, levels, steps, visit_counts, leaf_visits, tree)
         flat.credit_access(visit_counts, leaf_visits)
 
     def insert(self, key: int, value: int) -> None:
@@ -313,8 +320,8 @@ class LippIndex(LearnedIndex):
         structural = False
 
         # Flattened leaves (SALI): one merge + re-segmentation per
-        # touched leaf; swapping the rebuilt leaf into ``flat.leaves``
-        # keeps the slot_child mapping valid with no recompile.
+        # touched leaf.  The rebuilt leaf is a new object, which a
+        # forest over this view would not see: structural.
         l_rows = np.nonzero(leaf_of >= 0)[0]
         if l_rows.size:
             l_rows = l_rows[np.argsort(leaf_of[l_rows], kind="stable")]
@@ -333,7 +340,7 @@ class LippIndex(LearnedIndex):
                 rebuilt.parent = parent
                 rebuilt.parent_slot = leaf.parent_slot
                 parent.children[leaf.parent_slot] = rebuilt
-                flat.leaves[leaf_id] = rebuilt
+                structural = True
                 net = int(merged_k.size) - int(old_k.size)
                 if net:
                     self._credit_chain(parent, net)
@@ -522,20 +529,15 @@ class LippIndex(LearnedIndex):
     def range_query(self, low: int, high: int) -> list[tuple[int, int]]:
         """All (key, value) pairs with ``low <= key <= high``.
 
-        LIPP stores entries in slot order, so an in-order walk that
-        stops past *high* suffices.  The walk starts at slot 0 of the
-        root, so its cost is proportional to the number of keys at or
-        below *high*, not to the size of the overlap.
+        Answered from the flat view (:meth:`FlatLipp.entries`): one
+        mask over the slot arrays, a gather, and an argsort of the
+        overlap — SALI's flattened leaves by ``searchsorted`` slice.
+        The cost is proportional to the index's slot count, not to the
+        number of keys at or below *high*, which is what the in-order
+        node walk (:meth:`iter_keys`, the tests' oracle) pays.
         """
-        low = int(low)
-        high = int(high)
-        out: list[tuple[int, int]] = []
-        for key, value in self._root.iter_entries():
-            if key > high:
-                break
-            if key >= low:
-                out.append((key, value))
-        return out
+        keys, values = self._flat_view().entries(low, high)
+        return list(zip(keys.tolist(), values.tolist()))
 
     def node_levels(self) -> list[int]:
         """Level of every node (for the node-reduction metric), in

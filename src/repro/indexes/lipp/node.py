@@ -95,6 +95,14 @@ def _empty_slots(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
+def _ahead(keys: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """``float64(keys - first)`` for keys at or past their segment's
+    first key: the difference is never negative, so it is taken in
+    uint64, where a span beyond ``2**63`` cannot wrap (and a shorter one
+    converts to the same float as the int64 difference did)."""
+    return (keys.view(np.uint64) - first.view(np.uint64)).astype(np.float64)
+
+
 def _fit_segments(
     lk: np.ndarray, starts: np.ndarray, counts: np.ndarray, slots: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -129,8 +137,7 @@ def _fit_segments(
             rows = by_length[group_start:group_end]
             length = int(lengths[group_start])
             first = starts[rows]
-            t = lk[first[:, None] + np.arange(length)] - lk[first][:, None]
-            t = t.astype(np.float64)
+            t = _ahead(lk[first[:, None] + np.arange(length)], lk[first][:, None])
             # ``mean`` spelled as the sum and division it is (its Python
             # wrapper costs more than the reduction on a short row); the
             # mean of ranks 0..n-1 is (n - 1) / 2 exactly.
@@ -182,7 +189,7 @@ def _layout_level(
     if model is None:
         pivot = lk[starts]
         slope, intercept = _fit_segments(lk, starts, counts, slots)
-        raw = slope[seg_of] * (lk - pivot[seg_of]).astype(np.float64) + intercept[seg_of]
+        raw = slope[seg_of] * _ahead(lk, pivot[seg_of]) + intercept[seg_of]
     else:
         raw = model.predict_array(lk)
     predicted = _clamped_slots(raw, top[seg_of])
@@ -207,7 +214,7 @@ def _layout_level(
         redo[degenerate] = True
         redo = redo[seg_of].nonzero()[0]
         seg = seg_of[redo]
-        raw = slope[seg] * (lk[redo] - pivot[seg]).astype(np.float64) + intercept[seg]
+        raw = slope[seg] * _ahead(lk[redo], pivot[seg]) + intercept[seg]
         predicted[redo] = _clamped_slots(raw, top[seg])
     if model is None:
         models = [

@@ -10,8 +10,6 @@ step (see :mod:`repro.indexes.sali.flatten`).
 
 from __future__ import annotations
 
-import numpy as np
-
 from ...core.exceptions import IndexStateError
 from ..base import BatchQueryStats, QueryStats
 from ..lipp.index import LippIndex
@@ -206,43 +204,3 @@ class SaliIndex(LippIndex):
         return super().size_bytes() + sum(
             leaf.leaf_size_bytes() for leaf in self._flat_view().leaves
         )
-
-    # ------------------------------------------------------------------
-    # Range queries (flattening-aware)
-    # ------------------------------------------------------------------
-    def range_query(self, low: int, high: int) -> list[tuple[int, int]]:
-        """All (key, value) pairs with ``low <= key <= high``.
-
-        Same in-order walk as LIPP — from slot 0 of the root, so its
-        cost grows with the number of keys at or below *high*, not
-        with the overlap — except flattened subtrees, whose entries
-        are dense sorted arrays, are answered with a single
-        ``searchsorted`` slice instead of entry-by-entry iteration.
-        Returns True from the helper once a key above *high* is seen,
-        which cuts the remainder of the walk.
-        """
-        low = int(low)
-        high = int(high)
-        out: list[tuple[int, int]] = []
-
-        def scan(node) -> bool:
-            if isinstance(node, FlattenedNode):
-                lo = int(np.searchsorted(node.keys, low, side="left"))
-                hi = int(np.searchsorted(node.keys, high, side="right"))
-                out.extend(zip(node.keys[lo:hi].tolist(), node.values[lo:hi].tolist()))
-                return hi < int(node.keys.size)
-            for slot in range(node.m):
-                kind = int(node.slot_type[slot])
-                if kind == SLOT_DATA:
-                    key = int(node.slot_keys[slot])
-                    if key > high:
-                        return True
-                    if key >= low:
-                        out.append((key, int(node.slot_values[slot])))
-                elif kind == SLOT_CHILD:
-                    if scan(node.children[slot]):
-                        return True
-            return False
-
-        scan(self._root)
-        return out

@@ -148,13 +148,13 @@ class Histogram:
         """Geometric midpoint of bucket *i* (the percentile estimate)."""
         return 2.0 ** ((i + 0.5) / HIST_SUBBUCKETS + HIST_EXP_MIN)
 
-    def observe(self, value: float) -> None:
-        """Record one scalar observation."""
+    def observe(self, value: float, n: int = 1) -> None:
+        """Record one scalar observation (*n* times over)."""
         value = float(value)
         with self._lock:
-            self._counts[self.bucket_of(value)] += 1
-            self.count += 1
-            self.sum += value
+            self._counts[self.bucket_of(value)] += n
+            self.count += n
+            self.sum += value * n
             if value < self.min:
                 self.min = value
             if value > self.max:

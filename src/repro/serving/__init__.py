@@ -13,8 +13,10 @@ IndexService` fronts the shards with per-shard write buffers
 (staleness-triggered merge + re-smoothing) and per-shard latency
 percentile reporting.
 
-Execution: the router runs a batch's per-shard slices inline, one
-after another, on the caller's thread; there is no other backend.
+Execution: everything runs on the caller's thread.  A LIPP/SALI
+router answers a batch with one sweep over a forest view of its
+shards; for the other families it runs the batch's per-shard slices
+inline, one after another.
 
 Observability: the service keeps always-on per-shard latency
 histograms (mergeable fixed-layout log buckets, see :mod:`repro.obs`)

@@ -2,16 +2,34 @@
 
 The router routes reads and swaps shards; it has no write path of its
 own (writes buffer in :class:`~repro.serving.service.IndexService`
-and reach a shard through :meth:`ShardRouter.replace_shard`).  One
-``np.searchsorted`` against the boundary array assigns every query
-of a batch to its shard; a stable argsort groups the batch into
-per-shard contiguous runs; each run goes down its shard's
-``lookup_many``; and the per-shard
-:class:`~repro.indexes.base.BatchQueryStats` are gathered back into
-the caller's positional order.  The per-shard runs execute inline,
-one after another, on the caller's thread.  The gather is *exact*:
-entry ``i`` of the gathered batch is bit-identical to routing
-``keys[i]`` alone and looking it up in its shard.
+and reach a shard through :meth:`ShardRouter.replace_shard`).
+
+**One sweep per request.**  When every shard is a LIPP/SALI index the
+router holds a :class:`~repro.indexes.lipp.forest.LippForest` over
+them: one ``np.searchsorted`` against the boundary array gives every
+query its shard, and one flat sweep — each query starting at its own
+shard's root — answers the batch, instead of the fixed numpy-dispatch
+cost of a sweep once per shard.  The other five families have no flat
+view to concatenate, and for them the router scatters: a stable
+argsort groups the batch into per-shard contiguous runs, each run goes
+down its shard's ``lookup_many`` inline, one after another on the
+caller's thread, and the results are gathered back into the caller's
+positional order.  Either way the answer is *exact*: entry ``i`` is
+bit-identical to routing ``keys[i]`` alone and looking it up in its
+shard.
+
+**``replace_shard`` is the publication point.**  The forest is built
+in the constructor, and :meth:`ShardRouter.replace_shard` writes the
+published shard back over its region of it (or builds a new forest,
+when the shard has outgrown the region) — by the one writer, before a
+reader can see the new shard — and never on a read.  Either way a
+shard that has no flat view is compiled there and then, so no shard
+reaches concurrent readers cold: the lazy compile rebinds a tree's slot
+arrays onto new buffers and takes no lock, and two first reads
+compiling at once would leave the tree and the view on different
+buffers (the next in-place merge then silently drops keys).  A shard
+mutated structurally behind the router's back makes the forest refuse
+(``StaleFlatError``); such a batch is scattered instead.
 """
 
 from __future__ import annotations
@@ -22,7 +40,14 @@ from typing import Sequence
 import numpy as np
 
 from ..core.exceptions import IndexStateError
-from ..indexes.base import BatchQueryStats, LearnedIndex, _as_query_array
+from ..indexes.base import (
+    BatchQueryStats,
+    LearnedIndex,
+    _as_query_array,
+    alloc_batch_outputs,
+)
+from ..indexes.lipp import LippForest, LippIndex
+from ..indexes.lipp.flat import StaleFlatError
 from ..obs.metrics import get_registry
 
 __all__ = ["RoutedBatch", "ShardRouter"]
@@ -37,19 +62,17 @@ class RoutedBatch:
             monolithic ``lookup_many`` would have returned for
             found/values, with levels/steps as reported by the shard
             that served each query.
-        shard_ids: shard serving each query, parallel to the batch.
-        per_shard: each shard's own BatchQueryStats (None where the
-            shard received no queries), in shard order — the inputs to
-            per-shard latency accounting.
+        shard_ids: shard serving each query, parallel to the batch —
+            the input to per-shard latency accounting.
     """
 
     gathered: BatchQueryStats
     shard_ids: np.ndarray
-    per_shard: tuple[BatchQueryStats | None, ...]
 
 
 class ShardRouter:
-    """Scatter/gather router over a list of shard indexes.
+    """Router over a list of shard indexes: one sweep over a forest
+    view of LIPP/SALI shards, scatter/gather over any other family's.
 
     ``shards[i]`` may be None (an empty shard): lookups routed there
     miss with zero traversal cost.
@@ -70,6 +93,15 @@ class ShardRouter:
             raise IndexStateError("shard boundaries must be non-decreasing")
         self._shards = list(shards)
         self._boundaries = boundaries
+        self._forest = self._build_forest()
+
+    def _build_forest(self) -> LippForest | None:
+        """The one-sweep view of the shards, when they all have flat
+        views (and there is at least one to view)."""
+        present = [shard for shard in self._shards if shard is not None]
+        if present and all(isinstance(shard, LippIndex) for shard in present):
+            return LippForest(self._shards, self._boundaries)
+        return None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -122,54 +154,51 @@ class ShardRouter:
     def lookup_many(self, keys: np.ndarray | list) -> RoutedBatch:
         """Routed batched lookups with exact positional gather."""
         q = _as_query_array(keys)
-        m = int(q.size)
-        shard_ids, order, offsets = self.group_by_shard(q)
-        found = np.zeros(m, dtype=bool)
-        values = np.zeros(m, dtype=np.int64)
-        levels = np.zeros(m, dtype=np.int64)
-        steps = np.zeros(m, dtype=np.int64)
-        per_shard: list[BatchQueryStats | None] = [None] * self.n_shards
+        routed = self._one_sweep(q) or self._scatter_gather(q)
+        reg = get_registry()
+        if reg.enabled:
+            reg.counter("router_batches_total").inc()
+            reg.counter("router_routed_keys_total").inc(int(q.size))
+            reg.histogram("router_batch_keys").observe(int(q.size))
+            # Scatter width: shards this batch actually touched.
+            reg.histogram("router_scatter_shards").observe(
+                int(np.count_nonzero(np.bincount(routed.shard_ids)))
+            )
+        return routed
 
+    def _one_sweep(self, q: np.ndarray) -> RoutedBatch | None:
+        """The forest's answer — None without a forest, or when it
+        refuses because a shard changed behind the router's back."""
+        if self._forest is None:
+            return None
+        try:
+            batch = self._forest.lookup_many(q)
+        except StaleFlatError:
+            return None
+        return RoutedBatch(gathered=batch, shard_ids=batch.shard_ids)
+
+    def _scatter_gather(self, q: np.ndarray) -> RoutedBatch:
+        """One ``lookup_many`` per shard the batch touches."""
+        shard_ids, order, offsets = self.group_by_shard(q)
+        found, values, levels, steps = alloc_batch_outputs(int(q.size))
         for shard_no in range(self.n_shards):
             lo, hi = int(offsets[shard_no]), int(offsets[shard_no + 1])
-            if lo == hi:
+            shard = self._shards[shard_no]
+            # An empty shard is a definite miss with no structure to
+            # traverse (levels=0, steps=0 — only base_ns accrues); the
+            # gathered arrays already say so.
+            if lo == hi or shard is None:
                 continue
             positions = order[lo:hi]
-            shard = self._shards[shard_no]
-            if shard is None:
-                # Empty shard: a definite miss with no structure to
-                # traverse (levels=0, steps=0 — only base_ns accrues);
-                # the gathered arrays already say so.
-                per_shard[shard_no] = BatchQueryStats(
-                    keys=q[positions],
-                    found=np.zeros(positions.size, dtype=bool),
-                    values=np.zeros(positions.size, dtype=np.int64),
-                    levels=np.zeros(positions.size, dtype=np.int64),
-                    search_steps=np.zeros(positions.size, dtype=np.int64),
-                )
-                continue
-            batch = per_shard[shard_no] = shard.lookup_many(q[positions])
+            batch = shard.lookup_many(q[positions])
             found[positions] = batch.found
             values[positions] = batch.values
             levels[positions] = batch.levels
             steps[positions] = batch.search_steps
-
         gathered = BatchQueryStats(
             keys=q, found=found, values=values, levels=levels, search_steps=steps
         )
-        reg = get_registry()
-        if reg.enabled:
-            reg.counter("router_batches_total").inc()
-            reg.counter("router_routed_keys_total").inc(m)
-            reg.histogram("router_batch_keys").observe(m)
-            # Scatter width: shards this batch actually touched — the
-            # fan-out the gather pays for.
-            reg.histogram("router_scatter_shards").observe(
-                sum(1 for b in per_shard if b is not None)
-            )
-        return RoutedBatch(
-            gathered=gathered, shard_ids=shard_ids, per_shard=tuple(per_shard)
-        )
+        return RoutedBatch(gathered=gathered, shard_ids=shard_ids)
 
     def range_query(self, low: int, high: int) -> list[tuple[int, int]]:
         """Gathered range scan across every shard overlapping the range."""
@@ -196,5 +225,10 @@ class ShardRouter:
     # Lifecycle
     # ------------------------------------------------------------------
     def replace_shard(self, shard_no: int, index: LearnedIndex | None) -> None:
-        """Swap one shard's index (the service's merge path)."""
+        """Publish one shard's index (the service's merge path; called
+        for in-place merges too, whose shard object is unchanged)."""
         self._shards[int(shard_no)] = index
+        forest = self._forest
+        if forest is None or not isinstance(index, LippIndex) or not forest.replace(shard_no, index):
+            self._forest = forest = None  # dropped before its successor is allocated
+            self._forest = self._build_forest()

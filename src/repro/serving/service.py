@@ -6,8 +6,9 @@ Read path (per batch, all vectorised):
    memtable consulted first; a buffered hit answers without touching
    the shard (levels 0, one sorted-probe charge), and any query in a
    shard with a non-empty buffer pays the failed memtable probe.
-2. **Scatter/gather** — everything still pending goes down the
-   :class:`~repro.serving.router.ShardRouter`.
+2. **Routing** — everything still pending goes down the
+   :class:`~repro.serving.router.ShardRouter`; with nothing buffered
+   anywhere, stage 1 is skipped and the router's arrays are the answer.
 
 Write path (single driver: one writer at a time, every step on the
 caller's thread): ``insert_many`` lands in the per-shard memtables
@@ -44,6 +45,7 @@ from ..indexes.base import (
     LearnedIndex,
     _as_batch_kv,
     _as_query_array,
+    alloc_batch_outputs,
     dedupe_last_wins,
 )
 from ..obs.health import HealthReport, IMBALANCE_WARN, ShardHealth, shard_status
@@ -95,20 +97,6 @@ def _scan_shard(shard: LearnedIndex | None) -> tuple[np.ndarray, np.ndarray]:
         np.fromiter((p[0] for p in pairs), dtype=np.int64, count=len(pairs)),
         np.fromiter((p[1] for p in pairs), dtype=np.int64, count=len(pairs)),
     )
-
-
-def _prewarm_flat(shard: LearnedIndex | None) -> None:
-    """Compile a tree backend's flat lookup view now, not on first read.
-
-    The lazy compile rebinds the tree's slot arrays onto the flat
-    buffers and takes no lock, so a shard must never reach concurrent
-    readers cold: two first reads compiling at once leave the tree and
-    the view on different buffers, and the next in-place merge then
-    silently drops keys.
-    """
-    prewarm = getattr(shard, "prewarm_flat", None)
-    if prewarm is not None:
-        prewarm()
 
 
 @dataclass
@@ -264,10 +252,6 @@ class IndexService:
         self.family = family
         self.plan = plan
         self.constants = constants or CostConstants()
-        # No shard reaches a reader cold; done here so that build,
-        # open_snapshot and direct construction are all covered.
-        for shard in router.shards:
-            _prewarm_flat(shard)
         self.staleness_threshold = float(staleness_threshold)
         self.stats = ServiceStats()
         self._buffers = [_Memtable() for _ in range(router.n_shards)]
@@ -400,8 +384,6 @@ class IndexService:
                 f"(known: {', '.join(sorted(INDEX_FAMILIES))})"
             )
         shards: list[LearnedIndex | None] = []
-        shard_keys: list[np.ndarray] = []
-        shard_values: list[np.ndarray] = []
         for shard_no in range(manifest.n_shards):
             shard = store.build_shard(shard_no, family_cls)
             alpha = (
@@ -417,20 +399,20 @@ class IndexService:
             ):
                 apply_csv(adapter_for(shard, consts), CsvConfig(alpha=alpha))
             shards.append(shard)
-            skeys, svals = _scan_shard(shard)
-            shard_keys.append(skeys)
-            shard_values.append(svals)
+        # The router first: it compiles the shards straight into its
+        # forest's buffers, and the scan then reads those.
+        router = ShardRouter(shards, np.asarray(manifest.boundaries, dtype=np.int64))
+        shard_keys, shard_values = zip(*(_scan_shard(shard) for shard in shards))
         plan = ShardPlan(
-            boundaries=np.asarray(manifest.boundaries, dtype=np.int64),
-            shard_keys=tuple(shard_keys),
-            shard_values=tuple(shard_values),
+            boundaries=router.boundaries,
+            shard_keys=shard_keys,
+            shard_values=shard_values,
             alphas=manifest.alphas,
             mode=manifest.mode,
             predicted_costs=tuple(
                 predicted_shard_cost(k, consts) for k in shard_keys
             ),
         )
-        router = ShardRouter(shards, plan.boundaries)
         return cls(
             router,
             manifest.family,
@@ -627,11 +609,13 @@ class IndexService:
         if self.metrics.enabled:
             self._c_lookups.inc(m)
             self._h_batch.observe(m)
+        if not any(len(buffer) for buffer in self._buffers):
+            # Nothing buffered: the router's arrays are the answer.
+            routed = self.router.lookup_many(q)
+            self._record_latency(routed.shard_ids, routed.gathered)
+            return routed.gathered
         shard_ids = self.router.shard_of(q)
-        found = np.zeros(m, dtype=bool)
-        values = np.zeros(m, dtype=np.int64)
-        levels = np.zeros(m, dtype=np.int64)
-        steps = np.zeros(m, dtype=np.int64)
+        found, values, levels, steps = alloc_batch_outputs(m)
         pending = np.ones(m, dtype=bool)
 
         # 1. Write-buffer overlay.  Every query into a shard with a
@@ -778,20 +762,15 @@ class IndexService:
             )
             merged = cls.build(merged_keys, merged_vals)
             expected_keys = merged_keys
-        alpha = (
-            self.plan.alphas[shard_no]
-            if shard_no < len(self.plan.alphas)
-            else None
-        )
+        alpha = self.plan.alphas[shard_no] if shard_no < len(self.plan.alphas) else None
         resmoothed = (
             alpha is not None and alpha > 0.0 and self.family in SMOOTHABLE_FAMILIES
         )
         if resmoothed:
             apply_csv(adapter_for(merged, self.constants), CsvConfig(alpha=alpha))
             self.stats.resmoothed_shards += 1
-        # The (re)compile is paid before the swap, not on the first
-        # query after it.
-        _prewarm_flat(merged)
+        # Publication: the router (re)compiles what the merge staled
+        # here, under the writer, not on the first query after it.
         self.router.replace_shard(shard_no, merged)
         self.stats.merges += 1
         self.stats.merged_keys += int(bkeys.size)
@@ -829,23 +808,41 @@ class IndexService:
     # ------------------------------------------------------------------
     def range_query(self, low: int, high: int) -> list[tuple[int, int]]:
         """Gathered range scan, overlaid with in-range buffered writes."""
-        merged = dict(self.router.range_query(low, high))
+        pairs = self.router.range_query(low, high)
+        key_parts, value_parts = [], []
         for buffer in self._buffers:
             bkeys, bvals = buffer.arrays()
-            if not bkeys.size:
-                continue
             lo = int(np.searchsorted(bkeys, int(low), side="left"))
             hi = int(np.searchsorted(bkeys, int(high), side="right"))
-            merged.update(zip(bkeys[lo:hi].tolist(), bvals[lo:hi].tolist()))
-        return sorted(merged.items())
+            if lo < hi:
+                key_parts.append(bkeys[lo:hi])
+                value_parts.append(bvals[lo:hi])
+        if not key_parts:
+            return pairs  # shards are disjoint ascending ranges
+        stored = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+        keys, values = dedupe_last_wins(
+            np.concatenate([stored[0], *key_parts]), np.concatenate([stored[1], *value_parts])
+        )
+        return list(zip(keys.tolist(), values.tolist()))
 
     # ------------------------------------------------------------------
     # Latency accounting
     # ------------------------------------------------------------------
     def _record_latency(self, shard_ids: np.ndarray, batch: BatchQueryStats) -> None:
-        ns = batch.simulated_ns(self.constants)
-        for shard_no in np.unique(shard_ids).tolist():
-            self._lat_hists[shard_no].observe_array(ns[shard_ids == shard_no])
+        """Feed the per-shard histograms from one ``bincount`` over the
+        batch's ``(shard, levels, steps)`` classes: a batch has a
+        handful of them, and a class's simulated ns is one number."""
+        if not shard_ids.size:
+            return
+        levels, steps = batch.levels, batch.search_steps
+        n_levels = int(levels.max()) + 1
+        n_steps = int(steps.max()) + 1
+        counts = np.bincount((shard_ids * n_levels + levels) * n_steps + steps)
+        classes = np.flatnonzero(counts)
+        for code, n in zip(classes.tolist(), counts[classes].tolist()):
+            shard_no, rest = divmod(code, n_levels * n_steps)
+            ns = self.constants.query_ns(*divmod(rest, n_steps))
+            self._lat_hists[shard_no].observe(ns, n)
 
     def latency_report(self) -> LatencyReport:
         """Per-shard p50/p90/p99/avg of the simulated lookup latencies.

@@ -155,7 +155,7 @@ def _assert_compile_parity(index):
             buffer = getattr(flat, name)
             assert np.shares_memory(getattr(node, name), buffer[base:end])
             assert np.array_equal(getattr(node, name), buffer[base:end])
-        child = np.full(node.m, NO_CHILD, dtype=np.int64)
+        child = np.full(node.m, NO_CHILD, dtype=np.int32)
         for slot, sub in node.children.items():
             if isinstance(sub, LippNode):
                 child[slot] = node_of[id(sub)]
@@ -223,6 +223,95 @@ class TestLookupParity:
         assert bool(np.all(got.found))
         assert got.values.tolist() == [expected[k] for k in stored.tolist()]
         _assert_compile_parity(index)  # children dicts no longer in slot order
+
+
+INT64 = np.iinfo(np.int64)
+#: Query keys at both ends of the key space and around its middle.
+EXTREME_PROBES = np.asarray(
+    [INT64.min, INT64.min + 1, INT64.min + 5, -1, 0, 1, INT64.max - 5, INT64.max - 1, INT64.max],
+    dtype=np.int64,
+)
+any_int64 = st.integers(min_value=int(INT64.min), max_value=int(INT64.max))
+
+
+def _extreme_span_keys() -> np.ndarray:
+    """2,002 keys from ``int64.min + 5`` to ``int64.max - 5``: ``key -
+    pivot`` leaves int64 for most (key, pivot) pairs of the tree."""
+    rng = np.random.default_rng(3)
+    inner = rng.integers(INT64.min + 5, INT64.max - 5, 2000, dtype=np.int64)
+    return np.unique(np.concatenate([inner, [INT64.min + 5, INT64.max - 5]]))
+
+
+def _assert_both_walks_find(index, keys, values):
+    """Every stored key is found by the batch sweep *and* by the scalar
+    walk, at the same level, and ``key_level`` agrees."""
+    batch = index.lookup_many(keys)
+    assert bool(batch.found.all())
+    assert np.array_equal(batch.values, values)
+    for j, key in enumerate(keys.tolist()):
+        scalar = index.lookup_stats(key)
+        assert scalar.found and scalar.value == int(values[j])
+        assert scalar.levels == int(batch.levels[j]) == index.key_level(key)
+
+
+@pytest.mark.parametrize("cls", INDEX_CLASSES)
+class TestExtremeSpanParity:
+    """``key - pivot`` past int64: the batch sweep used to wrap where
+    the scalar walk (Python ints) did not, so the two disagreed and a
+    wide key set lost keys."""
+
+    def test_extreme_span_build(self, cls):
+        keys = _extreme_span_keys()
+        values = keys // 4
+        index = cls.build(keys, values)
+        _assert_both_walks_find(index, keys, values)
+        _assert_lookup_parity(index, np.concatenate([EXTREME_PROBES, keys + 1, keys - 1]))
+        assert index.range_query(int(INT64.min), int(INT64.max)) == list(
+            zip(keys.tolist(), values.tolist())
+        )
+        _assert_compile_parity(index)
+
+    @pytest.mark.parametrize("bulk", [True, False], ids=["bulk", "per_key"])
+    def test_extreme_keys_into_an_ordinary_tree(self, cls, bulk):
+        rng = np.random.default_rng(5)
+        keys = np.unique(rng.integers(10**9, 10**12, 3000))
+        index = cls.build(keys, keys * 3)
+        index.lookup_many(keys)  # compile: the merge runs on the flat view
+        offsets = rng.integers(0, 10**6, 41)
+        extreme = np.unique(np.concatenate([INT64.min + offsets, INT64.max - offsets]))
+        if bulk:
+            index.bulk_insert_many(extreme, extreme // 7)
+        else:
+            for key in extreme.tolist():
+                index.insert(key, key // 7)
+        stored = np.concatenate([extreme[extreme < 0], keys, extreme[extreme > 0]])
+        values = np.concatenate(
+            [extreme[extreme < 0] // 7, keys * 3, extreme[extreme > 0] // 7]
+        )
+        _assert_both_walks_find(index, stored, values)
+        _assert_lookup_parity(index, np.concatenate([EXTREME_PROBES, extreme + 1]))
+        assert index.range_query(int(INT64.min), int(INT64.max)) == list(
+            zip(stored.tolist(), values.tolist())
+        )
+        assert list(index.iter_keys()) == stored.tolist()
+
+    @SETTINGS
+    @given(
+        raw=st.lists(any_int64, min_size=2, max_size=300),
+        probes=st.lists(any_int64, max_size=100),
+        batch=st.lists(any_int64, max_size=100),
+    )
+    def test_any_int64_keys(self, cls, insert_each, raw, probes, batch):
+        keys, values, index = _build(cls, raw)
+        _assert_both_walks_find(index, keys, values)
+        q = np.concatenate([keys, EXTREME_PROBES, np.asarray(probes, dtype=np.int64)])
+        _assert_lookup_parity(index, q)
+        loop_index = cls.build(keys, values)
+        bkeys = np.asarray(batch, dtype=np.int64)
+        index.bulk_insert_many(bkeys, bkeys // 5)
+        insert_each(loop_index, bkeys, bkeys // 5)
+        _assert_content_parity(index, loop_index)
+        _assert_lookup_parity(index, np.concatenate([q, bkeys]))
 
 
 @pytest.mark.parametrize("cls", INDEX_CLASSES)

@@ -194,6 +194,27 @@ def _assert_parity(keys, values, level=1, slot_factor=1.0, m=None, model=None) -
     return got
 
 
+INT64 = np.iinfo(np.int64)
+
+
+def _assert_both_walks_agree(root: LippNode, slot_factor, keys, values) -> None:
+    """Over the built tree, the flat sweep and the scalar walk find
+    every stored key at the same level, and agree on extreme query keys."""
+    index = LippIndex(root, slot_factor)
+    probes = np.asarray([INT64.min, INT64.min + 1, -1, 0, 1, INT64.max - 1, INT64.max])
+    q = np.concatenate([keys, probes])
+    batch = index.lookup_many(q)
+    assert bool(batch.found[: keys.size].all())
+    assert np.array_equal(batch.values[: keys.size], values)
+    for j, key in enumerate(q.tolist()):
+        scalar = index.lookup_stats(key)
+        assert scalar.found == bool(batch.found[j])
+        assert scalar.levels == int(batch.levels[j])
+    # ``level`` of the root may not be 1 here; levels count from the root.
+    stored = _stored_levels(root, keys) - root.level + 1
+    assert np.array_equal(batch.levels[: keys.size], stored)
+
+
 @pytest.mark.parametrize("slot_factor", SLOT_FACTORS)
 @pytest.mark.parametrize("dataset", sorted(DATASETS))
 class TestDatasetParity:
@@ -292,14 +313,34 @@ class TestEdgeParity:
         """A span that overflows int64 is still divided exactly."""
         pair = np.asarray([lo, hi], dtype=np.int64)
         _assert_parity(pair, pair, 2, 1.5)
-        # The same pair one level down: a constant root model sends both
-        # keys to one slot, the endpoint fallback (whose span overflows
-        # too) cannot separate them either, and the level pass lays the
-        # child pair out.  Compared as trees only: past an int64 span
-        # the vectorised prediction wraps where the scalar walk does not.
+        # The same pair under a constant root model, which sends both
+        # keys to one slot: the endpoint fallback (whose span overflows
+        # too) separates them, exactly, in the build and in both walks.
         constant = LinearModel(0.0, 0.0)
-        got = LippNode.from_keys(pair, pair, 1, 1.5, 3, constant)
-        _assert_same_tree(got, _oracle_from_keys(pair, pair, 1, 1.5, 3, constant))
+        got = _assert_parity(pair, pair, 1, 1.5, 3, constant)
+        _assert_both_walks_agree(got, 1.5, pair, pair)
+
+    @pytest.mark.parametrize("slot_factor", SLOT_FACTORS)
+    def test_extreme_span_key_set(self, slot_factor):
+        """Keys from ``int64.min + 5`` to ``int64.max - 5``: ``key -
+        pivot`` leaves int64 at most nodes.  The level kernel, the
+        per-node oracle (through ``fit_linear`` / ``predict_array``),
+        the scalar walk and the flat sweep must all take the exact
+        difference — the kernel used to wrap, and the scalar walk then
+        missed 995 of these 2,002 stored keys."""
+        rng = np.random.default_rng(3)
+        lo, hi = int(INT64.min) + 5, int(INT64.max) - 5
+        keys = np.unique(
+            np.concatenate([rng.integers(lo, hi, 2000, dtype=np.int64), [lo, hi]])
+        )
+        values = keys // 4
+        root = _assert_parity(keys, values, 1, slot_factor)
+        _assert_both_walks_agree(root, slot_factor, keys, values)
+        # A CSV-style root: caller-chosen size and model over the same span.
+        m = int(keys.size * 1.3)
+        model = fit_linear(keys).scaled((m - 1) / (keys.size - 1))
+        root = _assert_parity(keys, values, 2, slot_factor, m, model)
+        _assert_both_walks_agree(root, slot_factor, keys, values)
 
     def test_deep_conflict_chain_keeps_the_stack_flat(self):
         """Geometrically growing gaps: every level peels off the largest

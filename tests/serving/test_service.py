@@ -62,15 +62,14 @@ class TestScatterGatherParity:
         keys, queries, service = service_fixture(rng, family, n_shards=4)
         with service:
             routed = service.router.lookup_many(queries)
-            per_shard_total = sum(
-                float(b.simulated_ns(service.constants).sum())
-                for b in routed.per_shard
-                if b is not None
-            )
-            gathered_total = float(
-                routed.gathered.simulated_ns(service.constants).sum()
-            )
-            assert per_shard_total == pytest.approx(gathered_total)
+            gathered_ns = routed.gathered.simulated_ns(service.constants)
+            # Each shard's share of the gathered cost is what that shard
+            # itself reports for the queries routed to it.
+            for shard_no, shard in enumerate(service.router.shards):
+                mine = routed.shard_ids == shard_no
+                own = shard.lookup_many(queries[mine]).simulated_ns(service.constants)
+                assert float(gathered_ns[mine].sum()) == pytest.approx(float(own.sum()))
+            assert np.array_equal(routed.shard_ids, service.router.shard_of(queries))
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
