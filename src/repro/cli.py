@@ -109,11 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--n", type=int, default=20_000)
     p_serve.add_argument("--shards", type=int, default=8)
     p_serve.add_argument(
-        "--mode", choices=["equi_depth", "cost_balanced"], default="equi_depth"
-    )
-    p_serve.add_argument(
-        "--alpha", default=None,
-        help="per-shard smoothing α: a float, 'auto', or 'auto:<float>'",
+        "--alpha", type=float, default=None,
+        help="smoothing α applied to every shard (default: no smoothing)",
     )
     p_serve.add_argument("--ops", type=int, default=50_000, help="total operations")
     p_serve.add_argument("--read-frac", type=float, default=0.9)
@@ -179,10 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--store", default=None, metavar="PATH",
         help="HTTP mode: SQLite-WAL runtime store persisting op "
              "counters and the op log across restarts",
-    )
-    p_serve.add_argument(
-        "--no-replay", action="store_true",
-        help="with --store, skip re-applying the logged write ops on startup",
     )
     p_serve.add_argument(
         "--metrics-every-s", type=float, default=5.0, metavar="S",
@@ -301,14 +294,6 @@ def _cmd_levels(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_alpha(raw: str | None) -> float | str | None:
-    if raw is None:
-        return None
-    if raw.startswith("auto"):
-        return raw
-    return float(raw)
-
-
 def _make_service(args: argparse.Namespace, keys: np.ndarray):
     """Open-or-build the :class:`IndexService` a serve run drives.
 
@@ -344,8 +329,7 @@ def _make_service(args: argparse.Namespace, keys: np.ndarray):
         keys,
         family=args.index,
         n_shards=args.shards,
-        mode=args.mode,
-        alpha=_parse_alpha(args.alpha),
+        alpha=args.alpha,
         staleness_threshold=args.staleness,
         **durability,
     )
@@ -408,7 +392,6 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
             max_inflight=args.max_inflight,
             metrics_out=args.metrics_out,
             metrics_every_s=args.metrics_every_s,
-            replay=not args.no_replay,
             on_listening=lambda h, p: _say(f"http: listening on http://{h}:{p}"),
         )
         _say("http: drained and stopped")
@@ -433,8 +416,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             args.dataset,
             n=args.n,
             shard_counts=tuple(sorted({k for k in (1, 2, args.shards) if k <= args.shards})),
-            mode=args.mode,
-            alpha=_parse_alpha(args.alpha),
+            alpha=args.alpha,
             n_queries=max(args.ops, 1),
             seed=args.seed,
         )

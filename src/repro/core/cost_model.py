@@ -20,9 +20,8 @@ and per-step search time the same way); deterministic defaults in
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .exceptions import CalibrationError
 
@@ -140,23 +139,3 @@ def calibrate_from_samples(
     if traversal == 0.0 and search == 0.0:
         raise CalibrationError("calibration produced degenerate constants")
     return CostConstants(traversal_ns=traversal, search_ns=search, base_ns=base)
-
-
-def time_queries(
-    lookup: Callable[[int], object],
-    keys: Sequence[int],
-    stats_of: Callable[[int], tuple[int, int]],
-) -> list[tuple[int, int, float]]:
-    """Time *lookup* over *keys*, pairing wall time with query stats.
-
-    *stats_of* maps a key to its ``(levels, search_steps)``; returns the
-    triples accepted by :func:`calibrate_from_samples`.
-    """
-    samples = []
-    for key in keys:
-        start = time.perf_counter_ns()
-        lookup(int(key))
-        elapsed = time.perf_counter_ns() - start
-        levels, steps = stats_of(int(key))
-        samples.append((levels, steps, float(elapsed)))
-    return samples

@@ -16,6 +16,7 @@ the stationary point of the bracketed factor used for smoothing.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from .exceptions import SmoothingBudgetError
 from .segment_stats import SegmentStats, validate_keys
-from .smoothing import resolve_budget
+from .smoothing import _score_gaps, greedy_insert, resolve_budget
 
 __all__ = ["PoisoningResult", "poison_keys"]
 
@@ -47,46 +48,19 @@ class PoisoningResult:
         return 100.0 * (self.final_loss - self.original_loss) / self.original_loss
 
 
+def _covariance_root(c0, c1, v0, v1, v2) -> np.ndarray:
+    """Where a gap's ``cov(t) = c0 + c1·t`` vanishes."""
+    return np.where(c1 != 0.0, -c0 / c1, np.nan)
+
+
 def _worst_candidate(stats: SegmentStats) -> tuple[int, float] | None:
-    """Global loss-maximising ``(value, loss)`` over every gap."""
-    points = stats.points
-    lows = points[:-1] + 1
-    highs = points[1:] - 1
-    mask = highs >= lows
-    if not np.any(mask):
+    """Global loss-maximising ``(value, loss)`` over every gap: the
+    smoother's candidate scan with the covariance root as each gap's
+    interior point and the argmin turned into an argmax."""
+    scored = _score_gaps(stats, _covariance_root)
+    if scored is None:
         return None
-    lows = lows[mask]
-    highs = highs[mask]
-    ranks = np.nonzero(mask)[0] + 1
-
-    candidate_values = [lows, highs]
-    candidate_ranks = [ranks, ranks]
-    # Interior maximiser: cov(t) = c0 + c1·t = 0.
-    from .segment_stats import sum_of_ranks
-
-    n = stats.n
-    big_n = n + 1
-    ybar = sum_of_ranks(big_n) / big_n
-    sk, __, sky = stats.centered_sums()
-    suffix = stats.suffix_key_sums(ranks)
-    c0 = (sky + suffix) - sk * ybar
-    c1 = ranks - ybar
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_zero = np.where(c1 != 0.0, -c0 / c1, np.nan)
-    star = t_zero + stats.reference
-    interior = np.isfinite(star) & (star > lows) & (star < highs)
-    if np.any(interior):
-        floor_v = np.floor(star[interior]).astype(np.int64)
-        lo_i = lows[interior]
-        hi_i = highs[interior]
-        candidate_values.append(np.clip(floor_v, lo_i, hi_i))
-        candidate_ranks.append(ranks[interior])
-        candidate_values.append(np.clip(floor_v + 1, lo_i, hi_i))
-        candidate_ranks.append(ranks[interior])
-
-    values = np.concatenate(candidate_values)
-    value_ranks = np.concatenate(candidate_ranks)
-    losses = stats.evaluate_many(values, value_ranks)
+    values, losses, __ = scored
     worst = int(np.argmax(losses))
     return int(values[worst]), float(losses[worst])
 
@@ -98,8 +72,9 @@ def poison_keys(
 ) -> PoisoningResult:
     """Greedy poisoning: insert points that maximise the refitted SSE.
 
-    Mirrors :func:`repro.core.smoothing.smooth_keys` with the argmin
-    replaced by an argmax.  Stops early only when no free value exists.
+    :func:`repro.core.smoothing.smooth_keys`'s loop with the accept
+    test reversed: it stops when no free value exists or none hurts the
+    fit further (rare, tiny gaps).
     """
     original = validate_keys(keys)
     lam = resolve_budget(original.size, alpha, budget)
@@ -107,28 +82,15 @@ def poison_keys(
         raise SmoothingBudgetError("poisoning needs at least two keys")
     start = time.perf_counter()
     stats = SegmentStats(original)
-    original_loss = stats.base_loss()
-    trace = [original_loss]
-    poison: list[int] = []
-    current_loss = original_loss
-    while len(poison) < lam:
-        found = _worst_candidate(stats)
-        if found is None:
-            break
-        value, loss = found
-        if loss <= current_loss:
-            # No free value hurts the fit further; stop (rare, tiny gaps).
-            break
-        stats.commit(value)
-        poison.append(value)
-        current_loss = loss
-        trace.append(loss)
+    poison, trace, __ = greedy_insert(
+        lambda: _worst_candidate(stats), stats.commit, lam, stats.base_loss(), operator.gt
+    )
     return PoisoningResult(
         original_keys=original,
         poison_points=poison,
         points=stats.points.copy(),
-        original_loss=original_loss,
-        final_loss=current_loss,
+        original_loss=trace[0],
+        final_loss=trace[-1],
         loss_trace=trace,
         elapsed_seconds=time.perf_counter() - start,
     )

@@ -20,14 +20,15 @@ filter.
 
 from __future__ import annotations
 
+import operator
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .linear_model import QuadraticModel
 from .segment_stats import sum_of_rank_squares, sum_of_ranks, validate_keys
-from .smoothing import resolve_budget
+from .smoothing import SmoothingResult, greedy_insert, resolve_budget
 
 __all__ = ["QuadraticSmoothingResult", "smooth_keys_quadratic", "quadratic_fit_and_loss"]
 
@@ -267,29 +268,12 @@ class _QuadState:
 
 
 @dataclass
-class QuadraticSmoothingResult:
-    """Outcome of a quadratic smoothing run."""
+class QuadraticSmoothingResult(SmoothingResult):
+    """Outcome of a quadratic smoothing run: a
+    :class:`~repro.core.smoothing.SmoothingResult` whose refitted
+    indexing function is quadratic."""
 
-    original_keys: np.ndarray
-    virtual_points: list[int]
-    points: np.ndarray
-    original_loss: float
-    final_loss: float
     model: QuadraticModel
-    budget: int
-    loss_trace: list[float] = field(default_factory=list)
-    stopped_early: bool = False
-    elapsed_seconds: float = 0.0
-
-    @property
-    def n_virtual(self) -> int:
-        return len(self.virtual_points)
-
-    @property
-    def loss_improvement_pct(self) -> float:
-        if self.original_loss == 0.0:
-            return 0.0
-        return 100.0 * (self.original_loss - self.final_loss) / self.original_loss
 
 
 def smooth_keys_quadratic(
@@ -308,30 +292,19 @@ def smooth_keys_quadratic(
     lam = resolve_budget(original.size, alpha, budget)
     start = time.perf_counter()
     state = _QuadState(original)
-    __, original_loss = quadratic_fit_and_loss(original)
-    previous = original_loss
-    trace = [previous]
-    virtual: list[int] = []
-    stopped_early = False
-    while len(virtual) < lam:
-        found = state.best_candidate()
-        if found is None:
-            stopped_early = True
-            break
-        value, loss = found
-        if loss >= previous:
-            stopped_early = True
-            break
-        state.commit(value)
-        virtual.append(value)
-        previous = loss
-        trace.append(loss)
+    virtual, trace, stopped_early = greedy_insert(
+        state.best_candidate,
+        state.commit,
+        lam,
+        quadratic_fit_and_loss(original)[1],
+        operator.lt,
+    )
     model, final = quadratic_fit_and_loss(state.points)
     return QuadraticSmoothingResult(
         original_keys=original,
         virtual_points=virtual,
         points=state.points.copy(),
-        original_loss=original_loss,
+        original_loss=trace[0],
         final_loss=final,
         model=model,
         budget=lam,

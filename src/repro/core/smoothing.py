@@ -17,11 +17,22 @@ problem is NP-hard (Lemma 3.1); this module provides:
   fit the *original* (non-refitted) function, quantifying the value of
   refitting.
 
-The greedy inner loop is vectorised with numpy: for every gap it scores
-the two endpoints plus the closed-form interior stationary point — a
-superset of the candidates Algorithm 1's sign test would retain, so the
-selected point is identical while the work per iteration stays O(n)
-with small constants.  The per-gap suffix key sums come from
+The greedy loop itself — ask the state for its best candidate, compare
+it with the loss so far, commit it, extend the trace — is written once,
+in :func:`greedy_insert`.  :func:`smooth_keys` and its ablations
+:func:`~repro.core.weighted_smoothing.smooth_keys_weighted`,
+:func:`~repro.core.quadratic_smoothing.smooth_keys_quadratic` and
+:func:`~repro.core.poisoning.poison_keys` all run it; what differs
+between them is the state's ``best`` / ``commit`` and the accept test.
+(:func:`smooth_keys_fixed_model` scans gaps against a model that never
+moves — another algorithm, with its own loop.)
+
+The candidate scan is vectorised with numpy: for every gap
+:func:`_score_gaps` scores the two endpoints plus a closed-form
+interior point — for smoothing the stationary point, a superset of the
+candidates Algorithm 1's sign test would retain, so the selected point
+is identical while the work per iteration stays O(n) with small
+constants.  The per-gap suffix key sums come from
 :meth:`~repro.core.segment_stats.SegmentStats.suffix_key_sums` (one
 fancy-indexed read of the prefix array) and each committed point
 updates the statistics incrementally, so a full run over n keys does
@@ -33,6 +44,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -45,7 +57,9 @@ from .loss import fit_and_loss
 from .segment_stats import SegmentStats, sum_of_rank_squares, sum_of_ranks, validate_keys
 
 __all__ = [
+    "GreedySummary",
     "SmoothingResult",
+    "greedy_insert",
     "smooth_keys",
     "smooth_keys_exhaustive",
     "smooth_keys_fixed_model",
@@ -75,8 +89,24 @@ def resolve_budget(n: int, alpha: float | None, budget: int | None) -> int:
     return max(1, int(alpha * n))
 
 
+class GreedySummary:
+    """What every smoothing result says about its run, from its
+    ``virtual_points`` / ``original_loss`` / ``final_loss`` fields."""
+
+    @property
+    def n_virtual(self) -> int:
+        return len(self.virtual_points)
+
+    @property
+    def loss_improvement_pct(self) -> float:
+        """Percentage reduction of the loss versus the original keys."""
+        if self.original_loss == 0.0:
+            return 0.0
+        return 100.0 * (self.original_loss - self.final_loss) / self.original_loss
+
+
 @dataclass
-class SmoothingResult:
+class SmoothingResult(GreedySummary):
     """Outcome of one smoothing run.
 
     Attributes:
@@ -106,17 +136,6 @@ class SmoothingResult:
     stopped_early: bool = False
     elapsed_seconds: float = 0.0
 
-    @property
-    def n_virtual(self) -> int:
-        return len(self.virtual_points)
-
-    @property
-    def loss_improvement_pct(self) -> float:
-        """Percentage reduction of the loss versus the original keys."""
-        if self.original_loss == 0.0:
-            return 0.0
-        return 100.0 * (self.original_loss - self.final_loss) / self.original_loss
-
     def key_ranks(self) -> np.ndarray:
         """Ranks of the *original* keys within the combined point set."""
         return np.searchsorted(self.points, self.original_keys, side="left")
@@ -133,13 +152,45 @@ class SmoothingResult:
         return float(np.dot(err, err))
 
 
-def _best_candidate(stats: SegmentStats) -> tuple[int, float] | None:
-    """Vectorised global best ``(value, loss)`` over every gap.
+def greedy_insert(
+    best: Callable[[], tuple[int, float] | None],
+    commit: Callable[[int], object],
+    budget: int,
+    loss: float,
+    accept: Callable[[float, float], bool],
+) -> tuple[list[int], list[float], bool]:
+    """The greedy loop of Algorithm 1, written once.
 
-    Scores both endpoints of every sub-sequence plus the interior
-    stationary point (where it falls strictly inside), which is a
-    superset of Algorithm 1's filtered candidates; the argmin therefore
-    matches the scalar implementation exactly.
+    Up to *budget* times: ask *best* for the state's best ``(value,
+    loss)``, stop when there is none or ``accept(loss, loss so far)``
+    turns it down (Lines 27-28), otherwise *commit* the value so the
+    next round scores against the point set that holds it.  *loss* is
+    the loss before any insertion.  Returns the inserted values in
+    insertion order, the loss trace (index 0 is *loss*) and whether the
+    loop stopped before the budget ran out.
+    """
+    trace = [loss]
+    inserted: list[int] = []
+    while len(inserted) < budget:
+        found = best()
+        if found is None or not accept(found[1], trace[-1]):
+            return inserted, trace, True
+        value, loss = found
+        commit(value)
+        inserted.append(value)
+        trace.append(loss)
+    return inserted, trace, False
+
+
+def _score_gaps(
+    stats: SegmentStats, interior: Callable[..., np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, int] | None:
+    """Every gap's candidate values and their refitted losses.
+
+    Scores both endpoints of every sub-sequence plus the floor and
+    ceiling of one interior point per gap: ``interior(c0, c1, v0, v1,
+    v2)`` gives it as a centered value ``t`` (NaN for none), and only a
+    point strictly inside its gap is kept.
 
     The per-gap constants ``c0, c1`` (and the scalar ``v*`` terms) of
     Eqs. 10-16 are computed once per gap from the vectorised suffix
@@ -148,7 +199,8 @@ def _best_candidate(stats: SegmentStats) -> tuple[int, float] | None:
     :meth:`~repro.core.segment_stats.SegmentStats.evaluate_many`
     applies — in one pass over all candidates of all gaps: at a few
     thousand points an iteration is bound by numpy dispatch, not
-    arithmetic.  Returns ``None`` when no free value exists.
+    arithmetic.  Returns ``(values, losses, open gaps)``, or ``None``
+    when no free value exists.
     """
     points = stats.points
     lows = points[:-1] + 1
@@ -176,12 +228,10 @@ def _best_candidate(stats: SegmentStats) -> tuple[int, float] | None:
 
     # Candidates in the scalar reference's concatenation order: all
     # lows, all highs, interior floors, interior ceils.  One
-    # first-occurrence argmin over the concatenation reproduces the
-    # reference argmin exactly, ties included.
-    denom = c1 * v1 - 2.0 * c0 * v2
+    # first-occurrence argmin (or argmax) over the concatenation
+    # reproduces the reference's pick exactly, ties included.
     with np.errstate(divide="ignore", invalid="ignore"):
-        t_star = np.where(denom != 0.0, (c0 * v1 - 2.0 * c1 * v0) / denom, np.nan)
-    star = t_star + stats.reference
+        star = interior(c0, c1, v0, v1, v2) + stats.reference
     idx = np.nonzero(np.isfinite(star) & (star > lows) & (star < highs))[0]
     lo_i, hi_i, c0_i, c1_i = lows[idx], highs[idx], c0[idx], c1[idx]
     floor_v = np.clip(np.floor(star[idx]).astype(np.int64), lo_i, hi_i)
@@ -194,11 +244,30 @@ def _best_candidate(stats: SegmentStats) -> tuple[int, float] | None:
     var = v0 + v1 * t + v2 * t * t
     with np.errstate(divide="ignore", invalid="ignore"):
         losses = np.maximum(syyc - np.where(var > 0.0, cov * cov / var, 0.0), 0.0)
-    pick = int(np.argmin(losses))
+    return values, losses, int(lows.size)
 
+
+def _stationary_point(c0, c1, v0, v1, v2) -> np.ndarray:
+    """Where the bracketed factor of a gap's loss derivative vanishes."""
+    denom = c1 * v1 - 2.0 * c0 * v2
+    return np.where(denom != 0.0, (c0 * v1 - 2.0 * c1 * v0) / denom, np.nan)
+
+
+def _best_candidate(stats: SegmentStats) -> tuple[int, float] | None:
+    """Vectorised global best ``(value, loss)`` over every gap.
+
+    Endpoints plus the interior stationary point are a superset of
+    Algorithm 1's filtered candidates; the argmin therefore matches the
+    scalar implementation exactly.  ``None`` when no free value exists.
+    """
+    scored = _score_gaps(stats, _stationary_point)
+    if scored is None:
+        return None
+    values, losses, n_gaps = scored
+    pick = int(np.argmin(losses))
     reg = get_registry()
     if reg.enabled:
-        reg.counter("smooth_gap_segments_total").inc(int(lows.size))
+        reg.counter("smooth_gap_segments_total").inc(n_gaps)
         reg.counter("smooth_candidate_evals_total").inc(int(values.size))
     return int(values[pick]), float(losses[pick])
 
@@ -228,24 +297,13 @@ def smooth_keys(
     reg = get_registry()
     with _span("smooth_keys", registry=reg, n=int(original.size), budget=lam):
         stats = SegmentStats(original)
-        previous_loss = stats.base_loss()
-        original_loss = previous_loss
-        trace = [previous_loss]
-        virtual: list[int] = []
-        stopped_early = False
-        while len(virtual) < lam:
-            found = _best_candidate(stats)
-            if found is None:
-                stopped_early = True
-                break
-            value, loss = found
-            if loss >= previous_loss - min_gain:
-                stopped_early = True
-                break
-            stats.commit(value)
-            virtual.append(value)
-            previous_loss = loss
-            trace.append(loss)
+        virtual, trace, stopped_early = greedy_insert(
+            lambda: _best_candidate(stats),
+            stats.commit,
+            lam,
+            stats.base_loss(),
+            lambda loss, previous: loss < previous - min_gain,
+        )
     elapsed = time.perf_counter() - start
     if reg.enabled:
         reg.counter("smooth_runs_total").inc()
@@ -255,8 +313,8 @@ def smooth_keys(
         original_keys=original,
         virtual_points=virtual,
         points=stats.points.copy(),
-        original_loss=original_loss,
-        final_loss=previous_loss,
+        original_loss=trace[0],
+        final_loss=trace[-1],
         model=stats.base_model(),
         budget=lam,
         loss_trace=trace,

@@ -22,6 +22,7 @@ maximises the room left for future insertions on both sides).
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -30,7 +31,7 @@ import numpy as np
 from .exceptions import InvalidKeysError
 from .linear_model import LinearModel
 from .segment_stats import validate_keys
-from .smoothing import resolve_budget
+from .smoothing import GreedySummary, greedy_insert, resolve_budget
 
 __all__ = ["WeightedSmoothingResult", "weighted_loss", "smooth_keys_weighted"]
 
@@ -76,7 +77,7 @@ def weighted_loss(
 
 
 @dataclass
-class WeightedSmoothingResult:
+class WeightedSmoothingResult(GreedySummary):
     """Outcome of a workload-aware smoothing run."""
 
     original_keys: np.ndarray
@@ -90,16 +91,6 @@ class WeightedSmoothingResult:
     loss_trace: list[float] = field(default_factory=list)
     stopped_early: bool = False
     elapsed_seconds: float = 0.0
-
-    @property
-    def n_virtual(self) -> int:
-        return len(self.virtual_points)
-
-    @property
-    def loss_improvement_pct(self) -> float:
-        if self.original_loss == 0.0:
-            return 0.0
-        return 100.0 * (self.original_loss - self.final_loss) / self.original_loss
 
     @property
     def points(self) -> np.ndarray:
@@ -126,7 +117,7 @@ class _WeightedState:
     (one O(shift) memmove per array) instead of re-deriving everything
     from scratch.  A committed virtual point carries weight 0, so
     ``W/Swt/Swtt`` are invariant and only the rank-dependent moments
-    move — by exactly the suffix terms :meth:`best_rank` already
+    move — by exactly the suffix terms :meth:`best` already
     evaluates.
     """
 
@@ -168,18 +159,6 @@ class _WeightedState:
         arrays sorted and contiguous."""
         return np.arange(self._size, dtype=np.float64)
 
-    @property
-    def suffix_w(self) -> np.ndarray:
-        return self._suffix_w_buf[: self._size + 1]
-
-    @property
-    def suffix_wt(self) -> np.ndarray:
-        return self._suffix_wt_buf[: self._size + 1]
-
-    @property
-    def suffix_wy(self) -> np.ndarray:
-        return self._suffix_wy_buf[: self._size + 1]
-
     def _grow(self) -> None:
         """Double every buffer (amortised O(1) per commit)."""
         new_cap = max(2 * self._keys_buf.size, self._size + 1)
@@ -196,24 +175,10 @@ class _WeightedState:
         self._suffix_wt_buf = grown(self._suffix_wt_buf, self._size + 1, new_cap + 1)
         self._suffix_wy_buf = grown(self._suffix_wy_buf, self._size + 1, new_cap + 1)
 
-    def loss_at(self, first_shifted: int) -> float:
-        """Weighted refit loss if keys from index *first_shifted* on
-        shift their rank up by one."""
-        ws = self.suffix_w[first_shifted]
-        wts = self.suffix_wt[first_shifted]
-        wys = self.suffix_wy[first_shifted]
-        swy = self.Swy + ws
-        swyy = self.Swyy + 2.0 * wys + ws
-        swty = self.Swty + wts
-        var = self.Swtt - self.Swt * self.Swt / self.W
-        total = swyy - swy * swy / self.W
-        if var <= 0.0:
-            return max(total, 0.0)
-        cov = swty - self.Swt * swy / self.W
-        return max(total - cov * cov / var, 0.0)
-
-    def best_rank(self) -> tuple[int, float] | None:
-        """Best shift index over all gaps; None if no gap exists.
+    def best(self) -> tuple[int, float] | None:
+        """``(value, loss)`` of the best gap — the loss is the same
+        anywhere inside a gap, so the value is its middle; None if no
+        gap exists.
 
         Vectorised: the loss for every gap comes from the same suffix
         arrays, so all gaps are scored in a handful of numpy ops.
@@ -224,9 +189,9 @@ class _WeightedState:
         if open_gaps.size == 0:
             return None
         first_shifted = open_gaps + 1
-        ws = self.suffix_w[first_shifted]
-        wts = self.suffix_wt[first_shifted]
-        wys = self.suffix_wy[first_shifted]
+        ws = self._suffix_w_buf[first_shifted]
+        wts = self._suffix_wt_buf[first_shifted]
+        wys = self._suffix_wy_buf[first_shifted]
         swy = self.Swy + ws
         swyy = self.Swyy + 2.0 * wys + ws
         swty = self.Swty + wts
@@ -238,19 +203,20 @@ class _WeightedState:
             cov = swty - self.Swt * swy / self.W
             losses = np.maximum(total - cov * cov / var, 0.0)
         best = int(np.argmin(losses))
-        return int(open_gaps[best]), float(losses[best])
+        gap = int(open_gaps[best])
+        value = (int(self._keys_buf[gap]) + int(self._keys_buf[gap + 1])) // 2
+        return value, float(losses[best])
 
-    def commit(self, gap_index: int) -> int:
-        """Insert a virtual point mid-gap after key *gap_index*.
+    def commit(self, value: int) -> None:
+        """Insert the virtual point *value* (free, inside a gap).
 
         The virtual point enters the arrays (for gap bookkeeping) with
         weight 0, so ``W/Swt/Swtt`` are untouched; the rank-dependent
-        moments absorb exactly the suffix terms of :meth:`best_rank`'s
+        moments absorb exactly the suffix terms of :meth:`best`'s
         closed form, and the suffix arrays shift in place.
         """
-        p = gap_index + 1
+        p = int(np.searchsorted(self.keys, value))
         old = self._size
-        value = int((int(self._keys_buf[gap_index]) + int(self._keys_buf[p])) // 2)
         if old + 1 > self._keys_buf.size:
             self._grow()
         sw, swt, swy_arr = self._suffix_w_buf, self._suffix_wt_buf, self._suffix_wy_buf
@@ -279,7 +245,6 @@ class _WeightedState:
         self._t_buf[p + 1 : old + 1] = self._t_buf[p:old]
         self._t_buf[p] = float(value - self.pivot)
         self._size = old + 1
-        return value
 
     def model(self) -> LinearModel:
         var = self.Swtt - self.Swt * self.Swt / self.W
@@ -309,24 +274,9 @@ def smooth_keys_weighted(
     lam = resolve_budget(original.size, alpha, budget)
     start = time.perf_counter()
     state = _WeightedState(original.copy(), w.copy())
-    __, original_loss = weighted_loss(original, w)
-    trace = [original_loss]
-    virtual: list[int] = []
-    previous = original_loss
-    stopped_early = False
-    while len(virtual) < lam:
-        found = state.best_rank()
-        if found is None:
-            stopped_early = True
-            break
-        gap_index, loss = found
-        if loss >= previous:
-            stopped_early = True
-            break
-        value = state.commit(gap_index)
-        virtual.append(value)
-        previous = loss
-        trace.append(loss)
+    virtual, trace, stopped_early = greedy_insert(
+        state.best, state.commit, lam, weighted_loss(original, w)[1], operator.lt
+    )
     real_mask = state.w > 0.0
     key_ranks = state.ranks[real_mask].astype(np.int64)
     return WeightedSmoothingResult(
@@ -334,8 +284,8 @@ def smooth_keys_weighted(
         weights=w,
         virtual_points=virtual,
         key_ranks=key_ranks,
-        original_loss=original_loss,
-        final_loss=previous,
+        original_loss=trace[0],
+        final_loss=trace[-1],
         model=state.model(),
         budget=lam,
         loss_trace=trace,

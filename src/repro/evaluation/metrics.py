@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.exceptions import InvalidKeysError
 
 __all__ = [
     "PROMOTABLE_LEVEL",
@@ -117,11 +116,3 @@ def node_reduction_pct(
         return 0.0
     removed = len(node_levels_before) - len(node_levels_after)
     return 100.0 * removed / deep_before
-
-
-def require_nonempty(keys: np.ndarray, what: str) -> np.ndarray:
-    """Shared guard for metric inputs."""
-    arr = np.asarray(keys)
-    if arr.size == 0:
-        raise InvalidKeysError(f"{what} must be non-empty")
-    return arr

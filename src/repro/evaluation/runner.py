@@ -320,8 +320,7 @@ def run_sharded_experiment(
     dataset: str,
     n: int | None = None,
     shard_counts: tuple[int, ...] = (1, 2, 4, 8),
-    mode: str = "equi_depth",
-    alpha: float | str | None = None,
+    alpha: float | None = None,
     n_queries: int = 20_000,
     n_inserts: int = 0,
     seed: int = 0,
@@ -367,13 +366,12 @@ def run_sharded_experiment(
             keys,
             family=family,
             n_shards=k,
-            mode=mode,
             alpha=alpha,
             constants=consts,
         )
         build_seconds = time.perf_counter() - start
         __, row = _sharded_row(
-            family, dataset, f"{mode} K={k}", k, build_seconds,
+            family, dataset, f"{service.plan.mode} K={k}", k, build_seconds,
             service.lookup_many, queries, fresh, consts,
             service.plan.cost_imbalance(),
             insert_target=service.insert_many if n_inserts > 0 else None,

@@ -7,7 +7,9 @@ for one index family, encoding the paper's per-index decisions
 * **LIPP / SALI** — no in-node search exists, so the smoothing loss
   change alone is the cost condition; a rebuilt subtree becomes one
   precise-position node sized to the smoothed point set, with virtual
-  points materialising as EMPTY slots.
+  points materialising as EMPTY slots.  The adapter builds that node;
+  putting it into the tree (relinking, freeing the old subtree,
+  dropping the flat view) is :meth:`LippIndex._replace_subtree`'s.
 * **ALEX** — leaf search is real, so Eq. 22 prices the trade between
   removed traversal levels and the merged node's expected search
   steps; a rebuilt subtree becomes one gapped data node laid out at
@@ -83,31 +85,14 @@ class LippCsvAdapter:
             model=smoothing.model,
         )
         merged.virtual_slots = smoothing.n_virtual
-        self._attach(handle, merged)
+        if handle.parent is None:
+            raise IndexStateError("CSV never rebuilds the root node")
+        self.index._replace_subtree(handle, merged)
         # Both level arrays parallel the same sorted key set.
         return (
             int(np.count_nonzero(levels_after < levels_before)),
             int(np.count_nonzero(levels_after > levels_before)),
         )
-
-    def _attach(self, old: LippNode, new: LippNode) -> None:
-        parent = old.parent
-        if parent is None:
-            raise IndexStateError("CSV never rebuilds the root node")
-        slot = old.parent_slot
-        assert slot is not None
-        parent.children[slot] = new
-        new.parent = parent
-        new.parent_slot = slot
-        # The replaced subtree is garbage, but cyclic (child.parent <->
-        # node.children): cut the parent links so it is freed here, by
-        # reference count, not by a later pass of the cycle collector.
-        for node in old.walk():
-            for child in node.children.values():
-                child.parent = None
-        # Direct tree surgery: the index's compiled flat view no
-        # longer matches the structure.
-        self.index.invalidate_flat()
 
 
 class SaliCsvAdapter(LippCsvAdapter):

@@ -142,10 +142,6 @@ class BatchQueryStats:
             search_steps=int(self.search_steps[i]),
         )
 
-    def to_list(self) -> list[QueryStats]:
-        """Scalar :class:`QueryStats` objects, in query order."""
-        return [self.stat(i) for i in range(self.n_queries)]
-
     @classmethod
     def from_query_stats(cls, stats: Sequence[QueryStats]) -> "BatchQueryStats":
         """Pack scalar lookups into the array form."""

@@ -32,9 +32,11 @@ A batch lookup is then a few vectorised gathers per level over the
 whole surviving frontier — predict slots for every active query at
 once, resolve DATA/EMPTY terminals with array compares, and route
 CHILD survivors down by assigning their next node ids — instead of a
-Python-object walk per node.  The same ``locate`` sweep drives the
-in-place gapped bulk merge in
-:meth:`~repro.indexes.lipp.index.LippIndex.bulk_insert_many`.
+Python-object walk per node.  That walk is written once,
+:meth:`FlatLipp._frontier`; ``lookup_many_into`` consumes it resolving
+hits and ``locate`` — the addressing pass of the in-place gapped bulk
+merge in :meth:`~repro.indexes.lipp.index.LippIndex.bulk_insert_many` —
+recording where each key's descent ends.
 
 **Who owns the slot buffers: build -> shard view -> forest.**  A node's
 ``slot_type`` / ``slot_keys`` / ``slot_values`` are always views into
@@ -69,9 +71,11 @@ slots is cached on a view: it would go stale unnoticed.)  Only
 hot subtree flattened, a flattened leaf re-segmented — stale the
 compiled mapping; the index drops its view and recompiles lazily, and a
 forest over the dropped view refuses to sweep until its owner builds a
-new one.  ``StaleFlatError`` is the safety net for structural edits
-that bypass the index API (tests performing direct tree surgery must
-call ``invalidate_flat``).
+new one.  Every such change is made by
+:class:`~repro.indexes.lipp.index.LippIndex`, which drops the view as
+it makes it; ``StaleFlatError`` is the safety net for structural edits
+that bypass it (tests performing direct tree surgery must call
+``invalidate_flat``).
 
 **Differences that cannot wrap.**  ``key - pivot`` is taken in int64
 only when one per-batch min/max test against the pivots' range shows it
@@ -419,29 +423,32 @@ class FlatLipp:
     # ------------------------------------------------------------------
     # Batched traversal
     # ------------------------------------------------------------------
-    def lookup_many_into(
+    def _frontier(
         self,
         q: np.ndarray,
-        found: np.ndarray,
-        values: np.ndarray,
-        levels: np.ndarray,
-        steps: np.ndarray,
-        visit_counts: np.ndarray | None = None,
-        leaf_visits: np.ndarray | None = None,
         tree: np.ndarray | None = None,
-    ) -> None:
-        """Vectorised multi-level lookup sweep, scattered into outputs.
+        visit_counts: np.ndarray | None = None,
+    ):
+        """The one per-level walk of a query batch down the view.
 
-        All four output arrays parallel *q*.  With *visit_counts* (one
-        int64 cell per node) every node on each query's path is
-        credited one visit — the aggregate equivalent of SALI's
-        per-query ``record_path``; *leaf_visits* does the same for
-        flattened leaves.  On a forest, ``tree[i]`` names the tree
-        query ``i`` descends: its walk starts at ``roots[tree[i]]``
-        with ``levels`` counting from 1 there, and a query into an
-        absent tree stays the miss at level 0 the outputs start as.
-        Raises :class:`StaleFlatError` (before writing anything) when
-        the view no longer matches the tree.
+        Each level predicts every active query's slot, splits the
+        frontier into rows ending here (DATA or EMPTY slot), rows
+        entering a flattened leaf and rows routed down to a child, and
+        yields ``(depth, active, cur, keys, gslot, kinds, terminal,
+        l_active, l_ids)``: ``active`` indexes *q*; ``cur`` / ``keys``
+        / ``gslot`` / ``kinds`` are each active row's node id, key,
+        global slot and slot type; ``terminal`` masks the rows ending
+        here; ``l_active`` / ``l_ids`` are the rows entering a leaf (at
+        ``depth + 1``) and that leaf — the last three None when empty.
+        A sweep selects what it reads of a terminal row itself, so a
+        level costs a lookup nothing a lookup does not use.
+
+        On a forest, ``tree[i]`` names the tree query ``i`` descends
+        from ``roots[tree[i]]``, depth 1 there; a query into an absent
+        tree is never active.  With *visit_counts* (a cell per node)
+        every node on a query's path is credited one visit.  Raises
+        :class:`StaleFlatError`, before yielding anything, when the
+        view no longer matches the tree.
         """
         self._check_fresh()
         exact = delta_may_wrap(q, self.pivot_min, self.pivot_max)
@@ -462,7 +469,51 @@ class FlatLipp:
             kinds = self.slot_type[gslot]
             is_child = kinds == SLOT_CHILD
             terminal = ~is_child
-            if np.any(terminal):
+            c_active = active[is_child]
+            nxt = self.slot_child[gslot[is_child]].astype(np.int64)
+            leaf_sel = nxt <= FLAT_LEAF_BASE
+            l_active = l_ids = None
+            if np.any(leaf_sel):
+                l_active = c_active[leaf_sel]
+                l_ids = FLAT_LEAF_BASE - nxt[leaf_sel]
+                keep = ~leaf_sel
+                c_active = c_active[keep]
+                nxt = nxt[keep]
+            yield (
+                depth, active, cur, keys, gslot, kinds,
+                terminal if np.any(terminal) else None, l_active, l_ids,
+            )
+            active = c_active
+            cur = nxt
+            depth += 1
+
+    def lookup_many_into(
+        self,
+        q: np.ndarray,
+        found: np.ndarray,
+        values: np.ndarray,
+        levels: np.ndarray,
+        steps: np.ndarray,
+        track: bool = False,
+        tree: np.ndarray | None = None,
+    ) -> None:
+        """Vectorised multi-level lookup sweep, scattered into outputs.
+
+        All four output arrays parallel *q*; *tree* is
+        :meth:`_frontier`'s.  A query into an absent tree stays the
+        miss at level 0 the outputs start as, and a stale view raises
+        before anything is written.  With *track*, every node and
+        flattened leaf on each query's path has its ``access_count``
+        credited afterwards — the aggregate equivalent of SALI's
+        per-query ``record_path``, and on the objects, where
+        ``AccessTracker`` reads it when picking flattening targets.
+        """
+        visit_counts = np.zeros(self.n_nodes, dtype=np.int64) if track else None
+        leaf_visits = np.zeros(len(self.leaves), dtype=np.int64) if track else None
+        for depth, active, __, keys, gslot, kinds, terminal, l_active, l_ids in self._frontier(
+            q, tree, visit_counts
+        ):
+            if terminal is not None:
                 t_active = active[terminal]
                 t_slot = gslot[terminal]
                 levels[t_active] = depth
@@ -470,14 +521,9 @@ class FlatLipp:
                 hit_active = t_active[hit]
                 found[hit_active] = True
                 values[hit_active] = self.slot_values[t_slot[hit]]
-            c_active = active[is_child]
-            nxt = self.slot_child[gslot[is_child]].astype(np.int64)
-            leaf_sel = nxt <= FLAT_LEAF_BASE
-            if np.any(leaf_sel):
-                l_active = c_active[leaf_sel]
-                l_ids = FLAT_LEAF_BASE - nxt[leaf_sel]
+            if l_active is not None:
                 levels[l_active] = depth + 1
-                if leaf_visits is not None:
+                if track:
                     leaf_visits += np.bincount(l_ids, minlength=len(self.leaves))
                 for group in group_runs(l_ids):
                     leaf = self.leaves[int(l_ids[group[0]])]
@@ -486,67 +532,37 @@ class FlatLipp:
                     found[sel] = g_found
                     values[sel] = g_values
                     steps[sel] = g_steps
-                keep = ~leaf_sel
-                c_active = c_active[keep]
-                nxt = nxt[keep]
-            active = c_active
-            cur = nxt
-            depth += 1
+        if track:
+            for counts, visited in ((visit_counts, self.nodes), (leaf_visits, self.leaves)):
+                for i in np.nonzero(counts)[0].tolist():
+                    visited[i].access_count += int(counts[i])
 
     def locate(
         self, bkeys: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Terminal position of each key: ``(node, gslot, kind, leaf)``.
 
-        The same per-level sweep as :meth:`lookup_many_into`, but it
-        returns where each key's descent *ends* instead of resolving
-        hits: ``node[i]`` / ``gslot[i]`` / ``kind[i]`` identify the
-        terminal node id, global slot and slot type, or ``leaf[i]``
-        (else -1) the flattened leaf the key routed into.  This is the
-        addressing pass of the in-place gapped bulk merge.
+        :meth:`lookup_many_into`'s walk, but it records where each
+        key's descent *ends* instead of resolving hits: ``node[i]`` /
+        ``gslot[i]`` / ``kind[i]`` identify the terminal node id,
+        global slot and slot type, or ``leaf[i]`` (else -1) the
+        flattened leaf the key routed into.  This is the addressing
+        pass of the in-place gapped bulk merge.
         """
-        self._check_fresh()
-        exact = delta_may_wrap(bkeys, self.pivot_min, self.pivot_max)
         n = int(bkeys.size)
         term_node = np.full(n, -1, dtype=np.int64)
         term_slot = np.full(n, -1, dtype=np.int64)
         term_kind = np.full(n, -1, dtype=np.int64)
         leaf_of = np.full(n, -1, dtype=np.int64)
-        active = np.arange(n)
-        cur = np.zeros(n, dtype=np.int64)
-        while active.size:
-            gslot = self._predict_slots(cur, bkeys[active], exact)
-            kinds = self.slot_type[gslot]
-            is_child = kinds == SLOT_CHILD
-            terminal = ~is_child
-            if np.any(terminal):
+        for __, active, cur, __, gslot, kinds, terminal, l_active, l_ids in self._frontier(bkeys):
+            if terminal is not None:
                 t_active = active[terminal]
                 term_node[t_active] = cur[terminal]
                 term_slot[t_active] = gslot[terminal]
                 term_kind[t_active] = kinds[terminal]
-            active = active[is_child]
-            nxt = self.slot_child[gslot[is_child]].astype(np.int64)
-            leaf_sel = nxt <= FLAT_LEAF_BASE
-            if np.any(leaf_sel):
-                leaf_of[active[leaf_sel]] = FLAT_LEAF_BASE - nxt[leaf_sel]
-                keep = ~leaf_sel
-                active = active[keep]
-                nxt = nxt[keep]
-            cur = nxt
+            if l_active is not None:
+                leaf_of[l_active] = l_ids
         return term_node, term_slot, term_kind, leaf_of
-
-    def credit_access(
-        self, visit_counts: np.ndarray, leaf_visits: np.ndarray
-    ) -> None:
-        """Scatter sweep visit counters back onto the node objects.
-
-        Keeps the node tree the single source of truth for SALI's
-        access statistics (``AccessTracker`` reads ``access_count``
-        off the objects when picking flattening targets)."""
-        for i in np.nonzero(visit_counts)[0].tolist():
-            self.nodes[i].access_count += int(visit_counts[i])
-        for i in np.nonzero(leaf_visits)[0].tolist():
-            self.leaves[i].access_count += int(leaf_visits[i])
 
     # ------------------------------------------------------------------
     # Vectorised structural introspection

@@ -97,8 +97,8 @@ class LippForest(LippIndex):
         shard_ids = np.searchsorted(self._boundaries, q, side="right")
         found, values, levels, steps = alloc_batch_outputs(q.size)
         if q.size:
-            self._flat_sweep(
-                self._flat, q, found, values, levels, steps, bool(self._trackers), shard_ids
+            self._flat.lookup_many_into(
+                q, found, values, levels, steps, bool(self._trackers), shard_ids
             )
             if self._trackers:
                 routed = np.bincount(shard_ids, minlength=len(self._shards)).tolist()

@@ -7,13 +7,23 @@ the depth of the key — the effect Fig. 1 of the paper measures and CSV
 attacks.
 
 There is one traversal per granularity.  Per key, ``insert`` /
-``lookup_stats`` / ``key_level`` walk the node objects.  Per batch,
-``lookup_many``, ``range_query``, the sparse ``bulk_insert_many`` merge
-and the structure reports (``height``, ``size_bytes``,
-``level_histogram`` …) run on the compiled flat view
+``lookup_stats`` / ``key_level`` share the one walk over the node
+objects, :meth:`LippIndex._descend` — SALI's flattened leaves included,
+so :class:`~repro.indexes.sali.index.SaliIndex` adds no walk of its
+own.  Per batch, ``lookup_many``, ``range_query``, the sparse
+``bulk_insert_many`` merge and the structure reports (``height``,
+``size_bytes``, ``level_histogram`` …) run on the compiled flat view
 (:mod:`~repro.indexes.lipp.flat`), which is compiled lazily and dropped
 on every structural change.  The shards of a service are additionally
 read through one :class:`~repro.indexes.lipp.forest.LippForest`.
+
+Tree surgery is :class:`LippIndex`'s alone.  A rebuilt subtree goes in
+through :meth:`LippIndex._replace_subtree` — LIPP's adjustment
+(:meth:`LippIndex._adjust`), the bulk merge, a CSV rebuild, SALI's
+flattening — and a new child is attached by ``insert`` or the bulk
+merge; both drop the flat view themselves, so no other module relinks a
+node or calls :meth:`LippIndex.invalidate_flat` (tests that edit a tree
+by hand must).
 """
 
 from __future__ import annotations
@@ -42,7 +52,7 @@ from ..base import (
 )
 from ...obs.metrics import get_registry
 from ...obs.tracing import trace
-from .flat import FlatLipp, StaleFlatError
+from .flat import FlatLipp, StaleFlatError, _leaf_like
 from .node import DEFAULT_SLOT_FACTOR, SLOT_CHILD, SLOT_DATA, SLOT_EMPTY, LippNode
 
 __all__ = ["LippIndex"]
@@ -87,18 +97,13 @@ class LippIndex(LearnedIndex):
     def invalidate_flat(self) -> None:
         """Drop the compiled flat view after a structural change.
 
-        Every code path that alters tree *structure* (conflict child,
-        subtree rebuild, CSV re-smoothing, SALI flattening) must call
-        this; in-place slot writes need not, because the node slot
-        arrays are views into the flat buffers.  Code performing
-        direct tree surgery outside the index API (tests, adapters)
-        must call it too.
+        Every structural change goes through this class
+        (:meth:`_replace_subtree`, a conflict child, a bulk-attached
+        child) and ends here; in-place slot writes need not, because
+        the node slot arrays are views into the flat buffers.  Tests
+        performing direct tree surgery must call it themselves.
         """
         self._flat = None
-
-    def prewarm_flat(self) -> None:
-        """Compile the flat view now (e.g. before serving a shard)."""
-        self._flat_view()
 
     def _flat_view(self, slots: bool = True) -> FlatLipp:
         """The compiled flat view, compiling it on first use (``slots``
@@ -132,37 +137,37 @@ class LippIndex(LearnedIndex):
             sweep(self._flat_view(), *args)
 
     # ------------------------------------------------------------------
-    def _descend(self, key: int) -> tuple[LippNode, int, int]:
-        """Walk to the node whose model addresses *key* terminally.
+    def _descend(self, key: int) -> tuple[LippNode, int | None, list]:
+        """The one scalar walk: ``(node, slot, path)``.
 
-        Returns ``(node, slot, levels)``.
+        *path* holds the nodes from the root down to *node*, where the
+        descent of *key* ends: at the *slot* (DATA or EMPTY) its model
+        addresses terminally, or — *slot* None — at a flattened leaf
+        (SALI), which searches its own dense arrays.
         """
-        return self._descend_from(self._root, key, 1)
-
-    @staticmethod
-    def _descend_from(node: LippNode, key: int, levels: int) -> tuple[LippNode, int, int]:
-        """:meth:`_descend` starting at an arbitrary (node, depth)."""
-        while True:
+        node = self._root
+        path = [node]
+        while not _leaf_like(node):
             slot = node.slot_of(key)
-            if int(node.slot_type[slot]) == SLOT_CHILD:
-                node = node.children[slot]
-                levels += 1
-                continue
-            return node, slot, levels
+            if int(node.slot_type[slot]) != SLOT_CHILD:
+                return node, slot, path
+            node = node.children[slot]
+            path.append(node)
+        return node, None, path
+
+    def _scalar_lookup(self, key: int) -> tuple[QueryStats, list]:
+        """:meth:`lookup_stats` of an int *key*, and the path walked."""
+        node, slot, path = self._descend(key)
+        if slot is None:
+            found, value, steps = node.lookup(key)
+        else:
+            found = int(node.slot_type[slot]) == SLOT_DATA and int(node.slot_keys[slot]) == key
+            value, steps = (int(node.slot_values[slot]) if found else None), 0
+        stats = QueryStats(key=key, found=found, value=value, levels=len(path), search_steps=steps)
+        return stats, path
 
     def lookup_stats(self, key: int) -> QueryStats:
-        key = int(key)
-        node, slot, levels = self._descend(key)
-        kind = int(node.slot_type[slot])
-        if kind == SLOT_DATA and int(node.slot_keys[slot]) == key:
-            return QueryStats(
-                key=key,
-                found=True,
-                value=int(node.slot_values[slot]),
-                levels=levels,
-                search_steps=0,
-            )
-        return QueryStats(key=key, found=False, value=None, levels=levels, search_steps=0)
+        return self._scalar_lookup(int(key))[0]
 
     def lookup_many(self, keys) -> BatchQueryStats:
         """Batched precise-position lookups.
@@ -182,29 +187,8 @@ class LippIndex(LearnedIndex):
         q = _as_query_array(keys)
         found, values, levels, steps = alloc_batch_outputs(q.size)
         if q.size:
-            self._on_fresh_flat(self._flat_sweep, q, found, values, levels, steps, track)
+            self._on_fresh_flat(FlatLipp.lookup_many_into, q, found, values, levels, steps, track)
         return BatchQueryStats(keys=q, found=found, values=values, levels=levels, search_steps=steps)
-
-    @staticmethod
-    def _flat_sweep(
-        flat: FlatLipp,
-        q: np.ndarray,
-        found: np.ndarray,
-        values: np.ndarray,
-        levels: np.ndarray,
-        steps: np.ndarray,
-        track: bool,
-        tree: np.ndarray | None = None,
-    ) -> None:
-        """One flat lookup sweep, crediting access counts when tracked
-        (*tree*: each query's tree when *flat* is a forest)."""
-        if not track:
-            flat.lookup_many_into(q, found, values, levels, steps, tree=tree)
-            return
-        visit_counts = np.zeros(flat.n_nodes, dtype=np.int64)
-        leaf_visits = np.zeros(len(flat.leaves), dtype=np.int64)
-        flat.lookup_many_into(q, found, values, levels, steps, visit_counts, leaf_visits, tree)
-        flat.credit_access(visit_counts, leaf_visits)
 
     def insert(self, key: int, value: int) -> None:
         """Insert one entry; conflicts may create a child or trigger a
@@ -218,16 +202,13 @@ class LippIndex(LearnedIndex):
         """
         key = int(key)
         value = int(value)
-        path: list[LippNode] = []
-        node = self._root
-        while True:
-            path.append(node)
-            slot = node.slot_of(key)
-            kind = int(node.slot_type[slot])
-            if kind == SLOT_CHILD:
-                node = node.children[slot]
-                continue
-            break
+        node, slot, path = self._descend(key)
+        if slot is None:  # a flattened leaf takes the key into its arrays
+            before = node.n_subtree_keys
+            node.insert(key, value)
+            self._credit_chain(node.parent, node.n_subtree_keys - before)
+            return
+        kind = int(node.slot_type[slot])
         if kind == SLOT_DATA and int(node.slot_keys[slot]) == key:
             node.slot_values[slot] = value
             return
@@ -242,10 +223,11 @@ class LippIndex(LearnedIndex):
         self.invalidate_flat()
         for visited in path:
             visited.conflicts_since_build += 1
-        self._maybe_rebuild(path)
+        for visited in path:  # the shallowest over-conflicted node
+            if self._adjust(visited):
+                break
 
-    #: A node is rebuilt when its conflict count since build exceeds
-    #: ``max(REBUILD_MIN_CONFLICTS, REBUILD_RATIO * subtree size)``.
+    #: The adjustment threshold's two terms (see :meth:`_adjust`).
     REBUILD_MIN_CONFLICTS = 8
     REBUILD_RATIO = 0.1
 
@@ -296,8 +278,10 @@ class LippIndex(LearnedIndex):
         merged_k, merged_v = dedupe_last_wins(
             np.concatenate([old_keys, bkeys]), np.concatenate([old_vals, bvals])
         )
-        self._root = LippNode.from_keys(merged_k, merged_v, self._root.level, self._slot_factor)
-        self.invalidate_flat()
+        self._replace_subtree(
+            self._root,
+            LippNode.from_keys(merged_k, merged_v, self._root.level, self._slot_factor),
+        )
         if reg.enabled:
             reg.counter("bulk_rebuilds_total", family=self.name).inc()
 
@@ -317,11 +301,9 @@ class LippIndex(LearnedIndex):
         slot_start = flat.slot_start
         net_by_node = np.zeros(len(nodes), dtype=np.int64)
         conflict_nodes: dict[int, LippNode] = {}
-        structural = False
 
         # Flattened leaves (SALI): one merge + re-segmentation per
-        # touched leaf.  The rebuilt leaf is a new object, which a
-        # forest over this view would not see: structural.
+        # touched leaf.
         l_rows = np.nonzero(leaf_of >= 0)[0]
         if l_rows.size:
             l_rows = l_rows[np.argsort(leaf_of[l_rows], kind="stable")]
@@ -335,15 +317,12 @@ class LippIndex(LearnedIndex):
                     np.concatenate([old_k, bkeys[sel]]),
                     np.concatenate([old_v, bvals[sel]]),
                 )
-                rebuilt = type(leaf)(merged_k, merged_v, leaf.level, leaf.epsilon)
-                parent = leaf.parent
-                rebuilt.parent = parent
-                rebuilt.parent_slot = leaf.parent_slot
-                parent.children[leaf.parent_slot] = rebuilt
-                structural = True
+                self._replace_subtree(
+                    leaf, type(leaf)(merged_k, merged_v, leaf.level, leaf.epsilon)
+                )
                 net = int(merged_k.size) - int(old_k.size)
                 if net:
-                    self._credit_chain(parent, net)
+                    self._credit_chain(leaf.parent, net)
 
         # DATA terminals: a slot whose single key matches the stored
         # key is a pure value overwrite through the shared buffers;
@@ -377,7 +356,6 @@ class LippIndex(LearnedIndex):
                 node.conflicts_since_build += 1
                 conflict_nodes[id(node)] = node
                 net_by_node[node_id] += int(merged_k.size) - 1
-                structural = True
 
         # EMPTY terminals: unique landings fill their gap with one
         # scatter; colliding groups become a fresh child.
@@ -400,40 +378,20 @@ class LippIndex(LearnedIndex):
                 local = int(gslot - slot_start[node_id])
                 self._attach_bulk_child(node, local, bkeys[sel], bvals[sel])
                 net_by_node[node_id] += int(sel.size)
-                structural = True
 
         for node_id in np.nonzero(net_by_node)[0].tolist():
             self._credit_chain(nodes[node_id], int(net_by_node[node_id]))
 
         # LIPP's adjustment, batch-style: rebuild any node whose
-        # accumulated conflicts crossed the threshold, shallow-first
-        # (a rebuilt ancestor subsumes its descendants).
-        if conflict_nodes:
-            rebuilt_ids: set[int] = set()
-            for node in sorted(conflict_nodes.values(), key=lambda nd: nd.level):
-                anc = node.parent
-                while anc is not None and id(anc) not in rebuilt_ids:
-                    anc = anc.parent
-                if anc is not None:
-                    continue  # covered by a rebuilt ancestor
-                threshold = max(
-                    self.REBUILD_MIN_CONFLICTS, self.REBUILD_RATIO * node.n_subtree_keys
-                )
-                if node.conflicts_since_build < threshold:
-                    continue
-                keys_, vals_ = node.collect_arrays()
-                rebuilt = LippNode.from_keys(keys_, vals_, node.level, self._slot_factor)
-                if node.parent is None:
-                    self._root = rebuilt
-                else:
-                    parent = node.parent
-                    pslot = node.parent_slot
-                    parent.children[pslot] = rebuilt
-                    rebuilt.parent = parent
-                    rebuilt.parent_slot = pslot
-                rebuilt_ids.add(id(node))
-        if structural:
-            self.invalidate_flat()
+        # accumulated conflicts crossed the threshold, shallow-first.
+        # A rebuilt ancestor subsumes its descendants: their parent
+        # chains no longer reach the root.
+        for node in sorted(conflict_nodes.values(), key=lambda nd: nd.level):
+            top = node
+            while top.parent is not None:
+                top = top.parent
+            if top is self._root:
+                self._adjust(node)
 
     @staticmethod
     def _credit_chain(node: LippNode | None, net: int) -> None:
@@ -451,26 +409,39 @@ class LippIndex(LearnedIndex):
         child.parent_slot = slot
         node.slot_type[slot] = SLOT_CHILD
         node.children[slot] = child
+        self.invalidate_flat()
 
-    def _maybe_rebuild(self, path: list[LippNode]) -> None:
-        """Rebuild the shallowest over-conflicted node on *path*."""
-        for node in path:
-            threshold = max(self.REBUILD_MIN_CONFLICTS, self.REBUILD_RATIO * node.n_subtree_keys)
-            if node.conflicts_since_build < threshold:
-                continue
-            keys, values = node.collect_arrays()
-            rebuilt = LippNode.from_keys(keys, values, node.level, self._slot_factor)
-            if node.parent is None:
-                self._root = rebuilt
-            else:
-                parent = node.parent
-                slot = node.parent_slot
-                assert slot is not None
-                parent.children[slot] = rebuilt
-                rebuilt.parent = parent
-                rebuilt.parent_slot = slot
-            self.invalidate_flat()
-            return
+    def _adjust(self, node: LippNode) -> bool:
+        """LIPP's adjustment: rebuild *node*'s subtree from its sorted
+        keys once the insert conflicts it has absorbed since it was
+        built reach ``max(REBUILD_MIN_CONFLICTS, REBUILD_RATIO *
+        subtree size)``.  True if it was rebuilt."""
+        threshold = max(self.REBUILD_MIN_CONFLICTS, self.REBUILD_RATIO * node.n_subtree_keys)
+        if node.conflicts_since_build < threshold:
+            return False
+        keys, values = node.collect_arrays()
+        self._replace_subtree(
+            node, LippNode.from_keys(keys, values, node.level, self._slot_factor)
+        )
+        return True
+
+    def _replace_subtree(self, old, new) -> None:
+        """Put *new* where *old* is: under *old*'s parent, or as the
+        root.  The one place a subtree is swapped for another."""
+        parent = old.parent
+        new.parent = parent
+        new.parent_slot = old.parent_slot
+        if parent is None:
+            self._root = new
+        else:
+            parent.children[old.parent_slot] = new
+        # The replaced subtree is garbage, but cyclic (child.parent <->
+        # node.children): cut the parent links so it is freed here, by
+        # reference count, not by a later pass of the cycle collector.
+        for node in old.walk():
+            for child in node.children.values():
+                child.parent = None
+        self.invalidate_flat()
 
     # ------------------------------------------------------------------
     @property
@@ -500,11 +471,10 @@ class LippIndex(LearnedIndex):
         return total
 
     def key_level(self, key: int) -> int:
-        key = int(key)
-        node, slot, levels = self._descend(key)
-        if int(node.slot_type[slot]) == SLOT_DATA and int(node.slot_keys[slot]) == key:
-            return levels
-        raise IndexStateError(f"key {key} is not stored in this LIPP index")
+        stats = self._scalar_lookup(int(key))[0]
+        if stats.found:
+            return stats.levels
+        raise IndexStateError(f"key {key} is not stored in this {self.name.upper()} index")
 
     def iter_keys(self) -> Iterator[int]:
         for key, __ in self._root.iter_entries():

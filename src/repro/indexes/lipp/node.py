@@ -418,11 +418,6 @@ class LippNode:
     def has_subtree(self) -> bool:
         return bool(self.children)
 
-    @property
-    def conflict_count(self) -> int:
-        """Number of slots that overflowed into children."""
-        return len(self.children)
-
     # ------------------------------------------------------------------
     # Queries / updates (single-node step; traversal drives recursion)
     # ------------------------------------------------------------------
@@ -445,14 +440,6 @@ class LippNode:
         self.slot_values[slot] = 0
         self.children[slot] = child
         return child
-
-    def relevel(self, level: int) -> None:
-        """Set this subtree's levels as if the root were at *level*."""
-        delta = level - self.level
-        if delta == 0:
-            return
-        for node in self.walk():
-            node.level += delta
 
     # ------------------------------------------------------------------
     # Traversals

@@ -6,14 +6,20 @@ adds workload adaptation: per-node access statistics identify the most
 frequently traversed subtrees, which get flattened into PGM-segmented
 nodes to cut their traversal depth at the price of an extra search
 step (see :mod:`repro.indexes.sali.flatten`).
+
+Everything that walks or edits the tree is LIPP's: the scalar walk
+(:meth:`LippIndex._descend` ends at a flattened leaf as it does at a
+slot), ``insert``, ``key_level``, the bulk merge and the subtree swap
+(:meth:`LippIndex._replace_subtree`).  What is SALI's, and here: the
+tracker credit on lookups, the choice of subtrees to flatten, and the
+flattened leaves' bytes.
 """
 
 from __future__ import annotations
 
-from ...core.exceptions import IndexStateError
 from ..base import BatchQueryStats, QueryStats
 from ..lipp.index import LippIndex
-from ..lipp.node import DEFAULT_SLOT_FACTOR, SLOT_CHILD, SLOT_DATA, LippNode
+from ..lipp.node import DEFAULT_SLOT_FACTOR, LippNode
 from .flatten import DEFAULT_EPSILON, FlattenedNode
 from .probability import AccessTracker
 
@@ -47,32 +53,12 @@ class SaliIndex(LippIndex):
         return cls(base.root, slot_factor, flatten_epsilon)
 
     # ------------------------------------------------------------------
-    # Queries (track access statistics; handle flattened children)
+    # Queries: LIPP's, with every node on the path credited
     # ------------------------------------------------------------------
     def lookup_stats(self, key: int) -> QueryStats:
-        key = int(key)
-        path: list = []
-        node = self._root
-        levels = 1
-        while True:
-            path.append(node)
-            if isinstance(node, FlattenedNode):
-                found, value, steps = node.lookup(key)
-                self.tracker.record_path(path)
-                return QueryStats(key=key, found=found, value=value, levels=levels, search_steps=steps)
-            slot = node.slot_of(key)
-            kind = int(node.slot_type[slot])
-            if kind == SLOT_CHILD:
-                node = node.children[slot]
-                levels += 1
-                continue
-            self.tracker.record_path(path)
-            if kind == SLOT_DATA and int(node.slot_keys[slot]) == key:
-                return QueryStats(
-                    key=key, found=True, value=int(node.slot_values[slot]),
-                    levels=levels, search_steps=0,
-                )
-            return QueryStats(key=key, found=False, value=None, levels=levels, search_steps=0)
+        stats, path = self._scalar_lookup(int(key))
+        self.tracker.record_path(path)
+        return stats
 
     def lookup_many(self, keys) -> BatchQueryStats:
         """Batched lookups with workload tracking.
@@ -88,70 +74,11 @@ class SaliIndex(LippIndex):
         self.tracker.total_queries += batch.n_queries
         return batch
 
-    def key_level(self, key: int) -> int:
-        key = int(key)
-        node = self._root
-        levels = 1
-        while True:
-            if isinstance(node, FlattenedNode):
-                found, __, __steps = node.lookup(key)
-                if found:
-                    return levels
-                raise IndexStateError(f"key {key} is not stored in this SALI index")
-            slot = node.slot_of(key)
-            kind = int(node.slot_type[slot])
-            if kind == SLOT_CHILD:
-                node = node.children[slot]
-                levels += 1
-                continue
-            if kind == SLOT_DATA and int(node.slot_keys[slot]) == key:
-                return levels
-            raise IndexStateError(f"key {key} is not stored in this SALI index")
-
-    # ------------------------------------------------------------------
-    # Updates
-    # ------------------------------------------------------------------
-    def insert(self, key: int, value: int) -> None:
-        key = int(key)
-        value = int(value)
-        node = self._root
-        path: list[LippNode] = []
-        while True:
-            if isinstance(node, FlattenedNode):
-                before = node.n_subtree_keys
-                node.insert(key, value)
-                if node.n_subtree_keys > before:
-                    for visited in path:
-                        visited.n_subtree_keys += 1
-                return
-            path.append(node)
-            slot = node.slot_of(key)
-            kind = int(node.slot_type[slot])
-            if kind == SLOT_CHILD:
-                node = node.children[slot]
-                continue
-            break
-        if kind == SLOT_DATA and int(node.slot_keys[slot]) == key:
-            node.slot_values[slot] = value
-            return
-        for visited in path:
-            visited.n_subtree_keys += 1
-        if kind == SLOT_DATA:
-            node.make_conflict_child(slot, key, value, self._slot_factor)
-            self.invalidate_flat()
-            for visited in path:
-                visited.conflicts_since_build += 1
-            self._maybe_rebuild([n for n in path if isinstance(n, LippNode)])
-        else:
-            node.slot_type[slot] = SLOT_DATA
-            node.slot_keys[slot] = key
-            node.slot_values[slot] = value
-
-    # Bulk ingest is inherited from LippIndex: the gapped merge routes
-    # batch keys landing in a flattened subtree into its dense arrays
+    # Updates are inherited from LippIndex.  A per-key insert that ends
+    # at a flattened leaf goes into its dense arrays; the gapped bulk
+    # merge routes batch keys landing in a flattened subtree there too
     # and rebuilds it *as a flattened node* — one re-segmentation per
-    # touched flat leaf, preserving SALI's adaptation instead of
-    # per-key `FlattenedNode.insert` rebuilds.
+    # touched flat leaf, preserving SALI's adaptation.
 
     # ------------------------------------------------------------------
     # SALI's own adaptation: flattening hot subtrees
@@ -165,25 +92,20 @@ class SaliIndex(LippIndex):
         PGM node).  Returns the number of subtrees flattened.
         """
         flattened = 0
-        stack: list[LippNode] = []
-        if isinstance(self._root, LippNode):
-            stack.append(self._root)
+        stack: list[LippNode] = [self._root]
         while stack:
             node = stack.pop()
-            for slot, child in list(node.children.items()):
+            for child in list(node.children.values()):
                 if not isinstance(child, LippNode):
                     continue
                 if child.has_subtree and self.tracker.is_hot(child, min_probability):
                     keys, values = child.collect_arrays()
-                    flat = FlattenedNode(keys, values, child.level, self._flatten_epsilon)
-                    flat.parent = node
-                    flat.parent_slot = slot
-                    node.children[slot] = flat
+                    self._replace_subtree(
+                        child, FlattenedNode(keys, values, child.level, self._flatten_epsilon)
+                    )
                     flattened += 1
                 else:
                     stack.append(child)
-        if flattened:
-            self.invalidate_flat()
         return flattened
 
     def flattened_nodes(self) -> list[FlattenedNode]:

@@ -104,10 +104,6 @@ class Gauge:
         """Add *n* (default 1) to the gauge."""
         self.value += n
 
-    def dec(self, n: int | float = 1) -> None:
-        """Subtract *n* (default 1) from the gauge."""
-        self.value -= n
-
 
 class Histogram:
     """Streaming log-bucket histogram with exact count/sum/min/max.

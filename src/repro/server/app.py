@@ -263,7 +263,6 @@ class HttpFrontDoor:
         metrics_out: str | None = None,
         metrics_every_s: float = 0.0,
         drain_timeout_s: float = 30.0,
-        replay: bool = True,
     ):
         self.service = service
         self.registry = registry if registry is not None else get_registry()
@@ -273,7 +272,6 @@ class HttpFrontDoor:
         self.metrics_out = metrics_out
         self.metrics_every_s = float(metrics_every_s)
         self.drain_timeout_s = float(drain_timeout_s)
-        self.replay = bool(replay)
         self.host: str | None = None
         self.port: int | None = None
         self.admission: AdmissionController | None = None
@@ -335,11 +333,10 @@ class HttpFrontDoor:
         if self.store is None:
             return
         state = self.store.replay()
-        if self.replay:
-            for record in state.ops:
-                if record.op == "insert":
-                    self.service.insert_many(record.keys, record.values)
-                    self._c_replayed_ops.inc()
+        for record in state.ops:
+            if record.op == "insert":
+                self.service.insert_many(record.keys, record.values)
+                self._c_replayed_ops.inc()
         if state.ops:
             _log.info(f"runtime store: replayed {len(state.ops)} op(s)")
         # Counter restore comes *after* replay so the persisted totals
@@ -794,7 +791,6 @@ def run_http_server(
     max_inflight: int = 2,
     metrics_out: str | None = None,
     metrics_every_s: float = 0.0,
-    replay: bool = True,
     on_listening: Callable[[str, int], None] | None = None,
 ) -> int:
     """Run the front door in the foreground until SIGINT/SIGTERM.
@@ -810,7 +806,6 @@ def run_http_server(
         max_inflight=max_inflight,
         metrics_out=metrics_out,
         metrics_every_s=metrics_every_s,
-        replay=replay,
     )
 
     async def _amain() -> None:

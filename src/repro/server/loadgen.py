@@ -106,13 +106,6 @@ class HttpIndexClient:
         """``GET /v1/stats``."""
         return self._json("GET", "/v1/stats")
 
-    def metrics_text(self) -> str:
-        """``GET /metrics`` — the Prometheus text exposition."""
-        status, _headers, payload = self.request("GET", "/metrics")
-        if status != 200:
-            raise HttpStatusError(status, payload.decode("utf-8", "replace"), {})
-        return payload.decode("utf-8")
-
     def close(self) -> None:
         """Drop the keep-alive connection (reopened on next request)."""
         if self._conn is not None:

@@ -183,17 +183,6 @@ class RuntimeStore:
             for seq, ts, op, keys, vals in rows
         ]
 
-    def prune_op_log(self, keep_last: int) -> int:
-        """Drop all but the newest *keep_last* ops; returns rows removed."""
-        with self._lock:
-            cur = self._conn.execute(
-                "DELETE FROM op_log WHERE seq NOT IN "
-                "(SELECT seq FROM op_log ORDER BY seq DESC LIMIT ?)",
-                (max(0, int(keep_last)),),
-            )
-            self._conn.commit()
-            return int(cur.rowcount)
-
     def last_seq(self) -> int:
         """Highest sequence number ever logged (0 when none).
 

@@ -37,7 +37,6 @@ from ..obs.health import HealthReport, ShardHealth
 from .partitioner import (
     SMOOTHABLE_FAMILIES,
     ShardPlan,
-    auto_alphas,
     build_shard_indexes,
     plan_shards,
     predicted_shard_cost,
@@ -56,7 +55,6 @@ __all__ = [
     "ServiceStats",
     "ShardPlan",
     "ShardRouter",
-    "auto_alphas",
     "build_shard_indexes",
     "plan_shards",
     "predicted_shard_cost",

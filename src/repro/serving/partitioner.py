@@ -1,23 +1,16 @@
 """Range partitioning: choose shard boundaries from the key CDF.
 
-Two modes:
+Boundaries sit at the K-quantiles of the key array (*equi-depth*), so
+every shard holds (almost exactly) ``n / K`` keys.  That balances
+storage; :func:`predicted_shard_cost` prices each shard under the
+paper's cost model (Eq. 22 via :mod:`repro.core.cost_model`) so the
+plan can report how far query cost is from balanced
+(:meth:`ShardPlan.cost_imbalance`) and the service can tell when a
+shard drifts from what it was planned for.
 
-* ``equi_depth`` — boundaries at the K-quantiles of the key array, so
-  every shard holds (almost exactly) ``n / K`` keys.  This balances
-  *storage*, not query cost: a shard covering a hard region of the CDF
-  (high local model error) answers slower than its siblings.
-* ``cost_balanced`` — boundaries equalise the *predicted per-shard
-  query cost* under the paper's cost model (Eq. 22 via
-  :mod:`repro.core.cost_model`): the keys are cut into fine chunks,
-  each chunk is priced as ``n_chunk · node_cost(expected_search_steps
-  (SSE, n_chunk), 1)`` from its refitted linear model's SSE, and the
-  cumulative cost curve is cut into K equal parts.  Hard regions get
-  narrower (smaller) shards.
-
-A :class:`ShardPlan` also carries one smoothing α per shard.  Because
-every shard is smoothed *independently*, a plan can spend more virtual
-points on harder shards (``alphas="auto"``) — an experiment the
-paper's single-index evaluation cannot express.
+A :class:`ShardPlan` also carries one smoothing α per shard: every
+shard is smoothed *independently*, so a caller may pass one α for all
+or a length-K sequence.
 """
 
 from __future__ import annotations
@@ -37,7 +30,6 @@ from ..indexes.base import LearnedIndex, prepare_key_values
 __all__ = [
     "SMOOTHABLE_FAMILIES",
     "ShardPlan",
-    "auto_alphas",
     "build_shard_indexes",
     "plan_shards",
     "predicted_shard_cost",
@@ -45,9 +37,6 @@ __all__ = [
 
 #: Families CSV integrates with — the only ones a per-shard α affects.
 SMOOTHABLE_FAMILIES = ("alex", "lipp", "sali")
-
-#: Partitioning modes understood by :func:`plan_shards`.
-MODES = ("equi_depth", "cost_balanced")
 
 
 def predicted_shard_cost(
@@ -83,7 +72,9 @@ class ShardPlan:
             shard in between — legal, and served as all-miss.
         shard_keys / shard_values: the per-shard key/value slices.
         alphas: per-shard smoothing α (None = shard not smoothed).
-        mode: the partitioning mode that produced the plan.
+        mode: how the boundaries were chosen — ``"equi_depth"`` for
+            every plan made here; a reopened directory keeps what its
+            manifest recorded.
         predicted_costs: :func:`predicted_shard_cost` of every shard.
     """
 
@@ -91,7 +82,7 @@ class ShardPlan:
     shard_keys: tuple[np.ndarray, ...]
     shard_values: tuple[np.ndarray, ...]
     alphas: tuple[float | None, ...]
-    mode: str
+    mode: str = "equi_depth"
     predicted_costs: tuple[float, ...] = field(default=())
 
     @property
@@ -102,12 +93,6 @@ class ShardPlan:
     def n_keys(self) -> int:
         return int(sum(k.size for k in self.shard_keys))
 
-    def shard_of(self, keys: np.ndarray | list) -> np.ndarray:
-        """Vectorised shard assignment of a query batch."""
-        return np.searchsorted(
-            self.boundaries, np.asarray(keys, dtype=np.int64), side="right"
-        )
-
     def cost_imbalance(self) -> float:
         """max/mean ratio of the predicted per-shard costs (1.0 = flat)."""
         costs = np.asarray(self.predicted_costs, dtype=np.float64)
@@ -116,117 +101,45 @@ class ShardPlan:
         return float(costs.max() / costs.mean())
 
 
-def auto_alphas(
-    predicted_costs: Sequence[float], base_alpha: float, cap: float = 1.0
-) -> tuple[float, ...]:
-    """Spend the smoothing budget where the cost model says it hurts.
-
-    Scales *base_alpha* per shard by the shard's share of the total
-    predicted cost (mean-normalised, clipped to ``[0, cap]``), so the
-    aggregate virtual-point budget stays ≈ ``base_alpha · n`` while
-    hard shards get more of it.
-    """
-    costs = np.asarray(predicted_costs, dtype=np.float64)
-    if costs.size == 0 or costs.sum() == 0.0:
-        return tuple(float(base_alpha) for _ in range(costs.size))
-    scaled = base_alpha * costs / costs.mean()
-    return tuple(float(a) for a in np.clip(scaled, 0.0, cap))
-
-
-def _equi_depth_cuts(n: int, k: int) -> np.ndarray:
-    """Key-array positions starting shards 1..K-1."""
-    return np.asarray([(n * i) // k for i in range(1, k)], dtype=np.int64)
-
-
-def _cost_balanced_cuts(
-    keys: np.ndarray, k: int, constants: CostConstants | None
-) -> np.ndarray:
-    """Positions cutting the cumulative predicted-cost curve K ways.
-
-    The keys are diced into fine chunks (well below the shard
-    granularity), each chunk priced with :func:`predicted_shard_cost`,
-    and shard starts placed where the cumulative cost crosses each
-    ``j/K`` of the total.  Two quantiles landing in one chunk collapse
-    to the same position — that shard comes out empty rather than the
-    cut being silently moved.
-    """
-    n = int(keys.size)
-    n_chunks = min(n, max(64, 16 * k))
-    chunk_bounds = np.linspace(0, n, n_chunks + 1).astype(np.int64)
-    chunk_costs = np.asarray(
-        [
-            predicted_shard_cost(keys[lo:hi], constants)
-            for lo, hi in zip(chunk_bounds[:-1], chunk_bounds[1:])
-        ]
-    )
-    cumulative = np.concatenate([[0.0], np.cumsum(chunk_costs)])
-    total = cumulative[-1]
-    if total == 0.0:
-        return _equi_depth_cuts(n, k)
-    targets = total * np.arange(1, k) / k
-    chunk_idx = np.searchsorted(cumulative, targets, side="left")
-    chunk_idx = np.clip(chunk_idx, 1, n_chunks)
-    return chunk_bounds[chunk_idx]
-
-
 def plan_shards(
     keys: np.ndarray | list,
     n_shards: int,
     values: np.ndarray | list | None = None,
-    mode: str = "equi_depth",
-    alpha: float | Sequence[float] | str | None = None,
+    alpha: float | Sequence[float | None] | None = None,
     constants: CostConstants | None = None,
 ) -> ShardPlan:
-    """Choose K shard boundaries from the key CDF and slice the data.
+    """Choose K equi-depth shard boundaries and slice the data.
 
     Args:
         keys: sorted unique int keys (the usual build contract).
         n_shards: K ≥ 1.
         values: optional payloads parallel to *keys*.
-        mode: ``"equi_depth"`` or ``"cost_balanced"`` (see module doc).
         alpha: per-shard smoothing α — a scalar (same everywhere), a
-            length-K sequence, the string ``"auto"`` (scalar budget
-            redistributed by predicted cost; uses 0.1 as the base), or
-            None (no smoothing).  ``"auto:<float>"`` sets the base.
-        constants: cost-model constants for the cost-balanced mode.
+            length-K sequence, or None (no smoothing).
+        constants: cost-model constants pricing ``predicted_costs``.
     """
     arr, vals = prepare_key_values(validate_keys(keys), values)
     k = int(n_shards)
     if k < 1:
         raise InvalidKeysError("n_shards must be >= 1")
-    if mode not in MODES:
-        raise InvalidKeysError(f"unknown partitioning mode {mode!r}; choose from {MODES}")
     n = int(arr.size)
-    if k == 1:
-        cuts = np.empty(0, dtype=np.int64)
-    elif mode == "equi_depth":
-        cuts = _equi_depth_cuts(n, k)
-    else:
-        cuts = _cost_balanced_cuts(arr, k, constants)
+    # Key-array positions starting shards 1..K-1.
+    cuts = np.asarray([(n * i) // k for i in range(1, k)], dtype=np.int64)
     cuts = np.minimum(cuts, n - 1)
     boundaries = arr[cuts]
     starts = np.concatenate([[0], cuts])
     ends = np.concatenate([cuts, [n]])
-    # Collapsed cuts (possible when K approaches n or a cost quantile
-    # repeats a chunk) make ends < starts for the squeezed-out shard;
-    # clamp to empty.
+    # Collapsed cuts (possible when K approaches n) make ends < starts
+    # for the squeezed-out shard; clamp to empty.
     ends = np.maximum(ends, starts)
     shard_keys = tuple(arr[lo:hi] for lo, hi in zip(starts, ends))
     shard_values = tuple(vals[lo:hi] for lo, hi in zip(starts, ends))
     costs = tuple(predicted_shard_cost(s, constants) for s in shard_keys)
 
-    if alpha is None:
-        alphas: tuple[float | None, ...] = tuple(None for _ in range(k))
-    elif isinstance(alpha, str):
-        if alpha == "auto":
-            base = 0.1
-        elif alpha.startswith("auto:"):
-            base = float(alpha.split(":", 1)[1])
-        else:
-            raise InvalidKeysError(f"unknown alpha spec {alpha!r}")
-        alphas = auto_alphas(costs, base)
-    elif isinstance(alpha, (int, float)):
-        alphas = tuple(float(alpha) for _ in range(k))
+    if isinstance(alpha, str):
+        raise InvalidKeysError(f"alpha must be a number or one per shard, got {alpha!r}")
+    if alpha is None or isinstance(alpha, (int, float)):
+        alphas: tuple[float | None, ...] = (None if alpha is None else float(alpha),) * k
     else:
         if len(alpha) != k:
             raise InvalidKeysError("per-shard alphas must have one entry per shard")
@@ -237,7 +150,6 @@ def plan_shards(
         shard_keys=shard_keys,
         shard_values=shard_values,
         alphas=alphas,
-        mode=mode,
         predicted_costs=costs,
     )
 

@@ -317,8 +317,7 @@ class IndexService:
         family: str = "lipp",
         n_shards: int = 4,
         values: np.ndarray | list | None = None,
-        mode: str = "equi_depth",
-        alpha: float | Sequence[float] | str | None = None,
+        alpha: float | Sequence[float | None] | None = None,
         constants: CostConstants | None = None,
         staleness_threshold: float = 0.1,
         metrics: MetricsRegistry | None = None,
@@ -328,9 +327,7 @@ class IndexService:
     ) -> "IndexService":
         """Partition → smooth → build → route, in one call."""
         consts = constants or CostConstants()
-        plan = plan_shards(
-            keys, n_shards, values=values, mode=mode, alpha=alpha, constants=consts
-        )
+        plan = plan_shards(keys, n_shards, values=values, alpha=alpha, constants=consts)
         shards, __ = build_shard_indexes(plan, family, consts)
         router = ShardRouter(shards, plan.boundaries)
         return cls(

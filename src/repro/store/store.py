@@ -236,12 +236,6 @@ class DurableStore:
                 self._publish_gauges()
             return self._manifest.generation
 
-    def append_run(
-        self, shard: int, keys: np.ndarray, values: np.ndarray
-    ) -> int:
-        """:meth:`append_runs` convenience for a single shard."""
-        return self.append_runs({int(shard): (keys, values)})
-
     # ------------------------------------------------------------------
     # Compaction
     # ------------------------------------------------------------------

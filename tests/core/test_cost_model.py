@@ -11,7 +11,6 @@ from repro.core.cost_model import (
     expected_search_steps,
     node_cost,
     rebuild_cost_delta,
-    time_queries,
 )
 from repro.core.exceptions import CalibrationError
 
@@ -122,14 +121,3 @@ class TestCalibration:
         samples = [(lev, 0, 100.0 - lev) for lev in range(1, 20)]
         with pytest.raises(CalibrationError):
             calibrate_from_samples(samples)
-
-    def test_time_queries_shapes(self):
-        calls = []
-        samples = time_queries(
-            lookup=lambda k: calls.append(k),
-            keys=[1, 2, 3],
-            stats_of=lambda k: (2, 5),
-        )
-        assert calls == [1, 2, 3]
-        assert [(lv, st) for lv, st, __ in samples] == [(2, 5)] * 3
-        assert all(elapsed >= 0 for __, __s, elapsed in samples)

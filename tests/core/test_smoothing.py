@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from repro.core.exceptions import SmoothingBudgetError
 from repro.core.loss import exact_refit_loss, fit_and_loss
+from repro.core.poisoning import poison_keys
+from repro.core.quadratic_smoothing import smooth_keys_quadratic
 from repro.core.segment_stats import SegmentStats
 from repro.core.smoothing import (
     resolve_budget,
@@ -17,6 +19,7 @@ from repro.core.smoothing import (
     smooth_keys_exhaustive,
     smooth_keys_fixed_model,
 )
+from repro.core.weighted_smoothing import smooth_keys_weighted
 
 key_sets = st.lists(
     st.integers(min_value=0, max_value=3_000), min_size=4, max_size=40, unique=True
@@ -186,3 +189,65 @@ class TestFixedModelAblation:
 
     def test_budget_respected(self, toy_keys):
         assert smooth_keys_fixed_model(toy_keys, budget=2).n_virtual <= 2
+
+
+# What the four greedy entry points returned at the commit before they
+# shared :func:`repro.core.smoothing.greedy_insert`: on the Fig. 2 toy
+# keys at alpha 0.9 the inserted points, the loss trace and whether the
+# loop stopped early (poisoning does not report it); on ``small_keys``
+# at budget 25 the inserted points and the final loss.
+PINNED = {
+    "smooth": (
+        [20, 18, 25, 17, 22, 15, 3, 26],
+        [8.358448616600782, 6.256620021528548, 4.8645914396887235, 3.4368658399098138, 2.6310056699492748, 2.21285140562253, 1.98457776941882, 1.55829002343836, 1.1242754259616277],
+        True,
+        [6931868, 6900182, 6868730, 6973811, 6807038, 6776272, 7014657, 6716412, 6686306, 7054442, 6628194, 6598726, 7093201, 6542283, 6513431, 7130967, 6458585, 6430327, 6657362, 6375248, 7190860, 6322918, 6295610, 7226130, 6244702],
+        2417387.24210441,
+    ),
+    "weighted": (
+        [18, 15, 25, 14, 16, 24, 17, 4, 20],
+        [35.9048387503467, 27.525252779948858, 21.512746161022847, 16.00403439320212, 10.671524748480124, 7.706094455230186, 6.088454070954185, 3.803020751910026, 2.847222572430155, 2.1589550921596583],
+        False,
+        [5025250, 2537873, 1294184, 672340, 361418, 205957, 128226, 89361, 69928, 60212, 55354, 52925, 51710, 51103, 50799, 50647, 50571, 50533, 50514, 50505, 50500, 50498, 50497, 50499, 50502],
+        9594944.826879308,
+    ),
+    "quadratic": (
+        [18, 4, 16, 20, 3],
+        [3.7940171104450906, 2.9133612652116767, 2.294496433334132, 1.5372516588519147, 1.1677378218681724, 0.9745379692069491],
+        True,
+        [38735, 30287, 32399, 33983, 33191, 33389, 32795, 32993, 32498, 33834, 31870, 31473, 33984, 31176, 31671, 35172, 30731, 34578, 30509, 30286, 34875, 30285, 30953, 35097, 30284],
+        832351.8931080134,
+    ),
+    "poison": (
+        [8, 5, 4, 3, 12, 14, 15],
+        [8.358448616600782, 14.676585154728414, 21.291924319335493, 29.336000633813995, 38.82731747333881, 46.547193877550995, 50.3574144486692, 52.368086283185846],
+        None,
+        [3513, 3514, 3515, 3516, 3517, 3518, 3519, 3520, 3521, 3522, 3523, 3524, 3525, 3526, 3527, 3528, 3529, 3511, 3510, 3509, 3508, 3507, 3506, 3505, 3504],
+        3026395.641447546,
+    ),
+}
+
+
+def _run_greedy(algo: str, keys: np.ndarray, **budget):
+    if algo == "smooth":
+        return smooth_keys(keys, **budget)
+    if algo == "quadratic":
+        return smooth_keys_quadratic(keys, **budget)
+    if algo == "poison":
+        return poison_keys(keys, **budget)
+    toy = keys.size == 10
+    weights = np.arange(1.0, keys.size + 1) if toy else 1.0 + np.arange(keys.size) % 7
+    return smooth_keys_weighted(keys, weights, **budget)
+
+
+@pytest.mark.parametrize("algo", sorted(PINNED))
+def test_greedy_entry_points_keep_their_output(algo, toy_keys, small_keys):
+    toy_points, toy_trace, toy_stopped, small_points, small_final = PINNED[algo]
+    inserted = "poison_points" if algo == "poison" else "virtual_points"
+    toy = _run_greedy(algo, toy_keys, alpha=0.9)
+    assert getattr(toy, inserted) == toy_points
+    assert toy.loss_trace == pytest.approx(toy_trace, rel=1e-9)
+    assert getattr(toy, "stopped_early", None) == toy_stopped
+    small = _run_greedy(algo, small_keys, budget=25)
+    assert getattr(small, inserted) == small_points
+    assert small.final_loss == pytest.approx(small_final, rel=1e-9)

@@ -71,5 +71,5 @@ class TestBaseHelpers:
 
     def test_batch_stats_order(self, small_keys):
         index = SortedArrayIndex.build(small_keys)
-        stats = index.lookup_many(small_keys[:4]).to_list()
-        assert [s.key for s in stats] == small_keys[:4].tolist()
+        batch = index.lookup_many(small_keys[:4])
+        assert [batch.stat(i).key for i in range(4)] == small_keys[:4].tolist()

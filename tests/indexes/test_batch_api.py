@@ -179,6 +179,6 @@ class TestAggregation:
     def test_roundtrip_through_query_stats(self, small_keys):
         index = INDEX_FAMILIES["rmi"].build(small_keys)
         batch = index.lookup_many(small_keys[:40])
-        rebuilt = BatchQueryStats.from_query_stats(batch.to_list())
+        rebuilt = BatchQueryStats.from_query_stats([batch.stat(i) for i in range(batch.n_queries)])
         for field in ("keys", "found", "values", "levels", "search_steps"):
             assert np.array_equal(getattr(batch, field), getattr(rebuilt, field))

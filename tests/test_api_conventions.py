@@ -1,19 +1,27 @@
 """Library-wide convention checks: documentation and API stability.
 
 These guard the "production-quality" bar: every public item is
-documented, the package exports stay importable, and module-level
-``__all__`` lists match reality.
+documented, the package exports stay importable, module-level
+``__all__`` lists match reality, no public name is left without a
+caller, and the operator docs list exactly the flags ``serve`` takes.
 """
 
 from __future__ import annotations
 
+import argparse
+import ast
 import importlib
 import inspect
 import pkgutil
+import re
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 import repro
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 PUBLIC_MODULES = [
     name
@@ -67,3 +75,118 @@ def test_index_registry_matches_classes():
 
     for name, cls in INDEX_FAMILIES.items():
         assert cls.name == name, f"registry key {name} != class name {cls.name}"
+
+
+#: Public names nothing under src/, benchmarks/ or examples/ refers to,
+#: and why each stays.  An entry that gains a caller, or whose name is
+#: deleted, must leave this list (the scan below checks both).
+UNREFERENCED_ON_PURPOSE = {
+    # Library API re-exported from its package and exercised by tests/:
+    # the paper's building blocks a reader of the library would look for.
+    "rebuild_cost_delta": "Eq. 22 as one call (core API)",
+    "calibrate_from_samples": "fits CostConstants to a machine (core API)",
+    "loss_derivative": "Section 4.2's derivative, the filter's reference (core API)",
+    "fit_quadratic": "QuadraticModel's fit (core API)",
+    "empirical_cdf": "a key set's CDF, subsampled for plotting (datasets API)",
+    "cardinality_series": "the Fig. 9 cardinality ladder (datasets API)",
+    "load_smoothing_result": "inverse of io.save_smoothing_result",
+    "LearnedIndex.key_levels": "batch form of key_level, every family",
+    "LearnedIndex.verify_against": "self-check every family inherits",
+    "LippIndex.empty_slot_fraction": "gap-availability report beside level_histogram",
+    "SaliIndex.flatten_hot_subtrees": "SALI's adaptation step; its caller is the user's workload loop",
+    "SaliIndex.flattened_nodes": "introspection beside flatten_hot_subtrees",
+    "GapInsertionLayout.lookup_steps": "per-key query cost under the GI layout",
+    "AlexDataNode.from_positions": "lays keys out at caller-given ranks (data-node API)",
+    # Reference implementations tests compare against.
+    "exact_refit_model": "Fraction-exact oracle of the fast refit",
+    "Histogram.observe_array": "oracle of tests/serving/test_forest_parity.py's latency bookkeeping",
+    # Operator / test-harness surface.
+    "clear_cache": "drops the dataset cache between tests",
+    "MetricsRegistry.reset": "drops every instrument and span between runs",
+    "Histogram.bucket_counts": "read side of the fixed bucket layout (merge tests, exporters' oracle)",
+    "RuntimeStore.meta_get": "read side of meta_set (durable_seq, version)",
+    "IndexService.buffered_counts": "per-shard buffer depth for operators",
+    "DurableStore.load_shard_arrays": "a shard's logical content without building an index",
+}
+
+_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _public_definitions() -> list[tuple[str, str]]:
+    """(file, qualified name) of every public def / class / method."""
+    found = []
+
+    def visit(body, owner, where):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not node.name.startswith("_"):
+                    found.append((where, owner + node.name))
+                if isinstance(node, ast.ClassDef):
+                    visit(node.body, owner + node.name + ".", where)
+
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        visit(ast.parse(path.read_text()).body, "", str(path.relative_to(REPO_ROOT)))
+    return found
+
+
+def _word_uses() -> Counter:
+    """Every identifier-shaped word under src/, benchmarks/, examples/
+    (docstrings included) that is not a definition's own name, an
+    ``__all__`` entry or part of an import statement."""
+    uses: Counter = Counter()
+    for top in ("src", "benchmarks", "examples"):
+        for path in (REPO_ROOT / top).rglob("*.py"):
+            text = path.read_text()
+            lines = text.splitlines()
+            for node in ast.walk(ast.parse(text)):
+                if isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                    isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                ):
+                    for no in range(node.lineno - 1, node.end_lineno):
+                        lines[no] = ""
+                elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    lines[node.lineno - 1] = re.sub(
+                        rf"\b(def|class)\s+{node.name}\b", "", lines[node.lineno - 1], count=1
+                    )
+            for line in lines:
+                uses.update(_WORD.findall(line))
+    return uses
+
+
+def test_every_public_name_has_a_caller():
+    """A public function, method or class is referenced somewhere in
+    src/, benchmarks/ or examples/ beyond its definition, ``__all__``
+    and re-exports — or is in :data:`UNREFERENCED_ON_PURPOSE`."""
+    uses = _word_uses()
+    unreferenced = {
+        qual: where for where, qual in _public_definitions() if not uses[qual.rsplit(".", 1)[-1]]
+    }
+    dead = {q: w for q, w in unreferenced.items() if q not in UNREFERENCED_ON_PURPOSE}
+    assert not dead, f"public names nothing refers to (delete or allowlist with a reason): {dead}"
+    stale = sorted(set(UNREFERENCED_ON_PURPOSE) - set(unreferenced))
+    assert not stale, f"allowlisted names that are referenced now, or gone: {stale}"
+
+
+def test_operations_flag_table_matches_serve_parser():
+    """docs/OPERATIONS.md's flag reference lists exactly the flags
+    ``repro serve`` defines, so a deleted knob cannot live on in it."""
+    from repro.cli import build_parser
+
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    defined = {
+        flag
+        for action in subparsers.choices["serve"]._actions
+        for flag in action.option_strings
+        if flag.startswith("--") and flag != "--help"
+    }
+    text = (REPO_ROOT / "docs" / "OPERATIONS.md").read_text()
+    section = text.split("### Flag reference", 1)[1].split("\n## ", 1)[0]
+    rows = "\n".join(line for line in section.splitlines() if line.startswith("|"))
+    documented = set(re.findall(r"`(--[a-z][a-z-]*)", rows))
+    assert documented == defined, (
+        f"undocumented: {sorted(defined - documented)}; "
+        f"documented but gone: {sorted(documented - defined)}"
+    )
