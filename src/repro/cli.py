@@ -8,9 +8,10 @@ Commands:
 * ``csv``       — run one CSV experiment (build → optimise → measure).
 * ``levels``    — per-level query costs (the Fig. 1 view).
 * ``serve``     — simulate the sharded serving layer under a mixed
-  read/write workload (per-shard latency percentiles and a health
-  epilogue), or compare sharded against monolithic with ``--compare``;
-  ``--metrics-out`` streams JSON-lines metrics snapshots.  With
+  read/write workload and print a per-shard health epilogue (observed
+  levels, and their Eq. 22 price in *simulated* ns — a model output,
+  not a clock); ``--metrics-out`` streams JSON-lines metrics
+  snapshots.  With
   ``--http`` the service is exposed over the network front door
   (batch JSON endpoints, admission control, optional ``--store``
   SQLite-WAL runtime store) until SIGINT/SIGTERM drains it.
@@ -29,7 +30,6 @@ Examples::
     python -m repro csv --index alex --dataset facebook --alpha 0.1
     python -m repro serve --index lipp --shards 8 --dataset osm --ops 50000
     python -m repro serve --index lipp --shards 4 --data-dir ./data --ops 20000
-    python -m repro serve --index btree --shards 4 --compare
     python -m repro serve --metrics-out metrics.jsonl --ops 20000
     python -m repro serve --http --port 8000 --store runtime.db
     python -m repro metrics --in metrics.jsonl --validate
@@ -102,7 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_levels.add_argument("--n", type=int, default=10_000)
 
     p_serve = sub.add_parser(
-        "serve", help="simulate the sharded serving layer on a workload"
+        "serve", help="simulate the sharded serving layer on a workload",
+        allow_abbrev=False,  # a deleted flag is an error, not a prefix of a live one
     )
     p_serve.add_argument("--index", choices=sorted(INDEX_FAMILIES), default="lipp")
     p_serve.add_argument("--dataset", choices=sorted(DATASETS), default="facebook")
@@ -115,9 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--ops", type=int, default=50_000, help="total operations")
     p_serve.add_argument("--read-frac", type=float, default=0.9)
     p_serve.add_argument("--batch", type=int, default=2_048)
-    p_serve.add_argument(
-        "--zipf", action="store_true", help="Zipf-skewed reads instead of uniform"
-    )
     p_serve.add_argument("--staleness", type=float, default=0.1,
                          help="write-buffer merge threshold (buffered/stored)")
     p_serve.add_argument(
@@ -141,17 +139,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument("--seed", type=int, default=0)
     p_serve.add_argument(
-        "--compare", action="store_true",
-        help="run the sharded-vs-monolithic comparison table instead",
-    )
-    p_serve.add_argument(
         "--metrics-out", default=None, metavar="PATH",
         help="enable instrumentation and stream JSON-lines metrics "
              "snapshots to PATH (truncated first)",
-    )
-    p_serve.add_argument(
-        "--metrics-every", type=int, default=0, metavar="N",
-        help="with --metrics-out, also snapshot every N workload batches",
     )
     p_serve.add_argument(
         "--http", action="store_true",
@@ -294,23 +284,19 @@ def _cmd_levels(args: argparse.Namespace) -> int:
     return 0
 
 
-def _make_service(args: argparse.Namespace, keys: np.ndarray):
+def _make_service(args: argparse.Namespace):
     """Open-or-build the :class:`IndexService` a serve run drives.
 
     With ``--data-dir`` pointing at an initialised store the service
-    recovers from the snapshot (the dataset flags only describe the
-    fallback build); otherwise it builds from the dataset and — when
-    a data dir was given — immediately snapshots into it.
+    recovers from the snapshot and no dataset is generated (the
+    dataset flags only describe the fallback build); otherwise it
+    builds from the dataset and — when a data dir was given —
+    immediately snapshots into it.
     """
     from .serving import IndexService
     from .store import DurableStore
 
     store = DurableStore(args.data_dir) if args.data_dir else None
-    durability = dict(
-        store=store,
-        flush_threshold=args.flush_threshold,
-        compaction=args.compaction if store is not None else None,
-    )
     if store is not None and store.is_initialized():
         service = IndexService.open_snapshot(
             store,
@@ -326,12 +312,14 @@ def _make_service(args: argparse.Namespace, keys: np.ndarray):
         )
         return service
     service = IndexService.build(
-        keys,
+        load(args.dataset, args.n),
         family=args.index,
         n_shards=args.shards,
         alpha=args.alpha,
         staleness_threshold=args.staleness,
-        **durability,
+        store=store,
+        flush_threshold=args.flush_threshold,
+        compaction=args.compaction if store is not None else None,
     )
     if store is not None:
         _say(
@@ -369,12 +357,11 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
     from .obs.metrics import MetricsRegistry, scoped_registry
     from .server import RuntimeStore, run_http_server
 
-    keys = load(args.dataset, args.n)
     # The HTTP server is long-lived: instrumentation is always on so
     # GET /metrics and --metrics-out have something to export.
     registry = MetricsRegistry(enabled=True)
     store = RuntimeStore(args.store) if args.store else None
-    with scoped_registry(registry), _make_service(args, keys) as service:
+    with scoped_registry(registry), _make_service(args) as service:
         _say(
             f"http front door: {service.family} x {service.n_shards} shards over "
             f"{service.n_keys} keys; admission "
@@ -399,42 +386,13 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .evaluation.runner import run_sharded_experiment
     from .obs.export import write_jsonl
     from .obs.metrics import MetricsRegistry, scoped_registry
     from .workloads import run_service_workload
 
     if args.http:
-        if args.compare:
-            _say("--http and --compare are mutually exclusive")
-            return 2
         return _cmd_serve_http(args)
 
-    if args.compare:
-        rows = run_sharded_experiment(
-            args.index,
-            args.dataset,
-            n=args.n,
-            shard_counts=tuple(sorted({k for k in (1, 2, args.shards) if k <= args.shards})),
-            alpha=args.alpha,
-            n_queries=max(args.ops, 1),
-            seed=args.seed,
-        )
-        _say(
-            ascii_table(
-                ["configuration", "build s", "lookups/s", "avg sim ns",
-                 "p99 sim ns", "cost imbalance"],
-                [
-                    [r.label, f"{r.build_seconds:.2f}",
-                     f"{r.lookups_per_second:,.0f}", f"{r.avg_simulated_ns:.0f}",
-                     f"{r.p99_simulated_ns:.0f}", f"{r.cost_imbalance:.2f}"]
-                    for r in rows
-                ],
-            )
-        )
-        return 0
-
-    keys = load(args.dataset, args.n)
     # --metrics-out flips the whole stack's instrumentation on by
     # installing an enabled registry globally for the run; every
     # layer (smoothing, indexes, router, service) reports into it.
@@ -446,14 +404,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if args.metrics_out:
             write_jsonl(args.metrics_out, registry)
 
-    with scoped_registry(registry), _make_service(
-        args, keys
-    ) as service, _close_on_signals():
+    with scoped_registry(registry), _make_service(args) as service, _close_on_signals():
         snap()
         plan = service.plan
+        # Reads sample the keys the service holds — the stored ones
+        # when --data-dir was reopened, not a dataset it never loaded.
+        keys = np.concatenate(plan.shard_keys)
         _say(
             f"{service.family} x {plan.n_shards} shards ({plan.mode}) over "
-            f"{keys.size} {args.dataset} keys"
+            f"{keys.size} keys"
         )
         _say(
             "  shard sizes: "
@@ -465,7 +424,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 "  per-shard alpha: "
                 + ", ".join("-" if a is None else f"{a:.3f}" for a in plan.alphas)
             )
-        every = max(args.metrics_every, 0)
         try:
             report = run_service_workload(
                 service,
@@ -473,13 +431,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 n_ops=args.ops,
                 read_fraction=args.read_frac,
                 batch_size=args.batch,
-                distribution="zipf" if args.zipf else "uniform",
                 seed=args.seed,
-                on_batch=(
-                    (lambda b: snap() if (b + 1) % every == 0 else None)
-                    if args.metrics_out and every
-                    else None
-                ),
             )
         except (KeyboardInterrupt, SystemExit):
             # The with-block still runs IndexService.close(): buffered
@@ -506,10 +458,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 f"{stats.flushes} flush(es) ({stats.flushed_keys} keys), "
                 f"{stats.compactions} compaction(s)"
             )
-        _say("\nper-shard latency percentiles (simulated ns):")
-        _say(service.latency_report().to_table())
         health = service.health_report()
-        _say("\nshard health:")
+        _say("\nshard health (sim ns = Eq. 22 price of the observed levels, not a clock):")
         _say(health.to_table())
         for warning in health.warnings():
             _say(f"  warning: {warning}")

@@ -16,13 +16,11 @@ from .runner import (
     CSV_FAMILIES,
     CsvExperimentRow,
     LevelTimeRow,
-    ShardedExperimentRow,
     run_alpha_sweep,
     run_cardinality_sweep,
     run_csv_experiment,
     run_level_query_times,
     run_readwrite_experiment,
-    run_sharded_experiment,
 )
 
 __all__ = [
@@ -31,7 +29,6 @@ __all__ = [
     "LevelSnapshot",
     "LevelTimeRow",
     "PROMOTABLE_LEVEL",
-    "ShardedExperimentRow",
     "ascii_table",
     "format_float",
     "improvement_pct",
@@ -45,6 +42,5 @@ __all__ = [
     "run_csv_experiment",
     "run_level_query_times",
     "run_readwrite_experiment",
-    "run_sharded_experiment",
     "total_time_saved_ns",
 ]

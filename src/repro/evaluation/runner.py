@@ -10,15 +10,13 @@ All query profiling goes through the vectorised batch engine
 ``LearnedIndex.lookup_many``), so read wall time is dominated by the
 structures themselves rather than per-key Python dispatch.  Fig. 10's
 insertion batches are per-key ``insert`` loops
-(:mod:`repro.workloads.readwrite`), as in the paper; the sharded
-experiment's monolithic row ingests through ``bulk_insert_many``, the
-primitive the service's merge uses.
+(:mod:`repro.workloads.readwrite`), as in the paper.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,13 +40,11 @@ from .metrics import (
 __all__ = [
     "CsvExperimentRow",
     "LevelTimeRow",
-    "ShardedExperimentRow",
     "run_csv_experiment",
     "run_alpha_sweep",
     "run_cardinality_sweep",
     "run_level_query_times",
     "run_readwrite_experiment",
-    "run_sharded_experiment",
 ]
 
 #: Indexes CSV integrates with (the paper's competitors).
@@ -250,145 +246,6 @@ def run_level_query_times(
             )
         )
     return rows
-
-
-@dataclass(frozen=True)
-class ShardedExperimentRow:
-    """One configuration of the sharded-vs-monolithic comparison.
-
-    ``label`` is "monolithic" for the bare unsharded index, else
-    "<mode> K=<shards>".  Simulated-ns figures come
-    from the deterministic cost model; throughput is wall clock through
-    the batch engine (routing overhead included for the sharded rows).
-    """
-
-    index_family: str
-    dataset: str
-    n: int
-    label: str
-    n_shards: int
-    build_seconds: float
-    lookups_per_second: float
-    inserts_per_second: float
-    avg_simulated_ns: float
-    p99_simulated_ns: float
-    hit_rate: float
-    cost_imbalance: float
-
-
-def _sharded_row(
-    family: str,
-    dataset: str,
-    label: str,
-    n_shards: int,
-    build_seconds: float,
-    lookup_target,
-    queries: np.ndarray,
-    inserts: np.ndarray,
-    consts: CostConstants,
-    cost_imbalance: float,
-    insert_target=None,
-):
-    start = time.perf_counter()
-    batch = lookup_target(queries)
-    lookup_wall = time.perf_counter() - start
-    ns = batch.simulated_ns(consts)
-    inserts_per_s = 0.0
-    if insert_target is not None and inserts.size:
-        start = time.perf_counter()
-        insert_target(inserts)
-        insert_wall = time.perf_counter() - start
-        inserts_per_s = inserts.size / insert_wall if insert_wall > 0 else 0.0
-    return batch, ShardedExperimentRow(
-        index_family=family,
-        dataset=dataset,
-        n=0,  # patched by the caller
-        label=label,
-        n_shards=n_shards,
-        build_seconds=build_seconds,
-        lookups_per_second=queries.size / lookup_wall if lookup_wall > 0 else 0.0,
-        inserts_per_second=inserts_per_s,
-        avg_simulated_ns=float(ns.mean()),
-        p99_simulated_ns=float(np.percentile(ns, 99)),
-        hit_rate=batch.hit_rate,
-        cost_imbalance=cost_imbalance,
-    )
-
-
-def run_sharded_experiment(
-    family: str,
-    dataset: str,
-    n: int | None = None,
-    shard_counts: tuple[int, ...] = (1, 2, 4, 8),
-    alpha: float | None = None,
-    n_queries: int = 20_000,
-    n_inserts: int = 0,
-    seed: int = 0,
-    constants: CostConstants | None = None,
-) -> list[ShardedExperimentRow]:
-    """Sharded-vs-monolithic comparison over a shard-count sweep.
-
-    Builds the bare index once as the baseline row, then one
-    :class:`~repro.serving.service.IndexService` per shard count, all
-    over the same keys and the same uniform query sample — the batch
-    found / value vectors are asserted identical to the monolithic
-    answer, so the table compares cost, never correctness.
-    """
-    from ..serving import IndexService
-    from ..serving.service import UPDATABLE_FAMILIES
-
-    consts = constants or CostConstants()
-    keys = load(dataset, n)
-    rng = np.random.default_rng(seed)
-    queries = sample_queries(keys, n_queries, rng)
-    fresh = (
-        np.asarray([], dtype=np.int64)
-        if n_inserts <= 0
-        else int(keys[-1]) + 1 + rng.integers(0, int(keys[-1]) + 1, n_inserts)
-    )
-
-    start = time.perf_counter()
-    mono = _build(family, keys)
-    mono_build = time.perf_counter() - start
-    updatable_mono = family in UPDATABLE_FAMILIES
-    reference, baseline = _sharded_row(
-        family, dataset, "monolithic", 1, mono_build,
-        mono.lookup_many, queries, fresh, consts, 1.0,
-        insert_target=(
-            mono.bulk_insert_many if n_inserts > 0 and updatable_mono else None
-        ),
-    )
-    rows = [baseline]
-
-    for k in shard_counts:
-        start = time.perf_counter()
-        service = IndexService.build(
-            keys,
-            family=family,
-            n_shards=k,
-            alpha=alpha,
-            constants=consts,
-        )
-        build_seconds = time.perf_counter() - start
-        __, row = _sharded_row(
-            family, dataset, f"{service.plan.mode} K={k}", k, build_seconds,
-            service.lookup_many, queries, fresh, consts,
-            service.plan.cost_imbalance(),
-            insert_target=service.insert_many if n_inserts > 0 else None,
-        )
-        check = service.lookup_many(queries[: min(1000, queries.size)])
-        if not (
-            np.array_equal(check.found, reference.found[: check.n_queries])
-            and np.array_equal(check.values, reference.values[: check.n_queries])
-        ):
-            raise InvalidKeysError(
-                f"sharded service diverged from the monolithic index (K={k})"
-            )
-        service.close()
-        rows.append(row)
-
-    n_keys = int(keys.size)
-    return [replace(row, n=n_keys) for row in rows]
 
 
 def run_readwrite_experiment(

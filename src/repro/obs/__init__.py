@@ -10,13 +10,15 @@ buffer.  Exporters render the registry as JSON-lines snapshots,
 Prometheus text, or the ``repro metrics`` ASCII table.
 
 Instrumentation is off by default: the global registry starts
-disabled, and every instrumented hot path guards with a single
-``registry.enabled`` check, so the library costs nothing until the
+disabled, every instrumented hot path guards with a single
+``registry.enabled`` check, and a component that keeps its own books
+(``IndexService``) registers a source the registry pulls from only
+while enabled — so the library costs nothing until the
 ``serve`` CLI (``--metrics-out``) or an embedding application installs
 an enabled registry via :func:`~repro.obs.metrics.set_registry` /
 :class:`~repro.obs.metrics.scoped_registry`.
 
-See README "Observability" for the metric catalog and span names.
+See docs/OPERATIONS.md "Monitoring" for the metric catalog.
 """
 
 from .health import DRIFT_WARN, IMBALANCE_WARN, HealthReport, ShardHealth

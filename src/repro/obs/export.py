@@ -15,7 +15,7 @@ JSON-lines schema (one object per line, ``v`` = 1)::
     {"v": 1, "seq": 3, "ts": 1720000000.0,
      "counters":   {"service_lookups_total": 4096, ...},
      "gauges":     {"shard_buffered_keys{shard=0}": 0.0, ...},
-     "histograms": {"service_lookup_ns{shard=0}":
+     "histograms": {"service_lookup_sim_ns{shard=0}":
                       {"count": 512, "sum": ..., "min": ..., "max": ...,
                        "p50": ..., "p90": ..., "p99": ...,
                        "buckets": {"112": 37, ...}}, ...},

@@ -3,9 +3,14 @@
 The sensor layer the ROADMAP's online re-tuning item actuates on.
 :meth:`IndexService.health_report()
 <repro.serving.service.IndexService.health_report>` fills these
-dataclasses from its always-on latency histograms, write buffers, and
+dataclasses from its ledger of observed reads, write buffers, and
 the shard plan's compile-time cost predictions; the ``serve`` CLI
 prints :meth:`HealthReport.to_table` as its epilogue.
+
+Every ``*_ns`` field below is a **model output**: :func:`price_reads`
+prices the observed ``(levels, steps)`` classes with Eq. 22's
+``CostConstants`` when a report is asked for.  No clock is involved;
+``avg_levels`` is the observation itself (the paper's own measure).
 
 Signals per shard:
 
@@ -13,7 +18,7 @@ Signals per shard:
   ratio that triggers merges); warn above the service's merge
   threshold, i.e. a shard the merge machinery is failing to keep up
   with.
-* **drift** — observed mean simulated latency over the compile-time
+* **drift** — mean priced read cost (simulated ns) over the compile-time
   expected per-key cost (the shard plan's Eq. 22 prediction, refreshed
   whenever a merge rebuilds the shard).  The prediction prices the
   shard as a single root-level node, so a healthy multi-level tree
@@ -28,13 +33,18 @@ Signals per shard:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "ShardHealth",
     "HealthReport",
     "DRIFT_WARN",
     "IMBALANCE_WARN",
+    "price_reads",
+    "priced_classes",
 ]
 
 #: Warn when observed mean latency exceeds ``(1 + DRIFT_WARN)`` times
@@ -45,15 +55,55 @@ DRIFT_WARN = 3.0
 IMBALANCE_WARN = 2.0
 
 
+def priced_classes(observed: np.ndarray, constants) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The non-empty ``(levels, steps)`` classes of one count matrix:
+    their levels, their read counts and their Eq. 22 prices (simulated
+    ns) — the one place an observation becomes a price."""
+    levels, steps = np.nonzero(observed)
+    return levels, observed[levels, steps], constants.query_ns_batch(levels, steps)
+
+
+def price_reads(observed: np.ndarray, constants) -> dict:
+    """Price one ``[levels, search_steps]`` count matrix with Eq. 22.
+
+    Returns the six read-cost fields of a :class:`ShardHealth` row:
+    ``queries``, the observed ``avg_levels``, and ``avg_ns`` /
+    ``p50_ns`` / ``p90_ns`` / ``p99_ns`` in simulated ns.  A class has
+    one price, so the percentiles are the *exact* order statistics of
+    the per-read prices (``np.percentile(..., method="inverted_cdf")``
+    over one ``constants.query_ns`` per read), not bucket estimates.
+    """
+    levels, counts, prices = priced_classes(observed, constants)
+    n = int(counts.sum())
+    if not n:
+        return dict(queries=0, avg_levels=0.0, avg_ns=0.0, p50_ns=0.0, p90_ns=0.0, p99_ns=0.0)
+    order = np.argsort(prices)
+    ascending, reads_below = prices[order], np.cumsum(counts[order])
+
+    def percentile(q: float) -> float:
+        rank = max(1, math.ceil(n * (q / 100.0)))
+        return float(ascending[np.searchsorted(reads_below, rank)])
+
+    return dict(
+        queries=n,
+        avg_levels=float(levels @ counts) / n,
+        avg_ns=float(prices @ counts) / n,
+        p50_ns=percentile(50),
+        p90_ns=percentile(90),
+        p99_ns=percentile(99),
+    )
+
+
 @dataclass(frozen=True)
 class ShardHealth:
-    """Health signals of one shard (see module docstring)."""
+    """Health signals of one shard, or of all of them (``shard`` -1)."""
 
     shard: int
     n_keys: int
     buffered: int
     staleness: float
     queries: int
+    avg_levels: float
     avg_ns: float
     p50_ns: float
     p90_ns: float
@@ -68,6 +118,7 @@ class HealthReport:
     """Service-wide health: per-shard rows plus aggregate signals."""
 
     shards: tuple[ShardHealth, ...]
+    total: ShardHealth
     merges: int
     buffer_hit_rate: float
     cost_imbalance: float
@@ -87,16 +138,17 @@ class HealthReport:
         return out
 
     def to_table(self) -> str:
-        """Render the per-shard health rows as an ASCII table."""
+        """Render the per-shard rows and the total as an ASCII table."""
         from ..evaluation.reporting import ascii_table
 
         rows = [
             [
-                row.shard,
+                "all" if row.shard < 0 else row.shard,
                 row.n_keys,
                 row.buffered,
                 f"{row.staleness:.3f}",
                 row.queries,
+                f"{row.avg_levels:.2f}",
                 f"{row.avg_ns:.0f}",
                 f"{row.p50_ns:.0f}",
                 f"{row.p90_ns:.0f}",
@@ -105,12 +157,12 @@ class HealthReport:
                 f"{row.drift:+.2f}",
                 row.status,
             ]
-            for row in self.shards
+            for row in (*self.shards, self.total)
         ]
         table = ascii_table(
             [
-                "shard", "keys", "buffered", "staleness", "queries",
-                "avg ns", "p50", "p90", "p99", "expect ns", "drift", "status",
+                "shard", "keys", "buffered", "staleness", "queries", "avg levels",
+                "avg sim ns", "p50", "p90", "p99", "expect sim ns", "drift", "status",
             ],
             rows,
         )

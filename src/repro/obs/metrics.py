@@ -14,6 +14,11 @@ instrumented block, allocates nothing, and cannot perturb results
 (``tests/obs`` asserts bit-identical service output metrics-on vs
 metrics-off).
 
+A component that keeps books of its own (``IndexService``) registers
+a *source* instead (:meth:`MetricsRegistry.register_source`): the
+registry pulls at its read points, the owner's hot path never asks
+whether anyone is watching.
+
 Histogram layout
 ----------------
 
@@ -33,8 +38,9 @@ from __future__ import annotations
 
 import math
 import threading
+import weakref
 from collections import deque
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -100,10 +106,6 @@ class Gauge:
         """Overwrite the gauge with *v*."""
         self.value = float(v)
 
-    def inc(self, n: int | float = 1) -> None:
-        """Add *n* (default 1) to the gauge."""
-        self.value += n
-
 
 class Histogram:
     """Streaming log-bucket histogram with exact count/sum/min/max.
@@ -156,28 +158,6 @@ class Histogram:
             if value > self.max:
                 self.max = value
 
-    def observe_array(self, values: np.ndarray) -> None:
-        """Record a batch of observations in one vectorised pass."""
-        v = np.asarray(values, dtype=np.float64)
-        if v.size == 0:
-            return
-        positive = v > 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            idx = np.floor(np.log2(np.where(positive, v, 1.0)) * HIST_SUBBUCKETS)
-        idx = idx.astype(np.int64) - HIST_EXP_MIN * HIST_SUBBUCKETS
-        idx = np.clip(np.where(positive, idx, 0), 0, HIST_BUCKETS - 1)
-        binned = np.bincount(idx, minlength=HIST_BUCKETS)
-        with self._lock:
-            self._counts += binned
-            self.count += int(v.size)
-            self.sum += float(v.sum())
-            lo = float(v.min())
-            hi = float(v.max())
-            if lo < self.min:
-                self.min = lo
-            if hi > self.max:
-                self.max = hi
-
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
@@ -202,10 +182,6 @@ class Histogram:
             bucket = int(np.searchsorted(cum, target))
         return float(min(max(self.bucket_mid(bucket), self.min), self.max))
 
-    def percentiles(self, qs: Iterable[float]) -> list[float]:
-        """:meth:`percentile` for each *q* in *qs*."""
-        return [self.percentile(q) for q in qs]
-
     # ------------------------------------------------------------------
     # Merging and snapshots
     # ------------------------------------------------------------------
@@ -227,8 +203,7 @@ class Histogram:
     def snapshot(self) -> dict:
         """JSON-safe state: exact moments, percentiles, sparse buckets."""
         with self._lock:
-            nonzero = np.nonzero(self._counts)[0]
-            buckets = {int(i): int(self._counts[i]) for i in nonzero}
+            buckets = {str(i): int(self._counts[i]) for i in np.nonzero(self._counts)[0]}
             count, total = self.count, self.sum
             lo = self.min if count else 0.0
             hi = self.max if count else 0.0
@@ -237,7 +212,7 @@ class Histogram:
             "sum": total,
             "min": lo,
             "max": hi,
-            "buckets": {str(i): c for i, c in buckets.items()},
+            "buckets": buckets,
         }
         for q in (50, 90, 99):
             snap[f"p{q}"] = self.percentile(q)
@@ -269,10 +244,9 @@ class MetricsRegistry:
     default (see :func:`get_registry`) collects everything unless a
     component is handed its own.  ``enabled`` is the single no-op
     gate every instrumented hot path checks before touching an
-    instrument; a disabled registry can still *hold* instruments
-    (e.g. the service's always-on latency histograms register
-    themselves so exporters can find them), it just tells call sites
-    not to spend anything on optional accounting.
+    instrument; a disabled registry can still *hold* instruments and
+    sources, it just tells call sites not to spend anything on
+    optional accounting and pulls from no source.
     """
 
     def __init__(
@@ -287,6 +261,7 @@ class MetricsRegistry:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
+        self._sources: dict[str, dict[str, weakref.WeakMethod]] = {}
         self._spans: deque = deque(maxlen=max(1, int(trace_capacity)))
         self._span_seq = 0
         self._snapshot_seq = 0
@@ -322,16 +297,32 @@ class MetricsRegistry:
                 got = self._histograms.setdefault(key, Histogram())
         return got
 
-    def register_histogram(self, name: str, hist: Histogram, **labels) -> Histogram:
-        """Adopt an externally owned histogram under *name* (overwrites).
+    def register_source(self, name: str, **readers: Callable[[], dict]) -> None:
+        """Adopt an owner's books under *name* (the newest registrant wins).
 
-        The serving layer's always-on latency histograms live on the
-        service but register here so exporters see them; the newest
-        registrant wins the name.
+        *readers* maps a read point — ``counters=``, ``gauges=``,
+        ``histograms=`` — to a bound method of the owner returning
+        ``{flat key: value}`` (a :class:`Histogram` per key for
+        ``histograms``).  Each is called at its read point while the
+        registry is enabled, so what is exported is what the owner
+        holds at that instant.  Methods are held weakly: a source
+        lives exactly as long as its owner.
         """
         with self._lock:
-            self._histograms[metric_key(name, labels)] = hist
-        return hist
+            self._sources[name] = {
+                kind: weakref.WeakMethod(read) for kind, read in readers.items()
+            }
+
+    def _read(self, kind: str, own: dict) -> dict:
+        """One read point: *own* instruments, overlaid with what the
+        live sources hold right now (none while disabled), sorted."""
+        merged = dict(own)
+        if self.enabled:
+            for readers in list(self._sources.values()):
+                read = readers[kind]() if kind in readers else None
+                if read is not None:
+                    merged.update(read())
+        return dict(sorted(merged.items()))
 
     # ------------------------------------------------------------------
     # Tracing support (used by repro.obs.tracing)
@@ -355,31 +346,22 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     def counters(self) -> dict[str, int | float]:
         """Current counter values by flat key (sorted)."""
-        return {k: c.value for k, c in sorted(self._counters.items())}
+        return self._read("counters", {k: c.value for k, c in self._counters.items()})
 
     def gauges(self) -> dict[str, float]:
         """Current gauge values by flat key (sorted)."""
-        return {k: g.value for k, g in sorted(self._gauges.items())}
+        return self._read("gauges", {k: g.value for k, g in self._gauges.items()})
 
     def histograms(self) -> dict[str, Histogram]:
-        """The live histogram instruments by flat key (sorted)."""
-        return dict(sorted(self._histograms.items()))
+        """The histogram instruments by flat key (sorted): the live
+        ones, and a fresh one per key a source derives."""
+        return self._read("histograms", self._histograms)
 
     def next_snapshot_seq(self) -> int:
         """The next strictly increasing snapshot sequence number."""
         with self._lock:
             self._snapshot_seq += 1
             return self._snapshot_seq
-
-    def reset(self) -> None:
-        """Drop every instrument and span (tests, fresh runs)."""
-        with self._lock:
-            self._counters.clear()
-            self._gauges.clear()
-            self._histograms.clear()
-            self._spans.clear()
-            self._span_seq = 0
-            self._snapshot_seq = 0
 
 
 #: Process-global default registry.  Disabled out of the box so

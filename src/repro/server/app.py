@@ -90,20 +90,6 @@ _REASONS = {
     503: "Service Unavailable",
 }
 
-#: Counter names the runtime store persists and restores, beyond the
-#: per-route request counters (which are stored under their key).
-SERVICE_STAT_FIELDS = (
-    "n_lookups",
-    "n_inserts",
-    "buffer_hits",
-    "merges",
-    "merged_keys",
-    "resmoothed_shards",
-    "flushes",
-    "flushed_keys",
-    "compactions",
-)
-
 
 class BadRequestError(Exception):
     """Client-side request error (HTTP 400)."""
@@ -289,6 +275,14 @@ class HttpFrontDoor:
         self._c_errors = reg.counter("http_errors_total")
         self._c_keys_looked_up = reg.counter("http_keys_looked_up_total")
         self._c_keys_inserted = reg.counter("http_keys_inserted_total")
+        #: The front door's own counters the runtime store keeps across
+        #: restarts, by stored name — read to save, written to restore.
+        self._persisted = {
+            **{f"http_requests_total.{r}": c for r, c in self._c_requests.items()},
+            "http_keys_looked_up_total": self._c_keys_looked_up,
+            "http_keys_inserted_total": self._c_keys_inserted,
+            "http_errors_total": self._c_errors,
+        }
         self._c_replayed_ops = reg.counter("http_replayed_ops_total")
         self._c_oplog_pruned = reg.counter("http_oplog_pruned_total")
         self._h_request_s = reg.histogram("http_request_seconds")
@@ -341,40 +335,21 @@ class HttpFrontDoor:
             _log.info(f"runtime store: replayed {len(state.ops)} op(s)")
         # Counter restore comes *after* replay so the persisted totals
         # overwrite the bumps replaying just caused.
-        service_counters = {
-            name[len("service."):]: value
-            for name, value in state.counters.items()
-            if name.startswith("service.")
-        }
-        if service_counters:
-            self.service.restore_stats(service_counters)
-        for name, value in state.counters.items():
-            if name.startswith("http_"):
-                counter = self._persisted_counter(name)
-                if counter is not None and counter.value < value:
-                    counter.inc(value - counter.value)
-
-    def _persisted_counter(self, name: str):
-        for route, counter in self._c_requests.items():
-            if name == f"http_requests_total.{route}":
-                return counter
-        return {
-            "http_keys_looked_up_total": self._c_keys_looked_up,
-            "http_keys_inserted_total": self._c_keys_inserted,
-            "http_errors_total": self._c_errors,
-        }.get(name)
-
-    def _persistable_counters(self) -> dict[str, int]:
-        out = {
-            f"http_requests_total.{route}": counter.value
-            for route, counter in self._c_requests.items()
-        }
-        out["http_keys_looked_up_total"] = self._c_keys_looked_up.value
-        out["http_keys_inserted_total"] = self._c_keys_inserted.value
-        out["http_errors_total"] = self._c_errors.value
         stats = self.service.stats
-        for field_name in SERVICE_STAT_FIELDS:
-            out[f"service.{field_name}"] = int(getattr(stats, field_name))
+        stat_fields = {f"service.{f.name}": f.name for f in dataclasses.fields(stats)}
+        for name, value in state.counters.items():
+            if name in self._persisted:
+                counter = self._persisted[name]
+                counter.inc(max(value - counter.value, 0))
+            elif name in stat_fields:
+                setattr(stats, stat_fields[name], int(value))
+
+    def _counters(self) -> dict[str, int]:
+        """What the runtime store persists (and ``/v1/stats`` shows):
+        the front door's own counters and every ``ServiceStats`` field."""
+        out = {name: counter.value for name, counter in self._persisted.items()}
+        for name, value in dataclasses.asdict(self.service.stats).items():
+            out[f"service.{name}"] = value
         return out
 
     def request_shutdown(self) -> None:
@@ -428,7 +403,7 @@ class HttpFrontDoor:
         #    (close to) nothing.
         self.durable_sync()
         if self.store is not None:
-            self.store.save_counters(self._persistable_counters())
+            self.store.save_counters(self._counters())
             self.store.close()
         self._snapshot()
 
@@ -472,7 +447,9 @@ class HttpFrontDoor:
     # ------------------------------------------------------------------
     def _snapshot(self) -> None:
         if self.metrics_out:
-            write_jsonl(self.metrics_out, self.registry)
+            # The registry pulls the service's books: a monitoring read.
+            with self._rwlock.read():
+                write_jsonl(self.metrics_out, self.registry)
 
     async def _snapshot_loop(self) -> None:
         while True:
@@ -480,7 +457,7 @@ class HttpFrontDoor:
             self._snapshot()
             self.durable_sync()
             if self.store is not None:
-                self.store.save_counters(self._persistable_counters())
+                self.store.save_counters(self._counters())
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -678,8 +655,6 @@ class HttpFrontDoor:
                 if self.store is not None:
                     self.store.record_op("insert", keys, values)
                 self.service.insert_many(keys, values)
-            if self.store is not None:
-                self.store.save_counters(self._persistable_counters())
             return {"accepted": int(keys.size)}
 
         result = await self.admission.run(work)
@@ -712,7 +687,8 @@ class HttpFrontDoor:
         """Run a monitoring read of the service under the reader lock.
 
         ``IndexService.n_keys`` probes every shard that has a
-        non-empty memtable and ALEX's ``n_keys`` walks its node tree,
+        non-empty memtable and ALEX's ``n_keys`` walks its node tree
+        (so does the ``shard_staleness`` gauge the registry pulls),
         so a poll racing the in-place merge of an insert batch is the
         stale-flat-view race that drops acknowledged keys.  The read
         therefore takes the lock like any other reader — on a thread
@@ -744,13 +720,10 @@ class HttpFrontDoor:
 
     async def _h_stats(self, _obj: Any):
         self._c_requests["stats"].inc()
-        stats = self.service.stats
         n_keys = await self._monitor(lambda: int(self.service.n_keys))
         out = {
-            "service": {
-                name: int(getattr(stats, name)) for name in SERVICE_STAT_FIELDS
-            },
-            "http": self._persistable_counters(),
+            "service": dataclasses.asdict(self.service.stats),
+            "http": self._counters(),
             "n_keys": n_keys,
             "n_shards": int(self.service.n_shards),
             "store": None
@@ -772,7 +745,7 @@ class HttpFrontDoor:
 
     async def _h_metrics(self, _obj: Any):
         self._c_requests["metrics"].inc()
-        text = to_prometheus(self.registry)
+        text = await self._monitor(lambda: to_prometheus(self.registry))
         return 200, text.encode("utf-8"), PROMETHEUS_CONTENT_TYPE
 
 
@@ -785,28 +758,16 @@ def run_http_server(
     host: str = "127.0.0.1",
     port: int = 8000,
     *,
-    registry: MetricsRegistry | None = None,
-    store: RuntimeStore | None = None,
-    max_pending: int = 64,
-    max_inflight: int = 2,
-    metrics_out: str | None = None,
-    metrics_every_s: float = 0.0,
     on_listening: Callable[[str, int], None] | None = None,
+    **front_kwargs,
 ) -> int:
     """Run the front door in the foreground until SIGINT/SIGTERM.
 
     The blocking entry the ``repro serve --http`` CLI uses; returns 0
-    after a graceful drain.
+    after a graceful drain.  *front_kwargs* are
+    :class:`HttpFrontDoor`'s.
     """
-    front = HttpFrontDoor(
-        service,
-        registry=registry,
-        store=store,
-        max_pending=max_pending,
-        max_inflight=max_inflight,
-        metrics_out=metrics_out,
-        metrics_every_s=metrics_every_s,
-    )
+    front = HttpFrontDoor(service, **front_kwargs)
 
     async def _amain() -> None:
         bound_host, bound_port = await front.start(host, port)

@@ -10,26 +10,23 @@ batches out and gathers the per-shard :class:`~repro.indexes.base.
 BatchQueryStats` back into positional order
 (:mod:`~repro.serving.router`), and :class:`~repro.serving.service.
 IndexService` fronts the shards with per-shard write buffers
-(staleness-triggered merge + re-smoothing) and per-shard latency
-percentile reporting.
+(staleness-triggered merge + re-smoothing) and a ledger of what every
+read observed.
 
 Execution: everything runs on the caller's thread.  A LIPP/SALI
 router answers a batch with one sweep over a forest view of its
 shards; for the other families it runs the batch's per-shard slices
 inline, one after another.
 
-Observability: the service keeps always-on per-shard latency
-histograms (mergeable fixed-layout log buckets, see :mod:`repro.obs`)
-behind :meth:`~repro.serving.service.IndexService.latency_report` and
-:meth:`~repro.serving.service.IndexService.health_report`.
-Everything else — counters, gauges, spans — only records when an
-enabled :class:`~repro.obs.metrics.MetricsRegistry` is installed.
+Observability: one ledger — :class:`ServiceStats` plus reads counted
+per ``[shard, levels, search_steps]`` — priced into simulated ns only
+when :meth:`~repro.serving.service.IndexService.health_report` or an
+enabled registry asks (see :mod:`repro.serving.service`).
 
 The names re-exported here are the stable public surface of the
 serving layer: routing types (:class:`RoutedBatch`) and report types
-(:class:`LatencyReport`, :class:`ShardLatency`, :class:`HealthReport`,
-:class:`ShardHealth`).  Callers should use these rather than reaching
-into router internals.
+(:class:`HealthReport`, :class:`ShardHealth`).  Callers should use
+these rather than reaching into router internals.
 """
 
 from ..obs.health import HealthReport, ShardHealth
@@ -42,15 +39,13 @@ from .partitioner import (
     predicted_shard_cost,
 )
 from .router import RoutedBatch, ShardRouter
-from .service import IndexService, LatencyReport, ServiceStats, ShardLatency
+from .service import IndexService, ServiceStats
 
 __all__ = [
     "HealthReport",
     "IndexService",
-    "LatencyReport",
     "RoutedBatch",
     "ShardHealth",
-    "ShardLatency",
     "SMOOTHABLE_FAMILIES",
     "ServiceStats",
     "ShardPlan",

@@ -21,6 +21,14 @@ before ``insert_many`` returns, so merge timing (and with it the
 ``levels`` / ``search_steps`` / buffered-hit telemetry) is a function
 of the write history alone.
 
+One ledger (telemetry): :class:`ServiceStats` plus one int64 count per
+``[shard, levels, search_steps]`` — what a read *observed*, the
+paper's own measure — each written at exactly one site per event and
+never priced on the way in.  Simulated ns (Eq. 22) are derived from
+it when :meth:`IndexService.health_report` or the metrics registry
+asks; the registry pulls (``MetricsRegistry.register_source``), the
+service pushes nothing.
+
 With no writes buffered the service is cost-transparent: a K=1
 service is bit-identical to the bare index, and any-K gathers are
 bit-identical to per-key routing (the acceptance parity tests in
@@ -29,7 +37,9 @@ bit-identical to per-key routing (the acceptance parity tests in
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import threading
 import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -48,8 +58,15 @@ from ..indexes.base import (
     alloc_batch_outputs,
     dedupe_last_wins,
 )
-from ..obs.health import HealthReport, IMBALANCE_WARN, ShardHealth, shard_status
-from ..obs.metrics import Histogram, MetricsRegistry, get_registry
+from ..obs.health import (
+    IMBALANCE_WARN,
+    HealthReport,
+    ShardHealth,
+    price_reads,
+    priced_classes,
+    shard_status,
+)
+from ..obs.metrics import Histogram, MetricsRegistry, get_registry, metric_key
 from ..obs.tracing import trace
 from .partitioner import (
     SMOOTHABLE_FAMILIES,
@@ -67,7 +84,7 @@ from ..store import (
 )
 from .router import ShardRouter
 
-__all__ = ["IndexService", "LatencyReport", "ServiceStats", "ShardLatency"]
+__all__ = ["IndexService", "ServiceStats"]
 
 #: Families whose indexes accept ``insert`` (merge by insertion);
 #: static families are merged by rebuild instead.
@@ -101,7 +118,8 @@ def _scan_shard(shard: LearnedIndex | None) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class ServiceStats:
-    """Mutable operation counters of one service instance."""
+    """Mutable operation counters of one service instance, each
+    written at one site (exported as ``service_<field>_total``)."""
 
     n_lookups: int = 0
     n_inserts: int = 0
@@ -112,56 +130,6 @@ class ServiceStats:
     flushes: int = 0
     flushed_keys: int = 0
     compactions: int = 0
-
-
-@dataclass(frozen=True)
-class ShardLatency:
-    """Simulated-ns latency summary of one shard."""
-
-    shard: int
-    n_queries: int
-    avg_ns: float
-    p50_ns: float
-    p90_ns: float
-    p99_ns: float
-
-
-@dataclass(frozen=True)
-class LatencyReport:
-    """Per-shard and aggregate latency percentiles (simulated ns)."""
-
-    shards: tuple[ShardLatency, ...]
-    total: ShardLatency | None = None
-
-    def to_table(self) -> str:
-        """Render the report as an ASCII table (one row per shard)."""
-        from ..evaluation.reporting import ascii_table
-
-        rows = [
-            [
-                "all" if row.shard < 0 else row.shard,
-                row.n_queries,
-                f"{row.avg_ns:.0f}",
-                f"{row.p50_ns:.0f}",
-                f"{row.p90_ns:.0f}",
-                f"{row.p99_ns:.0f}",
-            ]
-            for row in (*self.shards, *((self.total,) if self.total else ()))
-        ]
-        return ascii_table(
-            ["shard", "queries", "avg ns", "p50", "p90", "p99"], rows
-        )
-
-
-def _latency_row(shard: int, hist: Histogram) -> ShardLatency:
-    return ShardLatency(
-        shard=shard,
-        n_queries=hist.count,
-        avg_ns=hist.mean,
-        p50_ns=hist.percentile(50),
-        p90_ns=hist.percentile(90),
-        p99_ns=hist.percentile(99),
-    )
 
 
 class _Memtable:
@@ -255,43 +223,27 @@ class IndexService:
         self.staleness_threshold = float(staleness_threshold)
         self.stats = ServiceStats()
         self._buffers = [_Memtable() for _ in range(router.n_shards)]
-        #: Observability.  The per-shard latency histograms are
-        #: *always on* — they are what `latency_report()` and
-        #: `health_report()` read, replacing the decimated sample
-        #: list, at bounded memory and with mergeable percentiles.
-        #: Everything else (mirrored counters, gauges, spans) is
-        #: guarded on ``self.metrics.enabled``.
+        #: The rest of the ledger: reads served so far, counted by
+        #: ``[shard, levels, search_steps]`` (grown on demand).  Reads
+        #: may run concurrently (the front door's reader threads), so
+        #: the read-side books are written under one lock per batch.
+        self._observed = np.zeros((router.n_shards, 0, 0), dtype=np.int64)
+        self._ledger_lock = threading.Lock()
         self.metrics = metrics if metrics is not None else get_registry()
-        self._lat_hists = [Histogram() for _ in range(router.n_shards)]
-        for shard_no, hist in enumerate(self._lat_hists):
-            self.metrics.register_histogram("service_lookup_ns", hist, shard=shard_no)
-        reg = self.metrics
-        self._c_lookups = reg.counter("service_lookups_total")
-        self._c_inserts = reg.counter("service_inserts_total")
-        self._c_buffer_hits = reg.counter("service_buffer_hits_total")
-        self._c_merges = reg.counter("service_merges_total")
-        self._c_merged_keys = reg.counter("service_merged_keys_total")
-        self._c_resmoothed = reg.counter("service_resmoothed_shards_total")
-        self._h_batch = reg.histogram("service_batch_keys")
-        self._h_merge_s = reg.histogram("service_merge_seconds")
-        self._g_staleness = [
-            reg.gauge("shard_staleness", shard=i) for i in range(router.n_shards)
-        ]
-        self._g_buffered = [
-            reg.gauge("shard_buffered_keys", shard=i) for i in range(router.n_shards)
-        ]
+        self.metrics.register_source(
+            "service",
+            counters=self._stat_counters,
+            gauges=self._shard_gauges,
+            histograms=self._priced_histograms,
+        )
+        self._h_merge_s = self.metrics.histogram("service_merge_seconds")
         #: Compile-time expected per-key cost (simulated ns) of every
         #: shard — the drift baseline.  Seeded from the plan's Eq. 22
         #: predictions; refreshed whenever a merge rebuilds a shard
         #: from its full key set.
-        base = self.constants.base_ns
-        costs = plan.predicted_costs
-        sizes = [k.size for k in plan.shard_keys]
         self._expected_ns = [
-            base + costs[i] / max(sizes[i], 1)
-            if i < len(costs) and i < len(sizes) and sizes[i] > 0
-            else 0.0
-            for i in range(router.n_shards)
+            self.constants.base_ns + cost / keys.size if keys.size else 0.0
+            for cost, keys in zip(plan.predicted_costs, plan.shard_keys)
         ]
         self._closed = False
         #: Durability (see ``repro.store``).  Each memtable knows which
@@ -454,19 +406,6 @@ class IndexService:
         return tuple(len(b) for b in self._buffers)
 
     # ------------------------------------------------------------------
-    # Runtime-store hooks (the HTTP front door's persistence points)
-    # ------------------------------------------------------------------
-    def restore_stats(self, counters: dict) -> None:
-        """Overwrite :class:`ServiceStats` fields from persisted totals.
-
-        The runtime store calls this on reopen *after* op-log replay,
-        so cumulative operation counters keep counting across
-        restarts instead of resetting (unknown keys are ignored)."""
-        for name, value in counters.items():
-            if hasattr(self.stats, name):
-                setattr(self.stats, name, int(value))
-
-    # ------------------------------------------------------------------
     # Durability (repro.store)
     # ------------------------------------------------------------------
     def attach_store(
@@ -601,19 +540,15 @@ class IndexService:
     def lookup_many(self, keys: np.ndarray | list) -> BatchQueryStats:
         """Batched lookups through buffer → shards."""
         q = _as_query_array(keys)
-        m = int(q.size)
-        self.stats.n_lookups += m
-        if self.metrics.enabled:
-            self._c_lookups.inc(m)
-            self._h_batch.observe(m)
         if not any(len(buffer) for buffer in self._buffers):
             # Nothing buffered: the router's arrays are the answer.
             routed = self.router.lookup_many(q)
-            self._record_latency(routed.shard_ids, routed.gathered)
+            self._record_reads(routed.shard_ids, routed.gathered)
             return routed.gathered
         shard_ids = self.router.shard_of(q)
-        found, values, levels, steps = alloc_batch_outputs(m)
-        pending = np.ones(m, dtype=bool)
+        found, values, levels, steps = alloc_batch_outputs(int(q.size))
+        pending = np.ones(q.size, dtype=bool)
+        buffer_hits = 0
 
         # 1. Write-buffer overlay.  Every query into a shard with a
         #    non-empty buffer pays the memtable probe: a hit is
@@ -635,9 +570,7 @@ class IndexService:
             found[hit_idx] = True
             values[hit_idx] = bvals[pos[hit]]
             pending[hit_idx] = False
-            self.stats.buffer_hits += int(hit_idx.size)
-            if self.metrics.enabled:
-                self._c_buffer_hits.inc(int(hit_idx.size))
+            buffer_hits += int(hit_idx.size)
 
         # 2. Scatter/gather for whatever the buffers did not answer.
         if np.any(pending):
@@ -651,7 +584,7 @@ class IndexService:
         batch = BatchQueryStats(
             keys=q, found=found, values=values, levels=levels, search_steps=steps
         )
-        self._record_latency(shard_ids, batch)
+        self._record_reads(shard_ids, batch, buffer_hits)
         return batch
 
     def lookup(self, key: int) -> int | None:
@@ -677,9 +610,6 @@ class IndexService:
         if arr.size == 0:
             return
         self.stats.n_inserts += int(arr.size)
-        instrumented = self.metrics.enabled
-        if instrumented:
-            self._c_inserts.inc(int(arr.size))
         __, order, offsets = self.router.group_by_shard(arr)
         for shard_no in range(self.n_shards):
             lo, hi = int(offsets[shard_no]), int(offsets[shard_no + 1])
@@ -690,11 +620,7 @@ class IndexService:
             buffer.put_run(arr[run], vals[run])
             if 0 < self._flush_threshold <= buffer.n_unflushed():
                 self._flush_shards((shard_no,))
-            staleness = self._staleness(shard_no)
-            if instrumented:
-                self._g_staleness[shard_no].set(staleness)
-                self._g_buffered[shard_no].set(len(buffer))
-            if staleness > self.staleness_threshold:
+            if self._staleness(shard_no) > self.staleness_threshold:
                 self._merge_shard(shard_no)
 
     def _staleness(self, shard_no: int) -> float:
@@ -716,17 +642,19 @@ class IndexService:
         bkeys, bvals, mark = self._buffers[shard_no].snapshot()
         if not bkeys.size:
             return
+        start = time.perf_counter()
         with trace(
             "merge_shard", registry=self.metrics,
             shard=shard_no, keys=int(bkeys.size),
         ):
             self._run_merge(shard_no, bkeys, bvals, mark)
+        # A real instrument, not a pulled one: the ladder reads its sum.
+        if self.metrics.enabled:
+            self._h_merge_s.observe(time.perf_counter() - start)
 
     def _run_merge(
         self, shard_no: int, bkeys: np.ndarray, bvals: np.ndarray, mark: int
     ) -> None:
-        instrumented = self.metrics.enabled
-        merge_start = time.perf_counter() if instrumented else 0.0
         # Flush-on-merge: the buffer is about to fold into a rebuilt
         # in-memory structure — exactly the state a crash would lose —
         # so its unflushed entries become a durable run first.
@@ -760,10 +688,7 @@ class IndexService:
             merged = cls.build(merged_keys, merged_vals)
             expected_keys = merged_keys
         alpha = self.plan.alphas[shard_no] if shard_no < len(self.plan.alphas) else None
-        resmoothed = (
-            alpha is not None and alpha > 0.0 and self.family in SMOOTHABLE_FAMILIES
-        )
-        if resmoothed:
+        if alpha is not None and alpha > 0.0 and self.family in SMOOTHABLE_FAMILIES:
             apply_csv(adapter_for(merged, self.constants), CsvConfig(alpha=alpha))
             self.stats.resmoothed_shards += 1
         # Publication: the router (re)compiles what the merge staled
@@ -785,14 +710,6 @@ class IndexService:
                 predicted_shard_cost(expected_keys, self.constants)
                 / float(expected_keys.size)
             )
-        if instrumented:
-            self._h_merge_s.observe(time.perf_counter() - merge_start)
-            self._c_merges.inc()
-            self._c_merged_keys.inc(int(bkeys.size))
-            if resmoothed:
-                self._c_resmoothed.inc()
-            self._g_staleness[shard_no].set(self._staleness(shard_no))
-            self._g_buffered[shard_no].set(len(self._buffers[shard_no]))
 
     def flush(self) -> None:
         """Merge every non-empty buffer now."""
@@ -823,82 +740,85 @@ class IndexService:
         return list(zip(keys.tolist(), values.tolist()))
 
     # ------------------------------------------------------------------
-    # Latency accounting
+    # The ledger: what reads observed, and what is derived from it
     # ------------------------------------------------------------------
-    def _record_latency(self, shard_ids: np.ndarray, batch: BatchQueryStats) -> None:
-        """Feed the per-shard histograms from one ``bincount`` over the
-        batch's ``(shard, levels, steps)`` classes: a batch has a
-        handful of them, and a class's simulated ns is one number."""
+    def _record_reads(
+        self, shard_ids: np.ndarray, batch: BatchQueryStats, buffer_hits: int = 0
+    ) -> None:
+        """The one site a served read batch is counted at: its
+        ``(shard, levels, steps)`` cells raveled, one ``bincount``, one
+        add into the ledger.  Nothing is priced here."""
         if not shard_ids.size:
             return
-        levels, steps = batch.levels, batch.search_steps
-        n_levels = int(levels.max()) + 1
-        n_steps = int(steps.max()) + 1
-        counts = np.bincount((shard_ids * n_levels + levels) * n_steps + steps)
-        classes = np.flatnonzero(counts)
-        for code, n in zip(classes.tolist(), counts[classes].tolist()):
-            shard_no, rest = divmod(code, n_levels * n_steps)
-            ns = self.constants.query_ns(*divmod(rest, n_steps))
-            self._lat_hists[shard_no].observe(ns, n)
+        where = (shard_ids, batch.levels, batch.search_steps)
+        with self._ledger_lock:
+            self.stats.n_lookups += shard_ids.size
+            self.stats.buffer_hits += buffer_hits
+            observed = self._observed
+            try:
+                cells = np.ravel_multi_index(where, observed.shape)
+            except ValueError:  # deeper or longer than any read so far: grow
+                __, n_levels, n_steps = observed.shape
+                more_levels = max(int(batch.levels.max()) + 1 - n_levels, 0)
+                more_steps = max(int(batch.search_steps.max()) + 1 - n_steps, 0)
+                observed = self._observed = np.pad(
+                    observed, ((0, 0), (0, more_levels), (0, more_steps))
+                )
+                cells = np.ravel_multi_index(where, observed.shape)
+            observed += np.bincount(cells, minlength=observed.size).reshape(observed.shape)
 
-    def latency_report(self) -> LatencyReport:
-        """Per-shard p50/p90/p99/avg of the simulated lookup latencies.
+    def observed_reads(self) -> np.ndarray:
+        """Reads served so far, counted by ``[shard, levels,
+        search_steps]`` (a copy) — the observation every simulated-ns
+        figure is priced from."""
+        with self._ledger_lock:
+            return self._observed.copy()
 
-        ``n_queries`` counts every query served.  The averages are
-        exact; the percentiles come from the always-on fixed-layout
-        log-bucket histograms (within one relative bucket width,
-        ``2**(1/4)``, of the exact order statistic), and the ``total``
-        row is the *merge* of the per-shard histograms — the same
-        aggregation that works across processes.
-        """
-        rows = []
-        total_hist = Histogram()
-        for shard_no, hist in enumerate(self._lat_hists):
-            if hist.count == 0:
-                continue
-            rows.append(_latency_row(shard_no, hist))
-            total_hist.merge(hist)
-        if not rows:
-            return LatencyReport(shards=(), total=None)
-        return LatencyReport(shards=tuple(rows), total=_latency_row(-1, total_hist))
+    def _stat_counters(self) -> dict[str, int]:
+        """:class:`ServiceStats` under its exported names."""
+        return {
+            f"service_{name.removeprefix('n_')}_total": value
+            for name, value in dataclasses.asdict(self.stats).items()
+        }
+
+    def _shard_gauges(self) -> dict[str, float]:
+        out = {}
+        for shard_no, buffer in enumerate(self._buffers):
+            labels = {"shard": shard_no}
+            out[metric_key("shard_staleness", labels)] = self._staleness(shard_no)
+            out[metric_key("shard_buffered_keys", labels)] = float(len(buffer))
+        return out
+
+    def _priced_histograms(self) -> dict[str, Histogram]:
+        """``service_lookup_sim_ns{shard=…}``: each observed class at
+        its Eq. 22 price — a model output, not a clock."""
+        out = {}
+        for shard_no, observed in enumerate(self.observed_reads()):
+            hist = Histogram()
+            __, counts, prices = priced_classes(observed, self.constants)
+            for price, n in zip(prices.tolist(), counts.tolist()):
+                hist.observe(price, n)
+            out[metric_key("service_lookup_sim_ns", {"shard": shard_no})] = hist
+        return out
 
     def health_report(self) -> HealthReport:
-        """Service-wide health: staleness, drift, and imbalance signals.
+        """Service-wide health: staleness, drift, and imbalance signals
+        (each defined in :mod:`repro.obs.health`).
 
-        Per shard: key/buffer volume, staleness (the merge trigger
-        ratio), observed latency moments from the always-on
-        histograms, the compile-time expected per-key cost (Eq. 22,
-        refreshed when a merge rebuilds the shard), and the drift of
-        observed mean over that expectation.  Aggregates: merges run,
-        buffer hit rate, and the observed per-shard cost
-        imbalance (max/mean of shard means — the runtime counterpart
-        of the partitioner's predicted ``cost_imbalance``).
+        Per shard, and over all of them in the ``total`` row: key and
+        buffer volume, the observed average level, and the ledger's
+        reads priced by :func:`~repro.obs.health.price_reads` against
+        the compile-time expected per-key cost (refreshed when a merge
+        rebuilds the shard).
         """
-        shards = []
-        shard_means = []
-        for shard_no, hist in enumerate(self._lat_hists):
-            shard = self.router.shards[shard_no]
-            staleness = self._staleness(shard_no)
-            expected = self._expected_ns[shard_no]
-            drift = hist.mean / expected - 1.0 if expected > 0 and hist.count else 0.0
-            if hist.count:
-                shard_means.append(hist.mean)
-            shards.append(
-                ShardHealth(
-                    shard=shard_no,
-                    n_keys=shard.n_keys if shard is not None else 0,
-                    buffered=len(self._buffers[shard_no]),
-                    staleness=staleness,
-                    queries=hist.count,
-                    avg_ns=hist.mean,
-                    p50_ns=hist.percentile(50),
-                    p90_ns=hist.percentile(90),
-                    p99_ns=hist.percentile(99),
-                    expected_ns=expected,
-                    drift=drift,
-                    status=shard_status(staleness, self.staleness_threshold, drift),
-                )
-            )
+        observed = self.observed_reads()
+        stored = [s.n_keys if s is not None else 0 for s in self.router.shards]
+        buffered = self.buffered_counts()
+        shards = [
+            self._health_row(i, stored[i], buffered[i], observed[i], self._expected_ns[i])
+            for i in range(self.n_shards)
+        ]
+        shard_means = [row.avg_ns for row in shards if row.queries]
         imbalance = (
             max(shard_means) / (sum(shard_means) / len(shard_means))
             if shard_means
@@ -907,16 +827,38 @@ class IndexService:
         status = "ok"
         if any(s.status != "ok" for s in shards) or imbalance > IMBALANCE_WARN:
             status = "warn"
+        total = self._health_row(
+            -1,
+            sum(stored),
+            sum(buffered),
+            observed.sum(axis=0),
+            # Per stored key, as each shard's expectation is.
+            float(np.dot(self._expected_ns, stored)) / max(sum(stored), 1),
+        )
         return HealthReport(
             shards=tuple(shards),
+            total=dataclasses.replace(total, status=status),
             merges=self.stats.merges,
-            buffer_hit_rate=(
-                self.stats.buffer_hits / self.stats.n_lookups
-                if self.stats.n_lookups
-                else 0.0
-            ),
+            buffer_hit_rate=self.stats.buffer_hits / max(self.stats.n_lookups, 1),
             cost_imbalance=imbalance,
             status=status,
+        )
+
+    def _health_row(
+        self, shard_no: int, n_keys: int, buffered: int, observed: np.ndarray, expected_ns: float
+    ) -> ShardHealth:
+        priced = price_reads(observed, self.constants)
+        staleness = buffered / max(n_keys, 1)
+        drift = priced["avg_ns"] / expected_ns - 1.0 if priced["avg_ns"] and expected_ns else 0.0
+        return ShardHealth(
+            shard=shard_no,
+            n_keys=n_keys,
+            buffered=buffered,
+            staleness=staleness,
+            expected_ns=expected_ns,
+            drift=drift,
+            status=shard_status(staleness, self.staleness_threshold, drift),
+            **priced,
         )
 
     # ------------------------------------------------------------------

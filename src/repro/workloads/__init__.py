@@ -1,7 +1,7 @@
 """Workload generators and drivers for the paper's two evaluation
 protocols (read-only and read-write)."""
 
-from .generators import ReadWriteSplit, sample_queries, split_read_write, zipf_queries
+from .generators import ReadWriteSplit, sample_queries, split_read_write
 from .readonly import QueryProfile, profile_queries
 from .readwrite import BatchObservation, run_insert_batches
 from .service_driver import ServiceWorkloadReport, run_service_workload
@@ -16,5 +16,4 @@ __all__ = [
     "run_service_workload",
     "sample_queries",
     "split_read_write",
-    "zipf_queries",
 ]

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..core.exceptions import InvalidKeysError
 
-__all__ = ["ReadWriteSplit", "sample_queries", "split_read_write", "zipf_queries"]
+__all__ = ["ReadWriteSplit", "sample_queries", "split_read_write"]
 
 
 def sample_queries(
@@ -31,25 +31,6 @@ def sample_queries(
     if not replace and n_queries > keys.size:
         n_queries = int(keys.size)
     return rng.choice(keys, size=n_queries, replace=replace)
-
-
-def zipf_queries(
-    keys: np.ndarray,
-    n_queries: int,
-    rng: np.random.Generator,
-    exponent: float = 1.2,
-) -> np.ndarray:
-    """Skewed (Zipf-rank) query sample — used by the SALI experiments,
-    whose probability model needs a hot set to identify."""
-    keys = np.asarray(keys)
-    if keys.size == 0:
-        raise InvalidKeysError("cannot sample queries from an empty key set")
-    ranks = rng.zipf(exponent, size=n_queries)
-    ranks = np.minimum(ranks - 1, keys.size - 1)
-    # Shuffle the rank→key mapping so the hot set is not simply the
-    # smallest keys (deterministic per rng state).
-    permutation = rng.permutation(keys.size)
-    return keys[permutation[ranks]]
 
 
 @dataclass(frozen=True)

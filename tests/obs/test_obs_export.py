@@ -20,7 +20,7 @@ def _populated_registry() -> MetricsRegistry:
     reg = MetricsRegistry(enabled=True)
     reg.counter("service_lookups_total").inc(4096)
     reg.gauge("store_runs_outstanding").set(2)
-    h = reg.histogram("service_lookup_ns", shard=0)
+    h = reg.histogram("service_lookup_sim_ns", shard=0)
     for v in (50.0, 90.0, 120.0, 400.0):
         h.observe(v)
     with trace("merge_shard", registry=reg, shard=0):
@@ -36,7 +36,7 @@ def test_snapshot_shape_and_seq():
         assert key in first
     assert second["seq"] == first["seq"] + 1
     assert first["counters"]["service_lookups_total"] == 4096
-    hist = first["histograms"]["service_lookup_ns{shard=0}"]
+    hist = first["histograms"]["service_lookup_sim_ns{shard=0}"]
     assert hist["count"] == 4
     assert sum(hist["buckets"].values()) == 4
     assert first["spans"][0]["name"] == "merge_shard"
@@ -53,7 +53,7 @@ def test_write_jsonl_appends_valid_lines(tmp_path):
     assert validate_metrics_lines(lines) == []
     # Rebuilding the histogram from a snapshot line keeps it mergeable.
     snap = json.loads(lines[-1])
-    hist = Histogram.from_snapshot(snap["histograms"]["service_lookup_ns{shard=0}"])
+    hist = Histogram.from_snapshot(snap["histograms"]["service_lookup_sim_ns{shard=0}"])
     assert hist.count == 4
 
 
@@ -70,14 +70,14 @@ def test_prometheus_exposition_format():
     assert "# TYPE service_lookups_total counter" in text
     assert "service_lookups_total 4096" in text
     assert "# TYPE store_runs_outstanding gauge" in text
-    assert "# TYPE service_lookup_ns histogram" in text
-    assert 'service_lookup_ns_bucket{shard="0",le="+Inf"} 4' in text
-    assert "service_lookup_ns_count{shard=\"0\"} 4" in text
+    assert "# TYPE service_lookup_sim_ns histogram" in text
+    assert 'service_lookup_sim_ns_bucket{shard="0",le="+Inf"} 4' in text
+    assert "service_lookup_sim_ns_count{shard=\"0\"} 4" in text
     # Cumulative bucket counts are non-decreasing in le order.
     cum = [
         int(line.rsplit(" ", 1)[1])
         for line in text.splitlines()
-        if line.startswith("service_lookup_ns_bucket")
+        if line.startswith("service_lookup_sim_ns_bucket")
     ]
     assert cum == sorted(cum)
 
@@ -87,7 +87,7 @@ def test_snapshot_table_renders_all_kinds():
     assert "service_lookups_total" in table
     assert "store_runs_outstanding" in table
     assert "p99" in table
-    assert "service_lookup_ns{shard=0}" in table
+    assert "service_lookup_sim_ns{shard=0}" in table
 
 
 def test_snapshot_table_empty():
@@ -124,7 +124,7 @@ def test_validate_rejects_tampered_streams(tmp_path):
 
     # Histogram bucket counts must sum to the recorded count.
     broken = json.loads(good[0])
-    broken["histograms"]["service_lookup_ns{shard=0}"]["count"] += 1
+    broken["histograms"]["service_lookup_sim_ns{shard=0}"]["count"] += 1
     assert any(
         "bucket sum" in e for e in validate_metrics_lines([json.dumps(broken)])
     )

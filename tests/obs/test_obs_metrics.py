@@ -23,6 +23,11 @@ from repro.obs.metrics import (
 BUCKET_WIDTH = 2.0 ** (1.0 / HIST_SUBBUCKETS)
 
 
+def observe_all(hist: Histogram, values) -> None:
+    for value in values:
+        hist.observe(value)
+
+
 def test_counter_and_gauge():
     c = Counter()
     c.inc()
@@ -30,9 +35,8 @@ def test_counter_and_gauge():
     assert c.value == 42
     g = Gauge()
     g.set(7)
-    g.inc(3)
-    g.inc(-1)
-    assert g.value == 9.0
+    g.set(9)
+    assert g.value == 9.0  # last write wins
 
 
 def test_metric_key_sorts_labels():
@@ -43,7 +47,7 @@ def test_metric_key_sorts_labels():
 def test_histogram_moments_are_exact(rng):
     values = rng.exponential(250.0, 5000)
     h = Histogram()
-    h.observe_array(values)
+    observe_all(h, values)
     assert h.count == values.size
     assert h.sum == pytest.approx(float(values.sum()))
     assert h.mean == pytest.approx(float(values.mean()))
@@ -78,7 +82,7 @@ def test_histogram_percentiles_within_bucket_tolerance(rng, q, sample):
         )
     values = np.abs(values) + 1e-9
     h = Histogram()
-    h.observe_array(values)
+    observe_all(h, values)
     exact = float(np.percentile(values, q))
     estimate = h.percentile(q)
     assert exact / BUCKET_WIDTH <= estimate <= exact * BUCKET_WIDTH
@@ -86,15 +90,15 @@ def test_histogram_percentiles_within_bucket_tolerance(rng, q, sample):
 
 def test_histogram_percentiles_monotone(rng):
     h = Histogram()
-    h.observe_array(rng.exponential(50.0, 3000))
-    p50, p90, p99 = h.percentiles([50, 90, 99])
+    observe_all(h, rng.exponential(50.0, 3000))
+    p50, p90, p99 = (h.percentile(q) for q in (50, 90, 99))
     assert p50 <= p90 <= p99
 
 
 def test_histogram_scalar_and_array_paths_agree(rng):
     values = rng.exponential(80.0, 500)
     a, b = Histogram(), Histogram()
-    a.observe_array(values)
+    observe_all(a, values)
     for v in values:
         b.observe(float(v))
     assert np.array_equal(a.bucket_counts(), b.bucket_counts())
@@ -107,11 +111,11 @@ def test_merge_equals_observing_the_whole(rng):
     the property that makes per-shard percentiles aggregable."""
     shards = [rng.exponential(s * 40.0 + 20.0, 4000) for s in range(4)]
     whole = Histogram()
-    whole.observe_array(np.concatenate(shards))
+    observe_all(whole, np.concatenate(shards))
     merged = Histogram()
     for sample in shards:
         part = Histogram()
-        part.observe_array(sample)
+        observe_all(part, sample)
         merged.merge(part)
     assert np.array_equal(merged.bucket_counts(), whole.bucket_counts())
     assert merged.count == whole.count
@@ -122,7 +126,7 @@ def test_merge_equals_observing_the_whole(rng):
 
 def test_snapshot_roundtrip(rng):
     h = Histogram()
-    h.observe_array(rng.exponential(100.0, 2000))
+    observe_all(h, rng.exponential(100.0, 2000))
     snap = h.snapshot()
     assert snap["count"] == 2000
     assert sum(snap["buckets"].values()) == 2000
@@ -131,7 +135,7 @@ def test_snapshot_roundtrip(rng):
     assert back.percentile(99) == pytest.approx(h.percentile(99))
     # Rebuilt snapshots merge like live histograms (cross-process case).
     other = Histogram()
-    other.observe_array(rng.exponential(100.0, 1000))
+    observe_all(other, rng.exponential(100.0, 1000))
     back.merge(other)
     assert back.count == 3000
 
@@ -149,7 +153,7 @@ def test_histogram_thread_safety(rng):
     values = rng.exponential(10.0, 2000)
     h = Histogram()
     threads = [
-        threading.Thread(target=h.observe_array, args=(values,)) for _ in range(8)
+        threading.Thread(target=observe_all, args=(h, values)) for _ in range(8)
     ]
     for t in threads:
         t.start()
@@ -169,12 +173,50 @@ def test_registry_get_or_create_and_labels():
     assert reg.counters() == {"hits{shard=0}": 5, "hits{shard=1}": 0}
 
 
-def test_register_histogram_overwrites():
+class _Books:
+    """An owner with books of its own, as ``IndexService`` is."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def counters(self) -> dict:
+        return {"books_total": self.n}
+
+    def histograms(self) -> dict:
+        hist = Histogram()
+        hist.observe(2.0, self.n)
+        return {"books_ns{shard=0}": hist}
+
+
+def test_register_source_newest_registrant_wins():
     reg = MetricsRegistry()
-    first, second = Histogram(), Histogram()
-    reg.register_histogram("lat", first, shard=0)
-    reg.register_histogram("lat", second, shard=0)
-    assert reg.histograms()["lat{shard=0}"] is second
+    first, second = _Books(1), _Books(2)
+    reg.register_source("books", counters=first.counters)
+    reg.register_source("books", counters=second.counters, histograms=second.histograms)
+    assert reg.counters() == {"books_total": 2}
+    assert reg.histograms()["books_ns{shard=0}"].count == 2
+    assert reg.gauges() == {}  # a read point the source does not serve
+
+
+def test_sources_are_pulled_at_read_time_and_only_while_enabled():
+    reg = MetricsRegistry(enabled=False)
+    books = _Books(3)
+    reg.register_source("books", counters=books.counters, histograms=books.histograms)
+    reg.counter("own_total").inc(7)
+    assert reg.counters() == {"own_total": 7} and reg.histograms() == {}
+    reg.enabled = True
+    assert reg.counters() == {"books_total": 3, "own_total": 7}
+    books.n = 4  # no push: the next read sees the owner's value
+    assert reg.counters()["books_total"] == 4
+    assert list(reg.counters()) == sorted(reg.counters())
+
+
+def test_a_source_lives_as_long_as_its_owner():
+    reg = MetricsRegistry()
+    books = _Books(5)
+    reg.register_source("books", counters=books.counters)
+    del books
+    assert reg.counters() == {}
 
 
 def test_global_registry_swap_and_scoping():
@@ -190,12 +232,3 @@ def test_global_registry_swap_and_scoping():
         assert get_registry() is mine
     finally:
         set_registry(baseline)
-
-
-def test_registry_reset():
-    reg = MetricsRegistry()
-    reg.counter("a").inc()
-    reg.histogram("h").observe(1.0)
-    reg.reset()
-    assert reg.counters() == {}
-    assert reg.histograms() == {}

@@ -96,8 +96,13 @@ class TestObservabilityEndpoints:
         assert report["admission"]["closing"] is False
         # Shard work runs inline: no replica / worker-restart fields.
         assert set(report) == {
-            "shards", "merges", "buffer_hit_rate", "cost_imbalance",
+            "shards", "total", "merges", "buffer_hit_rate", "cost_imbalance",
             "status", "admission",
+        }
+        # Every key the wire carried before the ledger, plus avg_levels.
+        assert set(report["total"]) == set(report["shards"][0]) == {
+            "shard", "n_keys", "buffered", "staleness", "queries", "avg_levels",
+            "avg_ns", "p50_ns", "p90_ns", "p99_ns", "expected_ns", "drift", "status",
         }
 
     def test_stats_counts_requests(self, twin_pair, rng):

@@ -3,14 +3,15 @@
 A LIPP/SALI router answers a batch with one flat sweep over the
 concatenated shard views (``LippForest``).  Everything it returns —
 found / values / levels / search_steps, SALI's access statistics, the
-service's latency bookkeeping, ranges — is checked against an oracle
+service's read ledger, ranges — is checked against an oracle
 that never touches the forest:
 
 * the per-shard loop: ``shard.lookup_many(q[shard_ids == s])`` per shard;
 * the scalar walk: ``shard.lookup_stats(key)`` per key;
 * ranges: the in-order ``iter_entries`` node walk;
-* latency: one ``observe_array`` per shard over a boolean mask, which is
-  what ``_record_latency`` did before it became one ``bincount``.
+* the ledger: one priced observation per key, per shard over a boolean
+  mask — what the service did before it kept one ``bincount`` of
+  ``(shard, levels, steps)`` and priced it on demand.
 
 The second half pins rule (b): the forest is built where a shard is
 published — construction, ``open_snapshot``, ``_run_merge`` — and a
@@ -355,11 +356,11 @@ class TestLatencyBookkeeping:
     @pytest.mark.parametrize("family", ["lipp", "sali", "alex", "btree"])
     def test_report_equals_the_per_shard_mask_bookkeeping(self, rng, family):
         keys = _keys(rng)
+        registry = MetricsRegistry(enabled=True)
         service = IndexService.build(
-            keys, family=family, n_shards=4, staleness_threshold=10.0,
-            metrics=MetricsRegistry(enabled=False),
+            keys, family=family, n_shards=4, staleness_threshold=10.0, metrics=registry,
         )
-        oracle = [Histogram() for __ in range(4)]
+        per_key = [[] for __ in range(4)]
         for round_no in range(6):
             if round_no == 3:  # buffered writes: memtable probes add steps
                 fresh = rng.choice(keys, 40) + 1
@@ -369,18 +370,24 @@ class TestLatencyBookkeeping:
             ns = batch.simulated_ns(service.constants)
             shard_ids = service.router.shard_of(q)
             for shard_no in np.unique(shard_ids).tolist():
-                oracle[shard_no].observe_array(ns[shard_ids == shard_no])
+                per_key[shard_no].append(ns[shard_ids == shard_no])
         service.lookup_many(np.empty(0, dtype=np.int64))
-        for mine, want in zip(service._lat_hists, oracle):
+        per_key = [np.concatenate(parts) for parts in per_key]
+        exported = registry.histograms()
+        report = service.health_report()
+        assert report.total.queries == sum(ns.size for ns in per_key)
+        for shard_no, ns in enumerate(per_key):
+            want = Histogram()
+            for value in ns.tolist():
+                want.observe(value)
+            mine = exported[f"service_lookup_sim_ns{{shard={shard_no}}}"]
             assert mine.count == want.count > 0
             assert np.array_equal(mine._counts, want._counts)
             assert (mine.min, mine.max) == (want.min, want.max)
             assert mine.mean == pytest.approx(want.mean, rel=1e-12)
-        report = service.latency_report()
-        assert report.total.n_queries == sum(h.count for h in oracle)
-        for row in report.shards:
-            assert row.p50_ns == oracle[row.shard].percentile(50)
-            assert row.p99_ns == oracle[row.shard].percentile(99)
+            row = report.shards[shard_no]
+            assert row.p50_ns == np.percentile(ns, 50, method="inverted_cdf")
+            assert row.p99_ns == np.percentile(ns, 99, method="inverted_cdf")
 
 
 def _compiles(registry) -> float:

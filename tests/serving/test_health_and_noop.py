@@ -1,4 +1,4 @@
-"""Service observability: health report, histogram latency percentiles,
+"""Service observability: health report, exact priced percentiles,
 the no-op fast path, and the serve/metrics CLI round trip."""
 
 from __future__ import annotations
@@ -10,11 +10,9 @@ import pytest
 
 from repro.cli import main
 from repro.obs.health import HealthReport, ShardHealth
-from repro.obs.metrics import HIST_SUBBUCKETS, MetricsRegistry, scoped_registry
+from repro.obs.metrics import MetricsRegistry, scoped_registry
 from repro.obs.tracing import _NOOP, trace
 from repro.serving import IndexService
-
-BUCKET_WIDTH = 2.0 ** (1.0 / HIST_SUBBUCKETS)
 
 
 @pytest.fixture()
@@ -45,16 +43,20 @@ def test_health_report_fields_and_statuses(dataset, rng):
             assert row.n_keys > 0
             assert row.buffered == 0 and row.staleness == 0.0
             assert row.p50_ns <= row.p90_ns <= row.p99_ns
+            assert row.avg_levels >= 1.0
             assert row.expected_ns > 0
             assert row.status == "ok"
             total_queries += row.queries
-        assert total_queries == queries.size
+        assert total_queries == queries.size == report.total.queries
+        assert report.total.shard == -1 and report.total.status == report.status
+        assert report.total.n_keys == keys.size
         assert report.status == "ok"
         assert not hasattr(report, "merge_queue_depth")  # nothing queues
         assert report.cost_imbalance >= 1.0
         assert report.warnings() == []
         table = report.to_table()
-        for needle in ("staleness", "drift", "status=ok", "cost_imbalance"):
+        for needle in ("staleness", "drift", "status=ok", "cost_imbalance",
+                       "avg levels", "avg sim ns", " all "):
             assert needle in table
 
 
@@ -107,34 +109,38 @@ def test_expected_cost_refreshes_on_rebuild_merge(dataset, rng):
 
 
 # ----------------------------------------------------------------------
-# Histogram latency percentiles vs exact samples (the regression test
-# for replacing the decimated sample list)
+# Priced percentiles vs exact samples (once the regression test for
+# replacing the decimated sample list by histograms; the ledger made
+# the bucket tolerance go)
 # ----------------------------------------------------------------------
 def test_latency_report_matches_exact_percentiles(dataset, rng):
     keys, values = dataset
     with IndexService.build(keys, family="lipp", n_shards=4, values=values) as svc:
-        exact_ns = []
+        exact_ns, exact_levels = [], []
         for _ in range(5):
             queries = rng.choice(keys, 2000)
             batch = svc.lookup_many(queries)
             exact_ns.append(batch.simulated_ns(svc.constants))
+            exact_levels.append(batch.levels)
         exact = np.concatenate(exact_ns)
-        report = svc.latency_report()
-        assert report.total.n_queries == exact.size
-        assert report.total.avg_ns == pytest.approx(float(exact.mean()))  # exact
-        for q, got in ((50, report.total.p50_ns), (90, report.total.p90_ns),
-                       (99, report.total.p99_ns)):
-            want = float(np.percentile(exact, q))
-            assert want / BUCKET_WIDTH <= got <= want * BUCKET_WIDTH
+        total = svc.health_report().total
+        assert total.queries == exact.size
+        assert total.avg_ns == pytest.approx(float(exact.mean()))
+        assert total.avg_levels == pytest.approx(float(np.concatenate(exact_levels).mean()))
+        for q, got in ((50, total.p50_ns), (90, total.p90_ns), (99, total.p99_ns)):
+            assert got == float(np.percentile(exact, q, method="inverted_cdf"))
 
 
 def test_latency_total_is_merge_of_shards(dataset, rng):
     keys, values = dataset
     with IndexService.build(keys, family="lipp", n_shards=4, values=values) as svc:
         svc.lookup_many(rng.choice(keys, 4000))
-        report = svc.latency_report()
-        assert report.total.n_queries == sum(r.n_queries for r in report.shards)
+        report = svc.health_report()
+        assert report.total.queries == sum(r.queries for r in report.shards)
         assert report.total.p99_ns >= max(r.p50_ns for r in report.shards)
+        assert report.total.avg_ns == pytest.approx(
+            sum(r.avg_ns * r.queries for r in report.shards) / report.total.queries
+        )
 
 
 # ----------------------------------------------------------------------
@@ -174,15 +180,20 @@ def test_disabled_registry_records_nothing(dataset, rng):
             svc.lookup_many(rng.choice(keys, 2000))
             svc.insert_many(_fresh_keys(keys, 2000, rng))
             svc.flush()
-    # Instruments exist (the service pre-creates its handles) but none
-    # ever recorded: every counter is zero, no span was kept.
-    assert all(v == 0 for v in registry.counters().values())
-    assert all(v == 0.0 for v in registry.gauges().values())
-    assert registry.spans() == []
-    # The histogram instruments hold only the always-on latency view.
-    for key, hist in registry.histograms().items():
-        if not key.startswith("service_lookup_ns"):
-            assert hist.count == 0, key
+            # The ledger is the service's own and always kept ...
+            assert svc.stats.n_lookups == 2000 and svc.stats.merges > 0
+            assert svc.health_report().total.queries == 2000
+            # ... but a disabled registry pulls nothing from it, and no
+            # instrument anywhere recorded: every counter is zero, no
+            # span was kept.
+            assert all(v == 0 for v in registry.counters().values())
+            assert all(v == 0.0 for v in registry.gauges().values())
+            assert registry.spans() == []
+            assert all(h.count == 0 for h in registry.histograms().values())
+            assert not any(
+                key.startswith(("service_lookup", "shard_"))
+                for key in (*registry.gauges(), *registry.histograms())
+            )
 
 
 def test_disabled_trace_allocates_nothing(dataset):
@@ -207,6 +218,7 @@ def test_enabled_registry_mirrors_service_stats(dataset, rng):
     assert counters["service_inserts_total"] == stats.n_inserts
     assert counters["service_merges_total"] == stats.merges
     assert counters["service_merged_keys_total"] == stats.merged_keys
+    assert counters["service_buffer_hits_total"] == stats.buffer_hits
     assert counters["router_routed_keys_total"] > 0
     assert any(
         s.name == "merge_shard" for s in registry.spans()
@@ -221,14 +233,14 @@ def test_serve_metrics_out_and_validate(tmp_path, capsys):
     rc = main([
         "serve", "--index", "lipp", "--shards", "2", "--n", "3000",
         "--ops", "2000", "--batch", "500",
-        "--metrics-out", str(out), "--metrics-every", "1",
+        "--metrics-out", str(out),
     ])
     assert rc == 0
     stdout = capsys.readouterr().out
     assert "shard health" in stdout
     assert f"metrics written to {out}" in stdout
     lines = out.read_text().splitlines()
-    assert len(lines) >= 3  # build + per-batch + final
+    assert len(lines) == 2  # after the build, after the workload
     for line in lines:
         snap = json.loads(line)
         assert snap["v"] == 1

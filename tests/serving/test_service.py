@@ -191,13 +191,12 @@ class TestServiceRangeAndReporting:
     def test_latency_report_percentiles(self, rng):
         keys, queries, service = service_fixture(rng, "lipp", n_shards=4)
         service.lookup_many(queries)
-        report = service.latency_report()
-        assert 1 <= len(report.shards) <= 4
-        for row in report.shards:
+        report = service.health_report()
+        assert len(report.shards) == 4
+        for row in (*report.shards, report.total):
             assert row.p50_ns <= row.p90_ns <= row.p99_ns
-            assert row.n_queries > 0
-        assert report.total is not None
-        assert report.total.n_queries == queries.size
+            assert row.queries > 0
+        assert report.total.queries == queries.size
         table = report.to_table()
         assert "p99" in table and "shard" in table
 

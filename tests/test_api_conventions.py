@@ -3,7 +3,8 @@
 These guard the "production-quality" bar: every public item is
 documented, the package exports stay importable, module-level
 ``__all__`` lists match reality, no public name is left without a
-caller, and the operator docs list exactly the flags ``serve`` takes.
+caller, and the operator docs list exactly the flags ``serve`` takes
+and the metrics a live server exports.
 """
 
 from __future__ import annotations
@@ -99,13 +100,10 @@ UNREFERENCED_ON_PURPOSE = {
     "AlexDataNode.from_positions": "lays keys out at caller-given ranks (data-node API)",
     # Reference implementations tests compare against.
     "exact_refit_model": "Fraction-exact oracle of the fast refit",
-    "Histogram.observe_array": "oracle of tests/serving/test_forest_parity.py's latency bookkeeping",
     # Operator / test-harness surface.
     "clear_cache": "drops the dataset cache between tests",
-    "MetricsRegistry.reset": "drops every instrument and span between runs",
     "Histogram.bucket_counts": "read side of the fixed bucket layout (merge tests, exporters' oracle)",
     "RuntimeStore.meta_get": "read side of meta_set (durable_seq, version)",
-    "IndexService.buffered_counts": "per-shard buffer depth for operators",
     "DurableStore.load_shard_arrays": "a shard's logical content without building an index",
 }
 
@@ -189,4 +187,50 @@ def test_operations_flag_table_matches_serve_parser():
     assert documented == defined, (
         f"undocumented: {sorted(defined - documented)}; "
         f"documented but gone: {sorted(documented - defined)}"
+    )
+
+
+def test_operations_metric_catalog_matches_a_live_front_door(tmp_path):
+    """docs/OPERATIONS.md's metric catalog lists exactly the ``http_*``
+    / ``store_*`` / ``service_*`` / ``shard_*`` names a front door with
+    both stores exports once it has read, written, flushed, merged,
+    compacted and synced — a renamed or deleted metric cannot live on
+    in the table, and a new one cannot ship without a row."""
+    import numpy as np
+
+    from repro.obs.metrics import MetricsRegistry, scoped_registry
+    from repro.server import HttpIndexClient, RuntimeStore, ServerThread
+    from repro.serving import IndexService
+    from repro.store import DurableStore
+
+    keys = np.arange(0, 30_000, 10, dtype=np.int64)
+    registry = MetricsRegistry(enabled=True)
+    with scoped_registry(registry):
+        service = IndexService.build(
+            keys, family="lipp", n_shards=2, staleness_threshold=0.05,
+            store=DurableStore(tmp_path / "data"), flush_threshold=100,
+            compaction="tiered:2",
+        )
+        with ServerThread(
+            service, registry=registry, store=RuntimeStore(tmp_path / "runtime.db")
+        ) as srv, HttpIndexClient(srv.host, srv.port) as client:
+            client.lookup(keys[:10].tolist())
+            for start in range(0, 1_200, 200):
+                client.insert((int(keys[-1]) + 1 + np.arange(start, start + 200)).tolist())
+            srv.front.durable_sync()
+            views = (registry.counters(), registry.gauges(), registry.histograms())
+        service.close()
+    exported = {
+        key.split("{")[0]
+        for view in views
+        for key in view
+        if key.startswith(("http_", "store_", "service_", "shard_"))
+    }
+    text = (REPO_ROOT / "docs" / "OPERATIONS.md").read_text()
+    section = text.split("## Monitoring", 1)[1].split("\n## ", 1)[0]
+    rows = "\n".join(line for line in section.splitlines() if line.startswith("|"))
+    documented = set(re.findall(r"`((?:http|store|service|shard)_[a-z_]+)", rows))
+    assert documented == exported, (
+        f"exported but not in the catalog: {sorted(exported - documented)}; "
+        f"catalogued but not exported: {sorted(documented - exported)}"
     )

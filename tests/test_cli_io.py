@@ -147,10 +147,14 @@ class TestCli:
             ["--workers", "2"],
             ["--replicas", "2"],
             ["--timeout-s", "5"],
+            ["--compare"],
+            ["--zipf"],
+            ["--metrics-every", "5"],  # not an abbreviation of --metrics-every-s
         ],
         ids=[
             "cache-blocks", "threads", "executor-thread",
             "executor-process", "workers", "replicas", "timeout-s",
+            "compare", "zipf", "metrics-every",
         ],
     )
     def test_serve_rejects_removed_flags(self, removed, capsys):
@@ -158,6 +162,22 @@ class TestCli:
             main(["serve", *removed])
         assert exc.value.code == 2
         assert removed[0] in capsys.readouterr().err
+
+    def test_reopened_serve_reads_the_stored_keys(self, tmp_path, capsys):
+        """A reopened ``--data-dir`` ignores ``--dataset`` / ``--n``: the
+        simulation must sample its reads from the keys the directory
+        holds, not from the default dataset it never loaded (read hit
+        rate 0.000 before the fix)."""
+        data_dir = str(tmp_path / "data")
+        build = ["serve", "--index", "lipp", "--shards", "2", "--n", "3000",
+                 "--dataset", "osm", "--ops", "500", "--data-dir", data_dir]
+        assert main(build) == 0
+        capsys.readouterr()
+        assert main(["serve", "--data-dir", data_dir, "--ops", "500",
+                     "--read-frac", "1.0"]) == 0
+        out = capsys.readouterr().out
+        assert "data dir: opened generation" in out
+        assert "read hit rate 1.000" in out
 
     def test_value_the_library_rejects_is_one_line_and_exit_2(self, capsys):
         argv = ["csv", "--index", "lipp", "--dataset", "osm", "--n", "2000", "--alpha", "2"]

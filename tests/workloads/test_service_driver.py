@@ -39,42 +39,8 @@ class TestServiceWorkload:
         assert reads.n_writes == 0 and reads.n_reads == 500
         writes = run_service_workload(svc, keys, n_ops=200, read_fraction=0.0)
         assert writes.n_reads == 0 and writes.n_writes == 200
-        assert writes.avg_simulated_ns == 0.0
-
-    def test_zipf_distribution(self, service):
-        keys, svc = service
-        report = run_service_workload(
-            svc, keys, n_ops=1_000, distribution="zipf", seed=3
-        )
-        assert report.read_hit_rate == 1.0
 
     def test_invalid_parameters(self, service):
         keys, svc = service
         with pytest.raises(InvalidKeysError):
             run_service_workload(svc, keys, n_ops=100, read_fraction=1.5)
-        with pytest.raises(InvalidKeysError):
-            run_service_workload(svc, keys, n_ops=100, distribution="pareto")
-
-
-class TestShardedExperiment:
-    def test_comparison_rows(self, rng):
-        from repro.evaluation import run_sharded_experiment
-
-        rows = run_sharded_experiment(
-            "sorted_array",
-            "facebook",
-            n=1_500,
-            shard_counts=(1, 4),
-            n_queries=2_000,
-            seed=0,
-        )
-        labels = [r.label for r in rows]
-        assert labels[0] == "monolithic"
-        assert "equi_depth K=4" in labels
-        for row in rows:
-            assert row.lookups_per_second > 0
-            assert row.hit_rate == 1.0
-            assert row.p99_simulated_ns >= row.avg_simulated_ns
-        # K=1 equals the monolithic index under the cost model.
-        k1 = next(r for r in rows if r.label == "equi_depth K=1")
-        assert k1.avg_simulated_ns == pytest.approx(rows[0].avg_simulated_ns)

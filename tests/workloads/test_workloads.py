@@ -15,7 +15,6 @@ from repro.workloads import (
     run_insert_batches,
     sample_queries,
     split_read_write,
-    zipf_queries,
 )
 
 
@@ -36,13 +35,6 @@ class TestSampleQueries:
     def test_rejects_empty(self, rng):
         with pytest.raises(InvalidKeysError):
             sample_queries(np.empty(0, dtype=np.int64), 5, rng)
-
-    def test_zipf_is_skewed(self, rng):
-        keys = np.arange(10_000)
-        queries = zipf_queries(keys, 5000, rng, exponent=1.5)
-        __, counts = np.unique(queries, return_counts=True)
-        assert counts.max() > 5  # a hot key exists
-        assert set(queries.tolist()) <= set(keys.tolist())
 
 
 class TestSplitReadWrite:
