@@ -49,7 +49,6 @@ from typing import Callable
 import numpy as np
 
 from ..obs.metrics import get_registry
-from ..obs.tracing import trace as _span
 from .candidates import all_free_values
 from .exceptions import SmoothingBudgetError
 from .linear_model import LinearModel
@@ -294,17 +293,16 @@ def smooth_keys(
     original = validate_keys(keys)
     lam = resolve_budget(original.size, alpha, budget)
     start = time.perf_counter()
-    reg = get_registry()
-    with _span("smooth_keys", registry=reg, n=int(original.size), budget=lam):
-        stats = SegmentStats(original)
-        virtual, trace, stopped_early = greedy_insert(
-            lambda: _best_candidate(stats),
-            stats.commit,
-            lam,
-            stats.base_loss(),
-            lambda loss, previous: loss < previous - min_gain,
-        )
+    stats = SegmentStats(original)
+    virtual, trace, stopped_early = greedy_insert(
+        lambda: _best_candidate(stats),
+        stats.commit,
+        lam,
+        stats.base_loss(),
+        lambda loss, previous: loss < previous - min_gain,
+    )
     elapsed = time.perf_counter() - start
+    reg = get_registry()
     if reg.enabled:
         reg.counter("smooth_runs_total").inc()
         reg.counter("smooth_virtual_points_total").inc(len(virtual))

@@ -116,6 +116,11 @@ _INT64 = np.iinfo(np.int64)
 #: 0.1), so a quarter holds two merges between rebuilds; in a process
 #: whose heap has been through a build the slack is resident memory
 #: (osm 40k, K = 4: 0.9 MB at a quarter), which is why it is not more.
+#: It is not less either: without regions every ``replace_shard``
+#: re-concatenates the whole forest, which peaks at +3.9 MB under
+#: tracemalloc against +0.7 MB for an in-region replacement (a merge
+#: itself peaks near 2.9 MB) and read about 5.7 % more server RSS on a
+#: durable mixed read/write run.
 REGION_SLACK = 0.25
 
 _NODE_ARRAYS = (

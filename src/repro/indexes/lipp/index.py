@@ -28,6 +28,7 @@ by hand must).
 
 from __future__ import annotations
 
+import time
 from typing import Callable, Iterator
 
 import numpy as np
@@ -51,7 +52,6 @@ from ..base import (
     prepare_key_values,
 )
 from ...obs.metrics import get_registry
-from ...obs.tracing import trace
 from .flat import FlatLipp, StaleFlatError, _leaf_like
 from .node import DEFAULT_SLOT_FACTOR, SLOT_CHILD, SLOT_DATA, SLOT_EMPTY, LippNode
 
@@ -110,14 +110,14 @@ class LippIndex(LearnedIndex):
         False: short of the slot buffers — for the forest about to
         allocate them, see :meth:`FlatLipp.walk`)."""
         if self._flat is None:
-            compile_ = FlatLipp.compile if slots else FlatLipp.walk
+            start = time.perf_counter()
+            self._flat = (FlatLipp.compile if slots else FlatLipp.walk)(self._root)
             reg = get_registry()
             if reg.enabled:
-                with trace("flat_compile", registry=reg, family=self.name):
-                    self._flat = compile_(self._root)
                 reg.counter("flat_compiles_total", family=self.name).inc()
-            else:
-                self._flat = compile_(self._root)
+                reg.histogram("flat_compile_seconds", family=self.name).observe(
+                    time.perf_counter() - start
+                )
         return self._flat
 
     def _on_fresh_flat(self, sweep: Callable[..., None], *args) -> None:

@@ -1,12 +1,12 @@
-"""Observability: structured metrics, tracing spans, logs, and health.
+"""Observability: structured metrics, logs, and health.
 
 The repo-wide instrumentation substrate (dependency-free: stdlib +
 numpy).  Every subsystem reports through one
 :class:`~repro.obs.metrics.MetricsRegistry` of counters, gauges, and
 **mergeable** fixed-layout log-bucket histograms (percentiles
-aggregate across shards and processes by summing bucket counts), plus
-lightweight :func:`~repro.obs.tracing.trace` spans into a bounded ring
-buffer.  Exporters render the registry as JSON-lines snapshots,
+aggregate across shards and processes by summing bucket counts); a
+timed block is one named histogram observed at its call site.
+Exporters render the registry as JSON-lines snapshots,
 Prometheus text, or the ``repro metrics`` ASCII table.
 
 Instrumentation is off by default: the global registry starts
@@ -33,7 +33,6 @@ from .metrics import (
     scoped_registry,
     set_registry,
 )
-from .tracing import SpanRecord, trace
 
 __all__ = [
     "Counter",
@@ -45,7 +44,6 @@ __all__ = [
     "LOG_FORMATS",
     "MetricsRegistry",
     "ShardHealth",
-    "SpanRecord",
     "configure_logging",
     "get_logger",
     "get_registry",
@@ -53,5 +51,4 @@ __all__ = [
     "metric_key",
     "scoped_registry",
     "set_registry",
-    "trace",
 ]

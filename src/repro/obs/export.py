@@ -18,13 +18,14 @@ JSON-lines schema (one object per line, ``v`` = 1)::
      "histograms": {"service_lookup_sim_ns{shard=0}":
                       {"count": 512, "sum": ..., "min": ..., "max": ...,
                        "p50": ..., "p90": ..., "p99": ...,
-                       "buckets": {"112": 37, ...}}, ...},
-     "spans":      [{"name": "merge_shard", "duration_s": ...}, ...]}
+                       "buckets": {"112": 37, ...}}, ...}}
 
 Snapshots are *cumulative*: within one stream ``seq`` strictly
 increases and every counter (and histogram count) is monotonically
 non-decreasing — :func:`validate_metrics_lines` checks exactly that,
 plus per-line shape, and is what ``repro metrics --validate`` runs.
+Keys beyond :data:`REQUIRED_KEYS` are ignored, so older streams that
+also carry a ``spans`` list still validate and render.
 Because histogram snapshots carry their sparse bucket counts, two
 streams from different processes merge by
 :meth:`Histogram.from_snapshot(...).merge(...)
@@ -63,9 +64,6 @@ REQUIRED_KEYS = ("v", "seq", "ts", "counters", "gauges", "histograms")
 #: Keys every histogram snapshot must carry.
 REQUIRED_HIST_KEYS = ("count", "sum", "buckets", "p50", "p90", "p99")
 
-#: How many of the most recent spans a snapshot line retains.
-SNAPSHOT_SPAN_LIMIT = 32
-
 
 def snapshot(registry: MetricsRegistry, ts: float | None = None) -> dict:
     """One cumulative JSON-safe snapshot of *registry* (see schema)."""
@@ -76,7 +74,6 @@ def snapshot(registry: MetricsRegistry, ts: float | None = None) -> dict:
         "counters": registry.counters(),
         "gauges": registry.gauges(),
         "histograms": {k: h.snapshot() for k, h in registry.histograms().items()},
-        "spans": [s.to_dict() for s in registry.spans()[-SNAPSHOT_SPAN_LIMIT:]],
     }
 
 

@@ -39,13 +39,9 @@ from __future__ import annotations
 import math
 import threading
 import weakref
-from collections import deque
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
-    from .tracing import SpanRecord
 
 __all__ = [
     "Counter",
@@ -62,7 +58,7 @@ __all__ = [
 #: ``2**(1/HIST_SUBBUCKETS)``; 4 gives ~19% wide buckets.
 HIST_SUBBUCKETS = 4
 #: Smallest resolvable magnitude is ``2**HIST_EXP_MIN`` (~1e-6, enough
-#: for sub-microsecond span durations in seconds); anything at or
+#: for sub-microsecond durations in seconds); anything at or
 #: below it lands in bucket 0.
 HIST_EXP_MIN = -20
 #: Largest resolvable magnitude is ``2**HIST_EXP_MAX`` (~1.7e13,
@@ -238,7 +234,7 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Named instruments plus the tracing ring buffer.
+    """Named instruments and the registered sources it pulls from.
 
     One registry is one observability domain: the process-global
     default (see :func:`get_registry`) collects everything unless a
@@ -249,21 +245,12 @@ class MetricsRegistry:
     optional accounting and pulls from no source.
     """
 
-    def __init__(
-        self,
-        enabled: bool = True,
-        trace_capacity: int = 2048,
-        trace_sample_every: int = 1,
-    ) -> None:
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = bool(enabled)
-        #: Sample every N-th span (deterministic, 1 = every span).
-        self.trace_sample_every = max(1, int(trace_sample_every))
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
         self._sources: dict[str, dict[str, weakref.WeakMethod]] = {}
-        self._spans: deque = deque(maxlen=max(1, int(trace_capacity)))
-        self._span_seq = 0
         self._snapshot_seq = 0
         self._lock = threading.Lock()
 
@@ -323,23 +310,6 @@ class MetricsRegistry:
                 if read is not None:
                     merged.update(read())
         return dict(sorted(merged.items()))
-
-    # ------------------------------------------------------------------
-    # Tracing support (used by repro.obs.tracing)
-    # ------------------------------------------------------------------
-    def sample_span(self) -> bool:
-        """Deterministic every-N sampler for spans."""
-        self._span_seq += 1
-        return self._span_seq % self.trace_sample_every == 0
-
-    def record_span(self, record: "SpanRecord") -> None:
-        """Retain *record* and feed its duration histogram."""
-        self._spans.append(record)
-        self.histogram("span_seconds", span=record.name).observe(record.duration_s)
-
-    def spans(self) -> list:
-        """The retained span records, oldest first."""
-        return list(self._spans)
 
     # ------------------------------------------------------------------
     # Reading

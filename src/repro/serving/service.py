@@ -67,7 +67,6 @@ from ..obs.health import (
     shard_status,
 )
 from ..obs.metrics import Histogram, MetricsRegistry, get_registry, metric_key
-from ..obs.tracing import trace
 from .partitioner import (
     SMOOTHABLE_FAMILIES,
     ShardPlan,
@@ -643,11 +642,7 @@ class IndexService:
         if not bkeys.size:
             return
         start = time.perf_counter()
-        with trace(
-            "merge_shard", registry=self.metrics,
-            shard=shard_no, keys=int(bkeys.size),
-        ):
-            self._run_merge(shard_no, bkeys, bvals, mark)
+        self._run_merge(shard_no, bkeys, bvals, mark)
         # A real instrument, not a pulled one: the ladder reads its sum.
         if self.metrics.enabled:
             self._h_merge_s.observe(time.perf_counter() - start)

@@ -8,12 +8,12 @@ from repro.obs.export import (
     REQUIRED_KEYS,
     snapshot,
     snapshot_table,
+    snapshot_to_prometheus,
     to_prometheus,
     validate_metrics_lines,
     write_jsonl,
 )
 from repro.obs.metrics import Histogram, MetricsRegistry
-from repro.obs.tracing import trace
 
 
 def _populated_registry() -> MetricsRegistry:
@@ -23,8 +23,6 @@ def _populated_registry() -> MetricsRegistry:
     h = reg.histogram("service_lookup_sim_ns", shard=0)
     for v in (50.0, 90.0, 120.0, 400.0):
         h.observe(v)
-    with trace("merge_shard", registry=reg, shard=0):
-        pass
     return reg
 
 
@@ -39,7 +37,7 @@ def test_snapshot_shape_and_seq():
     hist = first["histograms"]["service_lookup_sim_ns{shard=0}"]
     assert hist["count"] == 4
     assert sum(hist["buckets"].values()) == 4
-    assert first["spans"][0]["name"] == "merge_shard"
+    assert "spans" not in first
 
 
 def test_write_jsonl_appends_valid_lines(tmp_path):
@@ -128,3 +126,36 @@ def test_validate_rejects_tampered_streams(tmp_path):
     assert any(
         "bucket sum" in e for e in validate_metrics_lines([json.dumps(broken)])
     )
+
+
+#: One line in the shape earlier versions wrote: a ``spans`` list beside
+#: ``span_seconds{span=…}`` histograms, both since removed.
+_SPAN_ERA_LINE = (
+    '{"counters": {"flat_compiles_total{family=lipp}": 1, "service_merges_total": 1}, '
+    '"gauges": {}, "histograms": {'
+    '"span_seconds{span=flat_compile}": {"buckets": {"36": 1}, "count": 1, "max": 0.0005, '
+    '"min": 0.0005, "p50": 0.0005, "p90": 0.0005, "p99": 0.0005, "sum": 0.0005}, '
+    '"span_seconds{span=merge_shard}": {"buckets": {"53": 1}, "count": 1, "max": 0.01, '
+    '"min": 0.01, "p50": 0.01, "p90": 0.01, "p99": 0.01, "sum": 0.01}, '
+    '"span_seconds{span=smooth_keys}": {"buckets": {"44": 1}, "count": 1, "max": 0.002, '
+    '"min": 0.002, "p50": 0.002, "p90": 0.002, "p99": 0.002, "sum": 0.002}}, '
+    '"seq": 1, "spans": ['
+    '{"depth": 2, "duration_s": 0.0005, "name": "flat_compile", "start_s": 100.0, '
+    '"tags": {"family": "lipp"}}, '
+    '{"depth": 2, "duration_s": 0.002, "name": "smooth_keys", "start_s": 100.001, '
+    '"tags": {"budget": 300, "n": 3000}}, '
+    '{"depth": 1, "duration_s": 0.01, "name": "merge_shard", "start_s": 100.0, '
+    '"tags": {"keys": 500, "shard": 0}}], '
+    '"ts": 1720000000.0, "v": 1}'
+)
+
+
+def test_span_era_lines_still_validate_and_render():
+    assert validate_metrics_lines([_SPAN_ERA_LINE]) == []
+    snap = json.loads(_SPAN_ERA_LINE)
+    table = snapshot_table(snap)
+    prom = snapshot_to_prometheus(snap)
+    for span in ("merge_shard", "smooth_keys", "flat_compile"):
+        assert f"span_seconds{{span={span}}}" in table
+        assert f'span_seconds_count{{span="{span}"}} 1' in prom
+    assert "flat_compiles_total" in table and "service_merges_total 1" in prom

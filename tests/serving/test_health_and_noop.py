@@ -11,7 +11,6 @@ import pytest
 from repro.cli import main
 from repro.obs.health import HealthReport, ShardHealth
 from repro.obs.metrics import MetricsRegistry, scoped_registry
-from repro.obs.tracing import _NOOP, trace
 from repro.serving import IndexService
 
 
@@ -184,24 +183,14 @@ def test_disabled_registry_records_nothing(dataset, rng):
             assert svc.stats.n_lookups == 2000 and svc.stats.merges > 0
             assert svc.health_report().total.queries == 2000
             # ... but a disabled registry pulls nothing from it, and no
-            # instrument anywhere recorded: every counter is zero, no
-            # span was kept.
+            # instrument anywhere recorded: every counter is zero.
             assert all(v == 0 for v in registry.counters().values())
             assert all(v == 0.0 for v in registry.gauges().values())
-            assert registry.spans() == []
             assert all(h.count == 0 for h in registry.histograms().values())
             assert not any(
                 key.startswith(("service_lookup", "shard_"))
                 for key in (*registry.gauges(), *registry.histograms())
             )
-
-
-def test_disabled_trace_allocates_nothing(dataset):
-    registry = MetricsRegistry(enabled=False)
-    # The no-op guard contract: a disabled trace is one shared
-    # singleton, not a per-call object.
-    assert trace("anything", registry=registry) is _NOOP
-    assert trace("anything", registry=registry) is trace("x", registry=registry)
 
 
 def test_enabled_registry_mirrors_service_stats(dataset, rng):
@@ -220,9 +209,24 @@ def test_enabled_registry_mirrors_service_stats(dataset, rng):
     assert counters["service_merged_keys_total"] == stats.merged_keys
     assert counters["service_buffer_hits_total"] == stats.buffer_hits
     assert counters["router_routed_keys_total"] > 0
-    assert any(
-        s.name == "merge_shard" for s in registry.spans()
-    ), "merge should have traced a span"
+
+
+def test_each_timed_block_keeps_one_clock(dataset, rng):
+    """The merge, the smoothing run and the flat compile are each timed
+    by exactly one histogram, and nothing else exports their duration."""
+    keys, values = dataset
+    registry = MetricsRegistry(enabled=True)
+    with scoped_registry(registry):
+        with IndexService.build(
+            keys, family="lipp", n_shards=4, values=values, alpha=0.1
+        ) as svc:
+            svc.insert_many(_fresh_keys(keys, 2000, rng))
+            svc.flush()
+            assert svc.stats.merges > 0
+            histograms = registry.histograms()
+    for key in ("service_merge_seconds", "smooth_seconds", "flat_compile_seconds{family=lipp}"):
+        assert histograms[key].count > 0, key
+    assert not any(key.startswith("span_seconds") for key in histograms)
 
 
 # ----------------------------------------------------------------------

@@ -190,12 +190,22 @@ def test_operations_flag_table_matches_serve_parser():
     )
 
 
+#: Metric families the catalog in docs/OPERATIONS.md covers.
+CATALOG_PREFIXES = ("http", "store", "service", "shard", "router", "flat", "bulk", "smooth")
+
+#: Catalogued names the live run below cannot reach, and why.
+CATALOGUED_BUT_UNREACHED = {
+    "flat_stale_retries_total": "counts a retry after a tree edit that bypassed invalidate_flat",
+}
+
+
 def test_operations_metric_catalog_matches_a_live_front_door(tmp_path):
-    """docs/OPERATIONS.md's metric catalog lists exactly the ``http_*``
-    / ``store_*`` / ``service_*`` / ``shard_*`` names a front door with
-    both stores exports once it has read, written, flushed, merged,
-    compacted and synced — a renamed or deleted metric cannot live on
-    in the table, and a new one cannot ship without a row."""
+    """docs/OPERATIONS.md's metric catalog lists exactly the names of
+    :data:`CATALOG_PREFIXES` a front door with both stores exports once
+    it has built (smoothed), read, written, flushed, merged, compacted
+    and synced, plus :data:`CATALOGUED_BUT_UNREACHED` — a renamed or
+    deleted metric cannot live on in the table, and a new one cannot
+    ship without a row."""
     import numpy as np
 
     from repro.obs.metrics import MetricsRegistry, scoped_registry
@@ -203,11 +213,12 @@ def test_operations_metric_catalog_matches_a_live_front_door(tmp_path):
     from repro.serving import IndexService
     from repro.store import DurableStore
 
-    keys = np.arange(0, 30_000, 10, dtype=np.int64)
+    # Squares leave free values inside every node for smoothing to use.
+    keys = np.arange(3_000, dtype=np.int64) ** 2
     registry = MetricsRegistry(enabled=True)
     with scoped_registry(registry):
         service = IndexService.build(
-            keys, family="lipp", n_shards=2, staleness_threshold=0.05,
+            keys, family="lipp", n_shards=2, alpha=0.1, staleness_threshold=0.05,
             store=DurableStore(tmp_path / "data"), flush_threshold=100,
             compaction="tiered:2",
         )
@@ -215,8 +226,10 @@ def test_operations_metric_catalog_matches_a_live_front_door(tmp_path):
             service, registry=registry, store=RuntimeStore(tmp_path / "runtime.db")
         ) as srv, HttpIndexClient(srv.host, srv.port) as client:
             client.lookup(keys[:10].tolist())
-            for start in range(0, 1_200, 200):
-                client.insert((int(keys[-1]) + 1 + np.arange(start, start + 200)).tolist())
+            # The first batch is over a quarter of its shard (a bulk
+            # rebuild), the later ones are not (gapped merges).
+            for start in range(0, 1_200, 400):
+                client.insert((int(keys[-1]) + 1 + np.arange(start, start + 400)).tolist())
             srv.front.durable_sync()
             views = (registry.counters(), registry.gauges(), registry.histograms())
         service.close()
@@ -224,13 +237,14 @@ def test_operations_metric_catalog_matches_a_live_front_door(tmp_path):
         key.split("{")[0]
         for view in views
         for key in view
-        if key.startswith(("http_", "store_", "service_", "shard_"))
+        if key.startswith(tuple(f"{p}_" for p in CATALOG_PREFIXES))
     }
     text = (REPO_ROOT / "docs" / "OPERATIONS.md").read_text()
     section = text.split("## Monitoring", 1)[1].split("\n## ", 1)[0]
     rows = "\n".join(line for line in section.splitlines() if line.startswith("|"))
-    documented = set(re.findall(r"`((?:http|store|service|shard)_[a-z_]+)", rows))
-    assert documented == exported, (
-        f"exported but not in the catalog: {sorted(exported - documented)}; "
-        f"catalogued but not exported: {sorted(documented - exported)}"
+    documented = set(re.findall(rf"`((?:{'|'.join(CATALOG_PREFIXES)})_[a-z_]+)", rows))
+    expected = exported | set(CATALOGUED_BUT_UNREACHED)
+    assert documented == expected, (
+        f"exported but not in the catalog: {sorted(expected - documented)}; "
+        f"catalogued but not exported: {sorted(documented - expected)}"
     )
