@@ -164,12 +164,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--store", default=None, metavar="PATH",
-        help="HTTP mode: SQLite-WAL runtime store persisting op "
-             "counters and the op log across restarts",
+        help="HTTP mode: SQLite-WAL op log of accepted writes, replayed "
+             "on restart (counters are per process)",
     )
     p_serve.add_argument(
         "--metrics-every-s", type=float, default=5.0, metavar="S",
-        help="HTTP mode with --metrics-out: snapshot period in seconds",
+        help="HTTP mode with --metrics-out: period in seconds of the "
+             "metrics snapshot and the durable sync",
     )
 
     p_metrics = sub.add_parser(

@@ -13,8 +13,8 @@ like the rest of the repo:
 * :mod:`~repro.server.admission` — bounded request queue: overload
   answers ``429 + Retry-After`` instead of building invisible
   backlog, and shutdown drains every accepted batch.
-* :mod:`~repro.server.runtime_store` — SQLite-WAL persistence of op
-  counters and an append-only op log (replayed on reopen).
+* :mod:`~repro.server.runtime_store` — the SQLite-WAL op log of
+  accepted writes, replayed on reopen (counters are per process).
 * :mod:`~repro.server.loadgen` — the synchronous keep-alive JSON
   client tests and ``benchmarks/ladder`` talk to the server with.
 * :mod:`~repro.server.harness` — background-thread server for tests
@@ -28,7 +28,7 @@ from .admission import AdmissionController, ClosingError, OverloadedError
 from .app import BadRequestError, HttpFrontDoor, run_http_server
 from .harness import ServerThread
 from .loadgen import HttpIndexClient, HttpStatusError
-from .runtime_store import OpRecord, RuntimeState, RuntimeStore
+from .runtime_store import OpRecord, RuntimeStore
 
 __all__ = [
     "AdmissionController",
@@ -39,7 +39,6 @@ __all__ = [
     "HttpStatusError",
     "OpRecord",
     "OverloadedError",
-    "RuntimeState",
     "RuntimeStore",
     "ServerThread",
     "run_http_server",

@@ -28,8 +28,9 @@ to in-process ``lookup_many`` (the parity suite holds this).
 
 With a :class:`~repro.server.runtime_store.RuntimeStore` attached,
 accepted write batches are logged durably before they are applied
-and op counters persist across restarts; ``metrics_out`` streams the
-same JSON-lines snapshots ``repro serve --metrics-out`` writes, so
+and replayed on restart.  Counters are per process: a restarted
+server counts only what it served.  ``metrics_out`` streams the same
+JSON-lines snapshots ``repro serve --metrics-out`` writes, so
 ``repro metrics --validate`` passes on a live server's file.
 """
 
@@ -275,14 +276,6 @@ class HttpFrontDoor:
         self._c_errors = reg.counter("http_errors_total")
         self._c_keys_looked_up = reg.counter("http_keys_looked_up_total")
         self._c_keys_inserted = reg.counter("http_keys_inserted_total")
-        #: The front door's own counters the runtime store keeps across
-        #: restarts, by stored name — read to save, written to restore.
-        self._persisted = {
-            **{f"http_requests_total.{r}": c for r, c in self._c_requests.items()},
-            "http_keys_looked_up_total": self._c_keys_looked_up,
-            "http_keys_inserted_total": self._c_keys_inserted,
-            "http_errors_total": self._c_errors,
-        }
         self._c_replayed_ops = reg.counter("http_replayed_ops_total")
         self._c_oplog_pruned = reg.counter("http_oplog_pruned_total")
         self._h_request_s = reg.histogram("http_request_seconds")
@@ -299,7 +292,7 @@ class HttpFrontDoor:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self, host: str = "127.0.0.1", port: int = 8000) -> tuple[str, int]:
-        """Replay persisted state, bind, and start serving.
+        """Replay the op log, bind, and start serving.
 
         Returns the bound ``(host, port)`` — with ``port=0`` the OS
         picks a free port, which the tests and the port-0 CLI use.
@@ -323,34 +316,15 @@ class HttpFrontDoor:
         return self.host, self.port
 
     def _restore_from_store(self) -> None:
-        """Apply the runtime store's replayable state to the service."""
+        """Re-apply, in arrival order, every op the log still holds."""
         if self.store is None:
             return
-        state = self.store.replay()
-        for record in state.ops:
-            if record.op == "insert":
-                self.service.insert_many(record.keys, record.values)
-                self._c_replayed_ops.inc()
-        if state.ops:
-            _log.info(f"runtime store: replayed {len(state.ops)} op(s)")
-        # Counter restore comes *after* replay so the persisted totals
-        # overwrite the bumps replaying just caused.
-        stats = self.service.stats
-        stat_fields = {f"service.{f.name}": f.name for f in dataclasses.fields(stats)}
-        for name, value in state.counters.items():
-            if name in self._persisted:
-                counter = self._persisted[name]
-                counter.inc(max(value - counter.value, 0))
-            elif name in stat_fields:
-                setattr(stats, stat_fields[name], int(value))
-
-    def _counters(self) -> dict[str, int]:
-        """What the runtime store persists (and ``/v1/stats`` shows):
-        the front door's own counters and every ``ServiceStats`` field."""
-        out = {name: counter.value for name, counter in self._persisted.items()}
-        for name, value in dataclasses.asdict(self.service.stats).items():
-            out[f"service.{name}"] = value
-        return out
+        ops = self.store.iter_ops()
+        for record in ops:
+            self.service.insert_many(record.keys, record.values)
+            self._c_replayed_ops.inc()
+        if ops:
+            _log.info(f"runtime store: replayed {len(ops)} op(s)")
 
     def request_shutdown(self) -> None:
         """Begin graceful shutdown (signal-handler and test entry)."""
@@ -397,13 +371,11 @@ class HttpFrontDoor:
         if self._conn_tasks:
             await asyncio.gather(*self._conn_tasks, return_exceptions=True)
         self.admission.shutdown_pool()
-        # 4. Persist what the next process will replay.  The durable
-        #    sync runs first: buffered writes freeze into runs and the
-        #    covered op-log rows disappear, so a clean restart replays
-        #    (close to) nothing.
+        # 4. Persist: buffered writes freeze into runs and the covered
+        #    op-log rows disappear, so a clean restart replays (close
+        #    to) nothing.
         self.durable_sync()
         if self.store is not None:
-            self.store.save_counters(self._counters())
             self.store.close()
         self._snapshot()
 
@@ -430,10 +402,6 @@ class HttpFrontDoor:
             durable_seq = self.store.last_seq()
             self.service.flush_durable()
         pruned = self.store.prune_op_log_upto(durable_seq)
-        self.store.meta_set(
-            "durable_generation", str(self.service.durable_generation())
-        )
-        self.store.meta_set("durable_seq", str(durable_seq))
         if pruned:
             self._c_oplog_pruned.inc(pruned)
             _log.info(
@@ -452,12 +420,22 @@ class HttpFrontDoor:
                 write_jsonl(self.metrics_out, self.registry)
 
     async def _snapshot_loop(self) -> None:
-        while True:
-            await asyncio.sleep(self.metrics_every_s)
+        def tick() -> None:
             self._snapshot()
             self.durable_sync()
-            if self.store is not None:
-                self.store.save_counters(self._counters())
+
+        while True:
+            await asyncio.sleep(self.metrics_every_s)
+            # Both calls wait on the service lock (the sync as a writer),
+            # so they run on a side thread and no connection stalls
+            # behind a merge.  A shutdown that cancels the loop waits for
+            # the tick in flight before its own final sync and snapshot.
+            running = asyncio.ensure_future(asyncio.to_thread(tick))
+            try:
+                await asyncio.shield(running)
+            except asyncio.CancelledError:
+                await running
+                raise
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -653,7 +631,7 @@ class HttpFrontDoor:
             with self._rwlock.write():
                 # Log-then-apply: a crash between the two replays the op.
                 if self.store is not None:
-                    self.store.record_op("insert", keys, values)
+                    self.store.record_op(keys, values)
                 self.service.insert_many(keys, values)
             return {"accepted": int(keys.size)}
 
@@ -723,7 +701,12 @@ class HttpFrontDoor:
         n_keys = await self._monitor(lambda: int(self.service.n_keys))
         out = {
             "service": dataclasses.asdict(self.service.stats),
-            "http": self._counters(),
+            "http": {
+                **{f"http_requests_total.{r}": c.value for r, c in self._c_requests.items()},
+                "http_keys_looked_up_total": self._c_keys_looked_up.value,
+                "http_keys_inserted_total": self._c_keys_inserted.value,
+                "http_errors_total": self._c_errors.value,
+            },
             "n_keys": n_keys,
             "n_shards": int(self.service.n_shards),
             "store": None

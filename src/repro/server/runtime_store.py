@@ -1,27 +1,25 @@
-"""SQLite-WAL runtime store: the server's state that survives restarts.
+"""SQLite-WAL runtime store: the op log of writes that arrived over the wire.
 
 The index stack is deliberately memory-resident — shards are rebuilt
-from the dataset at startup — so anything that arrived *over the
-wire* would vanish with the process.  The runtime store closes that
-gap with one SQLite database in WAL mode (readers never block the
-writer, commits are a single fsync of the log) holding two kinds of
-state:
+from the dataset (or the durable store) at startup — so a write that
+arrived *over the wire* and was not yet flushed would vanish with the
+process.  The runtime store closes that gap with one table in one
+SQLite database in WAL mode (readers never block the writer, commits
+are a single fsync of the log): an **append-only op log** of every
+accepted write batch, recorded durably *before* it is applied to the
+service.  On reopen, :meth:`RuntimeStore.iter_ops` hands the ops back
+in arrival order; re-applying them through ``insert_many`` is
+idempotent (last write wins on equal keys), so replay-after-crash is
+at-least-once and converges.
 
-* **op counters** — cumulative served-operation totals (HTTP requests
-  per route, keys looked up / inserted, plus the service's own
-  ``ServiceStats`` fields), upserted as they change and restored on
-  reopen so totals keep counting across restarts.
-* **append-only op log** — every accepted write batch, recorded
-  durably *before* it is applied to the service.  On reopen,
-  :meth:`replay` hands the ops back in arrival order; re-applying
-  them through ``insert_many`` is idempotent (last write wins on
-  equal keys), so replay-after-crash is at-least-once and converges.
+Nothing else lives here: counters are per process and restart at 0.
+A file an older version wrote may also hold ``meta``, ``counters`` or
+``query_cache`` tables; they are neither read nor touched.
 
 Arrays cross the boundary as raw little-endian int64 BLOBs
 (``ndarray.tobytes`` / ``np.frombuffer``) — bit-exact, no JSON float
 round-tripping.  All methods are thread-safe: the HTTP worker pool
-records ops from executor threads while the event loop flushes
-counters.
+records ops from executor threads while a side thread prunes.
 """
 
 from __future__ import annotations
@@ -29,23 +27,14 @@ from __future__ import annotations
 import sqlite3
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
-__all__ = ["OpRecord", "RuntimeState", "RuntimeStore"]
+__all__ = ["OpRecord", "RuntimeStore"]
 
 _SCHEMA = """
-CREATE TABLE IF NOT EXISTS meta (
-    key   TEXT PRIMARY KEY,
-    value TEXT NOT NULL
-);
-CREATE TABLE IF NOT EXISTS counters (
-    name  TEXT PRIMARY KEY,
-    value INTEGER NOT NULL
-);
 CREATE TABLE IF NOT EXISTS op_log (
     seq    INTEGER PRIMARY KEY AUTOINCREMENT,
     ts     REAL NOT NULL,
@@ -56,27 +45,14 @@ CREATE TABLE IF NOT EXISTS op_log (
 );
 """
 
-#: Bumped when the on-disk layout changes incompatibly.
-STORE_VERSION = 1
-
 
 @dataclass(frozen=True)
 class OpRecord:
-    """One logged write batch, as stored."""
+    """One logged insert batch, as stored."""
 
     seq: int
-    ts: float
-    op: str
     keys: np.ndarray
     values: np.ndarray | None
-
-
-@dataclass(frozen=True)
-class RuntimeState:
-    """Everything :meth:`RuntimeStore.replay` restores on reopen."""
-
-    counters: dict[str, int] = field(default_factory=dict)
-    ops: tuple[OpRecord, ...] = ()
 
 
 def _to_blob(arr: np.ndarray) -> bytes:
@@ -88,7 +64,7 @@ def _from_blob(blob: bytes) -> np.ndarray:
 
 
 class RuntimeStore:
-    """One server's persistent runtime state (see module docstring)."""
+    """One server's op log (see module docstring)."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
@@ -97,72 +73,33 @@ class RuntimeStore:
         self._conn.execute("PRAGMA journal_mode=WAL")
         self._conn.execute("PRAGMA synchronous=NORMAL")
         self._conn.executescript(_SCHEMA)
-        with self._lock:
-            self._conn.execute(
-                "INSERT OR IGNORE INTO meta (key, value) VALUES ('version', ?)",
-                (str(STORE_VERSION),),
-            )
-            self._conn.commit()
         self._closed = False
 
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
     def journal_mode(self) -> str:
         """The active SQLite journal mode (``"wal"`` when supported)."""
         row = self._conn.execute("PRAGMA journal_mode").fetchone()
         return str(row[0]).lower()
 
-    def meta_get(self, key: str) -> str | None:
-        """One metadata value, or None when unset."""
-        row = self._conn.execute(
-            "SELECT value FROM meta WHERE key = ?", (key,)
-        ).fetchone()
-        return None if row is None else str(row[0])
-
-    def meta_set(self, key: str, value: str) -> None:
-        """Upsert one metadata key."""
-        with self._lock:
-            self._conn.execute(
-                "INSERT INTO meta (key, value) VALUES (?, ?) "
-                "ON CONFLICT(key) DO UPDATE SET value = excluded.value",
-                (key, str(value)),
-            )
-            self._conn.commit()
-
     def op_count(self) -> int:
         """Rows currently in the op log."""
         return int(self._conn.execute("SELECT COUNT(*) FROM op_log").fetchone()[0])
 
-    # ------------------------------------------------------------------
-    # Op log
-    # ------------------------------------------------------------------
-    def record_op(
-        self,
-        op: str,
-        keys: np.ndarray,
-        values: np.ndarray | None = None,
-        ts: float | None = None,
-    ) -> int:
-        """Append one write batch to the log; returns its sequence no.
+    def record_op(self, keys: np.ndarray, values: np.ndarray | None = None) -> int:
+        """Append one insert batch to the log; returns its sequence no.
 
         Called *before* the batch is applied to the service, so a
         crash between the two leaves a replayable record rather than
-        a lost write.
+        a lost write.  The row's ``op`` / ``ts`` columns are filled
+        (``'insert'``, wall time) so older readers of the file still
+        parse it; nothing here reads them back.
         """
         keys = np.asarray(keys, dtype=np.int64)
         blob_vals = None if values is None else _to_blob(np.asarray(values))
         with self._lock:
             cur = self._conn.execute(
                 "INSERT INTO op_log (ts, op, n_keys, keys, vals) "
-                "VALUES (?, ?, ?, ?, ?)",
-                (
-                    time.time() if ts is None else float(ts),
-                    str(op),
-                    int(keys.size),
-                    _to_blob(keys),
-                    blob_vals,
-                ),
+                "VALUES (?, 'insert', ?, ?, ?)",
+                (time.time(), int(keys.size), _to_blob(keys), blob_vals),
             )
             self._conn.commit()
             return int(cur.lastrowid)
@@ -170,17 +107,15 @@ class RuntimeStore:
     def iter_ops(self) -> list[OpRecord]:
         """Every logged op in arrival (sequence) order."""
         rows = self._conn.execute(
-            "SELECT seq, ts, op, keys, vals FROM op_log ORDER BY seq"
+            "SELECT seq, keys, vals FROM op_log ORDER BY seq"
         ).fetchall()
         return [
             OpRecord(
                 seq=int(seq),
-                ts=float(ts),
-                op=str(op),
                 keys=_from_blob(keys),
                 values=None if vals is None else _from_blob(vals),
             )
-            for seq, ts, op, keys, vals in rows
+            for seq, keys, vals in rows
         ]
 
     def last_seq(self) -> int:
@@ -209,36 +144,6 @@ class RuntimeStore:
             )
             self._conn.commit()
             return int(cur.rowcount)
-
-    # ------------------------------------------------------------------
-    # Counters
-    # ------------------------------------------------------------------
-    def save_counters(self, mapping: Mapping[str, int]) -> None:
-        """Upsert cumulative counters (only the keys given)."""
-        if not mapping:
-            return
-        with self._lock:
-            self._conn.executemany(
-                "INSERT INTO counters (name, value) VALUES (?, ?) "
-                "ON CONFLICT(name) DO UPDATE SET value = excluded.value",
-                [(str(k), int(v)) for k, v in mapping.items()],
-            )
-            self._conn.commit()
-
-    def load_counters(self) -> dict[str, int]:
-        """Every persisted counter as a plain dict."""
-        rows = self._conn.execute("SELECT name, value FROM counters").fetchall()
-        return {str(name): int(value) for name, value in rows}
-
-    # ------------------------------------------------------------------
-    # Replay + lifecycle
-    # ------------------------------------------------------------------
-    def replay(self) -> RuntimeState:
-        """The full restorable state: counters and ops."""
-        return RuntimeState(
-            counters=self.load_counters(),
-            ops=tuple(self.iter_ops()),
-        )
 
     def close(self) -> None:
         """Commit and close the connection (idempotent)."""

@@ -113,6 +113,10 @@ class TestHttpServeProcess:
         assert proc.returncode == 0, out
         assert all(resp["found"])
         assert stats["store"]["op_log_entries"] >= 1
+        # Counters are per process: the restarted one inserted exactly
+        # the 5 keys it replayed, and accepted no insert request itself.
+        assert stats["service"]["n_inserts"] == 5
+        assert stats["http"]["http_requests_total.insert"] == 0
 
 
 @pytest.mark.slow

@@ -1,9 +1,11 @@
 """Runtime store: WAL persistence, op-log replay, restart recovery.
 
 The store's contract is crash-shaped: ``record_op`` logs *before* the
-batch is applied, counters upsert atomically, and :meth:`replay` on a
-reopened file reconstructs every accepted write and counter — which
-the end-to-end test exercises through a full HTTP restart cycle.
+batch is applied, and :meth:`iter_ops` on a reopened file hands back
+every accepted write in arrival order — which the end-to-end tests
+exercise through full HTTP restart cycles.  Nothing else is stored:
+counters are per process, so a restarted server counts only what it
+served and its counters agree with the ledger they are pulled from.
 """
 
 from __future__ import annotations
@@ -27,69 +29,83 @@ def store(tmp_path):
         yield s
 
 
-class TestStoreUnit:
-    def test_wal_mode_and_version(self, store):
-        assert store.journal_mode() == "wal"
-        assert store.meta_get("version") == "1"
+def _tables(path) -> set[str]:
+    conn = sqlite3.connect(path)
+    try:
+        rows = conn.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'table' AND name NOT LIKE 'sqlite_%'"
+        ).fetchall()
+    finally:
+        conn.close()
+    return {name for (name,) in rows}
 
-    def test_meta_upsert(self, store):
-        store.meta_set("k", "a")
-        store.meta_set("k", "b")
-        assert store.meta_get("k") == "b"
-        assert store.meta_get("absent") is None
+
+class TestStoreUnit:
+    def test_wal_mode_and_only_the_op_log(self, store):
+        assert store.journal_mode() == "wal"
+        assert _tables(store.path) == {"op_log"}
 
     def test_op_log_roundtrip_preserves_order_and_bits(self, store, rng):
         batches = [rng.integers(-(2**62), 2**62, n) for n in (1, 17, 300)]
         for i, keys in enumerate(batches):
             vals = None if i == 0 else keys * 2
-            store.record_op("insert", keys, vals)
+            store.record_op(keys, vals)
         ops = store.iter_ops()
         assert [op.seq for op in ops] == sorted(op.seq for op in ops)
         assert len(ops) == store.op_count() == 3
         for i, (op, keys) in enumerate(zip(ops, batches)):
-            assert op.op == "insert"
             assert np.array_equal(op.keys, keys)
             if i == 0:
                 assert op.values is None
             else:
                 assert np.array_equal(op.values, keys * 2)
 
+    def test_rows_keep_the_columns_older_readers_parse(self, store, rng):
+        """``op`` / ``ts`` are still filled, so an older release that
+        replays only ``op = 'insert'`` rows reads this file whole."""
+        keys = rng.integers(0, 1000, 5)
+        store.record_op(keys)
+        conn = sqlite3.connect(store.path)
+        try:
+            ((op, ts, n_keys),) = conn.execute("SELECT op, ts, n_keys FROM op_log").fetchall()
+        finally:
+            conn.close()
+        assert (op, n_keys) == ("insert", 5) and ts > 0
+
     def test_prune_keeps_newest(self, store, rng):
         for _ in range(5):
-            store.record_op("insert", rng.integers(0, 100, 4))
+            store.record_op(rng.integers(0, 100, 4))
         seqs = [op.seq for op in store.iter_ops()]
         assert store.prune_op_log_upto(seqs[2]) == 3
         assert [op.seq for op in store.iter_ops()] == seqs[-2:]
-
-    def test_counters_upsert_roundtrip(self, store):
-        store.save_counters({"a": 1, "b": 2})
-        store.save_counters({"b": 20, "c": 3})
-        assert store.load_counters() == {"a": 1, "b": 20, "c": 3}
-
-    def test_replay_bundles_everything(self, store, rng):
-        keys = rng.integers(0, 1000, 10)
-        store.record_op("insert", keys)
-        store.save_counters({"x": 5})
-        state = store.replay()
-        assert state.counters == {"x": 5}
-        assert len(state.ops) == 1 and np.array_equal(state.ops[0].keys, keys)
 
     def test_survives_reopen(self, tmp_path, rng):
         path = tmp_path / "r.db"
         keys = rng.integers(0, 1000, 6)
         with RuntimeStore(path) as first:
-            first.record_op("insert", keys)
-            first.save_counters({"n": 42})
+            first.record_op(keys)
         with RuntimeStore(path) as second:
             assert second.journal_mode() == "wal"
-            state = second.replay()
-            assert state.counters == {"n": 42}
-            assert np.array_equal(state.ops[0].keys, keys)
+            (op,) = second.iter_ops()
+            assert np.array_equal(op.keys, keys)
+
+
+def _assert_counters_match_ledger(registry: MetricsRegistry, stats: dict) -> None:
+    """The counters a process exports agree with its own ledger: keys
+    read with the reads the priced histograms hold, merges with the
+    merge clock's observations."""
+    counters, histograms = registry.counters(), registry.histograms()
+    priced = sum(
+        h.count for name, h in histograms.items() if name.startswith("service_lookup_sim_ns")
+    )
+    assert counters["service_lookups_total"] == priced == stats["service"]["n_lookups"]
+    assert stats["service"]["merges"] == registry.histogram("service_merge_seconds").count
 
 
 class TestRestartRecovery:
     def test_http_inserts_survive_a_restart(self, tmp_path, rng):
-        """Accepted writes and counters come back after the process dies."""
+        """Accepted writes come back after the process dies; counters
+        start again at 0."""
         base = np.unique(rng.integers(0, 10**8, 1_500))
         fresh = np.unique(int(base[-1]) + 1 + rng.integers(0, 2**30, 100))
         store_path = tmp_path / "runtime.db"
@@ -120,10 +136,41 @@ class TestRestartRecovery:
             service2.close()
         assert all(resp["found"])  # replay restored every accepted write
         assert resp["values"] == [int(v) for v in fresh]  # default value = key
-        http = stats["http"]
-        assert http["http_requests_total.insert"] == 1
-        assert http["http_keys_inserted_total"] == fresh.size
         assert registry2.counter("http_replayed_ops_total").value == 1
+        # What this process served: the replayed batch, one lookup request.
+        assert stats["http"]["http_requests_total.insert"] == 0
+        assert stats["http"]["http_keys_inserted_total"] == 0
+        assert stats["http"]["http_requests_total.lookup"] == 1
+        assert stats["service"]["n_inserts"] == fresh.size
+        assert stats["service"]["n_lookups"] == fresh.size
+        assert not [name for name in stats["http"] if name.startswith("service")]
+
+    def test_two_processes_on_one_store_each_count_what_they_served(self, tmp_path, rng):
+        """Each process reads 300 keys and writes enough to merge.  The
+        second one replays the first's writes and counts that replay,
+        but none of the first's reads or merges."""
+        base = np.unique(rng.integers(0, 10**8, 1_200))
+        store_path = tmp_path / "runtime.db"
+        served = []
+        for run in range(2):
+            fresh = int(base[-1]) + 1 + np.arange(run * 400, (run + 1) * 400)
+            registry = MetricsRegistry(enabled=True)
+            with scoped_registry(registry):
+                service = IndexService.build(base, family=FAMILY, n_shards=N_SHARDS)
+                with RuntimeStore(store_path) as store, ServerThread(
+                    service, registry=registry, store=store
+                ) as srv, HttpIndexClient(srv.host, srv.port) as client:
+                    client.insert(fresh.tolist())
+                    for _ in range(3):
+                        client.lookup(rng.choice(base, 100).tolist())
+                    stats = client.stats()
+                    _assert_counters_match_ledger(registry, stats)
+                    served.append(stats["service"])
+                service.close()
+        first, second = served
+        assert first["n_lookups"] == second["n_lookups"] == 300
+        assert first["merges"] > 0
+        assert second["n_inserts"] == 800  # its own 400 and the 400 replayed
 
     def test_crash_restart_then_clean_restart_keeps_every_write(self, tmp_path, rng):
         """Crash image -> restart -> clean stop -> restart.
@@ -161,15 +208,17 @@ class TestRestartRecovery:
                     with ServerThread(service, registry=registry, store=store) as srv:
                         with HttpIndexClient(srv.host, srv.port) as client:
                             resp = client.lookup(fresh.tolist())
+                            stats = client.stats()
+                            _assert_counters_match_ledger(registry, stats)
                 service.close()
             assert all(resp["found"])
             replayed.append(registry.counter("http_replayed_ops_total").value)
         assert replayed == [1, 0]  # the clean stop left nothing to replay
 
 
-#: The runtime.db layout of the release that still had the block
-#: cache (store version 1), written out so the fixture does not
-#: depend on code that no longer exists.
+#: The runtime.db layout of the last release that stored counters
+#: (and, before that, cache blocks), written out so the fixture does
+#: not depend on code that no longer exists.
 LEGACY_SCHEMA = """
 CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
 CREATE TABLE counters (name TEXT PRIMARY KEY, value INTEGER NOT NULL);
@@ -187,27 +236,33 @@ CREATE TABLE query_cache (
 class TestLegacyDataDir:
     def test_runtime_db_with_query_cache_table_still_opens(self, tmp_path, rng):
         base = np.unique(rng.integers(0, 10**8, 1_000))
-        batches = [int(base[-1]) + 1 + np.arange(i * 50, (i + 1) * 50) for i in range(3)]
+        fresh = int(base[-1]) + 1 + np.arange(150)
+        # Three overlapping batches: each rewrites part of the one before
+        # with new values, so only replay in seq order leaves batch 3's.
+        batches = [(fresh[i * 40 : i * 40 + 70], fresh[i * 40 : i * 40 + 70] * (i + 2)) for i in range(3)]
         path = tmp_path / "runtime.db"
         conn = sqlite3.connect(path)
         conn.executescript(LEGACY_SCHEMA)
-        conn.execute("INSERT INTO meta VALUES ('version', '1')")
         conn.executemany(
-            "INSERT INTO counters VALUES (?, ?)",
-            [
-                ("service.n_lookups", 700),
-                ("service.merges", 4),
-                ("service.cache_hits", 11),
-                ("service.cache_misses", 22),
-                ("service.cache_fills", 3),
-                ("http_keys_inserted_total", 150),
-            ],
+            "INSERT INTO meta VALUES (?, ?)",
+            [("version", "1"), ("durable_seq", "0"), ("durable_generation", "1")],
         )
-        for keys in batches:  # un-pruned rows: nothing was durably synced
-            blob = keys.astype("<i8").tobytes()
+        legacy_counters = [
+            ("service.n_lookups", 700),
+            ("service.n_inserts", 900),
+            ("service.merges", 4),
+            ("service.cache_hits", 11),
+            ("http_keys_inserted_total", 150),
+            ("http_requests_total.lookup", 9),
+        ]
+        conn.executemany("INSERT INTO counters VALUES (?, ?)", legacy_counters)
+        # Un-pruned rows (nothing was durably synced), written out of
+        # seq order: replay follows seq, not the order rows were stored.
+        for seq in (3, 1, 2):
+            keys, vals = batches[seq - 1]
             conn.execute(
-                "INSERT INTO op_log (ts, op, n_keys, keys, vals) VALUES (0, 'insert', ?, ?, ?)",
-                (keys.size, blob, (keys * 2).astype("<i8").tobytes()),
+                "INSERT INTO op_log (seq, ts, op, n_keys, keys, vals) VALUES (?, 0, 'insert', ?, ?, ?)",
+                (seq, keys.size, keys.astype("<i8").tobytes(), vals.astype("<i8").tobytes()),
             )
         conn.execute(
             "INSERT INTO query_cache VALUES (0, 7, ?, ?, 0)",
@@ -215,32 +270,37 @@ class TestLegacyDataDir:
         )
         conn.commit()
         conn.close()
+        expected = {}
+        for keys, vals in batches:
+            expected.update(zip(keys.tolist(), vals.tolist()))
 
         registry = MetricsRegistry(enabled=True)
         with scoped_registry(registry):
             service = IndexService.build(base, family=FAMILY, n_shards=N_SHARDS)
             with RuntimeStore(path) as store:
-                assert store.meta_get("version") == "1"
+                assert [op.seq for op in store.iter_ops()] == [1, 2, 3]
                 with ServerThread(service, registry=registry, store=store) as srv:
                     with HttpIndexClient(srv.host, srv.port) as client:
-                        fresh = np.concatenate(batches)
                         resp = client.lookup(fresh.tolist())
                         stats = client.stats()
+                        _assert_counters_match_ledger(registry, stats)
             service.close()
-        assert all(resp["found"])  # every logged op replayed, in order
-        assert resp["values"] == (fresh * 2).tolist()
-        # Known counters carry on from their persisted totals ...
-        assert stats["service"]["n_lookups"] == 700 + fresh.size
-        assert stats["service"]["merges"] == 4
-        assert stats["http"]["http_keys_inserted_total"] == 150
-        # ... and what the old version left behind is neither read nor
-        # touched: no cache field comes back, the table keeps its row.
+        assert all(resp["found"])  # every logged op replayed ...
+        assert resp["values"] == [expected[k] for k in fresh.tolist()]  # ... in seq order
+        assert registry.counter("http_replayed_ops_total").value == 3
+        # No persisted counter comes back: this process counts its own.
+        assert stats["service"]["n_lookups"] == fresh.size
+        assert stats["service"]["n_inserts"] == sum(keys.size for keys, _ in batches)
+        assert stats["http"]["http_keys_inserted_total"] == 0
+        assert stats["http"]["http_requests_total.lookup"] == 1
         assert not [name for name in stats["service"] if "cache" in name]
+        # What the old version left behind is neither read nor touched.
         conn = sqlite3.connect(path)
         assert conn.execute("SELECT COUNT(*) FROM query_cache").fetchone() == (1,)
-        assert conn.execute(
-            "SELECT value FROM counters WHERE name = 'service.cache_hits'"
-        ).fetchone() == (11,)
+        assert sorted(conn.execute("SELECT name, value FROM counters")) == sorted(legacy_counters)
+        assert dict(conn.execute("SELECT key, value FROM meta")) == {
+            "version": "1", "durable_seq": "0", "durable_generation": "1",
+        }
         conn.close()
 
 
@@ -248,17 +308,17 @@ class TestOpLogPruning:
     def test_last_seq_is_stable_across_pruning(self, store, rng):
         assert store.last_seq() == 0
         for _ in range(4):
-            store.record_op("insert", rng.integers(0, 100, 3))
+            store.record_op(rng.integers(0, 100, 3))
         assert store.last_seq() == 4
         assert store.prune_op_log_upto(2) == 2
         # The high-water mark remembers pruned rows; new ops continue it.
         assert store.last_seq() == 4
-        assert store.record_op("insert", rng.integers(0, 100, 3)) == 5
+        assert store.record_op(rng.integers(0, 100, 3)) == 5
 
     def test_prune_upto_leaves_newer_ops(self, store, rng):
         batches = [rng.integers(0, 100, 3) for _ in range(5)]
         for keys in batches:
-            store.record_op("insert", keys)
+            store.record_op(keys)
         assert store.prune_op_log_upto(3) == 3
         remaining = store.iter_ops()
         assert [op.seq for op in remaining] == [4, 5]
@@ -273,6 +333,7 @@ class TestOpLogPruning:
 
         base = np.unique(rng.integers(0, 10**8, 1_200))
         registry = MetricsRegistry(enabled=True)
+        pruned = registry.counter("http_oplog_pruned_total")
         with scoped_registry(registry):
             service = IndexService.build(
                 base, family=FAMILY, n_shards=N_SHARDS,
@@ -283,23 +344,23 @@ class TestOpLogPruning:
                 front = HttpFrontDoor(service, registry=registry, store=rt)
                 fresh = int(base[-1]) + np.arange(1, 40)
                 for chunk in np.array_split(fresh, 3):
-                    rt.record_op("insert", chunk, chunk * 2)
+                    rt.record_op(chunk, chunk * 2)
                     service.insert_many(chunk, chunk * 2)
                 gen_before = service.durable_generation()
                 assert front.durable_sync() == 3
                 assert rt.op_count() == 0
+                assert pruned.value == 3
                 assert service.durable_generation() > gen_before
-                assert rt.meta_get("durable_seq") == "3"
-                assert rt.meta_get("durable_generation") == str(
-                    service.durable_generation()
-                )
                 # A later op stays until the next sync captures it.
-                rt.record_op("insert", fresh[:1])
+                rt.record_op(fresh[:1])
                 service.insert_many(fresh[:1])
                 assert rt.op_count() == 1
                 assert front.durable_sync() == 1
                 assert rt.op_count() == 0
+                assert pruned.value == 4
+                assert rt.last_seq() == 4
             service.close()
+        assert _tables(tmp_path / "runtime.db") == {"op_log"}
         with IndexService.open_snapshot(tmp_path / "data") as reopened:
             got = reopened.lookup_many(fresh)
             assert bool(got.found.all())
@@ -311,7 +372,7 @@ class TestOpLogPruning:
         service = IndexService.build(base, family=FAMILY, n_shards=N_SHARDS)
         try:
             with RuntimeStore(tmp_path / "runtime.db") as rt:
-                rt.record_op("insert", base[:3])
+                rt.record_op(base[:3])
                 front = HttpFrontDoor(service, store=rt)
                 assert front.durable_sync() == 0  # no DurableStore attached
                 assert rt.op_count() == 1
@@ -335,10 +396,12 @@ class TestOpLogPruning:
                 with ServerThread(service, registry=registry, store=rt) as srv:
                     with HttpIndexClient(srv.host, srv.port) as client:
                         client.insert(fresh.tolist())
+                        assert rt.op_count() == 1
             service.close()
+        assert registry.counter("http_oplog_pruned_total").value == 1
         with RuntimeStore(tmp_path / "runtime.db") as rt:
             assert rt.op_count() == 0  # shutdown's durable_sync pruned it
-            assert int(rt.meta_get("durable_seq")) >= 1
+            assert rt.last_seq() == 1
         with IndexService.open_snapshot(tmp_path / "data") as reopened:
             got = reopened.lookup_many(fresh)
             assert bool(got.found.all())

@@ -103,7 +103,6 @@ UNREFERENCED_ON_PURPOSE = {
     # Operator / test-harness surface.
     "clear_cache": "drops the dataset cache between tests",
     "Histogram.bucket_counts": "read side of the fixed bucket layout (merge tests, exporters' oracle)",
-    "RuntimeStore.meta_get": "read side of meta_set (durable_seq, version)",
     "DurableStore.load_shard_arrays": "a shard's logical content without building an index",
 }
 
