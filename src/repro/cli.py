@@ -407,23 +407,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     with scoped_registry(registry), _make_service(args) as service, _close_on_signals():
         snap()
-        plan = service.plan
         # Reads sample the keys the service holds — the stored ones
         # when --data-dir was reopened, not a dataset it never loaded.
-        keys = np.concatenate(plan.shard_keys)
-        _say(
-            f"{service.family} x {plan.n_shards} shards ({plan.mode}) over "
-            f"{keys.size} keys"
-        )
+        keys = np.fromiter(service.router.iter_keys(), dtype=np.int64)
+        _say(f"{service.family} x {service.n_shards} shards over {keys.size} keys")
         _say(
             "  shard sizes: "
-            + ", ".join(str(s.size) for s in plan.shard_keys)
-            + f"  (cost imbalance {plan.cost_imbalance():.2f})"
+            + ", ".join(str(s.n_keys if s is not None else 0) for s in service.router.shards)
         )
-        if any(a is not None for a in plan.alphas):
+        if any(a is not None for a in service.alphas):
             _say(
                 "  per-shard alpha: "
-                + ", ".join("-" if a is None else f"{a:.3f}" for a in plan.alphas)
+                + ", ".join("-" if a is None else f"{a:.3f}" for a in service.alphas)
             )
         try:
             report = run_service_workload(

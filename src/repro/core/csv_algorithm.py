@@ -18,7 +18,9 @@ a rebuilt subtree is not descended into: smoothing its descendants
 first could not change the merged node, so the paper's "start at level
 2 (big subtrees)" for LIPP/SALI falls out of the order.  Children-first
 is the paper's bottom-up pass, for an accept test that reads the
-structure beneath the handle (ALEX).
+structure beneath the handle (ALEX); there a rebuild replaces nodes
+rebuilt beneath it, and their records are marked ``superseded`` so
+the report counts what the final tree holds.
 
 The engine is index-agnostic: concrete indexes plug in through the
 :class:`CsvAdapter` protocol implemented in
@@ -28,7 +30,7 @@ The engine is index-agnostic: concrete indexes plug in through the
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Protocol, runtime_checkable
 
 import numpy as np
@@ -119,6 +121,9 @@ class CsvNodeRecord:
     #: (``level_after > level_before``); the paper counts only the
     #: promoted ones.
     demoted_keys: int
+    #: Rebuilt, then replaced by the rebuild of an ancestor
+    #: (children-first walks only); the report's totals skip it.
+    superseded: bool = False
 
 
 @dataclass
@@ -133,21 +138,25 @@ class CsvReport:
     def nodes_examined(self) -> int:
         return len(self.records)
 
+    def _surviving(self) -> list[CsvNodeRecord]:
+        """Records of the rebuilt nodes the final tree still holds."""
+        return [r for r in self.records if r.rebuilt and not r.superseded]
+
     @property
     def nodes_rebuilt(self) -> int:
-        return sum(1 for r in self.records if r.rebuilt)
+        return len(self._surviving())
 
     @property
     def keys_promoted(self) -> int:
-        return sum(r.promoted_keys for r in self.records if r.rebuilt)
+        return sum(r.promoted_keys for r in self._surviving())
 
     @property
     def keys_demoted(self) -> int:
-        return sum(r.demoted_keys for r in self.records if r.rebuilt)
+        return sum(r.demoted_keys for r in self._surviving())
 
     @property
     def virtual_points_inserted(self) -> int:
-        return sum(r.n_virtual for r in self.records if r.rebuilt)
+        return sum(r.n_virtual for r in self._surviving())
 
     def summary(self) -> dict[str, float]:
         """Headline numbers for reporting tables."""
@@ -175,18 +184,24 @@ def apply_csv(adapter: CsvAdapter, config: CsvConfig | None = None) -> CsvReport
     report = CsvReport(config=cfg)
     start_time = time.perf_counter()
     parent_first = adapter.rebuild_depends_on_keys_alone
-    # (handle, level, examine now?) — children-first handles are pushed
-    # back once, to be examined after everything beneath them.
-    stack = [(handle, 2, parent_first) for handle in adapter.child_handles(None)]
+    # (handle, level, first record beneath it) — children-first handles
+    # are pushed back once (None: not yet), to be examined after
+    # everything beneath them, whose records then start at that mark.
+    stack = [(handle, 2, None) for handle in adapter.child_handles(None)]
     while stack:
-        handle, level, ready = stack.pop()
-        if not ready:
-            stack.append((handle, level, True))
-        elif _examine(adapter, cfg, handle, level, report) or not parent_first:
+        handle, level, beneath = stack.pop()
+        if beneath is None and not parent_first:
+            stack.append((handle, level, len(report.records)))
+        elif _examine(adapter, cfg, handle, level, report):
+            if beneath is not None:
+                # The rebuild replaced every node rebuilt beneath it.
+                report.records[beneath:-1] = [
+                    replace(r, superseded=r.rebuilt) for r in report.records[beneath:-1]
+                ]
             continue
-        stack.extend(
-            (child, level + 1, parent_first) for child in adapter.child_handles(handle)
-        )
+        elif not parent_first:
+            continue
+        stack.extend((child, level + 1, None) for child in adapter.child_handles(handle))
     report.preprocessing_seconds = time.perf_counter() - start_time
     return report
 

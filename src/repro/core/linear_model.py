@@ -101,10 +101,6 @@ class LinearModel:
             return size - 1
         return pos
 
-    def shifted(self, delta_positions: float) -> "LinearModel":
-        """Return a copy whose output is offset by *delta_positions*."""
-        return LinearModel(self.slope, self.intercept + delta_positions, self.pivot)
-
     def scaled(self, factor: float) -> "LinearModel":
         """Return a copy whose output is multiplied by *factor*.
 

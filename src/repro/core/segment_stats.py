@@ -292,11 +292,6 @@ class SegmentStats:
         """Rank a virtual point with this value would take (Eq. 9 context)."""
         return int(np.searchsorted(self.points, value, side="left"))
 
-    def contains(self, value: int) -> bool:
-        """True if *value* already exists in the point set."""
-        idx = self.insertion_rank(value)
-        return idx < self._size and int(self._buf[idx]) == int(value)
-
     # ------------------------------------------------------------------
     # Base-set loss and model (no virtual point)
     # ------------------------------------------------------------------

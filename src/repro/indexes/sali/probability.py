@@ -2,10 +2,8 @@
 
 SALI drives its structural adaptations with per-node access
 probabilities estimated from the query workload.  We keep the faithful
-core — every traversal bumps the counter of each node on the path, and
-a node's probability is its share of all recorded traversals — plus an
-exponential-decay refresh so shifting workloads age out (SALI's
-probability model is likewise workload-windowed).
+core: every traversal bumps the counter of each node on the path, and
+a node's probability is its share of all recorded traversals.
 """
 
 from __future__ import annotations
@@ -32,14 +30,6 @@ class AccessTracker:
         if self.total_queries == 0:
             return 0.0
         return node.access_count / self.total_queries
-
-    def decay(self, factor: float = 0.5, nodes: Iterable = ()) -> None:
-        """Age the statistics by *factor* (0 forgets everything)."""
-        if not 0.0 <= factor <= 1.0:
-            raise ValueError("decay factor must be in [0, 1]")
-        self.total_queries = int(self.total_queries * factor)
-        for node in nodes:
-            node.access_count = int(node.access_count * factor)
 
     def is_hot(self, node, min_probability: float) -> bool:
         """Whether *node* qualifies as a flattening target."""

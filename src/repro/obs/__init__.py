@@ -21,8 +21,8 @@ an enabled registry via :func:`~repro.obs.metrics.set_registry` /
 See docs/OPERATIONS.md "Monitoring" for the metric catalog.
 """
 
-from .health import DRIFT_WARN, IMBALANCE_WARN, HealthReport, ShardHealth
-from .log import LOG_FORMATS, configure_logging, get_logger, log_event
+from .health import IMBALANCE_WARN, HealthReport, ShardHealth
+from .log import LOG_FORMATS, configure_logging, get_logger
 from .metrics import (
     Counter,
     Gauge,
@@ -36,7 +36,6 @@ from .metrics import (
 
 __all__ = [
     "Counter",
-    "DRIFT_WARN",
     "Gauge",
     "HealthReport",
     "Histogram",
@@ -47,7 +46,6 @@ __all__ = [
     "configure_logging",
     "get_logger",
     "get_registry",
-    "log_event",
     "metric_key",
     "scoped_registry",
     "set_registry",

@@ -1,11 +1,10 @@
-"""Per-shard health model: staleness, drift, and imbalance telemetry.
+"""Per-shard health model: staleness and imbalance telemetry.
 
-The sensor layer the ROADMAP's online re-tuning item actuates on.
 :meth:`IndexService.health_report()
 <repro.serving.service.IndexService.health_report>` fills these
-dataclasses from its ledger of observed reads, write buffers, and
-the shard plan's compile-time cost predictions; the ``serve`` CLI
-prints :meth:`HealthReport.to_table` as its epilogue.
+dataclasses from what the service observed — its ledger of served
+reads and its write buffers — and nothing it predicted; the ``serve``
+CLI prints :meth:`HealthReport.to_table` as its epilogue.
 
 Every ``*_ns`` field below is a **model output**: :func:`price_reads`
 prices the observed ``(levels, steps)`` classes with Eq. 22's
@@ -17,18 +16,9 @@ Signals per shard:
 * **staleness** — unmerged buffered writes over stored keys (the same
   ratio that triggers merges); warn above the service's merge
   threshold, i.e. a shard the merge machinery is failing to keep up
-  with.
-* **drift** — mean priced read cost (simulated ns) over the compile-time
-  expected per-key cost (the shard plan's Eq. 22 prediction, refreshed
-  whenever a merge rebuilds the shard).  The prediction prices the
-  shard as a single root-level node, so a healthy multi-level tree
-  sits at a modest positive drift; the signal is its *growth* — keys
-  sliding into conflict chains and deeper levels push it up.  Warn
-  above :data:`DRIFT_WARN`.
-* **imbalance** — max/mean of the observed per-shard mean costs (the
-  runtime counterpart of the partitioner's predicted
-  ``cost_imbalance``); warn above :data:`IMBALANCE_WARN`, the signal
-  for re-partitioning.
+  with.  A shard's ``status`` is ``warn`` exactly then.
+* **imbalance** — max/mean of the observed per-shard mean costs; warn
+  above :data:`IMBALANCE_WARN`, the signal for re-partitioning.
 """
 
 from __future__ import annotations
@@ -41,15 +31,10 @@ import numpy as np
 __all__ = [
     "ShardHealth",
     "HealthReport",
-    "DRIFT_WARN",
     "IMBALANCE_WARN",
     "price_reads",
     "priced_classes",
 ]
-
-#: Warn when observed mean latency exceeds ``(1 + DRIFT_WARN)`` times
-#: the compile-time expected per-key cost.
-DRIFT_WARN = 3.0
 
 #: Warn when the max/mean observed per-shard cost ratio exceeds this.
 IMBALANCE_WARN = 2.0
@@ -108,8 +93,6 @@ class ShardHealth:
     p50_ns: float
     p90_ns: float
     p99_ns: float
-    expected_ns: float
-    drift: float
     status: str  # "ok" | "warn"
 
 
@@ -129,10 +112,7 @@ class HealthReport:
         out = []
         for row in self.shards:
             if row.status != "ok":
-                out.append(
-                    f"shard {row.shard}: staleness {row.staleness:.3f}, "
-                    f"drift {row.drift:+.2f}"
-                )
+                out.append(f"shard {row.shard}: staleness {row.staleness:.3f}")
         if self.cost_imbalance > IMBALANCE_WARN:
             out.append(f"cost imbalance {self.cost_imbalance:.2f} across shards")
         return out
@@ -153,8 +133,6 @@ class HealthReport:
                 f"{row.p50_ns:.0f}",
                 f"{row.p90_ns:.0f}",
                 f"{row.p99_ns:.0f}",
-                f"{row.expected_ns:.0f}",
-                f"{row.drift:+.2f}",
                 row.status,
             ]
             for row in (*self.shards, self.total)
@@ -162,7 +140,7 @@ class HealthReport:
         table = ascii_table(
             [
                 "shard", "keys", "buffered", "staleness", "queries", "avg levels",
-                "avg sim ns", "p50", "p90", "p99", "expect sim ns", "drift", "status",
+                "avg sim ns", "p50", "p90", "p99", "status",
             ],
             rows,
         )
@@ -174,8 +152,6 @@ class HealthReport:
         return table + "\n" + summary
 
 
-def shard_status(staleness: float, staleness_warn: float, drift: float) -> str:
-    """Classify one shard: warn on runaway staleness or latency drift."""
-    if staleness > staleness_warn or drift > DRIFT_WARN:
-        return "warn"
-    return "ok"
+def shard_status(staleness: float, staleness_warn: float) -> str:
+    """Classify one shard: warn on runaway staleness."""
+    return "warn" if staleness > staleness_warn else "ok"

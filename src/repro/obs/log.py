@@ -7,8 +7,8 @@ Two formats over one ``repro`` logger hierarchy:
   ``repro <cmd>`` output is unchanged unless ``--log-format json`` is
   passed.
 * ``json`` — one JSON object per record: ``ts`` (ISO-8601 UTC),
-  ``level``, ``logger``, ``msg``, plus any structured fields attached
-  via :func:`log_event`.
+  ``level``, ``logger``, ``msg``, plus any structured fields a record
+  carries (``logger.info(msg, extra={"fields": {...}})``).
 
 :func:`configure_logging` is idempotent and re-binds the stream each
 call, so repeated CLI invocations in one process (tests with captured
@@ -23,7 +23,7 @@ import sys
 from datetime import datetime, timezone
 from typing import IO
 
-__all__ = ["LOG_FORMATS", "configure_logging", "get_logger", "log_event"]
+__all__ = ["LOG_FORMATS", "configure_logging", "get_logger"]
 
 #: Accepted values of the CLI ``--log-format`` flag.
 LOG_FORMATS = ("plain", "json")
@@ -92,12 +92,3 @@ def configure_logging(
 def get_logger(name: str | None = None) -> logging.Logger:
     """A logger under the ``repro`` hierarchy (``repro.<name>``)."""
     return logging.getLogger(f"{ROOT_LOGGER}.{name}" if name else ROOT_LOGGER)
-
-
-def log_event(logger: logging.Logger, msg: str, level: int = logging.INFO, **fields) -> None:
-    """Emit *msg* with structured *fields* attached to the record.
-
-    Plain format appends ``key=value`` pairs; JSON format nests them
-    under ``"fields"``.
-    """
-    logger.log(level, msg, extra={"fields": fields} if fields else None)

@@ -31,13 +31,7 @@ these rather than reaching into router internals.
 
 from ..obs.health import HealthReport, ShardHealth
 
-from .partitioner import (
-    SMOOTHABLE_FAMILIES,
-    ShardPlan,
-    build_shard_indexes,
-    plan_shards,
-    predicted_shard_cost,
-)
+from .partitioner import SMOOTHABLE_FAMILIES, ShardPlan, build_shard_indexes, plan_shards
 from .router import RoutedBatch, ShardRouter
 from .service import IndexService, ServiceStats
 
@@ -52,5 +46,4 @@ __all__ = [
     "ShardRouter",
     "build_shard_indexes",
     "plan_shards",
-    "predicted_shard_cost",
 ]

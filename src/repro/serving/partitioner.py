@@ -1,29 +1,28 @@
 """Range partitioning: choose shard boundaries from the key CDF.
 
 Boundaries sit at the K-quantiles of the key array (*equi-depth*), so
-every shard holds (almost exactly) ``n / K`` keys.  That balances
-storage; :func:`predicted_shard_cost` prices each shard under the
-paper's cost model (Eq. 22 via :mod:`repro.core.cost_model`) so the
-plan can report how far query cost is from balanced
-(:meth:`ShardPlan.cost_imbalance`) and the service can tell when a
-shard drifts from what it was planned for.
+every shard holds (almost exactly) ``n / K`` keys.  A
+:class:`ShardPlan` is what :meth:`IndexService.build
+<repro.serving.service.IndexService.build>` hands from
+:func:`plan_shards` to :func:`build_shard_indexes`; once the shards
+are built the router is the only record of them.
 
-A :class:`ShardPlan` also carries one smoothing α per shard: every
-shard is smoothed *independently*, so a caller may pass one α for all
-or a length-K sequence.
+A plan also carries one smoothing α per shard: every shard is smoothed
+*independently*, so a caller may pass one α for all or a length-K
+sequence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from ..core.cost_model import CostConstants, expected_search_steps, node_cost
+from ..core.cost_model import CostConstants
 from ..core.csv_algorithm import CsvConfig, CsvReport, apply_csv
 from ..core.exceptions import InvalidKeysError
-from ..core.segment_stats import SegmentStats, validate_keys
+from ..core.segment_stats import validate_keys
 from ..indexes import INDEX_FAMILIES, adapter_for
 from ..indexes.base import LearnedIndex, prepare_key_values
 
@@ -32,32 +31,10 @@ __all__ = [
     "ShardPlan",
     "build_shard_indexes",
     "plan_shards",
-    "predicted_shard_cost",
 ]
 
 #: Families CSV integrates with — the only ones a per-shard α affects.
 SMOOTHABLE_FAMILIES = ("alex", "lipp", "sali")
-
-
-def predicted_shard_cost(
-    keys: np.ndarray, constants: CostConstants | None = None
-) -> float:
-    """Predicted total query cost of serving *keys* from one node.
-
-    Prices the shard as a single root-level model node (Eq. 22): the
-    refitted linear model's SSE gives the expected in-node search
-    steps, and every key is assumed queried once.  Absolute values
-    only matter relative to other shards.
-    """
-    keys = np.asarray(keys)
-    if keys.size == 0:
-        return 0.0
-    if keys.size < 2:
-        loss = 0.0
-    else:
-        loss = SegmentStats(keys).base_loss()
-    searches = expected_search_steps(loss, int(keys.size))
-    return float(keys.size) * node_cost(searches, 1, constants)
 
 
 @dataclass(frozen=True)
@@ -72,18 +49,12 @@ class ShardPlan:
             shard in between — legal, and served as all-miss.
         shard_keys / shard_values: the per-shard key/value slices.
         alphas: per-shard smoothing α (None = shard not smoothed).
-        mode: how the boundaries were chosen — ``"equi_depth"`` for
-            every plan made here; a reopened directory keeps what its
-            manifest recorded.
-        predicted_costs: :func:`predicted_shard_cost` of every shard.
     """
 
     boundaries: np.ndarray
     shard_keys: tuple[np.ndarray, ...]
     shard_values: tuple[np.ndarray, ...]
     alphas: tuple[float | None, ...]
-    mode: str = "equi_depth"
-    predicted_costs: tuple[float, ...] = field(default=())
 
     @property
     def n_shards(self) -> int:
@@ -93,20 +64,12 @@ class ShardPlan:
     def n_keys(self) -> int:
         return int(sum(k.size for k in self.shard_keys))
 
-    def cost_imbalance(self) -> float:
-        """max/mean ratio of the predicted per-shard costs (1.0 = flat)."""
-        costs = np.asarray(self.predicted_costs, dtype=np.float64)
-        if costs.size == 0 or costs.mean() == 0.0:
-            return 1.0
-        return float(costs.max() / costs.mean())
-
 
 def plan_shards(
     keys: np.ndarray | list,
     n_shards: int,
     values: np.ndarray | list | None = None,
     alpha: float | Sequence[float | None] | None = None,
-    constants: CostConstants | None = None,
 ) -> ShardPlan:
     """Choose K equi-depth shard boundaries and slice the data.
 
@@ -116,7 +79,6 @@ def plan_shards(
         values: optional payloads parallel to *keys*.
         alpha: per-shard smoothing α — a scalar (same everywhere), a
             length-K sequence, or None (no smoothing).
-        constants: cost-model constants pricing ``predicted_costs``.
     """
     arr, vals = prepare_key_values(validate_keys(keys), values)
     k = int(n_shards)
@@ -134,7 +96,6 @@ def plan_shards(
     ends = np.maximum(ends, starts)
     shard_keys = tuple(arr[lo:hi] for lo, hi in zip(starts, ends))
     shard_values = tuple(vals[lo:hi] for lo, hi in zip(starts, ends))
-    costs = tuple(predicted_shard_cost(s, constants) for s in shard_keys)
 
     if isinstance(alpha, str):
         raise InvalidKeysError(f"alpha must be a number or one per shard, got {alpha!r}")
@@ -150,7 +111,6 @@ def plan_shards(
         shard_keys=shard_keys,
         shard_values=shard_values,
         alphas=alphas,
-        predicted_costs=costs,
     )
 
 

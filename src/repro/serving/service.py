@@ -67,13 +67,7 @@ from ..obs.health import (
     shard_status,
 )
 from ..obs.metrics import Histogram, MetricsRegistry, get_registry, metric_key
-from .partitioner import (
-    SMOOTHABLE_FAMILIES,
-    ShardPlan,
-    build_shard_indexes,
-    plan_shards,
-    predicted_shard_cost,
-)
+from .partitioner import SMOOTHABLE_FAMILIES, build_shard_indexes, plan_shards
 from ..store import (
     MANIFEST_NAME,
     CompactionStrategy,
@@ -207,7 +201,7 @@ class IndexService:
         self,
         router: ShardRouter,
         family: str,
-        plan: ShardPlan,
+        alphas: Sequence[float | None],
         constants: CostConstants | None = None,
         staleness_threshold: float = 0.1,
         metrics: MetricsRegistry | None = None,
@@ -217,7 +211,9 @@ class IndexService:
     ):
         self.router = router
         self.family = family
-        self.plan = plan
+        #: Per-shard smoothing α (None = not smoothed); the router is
+        #: the record of everything else about the shards.
+        self.alphas = tuple(alphas)
         self.constants = constants or CostConstants()
         self.staleness_threshold = float(staleness_threshold)
         self.stats = ServiceStats()
@@ -236,14 +232,6 @@ class IndexService:
             histograms=self._priced_histograms,
         )
         self._h_merge_s = self.metrics.histogram("service_merge_seconds")
-        #: Compile-time expected per-key cost (simulated ns) of every
-        #: shard — the drift baseline.  Seeded from the plan's Eq. 22
-        #: predictions; refreshed whenever a merge rebuilds a shard
-        #: from its full key set.
-        self._expected_ns = [
-            self.constants.base_ns + cost / keys.size if keys.size else 0.0
-            for cost, keys in zip(plan.predicted_costs, plan.shard_keys)
-        ]
         self._closed = False
         #: Durability (see ``repro.store``).  Each memtable knows which
         #: of its entries are not yet frozen into a run on disk:
@@ -278,13 +266,12 @@ class IndexService:
     ) -> "IndexService":
         """Partition → smooth → build → route, in one call."""
         consts = constants or CostConstants()
-        plan = plan_shards(keys, n_shards, values=values, alpha=alpha, constants=consts)
+        plan = plan_shards(keys, n_shards, values=values, alpha=alpha)
         shards, __ = build_shard_indexes(plan, family, consts)
-        router = ShardRouter(shards, plan.boundaries)
         return cls(
-            router,
+            ShardRouter(shards, plan.boundaries),
             family,
-            plan,
+            plan.alphas,
             constants=consts,
             staleness_threshold=staleness_threshold,
             metrics=metrics,
@@ -306,14 +293,14 @@ class IndexService:
         """Recover a service from a durable data directory.
 
         The inverse of :meth:`snapshot`: the manifest supplies the
-        family, shard boundaries, per-shard smoothing α and
-        partitioning mode; every shard rebuilds from its base
-        snapshot through the family's ``build`` and replays
-        outstanding runs through ``bulk_insert_many`` — the same
-        vectorised ingest path live merges use — then CSV-smoothable
-        shards are re-smoothed with their recorded α.  The store
-        stays attached, so subsequent writes keep flushing into the
-        same directory.
+        family, shard boundaries and per-shard smoothing α; every
+        shard rebuilds from its base snapshot through the family's
+        ``build`` and replays outstanding runs through
+        ``bulk_insert_many`` — the same vectorised ingest path live
+        merges use — then CSV-smoothable shards are re-smoothed with
+        their recorded α, and the router is built over them.  No shard
+        is read back.  The store stays attached, so subsequent writes
+        keep flushing into the same directory.
         """
         if not isinstance(store, DurableStore):
             store = DurableStore(store, metrics=metrics)
@@ -347,24 +334,10 @@ class IndexService:
             ):
                 apply_csv(adapter_for(shard, consts), CsvConfig(alpha=alpha))
             shards.append(shard)
-        # The router first: it compiles the shards straight into its
-        # forest's buffers, and the scan then reads those.
-        router = ShardRouter(shards, np.asarray(manifest.boundaries, dtype=np.int64))
-        shard_keys, shard_values = zip(*(_scan_shard(shard) for shard in shards))
-        plan = ShardPlan(
-            boundaries=router.boundaries,
-            shard_keys=shard_keys,
-            shard_values=shard_values,
-            alphas=manifest.alphas,
-            mode=manifest.mode,
-            predicted_costs=tuple(
-                predicted_shard_cost(k, consts) for k in shard_keys
-            ),
-        )
         return cls(
-            router,
+            ShardRouter(shards, np.asarray(manifest.boundaries, dtype=np.int64)),
             manifest.family,
-            plan,
+            manifest.alphas,
             constants=consts,
             staleness_threshold=staleness_threshold,
             metrics=metrics,
@@ -484,9 +457,8 @@ class IndexService:
             contents = [self._shard_arrays(i) for i in range(self.n_shards)]
             store.initialize(
                 self.family,
-                [int(b) for b in self.plan.boundaries],
-                self.plan.alphas,
-                self.plan.mode,
+                [int(b) for b in self.router.boundaries],
+                self.alphas,
                 [(keys, vals) for keys, vals, __ in contents],
             )
             # The bases hold everything, including what was buffered.
@@ -658,14 +630,8 @@ class IndexService:
         shard = self.router.shards[shard_no]
         cls = INDEX_FAMILIES[self.family]
         in_place = shard is not None and self.family in UPDATABLE_FAMILIES
-        #: Full key set of a rebuilt shard — refreshes the drift
-        #: baseline (compile-time expected cost).  In-place merges keep
-        #: the previous baseline: the structure is incrementally
-        #: updated, not recompiled.
-        expected_keys: np.ndarray | None = None
         if shard is None:
             merged = cls.build(bkeys, bvals)
-            expected_keys = bkeys
         elif in_place:
             # Drain the buffer through the vectorised bulk-ingest path:
             # the tree backends sorted-merge-rebuild their touched
@@ -681,8 +647,7 @@ class IndexService:
                 np.concatenate([old_vals, bvals]),
             )
             merged = cls.build(merged_keys, merged_vals)
-            expected_keys = merged_keys
-        alpha = self.plan.alphas[shard_no] if shard_no < len(self.plan.alphas) else None
+        alpha = self.alphas[shard_no] if shard_no < len(self.alphas) else None
         if alpha is not None and alpha > 0.0 and self.family in SMOOTHABLE_FAMILIES:
             apply_csv(adapter_for(merged, self.constants), CsvConfig(alpha=alpha))
             self.stats.resmoothed_shards += 1
@@ -699,11 +664,6 @@ class IndexService:
         if self._store is not None and self._compaction is not None:
             self.stats.compactions += self._store.compact(
                 self._compaction, shard=shard_no
-            )
-        if expected_keys is not None and expected_keys.size:
-            self._expected_ns[shard_no] = self.constants.base_ns + (
-                predicted_shard_cost(expected_keys, self.constants)
-                / float(expected_keys.size)
             )
 
     def flush(self) -> None:
@@ -797,20 +757,18 @@ class IndexService:
         return out
 
     def health_report(self) -> HealthReport:
-        """Service-wide health: staleness, drift, and imbalance signals
-        (each defined in :mod:`repro.obs.health`).
+        """Service-wide health: staleness and imbalance signals (each
+        defined in :mod:`repro.obs.health`).
 
         Per shard, and over all of them in the ``total`` row: key and
         buffer volume, the observed average level, and the ledger's
-        reads priced by :func:`~repro.obs.health.price_reads` against
-        the compile-time expected per-key cost (refreshed when a merge
-        rebuilds the shard).
+        reads priced by :func:`~repro.obs.health.price_reads`.
         """
         observed = self.observed_reads()
         stored = [s.n_keys if s is not None else 0 for s in self.router.shards]
         buffered = self.buffered_counts()
         shards = [
-            self._health_row(i, stored[i], buffered[i], observed[i], self._expected_ns[i])
+            self._health_row(i, stored[i], buffered[i], observed[i])
             for i in range(self.n_shards)
         ]
         shard_means = [row.avg_ns for row in shards if row.queries]
@@ -822,14 +780,7 @@ class IndexService:
         status = "ok"
         if any(s.status != "ok" for s in shards) or imbalance > IMBALANCE_WARN:
             status = "warn"
-        total = self._health_row(
-            -1,
-            sum(stored),
-            sum(buffered),
-            observed.sum(axis=0),
-            # Per stored key, as each shard's expectation is.
-            float(np.dot(self._expected_ns, stored)) / max(sum(stored), 1),
-        )
+        total = self._health_row(-1, sum(stored), sum(buffered), observed.sum(axis=0))
         return HealthReport(
             shards=tuple(shards),
             total=dataclasses.replace(total, status=status),
@@ -840,20 +791,16 @@ class IndexService:
         )
 
     def _health_row(
-        self, shard_no: int, n_keys: int, buffered: int, observed: np.ndarray, expected_ns: float
+        self, shard_no: int, n_keys: int, buffered: int, observed: np.ndarray
     ) -> ShardHealth:
-        priced = price_reads(observed, self.constants)
         staleness = buffered / max(n_keys, 1)
-        drift = priced["avg_ns"] / expected_ns - 1.0 if priced["avg_ns"] and expected_ns else 0.0
         return ShardHealth(
             shard=shard_no,
             n_keys=n_keys,
             buffered=buffered,
             staleness=staleness,
-            expected_ns=expected_ns,
-            drift=drift,
-            status=shard_status(staleness, self.staleness_threshold, drift),
-            **priced,
+            status=shard_status(staleness, self.staleness_threshold),
+            **price_reads(observed, self.constants),
         )
 
     # ------------------------------------------------------------------

@@ -134,8 +134,8 @@ class Manifest:
 
     ``service`` carries what :meth:`IndexService.open_snapshot` needs
     to rebuild the serving facade without the original dataset:
-    family, shard boundaries, per-shard smoothing alphas, and the
-    partitioning mode that produced them.
+    family, shard boundaries and per-shard smoothing alphas.  A
+    ``mode`` key, written by earlier versions, is ignored on read.
     """
 
     generation: int
@@ -143,7 +143,6 @@ class Manifest:
     n_shards: int
     boundaries: tuple[int, ...]
     alphas: tuple[float | None, ...]
-    mode: str
     artefacts: tuple[RunMeta, ...] = ()
     format_version: int = FORMAT_VERSION
     updated_ts: float = 0.0
@@ -206,7 +205,6 @@ class Manifest:
                 "n_shards": self.n_shards,
                 "boundaries": list(self.boundaries),
                 "alphas": list(self.alphas),
-                "mode": self.mode,
             },
             "artefacts": [m.to_json() for m in self.artefacts],
         }
@@ -231,7 +229,6 @@ class Manifest:
             n_shards=service("n_shards", int),
             boundaries=service("boundaries", _list_of(int)),
             alphas=service("alphas", _list_of(lambda a: None if a is None else float(a))),
-            mode=service("mode", str, "equi_depth"),
             artefacts=top("artefacts", _list_of(RunMeta.from_json)),
             format_version=version,
             updated_ts=top("updated_ts", float, 0.0),

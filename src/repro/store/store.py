@@ -126,7 +126,6 @@ class DurableStore:
         family: str,
         boundaries: Sequence[int],
         alphas: Sequence[float | None],
-        mode: str,
         shard_arrays: Sequence[tuple[np.ndarray, np.ndarray]],
     ) -> Manifest:
         """Commit generation 1: one base snapshot per shard.
@@ -167,7 +166,6 @@ class DurableStore:
                 n_shards=len(shard_arrays),
                 boundaries=tuple(int(b) for b in boundaries),
                 alphas=tuple(alphas),
-                mode=str(mode),
                 artefacts=tuple(artefacts),
                 updated_ts=time.time(),
             )

@@ -86,6 +86,22 @@ class TestApplyCsv:
         assert adapter.rebuilt == [n for n in order if n != "c2"]
         assert {r.level for r in report.records} == {2, 3, 4}
 
+    def test_children_first_totals_skip_superseded_rebuilds(self, rng):
+        """b's rebuild replaces c, c2 and d, each rebuilt before it:
+        their records stay (marked ``superseded``), the totals count b."""
+        deltas = {"b": -1.0, "c": -1.0, "c2": -1.0, "d": -1.0}
+        tree = _chain(rng, deltas)
+        adapter = FakeAdapter([tree], rebuild_depends_on_keys_alone=False)
+        report = apply_csv(adapter, CsvConfig(alpha=0.1))
+        assert sorted(adapter.rebuilt) == ["b", "c", "c2", "d"]
+        assert report.nodes_examined == 4
+        survivors = [r for r in report.records if not r.superseded]
+        assert sorted(r.level for r in survivors) == [2]
+        assert report.nodes_rebuilt == 1
+        assert report.keys_promoted == tree.keys.size
+        assert report.keys_demoted == 1
+        assert report.virtual_points_inserted == survivors[0].n_virtual
+
     def test_parent_first_skips_below_a_rebuild(self, rng):
         deltas = {"b": -1.0, "c": -1.0, "c2": -1.0, "d": -1.0}
         adapter = FakeAdapter([_chain(rng, deltas)])

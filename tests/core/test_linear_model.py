@@ -41,10 +41,6 @@ class TestLinearModel:
         with pytest.raises(ValueError):
             LinearModel(1.0, 0.0).predict_clamped(1, 0)
 
-    def test_shifted_offsets_output(self):
-        model = LinearModel(1.0, 1.0).shifted(4.0)
-        assert model.predict(0) == 5.0
-
     def test_scaled_multiplies_output(self):
         model = LinearModel(2.0, 3.0).scaled(10.0)
         assert model.predict(1) == 50.0

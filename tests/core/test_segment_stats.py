@@ -167,11 +167,6 @@ class TestCommit:
         assert stats.suffix_key_sum(0) == pytest.approx(sum(k - stats.reference for k in toy_keys))
         assert stats.suffix_key_sum(stats.n) == 0.0
 
-    def test_contains(self, toy_keys):
-        stats = SegmentStats(toy_keys)
-        assert stats.contains(int(toy_keys[2]))
-        assert not stats.contains(int(toy_keys[0]) + 100000)
-
     def test_n_and_extremes(self, toy_keys):
         stats = SegmentStats(toy_keys)
         assert stats.n == toy_keys.size

@@ -231,6 +231,25 @@ def test_report_equals_tree(family, dataset):
     assert report.keys_demoted == np.count_nonzero(levels_after > levels_before) > 0
 
 
+@pytest.mark.parametrize("dataset", ["covid", "facebook", "genome", "osm"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_report_counts_only_the_rebuilds_that_survive(family, dataset):
+    """Children-first (ALEX), a rebuilt handle replaces the nodes rebuilt
+    beneath it, and their records leave the totals: the report counts
+    the final tree (ALEX osm 3k at alpha = 0.1 reported 19 rebuilds and
+    883 virtual points against 4 and 298 in the tree)."""
+    keys = _keys(dataset, 3_000)
+    index = _build(family, keys)
+    levels_before = index.lookup_many(keys).levels
+    report = apply_csv(adapter_for(index), CsvConfig(alpha=0.1))
+    smoothed = [n for n in index.root.walk() if getattr(n, "virtual_slots", 0) > 0]
+    assert report.virtual_points_inserted == sum(n.virtual_slots for n in smoothed)
+    assert report.nodes_rebuilt == len(smoothed)
+    levels_after = index.lookup_many(keys).levels
+    assert report.keys_promoted == np.count_nonzero(levels_after < levels_before)
+    assert report.keys_demoted == np.count_nonzero(levels_after > levels_before)
+
+
 def test_alex_demotes_nothing():
     keys = _keys("osm", 3_000)
     index = _build("alex", keys)

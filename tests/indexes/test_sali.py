@@ -140,22 +140,6 @@ class TestAccessTracker:
             tracker.record_path([node])
         assert tracker.probability(node) == pytest.approx(1.0)
 
-    def test_decay(self):
-        tracker = AccessTracker()
-
-        class Node:
-            access_count = 100
-
-        node = Node()
-        tracker.total_queries = 200
-        tracker.decay(0.5, [node])
-        assert tracker.total_queries == 100
-        assert node.access_count == 50
-
-    def test_decay_validates_factor(self):
-        with pytest.raises(ValueError):
-            AccessTracker().decay(1.5)
-
     def test_is_hot_threshold(self):
         tracker = AccessTracker()
 

@@ -6,7 +6,7 @@ import io
 import json
 import logging
 
-from repro.obs.log import configure_logging, get_logger, log_event
+from repro.obs.log import configure_logging, get_logger
 
 
 def test_plain_format_is_bare_message():
@@ -19,14 +19,14 @@ def test_plain_format_is_bare_message():
 def test_plain_format_appends_fields():
     stream = io.StringIO()
     configure_logging("plain", stream=stream)
-    log_event(get_logger("cli"), "merged", shard=3, keys=42)
+    get_logger("cli").info("merged", extra={"fields": {"shard": 3, "keys": 42}})
     assert stream.getvalue() == "merged shard=3 keys=42\n"
 
 
 def test_json_format_emits_parseable_records():
     stream = io.StringIO()
     configure_logging("json", stream=stream)
-    log_event(get_logger("cli"), "merged", level=logging.WARNING, shard=3)
+    get_logger("cli").log(logging.WARNING, "merged", extra={"fields": {"shard": 3}})
     record = json.loads(stream.getvalue())
     assert record["msg"] == "merged"
     assert record["level"] == "warning"

@@ -99,10 +99,10 @@ class TestObservabilityEndpoints:
             "shards", "total", "merges", "buffer_hit_rate", "cost_imbalance",
             "status", "admission",
         }
-        # Every key the wire carried before the ledger, plus avg_levels.
+        # What the shard observed; no predicted cost, no drift.
         assert set(report["total"]) == set(report["shards"][0]) == {
             "shard", "n_keys", "buffered", "staleness", "queries", "avg_levels",
-            "avg_ns", "p50_ns", "p90_ns", "p99_ns", "expected_ns", "drift", "status",
+            "avg_ns", "p50_ns", "p90_ns", "p99_ns", "status",
         }
 
     def test_stats_counts_requests(self, twin_pair, rng):

@@ -9,6 +9,7 @@ without being asked, and ``close()`` leaves nothing volatile behind.
 
 from __future__ import annotations
 
+import json
 import shutil
 import sys
 import threading
@@ -23,8 +24,8 @@ from repro.indexes import INDEX_FAMILIES
 from repro.indexes.adapters import adapter_for
 from repro.serving import IndexService
 from repro.serving.service import _scan_shard
-from repro.store import DurableStore, make_strategy
-from repro.store.runs import read_run_file
+from repro.store import MANIFEST_NAME, DurableStore, make_strategy
+from repro.store.runs import read_run_file, write_run_file
 
 FAMILY = "lipp"
 N_SHARDS = 3
@@ -107,6 +108,94 @@ class TestSnapshotRoundtrip:
         ) as other:
             with pytest.raises(IndexStateError, match="shards"):
                 other.attach_store(DurableStore(tmp_path / "data"))
+
+    def test_reopen_reads_no_shard_back(self, tmp_path, rng, keyset, monkeypatch):
+        """The router is built from the manifest and the rebuilt shards;
+        nothing dumps a shard's contents on the way."""
+        with IndexService.build(
+            keyset, family="lipp", n_shards=N_SHARDS, values=keyset * 3, alpha=0.1,
+            store=DurableStore(tmp_path / "data"),
+        ):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("open_snapshot read a shard's contents")
+
+        monkeypatch.setattr("repro.serving.service._scan_shard", refuse)
+        monkeypatch.setattr(INDEX_FAMILIES["lipp"], "collect_arrays", refuse)
+        with IndexService.open_snapshot(tmp_path / "data") as reopened:
+            queries = rng.choice(keyset, 500)
+            answers = reopened.lookup_many(queries)
+            assert bool(answers.found.all())
+            assert np.array_equal(answers.values, queries * 3)
+            assert reopened.alphas == (0.1,) * N_SHARDS
+            assert not hasattr(reopened, "plan")
+
+
+def _parent_manifest(data_dir, shard_arrays, boundaries) -> dict:
+    """MANIFEST.json as releases up to the drift baseline's removal
+    wrote it: ``service.mode`` included."""
+    artefacts = []
+    for shard, (keys, values) in enumerate(shard_arrays):
+        name = f"base-s{shard:04d}-g00000001.npz"
+        checksum, size = write_run_file(data_dir, name, keys, values)
+        artefacts.append({
+            "name": name, "kind": "base", "shard": shard, "generation": 1,
+            "n_keys": int(keys.size), "min_key": int(keys[0]), "max_key": int(keys[-1]),
+            "checksum": checksum, "size_bytes": size,
+        })
+    return {
+        "format_version": 1,
+        "generation": 1,
+        "updated_ts": 1720000000.0,
+        "service": {
+            "family": "lipp",
+            "n_shards": len(shard_arrays),
+            "boundaries": [int(b) for b in boundaries],
+            "alphas": [0.1] * len(shard_arrays),
+            "mode": "equi_depth",
+        },
+        "artefacts": artefacts,
+    }
+
+
+class TestDataDirCompatibility:
+    """Data directories cross the ``mode`` removal in both directions."""
+
+    def test_parent_shaped_manifest_reopens_bit_identically(self, tmp_path, rng, keyset):
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        values = keyset * 3
+        cut = keyset.size // 2  # plan_shards' equi-depth cut at K = 2
+        manifest = _parent_manifest(
+            data_dir, [(keyset[:cut], values[:cut]), (keyset[cut:], values[cut:])], [keyset[cut]]
+        )
+        (data_dir / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        queries = np.concatenate([rng.choice(keyset, 600), rng.integers(0, 10**8, 200)])
+        with IndexService.build(
+            keyset, family="lipp", n_shards=2, values=values, alpha=0.1
+        ) as live, IndexService.open_snapshot(data_dir) as reopened:
+            assert np.array_equal(reopened.router.boundaries, live.router.boundaries)
+            want, got = live.lookup_many(queries), reopened.lookup_many(queries)
+            for field in ("found", "values", "levels", "search_steps"):
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+            assert np.array_equal(full_pairs(reopened), full_pairs(live))
+
+    def test_new_manifest_carries_what_older_readers_require(self, tmp_path, keyset):
+        """Every key an older ``Manifest.from_json`` reads without a
+        default is still written; only the defaulted ``mode`` is gone."""
+        with IndexService.build(
+            keyset, family=FAMILY, n_shards=N_SHARDS, store=DurableStore(tmp_path / "data")
+        ):
+            pass
+        written = json.loads((tmp_path / "data" / MANIFEST_NAME).read_text())
+        assert {"format_version", "generation", "service", "artefacts"} <= set(written)
+        assert set(written["service"]) == {"family", "n_shards", "boundaries", "alphas"}
+        for artefact in written["artefacts"]:
+            assert set(artefact) >= {
+                "name", "kind", "shard", "generation", "n_keys",
+                "min_key", "max_key", "checksum", "size_bytes",
+            }
 
 
 class TestFlushPaths:
@@ -277,7 +366,8 @@ class TestColdConcurrentReads:
 
 
 class TestShardScan:
-    """``_scan_shard``: what a snapshot writes and a reopen reads back.
+    """``_scan_shard``: what a snapshot writes, and what a merge of a
+    static family rebuilds from.
 
     LIPP/SALI hand their contents over as arrays off the flat view, the
     other families through one ordered ``range_query``; either way the
@@ -304,8 +394,9 @@ class TestShardScan:
         want_keys = np.asarray(sorted(expected), dtype=np.int64)
         want_values = np.asarray([expected[k] for k in want_keys.tolist()], dtype=np.int64)
         with IndexService.open_snapshot(tmp_path / "data") as reopened:
-            got_keys = np.concatenate(reopened.plan.shard_keys)
-            got_values = np.concatenate(reopened.plan.shard_values)
+            dumps = [_scan_shard(shard) for shard in reopened.router.shards]
+            got_keys = np.concatenate([keys for keys, __ in dumps])
+            got_values = np.concatenate([values for __, values in dumps])
             assert got_keys.dtype == got_values.dtype == np.int64
             assert got_keys.tobytes() == want_keys.tobytes()
             assert got_values.tobytes() == want_values.tobytes()

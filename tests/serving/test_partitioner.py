@@ -1,17 +1,14 @@
-"""Shard planning: boundary choice, predicted cost, per-shard α."""
+"""Shard planning: boundary choice, per-shard α, per-shard builds."""
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from repro.core.exceptions import InvalidKeysError
-from repro.serving import (
-    ShardPlan,
-    build_shard_indexes,
-    plan_shards,
-    predicted_shard_cost,
-)
+from repro.serving import ShardPlan, build_shard_indexes, plan_shards
 
 
 class TestPlanShards:
@@ -76,18 +73,6 @@ class TestAlphas:
         assert plan.alphas == (0.05, None, 0.3)
 
 
-class TestPredictedCost:
-    def test_empty_and_tiny_shards(self):
-        assert predicted_shard_cost(np.empty(0, dtype=np.int64)) == 0.0
-        assert predicted_shard_cost(np.asarray([5], dtype=np.int64)) > 0.0
-
-    def test_harder_region_costs_more(self, rng):
-        easy = np.arange(0, 2000, 2, dtype=np.int64)  # perfectly linear
-        hard = np.unique((rng.lognormal(10, 2.5, 1000)).astype(np.int64))
-        hard = hard[: easy.size]
-        assert predicted_shard_cost(hard) > predicted_shard_cost(easy)
-
-
 class TestBuildShardIndexes:
     def test_builds_every_nonempty_shard(self, rng):
         keys = np.unique(rng.integers(0, 10**7, 2000))
@@ -120,5 +105,7 @@ class TestBuildShardIndexes:
         keys = np.unique(rng.integers(0, 10**7, 1000))
         plan = plan_shards(keys, 4)
         assert isinstance(plan, ShardPlan)
-        assert len(plan.predicted_costs) == 4
-        assert plan.cost_imbalance() >= 1.0
+        assert (plan.n_shards, plan.n_keys) == (4, keys.size)
+        assert {f.name for f in dataclasses.fields(plan)} == {
+            "boundaries", "shard_keys", "shard_values", "alphas",
+        }

@@ -37,7 +37,6 @@ def store(tmp_path, rng) -> DurableStore:
         family=FAMILY,
         boundaries=[SPLIT],
         alphas=[None, None],
-        mode="equi_depth",
         shard_arrays=base_arrays(rng),
     )
     return s

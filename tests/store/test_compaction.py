@@ -41,7 +41,6 @@ def manifest_of(*artefacts: RunMeta, n_shards: int = 1) -> Manifest:
         n_shards=n_shards,
         boundaries=(),
         alphas=(None,) * n_shards,
-        mode="equi_depth",
         artefacts=artefacts,
     )
 

@@ -56,7 +56,7 @@ def run_workload(data_dir, n_flushes, compact, arm=None):
         base1 = batch(0, 1)
         store.initialize(
             family={family!r}, boundaries=[50_000], alphas=[None, None],
-            mode="equi_depth", shard_arrays=[base0, base1],
+            shard_arrays=[base0, base1],
         )
     for i in range(1, n_flushes + 1):
         if arm and arm[0] == "flush" and i == n_flushes:

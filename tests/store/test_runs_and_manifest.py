@@ -119,7 +119,6 @@ def _manifest(artefacts=(), generation=1):
         n_shards=2,
         boundaries=(500,),
         alphas=(0.1, None),
-        mode="equi_depth",
         artefacts=tuple(artefacts),
         updated_ts=1.5,
     )

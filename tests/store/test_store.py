@@ -33,7 +33,7 @@ class TestInitialize:
 
     def test_reinitialize_rejected(self, store, rng):
         with pytest.raises(IndexStateError, match="already initialized"):
-            store.initialize(FAMILY, [0], [None, None], "equi_depth", base_arrays(rng))
+            store.initialize(FAMILY, [0], [None, None], base_arrays(rng))
 
     def test_uninitialized_store_refuses_io(self, tmp_path):
         s = DurableStore(tmp_path / "empty")

@@ -3,8 +3,9 @@
 These guard the "production-quality" bar: every public item is
 documented, the package exports stay importable, module-level
 ``__all__`` lists match reality, no public name is left without a
-caller, and the operator docs list exactly the flags ``serve`` takes
-and the metrics a live server exports.
+caller, and the operator docs list exactly the flags ``serve`` takes,
+the fields ``/v1/health`` reports and the metrics a live server
+exports.
 """
 
 from __future__ import annotations
@@ -78,8 +79,8 @@ def test_index_registry_matches_classes():
         assert cls.name == name, f"registry key {name} != class name {cls.name}"
 
 
-#: Public names nothing under src/, benchmarks/ or examples/ refers to,
-#: and why each stays.  An entry that gains a caller, or whose name is
+#: Public names no code under src/, benchmarks/ or examples/ refers to
+#: (a docstring or comment naming one does not count), and why each stays.  An entry that gains a caller, or whose name is
 #: deleted, must leave this list (the scan below checks both).
 UNREFERENCED_ON_PURPOSE = {
     # Library API re-exported from its package and exercised by tests/:
@@ -91,6 +92,8 @@ UNREFERENCED_ON_PURPOSE = {
     "empirical_cdf": "a key set's CDF, subsampled for plotting (datasets API)",
     "cardinality_series": "the Fig. 9 cardinality ladder (datasets API)",
     "load_smoothing_result": "inverse of io.save_smoothing_result",
+    "save_keys": "inverse of io.load_keys (the npz layout run files share)",
+    "hierarchy_loss": "Eq. 2, the loss of a whole hierarchy (core API)",
     "LearnedIndex.key_levels": "batch form of key_level, every family",
     "LearnedIndex.verify_against": "self-check every family inherits",
     "LippIndex.empty_slot_fraction": "gap-availability report beside level_histogram",
@@ -100,13 +103,18 @@ UNREFERENCED_ON_PURPOSE = {
     "AlexDataNode.from_positions": "lays keys out at caller-given ranks (data-node API)",
     # Reference implementations tests compare against.
     "exact_refit_model": "Fraction-exact oracle of the fast refit",
+    "exact_refit_loss": "Fraction-exact oracle of the fast loss",
+    "SegmentStats.evaluate": "scalar reference of evaluate_many (one candidate, full refit)",
     # Operator / test-harness surface.
     "clear_cache": "drops the dataset cache between tests",
     "Histogram.bucket_counts": "read side of the fixed bucket layout (merge tests, exporters' oracle)",
+    "Histogram.merge": "aggregates histograms across shards or processes (obs.export's recipe)",
+    "Histogram.from_snapshot": "a --metrics-out histogram back as a live one (obs.export's recipe)",
     "DurableStore.load_shard_arrays": "a shard's logical content without building an index",
+    "DurableStore.verify": "the restore drill in docs/OPERATIONS.md; the crash suite's integrity check",
 }
 
-_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
 def _public_definitions() -> list[tuple[str, str]]:
@@ -126,28 +134,35 @@ def _public_definitions() -> list[tuple[str, str]]:
     return found
 
 
-def _word_uses() -> Counter:
-    """Every identifier-shaped word under src/, benchmarks/, examples/
-    (docstrings included) that is not a definition's own name, an
-    ``__all__`` entry or part of an import statement."""
+def _name_uses() -> Counter:
+    """Every name the code under src/, benchmarks/, examples/ refers to:
+    ``Name`` and ``Attribute`` nodes, plus identifier-shaped string
+    constants (``getattr`` targets, names wrapped by attribute).  Prose —
+    docstrings, comments — is not code; neither are a definition's own
+    name, an import or an ``__all__`` entry."""
     uses: Counter = Counter()
     for top in ("src", "benchmarks", "examples"):
         for path in (REPO_ROOT / top).rglob("*.py"):
-            text = path.read_text()
-            lines = text.splitlines()
-            for node in ast.walk(ast.parse(text)):
-                if isinstance(node, (ast.Import, ast.ImportFrom)) or (
-                    isinstance(node, ast.Assign)
-                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            tree = ast.parse(path.read_text())
+            exported = {
+                id(const)
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                for const in ast.walk(node.value)
+            }
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    uses[node.id] += 1
+                elif isinstance(node, ast.Attribute):
+                    uses[node.attr] += 1
+                elif (
+                    isinstance(node, ast.Constant)
+                    and isinstance(node.value, str)
+                    and _IDENTIFIER.match(node.value)
+                    and id(node) not in exported
                 ):
-                    for no in range(node.lineno - 1, node.end_lineno):
-                        lines[no] = ""
-                elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                    lines[node.lineno - 1] = re.sub(
-                        rf"\b(def|class)\s+{node.name}\b", "", lines[node.lineno - 1], count=1
-                    )
-            for line in lines:
-                uses.update(_WORD.findall(line))
+                    uses[node.value] += 1
     return uses
 
 
@@ -155,7 +170,7 @@ def test_every_public_name_has_a_caller():
     """A public function, method or class is referenced somewhere in
     src/, benchmarks/ or examples/ beyond its definition, ``__all__``
     and re-exports — or is in :data:`UNREFERENCED_ON_PURPOSE`."""
-    uses = _word_uses()
+    uses = _name_uses()
     unreferenced = {
         qual: where for where, qual in _public_definitions() if not uses[qual.rsplit(".", 1)[-1]]
     }
@@ -186,6 +201,30 @@ def test_operations_flag_table_matches_serve_parser():
     assert documented == defined, (
         f"undocumented: {sorted(defined - documented)}; "
         f"documented but gone: {sorted(documented - defined)}"
+    )
+
+
+def test_operations_health_fields_match_the_report():
+    """docs/OPERATIONS.md's ``/v1/health`` field table lists exactly the
+    fields of a :class:`ShardHealth` row and of a :class:`HealthReport`,
+    plus the front door's ``admission`` — a deleted field cannot live on
+    in it, and a new one cannot ship without a row."""
+    import dataclasses
+
+    from repro.obs.health import HealthReport, ShardHealth
+
+    text = (REPO_ROOT / "docs" / "OPERATIONS.md").read_text()
+    section = text.split("### `/v1/health` fields", 1)[1].split("\n#", 1)[0]
+    first_cells = [
+        line.split("|")[1] for line in section.splitlines() if line.startswith("| `")
+    ]
+    documented = {name for cell in first_cells for name in re.findall(r"`([a-z0-9_]+)`", cell)}
+    expected = {
+        field.name for cls in (ShardHealth, HealthReport) for field in dataclasses.fields(cls)
+    } | {"admission"}
+    assert documented == expected, (
+        f"undocumented: {sorted(expected - documented)}; "
+        f"documented but gone: {sorted(documented - expected)}"
     )
 
 
