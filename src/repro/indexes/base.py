@@ -28,9 +28,11 @@ backend.
 Writes have two entry points: :meth:`LearnedIndex.insert` (one key;
 the per-key protocol Fig. 10 measures) and
 :meth:`LearnedIndex.bulk_insert_many` (one batch; what the serving
-layer's merge and the store's replay call).  The base class's batch
-write is the per-key loop, and every updatable backend overrides it
-with a vectorised sorted merge.
+layer's merge and the store's replay call).  Every backend overrides
+the batch write with a vectorised sorted merge — the static PGM / RMI,
+which have no ``insert``, merge their data array and refit their
+models — and the base class's per-key loop stays as the reference the
+merge-parity tests compare against.
 """
 
 from __future__ import annotations
@@ -382,7 +384,7 @@ class LearnedIndex(ABC):
         order — duplicates within the batch resolve last-wins, keys
         already stored are overwritten, and afterwards every batch key
         looks up to its batch value with all other stored keys
-        untouched.  The updatable backends override this with
+        untouched.  The backends override this with
         sorted-merge implementations that amortise structural
         maintenance across the whole batch (bulk rebuilds of the
         touched nodes/subtrees instead of one root-to-leaf descent per
@@ -394,7 +396,7 @@ class LearnedIndex(ABC):
         backend.
 
         This generic implementation is that per-key loop, so a new
-        backend is correct before it is fast.
+        updatable backend is correct before it is fast.
         """
         arr, vals = _as_batch_kv(keys, values)
         for key, value in zip(arr.tolist(), vals.tolist()):

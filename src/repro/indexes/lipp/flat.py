@@ -578,9 +578,7 @@ class FlatLipp:
         node_of = np.searchsorted(self.slot_start, data_slots, side="right") - 1
         return data_slots, node_of
 
-    def entries(
-        self, low: int = _INT64.min, high: int = _INT64.max
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def entries(self, low: int, high: int) -> tuple[np.ndarray, np.ndarray]:
         """The stored keys in ``[low, high]`` with their values, as
         arrays in key order — one mask over the slots (DATA, and in
         range), one gather, the in-range ``searchsorted`` slice of each

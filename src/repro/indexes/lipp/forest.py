@@ -60,16 +60,6 @@ class LippForest(LippIndex):
             None if shard is None else shard._flat_view(slots=False) for shard in self._shards
         ]
         self._flat = FlatLipp.concat(self._views)
-        self._find_trackers()
-
-    def _find_trackers(self) -> None:
-        #: SALI shards: (shard number, tracker) — a tracked sweep credits
-        #: every node's ``access_count`` and these per-shard totals.
-        self._trackers = [
-            (shard_no, shard.tracker)
-            for shard_no, shard in enumerate(self._shards)
-            if hasattr(shard, "tracker")
-        ]
 
     def replace(self, shard_no: int, shard: LippIndex) -> bool:
         """Take *shard* as shard *shard_no* from now on.
@@ -84,12 +74,12 @@ class LippForest(LippIndex):
             return False
         self._shards[shard_no] = shard
         self._views[shard_no] = view
-        self._find_trackers()
         return True
 
     def _lookup_batch(self, keys, track: bool) -> ForestBatch:
-        """One sweep for the whole batch; *track* is decided by the
-        shards (SALI credits access statistics), not by the caller."""
+        """One sweep for the whole batch, never tracked: nothing on the
+        serving path reads SALI's access statistics, so a SALI shard
+        pays for them only through its own ``lookup_many``."""
         for shard, view in zip(self._shards, self._views):
             if shard is not None and shard._flat is not view:
                 raise StaleFlatError("a shard changed structure since the forest was built")
@@ -97,13 +87,7 @@ class LippForest(LippIndex):
         shard_ids = np.searchsorted(self._boundaries, q, side="right")
         found, values, levels, steps = alloc_batch_outputs(q.size)
         if q.size:
-            self._flat.lookup_many_into(
-                q, found, values, levels, steps, bool(self._trackers), shard_ids
-            )
-            if self._trackers:
-                routed = np.bincount(shard_ids, minlength=len(self._shards)).tolist()
-                for shard_no, tracker in self._trackers:
-                    tracker.total_queries += routed[shard_no]
+            self._flat.lookup_many_into(q, found, values, levels, steps, tree=shard_ids)
         return ForestBatch(
             keys=q, found=found, values=values, levels=levels, search_steps=steps,
             shard_ids=shard_ids,

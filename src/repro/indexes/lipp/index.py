@@ -492,10 +492,6 @@ class LippIndex(LearnedIndex):
         """Keys stored at *level* or deeper ("promotable data")."""
         return self._flat_view().keys_at_or_below(level)
 
-    def collect_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every stored key and its value, as sorted parallel arrays."""
-        return self._flat_view().entries()
-
     def range_query(self, low: int, high: int) -> list[tuple[int, int]]:
         """All (key, value) pairs with ``low <= key <= high``.
 

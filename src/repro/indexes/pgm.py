@@ -28,8 +28,10 @@ from .base import (
     BatchQueryStats,
     LearnedIndex,
     QueryStats,
+    _as_batch_kv,
     _as_query_array,
     _range_from_sorted_arrays,
+    dedupe_last_wins,
     prepare_key_values,
 )
 
@@ -105,15 +107,21 @@ class PGMIndex(LearnedIndex):
 
     Lookups descend the segment hierarchy (each level costs one
     traversal plus an ε-bounded local search) and finish with a binary
-    search confined to ±ε positions around the prediction.
+    search confined to ±ε positions around the prediction.  There is
+    no per-key ``insert``; a write batch is merged into the data array
+    and the hierarchy refit (:meth:`bulk_insert_many`).
     """
 
     name = "pgm"
 
     def __init__(self, keys: np.ndarray, values: np.ndarray, epsilon: int):
+        self._epsilon = int(epsilon)
+        self._fit(keys, values)
+
+    def _fit(self, keys: np.ndarray, values: np.ndarray) -> None:
+        """Lay the segment hierarchy over sorted unique *keys*."""
         self._keys = keys
         self._values = values
-        self._epsilon = int(epsilon)
         # levels[0] indexes the data; levels[i>0] index level i-1's
         # segment first-keys.  Built until a level has one segment.
         self._levels: list[list[PlaSegment]] = []
@@ -147,6 +155,16 @@ class PGMIndex(LearnedIndex):
 
     def insert(self, key: int, value: int) -> None:
         raise NotImplementedError("this PGM reproduction is static (bulk-load only)")
+
+    def bulk_insert_many(self, keys, values=None) -> None:
+        """Merge a write batch into the data array (last write wins) and
+        refit the hierarchy in place: the index ``build`` makes from the
+        merged content."""
+        arr, vals = _as_batch_kv(keys, values)
+        if arr.size:
+            self._fit(*dedupe_last_wins(
+                np.concatenate([self._keys, arr]), np.concatenate([self._values, vals])
+            ))
 
     def _bounded_search(self, level_keys: np.ndarray, seg: PlaSegment, key: int) -> tuple[int, int]:
         predicted = seg.predict(key)

@@ -69,6 +69,8 @@ class SaliIndex(LippIndex):
         (aggregate-equivalent to per-query ``record_path``); flattened
         subtrees answer their groups via
         :meth:`~repro.indexes.sali.flatten.FlattenedNode.lookup_batch`.
+        A service's reads do not come through here: its router sweeps
+        SALI shards untracked (:class:`~repro.indexes.lipp.forest.LippForest`).
         """
         batch = self._lookup_batch(keys, track=True)
         self.tracker.total_queries += batch.n_queries

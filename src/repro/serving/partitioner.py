@@ -19,7 +19,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.cost_model import CostConstants
 from ..core.csv_algorithm import CsvConfig, CsvReport, apply_csv
 from ..core.exceptions import InvalidKeysError
 from ..core.segment_stats import validate_keys
@@ -115,9 +114,7 @@ def plan_shards(
 
 
 def build_shard_indexes(
-    plan: ShardPlan,
-    family: str,
-    constants: CostConstants | None = None,
+    plan: ShardPlan, family: str
 ) -> tuple[list[LearnedIndex | None], list[CsvReport | None]]:
     """Build (and independently smooth) one index per shard.
 
@@ -146,7 +143,7 @@ def build_shard_indexes(
         index = cls.build(shard_keys, shard_values)
         report = None
         if shard_alpha is not None and shard_alpha > 0.0 and family in SMOOTHABLE_FAMILIES:
-            report = apply_csv(adapter_for(index, constants), CsvConfig(alpha=shard_alpha))
+            report = apply_csv(adapter_for(index), CsvConfig(alpha=shard_alpha))
         indexes.append(index)
         reports.append(report)
     return indexes, reports

@@ -79,34 +79,10 @@ from .router import ShardRouter
 
 __all__ = ["IndexService", "ServiceStats"]
 
-#: Families whose indexes accept ``insert`` (merge by insertion);
-#: static families are merged by rebuild instead.
-UPDATABLE_FAMILIES = ("sorted_array", "btree", "alex", "lipp", "sali")
-
 
 def _memtable_steps(n: int) -> int:
     """Probe charge for one sorted-memtable search over *n* entries."""
     return max(1, int(math.ceil(math.log2(n + 1))))
-
-
-def _scan_shard(shard: LearnedIndex | None) -> tuple[np.ndarray, np.ndarray]:
-    """Every stored (key, value) of one shard, as two sorted arrays.
-
-    LIPP/SALI hand them over as arrays (``collect_arrays``, off the
-    flat view); the other families answer one ordered scan — cheaper
-    than probing the index once per key.
-    """
-    if shard is None:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    collect = getattr(shard, "collect_arrays", None)
-    if collect is not None:
-        return collect()
-    bounds = np.iinfo(np.int64)
-    pairs = shard.range_query(int(bounds.min), int(bounds.max))
-    return (
-        np.fromiter((p[0] for p in pairs), dtype=np.int64, count=len(pairs)),
-        np.fromiter((p[1] for p in pairs), dtype=np.int64, count=len(pairs)),
-    )
 
 
 @dataclass
@@ -202,19 +178,33 @@ class IndexService:
         router: ShardRouter,
         family: str,
         alphas: Sequence[float | None],
-        constants: CostConstants | None = None,
         staleness_threshold: float = 0.1,
         metrics: MetricsRegistry | None = None,
         store: DurableStore | None = None,
         flush_threshold: int = 0,
         compaction: CompactionStrategy | str | None = None,
     ):
+        if store is not None:
+            manifest = store.manifest
+            if manifest is None:
+                raise IndexStateError(
+                    f"store at {store.data_dir} is not initialized "
+                    "(IndexService.build(store=) writes its first generation)"
+                )
+            if manifest.family != family or manifest.n_shards != router.n_shards:
+                raise IndexStateError(
+                    f"store at {store.data_dir} holds {manifest.family}/"
+                    f"{manifest.n_shards} shards; this service is "
+                    f"{family}/{router.n_shards}"
+                )
         self.router = router
         self.family = family
         #: Per-shard smoothing α (None = not smoothed); the router is
         #: the record of everything else about the shards.
         self.alphas = tuple(alphas)
-        self.constants = constants or CostConstants()
+        #: The Eq. 22 prices the ledger is read at (the defaults, as
+        #: every smoothing call's adapter uses).
+        self.constants = CostConstants()
         self.staleness_threshold = float(staleness_threshold)
         self.stats = ServiceStats()
         self._buffers = [_Memtable() for _ in range(router.n_shards)]
@@ -233,17 +223,22 @@ class IndexService:
         )
         self._h_merge_s = self.metrics.histogram("service_merge_seconds")
         self._closed = False
-        #: Durability (see ``repro.store``).  Each memtable knows which
-        #: of its entries are not yet frozen into a run on disk:
-        #: flushes advance that watermark, merges flush first (a merge
-        #: folds the memtable into a rebuilt in-memory structure, which
-        #: is exactly the state a crash would lose).
-        self._store: DurableStore | None = None
+        #: Durability (see ``repro.store``): *store* already holds these
+        #: shards (``build(store=)`` wrote them, or ``open_snapshot``
+        #: read them).  Each memtable knows which of its entries are not
+        #: yet in a run on disk; merges flush first (a merge folds the
+        #: memtable into in-memory structure, the state a crash loses).
+        #: ``flush_threshold > 0`` freezes a shard's unflushed writes
+        #: into a run once that many accumulate; *compaction* (a
+        #: strategy or a CLI spec like ``"tiered"`` / ``"sortmerge:4"``)
+        #: runs after every flush-on-merge.  Both need a store.
+        self._store = store
         self._flush_threshold = 0
         self._compaction: CompactionStrategy | None = None
         if store is not None:
-            self.attach_store(
-                store, flush_threshold=flush_threshold, compaction=compaction
+            self._flush_threshold = int(flush_threshold)
+            self._compaction = (
+                make_strategy(compaction) if isinstance(compaction, str) else compaction
             )
 
     # ------------------------------------------------------------------
@@ -257,22 +252,31 @@ class IndexService:
         n_shards: int = 4,
         values: np.ndarray | list | None = None,
         alpha: float | Sequence[float | None] | None = None,
-        constants: CostConstants | None = None,
         staleness_threshold: float = 0.1,
         metrics: MetricsRegistry | None = None,
         store: DurableStore | None = None,
         flush_threshold: int = 0,
         compaction: CompactionStrategy | str | None = None,
     ) -> "IndexService":
-        """Partition → smooth → build → route, in one call."""
-        consts = constants or CostConstants()
+        """Partition → smooth → build → route, in one call.
+
+        With *store*, the plan's shard contents become its generation-1
+        base files.  An initialised directory is refused, untouched —
+        reopen it with :meth:`open_snapshot`.
+        """
         plan = plan_shards(keys, n_shards, values=values, alpha=alpha)
-        shards, __ = build_shard_indexes(plan, family, consts)
+        shards, __ = build_shard_indexes(plan, family)
+        if store is not None:
+            store.initialize(
+                family,
+                [int(b) for b in plan.boundaries],
+                plan.alphas,
+                list(zip(plan.shard_keys, plan.shard_values)),
+            )
         return cls(
             ShardRouter(shards, plan.boundaries),
             family,
             plan.alphas,
-            constants=consts,
             staleness_threshold=staleness_threshold,
             metrics=metrics,
             store=store,
@@ -284,7 +288,6 @@ class IndexService:
     def open_snapshot(
         cls,
         store: DurableStore | str,
-        constants: CostConstants | None = None,
         staleness_threshold: float = 0.1,
         metrics: MetricsRegistry | None = None,
         flush_threshold: int = 0,
@@ -308,9 +311,8 @@ class IndexService:
         if manifest is None:
             raise IndexStateError(
                 f"no snapshot to open at {store.data_dir} "
-                "(MANIFEST.json missing; build + snapshot() first)"
+                "(MANIFEST.json missing; IndexService.build(store=) writes one)"
             )
-        consts = constants or CostConstants()
         family_cls = INDEX_FAMILIES.get(manifest.family)
         if family_cls is None:
             raise StoreCorruptionError(
@@ -319,26 +321,20 @@ class IndexService:
                 f"(known: {', '.join(sorted(INDEX_FAMILIES))})"
             )
         shards: list[LearnedIndex | None] = []
-        for shard_no in range(manifest.n_shards):
+        for shard_no, alpha in enumerate(manifest.alphas):
             shard = store.build_shard(shard_no, family_cls)
-            alpha = (
-                manifest.alphas[shard_no]
-                if shard_no < len(manifest.alphas)
-                else None
-            )
             if (
                 shard is not None
                 and alpha is not None
                 and alpha > 0.0
                 and manifest.family in SMOOTHABLE_FAMILIES
             ):
-                apply_csv(adapter_for(shard, consts), CsvConfig(alpha=alpha))
+                apply_csv(adapter_for(shard), CsvConfig(alpha=alpha))
             shards.append(shard)
         return cls(
             ShardRouter(shards, np.asarray(manifest.boundaries, dtype=np.int64)),
             manifest.family,
             manifest.alphas,
-            constants=consts,
             staleness_threshold=staleness_threshold,
             metrics=metrics,
             store=store,
@@ -380,46 +376,10 @@ class IndexService:
     # ------------------------------------------------------------------
     # Durability (repro.store)
     # ------------------------------------------------------------------
-    def attach_store(
-        self,
-        store: DurableStore,
-        flush_threshold: int = 0,
-        compaction: CompactionStrategy | str | None = None,
-    ) -> None:
-        """Make *store* this service's durable backing.
-
-        An uninitialised store immediately receives a full
-        :meth:`snapshot` (generation 1 bases); an initialised one is
-        validated against the live topology and adopted as-is — the
-        :meth:`open_snapshot` path, where memory was just rebuilt
-        *from* it.  ``flush_threshold > 0`` freezes a shard's
-        unflushed writes into a run once that many accumulate (merges
-        flush regardless); *compaction* (a strategy or a CLI spec
-        like ``"tiered"`` / ``"sortmerge:4"``) runs after every
-        flush-on-merge.
-        """
-        if isinstance(compaction, str):
-            compaction = make_strategy(compaction)
-        manifest = store.manifest
-        if manifest is not None:
-            if manifest.family != self.family or manifest.n_shards != self.n_shards:
-                raise IndexStateError(
-                    f"store at {store.data_dir} holds {manifest.family}/"
-                    f"{manifest.n_shards} shards; this service is "
-                    f"{self.family}/{self.n_shards}"
-                )
-        self._store = store
-        self._flush_threshold = int(flush_threshold)
-        self._compaction = compaction
-        # Writes buffered before the attach predate any run on disk:
-        # no flush has advanced a watermark, so all count as unflushed.
-        if manifest is None:
-            self.snapshot()
-
     def _require_store(self) -> DurableStore:
         if self._store is None:
             raise IndexStateError(
-                "no durable store attached (pass store= or call attach_store())"
+                "no durable store attached (pass store= to build() or open_snapshot())"
             )
         return self._store
 
@@ -432,41 +392,16 @@ class IndexService:
         """The store's committed generation (0 without a store)."""
         return 0 if self._store is None else self._store.generation
 
-    def _shard_arrays(self, shard_no: int) -> tuple[np.ndarray, np.ndarray, int]:
-        """One shard's full current contents — stored ∪ buffered, last
-        wins — and the memtable mark they cover."""
-        keys, vals = _scan_shard(self.router.shards[shard_no])
-        bkeys, bvals, mark = self._buffers[shard_no].snapshot()
-        if bkeys.size:
-            keys, vals = dedupe_last_wins(
-                np.concatenate([keys, bkeys]), np.concatenate([vals, bvals])
-            )
-        return keys, vals, mark
-
     def snapshot(self) -> int:
         """Commit the full service state durably; returns the generation.
 
-        First snapshot (uninitialised store): every shard's current
-        contents — stored *and* buffered — become generation-1 base
-        files.  Later snapshots: unflushed writes freeze into runs,
-        then a full sort-merge compaction folds base + runs into
-        fresh bases, so the directory reopens with zero replay.
+        Unflushed writes freeze into runs, then a full sort-merge
+        compaction folds base + runs into fresh bases, so the
+        directory reopens with zero replay.
         """
         store = self._require_store()
-        if store.manifest is None:
-            contents = [self._shard_arrays(i) for i in range(self.n_shards)]
-            store.initialize(
-                self.family,
-                [int(b) for b in self.router.boundaries],
-                self.alphas,
-                [(keys, vals) for keys, vals, __ in contents],
-            )
-            # The bases hold everything, including what was buffered.
-            for buffer, (__, __, mark) in zip(self._buffers, contents):
-                buffer.mark_flushed(mark)
-        else:
-            self.flush_durable()
-            self.stats.compactions += store.compact(make_strategy("sortmerge"))
+        self.flush_durable()
+        self.stats.compactions += store.compact(make_strategy("sortmerge"))
         return store.generation
 
     def flush_durable(self) -> int:
@@ -604,11 +539,10 @@ class IndexService:
         """Merge one shard's buffer into its index and re-smooth.
 
         Runs on the inserting caller's thread, start to finish.
-        Updatable families absorb the memtable in place through
-        ``bulk_insert_many``; static families (pgm, rmi) rebuild a
-        fresh index from the merged key set and swap it in.  CSV
-        families with a per-shard α are re-smoothed afterwards — the
-        online counterpart of the paper's one-shot preprocessing.
+        Every family absorbs the memtable in place through
+        ``bulk_insert_many``.  CSV families with a per-shard α are
+        re-smoothed afterwards — the online counterpart of the paper's
+        one-shot preprocessing.
         """
         bkeys, bvals, mark = self._buffers[shard_no].snapshot()
         if not bkeys.size:
@@ -627,29 +561,18 @@ class IndexService:
         # so its unflushed entries become a durable run first.
         if self._store is not None:
             self._flush_shards((shard_no,))
-        shard = self.router.shards[shard_no]
-        cls = INDEX_FAMILIES[self.family]
-        in_place = shard is not None and self.family in UPDATABLE_FAMILIES
-        if shard is None:
-            merged = cls.build(bkeys, bvals)
-        elif in_place:
-            # Drain the buffer through the vectorised bulk-ingest path:
-            # the tree backends sorted-merge-rebuild their touched
-            # nodes/subtrees in one sweep instead of descending once
-            # per buffered key — this is what lifts the LIPP/SALI
-            # merge ceiling the ROADMAP flags.
-            shard.bulk_insert_many(bkeys, bvals)
-            merged = shard
+        merged = self.router.shards[shard_no]
+        if merged is None:
+            merged = INDEX_FAMILIES[self.family].build(bkeys, bvals)
         else:
-            old_keys, old_vals = _scan_shard(shard)
-            merged_keys, merged_vals = dedupe_last_wins(
-                np.concatenate([old_keys, bkeys]),
-                np.concatenate([old_vals, bvals]),
-            )
-            merged = cls.build(merged_keys, merged_vals)
-        alpha = self.alphas[shard_no] if shard_no < len(self.alphas) else None
+            # The one ingest seam every family has (and the store's
+            # replay uses): the tree backends sorted-merge-rebuild their
+            # touched nodes/subtrees in one sweep, PGM / RMI merge their
+            # data array and refit.
+            merged.bulk_insert_many(bkeys, bvals)
+        alpha = self.alphas[shard_no]
         if alpha is not None and alpha > 0.0 and self.family in SMOOTHABLE_FAMILIES:
-            apply_csv(adapter_for(merged, self.constants), CsvConfig(alpha=alpha))
+            apply_csv(adapter_for(merged), CsvConfig(alpha=alpha))
             self.stats.resmoothed_shards += 1
         # Publication: the router (re)compiles what the merge staled
         # here, under the writer, not on the first query after it.

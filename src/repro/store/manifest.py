@@ -223,12 +223,25 @@ class Manifest:
                 f"(this library reads version {FORMAT_VERSION})"
             )
         service = partial(_field, top("service", dict), "service.")
+        n_shards = service("n_shards", int)
+        boundaries = service("boundaries", _list_of(int))
+        alphas = service("alphas", _list_of(lambda a: None if a is None else float(a)))
+        # Checked once here, so no reader needs a fallback for a short list.
+        for name, entries, wanted in (
+            ("boundaries", boundaries, n_shards - 1),
+            ("alphas", alphas, n_shards),
+        ):
+            if len(entries) != wanted:
+                raise StoreCorruptionError(
+                    f"manifest field 'service.{name}' has {len(entries)} entries; "
+                    f"{n_shards} shards need {wanted}"
+                )
         return cls(
             generation=top("generation", int),
             family=service("family", str),
-            n_shards=service("n_shards", int),
-            boundaries=service("boundaries", _list_of(int)),
-            alphas=service("alphas", _list_of(lambda a: None if a is None else float(a))),
+            n_shards=n_shards,
+            boundaries=boundaries,
+            alphas=alphas,
             artefacts=top("artefacts", _list_of(RunMeta.from_json)),
             format_version=version,
             updated_ts=top("updated_ts", float, 0.0),

@@ -108,7 +108,7 @@ class DurableStore:
         if self._manifest is None:
             raise IndexStateError(
                 f"store at {self.data_dir} is not initialized "
-                "(no MANIFEST.json; call initialize() or snapshot())"
+                "(no MANIFEST.json; call initialize() first)"
             )
         return self._manifest
 

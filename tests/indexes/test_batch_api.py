@@ -137,9 +137,13 @@ class TestInsertManyParity:
 
     @pytest.mark.parametrize("family", STATIC)
     def test_static_indexes_raise(self, family, small_keys):
+        """No per-key ``insert``; the batch write merges and refits."""
         index = INDEX_FAMILIES[family].build(small_keys)
+        key = int(small_keys[-1]) + 10
         with pytest.raises(NotImplementedError):
-            index.bulk_insert_many(np.array([int(small_keys[-1]) + 10]))
+            index.insert(key, key)
+        index.bulk_insert_many(np.array([key]))
+        assert index.lookup(key) == key and index.n_keys == small_keys.size + 1
 
     def test_sorted_array_updates_existing(self, small_keys):
         index = INDEX_FAMILIES["sorted_array"].build(small_keys)
@@ -148,7 +152,7 @@ class TestInsertManyParity:
             assert index.lookup(int(k)) == int(k) * 7
         assert index.n_keys == small_keys.size
 
-    @pytest.mark.parametrize("family", UPDATABLE)
+    @pytest.mark.parametrize("family", UPDATABLE + STATIC)
     def test_mismatched_values_raise_index_state_error(self, family, small_keys):
         """One error type for a bad write batch, on every backend."""
         index = INDEX_FAMILIES[family].build(small_keys)

@@ -118,6 +118,41 @@ class TestHttpServeProcess:
         assert stats["service"]["n_inserts"] == 5
         assert stats["http"]["http_requests_total.insert"] == 0
 
+    @pytest.mark.parametrize("index", ["lipp", "pgm"])
+    def test_data_dir_replay_across_process_restart(self, tmp_path, index):
+        """No op log: the writes reach the restart only as the run the
+        SIGTERM close flushed into the data directory, and every family
+        replays it (PGM through its merge-and-refit ``bulk_insert_many``)."""
+        args = (
+            "serve", "--http", "--port", "0", "--n", "2000", "--shards", "2",
+            "--index", index, "--data-dir", str(tmp_path / "data"),
+        )
+        keys = [10**15 + i for i in range(5)]
+        proc = spawn(*args)
+        try:
+            host, port = wait_for_port(proc)
+            with HttpIndexClient(host, port) as client:
+                client.insert(keys)
+            proc.send_signal(signal.SIGTERM)
+            out, _ = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+        assert proc.returncode == 0, out
+
+        proc = spawn(*args)  # reopens the data directory
+        try:
+            host, port = wait_for_port(proc)
+            with HttpIndexClient(host, port) as client:
+                resp = client.lookup(keys)
+            proc.send_signal(signal.SIGTERM)
+            out, _ = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+        assert proc.returncode == 0, out
+        assert all(resp["found"])
+
 
 @pytest.mark.slow
 class TestSimulationSignals:

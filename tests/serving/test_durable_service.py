@@ -10,6 +10,7 @@ without being asked, and ``close()`` leaves nothing volatile behind.
 from __future__ import annotations
 
 import json
+import re
 import shutil
 import sys
 import threading
@@ -22,8 +23,8 @@ from repro.core.csv_algorithm import CsvConfig, apply_csv
 from repro.core.exceptions import IndexStateError
 from repro.indexes import INDEX_FAMILIES
 from repro.indexes.adapters import adapter_for
+from repro.indexes.lipp.flat import FlatLipp
 from repro.serving import IndexService
-from repro.serving.service import _scan_shard
 from repro.store import MANIFEST_NAME, DurableStore, make_strategy
 from repro.store.runs import read_run_file, write_run_file
 
@@ -46,6 +47,26 @@ def full_pairs(service: IndexService) -> np.ndarray:
     bounds = np.iinfo(np.int64)
     pairs = service.range_query(int(bounds.min), int(bounds.max))
     return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+def _scan_shard(shard) -> tuple[np.ndarray, np.ndarray]:
+    """Every stored (key, value) of one shard, as two sorted int64
+    arrays, by one ordered ``range_query`` — the oracle of what a
+    reopened shard holds."""
+    if shard is None:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    bounds = np.iinfo(np.int64)
+    pairs = shard.range_query(int(bounds.min), int(bounds.max))
+    keys, values = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+    return keys.copy(), values.copy()
+
+
+def _answers(service: IndexService, queries: np.ndarray) -> tuple[bytes, ...]:
+    batch = service.lookup_many(queries)
+    return tuple(
+        getattr(batch, field).tobytes()
+        for field in ("found", "values", "levels", "search_steps")
+    )
 
 
 class TestSnapshotRoundtrip:
@@ -97,21 +118,51 @@ class TestSnapshotRoundtrip:
         with pytest.raises(IndexStateError, match="no snapshot to open"):
             IndexService.open_snapshot(tmp_path / "nothing-here")
 
-    def test_attach_store_validates_topology(self, tmp_path, keyset):
+    def test_build_refuses_a_used_directory(self, tmp_path, rng, keyset):
+        """``build(store=)`` never adopts a used directory: it raises,
+        naming it, and leaves every byte in it as it was."""
+        data_dir = tmp_path / "data"
         with IndexService.build(
-            keyset, family=FAMILY, n_shards=N_SHARDS,
-            store=DurableStore(tmp_path / "data"),
-        ):
-            pass
-        with IndexService.build(
-            keyset, family=FAMILY, n_shards=N_SHARDS + 1
-        ) as other:
-            with pytest.raises(IndexStateError, match="shards"):
-                other.attach_store(DurableStore(tmp_path / "data"))
+            keyset, family=FAMILY, n_shards=N_SHARDS, store=DurableStore(data_dir),
+            staleness_threshold=10.0,
+        ) as service:
+            batch = fresh_batches(rng, keyset, n_batches=1)[0]
+            service.insert_many(batch, batch * 2)
+        generation = DurableStore(data_dir).generation
+        before = {path.name: path.read_bytes() for path in data_dir.iterdir()}
+        other = np.setdiff1d(rng.integers(0, 10**8, 2_000), keyset)
+        for n_shards in (N_SHARDS, N_SHARDS + 1):
+            with pytest.raises(IndexStateError, match=re.escape(str(data_dir))):
+                IndexService.build(
+                    other, family=FAMILY, n_shards=n_shards, store=DurableStore(data_dir)
+                )
+            assert {path.name: path.read_bytes() for path in data_dir.iterdir()} == before
+        with IndexService.open_snapshot(data_dir) as reopened:
+            assert reopened.durable_generation() == generation > 1
+            assert bool(reopened.lookup_many(np.concatenate([keyset, batch])).found.all())
+            assert not reopened.lookup_many(other).found.any()
+
+    def test_constructor_refuses_a_store_it_does_not_match(self, tmp_path, keyset):
+        IndexService.build(
+            keyset, family=FAMILY, n_shards=N_SHARDS, store=DurableStore(tmp_path / "data")
+        ).close()
+        for family, n_shards in (("sali", N_SHARDS), (FAMILY, N_SHARDS + 1)):
+            other = IndexService.build(keyset, family=family, n_shards=n_shards)
+            with pytest.raises(IndexStateError, match="shards; this service is"):
+                IndexService(
+                    other.router, other.family, other.alphas,
+                    store=DurableStore(tmp_path / "data"),
+                )
+        with pytest.raises(IndexStateError, match="not initialized"):
+            IndexService(
+                other.router, other.family, other.alphas,
+                store=DurableStore(tmp_path / "empty"),
+            )
 
     def test_reopen_reads_no_shard_back(self, tmp_path, rng, keyset, monkeypatch):
         """The router is built from the manifest and the rebuilt shards;
-        nothing dumps a shard's contents on the way."""
+        nothing dumps a shard's contents (the flat view's ``entries``)
+        on the way."""
         with IndexService.build(
             keyset, family="lipp", n_shards=N_SHARDS, values=keyset * 3, alpha=0.1,
             store=DurableStore(tmp_path / "data"),
@@ -121,8 +172,7 @@ class TestSnapshotRoundtrip:
         def refuse(*args, **kwargs):
             raise AssertionError("open_snapshot read a shard's contents")
 
-        monkeypatch.setattr("repro.serving.service._scan_shard", refuse)
-        monkeypatch.setattr(INDEX_FAMILIES["lipp"], "collect_arrays", refuse)
+        monkeypatch.setattr(FlatLipp, "entries", refuse)
         with IndexService.open_snapshot(tmp_path / "data") as reopened:
             queries = rng.choice(keyset, 500)
             answers = reopened.lookup_many(queries)
@@ -314,6 +364,36 @@ class TestReopenThenWrite:
             assert bool(got.found.all())
 
 
+class TestEveryFamilyReopensItsRuns:
+    @pytest.mark.parametrize("family", sorted(INDEX_FAMILIES))
+    def test_reopen_answers_as_the_live_service(self, tmp_path, rng, keyset, family):
+        """Writes below the staleness threshold, ``flush_durable()``,
+        ``close()``: the directory holds runs, and every family replays
+        them through its ``bulk_insert_many`` — PGM and RMI included.
+        The reopened service finds what the live one found before
+        close; its levels and search steps are the live service's once
+        that has merged the same writes (α None, so the merge is the
+        only difference between the two)."""
+        batch = np.concatenate([fresh_batches(rng, keyset, n_batches=1, size=120)[0], keyset[::40]])
+        queries = np.concatenate([rng.choice(keyset, 300), batch, batch + 1])
+        live = IndexService.build(
+            keyset, family=family, n_shards=N_SHARDS,
+            store=DurableStore(tmp_path / "data"), staleness_threshold=10.0,
+        )
+        live.insert_many(batch, -batch)
+        assert live.stats.merges == 0
+        live.flush_durable()
+        before_close = _answers(live, queries)
+        live.close()
+        assert live.store.runs_outstanding() > 0
+        live.flush()  # the same writes, merged in memory
+        merged = _answers(live, queries)
+        with IndexService.open_snapshot(tmp_path / "data") as reopened:
+            got = _answers(reopened, queries)
+        assert got[:2] == before_close[:2]
+        assert got == merged
+
+
 class TestColdConcurrentReads:
     def test_racing_first_reads_lose_no_merged_write(self, tmp_path, rng):
         """A service is warm before anyone can read it.
@@ -366,13 +446,9 @@ class TestColdConcurrentReads:
 
 
 class TestShardScan:
-    """``_scan_shard``: what a snapshot writes, and what a merge of a
-    static family rebuilds from.
-
-    LIPP/SALI hand their contents over as arrays off the flat view, the
-    other families through one ordered ``range_query``; either way the
-    dump is every stored pair, sorted, int64.
-    """
+    """What a snapshot writes is what a reopened shard holds: every
+    stored pair, sorted, int64 (``_scan_shard``, one ordered
+    ``range_query`` per shard)."""
 
     @pytest.mark.parametrize("buffered", [False, True], ids=["empty-memtable", "memtable"])
     @pytest.mark.parametrize("family", sorted(INDEX_FAMILIES))

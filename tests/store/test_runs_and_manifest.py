@@ -208,6 +208,10 @@ DAMAGE = {
     "n_shards_word": (_set(["service", "n_shards"], "two"), "'service.n_shards'"),
     "boundaries_string": (_set(["service", "boundaries"], "abc"), "'service.boundaries'"),
     "alphas_word": (_set(["service", "alphas"], ["x"]), "'service.alphas'"),
+    # One α per shard, one boundary between two: a short list is not
+    # served unsmoothed or mis-routed, it is refused.
+    "alphas_truncated": (_set(["service", "alphas"], [0.1]), "'service.alphas' has 1 entries"),
+    "boundaries_truncated": (_set(["service", "boundaries"], []), "'service.boundaries' has 0"),
     "generation_word": (_set(["generation"], "x"), "'generation'"),
     "artefacts_string": (_set(["artefacts"], "abc"), "'artefacts'"),
 }
