@@ -49,20 +49,17 @@ class PoisoningResult:
 
 
 def _covariance_root(c0, c1, v0, v1, v2) -> np.ndarray:
-    """Where a gap's ``cov(t) = c0 + c1·t`` vanishes."""
-    return np.where(c1 != 0.0, -c0 / c1, np.nan)
+    """Where a gap's ``cov(t) = c0 + c1·t`` vanishes (±inf or NaN where
+    it does not)."""
+    return -c0 / c1
 
 
 def _worst_candidate(stats: SegmentStats) -> tuple[int, float] | None:
     """Global loss-maximising ``(value, loss)`` over every gap: the
     smoother's candidate scan with the covariance root as each gap's
     interior point and the argmin turned into an argmax."""
-    scored = _score_gaps(stats, _covariance_root)
-    if scored is None:
-        return None
-    values, losses, __ = scored
-    worst = int(np.argmax(losses))
-    return int(values[worst]), float(losses[worst])
+    scored = _score_gaps(stats, _covariance_root, max)
+    return None if scored is None else scored[:2]
 
 
 def poison_keys(

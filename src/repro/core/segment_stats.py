@@ -31,8 +31,11 @@ OLS refit (Eqs. 6-7 / 15-16) and the refitted SSE are closed-form:
 
 All key sums are computed over *centered* keys (``k - ref``) so that
 64-bit key magnitudes do not lose the covariance to floating-point
-cancellation.  :mod:`repro.core.loss` provides an exact Fraction-based
-reference used by the property tests to validate this fast path.
+cancellation.  Keys that span 2^63 or more would wrap the int64
+subtraction, so centering goes through
+:func:`~repro.core.linear_model.exact_delta` wherever that can happen.
+:mod:`repro.core.loss` provides an exact Fraction-based reference used
+by the property tests to validate this fast path.
 
 Incremental commits
 -------------------
@@ -52,28 +55,41 @@ call per committed virtual point.  It updates the statistics
 * the prefix array is kept in exact ``int64`` while the worst-case
   partial sum provably fits (``n · span < 2^62``); pathological spans
   degrade once to the legacy float path, which recomputes from scratch
-  per commit and therefore stays trivially rebuild-identical.
+  per commit and therefore stays trivially rebuild-identical;
+* the open-gap table (:meth:`SegmentStats.open_gaps`: every gap's ends,
+  insertion rank, exact suffix key sum and centered ends) lives in
+  capacity buffers too.  The one gap that holds the committed value
+  splits into at most two, gaps to its left add the value to their
+  suffix sums and gaps to its right move up one rank — ``O(shift)``
+  like the point buffer.  On the float path the table keeps everything
+  but the suffix sums, which are then read from the prefix array.
 
 Candidate evaluation reads the float mirrors of the integer sums, so
-:meth:`evaluate_many` (and the vectorised
-:meth:`suffix_key_sums` that backs the greedy smoother's gap scan)
+:meth:`evaluate_many` and the greedy smoother's gap scan over the table
 remain pure float64 array kernels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .exceptions import InvalidKeysError
-from .linear_model import LinearModel
+from .linear_model import LinearModel, exact_delta
 
-__all__ = ["CandidateEvaluation", "SegmentStats", "validate_keys"]
+__all__ = ["CandidateEvaluation", "OpenGaps", "SegmentStats", "validate_keys"]
 
 #: Exact-int64 prefix sums are used while ``n_points * span`` stays
 #: below this bound (headroom under the 2^63 int64 limit).
 _INT64_SAFE_BOUND = 2**62
+
+#: Rows of the open-gap tables (one column per open gap): the int64
+#: table holds the ends, the rank and the exact suffix sum, the float64
+#: one the ends centered on the reference, then the ends themselves.
+_LOW, _HIGH, _RANK, _SUFFIX = range(4)
+_RANK_STEP = np.array([[0], [0], [1], [0]], dtype=np.int64)
 
 
 def validate_keys(keys: np.ndarray | list) -> np.ndarray:
@@ -113,6 +129,24 @@ def sum_of_ranks(count: int) -> float:
 def sum_of_rank_squares(count: int) -> float:
     """Σ of squared ranks ``0..count-1`` (= Syy for *count* points)."""
     return (count - 1) * count * (2 * count - 1) / 6.0
+
+
+class OpenGaps(NamedTuple):
+    """Every open gap of a point set, in key order (views into the
+    stats' table; do not mutate).  Gap ``g`` holds the free values
+    ``ends[0, g] .. ends[1, g]``, all of insertion rank ``ranks[g]``."""
+
+    #: ``(2, G)`` int64: lows, then highs.
+    ends: np.ndarray
+    #: ``(2, G)`` float64: the ends minus the reference, exactly rounded.
+    t: np.ndarray
+    #: ``(2, G)`` float64: the ends themselves, as float64.
+    bounds: np.ndarray
+    #: ``(G,)`` int64 insertion ranks.
+    ranks: np.ndarray
+    #: ``(G,)`` :meth:`SegmentStats.suffix_key_sums` at ``ranks``: exact
+    #: int64 on the exact path, float64 on the float path.
+    suffix: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -156,6 +190,9 @@ class SegmentStats:
         "_sk",
         "_skk",
         "_sky",
+        "_gaps",
+        "_gap_table",
+        "_gap_floats",
     )
 
     def __init__(self, keys: np.ndarray | list):
@@ -164,12 +201,14 @@ class SegmentStats:
         self._buf = points.copy()
         self._size = n
         self._ref = int(points[0])
+        # The largest |point - reference| (commit widens it).
         self._span = int(points[-1]) - int(points[0])
         self._exact = (n + 1) * max(self._span, 1) < _INT64_SAFE_BOUND
         if self._exact:
             self._recompute_exact()
         else:
             self._recompute_float()
+        self._build_gap_table()
 
     # ------------------------------------------------------------------
     # Statistic (re)computation
@@ -209,7 +248,7 @@ class SegmentStats:
         the low bits here would corrupt every loss computation.
         """
         n = self._size
-        centered = (self._buf[:n] - np.int64(self._ref)).astype(np.float64)
+        centered = exact_delta(self._buf[:n], np.int64(self._ref))
         ranks = np.arange(n, dtype=np.float64)
         self._sk_int = self._skk_int = self._sky_int = None
         self._sk = float(centered.sum())
@@ -222,6 +261,30 @@ class SegmentStats:
         self._sk = float(self._sk_int)
         self._skk = float(self._skk_int)
         self._sky = float(self._sky_int)
+
+    def _build_gap_table(self) -> None:
+        """The open-gap tables, derived once from the point array.
+
+        Column ``g`` of ``_gap_table`` is one open gap: its free values
+        ``low .. high`` lie between the points of ranks ``rank - 1`` and
+        ``rank``, and ``suffix`` is the sum of centered points with rank
+        ≥ ``rank`` (kept on the exact path only).  The same column of
+        ``_gap_floats`` holds low and high centered, then as floats.
+        :meth:`commit` keeps both current.
+        """
+        points = self.points
+        idx = np.flatnonzero(points[:-1] + 1 < points[1:])
+        g = int(idx.size)
+        self._gaps = g
+        table = self._gap_table = np.empty((4, max(g, 1)), dtype=np.int64)
+        ranks = np.add(idx, 1, out=table[_RANK, :g])
+        np.add(points[idx], 1, out=table[_LOW, :g])
+        np.subtract(points[ranks], 1, out=table[_HIGH, :g])
+        if self._exact:
+            np.subtract(np.int64(self._sk_int), self._prefix[idx], out=table[_SUFFIX, :g])
+        floats = self._gap_floats = np.empty(table.shape, dtype=np.float64)
+        floats[:2, :g] = self.centered(table[:2, :g])
+        floats[2:, :g] = table[:2, :g]
 
     # ------------------------------------------------------------------
     # Read-only views
@@ -287,6 +350,29 @@ class SegmentStats:
                 np.where(ranks >= n, 0.0, self._sk - self._prefix[idx]),
             )
         return out
+
+    @property
+    def n_gaps(self) -> int:
+        """Number of open gaps (maximal runs of free values)."""
+        return self._gaps
+
+    def open_gaps(self) -> OpenGaps:
+        """The open-gap table (see :class:`OpenGaps`).  On the float
+        path the suffix sums are read from the prefix array."""
+        g = self._gaps
+        table, floats = self._gap_table, self._gap_floats
+        ranks = table[_RANK, :g]
+        suffix = table[_SUFFIX, :g] if self._exact else self.suffix_key_sums(ranks)
+        return OpenGaps(table[:2, :g], floats[:2, :g], floats[2:, :g], ranks, suffix)
+
+    def centered(self, values: np.ndarray) -> np.ndarray:
+        """``float64(values - reference)``, exactly rounded, for int64
+        *values* within the point range (a span of 2^63 or more would
+        wrap the int64 subtraction, so it goes through
+        :func:`~repro.core.linear_model.exact_delta`)."""
+        if self._span < 2**63:
+            return (values - np.int64(self._ref)).astype(np.float64)
+        return exact_delta(values, np.int64(self._ref))
 
     def insertion_rank(self, value: int) -> int:
         """Rank a virtual point with this value would take (Eq. 9 context)."""
@@ -389,7 +475,7 @@ class SegmentStats:
         """
         values_arr = np.asarray(values)
         if np.issubdtype(values_arr.dtype, np.integer):
-            t = (values_arr - np.int64(self._ref)).astype(np.float64)
+            t = exact_delta(values_arr.astype(np.int64, copy=False), np.int64(self._ref))
         else:
             t = values_arr.astype(np.float64) - float(self._ref)
         ranks = np.asarray(ranks, dtype=np.int64)
@@ -419,6 +505,53 @@ class SegmentStats:
         prefix[: self._size] = self._prefix[: self._size]
         self._prefix = prefix
 
+    def _split_gap(self, value: int, rank: int, suffix: int | None) -> None:
+        """Update the gap table for a commit of *value* at *rank*.
+
+        The gap holding *value* (none when it lies outside the point
+        range) becomes the ≤ 2 gaps either side of it; gaps to its left
+        gain *value* in their suffix sums (*suffix*: the sum at *rank*
+        before the commit, ``None`` off the exact path), gaps to its
+        right move up one rank.  O(shift) memmoves, like the point buffer.
+        """
+        n = self._size  # already counts value
+        g0 = self._gaps
+        table, floats = self._gap_table, self._gap_floats
+        at = int(table[_RANK, :g0].searchsorted(rank))
+        # The free values next to value: below .. value - 1 and
+        # value + 1 .. above (empty when the neighbour is adjacent).
+        below = int(self._buf[rank - 1]) + 1 if rank > 0 else value
+        above = int(self._buf[rank + 1]) - 1 if rank < n - 1 else value
+        left, right = below < value, value < above
+        tail = at + (0 < rank < n - 1)  # an interior value sits in gap ``at``
+        dest = at + left + right
+        g1 = g0 + dest - tail
+        if g1 > table.shape[1]:
+            table = self._gap_table = np.concatenate([table, np.empty_like(table)], axis=1)
+            floats = self._gap_floats = np.concatenate([floats, np.empty_like(floats)], axis=1)
+        if tail != dest:
+            # One pass moves the tail and steps its ranks.
+            np.add(table[:, tail:g0], _RANK_STEP, out=table[:, dest:g1])
+            floats[:, dest:g1] = floats[:, tail:g0]
+        else:
+            table[_RANK, dest:g1] += 1
+        c = value - self._ref
+        if suffix is not None:
+            table[_SUFFIX, :at] += c
+        else:
+            suffix = c = 0  # the suffix row is not kept off the exact path
+        if left:
+            self._set_gap(at, below, value - 1, rank, suffix + c)
+        if right:
+            self._set_gap(dest - 1, value + 1, above, rank + 1, suffix)
+        self._gaps = g1
+
+    def _set_gap(self, i: int, low: int, high: int, rank: int, suffix: int) -> None:
+        self._gap_table[:, i] = low, high, rank, suffix
+        self._gap_floats[:, i] = (
+            float(low - self._ref), float(high - self._ref), float(low), float(high)
+        )
+
     def commit(self, value: int) -> int:
         """Insert *value* into the point set and refresh statistics.
 
@@ -441,8 +574,10 @@ class SegmentStats:
         self._buf[rank + 1 : n + 1] = self._buf[rank:n]
         self._buf[rank] = value
         self._size = n + 1
+        c = value - self._ref
+        self._span = max(self._span, abs(c))
+        suffix = None
         if self._exact and (n + 2) * max(self._span, 1) < _INT64_SAFE_BOUND:
-            c = value - self._ref
             prev = int(self._prefix[rank - 1]) if rank > 0 else 0
             suffix = self._sk_int - prev
             self._prefix[rank + 1 : n + 1] = self._prefix[rank:n] + np.int64(c)
@@ -454,7 +589,9 @@ class SegmentStats:
         else:
             if self._exact:
                 # One-time degrade: future prefix sums could overflow
-                # int64, so fall back to the float recompute path.
+                # int64, so fall back to the float recompute path; the
+                # gap table's suffix row goes with them.
                 self._exact = False
             self._recompute_float()
+        self._split_gap(value, rank, suffix)
         return rank

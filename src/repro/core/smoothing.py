@@ -32,16 +32,20 @@ The candidate scan is vectorised with numpy: for every gap
 interior point — for smoothing the stationary point, a superset of the
 candidates Algorithm 1's sign test would retain, so the selected point
 is identical while the work per iteration stays O(n) with small
-constants.  The per-gap suffix key sums come from
-:meth:`~repro.core.segment_stats.SegmentStats.suffix_key_sums` (one
-fancy-indexed read of the prefix array) and each committed point
-updates the statistics incrementally, so a full run over n keys does
-no per-gap Python work at all.
+constants.  The gaps themselves — ends, ranks, exact suffix key sums,
+centered ends — are the stats' open-gap table
+(:meth:`~repro.core.segment_stats.SegmentStats.open_gaps`), which each
+commit updates where it split one gap; a step derives nothing from the
+point array, and a full run over n keys does no per-gap Python work.
+What is left per step is arithmetic over the table: about a dozen
+numpy passes over the ``(2, G)`` endpoint block and a dozen over the
+``G`` per-gap constants, then a few small ones over the interior block.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -181,94 +185,128 @@ def greedy_insert(
     return inserted, trace, False
 
 
-def _score_gaps(
-    stats: SegmentStats, interior: Callable[..., np.ndarray]
-) -> tuple[np.ndarray, np.ndarray, int] | None:
-    """Every gap's candidate values and their refitted losses.
+def _block_losses(t, c0, c1, v0, v1, v2, syyc) -> np.ndarray:
+    """Refitted losses of a ``(2, B)`` block of centered candidates
+    ``t`` whose column ``j`` shares the gap constants ``c0[j], c1[j]``:
+    ``SyyC - cov(t)² / var(t)`` where ``var(t) > 0``, floored at 0."""
+    cov = np.multiply(c1, t)
+    cov += c0
+    var = np.multiply(t, v1)
+    var += v0
+    quad = np.multiply(t, v2)
+    quad *= t
+    var += quad
+    cov *= cov
+    positive = var > 0.0
+    if positive.all():
+        cov /= var
+    else:
+        cov = np.divide(cov, var, out=np.zeros_like(var), where=positive)
+    np.subtract(syyc, cov, out=cov)
+    return np.maximum(cov, 0.0, out=cov)
 
-    Scores both endpoints of every sub-sequence plus the floor and
-    ceiling of one interior point per gap: ``interior(c0, c1, v0, v1,
-    v2)`` gives it as a centered value ``t`` (NaN for none), and only a
-    point strictly inside its gap is kept.
+
+#: The numpy twin of each builtin a scan may pick with; both return
+#: the first of equally good candidates.
+_ARG = {min: np.argmin, max: np.argmax}
+_loss = operator.itemgetter(1)
+
+
+def _score_gaps(
+    stats: SegmentStats,
+    interior: Callable[..., np.ndarray],
+    pick: Callable,
+) -> tuple[int, float, int, int] | None:
+    """The first best candidate over every open gap.
+
+    Reads the stats' open-gap table (:meth:`~repro.core.segment_stats.
+    SegmentStats.open_gaps`) and scores both endpoints of every gap plus
+    the floor and ceiling of one interior point per gap:
+    ``interior(c0, c1, v0, v1, v2)`` gives it as a centered value ``t``,
+    and only a point strictly inside its gap is kept (which rejects a
+    NaN or infinite one too).
 
     The per-gap constants ``c0, c1`` (and the scalar ``v*`` terms) of
-    Eqs. 10-16 are computed once per gap from the vectorised suffix
-    sums; every candidate then costs a handful of float ops on its
-    centered value ``t`` — the same closed forms
+    Eqs. 10-16 come from the table's suffix sums and ranks; every
+    candidate then costs a handful of float ops on its centered value —
+    the closed forms
     :meth:`~repro.core.segment_stats.SegmentStats.evaluate_many`
-    applies — in one pass over all candidates of all gaps: at a few
-    thousand points an iteration is bound by numpy dispatch, not
-    arithmetic.  Returns ``(values, losses, open gaps)``, or ``None``
-    when no free value exists.
+    applies.  The endpoints are one ``(2, G)`` block, lows then highs;
+    the interior floors and ceilings a ``(2, I)`` block over the few
+    gaps that have one.  *pick* (``min`` or ``max``) chooses in each
+    block and then between the two, keeping the first of equals: the
+    same candidate one first-occurrence argmin (argmax) over the
+    concatenation lows, highs, floors, ceilings would choose.  Returns
+    ``(value, loss, G, 2G + 2I)``, or ``None`` when no free value exists.
     """
-    points = stats.points
-    lows = points[:-1] + 1
-    highs = points[1:] - 1
-    gap_mask = highs >= lows
-    if not np.any(gap_mask):
+    n_gaps = stats.n_gaps
+    if n_gaps == 0:
         return None
-    lows = lows[gap_mask]
-    highs = highs[gap_mask]
-    ranks = np.nonzero(gap_mask)[0] + 1
-
+    gaps = stats.open_gaps()
     big_n = stats.n + 1
     sy = sum_of_ranks(big_n)
     syy = sum_of_rank_squares(big_n)
     ybar = sy / big_n
     sk, skk, sky = stats.centered_sums()
-    suffix = stats.suffix_key_sums(ranks)
-    c0 = (sky + suffix) - sk * ybar
-    c1 = ranks - ybar
+    c0 = np.add(gaps.suffix, sky)
+    c0 -= sk * ybar
+    c1 = np.subtract(gaps.ranks, ybar)
     v0 = skk - sk * sk / big_n
     v1 = -2.0 * sk / big_n
     v2 = 1.0 - 1.0 / big_n
     syyc = syy - sy * sy / big_n
-    ref = np.int64(stats.reference)
 
-    # Candidates in the scalar reference's concatenation order: all
-    # lows, all highs, interior floors, interior ceils.  One
-    # first-occurrence argmin (or argmax) over the concatenation
-    # reproduces the reference's pick exactly, ties included.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        star = interior(c0, c1, v0, v1, v2) + stats.reference
-    idx = np.nonzero(np.isfinite(star) & (star > lows) & (star < highs))[0]
-    lo_i, hi_i, c0_i, c1_i = lows[idx], highs[idx], c0[idx], c1[idx]
-    floor_v = np.clip(np.floor(star[idx]).astype(np.int64), lo_i, hi_i)
-    values = np.concatenate([lows, highs, floor_v, np.clip(floor_v + 1, lo_i, hi_i)])
-    cc0 = np.concatenate([c0, c0, c0_i, c0_i])
-    cc1 = np.concatenate([c1, c1, c1_i, c1_i])
+    arg = _ARG[pick]
+    losses = _block_losses(gaps.t, c0, c1, v0, v1, v2, syyc)
+    row, col = divmod(int(arg(losses)), n_gaps)
+    best = int(gaps.ends[row, col]), float(losses[row, col])
 
-    t = (values - ref).astype(np.float64)
-    cov = cc0 + cc1 * t
-    var = v0 + v1 * t + v2 * t * t
     with np.errstate(divide="ignore", invalid="ignore"):
-        losses = np.maximum(syyc - np.where(var > 0.0, cov * cov / var, 0.0), 0.0)
-    return values, losses, int(lows.size)
+        star = interior(c0, c1, v0, v1, v2)
+    star += stats.reference
+    idx = np.flatnonzero((star > gaps.bounds[0]) & (star < gaps.bounds[1]))
+    if idx.size:
+        low, high = gaps.ends[:, idx]
+        # The floor clamped into its gap, then the next value (> low).
+        inner = np.empty((2, idx.size), dtype=np.int64)
+        floor = np.floor(star[idx]).astype(np.int64)
+        np.minimum(np.maximum(floor, low, out=floor), high, out=inner[0])
+        np.minimum(np.add(inner[0], 1, out=inner[1]), high, out=inner[1])
+        inner_losses = _block_losses(stats.centered(inner), c0[idx], c1[idx], v0, v1, v2, syyc)
+        row, col = divmod(int(arg(inner_losses)), idx.size)
+        best = pick(best, (int(inner[row, col]), float(inner_losses[row, col])), key=_loss)
+    return best[0], best[1], n_gaps, 2 * (n_gaps + int(idx.size))
 
 
 def _stationary_point(c0, c1, v0, v1, v2) -> np.ndarray:
-    """Where the bracketed factor of a gap's loss derivative vanishes."""
-    denom = c1 * v1 - 2.0 * c0 * v2
-    return np.where(denom != 0.0, (c0 * v1 - 2.0 * c1 * v0) / denom, np.nan)
+    """Where the bracketed factor of a gap's loss derivative vanishes,
+    ``(c0·v1 - 2·c1·v0) / (c1·v1 - 2·c0·v2)`` (±inf or NaN where it
+    does not).  Doubling is exact, so ``c1·(2·v0)`` rounds like
+    ``(2·c1)·v0`` and saves an array pass."""
+    star = c0 * v1
+    star -= c1 * (2.0 * v0)
+    denom = c1 * v1
+    denom -= c0 * (2.0 * v2)
+    star /= denom
+    return star
 
 
-def _best_candidate(stats: SegmentStats) -> tuple[int, float] | None:
+def _best_candidate(stats: SegmentStats, tally: list[int] | None = None) -> tuple[int, float] | None:
     """Vectorised global best ``(value, loss)`` over every gap.
 
     Endpoints plus the interior stationary point are a superset of
     Algorithm 1's filtered candidates; the argmin therefore matches the
     scalar implementation exactly.  ``None`` when no free value exists.
+    *tally*, when given, accumulates the gaps and candidates scored.
     """
-    scored = _score_gaps(stats, _stationary_point)
+    scored = _score_gaps(stats, _stationary_point, min)
     if scored is None:
         return None
-    values, losses, n_gaps = scored
-    pick = int(np.argmin(losses))
-    reg = get_registry()
-    if reg.enabled:
-        reg.counter("smooth_gap_segments_total").inc(n_gaps)
-        reg.counter("smooth_candidate_evals_total").inc(int(values.size))
-    return int(values[pick]), float(losses[pick])
+    value, loss, n_gaps, n_evals = scored
+    if tally is not None:
+        tally[0] += n_gaps
+        tally[1] += n_evals
+    return value, loss
 
 
 def smooth_keys(
@@ -294,8 +332,9 @@ def smooth_keys(
     lam = resolve_budget(original.size, alpha, budget)
     start = time.perf_counter()
     stats = SegmentStats(original)
+    tally = [0, 0]
     virtual, trace, stopped_early = greedy_insert(
-        lambda: _best_candidate(stats),
+        lambda: _best_candidate(stats, tally),
         stats.commit,
         lam,
         stats.base_loss(),
@@ -307,6 +346,9 @@ def smooth_keys(
         reg.counter("smooth_runs_total").inc()
         reg.counter("smooth_virtual_points_total").inc(len(virtual))
         reg.histogram("smooth_seconds").observe(elapsed)
+        if tally[0]:
+            reg.counter("smooth_gap_segments_total").inc(tally[0])
+            reg.counter("smooth_candidate_evals_total").inc(tally[1])
     return SmoothingResult(
         original_keys=original,
         virtual_points=virtual,

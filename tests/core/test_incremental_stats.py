@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core.exceptions import InvalidKeysError
-from repro.core.segment_stats import SegmentStats, sum_of_rank_squares, sum_of_ranks
+from repro.core.segment_stats import OpenGaps, SegmentStats, sum_of_rank_squares, sum_of_ranks
 from repro.core.smoothing import _best_candidate, smooth_keys
 
 
@@ -41,6 +41,13 @@ def _assert_identical(incremental: SegmentStats, rebuilt: SegmentStats) -> None:
     assert np.array_equal(
         incremental.suffix_key_sums(ranks), rebuilt.suffix_key_sums(ranks)
     )
+    # The open-gap table the commits kept == the one a rebuild derives.
+    assert incremental.n_gaps == rebuilt.n_gaps
+    for name, kept, derived in zip(
+        OpenGaps._fields, incremental.open_gaps(), rebuilt.open_gaps()
+    ):
+        assert kept.dtype == derived.dtype, name
+        assert np.array_equal(kept, derived), name
 
 
 class TestCommitMatchesRebuild:
@@ -77,6 +84,30 @@ class TestCommitMatchesRebuild:
         stats.commit(2**61 + 999)
         rebuilt = SegmentStats(stats.points.copy())
         _assert_identical(stats, rebuilt)
+
+    def test_gap_table_splits_like_a_rebuild(self):
+        """A commit at a gap's low, at its high, inside it, and one that
+        closes a width-1 gap: each leaves the table a rebuild derives."""
+        keys = np.array([0, 10, 12, 20, 30], dtype=np.int64)
+        stats = SegmentStats(keys)
+        assert stats.open_gaps().ends.tolist() == [[1, 11, 13, 21], [9, 11, 19, 29]]
+        for value, n_gaps in ((1, 4), (19, 4), (25, 5), (11, 4)):
+            stats.commit(value)
+            assert stats.n_gaps == n_gaps
+            _assert_identical(stats, SegmentStats(stats.points.copy()))
+        gaps = stats.open_gaps()
+        assert gaps.ends.tolist() == [[2, 13, 21, 26], [9, 18, 24, 29]]
+        assert gaps.ranks.tolist() == [2, 5, 7, 8]
+
+    def test_gap_table_grows_past_its_capacity(self):
+        """Every commit inside a wide gap adds one gap; the table's
+        buffers double as the point buffer's do."""
+        stats = SegmentStats(np.array([0, 1_000], dtype=np.int64))
+        assert stats.n_gaps == 1
+        for value in range(10, 1_000, 10):
+            stats.commit(value)
+            _assert_identical(stats, SegmentStats(stats.points.copy()))
+        assert stats.n_gaps == 100
 
     def test_buffer_growth_preserves_points(self, toy_keys, rng):
         stats = SegmentStats(toy_keys)
@@ -187,6 +218,39 @@ class TestGreedyMatchesRebuildDrivenGreedy:
             previous = loss
             trace.append(loss)
 
+        assert result.virtual_points == virtual
+        assert result.loss_trace == trace
+
+    def test_degrade_to_the_float_path_mid_run(self):
+        """Keys whose ``(n+1)·span`` sits just under 2^62 start on the
+        exact path and leave it on the third commit; every step before
+        and after picks what a scan over a fresh rebuild picks, and the
+        run equals a rebuild-driven one."""
+        n = 100
+        span = 2**62 // (n + 3) - 1
+        keys = np.array([i**3 * span // (n - 1) ** 3 for i in range(n)], dtype=np.int64)
+        assert np.all(np.diff(keys) > 0) and keys[-1] - keys[0] == span
+
+        stats = SegmentStats(keys)
+        exact = [stats._exact]
+        for __ in range(8):
+            found = _best_candidate(stats)
+            assert found == _best_candidate(SegmentStats(stats.points.copy()))
+            stats.commit(found[0])
+            exact.append(stats._exact)
+            _assert_identical(stats, SegmentStats(stats.points.copy()))
+        assert exact == [True] * 3 + [False] * 6
+
+        result = smooth_keys(keys, budget=8)
+        points = keys.copy()
+        trace = [SegmentStats(points).base_loss()]
+        virtual: list[int] = []
+        while len(virtual) < 8:
+            value, loss = _best_candidate(SegmentStats(points))
+            assert loss < trace[-1]
+            points = np.insert(points, int(np.searchsorted(points, value)), value)
+            virtual.append(value)
+            trace.append(loss)
         assert result.virtual_points == virtual
         assert result.loss_trace == trace
 

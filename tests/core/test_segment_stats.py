@@ -8,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.exceptions import InvalidKeysError
-from repro.core.loss import exact_refit_loss
+from repro.core.loss import exact_refit_loss, fit_and_loss
 from repro.core.segment_stats import (
     SegmentStats,
     sum_of_rank_squares,
     sum_of_ranks,
     validate_keys,
 )
+from repro.core.smoothing import smooth_keys
 
 key_sets = st.lists(
     st.integers(min_value=0, max_value=5_000), min_size=3, max_size=40, unique=True
@@ -92,6 +93,30 @@ class TestBaseLoss:
         keys = 2**60 + np.arange(0, 500, 5, dtype=np.int64)
         stats = SegmentStats(keys)
         assert stats.base_loss() == pytest.approx(0.0, abs=1e-3)
+
+    def test_keys_spanning_2_63_or_more(self):
+        """Centering a key more than 2^63 above the reference must not
+        wrap int64: the statistics, the candidate losses and smoothing
+        agree with the pivoted fit and the exact oracle."""
+        i64 = np.iinfo(np.int64)
+        wide = {i64.min + 5, -10**18, -5, 7, 10**18, i64.max - 5}
+        for keys in (sorted(wide), sorted(wide | set(range(-40, 40, 3)))):
+            keys = np.asarray(keys, dtype=np.int64)
+            stats = SegmentStats(keys)
+            assert stats.base_loss() == pytest.approx(fit_and_loss(keys)[1], rel=1e-9)
+            values = np.array([-2**62, 0, 2**62], dtype=np.int64)
+            ranks = np.searchsorted(keys, values)
+            scalar = [stats.evaluate(int(v)).loss for v in values]
+            assert np.allclose(stats.evaluate_many(values, ranks), scalar, rtol=1e-12)
+            inside = np.concatenate([values, stats.open_gaps().ends.ravel()])
+            assert stats.centered(inside).tolist() == [
+                float(v - stats.reference) for v in inside.tolist()
+            ]
+        result = smooth_keys(keys, budget=3)
+        assert result.n_virtual == 3
+        assert result.loss_trace == sorted(result.loss_trace, reverse=True)
+        exact = float(exact_refit_loss(result.points.tolist()))
+        assert result.final_loss == pytest.approx(exact, rel=1e-9)
 
 
 class TestCandidateEvaluation:
