@@ -20,7 +20,7 @@ VOLUME /data
 EXPOSE 8000
 
 ENTRYPOINT ["python", "-m", "repro"]
-CMD ["serve", "--http", "--host", "0.0.0.0", "--port", "8000", \
+CMD ["serve", "--host", "0.0.0.0", "--port", "8000", \
      "--store", "/data/runtime.db", \
      "--data-dir", "/data/index", \
      "--metrics-out", "/data/metrics.jsonl"]

@@ -19,7 +19,7 @@ Quickstart::
     index = LippIndex.build(keys)                  # a learned index
     report = apply_csv(adapter_for(index),         # Algorithm 2 (CSV)
                        CsvConfig(alpha=0.1))
-    print(report.summary())
+    print(report.nodes_rebuilt, report.keys_promoted)
 """
 
 from .core import (

@@ -7,14 +7,11 @@ Commands:
 * ``build``     — build an index and print its structure.
 * ``csv``       — run one CSV experiment (build → optimise → measure).
 * ``levels``    — per-level query costs (the Fig. 1 view).
-* ``serve``     — simulate the sharded serving layer under a mixed
-  read/write workload and print a per-shard health epilogue (observed
-  levels, and their Eq. 22 price in *simulated* ns — a model output,
-  not a clock); ``--metrics-out`` streams JSON-lines metrics
-  snapshots.  With
-  ``--http`` the service is exposed over the network front door
-  (batch JSON endpoints, admission control, optional ``--store``
-  SQLite-WAL runtime store) until SIGINT/SIGTERM drains it.
+* ``serve``     — build (or reopen ``--data-dir``) a sharded index and
+  expose it over the HTTP front door (batch JSON endpoints, admission
+  control, ``GET /v1/health``, optional ``--store`` SQLite-WAL op log,
+  ``--metrics-out`` JSON-lines snapshots) until SIGINT/SIGTERM drains
+  it.
 * ``metrics``   — render or validate a ``--metrics-out`` JSON-lines
   file (ASCII table, Prometheus text, or raw JSON).
 
@@ -28,22 +25,16 @@ Examples::
     python -m repro smooth --dataset genome --n 5000 --alpha 0.2
     python -m repro build --index lipp --dataset osm --n 10000
     python -m repro csv --index alex --dataset facebook --alpha 0.1
-    python -m repro serve --index lipp --shards 8 --dataset osm --ops 50000
-    python -m repro serve --index lipp --shards 4 --data-dir ./data --ops 20000
-    python -m repro serve --metrics-out metrics.jsonl --ops 20000
-    python -m repro serve --http --port 8000 --store runtime.db
+    python -m repro serve --index lipp --shards 8 --dataset osm --port 8000
+    python -m repro serve --data-dir ./data --store runtime.db --metrics-out metrics.jsonl
     python -m repro metrics --in metrics.jsonl --validate
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
-import signal
 import sys
-
-import numpy as np
 
 from .core.exceptions import ReproError
 from .core.smoothing import smooth_keys
@@ -51,6 +42,7 @@ from .datasets import DATASETS, load, summarize
 from .evaluation import ascii_table, run_csv_experiment, run_level_query_times
 from .indexes import INDEX_FAMILIES
 from .obs.log import LOG_FORMATS, configure_logging, get_logger
+from .store import make_strategy
 
 __all__ = ["main", "build_parser"]
 
@@ -62,9 +54,43 @@ def _say(msg: str = "") -> None:
     _log.info(msg)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors are one line, like
+    :func:`main`'s ``repro: error:`` for a value the library rejects."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _int_in(low: int, high: int | None = None):
+    """An argparse ``type=`` accepting integers in ``[low, high]``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low or (high is not None and value > high):
+            bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+            raise argparse.ArgumentTypeError(f"{value} is not {bound}")
+        return value
+
+    return parse
+
+
+def _compaction(spec: str) -> str:
+    """An argparse ``type=`` checking ``--compaction`` with the store's
+    own parser, :func:`~repro.store.make_strategy`."""
+    try:
+        make_strategy(spec)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return spec
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse parser for every subcommand."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="Learned indexes with distribution smoothing via virtual points",
     )
@@ -102,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_levels.add_argument("--n", type=int, default=10_000)
 
     p_serve = sub.add_parser(
-        "serve", help="simulate the sharded serving layer on a workload",
+        "serve", help="serve a sharded index over HTTP until SIGINT/SIGTERM",
         allow_abbrev=False,  # a deleted flag is an error, not a prefix of a live one
     )
     p_serve.add_argument("--index", choices=sorted(INDEX_FAMILIES), default="lipp")
@@ -113,16 +139,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--alpha", type=float, default=None,
         help="smoothing α applied to every shard (default: no smoothing)",
     )
-    p_serve.add_argument("--ops", type=int, default=50_000, help="total operations")
-    p_serve.add_argument("--read-frac", type=float, default=0.9)
-    p_serve.add_argument("--batch", type=int, default=2_048)
     p_serve.add_argument("--staleness", type=float, default=0.1,
                          help="write-buffer merge threshold (buffered/stored)")
     p_serve.add_argument(
         "--data-dir", default=None, metavar="DIR",
         help="durable store directory (runs + manifest); opened if it "
-             "already holds a snapshot, initialised from the dataset "
-             "otherwise — see docs/PERSISTENCE.md for the layout",
+             "already holds a snapshot (whose manifest then overrides "
+             "--index/--dataset/--n/--shards/--alpha), initialised from "
+             "the dataset otherwise — see docs/PERSISTENCE.md for the layout",
     )
     p_serve.add_argument(
         "--flush-threshold", type=int, default=4096, metavar="N",
@@ -131,45 +155,43 @@ def build_parser() -> argparse.ArgumentParser:
              "merge/close); default 4096",
     )
     p_serve.add_argument(
-        "--compaction", default="tiered", metavar="STRATEGY",
+        "--compaction", type=_compaction, default="tiered", metavar="STRATEGY",
         help="with --data-dir: compaction strategy run after each merge — "
              "'tiered' (size-tiered bin-pack, default), 'sortmerge' "
              "(full fold into fresh bases), optionally with a run "
              "bound like 'tiered:8' / 'sortmerge:4'",
     )
-    p_serve.add_argument("--seed", type=int, default=0)
     p_serve.add_argument(
         "--metrics-out", default=None, metavar="PATH",
-        help="enable instrumentation and stream JSON-lines metrics "
-             "snapshots to PATH (truncated first)",
+        help="stream JSON-lines metrics snapshots to PATH (truncated "
+             "first) every --metrics-every-s seconds",
     )
     p_serve.add_argument(
         "--http", action="store_true",
-        help="serve the index over HTTP (batch JSON endpoints + /metrics) "
-             "instead of simulating a workload; runs until SIGINT/SIGTERM",
+        help="accepted and ignored: serve is always the HTTP front door",
     )
     p_serve.add_argument("--host", default="127.0.0.1", help="HTTP bind address")
     p_serve.add_argument(
-        "--port", type=int, default=8000,
+        "--port", type=_int_in(0, 65535), default=8000,
         help="HTTP port (0 lets the OS pick; the bound port is logged)",
     )
     p_serve.add_argument(
-        "--max-pending", type=int, default=64,
-        help="HTTP admission: batches queued beyond the in-flight ones "
+        "--max-pending", type=_int_in(0), default=64,
+        help="admission: batches queued beyond the in-flight ones "
              "before requests are rejected with 429",
     )
     p_serve.add_argument(
-        "--max-inflight", type=int, default=2,
-        help="HTTP admission: batches executing concurrently",
+        "--max-inflight", type=_int_in(1), default=2,
+        help="admission: batches executing concurrently",
     )
     p_serve.add_argument(
         "--store", default=None, metavar="PATH",
-        help="HTTP mode: SQLite-WAL op log of accepted writes, replayed "
+        help="SQLite-WAL op log of accepted writes, replayed "
              "on restart (counters are per process)",
     )
     p_serve.add_argument(
         "--metrics-every-s", type=float, default=5.0, metavar="S",
-        help="HTTP mode with --metrics-out: period in seconds of the "
+        help="with --metrics-out: period in seconds of the "
              "metrics snapshot and the durable sync",
     )
 
@@ -286,11 +308,12 @@ def _cmd_levels(args: argparse.Namespace) -> int:
 
 
 def _make_service(args: argparse.Namespace):
-    """Open-or-build the :class:`IndexService` a serve run drives.
+    """Open-or-build the :class:`IndexService` ``serve`` exposes.
 
     With ``--data-dir`` pointing at an initialised store the service
     recovers from the snapshot and no dataset is generated (the
-    dataset flags only describe the fallback build); otherwise it
+    dataset, family, shard count and α come from the manifest; those
+    flags only describe the fallback build); otherwise it
     builds from the dataset and — when a data dir was given —
     immediately snapshots into it.
     """
@@ -309,7 +332,7 @@ def _make_service(args: argparse.Namespace):
             f"data dir: opened generation {service.durable_generation()} from "
             f"{store.data_dir} ({service.n_keys} keys, "
             f"{store.runs_outstanding()} outstanding run(s)); "
-            f"--dataset/--n/--index ignored"
+            f"--dataset/--n/--index/--shards/--alpha ignored"
         )
         return service
     service = IndexService.build(
@@ -331,30 +354,9 @@ def _make_service(args: argparse.Namespace):
     return service
 
 
-@contextlib.contextmanager
-def _close_on_signals():
-    """Convert SIGTERM into an orderly :class:`SystemExit`.
-
-    The ``serve`` body runs inside ``with IndexService...``, whose
-    ``close()`` flushes buffered writes — but only when the exception
-    actually unwinds through the block.  SIGINT already raises
-    ``KeyboardInterrupt`` there; an unhandled SIGTERM, by contrast,
-    kills the process outright and skips the teardown.  Installed for
-    the duration of a ``serve`` run.
-    """
-
-    def _handler(signum: int, frame) -> None:
-        raise SystemExit(128 + signum)
-
-    previous = signal.signal(signal.SIGTERM, _handler)
-    try:
-        yield
-    finally:
-        signal.signal(signal.SIGTERM, previous)
-
-
-def _cmd_serve_http(args: argparse.Namespace) -> int:
-    """The ``serve --http`` branch: the network front door."""
+def _cmd_serve(args: argparse.Namespace) -> int:
+    """The network front door over the service, until SIGINT/SIGTERM
+    drains it; ``GET /v1/health`` is its health report."""
     from .obs.metrics import MetricsRegistry, scoped_registry
     from .server import RuntimeStore, run_http_server
 
@@ -384,85 +386,6 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
         )
         _say("http: drained and stopped")
         return code
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from .obs.export import write_jsonl
-    from .obs.metrics import MetricsRegistry, scoped_registry
-    from .workloads import run_service_workload
-
-    if args.http:
-        return _cmd_serve_http(args)
-
-    # --metrics-out flips the whole stack's instrumentation on by
-    # installing an enabled registry globally for the run; every
-    # layer (smoothing, indexes, router, service) reports into it.
-    registry = MetricsRegistry(enabled=args.metrics_out is not None)
-    if args.metrics_out:
-        open(args.metrics_out, "w", encoding="utf-8").close()
-
-    def snap() -> None:
-        if args.metrics_out:
-            write_jsonl(args.metrics_out, registry)
-
-    with scoped_registry(registry), _make_service(args) as service, _close_on_signals():
-        snap()
-        # Reads sample the keys the service holds — the stored ones
-        # when --data-dir was reopened, not a dataset it never loaded.
-        keys = np.fromiter(service.router.iter_keys(), dtype=np.int64)
-        _say(f"{service.family} x {service.n_shards} shards over {keys.size} keys")
-        _say(
-            "  shard sizes: "
-            + ", ".join(str(s.n_keys if s is not None else 0) for s in service.router.shards)
-        )
-        if any(a is not None for a in service.alphas):
-            _say(
-                "  per-shard alpha: "
-                + ", ".join("-" if a is None else f"{a:.3f}" for a in service.alphas)
-            )
-        try:
-            report = run_service_workload(
-                service,
-                keys,
-                n_ops=args.ops,
-                read_fraction=args.read_frac,
-                batch_size=args.batch,
-                seed=args.seed,
-            )
-        except (KeyboardInterrupt, SystemExit):
-            # The with-block still runs IndexService.close(): buffered
-            # writes flush before exit.
-            _say("\ninterrupted — closing shards")
-            snap()
-            return 130
-        _say(
-            f"\nworkload: {report.n_reads} reads / {report.n_writes} writes in "
-            f"{report.n_batches} batches, {report.wall_seconds:.2f}s wall "
-            f"({report.ops_per_second:,.0f} ops/s), read hit rate "
-            f"{report.read_hit_rate:.3f}"
-        )
-        stats = service.stats
-        _say(
-            f"buffers: {stats.buffer_hits} hits, {stats.merges} merges "
-            f"({stats.merged_keys} keys merged, {stats.resmoothed_shards} "
-            f"re-smoothed)"
-        )
-        if service.store is not None:
-            _say(
-                f"durability: generation {service.durable_generation()}, "
-                f"{service.store.runs_outstanding()} outstanding run(s), "
-                f"{stats.flushes} flush(es) ({stats.flushed_keys} keys), "
-                f"{stats.compactions} compaction(s)"
-            )
-        health = service.health_report()
-        _say("\nshard health (sim ns = Eq. 22 price of the observed levels, not a clock):")
-        _say(health.to_table())
-        for warning in health.warnings():
-            _say(f"  warning: {warning}")
-        snap()
-        if args.metrics_out:
-            _say(f"\nmetrics written to {args.metrics_out}")
-    return 0
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:

@@ -158,17 +158,6 @@ class CsvReport:
     def virtual_points_inserted(self) -> int:
         return sum(r.n_virtual for r in self._surviving())
 
-    def summary(self) -> dict[str, float]:
-        """Headline numbers for reporting tables."""
-        return {
-            "nodes_examined": self.nodes_examined,
-            "nodes_rebuilt": self.nodes_rebuilt,
-            "keys_promoted": self.keys_promoted,
-            "keys_demoted": self.keys_demoted,
-            "virtual_points": self.virtual_points_inserted,
-            "preprocessing_seconds": self.preprocessing_seconds,
-        }
-
 
 def apply_csv(adapter: CsvAdapter, config: CsvConfig | None = None) -> CsvReport:
     """Algorithm 2: optimise a built index by depth-first CDF smoothing.

@@ -4,7 +4,7 @@
 <repro.serving.service.IndexService.health_report>` fills these
 dataclasses from what the service observed — its ledger of served
 reads and its write buffers — and nothing it predicted; the ``serve``
-CLI prints :meth:`HealthReport.to_table` as its epilogue.
+front door returns one as JSON from ``GET /v1/health``.
 
 Every ``*_ns`` field below is a **model output**: :func:`price_reads`
 prices the observed ``(levels, steps)`` classes with Eq. 22's
@@ -106,50 +106,6 @@ class HealthReport:
     buffer_hit_rate: float
     cost_imbalance: float
     status: str  # "ok" | "warn"
-
-    def warnings(self) -> list[str]:
-        """Human summaries of every warn-level signal (empty = healthy)."""
-        out = []
-        for row in self.shards:
-            if row.status != "ok":
-                out.append(f"shard {row.shard}: staleness {row.staleness:.3f}")
-        if self.cost_imbalance > IMBALANCE_WARN:
-            out.append(f"cost imbalance {self.cost_imbalance:.2f} across shards")
-        return out
-
-    def to_table(self) -> str:
-        """Render the per-shard rows and the total as an ASCII table."""
-        from ..evaluation.reporting import ascii_table
-
-        rows = [
-            [
-                "all" if row.shard < 0 else row.shard,
-                row.n_keys,
-                row.buffered,
-                f"{row.staleness:.3f}",
-                row.queries,
-                f"{row.avg_levels:.2f}",
-                f"{row.avg_ns:.0f}",
-                f"{row.p50_ns:.0f}",
-                f"{row.p90_ns:.0f}",
-                f"{row.p99_ns:.0f}",
-                row.status,
-            ]
-            for row in (*self.shards, self.total)
-        ]
-        table = ascii_table(
-            [
-                "shard", "keys", "buffered", "staleness", "queries", "avg levels",
-                "avg sim ns", "p50", "p90", "p99", "status",
-            ],
-            rows,
-        )
-        summary = (
-            f"status={self.status}  merges={self.merges}  "
-            f"buffer_hit_rate={self.buffer_hit_rate:.3f}  "
-            f"cost_imbalance={self.cost_imbalance:.2f}"
-        )
-        return table + "\n" + summary
 
 
 def shard_status(staleness: float, staleness_warn: float) -> str:

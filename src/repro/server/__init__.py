@@ -9,7 +9,7 @@ like the rest of the repo:
 * :mod:`~repro.server.app` — the HTTP/1.1 keep-alive server and its
   JSON endpoints (``/v1/lookup``, ``/v1/insert``, ``/v1/range``,
   ``/v1/health``, ``/v1/stats``, ``/metrics``), run in the foreground
-  by ``repro serve --http``.
+  by ``repro serve``.
 * :mod:`~repro.server.admission` — bounded request queue: overload
   answers ``429 + Retry-After`` instead of building invisible
   backlog, and shutdown drains every accepted batch.

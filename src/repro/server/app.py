@@ -746,7 +746,7 @@ def run_http_server(
 ) -> int:
     """Run the front door in the foreground until SIGINT/SIGTERM.
 
-    The blocking entry the ``repro serve --http`` CLI uses; returns 0
+    The blocking entry the ``repro serve`` CLI uses; returns 0
     after a graceful drain.  *front_kwargs* are
     :class:`HttpFrontDoor`'s.
     """

@@ -215,12 +215,6 @@ class ShardRouter:
                 out.extend(shard.range_query(low, high))
         return out
 
-    def iter_keys(self):
-        """Every stored key in ascending order (shards are disjoint ranges)."""
-        for shard in self._shards:
-            if shard is not None:
-                yield from shard.iter_keys()
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------

@@ -151,8 +151,3 @@ class TestRangeAndIteration:
         expected = [(int(k), int(k)) for k in keys if low <= k <= high]
         assert router.range_query(low, high) == expected
         assert router.range_query(high, low) == []
-
-    def test_iter_keys_ascending(self, rng):
-        keys = np.unique(rng.integers(0, 10**7, 500))
-        router = make_router(keys, 3)
-        assert np.array_equal(np.fromiter(router.iter_keys(), dtype=np.int64), keys)

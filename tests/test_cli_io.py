@@ -150,11 +150,16 @@ class TestCli:
             ["--compare"],
             ["--zipf"],
             ["--metrics-every", "5"],  # not an abbreviation of --metrics-every-s
+            ["--ops", "10"],
+            ["--read-frac", "0.5"],
+            ["--batch", "512"],
+            ["--seed", "1"],
         ],
         ids=[
             "cache-blocks", "threads", "executor-thread",
             "executor-process", "workers", "replicas", "timeout-s",
-            "compare", "zipf", "metrics-every",
+            "compare", "zipf", "metrics-every", "ops", "read-frac", "batch",
+            "seed",
         ],
     )
     def test_serve_rejects_removed_flags(self, removed, capsys):
@@ -163,21 +168,66 @@ class TestCli:
         assert exc.value.code == 2
         assert removed[0] in capsys.readouterr().err
 
-    def test_reopened_serve_reads_the_stored_keys(self, tmp_path, capsys):
-        """A reopened ``--data-dir`` ignores ``--dataset`` / ``--n``: the
-        simulation must sample its reads from the keys the directory
-        holds, not from the default dataset it never loaded (read hit
-        rate 0.000 before the fix)."""
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ["--max-inflight", "0"],
+            ["--max-pending", "-1"],
+            ["--port", "70000"],
+            ["--compaction", "bogus"],
+        ],
+        ids=["max-inflight", "max-pending", "port", "compaction"],
+    )
+    def test_serve_rejects_out_of_range_values_before_building(
+        self, bad, tmp_path, monkeypatch, capsys
+    ):
+        from repro.serving import IndexService
+
+        builds = []
+        monkeypatch.setattr(
+            IndexService, "build", classmethod(lambda cls, *a, **k: builds.append(a))
+        )
+        argv = ["serve", "--n", "2000", "--shards", "2",
+                "--data-dir", str(tmp_path / "data"), *bad]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and bad[0] in err
+        assert "Traceback" not in err
+        assert builds == []
+
+    def test_serve_http_flag_changes_nothing_else(self):
+        rest = ["--index", "pgm", "--shards", "3", "--port", "0", "--store", "r.db"]
+        with_http = vars(build_parser().parse_args(["serve", "--http", *rest]))
+        without = vars(build_parser().parse_args(["serve", *rest]))
+        assert with_http.pop("http") is True and without.pop("http") is False
+        assert with_http == without
+
+    def test_reopened_data_dir_names_every_ignored_flag(self, tmp_path, capsys):
+        """The manifest supplies the family, the key set, the shard count
+        and each shard's α: a reopen ignores all five flags that would
+        describe them, and says so."""
+        from repro.cli import _make_service
+        from repro.obs.log import configure_logging
+
         data_dir = str(tmp_path / "data")
-        build = ["serve", "--index", "lipp", "--shards", "2", "--n", "3000",
-                 "--dataset", "osm", "--ops", "500", "--data-dir", data_dir]
-        assert main(build) == 0
+        parse = build_parser().parse_args
+        _make_service(parse(["serve", "--n", "3000", "--shards", "2",
+                             "--data-dir", data_dir])).close()
+        configure_logging("plain")
         capsys.readouterr()
-        assert main(["serve", "--data-dir", data_dir, "--ops", "500",
-                     "--read-frac", "1.0"]) == 0
-        out = capsys.readouterr().out
-        assert "data dir: opened generation" in out
-        assert "read hit rate 1.000" in out
+        service = _make_service(parse([
+            "serve", "--data-dir", data_dir, "--index", "pgm", "--dataset", "osm",
+            "--n", "500", "--shards", "8", "--alpha", "0.2",
+        ]))
+        try:
+            assert service.family == "lipp" and service.n_keys == 3000
+            assert service.n_shards == 2
+            assert service.alphas == (None, None)
+        finally:
+            service.close()
+        assert "--dataset/--n/--index/--shards/--alpha ignored" in capsys.readouterr().out
 
     def test_value_the_library_rejects_is_one_line_and_exit_2(self, capsys):
         argv = ["csv", "--index", "lipp", "--dataset", "osm", "--n", "2000", "--alpha", "2"]
