@@ -158,12 +158,30 @@ class BatchQueryStats:
         )
 
 
+def _as_int64(arr: np.ndarray, what: str) -> np.ndarray:
+    """*arr* as a contiguous int64 array, never truncated or wrapped.
+
+    An int64 array passes with no pass over its data, and any other
+    integer array is widened — a uint64 one after a check that it fits.
+    Floats, bools and objects (what a list holding a Python int beyond
+    uint64 becomes) raise :class:`IndexStateError`, as does a uint64
+    value above the int64 maximum; an empty batch is fine in any dtype.
+    """
+    if arr.dtype != np.int64 and arr.size:
+        if arr.dtype.kind not in "iu":
+            raise IndexStateError(f"{what} must be integers, not {arr.dtype}")
+        if arr.dtype == np.uint64 and int(arr.max()) > np.iinfo(np.int64).max:
+            raise IndexStateError(f"{what} must lie within int64")
+    return np.ascontiguousarray(arr, dtype=np.int64)
+
+
 def _as_query_array(keys: np.ndarray | list) -> np.ndarray:
-    """Normalise a query batch to a contiguous int64 array."""
+    """Normalise a query batch to a contiguous int64 array (see
+    :func:`_as_int64` for what is refused)."""
     arr = np.asarray(keys)
     if arr.ndim != 1:
         raise IndexStateError("query keys must be one-dimensional")
-    return np.ascontiguousarray(arr, dtype=np.int64)
+    return _as_int64(arr, "query keys")
 
 
 def alloc_batch_outputs(
@@ -189,13 +207,14 @@ def _as_batch_kv(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Normalise a write batch to parallel contiguous int64 arrays.
 
-    Values default to the keys; a shape mismatch raises.  Shared by
-    every batched write entry point (indexes, router, service).
+    Values default to the keys; a shape mismatch raises, and so does
+    whatever :func:`_as_int64` refuses.  Shared by every batched write
+    entry point (indexes, router, service).
     """
     arr = _as_query_array(keys)
     if values is None:
         return arr, arr
-    vals = np.ascontiguousarray(np.asarray(values), dtype=np.int64)
+    vals = _as_int64(np.asarray(values), "values")
     if vals.shape != arr.shape:
         raise IndexStateError("values must parallel keys")
     return arr, vals

@@ -18,8 +18,9 @@ arrays:
   ``node_b`` / ``node_c`` / ``node_pivot`` (quadratic form with
   ``a = 0`` for the ubiquitous linear models, evaluated as
   ``(a*t + b)*t + c`` with ``t = key - pivot`` so linear predictions
-  are bit-identical to :meth:`LinearModel.predict`), and the CSR-style
-  ``slot_start`` offsets mapping node ``i`` to its slot range
+  are bit-identical to :meth:`LinearModel.predict`), ``node_last`` (the
+  node's last slot, as the float the prediction is clamped to), and the
+  CSR-style ``slot_start`` offsets mapping node ``i`` to its slot range
   ``[slot_start[i], slot_start[i+1])``;
 * per slot (concatenated in node order): ``slot_type`` /
   ``slot_keys`` / ``slot_values`` exactly as in the nodes, plus
@@ -30,13 +31,15 @@ arrays:
 
 A batch lookup is then a few vectorised gathers per level over the
 whole surviving frontier — predict slots for every active query at
-once, resolve DATA/EMPTY terminals with array compares, and route
-CHILD survivors down by assigning their next node ids — instead of a
-Python-object walk per node.  That walk is written once,
-:meth:`FlatLipp._frontier`; ``lookup_many_into`` consumes it resolving
-hits and ``locate`` — the addressing pass of the in-place gapped bulk
-merge in :meth:`~repro.indexes.lipp.index.LippIndex.bulk_insert_many` —
-recording where each key's descent ends.
+once, note where each one is, and route CHILD survivors down by
+assigning their next node ids — instead of a Python-object walk per
+node.  That walk is written once, :meth:`FlatLipp._descend_many`, and
+returns where each key's descent ends; ``lookup_many_into`` resolves
+the hits there in one pass after the walk, and ``locate`` — the
+addressing pass of the in-place gapped bulk merge in
+:meth:`~repro.indexes.lipp.index.LippIndex.bulk_insert_many` — hands
+the ends over.  Nothing a sweep does is proportional to the view's slot
+count: its cost follows the batch and the levels it descends.
 
 **Who owns the slot buffers: build -> shard view -> forest.**  A node's
 ``slot_type`` / ``slot_keys`` / ``slot_values`` are always views into
@@ -75,7 +78,11 @@ new one.  Every such change is made by
 :class:`~repro.indexes.lipp.index.LippIndex`, which drops the view as
 it makes it; ``StaleFlatError`` is the safety net for structural edits
 that bypass it (tests performing direct tree surgery must call
-``invalidate_flat``).
+``invalidate_flat``).  The net is checked on the links a sweep
+follows: a CHILD slot on some key's path that the view never mapped
+makes the sweep refuse, before it writes anything.  A slot that became
+CHILD off every probed path is not seen, and needs not be — no probed
+key's answer depends on it.
 
 **Differences that cannot wrap.**  ``key - pivot`` is taken in int64
 only when one per-batch min/max test against the pivots' range shows it
@@ -97,7 +104,7 @@ from ...core.linear_model import (
     delta_may_wrap,
     exact_delta,
 )
-from ..base import group_runs
+from ..base import alloc_batch_outputs, group_runs
 from .node import SLOT_CHILD, SLOT_DATA, SLOT_EMPTY, LippNode
 
 __all__ = ["FlatLipp", "StaleFlatError"]
@@ -129,15 +136,17 @@ _NODE_ARRAYS = (
     ("node_b", np.float64),
     ("node_c", np.float64),
     ("node_pivot", np.int64),
+    ("node_last", np.float64),
 )
 _SLOT_ARRAYS = (("slot_type", np.uint8), ("slot_keys", np.int64), ("slot_values", np.int64))
 
 
 class StaleFlatError(RuntimeError):
-    """The compiled flat view no longer matches the node tree.
+    """The compiled flat view no longer matches the node tree: a sweep
+    followed a CHILD slot the view has no child for.
 
-    Raised before any output is written, so callers can invalidate,
-    recompile and retry the sweep.
+    Raised when the walk finds one, before any output is written, so
+    callers can invalidate, recompile and retry the sweep.
     """
 
 
@@ -157,6 +166,7 @@ class FlatLipp:
         "node_b",
         "node_c",
         "node_pivot",
+        "node_last",
         "slot_start",
         "slot_type",
         "slot_keys",
@@ -165,7 +175,6 @@ class FlatLipp:
         "roots",
         "pivot_min",
         "pivot_max",
-        "n_links",
         "regions",
         "tree_sizes",
     )
@@ -249,8 +258,8 @@ class FlatLipp:
         slot_start = np.zeros(len(nodes) + 1, dtype=np.int64)
         np.cumsum([node.slot_type.size for node in nodes], out=slot_start[1:])
         flat.slot_start = slot_start
+        flat.node_last = (np.diff(slot_start) - 1).astype(np.float64)
         flat.slot_child = np.full(int(slot_start[-1]), NO_CHILD, dtype=np.int32)
-        flat.n_links = len(link_child)
         if link_child:
             flat.slot_child[slot_start[link_parent] + link_slot] = link_child
         return flat
@@ -325,15 +334,14 @@ class FlatLipp:
         )
         forest.nodes = [None] * n_nodes
         forest.leaves = [None] * n_leaves
-        # Slack is never read — except ``slot_type``'s, which the
-        # staleness check counts and which must read EMPTY.
+        # A sweep never reads slack; ``slot_type``'s reads EMPTY so that
+        # a scan over every slot (such as ``entries``) finds nothing there.
         for name, dtype in _NODE_ARRAYS + (("slot_start", np.int64),):
             setattr(forest, name, np.empty(n_nodes, dtype=dtype))
         for name, dtype in _SLOT_ARRAYS + (("slot_child", np.int32),):
             setattr(forest, name, np.empty(n_slots, dtype=dtype))
         forest.slot_type.fill(SLOT_EMPTY)
-        forest.tree_sizes = [(0, 0)] * len(views)
-        forest.n_links = 0
+        forest.tree_sizes = [0] * len(views)
         # The overflow guard's range only has to *cover* the pivots.
         forest.pivot_min = forest.pivot_max = 0
         for tree, view in enumerate(views):
@@ -359,9 +367,8 @@ class FlatLipp:
         """Write *view* into region *tree* and re-point it there."""
         node_off, node_cap, slot_off, __, leaf_off, leaf_cap = self.regions[tree]
         n, n_slots, n_leaves = view.n_nodes, view.total_slots, len(view.leaves)
-        old_slots, old_links = self.tree_sizes[tree]
-        self.tree_sizes[tree] = (n_slots, view.n_links)
-        self.n_links += view.n_links - old_links
+        old_slots = self.tree_sizes[tree]
+        self.tree_sizes[tree] = n_slots
         self.pivot_min = min(self.pivot_min, view.pivot_min)
         self.pivot_max = max(self.pivot_max, view.pivot_max)
         self.nodes[node_off : node_off + node_cap] = view.nodes + [None] * (node_cap - n)
@@ -397,17 +404,6 @@ class FlatLipp:
         slack included)."""
         return int(self.slot_child.size)
 
-    def _check_fresh(self) -> None:
-        """Raise :class:`StaleFlatError` on a detectable structural skew.
-
-        A CHILD slot whose ``slot_child`` mapping is missing means a
-        conflict child was created through the shared buffers without
-        an ``invalidate_flat`` — refuse to traverse.  Slots only ever
-        *become* CHILD, so one exists exactly when there are more CHILD
-        slots than the compile mapped."""
-        if self.child_slot_count() != self.n_links:
-            raise StaleFlatError("flat view is stale: unmapped CHILD slot")
-
     def _predict_slots(self, ids: np.ndarray, keys: np.ndarray, exact: bool) -> np.ndarray:
         """Global slot index each node model assigns to its query key.
 
@@ -415,82 +411,81 @@ class FlatLipp:
         batch holding a key further than int64 from some pivot pays
         for the difference that cannot wrap."""
         pivots = self.node_pivot[ids]
-        t = exact_delta(keys, pivots) if exact else (keys - pivots).astype(np.float64)
-        pos = (self.node_a[ids] * t + self.node_b[ids]) * t + self.node_c[ids]
-        base = self.slot_start[ids]
-        width = (self.slot_start[ids + 1] - base).astype(np.float64)
+        if exact:
+            t = exact_delta(keys, pivots)
+        else:
+            t = np.subtract(keys, pivots, out=pivots).astype(np.float64)
+        pos = self.node_a[ids]
+        pos *= t
+        pos += self.node_b[ids]
+        pos *= t
+        pos += self.node_c[ids]
         # Clamp in float space before rounding: identical result to the
         # scalar round-then-clamp (bounds are integers and rounding is
         # monotone) without int64 overflow on wild extrapolations.
-        pos = np.rint(np.clip(pos, 0.0, width - 1.0)).astype(np.int64)
-        return base + pos
+        np.maximum(pos, 0.0, out=pos)
+        np.minimum(pos, self.node_last[ids], out=pos)
+        gslot = np.rint(pos, out=pos).astype(np.int64)
+        gslot += self.slot_start[ids]
+        return gslot
 
     # ------------------------------------------------------------------
     # Batched traversal
     # ------------------------------------------------------------------
-    def _frontier(
+    def _descend_many(
         self,
         q: np.ndarray,
-        tree: np.ndarray | None = None,
+        start: np.ndarray | None = None,
         visit_counts: np.ndarray | None = None,
-    ):
-        """The one per-level walk of a query batch down the view.
+        end_node: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The one per-level walk of a query batch down the view:
+        ``(end, depth)``, parallel to *q*.
 
-        Each level predicts every active query's slot, splits the
-        frontier into rows ending here (DATA or EMPTY slot), rows
-        entering a flattened leaf and rows routed down to a child, and
-        yields ``(depth, active, cur, keys, gslot, kinds, terminal,
-        l_active, l_ids)``: ``active`` indexes *q*; ``cur`` / ``keys``
-        / ``gslot`` / ``kinds`` are each active row's node id, key,
-        global slot and slot type; ``terminal`` masks the rows ending
-        here; ``l_active`` / ``l_ids`` are the rows entering a leaf (at
-        ``depth + 1``) and that leaf — the last three None when empty.
-        A sweep selects what it reads of a terminal row itself, so a
-        level costs a lookup nothing a lookup does not use.
+        ``end[i]`` is the global slot where query ``i``'s descent ends
+        — a DATA or EMPTY slot, or the CHILD slot linking the flattened
+        leaf it enters — and ``depth[i]`` the level of the node holding
+        that slot (1 at the root).  Each level predicts every active
+        query's slot, notes it, and routes the rows on a CHILD slot
+        down; nothing is resolved on the way, so a level costs the same
+        few array operations whatever it ends.
 
-        On a forest, ``tree[i]`` names the tree query ``i`` descends
-        from ``roots[tree[i]]``, depth 1 there; a query into an absent
-        tree is never active.  With *visit_counts* (a cell per node)
-        every node on a query's path is credited one visit.  Raises
-        :class:`StaleFlatError`, before yielding anything, when the
-        view no longer matches the tree.
+        *start* holds each query's first node id (default: every query
+        starts at node 0), with *visit_counts* (a cell per node) every
+        node on a query's path is credited one visit, and *end_node*
+        (parallel to *q*) receives the node id holding ``end``.  Raises
+        :class:`StaleFlatError` when a followed CHILD slot has no
+        mapped child — the view no longer matches the tree.
         """
-        self._check_fresh()
         exact = delta_may_wrap(q, self.pivot_min, self.pivot_max)
-        if tree is None:
-            active = np.arange(q.size)
-            cur = np.zeros(q.size, dtype=np.int64)  # everyone starts at the root
-        else:
-            cur = self.roots[tree]
-            active = np.flatnonzero(cur >= 0)
-            if active.size < cur.size:
-                cur = cur[active]
-        depth = 1
-        while active.size:
+        end = np.empty(q.size, dtype=np.int64)
+        depth = np.empty(q.size, dtype=np.int64)
+        cur = np.zeros(q.size, dtype=np.int64) if start is None else start
+        active = slice(None)  # the first level holds every query
+        level = 1
+        while True:
             if visit_counts is not None:
                 visit_counts += np.bincount(cur, minlength=self.n_nodes)
-            keys = q[active]
-            gslot = self._predict_slots(cur, keys, exact)
-            kinds = self.slot_type[gslot]
-            is_child = kinds == SLOT_CHILD
-            terminal = ~is_child
-            c_active = active[is_child]
-            nxt = self.slot_child[gslot[is_child]].astype(np.int64)
-            leaf_sel = nxt <= FLAT_LEAF_BASE
-            l_active = l_ids = None
-            if np.any(leaf_sel):
-                l_active = c_active[leaf_sel]
-                l_ids = FLAT_LEAF_BASE - nxt[leaf_sel]
-                keep = ~leaf_sel
-                c_active = c_active[keep]
-                nxt = nxt[keep]
-            yield (
-                depth, active, cur, keys, gslot, kinds,
-                terminal if np.any(terminal) else None, l_active, l_ids,
-            )
-            active = c_active
+            gslot = self._predict_slots(cur, q[active], exact)
+            end[active] = gslot
+            depth[active] = level
+            if end_node is not None:
+                end_node[active] = cur
+            child = (self.slot_type[gslot] == SLOT_CHILD).nonzero()[0]
+            if not child.size:
+                return end, depth
+            nxt = self.slot_child[gslot[child]]
+            active = child if level == 1 else active[child]
+            if nxt.min() < 0:
+                if (nxt == NO_CHILD).any():
+                    raise StaleFlatError("flat view is stale: a followed CHILD slot is unmapped")
+                down = nxt >= 0  # the rest end at a flattened leaf
+                active = active[down]
+                if not active.size:
+                    return end, depth
+                nxt = nxt[down]
             cur = nxt
-            depth += 1
+            level += 1
 
     def lookup_many_into(
         self,
@@ -504,42 +499,49 @@ class FlatLipp:
     ) -> None:
         """Vectorised multi-level lookup sweep, scattered into outputs.
 
-        All four output arrays parallel *q*; *tree* is
-        :meth:`_frontier`'s.  A query into an absent tree stays the
-        miss at level 0 the outputs start as, and a stale view raises
-        before anything is written.  With *track*, every node and
-        flattened leaf on each query's path has its ``access_count``
-        credited afterwards — the aggregate equivalent of SALI's
-        per-query ``record_path``, and on the objects, where
-        ``AccessTracker`` reads it when picking flattening targets.
+        All four output arrays parallel *q*.  On a forest, ``tree[i]``
+        names the tree query ``i`` descends from ``roots[tree[i]]``,
+        depth 1 there; a query into an absent tree stays the miss at
+        level 0 the outputs start as.  Hits are resolved once, after
+        the walk, at the slots :meth:`_descend_many` ends on, and the
+        keys entering a flattened leaf are answered by it, a group per
+        leaf.  A stale view raises before anything is written.  With
+        *track*, every node and flattened leaf on each query's path has
+        its ``access_count`` credited afterwards — the aggregate
+        equivalent of SALI's per-query ``record_path``, and on the
+        objects, where ``AccessTracker`` reads it when picking
+        flattening targets.
         """
+        start = None
+        if tree is not None:
+            start = self.roots[tree]
+            rows = (start >= 0).nonzero()[0]
+            if rows.size < q.size:
+                outs = alloc_batch_outputs(rows.size)
+                self.lookup_many_into(q[rows], *outs, track, tree[rows])
+                for out, got in zip((found, values, levels, steps), outs):
+                    out[rows] = got
+                return
         visit_counts = np.zeros(self.n_nodes, dtype=np.int64) if track else None
-        leaf_visits = np.zeros(len(self.leaves), dtype=np.int64) if track else None
-        for depth, active, __, keys, gslot, kinds, terminal, l_active, l_ids in self._frontier(
-            q, tree, visit_counts
-        ):
-            if terminal is not None:
-                t_active = active[terminal]
-                t_slot = gslot[terminal]
-                levels[t_active] = depth
-                hit = (kinds[terminal] == SLOT_DATA) & (self.slot_keys[t_slot] == keys[terminal])
-                hit_active = t_active[hit]
-                found[hit_active] = True
-                values[hit_active] = self.slot_values[t_slot[hit]]
-            if l_active is not None:
-                levels[l_active] = depth + 1
-                if track:
-                    leaf_visits += np.bincount(l_ids, minlength=len(self.leaves))
-                for group in group_runs(l_ids):
-                    leaf = self.leaves[int(l_ids[group[0]])]
-                    sel = l_active[group]
-                    g_found, g_values, g_steps = leaf.lookup_batch(q[sel])
-                    found[sel] = g_found
-                    values[sel] = g_values
-                    steps[sel] = g_steps
+        end, depth = self._descend_many(q, start, visit_counts)
+        kinds = self.slot_type[end]
+        hit = (kinds == SLOT_DATA) & (self.slot_keys[end] == q)
+        found[:] = hit
+        values[hit] = self.slot_values[end[hit]]
+        l_ids = np.empty(0, dtype=np.int32)
+        if self.leaves:  # the keys entering a flattened leaf, a group per leaf
+            into_leaf = (kinds == SLOT_CHILD).nonzero()[0]
+            depth[into_leaf] += 1
+            l_ids = FLAT_LEAF_BASE - self.slot_child[end[into_leaf]]
+            for group in group_runs(l_ids):
+                sel = into_leaf[group]
+                leaf = self.leaves[int(l_ids[group[0]])]
+                found[sel], values[sel], steps[sel] = leaf.lookup_batch(q[sel])
+        levels[:] = depth
         if track:
+            leaf_visits = np.bincount(l_ids, minlength=len(self.leaves))
             for counts, visited in ((visit_counts, self.nodes), (leaf_visits, self.leaves)):
-                for i in np.nonzero(counts)[0].tolist():
+                for i in np.flatnonzero(counts).tolist():
                     visited[i].access_count += int(counts[i])
 
     def locate(
@@ -547,26 +549,22 @@ class FlatLipp:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Terminal position of each key: ``(node, gslot, kind, leaf)``.
 
-        :meth:`lookup_many_into`'s walk, but it records where each
+        :meth:`lookup_many_into`'s walk, but it hands over where each
         key's descent *ends* instead of resolving hits: ``node[i]`` /
         ``gslot[i]`` / ``kind[i]`` identify the terminal node id,
-        global slot and slot type, or ``leaf[i]`` (else -1) the
-        flattened leaf the key routed into.  This is the addressing
-        pass of the in-place gapped bulk merge.
+        global slot and slot type, or ``leaf[i]`` (the other three -1)
+        the flattened leaf the key routed into, else -1.  This is the
+        addressing pass of the in-place gapped bulk merge.
         """
-        n = int(bkeys.size)
-        term_node = np.full(n, -1, dtype=np.int64)
-        term_slot = np.full(n, -1, dtype=np.int64)
-        term_kind = np.full(n, -1, dtype=np.int64)
-        leaf_of = np.full(n, -1, dtype=np.int64)
-        for __, active, cur, __, gslot, kinds, terminal, l_active, l_ids in self._frontier(bkeys):
-            if terminal is not None:
-                t_active = active[terminal]
-                term_node[t_active] = cur[terminal]
-                term_slot[t_active] = gslot[terminal]
-                term_kind[t_active] = kinds[terminal]
-            if l_active is not None:
-                leaf_of[l_active] = l_ids
+        term_node = np.empty(bkeys.size, dtype=np.int64)
+        term_slot, __ = self._descend_many(bkeys, end_node=term_node)
+        term_kind = self.slot_type[term_slot].astype(np.int64)
+        leaf_of = np.full(bkeys.size, -1, dtype=np.int64)
+        into_leaf = term_kind == SLOT_CHILD
+        if into_leaf.any():
+            leaf_of[into_leaf] = FLAT_LEAF_BASE - self.slot_child[term_slot[into_leaf]]
+            for arr in (term_node, term_slot, term_kind):
+                arr[into_leaf] = -1
         return term_node, term_slot, term_kind, leaf_of
 
     # ------------------------------------------------------------------

@@ -123,9 +123,11 @@ class LippIndex(LearnedIndex):
     def _on_fresh_flat(self, sweep: Callable[..., None], *args) -> None:
         """Run ``sweep(flat, *args)``, recompiling once if *flat* is stale.
 
-        :class:`StaleFlatError` is raised before a sweep writes
-        anything, so a structural edit that bypassed
-        :meth:`invalidate_flat` costs one recompile-and-retry.
+        A sweep raises :class:`StaleFlatError` when it follows a CHILD
+        slot the view never mapped, and before it writes anything, so
+        a structural edit that bypassed :meth:`invalidate_flat` costs
+        one recompile-and-retry — on the first sweep whose keys pass
+        through it.
         """
         try:
             sweep(self._flat_view(), *args)

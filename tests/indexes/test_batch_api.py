@@ -186,3 +186,60 @@ class TestAggregation:
         rebuilt = BatchQueryStats.from_query_stats([batch.stat(i) for i in range(batch.n_queries)])
         for field in ("keys", "found", "values", "levels", "search_steps"):
             assert np.array_equal(getattr(batch, field), getattr(rebuilt, field))
+
+
+#: Batches an int64 cast would truncate or wrap: they are refused.
+UNCASTABLE = {
+    "float": [10.7],
+    "uint64_above_max": np.asarray([2**63 + 5], dtype=np.uint64),
+    "python_int_above_max": [2**63 + 5],
+    "python_int_above_uint64": [2**64 + 5],
+    "object": np.asarray([10, 11], dtype=object),
+}
+
+
+class TestBatchInputsAreNeverCoerced:
+    @pytest.mark.parametrize("bad", UNCASTABLE, ids=list(UNCASTABLE))
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_lookup_refuses(self, family, bad, small_keys):
+        index = INDEX_FAMILIES[family].build(small_keys)
+        with pytest.raises(IndexStateError):
+            index.lookup_many(UNCASTABLE[bad])
+
+    @pytest.mark.parametrize("bad", UNCASTABLE, ids=list(UNCASTABLE))
+    @pytest.mark.parametrize("family", UPDATABLE)
+    def test_insert_refuses_keys_and_values(self, family, bad, small_keys):
+        index = INDEX_FAMILIES[family].build(small_keys)
+        n = len(UNCASTABLE[bad])
+        with pytest.raises(IndexStateError):
+            index.bulk_insert_many(UNCASTABLE[bad], np.arange(n))
+        with pytest.raises(IndexStateError):
+            index.bulk_insert_many(small_keys[:n] + 1, UNCASTABLE[bad])
+        assert index.n_keys == small_keys.size
+
+    @pytest.mark.parametrize("bad", UNCASTABLE, ids=list(UNCASTABLE))
+    def test_the_service_refuses_on_both_paths(self, bad, small_keys):
+        from repro.serving import IndexService
+
+        service = IndexService.build(small_keys, family="lipp", n_shards=2)
+        n = len(UNCASTABLE[bad])
+        with pytest.raises(IndexStateError):
+            service.lookup_many(UNCASTABLE[bad])
+        with pytest.raises(IndexStateError):
+            service.insert_many(UNCASTABLE[bad], np.arange(n))
+        with pytest.raises(IndexStateError):
+            service.insert_many(small_keys[:n] + 1, UNCASTABLE[bad])
+        assert sum(service.buffered_counts()) == 0
+
+    def test_integer_batches_still_pass(self, small_keys):
+        from repro.indexes.base import _as_batch_kv, _as_query_array
+
+        q = small_keys[:8].copy()
+        assert _as_query_array(q) is q  # an int64 batch is not copied
+        assert _as_batch_kv(q, q)[1] is q
+        for dtype in (np.int32, np.uint32, np.uint64, np.int8):
+            assert _as_query_array(np.asarray([1, 2], dtype=dtype)).dtype == np.int64
+        assert _as_query_array([np.iinfo(np.int64).max])[0] == np.iinfo(np.int64).max
+        assert _as_query_array([]).dtype == np.int64  # an empty list is float64
+        index = INDEX_FAMILIES["lipp"].build(small_keys)
+        assert index.lookup_many(q.astype(np.uint64)).found.all()

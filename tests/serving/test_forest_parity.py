@@ -32,8 +32,9 @@ from repro.indexes.adapters import adapter_for
 from repro.indexes.lipp import LippForest
 from repro.indexes.lipp.flat import StaleFlatError
 from repro.indexes.lipp.forest import ForestBatch
-from repro.indexes.lipp.node import SLOT_DATA, SLOT_EMPTY
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.indexes.lipp.index import LippIndex
+from repro.indexes.lipp.node import SLOT_CHILD, SLOT_DATA, SLOT_EMPTY
+from repro.obs.metrics import Histogram, MetricsRegistry, scoped_registry
 from repro.serving import IndexService, ShardRouter
 from repro.store import DurableStore
 
@@ -305,6 +306,111 @@ class TestWritesStayVisible:
         assert [v for __, v in pairs] == routed.gathered.values.tolist()
 
 
+def _conflict_behind_the_views_back(shard, key: int) -> None:
+    """Direct tree surgery: a conflict child at the DATA slot where
+    *key*'s descent ends, made without ``invalidate_flat`` — the slot
+    turns CHILD in the shared buffers and the view never maps it."""
+    node, slot, __ = shard._descend(key)
+    assert int(node.slot_type[slot]) == SLOT_DATA and int(node.slot_keys[slot]) == key
+    stored = set(shard.root.collect_arrays()[0].tolist())
+    other = next(k for k in range(key + 1, key + 100) if k not in stored)
+    node.make_conflict_child(slot, other, other * 3 + 1)
+
+
+def _scalar(shard, q) -> tuple[np.ndarray, ...]:
+    """``(found, values, levels, steps)`` by the scalar ``_descend`` walk."""
+    stats = [shard.lookup_stats(int(key)) for key in q]
+    return (
+        np.asarray([s.found for s in stats]),
+        np.asarray([s.value if s.found else 0 for s in stats], dtype=np.int64),
+        np.asarray([s.levels for s in stats], dtype=np.int64),
+        np.asarray([s.search_steps for s in stats], dtype=np.int64),
+    )
+
+
+@pytest.mark.parametrize("family", FOREST_FAMILIES)
+class TestStaleOnTheFollowedPath:
+    """A sweep checks staleness on the CHILD links it follows: a slot
+    made CHILD behind the view's back refuses the sweeps whose keys
+    pass through it, before they write anything, and no other."""
+
+    def _setup(self, rng, family):
+        keys = _keys(rng)
+        shards, boundaries = _shards(keys, family, 4, None)
+        shard = shards[2]
+        mine = shard.root.collect_arrays()[0]
+        __, slot, kind, __ = shard._flat_view().locate(mine)
+        on_data = np.flatnonzero(kind == SLOT_DATA)
+        probed, rest = on_data[: on_data.size // 2], on_data[on_data.size // 2 :]
+        off_path = rest[~np.isin(slot[rest], slot[probed])]
+        return shards, boundaries, shard, mine[probed], int(mine[off_path[0]])
+
+    def test_a_probed_path_refuses_before_writing(self, rng, family):
+        __, __, shard, probed, __ = self._setup(rng, family)
+        flat = shard._flat
+        _conflict_behind_the_views_back(shard, int(probed[3]))
+        assert shard._flat is flat  # nobody told the view
+        outs = (
+            np.ones(probed.size, dtype=bool),
+            np.full(probed.size, -7, dtype=np.int64),
+            np.full(probed.size, 99, dtype=np.int64),
+            np.full(probed.size, 98, dtype=np.int64),
+        )
+        before = [out.copy() for out in outs]
+        with pytest.raises(StaleFlatError):
+            flat.lookup_many_into(probed, *outs)
+        for out, was in zip(outs, before):
+            assert np.array_equal(out, was)
+        with pytest.raises(StaleFlatError):
+            flat.locate(probed)
+
+    def test_the_index_retries_once_and_answers_like_the_scalar_walk(self, rng, family):
+        __, __, shard, probed, __ = self._setup(rng, family)
+        _conflict_behind_the_views_back(shard, int(probed[3]))
+        registry = MetricsRegistry(enabled=True)
+        with scoped_registry(registry):
+            got = LippIndex.lookup_many(shard, probed)  # untracked, like the scalar oracle
+        assert registry.counter("flat_stale_retries_total", family=family).value == 1
+        found, values, levels, steps = _scalar(shard, probed)
+        assert np.array_equal(got.found, found) and found.all()
+        assert np.array_equal(got.values, values)
+        assert np.array_equal(got.levels, levels)
+        assert np.array_equal(got.search_steps, steps)
+        assert got.levels[3] == shard.key_level(int(probed[3]))
+
+    def test_the_router_falls_back_to_scatter(self, rng, family):
+        shards, boundaries, shard, probed, __ = self._setup(rng, family)
+        router = ShardRouter(shards, boundaries)
+        _conflict_behind_the_views_back(shard, int(probed[3]))
+        with pytest.raises(StaleFlatError):
+            router._forest.lookup_many(probed)
+        routed = router.lookup_many(probed)
+        assert not isinstance(routed.gathered, ForestBatch)  # scattered instead
+        found, values, levels, __ = _scalar(shard, probed)
+        assert np.array_equal(routed.gathered.found, found) and found.all()
+        assert np.array_equal(routed.gathered.values, values)
+        assert np.array_equal(routed.gathered.levels, levels)
+
+    def test_off_every_probed_path_the_sweep_answers(self, rng, family):
+        shards, boundaries, shard, probed, off_path = self._setup(rng, family)
+        router = ShardRouter(shards, boundaries)
+        flat = shard._flat
+        _conflict_behind_the_views_back(shard, off_path)
+        registry = MetricsRegistry(enabled=True)
+        with scoped_registry(registry):
+            got = LippIndex.lookup_many(shard, probed)
+            routed = router.lookup_many(probed)
+        assert registry.counter("flat_stale_retries_total", family=family).value == 0
+        assert shard._flat is flat  # no recompile either
+        found, values, levels, steps = _scalar(shard, probed)
+        for batch in (got, routed.gathered):
+            assert np.array_equal(batch.found, found) and found.all()
+            assert np.array_equal(batch.values, values)
+            assert np.array_equal(batch.levels, levels)
+            assert np.array_equal(batch.search_steps, steps)
+        assert isinstance(routed.gathered, ForestBatch)  # one sweep, no fallback
+
+
 class TestRegions:
     """A shard is re-placed in its own region of the forest while it
     fits the slack; the forest is rebuilt only when it has outgrown it."""
@@ -348,8 +454,13 @@ class TestRegions:
         kept = stored[::4]
         router.replace_shard(0, type(shards[0]).build(kept, kept * 3 + 1))
         assert router._forest is forest
-        got = router.lookup_many(stored).gathered  # the CHILD count still adds up
+        got = router.lookup_many(stored).gathered
         assert np.array_equal(got.found, np.isin(stored, kept))
+        # A scan over every forest slot sees no slot of the old tree.
+        for kind in (SLOT_DATA, SLOT_CHILD):
+            assert np.count_nonzero(forest._flat.slot_type == kind) == sum(
+                np.count_nonzero(s._flat.slot_type == kind) for s in router.shards if s
+            )
         self._assert_parity(rng, router, np.setdiff1d(keys, np.setdiff1d(stored, kept)))
 
     @staticmethod
