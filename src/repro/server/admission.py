@@ -6,11 +6,21 @@ latency explodes, and by the time a response is written the client
 has long since timed out.  :class:`AdmissionController` bounds the
 damage with two knobs:
 
-* ``max_inflight`` — batches executing concurrently (each occupies
-  one worker thread; the index stack releases the GIL inside numpy,
-  but the service's own bookkeeping is lock-protected, so a small
-  number is both safe and fast).
+* ``max_inflight`` — batches executing concurrently.  A read batch
+  that finds the service's read lock free runs on the event-loop
+  thread itself; the worker pool (``max_inflight`` threads) runs
+  writes plus the reads that found a writer holding or waiting for
+  the lock (and every read while batches run long).  The service's
+  own bookkeeping is lock-protected, so a small number is both safe
+  and fast.
 * ``max_pending`` — batches *queued* behind the in-flight ones.
+
+A read runs on the loop because the thread hop is a large share of a
+wire-sized lookup: on two vCPUs an idle ``run_in_executor`` round trip
+takes ≈ 0.1–0.2 ms, a 256-key ``IndexService.lookup_many`` ≈ 0.2–0.3
+ms.  It holds the loop only across synchronous code, never waits there
+for a writer, and goes to the pool while batches run long
+(:data:`LOOP_READ_MAX_S`), when a stalled loop would stop admission.
 
 A request arriving when ``queued + running == max_pending +
 max_inflight`` is rejected immediately — the HTTP layer turns that
@@ -48,6 +58,12 @@ MIN_RETRY_AFTER_S = 1.0
 #: EWMA weight of the latest batch in the service-time estimate.
 SERVICE_TIME_ALPHA = 0.2
 
+#: A read runs on the event loop only while that estimate is below
+#: this.  A loop read stalls every connection for its length; past a
+#: few milliseconds the thread hop (≈ 0.1–0.2 ms) is noise beside the
+#: batch, and a free loop keeps admitting and refusing on time.
+LOOP_READ_MAX_S = 0.005
+
 
 class OverloadedError(Exception):
     """Raised when the bounded request queue is full.
@@ -75,9 +91,10 @@ class AdmissionController:
     """Bounded request queue + worker pool for service batches.
 
     Create inside a running event loop.  :meth:`run` admits one
-    callable, waits for a worker slot, executes it on the pool, and
-    returns its result; accounting (admitted / rejected / completed,
-    in-flight and queued gauges, per-batch seconds) is mirrored into
+    callable, waits for a slot, executes it (a read on the loop when
+    it can, otherwise on the pool), and returns its result; accounting
+    (admitted / rejected / completed, in-flight and queued gauges,
+    per-batch seconds) is the same on both paths and is mirrored into
     the metrics registry so ``/metrics`` exposes the overload state.
     """
 
@@ -126,7 +143,7 @@ class AdmissionController:
 
     @property
     def running(self) -> int:
-        """Batches currently executing on the pool."""
+        """Batches currently executing (on the pool or the loop)."""
         return self._running
 
     @property
@@ -146,8 +163,17 @@ class AdmissionController:
     # ------------------------------------------------------------------
     # Admission
     # ------------------------------------------------------------------
-    async def run(self, fn: Callable[[], T]) -> T:
-        """Admit *fn*, execute it on the worker pool, return its result.
+    async def run(self, fn: Callable[[], T], read_lock=None) -> T:
+        """Admit *fn*, execute it, return its result.
+
+        Without *read_lock*, *fn* runs on the worker pool (a write
+        takes its own exclusive lock inside).  With one — the front
+        door's ``_ReadWriteLock`` — *fn* is a read: it first yields to
+        the loop once, so requests already readable are admitted or
+        refused before this one holds the loop; then it runs on the
+        loop if batches are short and ``read_lock.try_read()`` gets the
+        lock without waiting, otherwise on the pool under
+        ``read_lock.read()``.  Both paths account a batch alike.
 
         Raises :class:`ClosingError` once shutdown began and
         :class:`OverloadedError` when the bounded queue is full; the
@@ -164,13 +190,27 @@ class AdmissionController:
         self._g_queued.set(self.queued)
         loop = asyncio.get_running_loop()
         try:
+            if read_lock is not None:
+                await asyncio.sleep(0)
             async with self._slots:
                 self._running += 1
                 self._g_inflight.set(self._running)
                 self._g_queued.set(self.queued)
                 start = time.perf_counter()
                 try:
-                    return await loop.run_in_executor(self._pool, fn)
+                    if read_lock is None:
+                        return await loop.run_in_executor(self._pool, fn)
+                    if self._avg_batch_s < LOOP_READ_MAX_S and read_lock.try_read():
+                        try:
+                            return fn()
+                        finally:
+                            read_lock.release_read()
+
+                    def locked() -> T:  # on the pool, waiting out any writer
+                        with read_lock.read():
+                            return fn()
+
+                    return await loop.run_in_executor(self._pool, locked)
                 finally:
                     elapsed = time.perf_counter() - start
                     self._running -= 1

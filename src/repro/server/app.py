@@ -137,17 +137,40 @@ class _ReadWriteLock:
     ``IndexService`` is single-driver by contract: a synchronous
     staleness merge rebuilds shard structure in place, and a lookup
     racing it trips ``StaleFlatError`` (or worse).  The front door is
-    the first caller with real concurrency (``max_inflight`` worker
-    threads), so it imposes the discipline here: lookup/range batches
-    share the service, an insert batch takes it exclusively.  With
-    ``max_inflight`` small, a writer waits for at most a couple of
-    in-flight read batches — no starvation in practice.
+    the first caller with real concurrency (reads on the event loop
+    and on ``max_inflight`` worker threads), so it imposes the
+    discipline here: lookup/range batches share the service, an insert
+    batch takes it exclusively on a worker thread.
+
+    Readers come in two kinds.  The event loop calls :meth:`try_read`,
+    which never waits: it refuses while a writer holds the lock *or
+    waits for it*, so loop reads cannot starve an insert, and a refused
+    read goes to the pool.  Pool threads call :meth:`read`, which waits
+    out a writer.  With ``max_inflight`` small, a writer waits for at
+    most a couple of in-flight read batches — no starvation in practice.
     """
 
     def __init__(self) -> None:
         self._cond = threading.Condition()
         self._readers = 0
         self._writing = False
+        self._writers_waiting = 0
+
+    def try_read(self) -> bool:
+        """Take a read share unless a writer holds or waits for the
+        lock; never waits.  A True answer must be paired with
+        :meth:`release_read`."""
+        with self._cond:
+            if self._writing or self._writers_waiting:
+                return False
+            self._readers += 1
+            return True
+
+    def release_read(self) -> None:
+        with self._cond:
+            self._readers -= 1
+            if self._readers == 0:
+                self._cond.notify_all()
 
     @contextlib.contextmanager
     def read(self):
@@ -158,16 +181,17 @@ class _ReadWriteLock:
         try:
             yield
         finally:
-            with self._cond:
-                self._readers -= 1
-                if self._readers == 0:
-                    self._cond.notify_all()
+            self.release_read()
 
     @contextlib.contextmanager
     def write(self):
         with self._cond:
-            while self._writing or self._readers:
-                self._cond.wait()
+            self._writers_waiting += 1
+            try:
+                while self._writing or self._readers:
+                    self._cond.wait()
+            finally:
+                self._writers_waiting -= 1
             self._writing = True
         try:
             yield
@@ -183,7 +207,9 @@ def _require_int_list(obj: dict, key: str, max_len: int) -> list[int]:
         raise BadRequestError(f"'{key}' must be a non-empty array of integers")
     if len(value) > max_len:
         raise BadRequestError(f"'{key}' exceeds the {max_len}-key batch cap")
-    if not all(isinstance(v, int) and not isinstance(v, bool) for v in value):
+    # One pass in C over exact types: JSON yields int, bool (an int
+    # subclass), float, str, None, list and dict, and nothing else.
+    if set(map(type, value)) != {int}:
         raise BadRequestError(f"'{key}' must contain only integers")
     return value
 
@@ -602,8 +628,7 @@ class HttpFrontDoor:
         assert self.admission is not None
 
         def work() -> dict:
-            with self._rwlock.read():
-                batch = self.service.lookup_many(keys)
+            batch = self.service.lookup_many(keys)
             return {
                 "n": int(batch.keys.size),
                 "found": batch.found.tolist(),
@@ -612,7 +637,7 @@ class HttpFrontDoor:
                 "search_steps": batch.search_steps.tolist(),
             }
 
-        result = await self.admission.run(work)
+        result = await self.admission.run(work, read_lock=self._rwlock)
         self._c_requests["lookup"].inc()
         self._c_keys_looked_up.inc(int(keys.size))
         return 200, result, JSON_CONTENT_TYPE
@@ -645,8 +670,7 @@ class HttpFrontDoor:
         assert self.admission is not None
 
         def work() -> dict:
-            with self._rwlock.read():
-                pairs = self.service.range_query(low, high)
+            pairs = self.service.range_query(low, high)
             if len(pairs) > MAX_RANGE_PAIRS:
                 raise BadRequestError(
                     f"range matches {len(pairs)} pairs "
@@ -657,7 +681,7 @@ class HttpFrontDoor:
                 "pairs": [[int(k), int(v)] for k, v in pairs],
             }
 
-        result = await self.admission.run(work)
+        result = await self.admission.run(work, read_lock=self._rwlock)
         self._c_requests["range"].inc()
         return 200, result, JSON_CONTENT_TYPE
 
@@ -672,7 +696,10 @@ class HttpFrontDoor:
         therefore takes the lock like any other reader — on a thread
         of the loop's default executor, so the event loop never waits
         for a writer, and not through admission, so monitoring still
-        answers under overload.
+        answers under overload.  Unlike a lookup or range batch it does
+        not try the lock on the loop first: its cost grows with the
+        service (every shard's ``n_keys``, every registry series), not
+        with a request's size, so it never holds the loop.
         """
 
         def work() -> Any:

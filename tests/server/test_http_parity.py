@@ -165,6 +165,40 @@ class TestProtocolErrors:
             client._json("POST", "/v1/lookup", body)
         assert exc.value.status == 400
 
+    @pytest.mark.parametrize("path", ["/v1/lookup", "/v1/insert"])
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            (True, "'keys' must contain only integers"),
+            (2.0, "'keys' must contain only integers"),
+            ("7", "'keys' must contain only integers"),
+            (None, "'keys' must contain only integers"),
+            ([7], "'keys' must contain only integers"),
+            ({"k": 7}, "'keys' must contain only integers"),
+            (2**63, "keys outside the int64 key domain"),
+            (-(2**63) - 1, "keys outside the int64 key domain"),
+        ],
+    )
+    def test_bad_key_elements_400(self, twin_pair, path, bad, error):
+        client, _twin, _keys = twin_pair
+        with pytest.raises(HttpStatusError) as exc:
+            client._json("POST", path, {"keys": [1, bad, 3]})
+        assert (exc.value.status, exc.value.body) == (400, {"error": error})
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            (False, "'values' must contain only integers"),
+            (0.5, "'values' must contain only integers"),
+            (2**64, "values outside the int64 key domain"),
+        ],
+    )
+    def test_bad_value_elements_400(self, twin_pair, bad, error):
+        client, _twin, _keys = twin_pair
+        with pytest.raises(HttpStatusError) as exc:
+            client._json("POST", "/v1/insert", {"keys": [1, 2], "values": [5, bad]})
+        assert (exc.value.status, exc.value.body) == (400, {"error": error})
+
     def test_bad_range_bodies_400(self, twin_pair):
         client, _twin, _keys = twin_pair
         for body in ({"low": 5, "high": 1}, {"low": "a", "high": 2}, {"low": 1}):
