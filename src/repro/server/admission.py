@@ -6,21 +6,15 @@ latency explodes, and by the time a response is written the client
 has long since timed out.  :class:`AdmissionController` bounds the
 damage with two knobs:
 
-* ``max_inflight`` — batches executing concurrently.  A read batch
-  that finds the service's read lock free runs on the event-loop
-  thread itself; the worker pool (``max_inflight`` threads) runs
-  writes plus the reads that found a writer holding or waiting for
-  the lock (and every read while batches run long).  The service's
-  own bookkeeping is lock-protected, so a small number is both safe
-  and fast.
+* ``max_inflight`` — batches executing concurrently.  A small lookup
+  batch that finds the service's read lock free runs on the
+  event-loop thread itself (see :data:`LOOP_READ_MAX_S` and
+  :data:`LOOP_READ_MAX_KEYS`); the worker pool (``max_inflight``
+  threads) runs everything else: writes, range reads, and the lookups
+  that are too large, met a writer, or arrive while batches run long.
+  The service's own bookkeeping is lock-protected, so a small number
+  is both safe and fast.
 * ``max_pending`` — batches *queued* behind the in-flight ones.
-
-A read runs on the loop because the thread hop is a large share of a
-wire-sized lookup: on two vCPUs an idle ``run_in_executor`` round trip
-takes ≈ 0.1–0.2 ms, a 256-key ``IndexService.lookup_many`` ≈ 0.2–0.3
-ms.  It holds the loop only across synchronous code, never waits there
-for a writer, and goes to the pool while batches run long
-(:data:`LOOP_READ_MAX_S`), when a stalled loop would stop admission.
 
 A request arriving when ``queued + running == max_pending +
 max_inflight`` is rejected immediately — the HTTP layer turns that
@@ -59,10 +53,23 @@ MIN_RETRY_AFTER_S = 1.0
 SERVICE_TIME_ALPHA = 0.2
 
 #: A read runs on the event loop only while that estimate is below
-#: this.  A loop read stalls every connection for its length; past a
-#: few milliseconds the thread hop (≈ 0.1–0.2 ms) is noise beside the
-#: batch, and a free loop keeps admitting and refusing on time.
+#: this, and only if it has at most :data:`LOOP_READ_MAX_KEYS` keys.
+#: The loop saves the thread hop, an idle ``run_in_executor`` round
+#: trip of ≈ 0.1–0.2 ms on two vCPUs, against ≈ 0.3 ms for a 256-key
+#: ``IndexService.lookup_many``; but a loop read stalls every
+#: connection for its whole length, and while batches run long a
+#: stalled loop also stops admission from queueing and refusing on
+#: time.  5 ms is a ceiling, not a tuned value: it is far above the
+#: wire-sized lookups the loop is for, and far below the 0.25 s
+#: batches of the overload test that need the pool.
 LOOP_READ_MAX_S = 0.005
+
+#: The bound on the request in hand: the average above only learns
+#: from batches already run, so a large read goes to the pool however
+#: short its predecessors were.  4096 keys cost ≈ 1.4 ms of
+#: ``lookup_many`` plus the replies' ``tolist`` on a 40k-key, 4-shard
+#: LIPP service (two vCPUs), inside :data:`LOOP_READ_MAX_S`.
+LOOP_READ_MAX_KEYS = 4096
 
 
 class OverloadedError(Exception):
@@ -163,17 +170,21 @@ class AdmissionController:
     # ------------------------------------------------------------------
     # Admission
     # ------------------------------------------------------------------
-    async def run(self, fn: Callable[[], T], read_lock=None) -> T:
+    async def run(
+        self, fn: Callable[[], T], read_lock=None, n_keys: int = 0
+    ) -> T:
         """Admit *fn*, execute it, return its result.
 
-        Without *read_lock*, *fn* runs on the worker pool (a write
-        takes its own exclusive lock inside).  With one — the front
-        door's ``_ReadWriteLock`` — *fn* is a read: it first yields to
-        the loop once, so requests already readable are admitted or
-        refused before this one holds the loop; then it runs on the
-        loop if batches are short and ``read_lock.try_read()`` gets the
-        lock without waiting, otherwise on the pool under
-        ``read_lock.read()``.  Both paths account a batch alike.
+        Without *read_lock*, *fn* runs on the worker pool (a write or a
+        range read takes its own lock inside).  With one — the front
+        door's ``_ReadWriteLock`` — *fn* is a lookup of *n_keys* keys:
+        it first yields to the loop once, so requests already readable
+        are admitted or refused before this one holds the loop; then it
+        runs on the loop if it is small (:data:`LOOP_READ_MAX_KEYS`),
+        batches are short (:data:`LOOP_READ_MAX_S`) and
+        ``read_lock.try_read()`` gets the lock without waiting,
+        otherwise on the pool under ``read_lock.read()``.  Both paths
+        account a batch alike.
 
         Raises :class:`ClosingError` once shutdown began and
         :class:`OverloadedError` when the bounded queue is full; the
@@ -200,7 +211,11 @@ class AdmissionController:
                 try:
                     if read_lock is None:
                         return await loop.run_in_executor(self._pool, fn)
-                    if self._avg_batch_s < LOOP_READ_MAX_S and read_lock.try_read():
+                    if (
+                        n_keys <= LOOP_READ_MAX_KEYS
+                        and self._avg_batch_s < LOOP_READ_MAX_S
+                        and read_lock.try_read()
+                    ):
                         try:
                             return fn()
                         finally:

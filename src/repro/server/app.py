@@ -137,17 +137,20 @@ class _ReadWriteLock:
     ``IndexService`` is single-driver by contract: a synchronous
     staleness merge rebuilds shard structure in place, and a lookup
     racing it trips ``StaleFlatError`` (or worse).  The front door is
-    the first caller with real concurrency (reads on the event loop
-    and on ``max_inflight`` worker threads), so it imposes the
-    discipline here: lookup/range batches share the service, an insert
-    batch takes it exclusively on a worker thread.
+    the first caller with real concurrency (lookups on the event loop,
+    batches on ``max_inflight`` worker threads, monitoring polls on a
+    side thread), so it imposes the discipline here: lookup/range
+    batches share the service, an insert batch takes it exclusively
+    on a worker thread.
 
-    Readers come in two kinds.  The event loop calls :meth:`try_read`,
-    which never waits: it refuses while a writer holds the lock *or
-    waits for it*, so loop reads cannot starve an insert, and a refused
-    read goes to the pool.  Pool threads call :meth:`read`, which waits
-    out a writer.  With ``max_inflight`` small, a writer waits for at
-    most a couple of in-flight read batches — no starvation in practice.
+    A waiting writer goes before every reader that arrives after it,
+    so reads cannot starve an insert.  Readers come in two kinds.  The
+    event loop calls :meth:`try_read`, which never waits: it refuses
+    while a writer holds or waits for the lock, and the refused read
+    goes to the pool.  Threads call :meth:`read`, which waits out both.
+    Readers never nest and never upgrade, so the preference cannot
+    deadlock; with ``max_inflight`` small, a writer waits for at most
+    a couple of in-flight read batches.
     """
 
     def __init__(self) -> None:
@@ -175,7 +178,7 @@ class _ReadWriteLock:
     @contextlib.contextmanager
     def read(self):
         with self._cond:
-            while self._writing:
+            while self._writing or self._writers_waiting:
                 self._cond.wait()
             self._readers += 1
         try:
@@ -637,7 +640,9 @@ class HttpFrontDoor:
                 "search_steps": batch.search_steps.tolist(),
             }
 
-        result = await self.admission.run(work, read_lock=self._rwlock)
+        result = await self.admission.run(
+            work, read_lock=self._rwlock, n_keys=int(keys.size)
+        )
         self._c_requests["lookup"].inc()
         self._c_keys_looked_up.inc(int(keys.size))
         return 200, result, JSON_CONTENT_TYPE
@@ -670,7 +675,8 @@ class HttpFrontDoor:
         assert self.admission is not None
 
         def work() -> dict:
-            pairs = self.service.range_query(low, high)
+            with self._rwlock.read():
+                pairs = self.service.range_query(low, high)
             if len(pairs) > MAX_RANGE_PAIRS:
                 raise BadRequestError(
                     f"range matches {len(pairs)} pairs "
@@ -681,7 +687,7 @@ class HttpFrontDoor:
                 "pairs": [[int(k), int(v)] for k, v in pairs],
             }
 
-        result = await self.admission.run(work, read_lock=self._rwlock)
+        result = await self.admission.run(work)
         self._c_requests["range"].inc()
         return 200, result, JSON_CONTENT_TYPE
 
@@ -696,7 +702,7 @@ class HttpFrontDoor:
         therefore takes the lock like any other reader — on a thread
         of the loop's default executor, so the event loop never waits
         for a writer, and not through admission, so monitoring still
-        answers under overload.  Unlike a lookup or range batch it does
+        answers under overload.  Unlike a small lookup batch it does
         not try the lock on the loop first: its cost grows with the
         service (every shard's ``n_keys``, every registry series), not
         with a request's size, so it never holds the loop.

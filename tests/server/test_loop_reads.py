@@ -1,11 +1,13 @@
-"""Read batches run on the event loop whenever the service lock is free.
+"""Small lookup batches run on the event loop whenever the service lock is free.
 
-A lookup or range batch that can take the front door's read lock
-without waiting runs on the loop thread; one that finds a writer
-holding or waiting for the lock runs on the worker pool, as writes
-always do, and so does every read while batches run long.  The loop
-itself never waits for a writer, a waiting writer is not starved by
-loop reads, and both paths account a batch the same way.
+A lookup batch of at most ``LOOP_READ_MAX_KEYS`` keys that can take
+the front door's read lock without waiting runs on the loop thread;
+one that finds a writer holding or waiting for the lock runs on the
+worker pool, as writes and range reads always do, and so does every
+larger lookup and every lookup while batches run long.  The loop
+itself never waits for a writer or for a large read, a waiting writer
+goes before later readers on either path, and both paths account a
+batch the same way.
 """
 
 from __future__ import annotations
@@ -16,10 +18,11 @@ import threading
 import time
 
 import numpy as np
+import pytest
 
 from repro.obs.metrics import MetricsRegistry, scoped_registry
 from repro.server import AdmissionController, HttpIndexClient, ServerThread
-from repro.server.admission import LOOP_READ_MAX_S
+from repro.server.admission import LOOP_READ_MAX_KEYS, LOOP_READ_MAX_S
 from repro.server.app import _ReadWriteLock
 from repro.serving import IndexService
 
@@ -54,7 +57,8 @@ class TestTryRead:
         lock.release_read()
         assert lock._readers == 0
 
-    def test_refused_while_a_writer_waits_and_the_writer_goes_first(self):
+    @pytest.mark.parametrize("late", ["try_read", "read"])
+    def test_refused_while_a_writer_waits_and_the_writer_goes_first(self, late):
         lock = _ReadWriteLock()
         assert lock.try_read()  # a read in flight makes the writer wait
         order: list[str] = []
@@ -64,7 +68,11 @@ class TestTryRead:
                 order.append("write")
                 time.sleep(0.05)
 
-        def late_reader() -> None:  # tries only after the writer queued
+        def late_reader() -> None:  # arrives only after the writer queued
+            if late == "read":
+                with lock.read():
+                    order.append("read")
+                return
             while not lock.try_read():
                 time.sleep(0.001)
             order.append("read")
@@ -77,7 +85,7 @@ class TestTryRead:
         assert lock._readers == 1
         r = threading.Thread(target=late_reader, daemon=True)
         r.start()
-        time.sleep(0.05)  # the late reader is refused meanwhile
+        time.sleep(0.05)  # the late reader is held back meanwhile
         assert order == []
         lock.release_read()
         w.join(10)
@@ -192,6 +200,26 @@ class TestAccountingParity:
 
         asyncio.run(scenario())
 
+    def test_large_reads_leave_the_loop_however_short_the_past(self):
+        async def scenario():
+            ctl = AdmissionController(registry=MetricsRegistry(enabled=False))
+            lock = _ReadWriteLock()
+            here = threading.current_thread()
+            for n_keys, on_loop in [
+                (LOOP_READ_MAX_KEYS, True),
+                (LOOP_READ_MAX_KEYS + 1, False),
+                (1, True),
+            ]:
+                thread = await ctl.run(
+                    threading.current_thread, read_lock=lock, n_keys=n_keys
+                )
+                assert (thread is here) is on_loop, n_keys
+            assert ctl._avg_batch_s < LOOP_READ_MAX_S
+            assert lock._readers == 0
+            ctl.shutdown_pool()
+
+        asyncio.run(scenario())
+
     def test_reads_leave_the_loop_while_batches_run_long(self):
         async def scenario():
             ctl = AdmissionController(registry=MetricsRegistry(enabled=False))
@@ -268,3 +296,72 @@ def test_the_loop_never_waits_on_a_writer(rng):
     assert thread_name.startswith("http-batch")  # refused on the loop
     assert all(replies["lookup"]["found"])
     assert registry.counter("http_completed_total").value == 2
+
+
+class _SlowLargeReads(SlowService):
+    """Range reads and lookups above ``LOOP_READ_MAX_KEYS`` keys sleep
+    ``delay_s``; small lookups run at full speed.  Each slow read notes
+    its thread and sets ``started`` when it begins."""
+
+    def __init__(self, inner: IndexService, delay_s: float):
+        super().__init__(inner, delay_s)
+        self.started = threading.Event()
+        self.threads: list[str] = []
+
+    def _slow(self) -> None:
+        self.threads.append(threading.current_thread().name)
+        self.started.set()
+        time.sleep(self._delay_s)
+
+    def lookup_many(self, keys):
+        if len(keys) > LOOP_READ_MAX_KEYS:
+            self._slow()
+        return self._inner.lookup_many(keys)
+
+    def range_query(self, low, high):
+        self._slow()
+        return self._inner.range_query(low, high)
+
+
+@pytest.mark.parametrize("read", ["large_lookup", "range"])
+def test_health_answers_while_a_large_read_runs(rng, read):
+    keys = np.unique(rng.integers(0, 10**8, 1_200))
+    registry = MetricsRegistry(enabled=True)
+    with scoped_registry(registry):
+        service = IndexService.build(keys, family=FAMILY, n_shards=N_SHARDS)
+        slow = _SlowLargeReads(service, delay_s=0.5)
+        replies: dict[str, dict] = {}
+        try:
+            with ServerThread(slow, registry=registry) as srv:
+
+                def go() -> None:
+                    with HttpIndexClient(srv.host, srv.port) as client:
+                        if read == "range":
+                            replies[read] = client.range(0, 10**8)
+                        else:
+                            big = np.resize(keys, LOOP_READ_MAX_KEYS + 1)
+                            replies[read] = client.lookup(big.tolist())
+
+                thread = threading.Thread(target=go, daemon=True)
+                thread.start()
+                assert slow.started.wait(10)
+                with HttpIndexClient(srv.host, srv.port) as client:
+                    t0 = time.perf_counter()
+                    health = client.health()
+                    health_s = time.perf_counter() - t0
+                    small = client.lookup(keys[:8].tolist())
+                still_running = thread.is_alive()
+                thread.join(30)
+        finally:
+            service.close()
+    assert health_s < 0.2, f"/v1/health waited {health_s:.3f} s behind a {read}"
+    assert still_running
+    assert health["admission"]["running"] == 1
+    assert all(small["found"])
+    [thread_name] = slow.threads
+    assert thread_name.startswith("http-batch")
+    if read == "range":
+        assert replies[read]["n"] == keys.size
+    else:
+        assert replies[read]["n"] == LOOP_READ_MAX_KEYS + 1
+        assert all(replies[read]["found"])
