@@ -22,5 +22,4 @@ EXPOSE 8000
 ENTRYPOINT ["python", "-m", "repro"]
 CMD ["serve", "--host", "0.0.0.0", "--port", "8000", \
      "--store", "/data/runtime.db", \
-     "--data-dir", "/data/index", \
-     "--metrics-out", "/data/metrics.jsonl"]
+     "--data-dir", "/data/index"]

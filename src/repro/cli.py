@@ -9,11 +9,8 @@ Commands:
 * ``levels``    — per-level query costs (the Fig. 1 view).
 * ``serve``     — build (or reopen ``--data-dir``) a sharded index and
   expose it over the HTTP front door (batch JSON endpoints, admission
-  control, ``GET /v1/health``, optional ``--store`` SQLite-WAL op log,
-  ``--metrics-out`` JSON-lines snapshots) until SIGINT/SIGTERM drains
-  it.
-* ``metrics``   — render or validate a ``--metrics-out`` JSON-lines
-  file (ASCII table, Prometheus text, or raw JSON).
+  control, ``GET /v1/health``, ``GET /metrics``, optional ``--store``
+  SQLite-WAL op log) until SIGINT/SIGTERM drains it.
 
 All output goes through the ``repro`` structured logger: the default
 ``--log-format plain`` is byte-compatible with the old ``print``-based
@@ -26,14 +23,12 @@ Examples::
     python -m repro build --index lipp --dataset osm --n 10000
     python -m repro csv --index alex --dataset facebook --alpha 0.1
     python -m repro serve --index lipp --shards 8 --dataset osm --port 8000
-    python -m repro serve --data-dir ./data --store runtime.db --metrics-out metrics.jsonl
-    python -m repro metrics --in metrics.jsonl --validate
+    python -m repro serve --data-dir ./data --store ./data/runtime.db
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .core.exceptions import ReproError
@@ -162,11 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
              "bound like 'tiered:8' / 'sortmerge:4'",
     )
     p_serve.add_argument(
-        "--metrics-out", default=None, metavar="PATH",
-        help="stream JSON-lines metrics snapshots to PATH (truncated "
-             "first) every --metrics-every-s seconds",
-    )
-    p_serve.add_argument(
         "--http", action="store_true",
         help="accepted and ignored: serve is always the HTTP front door",
     )
@@ -187,29 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--store", default=None, metavar="PATH",
         help="SQLite-WAL op log of accepted writes, replayed "
-             "on restart (counters are per process)",
-    )
-    p_serve.add_argument(
-        "--metrics-every-s", type=float, default=5.0, metavar="S",
-        help="with --metrics-out: period in seconds of the "
-             "metrics snapshot and the durable sync",
-    )
-
-    p_metrics = sub.add_parser(
-        "metrics", help="render or validate a JSON-lines metrics file"
-    )
-    p_metrics.add_argument(
-        "--in", dest="input", required=True, metavar="PATH",
-        help="JSON-lines metrics file (from serve --metrics-out)",
-    )
-    p_metrics.add_argument(
-        "--format", choices=["table", "prom", "json"], default="table",
-        help="how to render the latest snapshot (default: table)",
-    )
-    p_metrics.add_argument(
-        "--validate", action="store_true",
-        help="check the stream against the snapshot schema instead of "
-             "rendering; exit 1 with one error per line if invalid",
+             "on restart (counters are per process); with --data-dir, "
+             "pruned whenever an insert commits a generation",
     )
 
     return parser
@@ -361,7 +330,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .server import RuntimeStore, run_http_server
 
     # The HTTP server is long-lived: instrumentation is always on so
-    # GET /metrics and --metrics-out have something to export.
+    # GET /metrics has something to export.
     registry = MetricsRegistry(enabled=True)
     store = RuntimeStore(args.store) if args.store else None
     with scoped_registry(registry), _make_service(args) as service:
@@ -380,44 +349,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             store=store,
             max_pending=args.max_pending,
             max_inflight=args.max_inflight,
-            metrics_out=args.metrics_out,
-            metrics_every_s=args.metrics_every_s,
             on_listening=lambda h, p: _say(f"http: listening on http://{h}:{p}"),
         )
         _say("http: drained and stopped")
         return code
-
-
-def _cmd_metrics(args: argparse.Namespace) -> int:
-    from .obs.export import snapshot_table, snapshot_to_prometheus, validate_metrics_lines
-
-    try:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        _say(f"cannot read {args.input}: {exc}")
-        return 1
-    if args.validate:
-        errors = validate_metrics_lines(lines)
-        if errors:
-            for error in errors:
-                _say(error)
-            return 1
-        n = sum(1 for line in lines if line.strip())
-        _say(f"{args.input}: {n} snapshot line(s), schema valid")
-        return 0
-    snaps = [json.loads(line) for line in lines if line.strip()]
-    if not snaps:
-        _say(f"{args.input}: no snapshot lines")
-        return 1
-    latest = snaps[-1]
-    if args.format == "json":
-        _say(json.dumps(latest, sort_keys=True))
-    elif args.format == "prom":
-        _say(snapshot_to_prometheus(latest))
-    else:
-        _say(snapshot_table(latest))
-    return 0
 
 
 _COMMANDS = {
@@ -427,7 +362,6 @@ _COMMANDS = {
     "csv": _cmd_csv,
     "levels": _cmd_levels,
     "serve": _cmd_serve,
-    "metrics": _cmd_metrics,
 }
 
 

@@ -3,18 +3,17 @@
 The repo-wide instrumentation substrate (dependency-free: stdlib +
 numpy).  Every subsystem reports through one
 :class:`~repro.obs.metrics.MetricsRegistry` of counters, gauges, and
-**mergeable** fixed-layout log-bucket histograms (percentiles
-aggregate across shards and processes by summing bucket counts); a
-timed block is one named histogram observed at its call site.
-Exporters render the registry as JSON-lines snapshots,
-Prometheus text, or the ``repro metrics`` ASCII table.
+fixed-layout log-bucket histograms; a timed block is one named
+histogram observed at its call site.  The one exporter renders the
+registry as Prometheus text, which the front door serves at
+``GET /metrics``.
 
 Instrumentation is off by default: the global registry starts
 disabled, every instrumented hot path guards with a single
 ``registry.enabled`` check, and a component that keeps its own books
 (``IndexService``) registers a source the registry pulls from only
 while enabled — so the library costs nothing until the
-``serve`` CLI (``--metrics-out``) or an embedding application installs
+``serve`` CLI or an embedding application installs
 an enabled registry via :func:`~repro.obs.metrics.set_registry` /
 :class:`~repro.obs.metrics.scoped_registry`.
 

@@ -1,4 +1,4 @@
-"""Structured metrics: counters, gauges, and mergeable histograms.
+"""Structured metrics: counters, gauges, and log-bucket histograms.
 
 The instruments here are deliberately dumb data holders — a
 :class:`Counter` adds, a :class:`Gauge` stores, a :class:`Histogram`
@@ -25,13 +25,11 @@ Histogram layout
 Every histogram shares one **fixed log-bucket layout**: bucket ``i``
 covers ``[2**(i/S + E), 2**((i+1)/S + E))`` with ``S = 4`` sub-buckets
 per octave and ``E = HIST_EXP_MIN`` octaves of underflow headroom.
-Because the layout is a global constant, two histograms — from
-different shards, threads, processes, or JSON-lines snapshots — merge
-by summing their bucket-count arrays, which is what makes per-shard
-p50/p90/p99 aggregable into service-wide percentiles without retaining
-a single raw sample.  Relative bucket width is ``2**(1/4) ≈ 1.19``, so
+Because the layout is a global constant, the Prometheus exporter
+rebuilds every ``le`` edge from a bucket index alone, and no raw
+sample is retained.  Relative bucket width is ``2**(1/4) ≈ 1.19``, so
 any percentile estimate is within ~19% of the exact order statistic
-(``tests/obs/test_metrics.py`` pins this against ``np.percentile``).
+(``tests/obs/test_obs_metrics.py`` pins this against ``np.percentile``).
 """
 
 from __future__ import annotations
@@ -178,54 +176,15 @@ class Histogram:
             bucket = int(np.searchsorted(cum, target))
         return float(min(max(self.bucket_mid(bucket), self.min), self.max))
 
-    # ------------------------------------------------------------------
-    # Merging and snapshots
-    # ------------------------------------------------------------------
-    def merge(self, other: "Histogram") -> "Histogram":
-        """Fold *other* into this histogram (same fixed layout)."""
-        with other._lock:
-            counts = other._counts.copy()
-            o_count, o_sum, o_min, o_max = other.count, other.sum, other.min, other.max
-        with self._lock:
-            self._counts += counts
-            self.count += o_count
-            self.sum += o_sum
-            if o_min < self.min:
-                self.min = o_min
-            if o_max > self.max:
-                self.max = o_max
-        return self
-
     def snapshot(self) -> dict:
-        """JSON-safe state: exact moments, percentiles, sparse buckets."""
+        """Count, sum and the non-empty buckets (index → count, in
+        index order), read together under the lock."""
         with self._lock:
-            buckets = {str(i): int(self._counts[i]) for i in np.nonzero(self._counts)[0]}
-            count, total = self.count, self.sum
-            lo = self.min if count else 0.0
-            hi = self.max if count else 0.0
-        snap = {
-            "count": count,
-            "sum": total,
-            "min": lo,
-            "max": hi,
-            "buckets": buckets,
-        }
-        for q in (50, 90, 99):
-            snap[f"p{q}"] = self.percentile(q)
-        return snap
-
-    @classmethod
-    def from_snapshot(cls, snap: dict) -> "Histogram":
-        """Rebuild a histogram from :meth:`snapshot` output (mergeable)."""
-        hist = cls()
-        for raw, c in snap.get("buckets", {}).items():
-            hist._counts[int(raw)] = int(c)
-        hist.count = int(snap.get("count", 0))
-        hist.sum = float(snap.get("sum", 0.0))
-        if hist.count:
-            hist.min = float(snap.get("min", 0.0))
-            hist.max = float(snap.get("max", 0.0))
-        return hist
+            return {
+                "count": self.count,
+                "sum": self.sum,
+                "buckets": {int(i): int(self._counts[i]) for i in np.nonzero(self._counts)[0]},
+            }
 
     def bucket_counts(self) -> np.ndarray:
         """A copy of the full fixed-layout bucket-count array."""
@@ -251,7 +210,6 @@ class MetricsRegistry:
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
         self._sources: dict[str, dict[str, weakref.WeakMethod]] = {}
-        self._snapshot_seq = 0
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -326,12 +284,6 @@ class MetricsRegistry:
         """The histogram instruments by flat key (sorted): the live
         ones, and a fresh one per key a source derives."""
         return self._read("histograms", self._histograms)
-
-    def next_snapshot_seq(self) -> int:
-        """The next strictly increasing snapshot sequence number."""
-        with self._lock:
-            self._snapshot_seq += 1
-            return self._snapshot_seq
 
 
 #: Process-global default registry.  Disabled out of the box so

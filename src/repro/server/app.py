@@ -28,10 +28,11 @@ to in-process ``lookup_many`` (the parity suite holds this).
 
 With a :class:`~repro.server.runtime_store.RuntimeStore` attached,
 accepted write batches are logged durably before they are applied
-and replayed on restart.  Counters are per process: a restarted
-server counts only what it served.  ``metrics_out`` streams the same
-JSON-lines snapshots ``repro serve --metrics-out`` writes, so
-``repro metrics --validate`` passes on a live server's file.
+and replayed on restart.  When the service also has a durable store,
+an insert that commits a generation flushes the other shards and
+prunes the log it covers, so a restart replays only the writes since
+(shutdown does the same once more).  Counters are per process: a
+restarted server counts only what it served.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from typing import Any, Awaitable, Callable
 
 import numpy as np
 
-from ..obs.export import PROMETHEUS_CONTENT_TYPE, to_prometheus, write_jsonl
+from ..obs.export import PROMETHEUS_CONTENT_TYPE, to_prometheus
 from ..obs.log import get_logger
 from ..obs.metrics import MetricsRegistry, get_registry
 from .admission import AdmissionController, ClosingError, OverloadedError
@@ -276,8 +277,6 @@ class HttpFrontDoor:
         store: RuntimeStore | None = None,
         max_pending: int = 64,
         max_inflight: int = 2,
-        metrics_out: str | None = None,
-        metrics_every_s: float = 0.0,
         drain_timeout_s: float = 30.0,
     ):
         self.service = service
@@ -285,15 +284,12 @@ class HttpFrontDoor:
         self.store = store
         self.max_pending = int(max_pending)
         self.max_inflight = int(max_inflight)
-        self.metrics_out = metrics_out
-        self.metrics_every_s = float(metrics_every_s)
         self.drain_timeout_s = float(drain_timeout_s)
         self.host: str | None = None
         self.port: int | None = None
         self.admission: AdmissionController | None = None
         self._server: asyncio.base_events.Server | None = None
         self._conn_tasks: set[asyncio.Task] = set()
-        self._snapshot_task: asyncio.Task | None = None
         self._shutdown_requested = asyncio.Event()
         self._shutdown_done = False
         self._rwlock = _ReadWriteLock()
@@ -332,16 +328,11 @@ class HttpFrontDoor:
             registry=self.registry,
         )
         self._restore_from_store()
-        if self.metrics_out:
-            open(self.metrics_out, "w", encoding="utf-8").close()
-            self._snapshot()
         self._server = await asyncio.start_server(
             self._handle_conn, host=host, port=port
         )
         sock = self._server.sockets[0]
         self.host, self.port = sock.getsockname()[:2]
-        if self.metrics_every_s > 0 and self.metrics_out:
-            self._snapshot_task = asyncio.create_task(self._snapshot_loop())
         return self.host, self.port
 
     def _restore_from_store(self) -> None:
@@ -388,12 +379,6 @@ class HttpFrontDoor:
         drained = await self.admission.drain(timeout=self.drain_timeout_s)
         if not drained:
             _log.info("shutdown: drain timed out with batches in flight")
-        if self._snapshot_task is not None:
-            self._snapshot_task.cancel()
-            try:
-                await self._snapshot_task
-            except asyncio.CancelledError:
-                pass
         # 3. Idle keep-alive connections are dropped only now.
         for task in list(self._conn_tasks):
             task.cancel()
@@ -403,33 +388,31 @@ class HttpFrontDoor:
         # 4. Persist: buffered writes freeze into runs and the covered
         #    op-log rows disappear, so a clean restart replays (close
         #    to) nothing.
-        self.durable_sync()
+        with self._rwlock.write():
+            self._durable_sync()
         if self.store is not None:
             self.store.close()
-        self._snapshot()
 
     # ------------------------------------------------------------------
     # Durability sync (op-log pruning)
     # ------------------------------------------------------------------
-    def durable_sync(self) -> int:
+    def _durable_sync(self) -> int:
         """Flush buffered writes durably, then prune the SQLite op log.
 
-        Requires both persistence layers: the service's
+        The caller holds the writer lock: an insert that just committed
+        a generation (``_h_insert``) or shutdown.  Under that lock
+        every logged op is also applied, so after ``flush_durable()``
+        commits every shard's unflushed writes, every op with
+        ``seq <= last_seq()`` is captured in the run store and its log
+        row is pure replay debt — deleted here.  Needs both
+        persistence layers: the service's
         :class:`~repro.store.DurableStore` (runs + manifest) and the
-        HTTP :class:`RuntimeStore` (op log).  Under the exclusive
-        lock every logged op is also applied (see ``_h_insert``), so
-        after ``flush_durable()`` commits a generation, every op with
-        ``seq <= last_seq()`` is captured in the run store and its
-        log row is pure replay debt — deleted here.  Without the
-        prune the op log grows forever and restart replays the full
-        write history; with it, replay covers only the ops that
-        arrived since the last sync.  Returns rows pruned.
+        HTTP :class:`RuntimeStore` (op log).  Returns rows pruned.
         """
         if self.store is None or getattr(self.service, "store", None) is None:
             return 0
-        with self._rwlock.write():
-            durable_seq = self.store.last_seq()
-            self.service.flush_durable()
+        durable_seq = self.store.last_seq()
+        self.service.flush_durable()
         pruned = self.store.prune_op_log_upto(durable_seq)
         if pruned:
             self._c_oplog_pruned.inc(pruned)
@@ -438,33 +421,6 @@ class HttpFrontDoor:
                 f"pruned {pruned} op-log row(s) up to seq {durable_seq}"
             )
         return pruned
-
-    # ------------------------------------------------------------------
-    # Metrics snapshots
-    # ------------------------------------------------------------------
-    def _snapshot(self) -> None:
-        if self.metrics_out:
-            # The registry pulls the service's books: a monitoring read.
-            with self._rwlock.read():
-                write_jsonl(self.metrics_out, self.registry)
-
-    async def _snapshot_loop(self) -> None:
-        def tick() -> None:
-            self._snapshot()
-            self.durable_sync()
-
-        while True:
-            await asyncio.sleep(self.metrics_every_s)
-            # Both calls wait on the service lock (the sync as a writer),
-            # so they run on a side thread and no connection stalls
-            # behind a merge.  A shutdown that cancels the loop waits for
-            # the tick in flight before its own final sync and snapshot.
-            running = asyncio.ensure_future(asyncio.to_thread(tick))
-            try:
-                await asyncio.shield(running)
-            except asyncio.CancelledError:
-                await running
-                raise
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -656,13 +612,18 @@ class HttpFrontDoor:
             # shard structure in place under this batch.  Log-then-
             # apply happens *inside* the exclusive section, so at any
             # instant every logged op is also applied — which is what
-            # lets durable_sync() prune the log up to last_seq()
+            # lets _durable_sync() prune the log up to last_seq()
             # after a flush without racing a half-applied batch.
             with self._rwlock.write():
                 # Log-then-apply: a crash between the two replays the op.
                 if self.store is not None:
                     self.store.record_op(keys, values)
+                generation = self.service.durable_generation()
                 self.service.insert_many(keys, values)
+                # A threshold flush or flush-on-merge committed a
+                # generation: make it cover every logged op.
+                if self.service.durable_generation() != generation:
+                    self._durable_sync()
             return {"accepted": int(keys.size)}
 
         result = await self.admission.run(work)

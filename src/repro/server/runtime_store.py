@@ -19,7 +19,7 @@ A file an older version wrote may also hold ``meta``, ``counters`` or
 Arrays cross the boundary as raw little-endian int64 BLOBs
 (``ndarray.tobytes`` / ``np.frombuffer``) — bit-exact, no JSON float
 round-tripping.  All methods are thread-safe: the HTTP worker pool
-records ops from executor threads while a side thread prunes.
+records and prunes from executor threads.
 """
 
 from __future__ import annotations
@@ -136,13 +136,17 @@ class RuntimeStore:
         The durability pruning hook: once the serving layer reports
         that everything through *seq* is captured in a committed
         store generation, those ops no longer need replaying and the
-        log stops growing without bound.
+        log stops growing without bound.  The ``DELETE`` appends its
+        pages to the WAL, so a checkpoint then folds the WAL into the
+        database file and truncates it: a prune never grows the
+        directory.
         """
         with self._lock:
             cur = self._conn.execute(
                 "DELETE FROM op_log WHERE seq <= ?", (int(seq),)
             )
             self._conn.commit()
+            self._conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
             return int(cur.rowcount)
 
     def close(self) -> None:

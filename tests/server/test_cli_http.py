@@ -1,9 +1,9 @@
-"""The ``serve`` CLI as a real process: signals, drain, metrics file.
+"""The ``serve`` CLI as a real process: signals, drain, restart.
 
 These run ``python -m repro serve ...`` in a subprocess because the
 contract under test is process-shaped: SIGTERM must produce an
-orderly drain (exit 0), and the ``--metrics-out`` stream a live server
-writes must pass ``repro metrics --validate``.
+orderly drain (exit 0), and a restart must replay what the op log
+still holds.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import main
 from repro.server import HttpIndexClient
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
@@ -76,10 +75,8 @@ class TestHttpServeProcess:
         assert proc.returncode == 0, out
 
     def test_sigterm_drains_and_exits_zero(self, tmp_path):
-        metrics_path = tmp_path / "metrics.jsonl"
         proc = spawn(
             "serve", "--port", "0", "--n", "2000", "--shards", "2",
-            "--metrics-out", str(metrics_path), "--metrics-every-s", "0.2",
             "--store", str(tmp_path / "runtime.db"),
         )
         try:
@@ -89,7 +86,6 @@ class TestHttpServeProcess:
                 assert health["admission"]["closing"] is False
                 client.insert([10**15, 10**15 + 1])
                 assert all(client.lookup([10**15, 10**15 + 1])["found"])
-            time.sleep(0.5)  # let the snapshot loop write a few lines
             proc.send_signal(signal.SIGTERM)
             out, _ = proc.communicate(timeout=60)
         finally:
@@ -97,9 +93,6 @@ class TestHttpServeProcess:
                 proc.kill()
         assert proc.returncode == 0, out
         assert "drained and stopped" in out
-        # The stream a live server wrote passes the CI validator.
-        assert metrics_path.exists()
-        assert main(["metrics", "--in", str(metrics_path), "--validate"]) == 0
 
     def test_store_replay_across_process_restart(self, tmp_path):
         store = tmp_path / "runtime.db"

@@ -5,9 +5,8 @@ shard that has a non-empty memtable, and ``GET /v1/health`` reads
 every shard's ``n_keys``.  Answered on the event-loop thread outside
 the front door's reader/writer lock, a poll raced the in-place merge
 an insert was running on a pool thread: polls answered 500 and
-acknowledged keys went missing.  The ``--metrics-out`` tick is a
-monitoring read too (plus a durable sync) and runs off the loop the
-same way.
+acknowledged keys went missing.  A ``GET /metrics`` scrape pulls the
+same books through the registry and is a monitoring read too.
 """
 
 from __future__ import annotations
@@ -17,10 +16,9 @@ import time
 
 import numpy as np
 
-from repro.cli import main
-from repro.server import HttpIndexClient, HttpStatusError, RuntimeStore, ServerThread
+from repro.obs.metrics import MetricsRegistry, scoped_registry
+from repro.server import HttpIndexClient, HttpStatusError, ServerThread
 from repro.serving import IndexService
-from repro.store import DurableStore
 
 
 class _WatchedService:
@@ -112,73 +110,61 @@ def test_stats_polls_during_merging_inserts_lose_nothing(rng):
     assert n_keys == twin.n_keys
 
 
-def test_metrics_tick_waits_for_the_service_off_the_loop(keyset, tmp_path):
-    """The ``--metrics-out`` tick snapshots under the reader lock and
-    syncs under the writer lock.  Run on the event-loop thread, a tick
-    that met a writer stalled every connection until the writer left
-    (a 404 took 0.9 s of a 1 s hold)."""
+def test_metrics_scrape_waits_for_the_service_off_the_loop(keyset):
+    """A scrape that meets a writer waits on a pool thread: another
+    connection's request is answered meanwhile, and the scrape answers
+    once the writer leaves."""
     service = IndexService.build(keyset, family="lipp", n_shards=2)
-    held = threading.Event()
-    with ServerThread(
-        service, metrics_out=str(tmp_path / "metrics.jsonl"), metrics_every_s=0.05
-    ) as srv:
+    held, release = threading.Event(), threading.Event()
+    scraped: list[int] = []
+    with ServerThread(service) as srv:
 
-        def writer() -> None:  # a merge holding the service for 1 s
+        def writer() -> None:  # a merge holding the service
             with srv.front._rwlock.write():
                 held.set()
-                time.sleep(1.0)
+                release.wait(10)
+
+        def scrape() -> None:
+            with HttpIndexClient(srv.host, srv.port) as client:
+                scraped.append(client.request("GET", "/metrics")[0])
 
         hold = threading.Thread(target=writer, daemon=True)
         hold.start()
-        held.wait(10)
-        time.sleep(0.2)  # a tick is now waiting on the lock
-        with HttpIndexClient(srv.host, srv.port) as client:
-            t0 = time.perf_counter()
-            status = client.request("GET", "/nope")[0]
-            elapsed = time.perf_counter() - t0
-        hold.join(10)
+        assert held.wait(10)
+        scraper = threading.Thread(target=scrape, daemon=True)
+        scraper.start()
+        time.sleep(0.2)  # the scrape is now waiting on the lock
+        try:
+            with HttpIndexClient(srv.host, srv.port) as client:
+                t0 = time.perf_counter()
+                status = client.request("GET", "/nope")[0]
+                elapsed = time.perf_counter() - t0
+            assert not scraped, "the scrape read the service under a writer"
+        finally:
+            release.set()
+            hold.join(10)
+            scraper.join(10)
     assert status == 404
     assert elapsed < 0.2, f"the 404 waited {elapsed:.3f} s behind the writer"
+    assert scraped == [200]
 
 
-class _SlowFirstPrune(RuntimeStore):
-    """Records prunes and the close; the first prune (a tick's) takes
-    0.3 s, outside the service lock, as a slow disk would make it."""
-
-    def __init__(self, path):
-        super().__init__(path)
-        self.events: list[str] = []
-        self.pruning = threading.Event()
-
-    def prune_op_log_upto(self, seq: int) -> int:
-        self.events.append("prune")
-        if not self.pruning.is_set():
-            self.pruning.set()
-            time.sleep(0.3)
-        pruned = super().prune_op_log_upto(seq)
-        self.events.append("pruned")
-        return pruned
-
-    def close(self) -> None:
-        self.events.append("close")
-        super().close()
-
-
-def test_shutdown_waits_for_the_tick_in_flight(keyset, tmp_path):
-    """The tick runs on a side thread, so cancelling the loop does not
-    stop it: shutdown must let it finish before its own final sync
-    closes the store under it."""
-    service = IndexService.build(
-        keyset, family="lipp", n_shards=2, store=DurableStore(tmp_path / "data")
-    )
-    store = _SlowFirstPrune(tmp_path / "runtime.db")
-    metrics = tmp_path / "metrics.jsonl"
-    srv = ServerThread(service, store=store, metrics_out=str(metrics), metrics_every_s=0.05)
-    srv.start()
-    try:
-        assert store.pruning.wait(10)
-    finally:
-        srv.stop()
-        service.close()
-    assert store.events == ["prune", "pruned", "prune", "pruned", "close"]
-    assert main(["metrics", "--in", str(metrics), "--validate"]) == 0
+def test_metrics_scrape_counts_what_the_server_served(keyset, rng):
+    """``GET /metrics`` is the one way a live server's counters leave
+    the process: after reads and writes over HTTP it reports them."""
+    registry = MetricsRegistry(enabled=True)
+    fresh = int(keyset[-1]) + np.arange(1, 501)
+    with scoped_registry(registry):
+        with IndexService.build(keyset, family="lipp", n_shards=2) as service:
+            with ServerThread(service, registry=registry) as srv:
+                with HttpIndexClient(srv.host, srv.port) as client:
+                    for chunk in np.array_split(rng.choice(keyset, 2000), 4):
+                        client.lookup(chunk.tolist())
+                    client.insert(fresh.tolist())
+                    status, _headers, payload = client.request("GET", "/metrics")
+    text = payload.decode("utf-8")
+    assert status == 200
+    assert "service_lookups_total 2000" in text.splitlines()
+    assert "service_inserts_total 500" in text.splitlines()
+    assert "http_keys_looked_up_total 2000" in text.splitlines()
+    assert "http_keys_inserted_total 500" in text.splitlines()

@@ -175,7 +175,7 @@ class TestRestartRecovery:
     def test_crash_restart_then_clean_restart_keeps_every_write(self, tmp_path, rng):
         """Crash image -> restart -> clean stop -> restart.
 
-        The clean stop's ``durable_sync`` prunes every op-log row up to
+        The clean stop's durable sync prunes every op-log row up to
         ``last_seq()``, so each of those rows must have been applied
         first: the removed ``--no-replay`` restart pruned rows it had
         skipped, and the acknowledged writes were gone for good.
@@ -214,6 +214,71 @@ class TestRestartRecovery:
             assert all(resp["found"])
             replayed.append(registry.counter("http_replayed_ops_total").value)
         assert replayed == [1, 0]  # the clean stop left nothing to replay
+
+    def test_crash_after_an_in_run_flush_replays_only_what_came_after_it(self, tmp_path, rng):
+        """The second of three insert batches crosses the flush
+        threshold and commits a generation; that insert prunes the log
+        it covers, so a power cut after the third replays one batch,
+        not three, and loses no acknowledged write."""
+        from repro.store import DurableStore
+
+        base = np.unique(rng.integers(0, 10**8, 1_200))
+        # Past the largest key: every batch lands on the last shard.
+        batches = np.array_split(int(base[-1]) + np.arange(1, 91), 3)
+        live, crash = tmp_path / "live", tmp_path / "crash"
+        registry = MetricsRegistry(enabled=True)
+        with scoped_registry(registry):
+            service = IndexService.build(
+                base, family=FAMILY, n_shards=N_SHARDS,
+                store=DurableStore(live / "data"), staleness_threshold=10.0,
+                flush_threshold=50,
+            )
+            with RuntimeStore(live / "runtime.db") as store:
+                with ServerThread(service, registry=registry, store=store) as srv:
+                    with HttpIndexClient(srv.host, srv.port) as client:
+                        generations = []
+                        for batch in batches:
+                            client.insert(batch.tolist())
+                            generations.append(service.durable_generation())
+                        assert generations[0] < generations[1] == generations[2]
+                        assert store.op_count() == 1
+                        assert registry.counter("http_oplog_pruned_total").value == 2
+                        shutil.copytree(live, crash)  # power cut
+            service.close()
+
+        registry = MetricsRegistry(enabled=True)
+        with scoped_registry(registry):
+            service = IndexService.open_snapshot(crash / "data", staleness_threshold=10.0)
+            with RuntimeStore(crash / "runtime.db") as store:
+                with ServerThread(service, registry=registry, store=store) as srv:
+                    with HttpIndexClient(srv.host, srv.port) as client:
+                        resp = client.lookup(np.concatenate(batches).tolist())
+            service.close()
+        assert registry.counter("http_replayed_ops_total").value == 1
+        assert all(resp["found"])
+
+    def test_an_op_log_without_a_data_dir_is_never_pruned(self, tmp_path, rng):
+        """With no durable store, no run holds a write: every logged op
+        stays, through the inserts and through shutdown."""
+        base = np.unique(rng.integers(0, 10**8, 1_200))
+        batches = np.array_split(int(base[-1]) + np.arange(1, 91), 3)
+        registry = MetricsRegistry(enabled=True)
+        with scoped_registry(registry):
+            service = IndexService.build(
+                base, family=FAMILY, n_shards=N_SHARDS, staleness_threshold=0.01,
+                flush_threshold=10,
+            )
+            with RuntimeStore(tmp_path / "runtime.db") as store:
+                with ServerThread(service, registry=registry, store=store) as srv:
+                    with HttpIndexClient(srv.host, srv.port) as client:
+                        for batch in batches:
+                            client.insert(batch.tolist())
+                        assert store.op_count() == 3
+            service.close()
+        assert service.stats.merges > 0
+        assert registry.counter("http_oplog_pruned_total").value == 0
+        with RuntimeStore(tmp_path / "runtime.db") as store:
+            assert store.op_count() == 3
 
 
 #: The runtime.db layout of the last release that stored counters
@@ -315,6 +380,22 @@ class TestOpLogPruning:
         assert store.last_seq() == 4
         assert store.record_op(rng.integers(0, 100, 3)) == 5
 
+    def test_prune_truncates_the_wal(self, store, rng):
+        """A prune's ``DELETE`` appends pages to the WAL; the checkpoint
+        after it folds them into the database and empties the file, and
+        the log keeps working after it."""
+        wal = store.path.parent / (store.path.name + "-wal")
+        for _ in range(20):
+            store.record_op(rng.integers(0, 10**6, 200))
+        assert wal.stat().st_size > 0
+        assert store.prune_op_log_upto(store.last_seq()) == 20
+        assert wal.stat().st_size == 0
+        keys = rng.integers(-(2**62), 2**62, 300)
+        seq = store.record_op(keys, keys * 3)
+        (op,) = store.iter_ops()
+        assert op.seq == seq == 21
+        assert np.array_equal(op.keys, keys) and np.array_equal(op.values, keys * 3)
+
     def test_prune_upto_leaves_newer_ops(self, store, rng):
         batches = [rng.integers(0, 100, 3) for _ in range(5)]
         for keys in batches:
@@ -327,7 +408,7 @@ class TestOpLogPruning:
         assert store.prune_op_log_upto(0) == 0  # no-op floor
 
     def test_durable_sync_prunes_only_captured_ops(self, tmp_path, rng):
-        """Front-door durable_sync: flushed generation ⇒ op rows deleted."""
+        """Front-door durable sync: flushed generation ⇒ op rows deleted."""
         from repro.server.app import HttpFrontDoor
         from repro.store import DurableStore
 
@@ -347,7 +428,7 @@ class TestOpLogPruning:
                     rt.record_op(chunk, chunk * 2)
                     service.insert_many(chunk, chunk * 2)
                 gen_before = service.durable_generation()
-                assert front.durable_sync() == 3
+                assert front._durable_sync() == 3
                 assert rt.op_count() == 0
                 assert pruned.value == 3
                 assert service.durable_generation() > gen_before
@@ -355,7 +436,7 @@ class TestOpLogPruning:
                 rt.record_op(fresh[:1])
                 service.insert_many(fresh[:1])
                 assert rt.op_count() == 1
-                assert front.durable_sync() == 1
+                assert front._durable_sync() == 1
                 assert rt.op_count() == 0
                 assert pruned.value == 4
                 assert rt.last_seq() == 4
@@ -374,7 +455,7 @@ class TestOpLogPruning:
             with RuntimeStore(tmp_path / "runtime.db") as rt:
                 rt.record_op(base[:3])
                 front = HttpFrontDoor(service, store=rt)
-                assert front.durable_sync() == 0  # no DurableStore attached
+                assert front._durable_sync() == 0  # no DurableStore attached
                 assert rt.op_count() == 1
         finally:
             service.close()
@@ -400,9 +481,48 @@ class TestOpLogPruning:
             service.close()
         assert registry.counter("http_oplog_pruned_total").value == 1
         with RuntimeStore(tmp_path / "runtime.db") as rt:
-            assert rt.op_count() == 0  # shutdown's durable_sync pruned it
+            assert rt.op_count() == 0  # shutdown's durable sync pruned it
             assert rt.last_seq() == 1
         with IndexService.open_snapshot(tmp_path / "data") as reopened:
             got = reopened.lookup_many(fresh)
             assert bool(got.found.all())
             assert np.array_equal(got.values, fresh)  # default value = key
+
+    def test_every_prune_runs_under_the_writer_lock_before_close(self, tmp_path, rng):
+        """An insert that commits a generation prunes inside its
+        exclusive section, and shutdown prunes once more under the
+        writer lock before it closes the store: no reader ever sees a
+        log row gone whose write is not yet in a run."""
+        from repro.store import DurableStore
+
+        class _Recording(RuntimeStore):
+            def __init__(self, path):
+                super().__init__(path)
+                self.front = None
+                self.events: list[tuple[str, bool]] = []
+
+            def prune_op_log_upto(self, seq: int) -> int:
+                self.events.append(("prune", self.front._rwlock._writing))
+                return super().prune_op_log_upto(seq)
+
+            def close(self) -> None:
+                self.events.append(("close", self.front._rwlock._writing))
+                super().close()
+
+        base = np.unique(rng.integers(0, 10**8, 1_200))
+        fresh = int(base[-1]) + np.arange(1, 61)
+        service = IndexService.build(
+            base, family=FAMILY, n_shards=N_SHARDS,
+            store=DurableStore(tmp_path / "data"), staleness_threshold=10.0,
+            flush_threshold=50,
+        )
+        rt = _Recording(tmp_path / "runtime.db")
+        try:
+            with ServerThread(service, store=rt) as srv:
+                rt.front = srv.front
+                with HttpIndexClient(srv.host, srv.port) as client:
+                    client.insert(fresh.tolist())
+                    assert rt.op_count() == 0
+        finally:
+            service.close()
+        assert rt.events == [("prune", True), ("prune", True), ("close", False)]

@@ -1,6 +1,5 @@
 """Service observability: health report, exact priced percentiles,
-the no-op fast path, and the metrics stream / ``repro metrics`` round
-trip."""
+the no-op fast path, and the structured log format."""
 
 from __future__ import annotations
 
@@ -11,7 +10,6 @@ import pytest
 
 from repro.cli import main
 from repro.obs.health import HealthReport, ShardHealth
-from repro.obs.export import write_jsonl
 from repro.obs.metrics import MetricsRegistry, scoped_registry
 from repro.serving import IndexService
 
@@ -207,54 +205,6 @@ def test_each_timed_block_keeps_one_clock(dataset, rng):
     for key in ("service_merge_seconds", "smooth_seconds", "flat_compile_seconds{family=lipp}"):
         assert histograms[key].count > 0, key
     assert not any(key.startswith("span_seconds") for key in histograms)
-
-
-# ----------------------------------------------------------------------
-# Metrics stream round trip
-# ----------------------------------------------------------------------
-def _write_metrics_stream(path, dataset, rng) -> None:
-    """Two snapshot lines, as ``serve --metrics-out`` writes them: an
-    enabled registry around an in-process service, one line after the
-    build and one after reads and writes."""
-    keys, values = dataset
-    registry = MetricsRegistry(enabled=True)
-    with scoped_registry(registry):
-        with IndexService.build(keys, family="lipp", n_shards=2, values=values) as svc:
-            write_jsonl(path, registry)
-            svc.lookup_many(rng.choice(keys, 2000))
-            svc.insert_many(_fresh_keys(keys, 500, rng))
-            write_jsonl(path, registry)
-
-
-def test_serve_metrics_out_and_validate(tmp_path, capsys, dataset, rng):
-    out = tmp_path / "metrics.jsonl"
-    _write_metrics_stream(out, dataset, rng)
-    lines = out.read_text().splitlines()
-    assert len(lines) == 2
-    for line in lines:
-        snap = json.loads(line)
-        assert snap["v"] == 1
-    assert json.loads(lines[-1])["counters"]["service_lookups_total"] == 2000
-
-    assert main(["metrics", "--in", str(out), "--validate"]) == 0
-    assert "schema valid" in capsys.readouterr().out
-
-    assert main(["metrics", "--in", str(out)]) == 0
-    table = capsys.readouterr().out
-    assert "service_lookups_total" in table and "p99" in table
-
-    assert main(["metrics", "--in", str(out), "--format", "prom"]) == 0
-    assert "# TYPE service_lookups_total counter" in capsys.readouterr().out
-
-
-def test_metrics_validate_fails_on_tampered_file(tmp_path, capsys, dataset, rng):
-    out = tmp_path / "metrics.jsonl"
-    _write_metrics_stream(out, dataset, rng)
-    with open(out, "a", encoding="utf-8") as fh:
-        fh.write("{not json\n")
-    assert main(["metrics", "--in", str(out), "--validate"]) == 1
-    assert "not valid JSON" in capsys.readouterr().out
-    assert main(["metrics", "--in", str(tmp_path / "absent.jsonl"), "--validate"]) == 1
 
 
 def test_log_format_json_wraps_every_line(capsys):

@@ -149,17 +149,19 @@ class TestCli:
             ["--timeout-s", "5"],
             ["--compare"],
             ["--zipf"],
-            ["--metrics-every", "5"],  # not an abbreviation of --metrics-every-s
+            ["--metrics-every", "5"],
             ["--ops", "10"],
             ["--read-frac", "0.5"],
             ["--batch", "512"],
             ["--seed", "1"],
+            ["--metrics-out", "x"],
+            ["--metrics-every-s", "5"],
         ],
         ids=[
             "cache-blocks", "threads", "executor-thread",
             "executor-process", "workers", "replicas", "timeout-s",
             "compare", "zipf", "metrics-every", "ops", "read-frac", "batch",
-            "seed",
+            "seed", "metrics-out", "metrics-every-s",
         ],
     )
     def test_serve_rejects_removed_flags(self, removed, capsys):
@@ -167,6 +169,15 @@ class TestCli:
             main(["serve", *removed])
         assert exc.value.code == 2
         assert removed[0] in capsys.readouterr().err
+
+    def test_metrics_command_is_gone(self, capsys):
+        """``repro metrics`` read the deleted JSON-lines stream; ``GET
+        /metrics`` on a live server is the one way out."""
+        with pytest.raises(SystemExit) as exc:
+            main(["metrics", "--in", "x"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "'metrics'" in err
 
     @pytest.mark.parametrize(
         "bad",
