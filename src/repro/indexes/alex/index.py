@@ -34,6 +34,7 @@ from ..base import (
     dedupe_last_wins,
     group_runs,
     prepare_key_values,
+    range_slice,
 )
 from .data_node import AlexDataNode, InsertStatus, TARGET_DENSITY
 from .inner_node import AlexInnerNode, AlexNode
@@ -338,51 +339,33 @@ class AlexIndex(LearnedIndex):
             raise IndexStateError(f"key {key} is not stored in this ALEX index")
         return levels
 
+    def _data_nodes(self) -> list[AlexDataNode]:
+        """The non-empty data nodes in key order: they partition the key
+        space, and :meth:`_walk` is unordered."""
+        nodes = [node for node in self._walk() if isinstance(node, AlexDataNode) and node.n_keys]
+        nodes.sort(key=lambda node: int(node.slot_keys[np.argmax(node.occupied)]))
+        return nodes
+
     def iter_keys(self) -> Iterator[int]:
-        # Data nodes partition the key space in routing order; walk()
-        # is unordered, so sort node key arrays by their first key.
-        chunks: list[np.ndarray] = []
-        for node in self._walk():
-            if isinstance(node, AlexDataNode) and node.n_keys:
-                chunks.append(node.collect_arrays()[0])
-        chunks.sort(key=lambda arr: int(arr[0]))
-        for chunk in chunks:
-            yield from (int(k) for k in chunk)
+        for node in self._data_nodes():
+            yield from node.collect_arrays()[0].tolist()
 
     # ------------------------------------------------------------------
     # Reports used by the evaluation harness
     # ------------------------------------------------------------------
-    def range_query(self, low: int, high: int) -> list[tuple[int, int]]:
-        """All (key, value) pairs with ``low <= key <= high``.
-
-        Descends to the data node holding *low*, scans its occupied
-        slots in order, and hops to the next data node (in key order)
-        until the range is exhausted.
-        """
-        low = int(low)
-        high = int(high)
-        out: list[tuple[int, int]] = []
-        # Collect data nodes ordered by their first key; ALEX data
-        # nodes partition the key space so a linear merge is correct.
-        nodes = [
-            node
-            for node in self._walk()
-            if isinstance(node, AlexDataNode) and node.n_keys
-        ]
-        nodes.sort(key=lambda node: int(node.slot_keys[np.argmax(node.occupied)]))
-        for node in nodes:
+    def range_query(self, low: int, high: int) -> tuple[np.ndarray, np.ndarray]:
+        """The keys in ``[low, high]`` and their values, as int64 arrays:
+        each data node's in-range slice, in key order."""
+        key_parts = [np.empty(0, dtype=np.int64)]
+        value_parts = [np.empty(0, dtype=np.int64)]
+        for node in self._data_nodes():
             keys, values = node.collect_arrays()
-            if int(keys[-1]) < low:
-                continue
             if int(keys[0]) > high:
                 break
-            lo_pos = int(np.searchsorted(keys, low, side="left"))
-            hi_pos = int(np.searchsorted(keys, high, side="right"))
-            out.extend(
-                (int(k), int(v))
-                for k, v in zip(keys[lo_pos:hi_pos], values[lo_pos:hi_pos])
-            )
-        return out
+            sl = range_slice(keys, low, high)
+            key_parts.append(keys[sl])
+            value_parts.append(values[sl])
+        return np.concatenate(key_parts), np.concatenate(value_parts)
 
     def node_levels(self) -> list[int]:
         """Level of every node (for the node-reduction metric)."""

@@ -37,6 +37,7 @@ merge-parity tests compare against.
 
 from __future__ import annotations
 
+import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -55,6 +56,7 @@ __all__ = [
     "dedupe_last_wins",
     "group_runs",
     "prepare_key_values",
+    "range_slice",
 ]
 
 #: Bytes charged per stored key / value / pointer in the size model.
@@ -253,14 +255,25 @@ def group_runs(values: np.ndarray) -> list[np.ndarray]:
     return np.split(order, run_starts)
 
 
+def range_slice(keys: np.ndarray, low: int, high: int) -> slice:
+    """The slice of sorted int64 *keys* holding ``low <= key <= high``;
+    bounds past int64 are clamped, or ``searchsorted`` compares them as
+    floats and sorts ``2**63`` before the key ``2**63 - 1``."""
+    low = max(int(low), -(1 << 63))
+    high = min(int(high), (1 << 63) - 1)
+    if low > high:
+        return slice(0, 0)
+    lo = np.searchsorted(keys, low, side="left")
+    return slice(int(lo), int(np.searchsorted(keys, high, side="right")))
+
+
 def _range_from_sorted_arrays(
     keys: np.ndarray, values: np.ndarray, low: int, high: int
-) -> list[tuple[int, int]]:
-    """Range scan over parallel sorted arrays (shared by the
-    array-backed indexes' ``range_query`` implementations)."""
-    lo = int(np.searchsorted(keys, int(low), side="left"))
-    hi = int(np.searchsorted(keys, int(high), side="right"))
-    return list(zip(keys[lo:hi].tolist(), values[lo:hi].tolist()))
+) -> tuple[np.ndarray, np.ndarray]:
+    """The array families' ``range_query``: both in-range slices, copied
+    (a value overwrite writes *values* in place)."""
+    sl = range_slice(keys, low, high)
+    return keys[sl].copy(), values[sl].copy()
 
 
 def prepare_key_values(
@@ -329,8 +342,9 @@ class LearnedIndex(ABC):
     def __contains__(self, key: int) -> bool:
         return self.lookup_stats(int(key)).found
 
-    def range_query(self, low: int, high: int) -> list[tuple[int, int]]:
-        """All (key, value) pairs with ``low <= key <= high``.
+    def range_query(self, low: int, high: int) -> tuple[np.ndarray, np.ndarray]:
+        """The stored keys in ``[low, high]`` and their values, as two
+        int64 arrays in key order.
 
         Generic implementation: walk :meth:`iter_keys` (ascending) and
         resolve each in-range key's value, stopping past *high*.
@@ -338,15 +352,9 @@ class LearnedIndex(ABC):
         direct scan; the serving layer's merge and range paths rely
         on every backend answering it.
         """
-        low = int(low)
-        high = int(high)
-        out: list[tuple[int, int]] = []
-        for key in self.iter_keys():
-            if key > high:
-                break
-            if key >= low:
-                out.append((key, self.lookup_strict(key)))
-        return out
+        keys = [key for key in itertools.takewhile(lambda k: k <= high, self.iter_keys()) if key >= low]
+        values = [self.lookup_strict(key) for key in keys]
+        return np.asarray(keys, dtype=np.int64), np.asarray(values, dtype=np.int64)
 
     # ------------------------------------------------------------------
     # Structure inspection

@@ -287,19 +287,20 @@ class BPlusTree(LearnedIndex):
         return None
 
     # ------------------------------------------------------------------
-    def range_query(self, low: int, high: int) -> list[tuple[int, int]]:
-        """All (key, value) pairs with ``low <= key <= high``."""
-        leaf, __, __steps = self._descend(int(low))
-        out: list[tuple[int, int]] = []
-        node: _Leaf | None = leaf
+    def range_query(self, low: int, high: int) -> tuple[np.ndarray, np.ndarray]:
+        """The keys in ``[low, high]`` and their values, as int64 arrays."""
+        node: _Leaf | None = self._descend(int(low))[0]
+        keys: list[int] = []
+        values: list[int] = []
         while node is not None:
-            for k, v in zip(node.keys, node.values):
-                if k > high:
-                    return out
-                if k >= low:
-                    out.append((k, v))
+            lo = bisect.bisect_left(node.keys, low)
+            hi = bisect.bisect_right(node.keys, high)
+            keys += node.keys[lo:hi]
+            values += node.values[lo:hi]
+            if hi < len(node.keys):
+                break
             node = node.next
-        return out
+        return np.asarray(keys, dtype=np.int64), np.asarray(values, dtype=np.int64)
 
     @property
     def n_keys(self) -> int:

@@ -6,9 +6,10 @@ walking it pays a Python dispatch per visited node, and a LIPP tree
 built at slot factor 1.0 has *thousands* of two-key conflict children.
 The flat view is therefore the only batch representation of a
 LIPP/SALI tree — batch lookups, the sparse bulk merge and the
-structure reports all run on it; the node objects serve per-key
-``insert`` / ``lookup_stats`` (the scalar walk the parity tests use as
-their oracle).
+structure reports all run on it, and a range reads its DATA slots
+through the index's key order (``LippIndex._key_order``); the node
+objects serve per-key ``insert`` / ``lookup_stats`` (the scalar walk
+the parity tests use as their oracle).
 
 :class:`FlatLipp` compiles the tree into contiguous level-ordered
 arrays:
@@ -69,7 +70,8 @@ the authoritative mutable structure, and an in-place slot write — an
 EMPTY slot filled by ``insert`` or the gapped merge, a DATA value
 overwritten — through a node, a shard's view or the forest is seen by
 all three with no invalidation.  (Which is why nothing derived from the
-slots is cached on a view: it would go stale unnoticed.)  Only
+slots is cached on a view: it would go stale unnoticed.  A range's key
+order lives on the index, which makes every write.)  Only
 *structural* changes — a conflict child created, a subtree rebuilt, a
 hot subtree flattened, a flattened leaf re-segmented — stale the
 compiled mapping; the index drops its view and recompiles lazily, and a
@@ -114,8 +116,6 @@ __all__ = ["FlatLipp", "StaleFlatError"]
 #: index ``FLAT_LEAF_BASE - value``.
 NO_CHILD = -1
 FLAT_LEAF_BASE = -2
-
-_INT64 = np.iinfo(np.int64)
 
 #: Share of a tree's node / slot / leaf count a forest leaves unused
 #: after it, for the tree to grow into.  A merge of a tenth of a shard's
@@ -335,7 +335,7 @@ class FlatLipp:
         forest.nodes = [None] * n_nodes
         forest.leaves = [None] * n_leaves
         # A sweep never reads slack; ``slot_type``'s reads EMPTY so that
-        # a scan over every slot (such as ``entries``) finds nothing there.
+        # a scan over every slot finds nothing there.
         for name, dtype in _NODE_ARRAYS + (("slot_start", np.int64),):
             setattr(forest, name, np.empty(n_nodes, dtype=dtype))
         for name, dtype in _SLOT_ARRAYS + (("slot_child", np.int32),):
@@ -575,35 +575,6 @@ class FlatLipp:
         data_slots = np.nonzero(self.slot_type == SLOT_DATA)[0]
         node_of = np.searchsorted(self.slot_start, data_slots, side="right") - 1
         return data_slots, node_of
-
-    def entries(self, low: int, high: int) -> tuple[np.ndarray, np.ndarray]:
-        """The stored keys in ``[low, high]`` with their values, as
-        arrays in key order — one mask over the slots (DATA, and in
-        range), one gather, the in-range ``searchsorted`` slice of each
-        flattened leaf's dense arrays, and one argsort of the overlap.
-
-        Read off the live buffers on every call and never cached: gap
-        fills and value overwrites go through the shared buffers
-        without invalidating the view, so a sorted copy kept per
-        compile would go stale unnoticed.  The cost is proportional to
-        the view's slot count, wherever the range lies.
-        """
-        low = max(int(low), _INT64.min)
-        high = min(int(high), _INT64.max)
-        slot_keys = self.slot_keys
-        hit = np.flatnonzero(
-            (self.slot_type == SLOT_DATA) & (slot_keys >= low) & (slot_keys <= high)
-        )
-        key_parts = [slot_keys[hit]]
-        value_parts = [self.slot_values[hit]]
-        for leaf in self.leaves:
-            lo = np.searchsorted(leaf.keys, low, side="left")
-            hi = np.searchsorted(leaf.keys, high, side="right")
-            key_parts.append(leaf.keys[lo:hi])
-            value_parts.append(leaf.values[lo:hi])
-        keys = np.concatenate(key_parts)
-        order = np.argsort(keys, kind="stable")
-        return keys[order], np.concatenate(value_parts)[order]
 
     def level_histogram(self) -> dict[int, int]:
         """Keys stored per level — one bincount over the DATA slots."""

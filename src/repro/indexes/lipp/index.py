@@ -10,11 +10,12 @@ There is one traversal per granularity.  Per key, ``insert`` /
 ``lookup_stats`` / ``key_level`` share the one walk over the node
 objects, :meth:`LippIndex._descend` — SALI's flattened leaves included,
 so :class:`~repro.indexes.sali.index.SaliIndex` adds no walk of its
-own.  Per batch, ``lookup_many``, ``range_query``, the sparse
-``bulk_insert_many`` merge and the structure reports (``height``,
-``size_bytes``, ``level_histogram`` …) run on the compiled flat view
-(:mod:`~repro.indexes.lipp.flat`), which is compiled lazily and dropped
-on every structural change.  The shards of a service are additionally
+own.  Per batch, ``lookup_many``, the sparse ``bulk_insert_many`` merge
+and the structure reports (``height``, ``size_bytes``,
+``level_histogram`` …) run on the compiled flat view
+(:mod:`~repro.indexes.lipp.flat`), compiled lazily and dropped on every
+structural change, and ``range_query`` on its DATA slots in key order
+(:meth:`LippIndex._key_order`).  The shards of a service are additionally
 read through one :class:`~repro.indexes.lipp.forest.LippForest`.
 
 Tree surgery is :class:`LippIndex`'s alone.  A rebuilt subtree goes in
@@ -50,6 +51,7 @@ from ..base import (
     dedupe_last_wins,
     group_runs,
     prepare_key_values,
+    range_slice,
 )
 from ...obs.metrics import get_registry
 from .flat import FlatLipp, StaleFlatError, _leaf_like
@@ -70,6 +72,8 @@ class LippIndex(LearnedIndex):
         self._root = root
         self._slot_factor = slot_factor
         self._flat: FlatLipp | None = None
+        #: ``(view, sorted DATA keys, slot positions)``: :meth:`_key_order`.
+        self._order: tuple[FlatLipp, np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -104,6 +108,7 @@ class LippIndex(LearnedIndex):
         performing direct tree surgery must call it themselves.
         """
         self._flat = None
+        self._order = None
 
     def _flat_view(self, slots: bool = True) -> FlatLipp:
         """The compiled flat view, compiling it on first use (``slots``
@@ -217,6 +222,7 @@ class LippIndex(LearnedIndex):
         for visited in path:
             visited.n_subtree_keys += 1
         if kind == SLOT_EMPTY:
+            self._order = None
             node.slot_type[slot] = SLOT_DATA
             node.slot_keys[slot] = key
             node.slot_values[slot] = value
@@ -367,6 +373,7 @@ class LippIndex(LearnedIndex):
             uniq, first, counts = np.unique(e_slots, return_index=True, return_counts=True)
             single = counts == 1
             if np.any(single):
+                self._order = None
                 rows = e_rows[first[single]]
                 slots = uniq[single]
                 flat.slot_type[slots] = SLOT_DATA
@@ -464,7 +471,8 @@ class LippIndex(LearnedIndex):
         coefficients (:data:`~repro.indexes.base.MODEL_BYTES`) and its
         entry in the CSR slot-offset array
         (:data:`~repro.indexes.base.OFFSET_BYTES`); per CHILD slot one
-        pointer.
+        pointer.  A range's key order (:meth:`_key_order`, 16 bytes
+        per key) is a read cache and is not counted.
         """
         flat = self._flat_view()
         total = flat.n_nodes * (NODE_HEADER_BYTES + MODEL_BYTES + OFFSET_BYTES)
@@ -494,18 +502,38 @@ class LippIndex(LearnedIndex):
         """Keys stored at *level* or deeper ("promotable data")."""
         return self._flat_view().keys_at_or_below(level)
 
-    def range_query(self, low: int, high: int) -> list[tuple[int, int]]:
-        """All (key, value) pairs with ``low <= key <= high``.
+    def _key_order(self) -> tuple[FlatLipp, np.ndarray, np.ndarray]:
+        """``(view, keys, positions)``: the view's DATA slots in key order,
+        by one mask and one stable argsort, published whole by one
+        assignment (so racing readers are harmless).  Values are read live
+        through the positions, which a forest's re-pointing keeps, so an
+        overwrite needs no drop; :meth:`invalidate_flat` and the gap fills
+        of ``insert`` and the gapped merge do, and an older view's is rebuilt."""
+        flat = self._flat_view()
+        order = self._order
+        if order is None or order[0] is not flat:
+            data = np.flatnonzero(flat.slot_type == SLOT_DATA)
+            data = data[np.argsort(flat.slot_keys[data], kind="stable")]
+            keys = flat.slot_keys[data]
+            keys.flags.writeable = False
+            self._order = order = (flat, keys, data)
+        return order
 
-        Answered from the flat view (:meth:`FlatLipp.entries`): one
-        mask over the slot arrays, a gather, and an argsort of the
-        overlap — SALI's flattened leaves by ``searchsorted`` slice.
-        The cost is proportional to the index's slot count, not to the
-        number of keys at or below *high*, which is what the in-order
-        node walk (:meth:`iter_keys`, the tests' oracle) pays.
-        """
-        keys, values = self._flat_view().entries(low, high)
-        return list(zip(keys.tolist(), values.tolist()))
+    def range_query(self, low: int, high: int) -> tuple[np.ndarray, np.ndarray]:
+        """The stored keys in ``[low, high]`` and their values, as two
+        int64 arrays: two ``searchsorted`` calls over :meth:`_key_order`,
+        a key slice and a value gather, so a warm range costs the keys it
+        returns (SALI's flattened leaves add a slice each, then a sort)."""
+        flat, keys, positions = self._key_order()
+        sl = range_slice(keys, low, high)
+        key_parts, value_parts = [keys[sl]], [flat.slot_values[positions[sl]]]
+        if not flat.leaves:
+            return key_parts[0], value_parts[0]
+        for leaf in flat.leaves:
+            sl = range_slice(leaf.keys, low, high)
+            key_parts.append(leaf.keys[sl])
+            value_parts.append(leaf.values[sl])
+        return dedupe_last_wins(np.concatenate(key_parts), np.concatenate(value_parts))
 
     def node_levels(self) -> list[int]:
         """Level of every node (for the node-reduction metric), in

@@ -237,8 +237,8 @@ class PGMIndex(LearnedIndex):
             seg_idx = np.minimum(pos, len(self._levels[level - 1]) - 1)
         raise AssertionError("unreachable")
 
-    def range_query(self, low: int, high: int) -> list[tuple[int, int]]:
-        """All (key, value) pairs with ``low <= key <= high``.
+    def range_query(self, low: int, high: int) -> tuple[np.ndarray, np.ndarray]:
+        """The keys in ``[low, high]`` and their values, as int64 arrays.
 
         The data level is one dense sorted array, so (as in the real
         PGM) a range is the slice between the bounds' positions; the

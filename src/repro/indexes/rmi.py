@@ -153,8 +153,8 @@ class RMIIndex(LearnedIndex):
             search_steps=steps,
         )
 
-    def range_query(self, low: int, high: int) -> list[tuple[int, int]]:
-        """All (key, value) pairs with ``low <= key <= high`` — RMI
+    def range_query(self, low: int, high: int) -> tuple[np.ndarray, np.ndarray]:
+        """The keys in ``[low, high]`` and their values, as int64 arrays — RMI
         stores the data as one dense sorted array, so a range is the
         slice between the bounds' positions."""
         return _range_from_sorted_arrays(self._keys, self._values, low, high)

@@ -153,8 +153,8 @@ class SortedArrayIndex(LearnedIndex):
         self._probe_tables = (steps_hit[:n] if n else steps_hit[:0], steps_miss)
         return self._probe_tables
 
-    def range_query(self, low: int, high: int) -> list[tuple[int, int]]:
-        """All (key, value) pairs with ``low <= key <= high`` — a
+    def range_query(self, low: int, high: int) -> tuple[np.ndarray, np.ndarray]:
+        """The keys in ``[low, high]`` and their values, as int64 arrays — a
         contiguous slice of the backing arrays."""
         return _range_from_sorted_arrays(self._keys, self._values, low, high)
 

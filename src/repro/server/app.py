@@ -637,15 +637,16 @@ class HttpFrontDoor:
 
         def work() -> dict:
             with self._rwlock.read():
-                pairs = self.service.range_query(low, high)
-            if len(pairs) > MAX_RANGE_PAIRS:
+                keys, values = self.service.range_arrays(low, high)
+            # Refused before a pair is built: a wide range costs arrays.
+            if keys.size > MAX_RANGE_PAIRS:
                 raise BadRequestError(
-                    f"range matches {len(pairs)} pairs "
+                    f"range matches {keys.size} pairs "
                     f"(cap {MAX_RANGE_PAIRS}); narrow the bounds"
                 )
             return {
-                "n": len(pairs),
-                "pairs": [[int(k), int(v)] for k, v in pairs],
+                "n": int(keys.size),
+                "pairs": np.column_stack((keys, values)).tolist(),
             }
 
         result = await self.admission.run(work)

@@ -52,6 +52,8 @@ from ..obs.metrics import get_registry
 
 __all__ = ["RoutedBatch", "ShardRouter"]
 
+_EMPTY = np.empty(0, dtype=np.int64)  # both arrays of an empty range
+
 
 @dataclass(frozen=True)
 class RoutedBatch:
@@ -200,20 +202,24 @@ class ShardRouter:
         )
         return RoutedBatch(gathered=gathered, shard_ids=shard_ids)
 
-    def range_query(self, low: int, high: int) -> list[tuple[int, int]]:
-        """Gathered range scan across every shard overlapping the range."""
+    def range_query(self, low: int, high: int) -> tuple[np.ndarray, np.ndarray]:
+        """Gathered range scan across every shard overlapping the range,
+        as ``(keys, values)`` int64 arrays: the shards' answers, joined."""
         low = int(low)
         high = int(high)
         if low > high:
-            return []
+            return _EMPTY, _EMPTY
         first = int(np.searchsorted(self._boundaries, low, side="right"))
         last = int(np.searchsorted(self._boundaries, high, side="right"))
-        out: list[tuple[int, int]] = []
-        for shard_no in range(first, last + 1):
-            shard = self._shards[shard_no]
-            if shard is not None:
-                out.extend(shard.range_query(low, high))
-        return out
+        parts = [
+            shard.range_query(low, high)
+            for shard in self._shards[first : last + 1]
+            if shard is not None
+        ]
+        if len(parts) == 1:
+            return parts[0]
+        keys, values = zip(*parts) if parts else ([_EMPTY], [_EMPTY])
+        return np.concatenate(keys), np.concatenate(values)
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -57,6 +57,7 @@ from ..indexes.base import (
     _as_query_array,
     alloc_batch_outputs,
     dedupe_last_wins,
+    range_slice,
 )
 from ..obs.health import (
     IMBALANCE_WARN,
@@ -598,23 +599,24 @@ class IndexService:
     # ------------------------------------------------------------------
     # Range path
     # ------------------------------------------------------------------
-    def range_query(self, low: int, high: int) -> list[tuple[int, int]]:
-        """Gathered range scan, overlaid with in-range buffered writes."""
-        pairs = self.router.range_query(low, high)
-        key_parts, value_parts = [], []
+    def range_arrays(self, low: int, high: int) -> tuple[np.ndarray, np.ndarray]:
+        """Gathered range scan overlaid with in-range buffered writes,
+        as ``(keys, values)`` int64 arrays in key order."""
+        keys, values = self.router.range_query(low, high)
+        if not any(len(buffer) for buffer in self._buffers):
+            return keys, values  # nothing buffered: the router's arrays
+        key_parts, value_parts = [keys], [values]
         for buffer in self._buffers:
             bkeys, bvals = buffer.arrays()
-            lo = int(np.searchsorted(bkeys, int(low), side="left"))
-            hi = int(np.searchsorted(bkeys, int(high), side="right"))
-            if lo < hi:
-                key_parts.append(bkeys[lo:hi])
-                value_parts.append(bvals[lo:hi])
-        if not key_parts:
-            return pairs  # shards are disjoint ascending ranges
-        stored = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
-        keys, values = dedupe_last_wins(
-            np.concatenate([stored[0], *key_parts]), np.concatenate([stored[1], *value_parts])
-        )
+            sl = range_slice(bkeys, low, high)
+            key_parts.append(bkeys[sl])
+            value_parts.append(bvals[sl])
+        # Buffered writes come after the stored pairs: they win.
+        return dedupe_last_wins(np.concatenate(key_parts), np.concatenate(value_parts))
+
+    def range_query(self, low: int, high: int) -> list[tuple[int, int]]:
+        """:meth:`range_arrays` as a list of ``(key, value)`` pairs."""
+        keys, values = self.range_arrays(low, high)
         return list(zip(keys.tolist(), values.tolist()))
 
     # ------------------------------------------------------------------

@@ -64,3 +64,21 @@ def _insert_each(index, keys, values=None) -> None:
 def insert_each():
     """:func:`_insert_each` (session-scoped so ``@given`` tests may take it)."""
     return _insert_each
+
+
+def _range_pairs(arrays) -> list[tuple[int, int]]:
+    """A range answer ``(keys, values)`` as the list of ``(key, value)``
+    pairs every range oracle is written in — after checking that it is
+    two parallel 1-D int64 arrays in strictly ascending key order."""
+    keys, values = arrays
+    assert isinstance(keys, np.ndarray) and isinstance(values, np.ndarray)
+    assert keys.dtype == values.dtype == np.int64
+    assert keys.ndim == 1 and keys.shape == values.shape
+    assert bool(np.all(keys[1:] > keys[:-1]))
+    return list(zip(keys.tolist(), values.tolist()))
+
+
+@pytest.fixture(scope="session")
+def range_pairs():
+    """:func:`_range_pairs` (session-scoped so ``@given`` tests may take it)."""
+    return _range_pairs

@@ -89,20 +89,20 @@ class TestInsert:
 
 
 class TestRangeQuery:
-    def test_inclusive_bounds(self):
+    def test_inclusive_bounds(self, range_pairs):
         tree = BPlusTree.build(np.arange(0, 100, 10))
-        assert tree.range_query(10, 30) == [(10, 10), (20, 20), (30, 30)]
+        assert range_pairs(tree.range_query(10, 30)) == [(10, 10), (20, 20), (30, 30)]
 
-    def test_crosses_leaves(self, rng):
+    def test_crosses_leaves(self, rng, range_pairs):
         keys = np.unique(rng.integers(0, 10**6, 500))
         tree = BPlusTree.build(keys, order=8)
         lo, hi = int(keys[50]), int(keys[200])
         expected = [(int(k), int(k)) for k in keys if lo <= k <= hi]
-        assert tree.range_query(lo, hi) == expected
+        assert range_pairs(tree.range_query(lo, hi)) == expected
 
-    def test_empty_range(self, small_keys):
+    def test_empty_range(self, small_keys, range_pairs):
         tree = BPlusTree.build(small_keys)
-        assert tree.range_query(int(small_keys[-1]) + 1, int(small_keys[-1]) + 10) == []
+        assert range_pairs(tree.range_query(int(small_keys[-1]) + 1, int(small_keys[-1]) + 10)) == []
 
 
 class TestStructure:

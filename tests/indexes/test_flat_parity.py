@@ -260,19 +260,19 @@ class TestExtremeSpanParity:
     the scalar walk (Python ints) did not, so the two disagreed and a
     wide key set lost keys."""
 
-    def test_extreme_span_build(self, cls):
+    def test_extreme_span_build(self, cls, range_pairs):
         keys = _extreme_span_keys()
         values = keys // 4
         index = cls.build(keys, values)
         _assert_both_walks_find(index, keys, values)
         _assert_lookup_parity(index, np.concatenate([EXTREME_PROBES, keys + 1, keys - 1]))
-        assert index.range_query(int(INT64.min), int(INT64.max)) == list(
+        assert range_pairs(index.range_query(int(INT64.min), int(INT64.max))) == list(
             zip(keys.tolist(), values.tolist())
         )
         _assert_compile_parity(index)
 
     @pytest.mark.parametrize("bulk", [True, False], ids=["bulk", "per_key"])
-    def test_extreme_keys_into_an_ordinary_tree(self, cls, bulk):
+    def test_extreme_keys_into_an_ordinary_tree(self, cls, bulk, range_pairs):
         rng = np.random.default_rng(5)
         keys = np.unique(rng.integers(10**9, 10**12, 3000))
         index = cls.build(keys, keys * 3)
@@ -290,7 +290,7 @@ class TestExtremeSpanParity:
         )
         _assert_both_walks_find(index, stored, values)
         _assert_lookup_parity(index, np.concatenate([EXTREME_PROBES, extreme + 1]))
-        assert index.range_query(int(INT64.min), int(INT64.max)) == list(
+        assert range_pairs(index.range_query(int(INT64.min), int(INT64.max))) == list(
             zip(stored.tolist(), values.tolist())
         )
         assert list(index.iter_keys()) == stored.tolist()
@@ -369,12 +369,12 @@ class TestBulkParity:
 class TestRangeAndIntrospectionParity:
     @SETTINGS
     @given(raw=key_lists, bounds=st.tuples(st.integers(0, 1 << 44), st.integers(0, 1 << 44)))
-    def test_range_query_parity(self, cls, raw, bounds):
+    def test_range_query_parity(self, cls, raw, bounds, range_pairs):
         keys, values, index = _build(cls, raw)
         low, high = min(bounds), max(bounds)
         inside = (keys >= low) & (keys <= high)
         want = list(zip(keys[inside].tolist(), values[inside].tolist()))
-        assert index.range_query(low, high) == want
+        assert range_pairs(index.range_query(low, high)) == want
 
     @SETTINGS
     @given(raw=key_lists)

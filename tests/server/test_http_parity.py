@@ -19,6 +19,7 @@ import pytest
 
 from repro.obs.export import PROMETHEUS_CONTENT_TYPE
 from repro.server import HttpIndexClient, HttpStatusError
+from repro.server import app as server_app
 from repro.server.app import (
     BadRequestError,
     parse_insert_request,
@@ -86,6 +87,38 @@ class TestWriteAndRangeParity:
         expected = [[int(k), int(v)] for k, v in twin.range_query(low, high)]
         assert resp["pairs"] == expected
         assert resp["n"] == len(expected)
+        self._assert_range_bytes(client, twin, low, high)
+
+    def test_range_parity_with_buffered_writes(self, twin_pair, rng):
+        client, twin, keys = twin_pair
+        low, high = int(keys[50]), int(keys[400])
+        # Fresh keys and overwrites, still in the memtables.
+        writes = np.concatenate([np.setdiff1d(rng.integers(low, high, 40), keys), keys[60:400:25]])
+        client.insert(writes.tolist(), (-writes).tolist())
+        twin.insert_many(writes, -writes)
+        assert sum(twin.buffered_counts()) == writes.size
+        self._assert_range_bytes(client, twin, low, high)
+
+    @staticmethod
+    def _assert_range_bytes(client, twin, low: int, high: int) -> None:
+        """Byte for byte the body the pair list built: ``n`` and
+        ``[[key, value], …]`` from the twin's ``range_query``, encoded
+        as the server encodes every reply."""
+        status, __, payload = client.request("POST", "/v1/range", {"low": low, "high": high})
+        expected = [[int(k), int(v)] for k, v in twin.range_query(low, high)]
+        assert status == 200
+        body = {"n": len(expected), "pairs": expected}
+        assert payload == json.dumps(body, sort_keys=True).encode("utf-8")
+
+    def test_range_over_the_cap_is_refused(self, twin_pair, rng, monkeypatch):
+        client, __, keys = twin_pair
+        monkeypatch.setattr(server_app, "MAX_RANGE_PAIRS", 10)
+        assert client.range(int(keys[0]), int(keys[9]))["n"] == 10
+        with pytest.raises(HttpStatusError) as err:
+            client.range(int(keys[0]), int(keys[10]))
+        assert err.value.status == 400
+        assert "narrow the bounds" in err.value.body["error"]
+        TestProtocolErrors._fresh_connection_answers(twin_pair, rng)
 
 
 class TestObservabilityEndpoints:

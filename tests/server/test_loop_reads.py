@@ -318,9 +318,9 @@ class _SlowLargeReads(SlowService):
             self._slow()
         return self._inner.lookup_many(keys)
 
-    def range_query(self, low, high):
+    def range_arrays(self, low, high):
         self._slow()
-        return self._inner.range_query(low, high)
+        return self._inner.range_arrays(low, high)
 
 
 @pytest.mark.parametrize("read", ["large_lookup", "range"])

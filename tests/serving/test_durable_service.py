@@ -21,9 +21,8 @@ import pytest
 
 from repro.core.csv_algorithm import CsvConfig, apply_csv
 from repro.core.exceptions import IndexStateError
-from repro.indexes import INDEX_FAMILIES
+from repro.indexes import INDEX_FAMILIES, LippIndex
 from repro.indexes.adapters import adapter_for
-from repro.indexes.lipp.flat import FlatLipp
 from repro.serving import IndexService
 from repro.store import MANIFEST_NAME, DurableStore, make_strategy
 from repro.store.runs import read_run_file, write_run_file
@@ -45,8 +44,9 @@ def fresh_batches(rng, keyset, n_batches=6, size=300):
 
 def full_pairs(service: IndexService) -> np.ndarray:
     bounds = np.iinfo(np.int64)
-    pairs = service.range_query(int(bounds.min), int(bounds.max))
-    return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    keys, values = service.range_arrays(int(bounds.min), int(bounds.max))
+    assert keys.dtype == values.dtype == np.int64
+    return np.column_stack((keys, values))
 
 
 def _scan_shard(shard) -> tuple[np.ndarray, np.ndarray]:
@@ -56,8 +56,7 @@ def _scan_shard(shard) -> tuple[np.ndarray, np.ndarray]:
     if shard is None:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     bounds = np.iinfo(np.int64)
-    pairs = shard.range_query(int(bounds.min), int(bounds.max))
-    keys, values = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+    keys, values = shard.range_query(int(bounds.min), int(bounds.max))
     return keys.copy(), values.copy()
 
 
@@ -161,8 +160,8 @@ class TestSnapshotRoundtrip:
 
     def test_reopen_reads_no_shard_back(self, tmp_path, rng, keyset, monkeypatch):
         """The router is built from the manifest and the rebuilt shards;
-        nothing dumps a shard's contents (the flat view's ``entries``)
-        on the way."""
+        nothing dumps a shard's contents (a LIPP range's key order) on
+        the way."""
         with IndexService.build(
             keyset, family="lipp", n_shards=N_SHARDS, values=keyset * 3, alpha=0.1,
             store=DurableStore(tmp_path / "data"),
@@ -172,7 +171,7 @@ class TestSnapshotRoundtrip:
         def refuse(*args, **kwargs):
             raise AssertionError("open_snapshot read a shard's contents")
 
-        monkeypatch.setattr(FlatLipp, "entries", refuse)
+        monkeypatch.setattr(LippIndex, "_key_order", refuse)
         with IndexService.open_snapshot(tmp_path / "data") as reopened:
             queries = rng.choice(keyset, 500)
             answers = reopened.lookup_many(queries)

@@ -139,7 +139,7 @@ class TestLookupParity:
             if scalar.found:
                 assert scalar.value == int(got.values[i]) == int(q[i]) * 3 + 1
 
-    def test_range_matches_the_node_walk(self, rng, family, k, alpha):
+    def test_range_matches_the_node_walk(self, rng, family, k, alpha, range_pairs):
         keys = _keys(rng)
         router = ShardRouter(*_shards(keys, family, k, alpha))
         walk = [
@@ -152,11 +152,11 @@ class TestLookupParity:
         for __ in range(12):
             low, high = sorted(rng.choice(keys, 2) + rng.integers(-2, 3, 2))
             want = [(key, value) for key, value in walk if low <= key <= high]
-            assert router.range_query(int(low), int(high)) == want
+            assert range_pairs(router.range_query(int(low), int(high))) == want
         bounds = np.iinfo(np.int64)
-        assert router.range_query(int(bounds.min), int(bounds.max)) == walk
-        assert router.range_query(-(10**30), 10**30) == walk
-        assert router.range_query(int(keys[5]), int(keys[4])) == []
+        assert range_pairs(router.range_query(int(bounds.min), int(bounds.max))) == walk
+        assert range_pairs(router.range_query(-(10**30), 10**30)) == walk
+        assert range_pairs(router.range_query(int(keys[5]), int(keys[4]))) == []
 
 
 class TestSaliTracking:
@@ -217,7 +217,7 @@ def _gap_fillers(shard, candidates: np.ndarray) -> np.ndarray:
 
 @pytest.mark.parametrize("family", FOREST_FAMILIES)
 class TestWritesStayVisible:
-    def test_gap_fills_reach_the_forest_without_a_rebuild(self, rng, family):
+    def test_gap_fills_reach_the_forest_without_a_rebuild(self, rng, family, range_pairs):
         """Rule (a): the forest shares the slot buffers with the shards."""
         keys = _keys(rng)
         shards, boundaries = _shards(keys, family, 4, None)
@@ -241,7 +241,7 @@ class TestWritesStayVisible:
         assert np.array_equal(got.values, new_keys * 7)
         assert forest.lookup_many(keys[1:2]).values[0] == -5
         router = ShardRouter(shards, boundaries)
-        pairs = router.range_query(int(keys[0]), int(keys[-1]))
+        pairs = range_pairs(router.range_query(int(keys[0]), int(keys[-1])))
         assert [k for k, __ in pairs] == np.union1d(keys, new_keys).tolist()
         assert dict(pairs)[int(keys[1])] == -5
 
@@ -267,7 +267,9 @@ class TestWritesStayVisible:
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     @pytest.mark.parametrize("structural", [False, True], ids=["gap_fill", "structural"])
-    def test_merges_are_visible_to_lookups_and_ranges(self, rng, family, alpha, structural):
+    def test_merges_are_visible_to_lookups_and_ranges(
+        self, rng, family, alpha, structural, range_pairs
+    ):
         keys = _keys(rng)
         service = IndexService.build(
             keys, family=family, n_shards=4, alpha=alpha, values=keys * 3 + 1,
@@ -301,7 +303,8 @@ class TestWritesStayVisible:
         assert np.array_equal(routed.gathered.values[~is_new], everything[~is_new] * 3 + 1)
         __, (found, values, levels, steps) = _per_shard(service.router, everything)
         assert np.array_equal(routed.gathered.levels, levels) and found.all()
-        pairs = service.range_query(int(everything[0]), int(everything[-1]))
+        pairs = range_pairs(service.range_arrays(int(everything[0]), int(everything[-1])))
+        assert service.range_query(int(everything[0]), int(everything[-1])) == pairs
         assert [k for k, __ in pairs] == everything.tolist()
         assert [v for __, v in pairs] == routed.gathered.values.tolist()
 

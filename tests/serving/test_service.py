@@ -172,7 +172,7 @@ class TestWriteBuffer:
 
 
 class TestServiceRangeAndReporting:
-    def test_range_query_includes_buffered_writes(self, rng):
+    def test_range_query_includes_buffered_writes(self, rng, range_pairs):
         keys, __, service = service_fixture(
             rng, "btree", n_shards=4, staleness_threshold=10.0
         )
@@ -181,7 +181,8 @@ class TestServiceRangeAndReporting:
         if inside in keys:
             inside += 1
         service.insert_many(np.asarray([inside]), np.asarray([-5]))
-        got = service.range_query(low, high)
+        got = range_pairs(service.range_arrays(low, high))
+        assert service.range_query(low, high) == got
         expected = sorted(
             {int(k): int(k) for k in keys if low <= k <= high} | {inside: -5}
         )

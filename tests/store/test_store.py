@@ -109,15 +109,15 @@ class TestCompact:
 
 
 class TestRebuild:
-    def test_build_shard_matches_arrays(self, store, rng):
+    def test_build_shard_matches_arrays(self, store, rng, range_pairs):
         for _ in range(3):
             store.append_runs({0: flush_batch(rng, 0)})
         keys, vals = store.load_shard_arrays(0)
         index = store.build_shard(0, INDEX_FAMILIES[FAMILY])
-        pairs = index.range_query(int(keys[0]), int(keys[-1]))
-        got = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        assert np.array_equal(got[:, 0], keys)
-        assert np.array_equal(got[:, 1], vals)
+        got_keys, got_vals = index.range_query(int(keys[0]), int(keys[-1]))
+        assert range_pairs((got_keys, got_vals)) == list(zip(keys.tolist(), vals.tolist()))
+        assert np.array_equal(got_keys, keys)
+        assert np.array_equal(got_vals, vals)
 
     def test_reopen_same_directory(self, store, rng):
         store.append_runs({0: flush_batch(rng, 0), 1: flush_batch(rng, 1)})
