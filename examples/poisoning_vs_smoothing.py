@@ -23,8 +23,7 @@ from repro.indexes import LippIndex
 
 def describe(name: str, points: np.ndarray) -> str:
     index = LippIndex.build(points)
-    histogram = index.level_histogram()
-    deep = sum(v for level, v in histogram.items() if level >= 3)
+    deep = int((index.key_levels(points) >= 3).sum())
     return (
         f"{name:<22} height {index.height()}  nodes {index.node_count():>5}  "
         f"keys at level>=3: {deep:>5}"

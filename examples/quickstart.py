@@ -17,8 +17,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro import CsvConfig, LippIndex, adapter_for, apply_csv, smooth_keys
-from repro.evaluation import LevelSnapshot, promoted_keys
 from repro.workloads import profile_queries
+
+
+def keys_per_level(index, keys: np.ndarray) -> dict[int, int]:
+    levels, counts = np.unique(index.key_levels(keys), return_counts=True)
+    return dict(zip(levels.tolist(), counts.tolist()))
 
 
 def main() -> None:
@@ -53,20 +57,20 @@ def main() -> None:
     # ------------------------------------------------------------------
     index = LippIndex.build(keys)
     print(f"\nLIPP: height {index.height()}, {index.node_count()} nodes")
-    print(f"  keys per level: {index.level_histogram()}")
+    print(f"  keys per level: {keys_per_level(index, keys)}")
 
     # ------------------------------------------------------------------
     # 3. Optimise the index with CSV (Algorithm 2).
     # ------------------------------------------------------------------
-    before = LevelSnapshot.capture(index, keys)
+    before = index.key_levels(keys)
     baseline = LippIndex.build(keys)  # untouched copy for comparison
     report = apply_csv(adapter_for(index), CsvConfig(alpha=0.1))
-    after = LevelSnapshot.capture(index, keys)
+    after = index.key_levels(keys)
 
-    moved = np.asarray(sorted(promoted_keys(before, after)), dtype=np.int64)
+    moved = keys[after < before]
     print(f"\nCSV: rebuilt {report.nodes_rebuilt}/{report.nodes_examined} subtrees, "
           f"promoted {moved.size} keys in {report.preprocessing_seconds:.2f}s")
-    print(f"  keys per level now: {index.level_histogram()}")
+    print(f"  keys per level now: {keys_per_level(index, keys)}")
 
     if moved.size:
         sample = moved[:: max(1, moved.size // 500)]

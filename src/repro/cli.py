@@ -31,6 +31,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from .core.exceptions import ReproError
 from .core.smoothing import smooth_keys
 from .datasets import DATASETS, load, summarize
@@ -231,9 +233,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
     _say(f"  height:     {index.height()}")
     _say(f"  nodes:      {index.node_count()}")
     _say(f"  size:       {index.size_bytes() / 1024:.1f} KiB")
-    histogram = getattr(index, "level_histogram", None)
-    if histogram is not None:
-        _say(f"  keys/level: {histogram()}")
+    levels, counts = np.unique(index.key_levels(keys), return_counts=True)
+    _say(f"  keys/level: {dict(zip(levels.tolist(), counts.tolist()))}")
     return 0
 
 
@@ -249,6 +250,7 @@ def _cmd_csv(args: argparse.Namespace) -> int:
                 ["height", f"{row.height_before} -> {row.height_after}"],
                 ["promoted keys", f"{row.promoted_keys} ({row.promoted_pct:.1f}% of promotable)"],
                 ["demoted keys", row.demoted_keys],
+                ["summed key levels", f"{row.levels_sum_before} -> {row.levels_sum_after}"],
                 ["query improvement", f"{row.query_improvement_pct:.1f}%"],
                 ["total time saved", f"{row.total_time_saved_ns:,.0f} sim-ns"],
                 ["storage change", f"{row.storage_increase_pct:+.1f}%"],

@@ -3,10 +3,8 @@ paper's evaluation."""
 
 from .metrics import (
     PROMOTABLE_LEVEL,
-    LevelSnapshot,
     improvement_pct,
     node_reduction_pct,
-    promoted_keys,
     promoted_percentage,
     relative_increase_pct,
     total_time_saved_ns,
@@ -26,14 +24,12 @@ from .runner import (
 __all__ = [
     "CSV_FAMILIES",
     "CsvExperimentRow",
-    "LevelSnapshot",
     "LevelTimeRow",
     "PROMOTABLE_LEVEL",
     "ascii_table",
     "format_float",
     "improvement_pct",
     "node_reduction_pct",
-    "promoted_keys",
     "promoted_percentage",
     "relative_increase_pct",
     "results_dir",

@@ -9,23 +9,21 @@ The paper reports six quantities; each has a function here:
 5. node reduction (%)              → :func:`node_reduction_pct`
 6. insert time increase (%)        → :func:`relative_increase_pct`
 
-Level bookkeeping uses *level snapshots* — key→level maps captured
-before and after CSV — because "promoted" is defined per key: a key
-counts as promotable when it sits at level 3 or deeper in the original
-index, and as promoted when CSV moved it to a shallower level.
+Level bookkeeping is per key, on arrays: ``index.key_levels(keys)`` is
+the level of every key of a sorted key set, aligned with it, from one
+batch lookup.  With ``before`` taken on the original index and
+``after`` on the CSV-enhanced one, a key is promotable when
+``before >= PROMOTABLE_LEVEL`` (level 3 or deeper) and promoted when
+``after < before`` (CSV moved it to a shallower level).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 
 __all__ = [
     "PROMOTABLE_LEVEL",
-    "LevelSnapshot",
-    "promoted_keys",
     "promoted_percentage",
     "relative_increase_pct",
     "improvement_pct",
@@ -37,49 +35,22 @@ __all__ = [
 PROMOTABLE_LEVEL = 3
 
 
-@dataclass(frozen=True)
-class LevelSnapshot:
-    """key → level map of an index at one point in time."""
-
-    levels: dict[int, int]
-
-    @classmethod
-    def capture(cls, index, keys: np.ndarray) -> "LevelSnapshot":
-        return cls({int(k): index.key_level(int(k)) for k in np.asarray(keys)})
-
-    def promotable(self, threshold: int = PROMOTABLE_LEVEL) -> set[int]:
-        """Keys at *threshold* or deeper."""
-        return {k for k, level in self.levels.items() if level >= threshold}
-
-    def __len__(self) -> int:
-        return len(self.levels)
-
-
-def promoted_keys(before: LevelSnapshot, after: LevelSnapshot) -> set[int]:
-    """Keys strictly shallower after CSV than before."""
-    out = set()
-    for key, level_before in before.levels.items():
-        level_after = after.levels.get(key)
-        if level_after is not None and level_after < level_before:
-            out.add(key)
-    return out
-
-
 def promoted_percentage(
-    before: LevelSnapshot,
-    after: LevelSnapshot,
+    before: np.ndarray,
+    after: np.ndarray,
     threshold: int = PROMOTABLE_LEVEL,
 ) -> float:
     """Promoted share of the promotable data (metric 3).
 
-    Promotable = keys at ``threshold`` or deeper in the original
-    index; promoted = those among them that moved up.
+    *before* / *after* are aligned key levels.  Promotable = keys at
+    ``threshold`` or deeper in *before*; promoted = those among them
+    that moved up.
     """
-    promotable = before.promotable(threshold)
-    if not promotable:
+    promotable = before >= threshold
+    n_promotable = int(promotable.sum())
+    if not n_promotable:
         return 0.0
-    moved = promoted_keys(before, after)
-    return 100.0 * len(promotable & moved) / len(promotable)
+    return 100.0 * int((promotable & (after < before)).sum()) / n_promotable
 
 
 def relative_increase_pct(before: float, after: float) -> float:

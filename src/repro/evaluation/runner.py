@@ -29,10 +29,9 @@ from ..workloads.generators import sample_queries, split_read_write
 from ..workloads.readonly import profile_queries
 from ..workloads.readwrite import BatchObservation, run_insert_batches
 from .metrics import (
-    LevelSnapshot,
+    PROMOTABLE_LEVEL,
     improvement_pct,
     node_reduction_pct,
-    promoted_keys,
     promoted_percentage,
     relative_increase_pct,
 )
@@ -68,6 +67,10 @@ class CsvExperimentRow:
     #: Keys CSV's merged nodes pushed a level down (``CsvReport.
     #: keys_demoted``); the paper's metrics count promoted keys only.
     demoted_keys: int
+    #: Every key's level summed, before / after CSV: the whole key
+    #: set's depth, which the promoted-key metrics do not see.
+    levels_sum_before: int
+    levels_sum_after: int
     promoted_pct: float
     avg_query_ns_before: float
     avg_query_ns_after: float
@@ -120,17 +123,15 @@ def run_csv_experiment(
     size_before = original.size_bytes()
     nodes_before = original.node_levels()
     height_before = original.height()
-    snapshot_before = LevelSnapshot.capture(original, keys)
+    levels_before = original.key_levels(keys)
 
     config = csv_config or CsvConfig(alpha=alpha)
     start = time.perf_counter()
     report = apply_csv(adapter_for(enhanced, consts), config)
     preprocessing = time.perf_counter() - start
 
-    snapshot_after = LevelSnapshot.capture(enhanced, keys)
-    promoted = np.asarray(sorted(promoted_keys(snapshot_before, snapshot_after)), dtype=np.int64)
-    promotable = snapshot_before.promotable()
-    promoted_pct = promoted_percentage(snapshot_before, snapshot_after)
+    levels_after = enhanced.key_levels(keys)
+    promoted = keys[levels_after < levels_before]
 
     if promoted.size:
         queries = sample_queries(promoted, min(MAX_QUERY_SAMPLE, promoted.size), rng, replace=False)
@@ -148,10 +149,12 @@ def run_csv_experiment(
         dataset=dataset,
         n=n,
         alpha=config.alpha,
-        promotable_keys=len(promotable),
+        promotable_keys=int((levels_before >= PROMOTABLE_LEVEL).sum()),
         promoted_keys=int(promoted.size),
         demoted_keys=report.keys_demoted,
-        promoted_pct=promoted_pct,
+        levels_sum_before=int(levels_before.sum()),
+        levels_sum_after=int(levels_after.sum()),
+        promoted_pct=promoted_percentage(levels_before, levels_after),
         avg_query_ns_before=avg_before,
         avg_query_ns_after=avg_after,
         query_improvement_pct=improvement_pct(avg_before, avg_after),
@@ -226,22 +229,22 @@ def run_level_query_times(
     consts = constants or CostConstants()
     keys = load(dataset, n)
     index = _build(family, keys)
-    histogram = index.level_histogram()
     rng = np.random.default_rng(seed)
-    snapshot = LevelSnapshot.capture(index, keys)
-    by_level: dict[int, list[int]] = {}
-    for key, level in snapshot.levels.items():
-        by_level.setdefault(level, []).append(key)
+    levels = index.key_levels(keys)
+    # One stable sort buckets the keys by level, ascending within each.
+    by_level = keys[np.argsort(levels, kind="stable")]
+    counts = np.bincount(levels)
+    ends = np.cumsum(counts)
     rows = []
-    for level in sorted(by_level):
-        bucket = np.asarray(by_level[level], dtype=np.int64)
+    for level in np.flatnonzero(counts).tolist():
+        bucket = by_level[ends[level] - counts[level] : ends[level]]
         sample = sample_queries(bucket, min(per_level_sample, bucket.size), rng, replace=False)
         profile = profile_queries(index, sample, consts)
         rows.append(
             LevelTimeRow(
                 dataset=dataset,
                 level=level,
-                n_keys_at_level=histogram.get(level, bucket.size),
+                n_keys_at_level=int(bucket.size),
                 avg_simulated_ns=profile.avg_simulated_ns,
             )
         )
@@ -271,15 +274,15 @@ def run_readwrite_experiment(
 
     original = _build(family, split.build_keys)
     enhanced = _build(family, split.build_keys)
-    before = LevelSnapshot.capture(original, split.build_keys)
+    before = original.key_levels(split.build_keys)
     apply_csv(adapter_for(enhanced, consts), CsvConfig(alpha=alpha))
-    after = LevelSnapshot.capture(enhanced, split.build_keys)
+    after = enhanced.key_levels(split.build_keys)
 
-    promoted = np.asarray(sorted(promoted_keys(before, after)), dtype=np.int64)
+    promoted = split.build_keys[after < before]
     if promoted.size == 0:
         # Fall back to the deepest original keys so the workload still
         # exercises the region CSV targets.
-        promoted = np.asarray(sorted(before.promotable()), dtype=np.int64)
+        promoted = split.build_keys[before >= PROMOTABLE_LEVEL]
     if promoted.size == 0:
         promoted = split.build_keys
     queries = sample_queries(

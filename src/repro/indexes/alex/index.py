@@ -331,14 +331,6 @@ class AlexIndex(LearnedIndex):
                 total += node.capacity * (KEY_BYTES + VALUE_BYTES) + node.capacity // 8
         return total
 
-    def key_level(self, key: int) -> int:
-        key = int(key)
-        node, levels = self._descend(key)
-        found, __, __steps = node.lookup(key)
-        if not found:
-            raise IndexStateError(f"key {key} is not stored in this ALEX index")
-        return levels
-
     def _data_nodes(self) -> list[AlexDataNode]:
         """The non-empty data nodes in key order: they partition the key
         space, and :meth:`_walk` is unordered."""
@@ -370,21 +362,3 @@ class AlexIndex(LearnedIndex):
     def node_levels(self) -> list[int]:
         """Level of every node (for the node-reduction metric)."""
         return [node.level for node in self._walk()]
-
-    def level_histogram(self) -> dict[int, int]:
-        """Keys stored per level (data nodes carry the keys)."""
-        histogram: dict[int, int] = {}
-        for node in self._walk():
-            if isinstance(node, AlexDataNode) and node.n_keys:
-                histogram[node.level] = histogram.get(node.level, 0) + node.n_keys
-        return dict(sorted(histogram.items()))
-
-    def keys_at_or_below(self, level: int) -> np.ndarray:
-        """Keys stored at *level* or deeper ("promotable data")."""
-        out: list[np.ndarray] = []
-        for node in self._walk():
-            if isinstance(node, AlexDataNode) and node.n_keys and node.level >= level:
-                out.append(node.collect_arrays()[0])
-        if not out:
-            return np.empty(0, dtype=np.int64)
-        return np.sort(np.concatenate(out))

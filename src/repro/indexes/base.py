@@ -301,7 +301,7 @@ class LearnedIndex(ABC):
     Concrete classes implement point lookups with cost accounting,
     plus (for the updatable indexes) inserts.  The structural
     inspection hooks (:meth:`height`, :meth:`node_count`,
-    :meth:`key_level`, :meth:`size_bytes`) power the paper's
+    :meth:`key_levels`, :meth:`size_bytes`) power the paper's
     promoted-data / node-reduction / storage metrics.
     """
 
@@ -376,9 +376,9 @@ class LearnedIndex(ABC):
     def size_bytes(self) -> int:
         """Modelled storage footprint (keys, values, slots, pointers)."""
 
-    @abstractmethod
     def key_level(self, key: int) -> int:
         """Level (root = 1) of the node in which *key* is stored."""
+        return int(self.key_levels([key])[0])
 
     @abstractmethod
     def iter_keys(self) -> Iterator[int]:
@@ -432,9 +432,18 @@ class LearnedIndex(ABC):
     # ------------------------------------------------------------------
     # Convenience batch helpers used by the evaluation harness
     # ------------------------------------------------------------------
-    def key_levels(self, keys: np.ndarray) -> np.ndarray:
-        """Vector of :meth:`key_level` over *keys*."""
-        return np.asarray([self.key_level(int(k)) for k in keys], dtype=np.int64)
+    def key_levels(self, keys: np.ndarray | list) -> np.ndarray:
+        """Level (root = 1) of the node storing each of *keys*, aligned
+        with them: one :meth:`lookup_many`.  Raises
+        :class:`IndexStateError` naming the first key not stored."""
+        return self._stored_levels(self.lookup_many(keys))
+
+    def _stored_levels(self, batch: BatchQueryStats) -> np.ndarray:
+        """*batch*'s levels, once every one of its keys was found."""
+        if not batch.found.all():
+            key = int(batch.keys[np.argmin(batch.found)])
+            raise IndexStateError(f"key {key} is not stored in this {self.name} index")
+        return batch.levels
 
     def verify_against(self, keys: np.ndarray, values: np.ndarray) -> None:
         """Assert every (key, value) pair is retrievable — test helper.

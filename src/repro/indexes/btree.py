@@ -334,10 +334,6 @@ class BPlusTree(LearnedIndex):
                 total += POINTER_BYTES
         return total
 
-    def key_level(self, key: int) -> int:
-        __, levels, __steps = self._descend(int(key))
-        return levels
-
     def iter_keys(self) -> Iterator[int]:
         node = self._root
         while isinstance(node, _Inner):

@@ -570,31 +570,6 @@ class FlatLipp:
     # ------------------------------------------------------------------
     # Vectorised structural introspection
     # ------------------------------------------------------------------
-    def _data_slot_nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        """(global DATA slot indexes, owning node id per slot)."""
-        data_slots = np.nonzero(self.slot_type == SLOT_DATA)[0]
-        node_of = np.searchsorted(self.slot_start, data_slots, side="right") - 1
-        return data_slots, node_of
-
-    def level_histogram(self) -> dict[int, int]:
-        """Keys stored per level — one bincount over the DATA slots."""
-        __, node_of = self._data_slot_nodes()
-        max_level = int(self.node_level.max(initial=0))
-        for leaf in self.leaves:
-            max_level = max(max_level, int(leaf.level))
-        counts = np.bincount(self.node_level[node_of], minlength=max_level + 1)
-        for leaf in self.leaves:
-            counts[int(leaf.level)] += int(leaf.keys.size)
-        return {int(lvl): int(c) for lvl, c in enumerate(counts) if c}
-
-    def keys_at_or_below(self, level: int) -> np.ndarray:
-        """Sorted keys stored at *level* or deeper — masked gathers."""
-        data_slots, node_of = self._data_slot_nodes()
-        deep = self.node_level[node_of] >= level
-        parts = [self.slot_keys[data_slots[deep]]]
-        parts.extend(leaf.keys for leaf in self.leaves if leaf.level >= level)
-        return np.sort(np.concatenate(parts)) if parts else np.empty(0, np.int64)
-
     def node_levels(self) -> list[int]:
         """Level of every node (leaves included), unordered."""
         return self.node_level.tolist() + [int(leaf.level) for leaf in self.leaves]

@@ -7,12 +7,12 @@ the depth of the key — the effect Fig. 1 of the paper measures and CSV
 attacks.
 
 There is one traversal per granularity.  Per key, ``insert`` /
-``lookup_stats`` / ``key_level`` share the one walk over the node
-objects, :meth:`LippIndex._descend` — SALI's flattened leaves included,
-so :class:`~repro.indexes.sali.index.SaliIndex` adds no walk of its
-own.  Per batch, ``lookup_many``, the sparse ``bulk_insert_many`` merge
-and the structure reports (``height``, ``size_bytes``,
-``level_histogram`` …) run on the compiled flat view
+``lookup_stats`` share the one walk over the node objects,
+:meth:`LippIndex._descend` — SALI's flattened leaves included, so
+:class:`~repro.indexes.sali.index.SaliIndex` adds no walk of its own.
+Per batch, ``lookup_many`` / ``key_levels``, the sparse
+``bulk_insert_many`` merge and the structure reports (``height``,
+``size_bytes`` …) run on the compiled flat view
 (:mod:`~repro.indexes.lipp.flat`), compiled lazily and dropped on every
 structural change, and ``range_query`` on its DATA slots in key order
 (:meth:`LippIndex._key_order`).  The shards of a service are additionally
@@ -34,7 +34,6 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from ...core.exceptions import IndexStateError
 from ..base import (
     KEY_BYTES,
     MODEL_BYTES,
@@ -480,11 +479,9 @@ class LippIndex(LearnedIndex):
         total += flat.child_slot_count() * POINTER_BYTES
         return total
 
-    def key_level(self, key: int) -> int:
-        stats = self._scalar_lookup(int(key))[0]
-        if stats.found:
-            return stats.levels
-        raise IndexStateError(f"key {key} is not stored in this {self.name.upper()} index")
+    def key_levels(self, keys) -> np.ndarray:
+        # Untracked: a level snapshot never credits SALI's tracker.
+        return self._stored_levels(self._lookup_batch(keys, track=False))
 
     def iter_keys(self) -> Iterator[int]:
         for key, __ in self._root.iter_entries():
@@ -493,15 +490,6 @@ class LippIndex(LearnedIndex):
     # ------------------------------------------------------------------
     # Structure reports used by the evaluation harness
     # ------------------------------------------------------------------
-    def level_histogram(self) -> dict[int, int]:
-        """Number of keys stored at each level (reproduces Fig. 1's
-        x-axis) — one bincount over the DATA slots' owning-node levels."""
-        return self._flat_view().level_histogram()
-
-    def keys_at_or_below(self, level: int) -> np.ndarray:
-        """Keys stored at *level* or deeper ("promotable data")."""
-        return self._flat_view().keys_at_or_below(level)
-
     def _key_order(self) -> tuple[FlatLipp, np.ndarray, np.ndarray]:
         """``(view, keys, positions)``: the view's DATA slots in key order,
         by one mask and one stable argsort, published whole by one

@@ -264,10 +264,6 @@ class PGMIndex(LearnedIndex):
             total += NODE_HEADER_BYTES + len(level) * seg_bytes
         return total
 
-    def key_level(self, key: int) -> int:
-        # All data lives at the deepest level of the hierarchy.
-        return self.height()
-
     def iter_keys(self) -> Iterator[int]:
         yield from (int(k) for k in self._keys)
 

@@ -176,8 +176,5 @@ class RMIIndex(LearnedIndex):
         total += self._keys.size * (KEY_BYTES + VALUE_BYTES)
         return total
 
-    def key_level(self, key: int) -> int:
-        return 2
-
     def iter_keys(self) -> Iterator[int]:
         yield from (int(k) for k in self._keys)

@@ -9,8 +9,8 @@ step (see :mod:`repro.indexes.sali.flatten`).
 
 Everything that walks or edits the tree is LIPP's: the scalar walk
 (:meth:`LippIndex._descend` ends at a flattened leaf as it does at a
-slot), ``insert``, ``key_level``, the bulk merge and the subtree swap
-(:meth:`LippIndex._replace_subtree`).  What is SALI's, and here: the
+slot), ``insert``, the untracked ``key_levels``, the bulk merge and the
+subtree swap (:meth:`LippIndex._replace_subtree`).  What is SALI's, and here: the
 tracker credit on lookups, the choice of subtrees to flatten, and the
 flattened leaves' bytes.
 """

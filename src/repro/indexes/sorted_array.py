@@ -171,8 +171,5 @@ class SortedArrayIndex(LearnedIndex):
     def size_bytes(self) -> int:
         return NODE_HEADER_BYTES + self._keys.size * (KEY_BYTES + VALUE_BYTES)
 
-    def key_level(self, key: int) -> int:
-        return 1
-
     def iter_keys(self) -> Iterator[int]:
         yield from (int(k) for k in self._keys)

@@ -7,10 +7,8 @@ import pytest
 
 from repro.evaluation.metrics import (
     PROMOTABLE_LEVEL,
-    LevelSnapshot,
     improvement_pct,
     node_reduction_pct,
-    promoted_keys,
     promoted_percentage,
     relative_increase_pct,
     total_time_saved_ns,
@@ -18,40 +16,37 @@ from repro.evaluation.metrics import (
 from repro.indexes import LippIndex
 
 
-class TestLevelSnapshot:
-    def test_capture(self, small_keys):
+class TestLevelArrays:
+    def test_key_levels_are_aligned(self, small_keys):
         index = LippIndex.build(small_keys)
-        snap = LevelSnapshot.capture(index, small_keys)
-        assert len(snap) == small_keys.size
-        assert all(level >= 1 for level in snap.levels.values())
+        levels = index.key_levels(small_keys)
+        assert levels.shape == small_keys.shape and levels.dtype == np.int64
+        assert levels.min() >= 1
 
     def test_promotable_threshold(self):
-        snap = LevelSnapshot({1: 1, 2: 2, 3: 3, 4: 4})
-        assert snap.promotable() == {3, 4}
-        assert snap.promotable(threshold=2) == {2, 3, 4}
+        before = np.asarray([3, 3, 2, 4])
+        after = np.asarray([2, 3, 1, 4])
+        # Promotable at 3: keys 0, 1, 3, of which key 0 moved up.
+        assert promoted_percentage(before, after) == pytest.approx(100.0 / 3)
+        # At 2 key 2 is promotable too, and moved up.
+        assert promoted_percentage(before, after, threshold=2) == pytest.approx(50.0)
 
 
 class TestPromotedKeys:
-    def test_detects_promotions(self):
-        before = LevelSnapshot({1: 3, 2: 4, 3: 2})
-        after = LevelSnapshot({1: 2, 2: 4, 3: 2})
-        assert promoted_keys(before, after) == {1}
-
-    def test_ignores_demotions_and_missing(self):
-        before = LevelSnapshot({1: 2, 2: 2})
-        after = LevelSnapshot({1: 3})  # demoted; key 2 vanished
-        assert promoted_keys(before, after) == set()
-
     def test_percentage(self):
-        before = LevelSnapshot({1: 3, 2: 3, 3: 4, 4: 2})
-        after = LevelSnapshot({1: 2, 2: 3, 3: 4, 4: 2})
-        # promotable = {1, 2, 3, 4} at levels >= 3 → {1?, ...}: levels
-        # are the VALUES; promotable keys are 1, 2 (level 3), 3 (4)...
+        before = np.asarray([3, 3, 4, 2])
+        after = np.asarray([2, 3, 4, 2])
+        # Keys 0, 1 (level 3) and 2 (level 4) are promotable; key 0 moved up.
         assert promoted_percentage(before, after) == pytest.approx(100.0 / 3)
 
+    def test_ignores_demotions_and_shallow_promotions(self):
+        before = np.asarray([3, 4, 2])
+        after = np.asarray([4, 4, 1])  # demoted; unchanged; promoted from level 2
+        assert promoted_percentage(before, after) == 0.0
+
     def test_percentage_empty_promotable(self):
-        before = LevelSnapshot({1: 1, 2: 2})
-        after = LevelSnapshot({1: 1, 2: 1})
+        before = np.asarray([1, 2])
+        after = np.asarray([1, 1])
         assert promoted_percentage(before, after) == 0.0
 
 

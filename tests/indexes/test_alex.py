@@ -177,19 +177,8 @@ class TestAlexIndex:
         with pytest.raises(IndexStateError):
             index.key_level(int(clustered_keys[0]) - 5)
 
-    def test_level_histogram_sums_to_n(self, clustered_keys):
-        index = AlexIndex.build(clustered_keys)
-        assert sum(index.level_histogram().values()) == clustered_keys.size
-
     def test_node_levels_contains_root(self, clustered_keys):
         assert 1 in AlexIndex.build(clustered_keys).node_levels()
-
-    def test_keys_at_or_below(self, clustered_keys):
-        index = AlexIndex.build(clustered_keys)
-        deep = index.keys_at_or_below(2)
-        histogram = index.level_histogram()
-        expected = sum(v for level, v in histogram.items() if level >= 2)
-        assert deep.size == expected
 
     def test_size_bytes_positive(self, small_keys):
         assert AlexIndex.build(small_keys).size_bytes() > 0

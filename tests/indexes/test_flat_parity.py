@@ -100,7 +100,6 @@ def _assert_content_parity(index, loop_index):
 def _walk_report(index) -> dict:
     """The introspection helpers' figures, from the node objects."""
     nodes = list(index.root.walk())
-    histogram: dict[int, int] = {}
     key_levels: list[tuple[int, int]] = []
     size = empty = slots = 0
     for node in nodes:
@@ -114,15 +113,12 @@ def _walk_report(index) -> dict:
             stored = node.keys.tolist()
             size += node.leaf_size_bytes()
             slots += len(stored)
-        if stored:
-            histogram[node.level] = histogram.get(node.level, 0) + len(stored)
         key_levels.extend((key, node.level) for key in stored)
     return {
         "height": max(node.level for node in nodes),
         "node_count": len(nodes),
         "node_levels": sorted(node.level for node in nodes),
         "size_bytes": size,
-        "level_histogram": dict(sorted(histogram.items())),
         "empty_slot_fraction": empty / slots if slots else 0.0,
         "key_levels": sorted(key_levels),
     }
@@ -175,11 +171,9 @@ def _assert_introspection_parity(index):
     assert index.node_count() == want["node_count"]
     assert sorted(index.node_levels()) == want["node_levels"]
     assert index.size_bytes() == want["size_bytes"]
-    assert index.level_histogram() == want["level_histogram"]
     assert index.empty_slot_fraction() == pytest.approx(want["empty_slot_fraction"])
-    for level in (1, 2, 3):
-        deep = [key for key, key_level in want["key_levels"] if key_level >= level]
-        assert index.keys_at_or_below(level).tolist() == deep
+    stored = np.asarray([key for key, __ in want["key_levels"]], dtype=np.int64)
+    assert index.key_levels(stored).tolist() == [level for __, level in want["key_levels"]]
 
 
 @pytest.mark.parametrize("cls", INDEX_CLASSES)
@@ -381,7 +375,7 @@ class TestRangeAndIntrospectionParity:
     def test_introspection_parity(self, cls, raw):
         keys, __, index = _build(cls, raw)
         _assert_introspection_parity(index)
-        assert sum(index.level_histogram().values()) == keys.size
+        assert index.key_levels(keys).size == keys.size
 
 
 @pytest.mark.parametrize("cls", INDEX_CLASSES)

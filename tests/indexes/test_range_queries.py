@@ -137,9 +137,6 @@ class TestBaseClassDefault:
             def size_bytes(self):
                 return 0
 
-            def key_level(self, key):
-                return 1
-
             def iter_keys(self):
                 yield from sorted(self._store)
 

@@ -94,9 +94,8 @@ UNREFERENCED_ON_PURPOSE = {
     "load_smoothing_result": "inverse of io.save_smoothing_result",
     "save_keys": "inverse of io.load_keys (the npz layout run files share)",
     "hierarchy_loss": "Eq. 2, the loss of a whole hierarchy (core API)",
-    "LearnedIndex.key_levels": "batch form of key_level, every family",
     "LearnedIndex.verify_against": "self-check every family inherits",
-    "LippIndex.empty_slot_fraction": "gap-availability report beside level_histogram",
+    "LippIndex.empty_slot_fraction": "gap-availability report beside node_levels",
     "SaliIndex.flatten_hot_subtrees": "SALI's adaptation step; its caller is the user's workload loop",
     "SaliIndex.flattened_nodes": "introspection beside flatten_hot_subtrees",
     "GapInsertionLayout.lookup_steps": "per-key query cost under the GI layout",

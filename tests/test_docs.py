@@ -1,6 +1,6 @@
 """The documentation is part of the contract: links resolve, examples run.
 
-Three layers:
+Four layers:
 
 * **Link check** (fast, tier-1): every markdown link in ``docs/*.md``
   and ``README.md`` must resolve — relative paths to real files,
@@ -17,6 +17,9 @@ Three layers:
   and illustrations use ````console```` / ````text```` / ````json````
   fences, which are never executed — so a ````bash```` fence *is* the
   claim "this runs".
+* **Example scripts** (slow-marked, same CI job): every
+  ``examples/*.py`` runs as a subprocess, with a small key count where
+  it takes one, and exits 0.
 """
 
 from __future__ import annotations
@@ -141,3 +144,29 @@ def test_examples_run(doc, tmp_path):
             f"{proc.returncode}:\n{body}\n--- stdout ---\n{proc.stdout}"
             f"\n--- stderr ---\n{proc.stderr}"
         )
+
+
+#: Command-line arguments of the examples that take any: a small key
+#: count, so the smoke runs each script's full path in seconds.
+EXAMPLE_ARGS = {
+    "csv_on_hard_dataset.py": ["2000"],
+    "index_comparison.py": ["genome", "2000"],
+    "readwrite_resilience.py": ["2000"],
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "script", sorted((REPO_ROOT / "examples").glob("*.py")), ids=lambda p: p.name
+)
+def test_example_scripts_run(script, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    proc = subprocess.run(
+        [sys.executable, str(script), *EXAMPLE_ARGS.get(script.name, [])],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, (
+        f"{script.name} exited {proc.returncode}:\n--- stdout ---\n{proc.stdout}"
+        f"\n--- stderr ---\n{proc.stderr}"
+    )
