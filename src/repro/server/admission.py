@@ -7,13 +7,14 @@ has long since timed out.  :class:`AdmissionController` bounds the
 damage with two knobs:
 
 * ``max_inflight`` — batches executing concurrently.  A small lookup
-  batch that finds the service's read lock free runs on the
-  event-loop thread itself (see :data:`LOOP_READ_MAX_S` and
-  :data:`LOOP_READ_MAX_KEYS`); the worker pool (``max_inflight``
-  threads) runs everything else: writes, range reads, and the lookups
-  that are too large, met a writer, or arrive while batches run long.
-  The service's own bookkeeping is lock-protected, so a small number
-  is both safe and fast.
+  or insert batch that finds the service lock free runs on the
+  event-loop thread itself (see :data:`LOOP_MAX_S` and
+  :data:`LOOP_MAX_KEYS`); the worker pool (``max_inflight`` threads)
+  runs everything else: range reads, inserts that would flush or
+  merge, and the batches that are too large, met another batch
+  holding the lock, or arrive while batches run long.  The service's
+  own bookkeeping is lock-protected, so a small number is both safe
+  and fast.
 * ``max_pending`` — batches *queued* behind the in-flight ones.
 
 A request arriving when ``queued + running == max_pending +
@@ -52,24 +53,24 @@ MIN_RETRY_AFTER_S = 1.0
 #: EWMA weight of the latest batch in the service-time estimate.
 SERVICE_TIME_ALPHA = 0.2
 
-#: A read runs on the event loop only while that estimate is below
-#: this, and only if it has at most :data:`LOOP_READ_MAX_KEYS` keys.
+#: A batch runs on the event loop only while that estimate is below
+#: this, and only if it has at most :data:`LOOP_MAX_KEYS` keys.
 #: The loop saves the thread hop, an idle ``run_in_executor`` round
 #: trip of ≈ 0.1–0.2 ms on two vCPUs, against ≈ 0.3 ms for a 256-key
-#: ``IndexService.lookup_many``; but a loop read stalls every
+#: ``IndexService.lookup_many``; but a loop batch stalls every
 #: connection for its whole length, and while batches run long a
 #: stalled loop also stops admission from queueing and refusing on
 #: time.  5 ms is a ceiling, not a tuned value: it is far above the
-#: wire-sized lookups the loop is for, and far below the 0.25 s
+#: wire-sized batches the loop is for, and far below the 0.25 s
 #: batches of the overload test that need the pool.
-LOOP_READ_MAX_S = 0.005
+LOOP_MAX_S = 0.005
 
 #: The bound on the request in hand: the average above only learns
-#: from batches already run, so a large read goes to the pool however
+#: from batches already run, so a large batch goes to the pool however
 #: short its predecessors were.  4096 keys cost ≈ 1.4 ms of
 #: ``lookup_many`` plus the replies' ``tolist`` on a 40k-key, 4-shard
-#: LIPP service (two vCPUs), inside :data:`LOOP_READ_MAX_S`.
-LOOP_READ_MAX_KEYS = 4096
+#: LIPP service (two vCPUs), inside :data:`LOOP_MAX_S`.
+LOOP_MAX_KEYS = 4096
 
 
 class OverloadedError(Exception):
@@ -98,8 +99,8 @@ class AdmissionController:
     """Bounded request queue + worker pool for service batches.
 
     Create inside a running event loop.  :meth:`run` admits one
-    callable, waits for a slot, executes it (a read on the loop when
-    it can, otherwise on the pool), and returns its result; accounting
+    callable, waits for a slot, executes it (a small batch on the loop
+    when it can, otherwise on the pool), and returns its result; accounting
     (admitted / rejected / completed, in-flight and queued gauges,
     per-batch seconds) is the same on both paths and is mirrored into
     the metrics registry so ``/metrics`` exposes the overload state.
@@ -171,20 +172,21 @@ class AdmissionController:
     # Admission
     # ------------------------------------------------------------------
     async def run(
-        self, fn: Callable[[], T], read_lock=None, n_keys: int = 0
+        self, fn: Callable[[], T], lock=None, n_keys: int = 0, write: bool = False, fits: Callable[[], bool] = lambda: True
     ) -> T:
         """Admit *fn*, execute it, return its result.
 
-        Without *read_lock*, *fn* runs on the worker pool (a write or a
-        range read takes its own lock inside).  With one — the front
-        door's ``_ReadWriteLock`` — *fn* is a lookup of *n_keys* keys:
-        it first yields to the loop once, so requests already readable
-        are admitted or refused before this one holds the loop; then it
-        runs on the loop if it is small (:data:`LOOP_READ_MAX_KEYS`),
-        batches are short (:data:`LOOP_READ_MAX_S`) and
-        ``read_lock.try_read()`` gets the lock without waiting,
-        otherwise on the pool under ``read_lock.read()``.  Both paths
-        account a batch alike.
+        Without *lock*, *fn* runs on the worker pool (a range read
+        takes its own lock inside).  With one — the front door's
+        ``_ReadWriteLock`` — *fn* is a batch of *n_keys* keys run under
+        it: a lookup under a read share, or with *write* an insert
+        under the whole lock.  It first yields to the loop once, so
+        requests already readable are admitted or refused before this
+        one holds the loop; then it runs on the loop if it is small
+        (:data:`LOOP_MAX_KEYS`), batches are short (:data:`LOOP_MAX_S`),
+        the lock is taken without waiting (``try_read`` / ``try_write``)
+        and *fits* answers True under it, otherwise on the pool, waiting
+        for the lock there.  Both paths account a batch alike.
 
         Raises :class:`ClosingError` once shutdown began and
         :class:`OverloadedError` when the bounded queue is full; the
@@ -201,7 +203,7 @@ class AdmissionController:
         self._g_queued.set(self.queued)
         loop = asyncio.get_running_loop()
         try:
-            if read_lock is not None:
+            if lock is not None:
                 await asyncio.sleep(0)
             async with self._slots:
                 self._running += 1
@@ -209,20 +211,21 @@ class AdmissionController:
                 self._g_queued.set(self.queued)
                 start = time.perf_counter()
                 try:
-                    if read_lock is None:
+                    if lock is None:
                         return await loop.run_in_executor(self._pool, fn)
                     if (
-                        n_keys <= LOOP_READ_MAX_KEYS
-                        and self._avg_batch_s < LOOP_READ_MAX_S
-                        and read_lock.try_read()
+                        n_keys <= LOOP_MAX_KEYS
+                        and self._avg_batch_s < LOOP_MAX_S
+                        and (lock.try_write() if write else lock.try_read())
                     ):
                         try:
-                            return fn()
+                            if fits():
+                                return fn()
                         finally:
-                            read_lock.release_read()
+                            lock.release_write() if write else lock.release_read()
 
-                    def locked() -> T:  # on the pool, waiting out any writer
-                        with read_lock.read():
+                    def locked() -> T:  # on the pool, waiting for the lock
+                        with lock.write() if write else lock.read():
                             return fn()
 
                     return await loop.run_in_executor(self._pool, locked)

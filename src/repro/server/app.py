@@ -138,18 +138,18 @@ class _ReadWriteLock:
     ``IndexService`` is single-driver by contract: a synchronous
     staleness merge rebuilds shard structure in place, and a lookup
     racing it trips ``StaleFlatError`` (or worse).  The front door is
-    the first caller with real concurrency (lookups on the event loop,
-    batches on ``max_inflight`` worker threads, monitoring polls on a
-    side thread), so it imposes the discipline here: lookup/range
-    batches share the service, an insert batch takes it exclusively
-    on a worker thread.
+    the first caller with real concurrency (batches on the event loop
+    and on ``max_inflight`` worker threads, monitoring polls on a side
+    thread), so it imposes the discipline here: lookup/range batches
+    share the service, an insert batch takes it exclusively.
 
     A waiting writer goes before every reader that arrives after it,
-    so reads cannot starve an insert.  Readers come in two kinds.  The
-    event loop calls :meth:`try_read`, which never waits: it refuses
-    while a writer holds or waits for the lock, and the refused read
-    goes to the pool.  Threads call :meth:`read`, which waits out both.
-    Readers never nest and never upgrade, so the preference cannot
+    so reads cannot starve an insert.  Both sides come in two kinds.
+    The event loop calls :meth:`try_read` or :meth:`try_write`, which
+    never wait: they refuse while anyone holds the lock in a way that
+    excludes them, or a writer waits for it, and the refused batch
+    goes to the pool.  Threads call :meth:`read` or :meth:`write`,
+    which wait.  Nobody nests or upgrades, so the preference cannot
     deadlock; with ``max_inflight`` small, a writer waits for at most
     a couple of in-flight read batches.
     """
@@ -176,6 +176,21 @@ class _ReadWriteLock:
             if self._readers == 0:
                 self._cond.notify_all()
 
+    def try_write(self) -> bool:
+        """Take the whole lock unless anyone holds or waits for it;
+        never waits.  A True answer must be paired with
+        :meth:`release_write`."""
+        with self._cond:
+            if self._writing or self._readers or self._writers_waiting:
+                return False
+            self._writing = True
+            return True
+
+    def release_write(self) -> None:
+        with self._cond:
+            self._writing = False
+            self._cond.notify_all()
+
     @contextlib.contextmanager
     def read(self):
         with self._cond:
@@ -200,9 +215,7 @@ class _ReadWriteLock:
         try:
             yield
         finally:
-            with self._cond:
-                self._writing = False
-                self._cond.notify_all()
+            self.release_write()
 
 
 def _require_int_list(obj: dict, key: str, max_len: int) -> list[int]:
@@ -596,9 +609,7 @@ class HttpFrontDoor:
                 "search_steps": batch.search_steps.tolist(),
             }
 
-        result = await self.admission.run(
-            work, read_lock=self._rwlock, n_keys=int(keys.size)
-        )
+        result = await self.admission.run(work, self._rwlock, n_keys=int(keys.size))
         self._c_requests["lookup"].inc()
         self._c_keys_looked_up.inc(int(keys.size))
         return 200, result, JSON_CONTENT_TYPE
@@ -608,25 +619,25 @@ class HttpFrontDoor:
         assert self.admission is not None
 
         def work() -> dict:
-            # Writers are exclusive: a staleness merge may rebuild
-            # shard structure in place under this batch.  Log-then-
-            # apply happens *inside* the exclusive section, so at any
-            # instant every logged op is also applied — which is what
-            # lets _durable_sync() prune the log up to last_seq()
-            # after a flush without racing a half-applied batch.
-            with self._rwlock.write():
-                # Log-then-apply: a crash between the two replays the op.
-                if self.store is not None:
-                    self.store.record_op(keys, values)
-                generation = self.service.durable_generation()
-                self.service.insert_many(keys, values)
-                # A threshold flush or flush-on-merge committed a
-                # generation: make it cover every logged op.
-                if self.service.durable_generation() != generation:
-                    self._durable_sync()
+            # Under the whole lock (a merge may rebuild shards in place),
+            # log-then-apply: at any instant every logged op is also
+            # applied, which is what lets _durable_sync() prune the log
+            # up to last_seq() after a flush.  A crash between the two
+            # replays the op.
+            if self.store is not None:
+                self.store.record_op(keys, values)
+            generation = self.service.durable_generation()
+            self.service.insert_many(keys, values)
+            # A threshold flush or flush-on-merge committed a
+            # generation: make it cover every logged op.
+            if self.service.durable_generation() != generation:
+                self._durable_sync()
             return {"accepted": int(keys.size)}
 
-        result = await self.admission.run(work)
+        # The loop takes only a write that buffers: no merge, flush or sync.
+        result = await self.admission.run(
+            work, self._rwlock, int(keys.size), write=True, fits=lambda: self.service.stays_buffered(keys)
+        )
         self._c_requests["insert"].inc()
         self._c_keys_inserted.inc(int(keys.size))
         return 200, result, JSON_CONTENT_TYPE
@@ -656,8 +667,8 @@ class HttpFrontDoor:
     async def _monitor(self, read: Callable[[], Any]) -> Any:
         """Run a monitoring read of the service under the reader lock.
 
-        ``IndexService.n_keys`` probes every shard that has a
-        non-empty memtable and ALEX's ``n_keys`` walks its node tree
+        ``IndexService.n_keys`` sweeps the buffered keys through the
+        shards and ALEX's ``n_keys`` walks its node tree
         (so does the ``shard_staleness`` gauge the registry pulls),
         so a poll racing the in-place merge of an insert batch is the
         stale-flat-view race that drops acknowledged keys.  The read

@@ -2,13 +2,16 @@
 
 Read path (per batch, all vectorised):
 
-1. **Write buffers** — every shard's unmerged writes live in a
-   memtable consulted first; a buffered hit answers without touching
-   the shard (levels 0, one sorted-probe charge), and any query in a
-   shard with a non-empty buffer pays the failed memtable probe.
-2. **Routing** — everything still pending goes down the
-   :class:`~repro.serving.router.ShardRouter`; with nothing buffered
-   anywhere, stage 1 is skipped and the router's arrays are the answer.
+1. **Routing** — the whole batch goes down the
+   :class:`~repro.serving.router.ShardRouter` once; with nothing
+   buffered anywhere, the router's arrays are the answer.
+2. **Write buffers** — every shard's unmerged writes live in a
+   memtable, and the memtables in shard order are one sorted array
+   (shards partition the key space), probed once for the batch.  Any
+   query in a shard with a non-empty buffer pays that shard's
+   sorted-probe charge on top of its routed steps; a buffered hit
+   takes the buffer's value at levels 0 with the charge alone, as if
+   the shard had never been asked.
 
 Write path (single driver: one writer at a time, every step on the
 caller's thread): ``insert_many`` lands in the per-shard memtables
@@ -38,7 +41,6 @@ bit-identical to per-key routing (the acceptance parity tests in
 from __future__ import annotations
 
 import dataclasses
-import math
 import threading
 import time
 from dataclasses import dataclass
@@ -55,7 +57,6 @@ from ..indexes.base import (
     LearnedIndex,
     _as_batch_kv,
     _as_query_array,
-    alloc_batch_outputs,
     dedupe_last_wins,
     range_slice,
 )
@@ -79,11 +80,6 @@ from ..store import (
 from .router import ShardRouter
 
 __all__ = ["IndexService", "ServiceStats"]
-
-
-def _memtable_steps(n: int) -> int:
-    """Probe charge for one sorted-memtable search over *n* entries."""
-    return max(1, int(math.ceil(math.log2(n + 1))))
 
 
 @dataclass
@@ -353,18 +349,13 @@ class IndexService:
     @property
     def n_keys(self) -> int:
         """Stored keys: merged shard contents plus net-new buffered keys."""
-        total = self.router.n_keys
-        for shard_no, buffer in enumerate(self._buffers):
-            if not len(buffer):
-                continue
-            shard = self.router.shards[shard_no]
-            if shard is None:
-                total += len(buffer)
-                continue
-            bkeys, __ = buffer.arrays()
-            batch = shard.lookup_many(bkeys)
-            total += int(np.count_nonzero(~batch.found))
-        return total
+        bkeys, __, __ = self._buffered()
+        if not bkeys.size:
+            return self.router.n_keys
+        # The router's sweep is untracked: a poll leaves SALI's access
+        # statistics as the reads left them.
+        stored = self.router.lookup_many(bkeys).gathered.found
+        return self.router.n_keys + int(np.count_nonzero(~stored))
 
     def size_bytes(self) -> int:
         """Aggregate modelled storage footprint of the shard indexes."""
@@ -373,6 +364,17 @@ class IndexService:
     def buffered_counts(self) -> tuple[int, ...]:
         """Unmerged write-buffer entries per shard."""
         return tuple(len(b) for b in self._buffers)
+
+    def _buffered(self) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        """Every buffered ``(key, value)`` as one key-sorted pair of
+        arrays — the memtables in shard order, as shards partition the
+        key space — and each shard's entry count."""
+        views = [buffer.arrays() for buffer in self._buffers]
+        sizes = [k.size for k, __ in views]
+        if not any(sizes):
+            return *views[0], sizes  # nothing buffered: no copy to make
+        keys, values = (np.concatenate(part) for part in zip(*views))
+        return keys, values, sizes
 
     # ------------------------------------------------------------------
     # Durability (repro.store)
@@ -445,53 +447,29 @@ class IndexService:
     # Read path
     # ------------------------------------------------------------------
     def lookup_many(self, keys: np.ndarray | list) -> BatchQueryStats:
-        """Batched lookups through buffer → shards."""
+        """Batched lookups: one routed pass, then the buffer overlay."""
         q = _as_query_array(keys)
-        if not any(len(buffer) for buffer in self._buffers):
+        routed = self.router.lookup_many(q)
+        batch, shard_ids = routed.gathered, routed.shard_ids
+        bkeys, bvals, sizes = self._buffered()
+        if not bkeys.size:
             # Nothing buffered: the router's arrays are the answer.
-            routed = self.router.lookup_many(q)
-            self._record_reads(routed.shard_ids, routed.gathered)
-            return routed.gathered
-        shard_ids = self.router.shard_of(q)
-        found, values, levels, steps = alloc_batch_outputs(int(q.size))
-        pending = np.ones(q.size, dtype=bool)
-        buffer_hits = 0
-
-        # 1. Write-buffer overlay.  Every query into a shard with a
-        #    non-empty buffer pays the memtable probe: a hit is
-        #    answered here, a miss carries the charge into stage 2.
-        for shard_no, buffer in enumerate(self._buffers):
-            bkeys, bvals = buffer.arrays()
-            if not bkeys.size:
-                continue
-            idx = np.nonzero(shard_ids == shard_no)[0]
-            if not idx.size:
-                continue
-            steps[idx] = _memtable_steps(bkeys.size)
-            sub = q[idx]
-            pos = np.searchsorted(bkeys, sub)
-            hit = np.zeros(sub.size, dtype=bool)
-            in_range = pos < bkeys.size
-            hit[in_range] = bkeys[pos[in_range]] == sub[in_range]
-            hit_idx = idx[hit]
-            found[hit_idx] = True
-            values[hit_idx] = bvals[pos[hit]]
-            pending[hit_idx] = False
-            buffer_hits += int(hit_idx.size)
-
-        # 2. Scatter/gather for whatever the buffers did not answer.
-        if np.any(pending):
-            routed = self.router.lookup_many(q[pending])
-            idx = np.nonzero(pending)[0]
-            found[idx] = routed.gathered.found
-            values[idx] = routed.gathered.values
-            levels[idx] = routed.gathered.levels
-            steps[idx] += routed.gathered.search_steps
-
-        batch = BatchQueryStats(
-            keys=q, found=found, values=values, levels=levels, search_steps=steps
-        )
-        self._record_reads(shard_ids, batch, buffer_hits)
+            self._record_reads(shard_ids, batch)
+            return batch
+        # Every query into a shard with a non-empty buffer pays its
+        # memtable probe, ceil(log2(n + 1)) steps over n entries: n's bit
+        # length.  A hit is answered from the buffer alone (levels 0, the
+        # probe its whole cost).  The router's arrays are this batch's own.
+        charge = np.array([n.bit_length() for n in sizes])[shard_ids]
+        pos = np.minimum(np.searchsorted(bkeys, q), bkeys.size - 1)
+        hit = np.flatnonzero(bkeys[pos] == q)
+        steps = batch.search_steps
+        steps += charge
+        steps[hit] = charge[hit]
+        batch.levels[hit] = 0
+        batch.found[hit] = True
+        batch.values[hit] = bvals[pos[hit]]
+        self._record_reads(shard_ids, batch, int(hit.size))
         return batch
 
     def lookup(self, key: int) -> int | None:
@@ -525,13 +503,26 @@ class IndexService:
             run = order[lo:hi]
             buffer = self._buffers[shard_no]
             buffer.put_run(arr[run], vals[run])
-            if 0 < self._flush_threshold <= buffer.n_unflushed():
+            flush_due, merge_due = self._due(shard_no)
+            if flush_due:
                 self._flush_shards((shard_no,))
-            if self._staleness(shard_no) > self.staleness_threshold:
+            if merge_due:
                 self._merge_shard(shard_no)
 
-    def _staleness(self, shard_no: int) -> float:
-        buffered = len(self._buffers[shard_no])
+    def stays_buffered(self, keys: np.ndarray) -> bool:
+        """Whether :meth:`insert_many` of *keys* only buffers them: no
+        shard, counting each key as new, reaches a flush or merge."""
+        counts = np.bincount(self.router.shard_of(keys), minlength=self.n_shards)
+        return not any(any(self._due(shard_no, int(n))) for shard_no, n in enumerate(counts) if n)
+
+    def _due(self, shard_no: int, more: int = 0) -> tuple[bool, bool]:
+        """``(flush, merge)``: due once the shard's memtable grows by
+        *more* keys?  The one threshold rule, shared by both callers."""
+        flush = 0 < self._flush_threshold <= self._buffers[shard_no].n_unflushed() + more
+        return flush, self._staleness(shard_no, more) > self.staleness_threshold
+
+    def _staleness(self, shard_no: int, more: int = 0) -> float:
+        buffered = len(self._buffers[shard_no]) + more
         shard = self.router.shards[shard_no]
         stored = shard.n_keys if shard is not None else 0
         return buffered / max(stored, 1)
@@ -603,16 +594,14 @@ class IndexService:
         """Gathered range scan overlaid with in-range buffered writes,
         as ``(keys, values)`` int64 arrays in key order."""
         keys, values = self.router.range_query(low, high)
-        if not any(len(buffer) for buffer in self._buffers):
+        bkeys, bvals, __ = self._buffered()
+        if not bkeys.size:
             return keys, values  # nothing buffered: the router's arrays
-        key_parts, value_parts = [keys], [values]
-        for buffer in self._buffers:
-            bkeys, bvals = buffer.arrays()
-            sl = range_slice(bkeys, low, high)
-            key_parts.append(bkeys[sl])
-            value_parts.append(bvals[sl])
+        sl = range_slice(bkeys, low, high)
         # Buffered writes come after the stored pairs: they win.
-        return dedupe_last_wins(np.concatenate(key_parts), np.concatenate(value_parts))
+        return dedupe_last_wins(
+            np.concatenate([keys, bkeys[sl]]), np.concatenate([values, bvals[sl]])
+        )
 
     def range_query(self, low: int, high: int) -> list[tuple[int, int]]:
         """:meth:`range_arrays` as a list of ``(key, value)`` pairs."""

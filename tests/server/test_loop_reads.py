@@ -1,13 +1,15 @@
-"""Small lookup batches run on the event loop whenever the service lock is free.
+"""Small batches run on the event loop whenever the service lock is free.
 
-A lookup batch of at most ``LOOP_READ_MAX_KEYS`` keys that can take
-the front door's read lock without waiting runs on the loop thread;
-one that finds a writer holding or waiting for the lock runs on the
-worker pool, as writes and range reads always do, and so does every
-larger lookup and every lookup while batches run long.  The loop
-itself never waits for a writer or for a large read, a waiting writer
-goes before later readers on either path, and both paths account a
-batch the same way.
+A lookup batch of at most ``LOOP_MAX_KEYS`` keys that can take the
+front door's read lock without waiting runs on the loop thread; one
+that finds a writer holding or waiting for the lock runs on the
+worker pool, as range reads always do, and so does every larger
+lookup and every lookup while batches run long.  An insert batch is
+held to the same bounds, takes the whole lock without waiting, and
+runs on the loop only if it merely buffers: one that would flush or
+merge runs on the pool.  The loop itself never waits for a writer or
+for a large read, a waiting writer goes before later readers on
+either path, and both paths account a batch the same way.
 """
 
 from __future__ import annotations
@@ -21,10 +23,11 @@ import numpy as np
 import pytest
 
 from repro.obs.metrics import MetricsRegistry, scoped_registry
-from repro.server import AdmissionController, HttpIndexClient, ServerThread
-from repro.server.admission import LOOP_READ_MAX_KEYS, LOOP_READ_MAX_S
+from repro.server import AdmissionController, HttpIndexClient, RuntimeStore, ServerThread
+from repro.server.admission import LOOP_MAX_KEYS, LOOP_MAX_S
 from repro.server.app import _ReadWriteLock
 from repro.serving import IndexService
+from repro.store import DurableStore
 
 from .conftest import FAMILY, N_SHARDS, SlowService
 
@@ -110,12 +113,21 @@ class TestTryRead:
             with guard:
                 inside[kind] -= 1
 
-        def writer() -> None:
+        def writer(loop_side: bool) -> None:
             while time.monotonic() < deadline:
-                with lock.write():
-                    enter("writers", "readers")
-                    time.sleep(0)
-                    leave("writers")
+                if loop_side:
+                    if not lock.try_write():
+                        continue
+                    try:
+                        enter("writers", "readers")
+                        leave("writers")
+                    finally:
+                        lock.release_write()
+                else:
+                    with lock.write():
+                        enter("writers", "readers")
+                        time.sleep(0)
+                        leave("writers")
 
         def reader(loop_side: bool) -> None:
             while time.monotonic() < deadline:
@@ -132,7 +144,10 @@ class TestTryRead:
                         enter("readers", "writers")
                         leave("readers")
 
-        workers = [threading.Thread(target=writer, daemon=True) for _ in range(2)]
+        workers = [
+            threading.Thread(target=writer, args=(loop_side,), daemon=True)
+            for loop_side in (True, False, False)
+        ]
         workers += [
             threading.Thread(target=reader, args=(loop_side,), daemon=True)
             for loop_side in (True, True, False, False)
@@ -170,7 +185,7 @@ class TestAccountingParity:
                 )
 
             assert books() == (0, 0, 0)
-            assert await ctl.run(read, read_lock=lock) is loop_thread
+            assert await ctl.run(read, lock=lock) is loop_thread
             on_loop = books()
             assert ctl.queued == 0 and ctl.running == 0
 
@@ -184,7 +199,7 @@ class TestAccountingParity:
             hold = threading.Thread(target=writer, daemon=True)
             hold.start()
             assert held.wait(10)
-            pending = asyncio.ensure_future(ctl.run(read, read_lock=lock))
+            pending = asyncio.ensure_future(ctl.run(read, lock=lock))
             await asyncio.sleep(0.05)
             assert not pending.done()  # waiting out the writer on the pool
             release.set()
@@ -206,15 +221,15 @@ class TestAccountingParity:
             lock = _ReadWriteLock()
             here = threading.current_thread()
             for n_keys, on_loop in [
-                (LOOP_READ_MAX_KEYS, True),
-                (LOOP_READ_MAX_KEYS + 1, False),
+                (LOOP_MAX_KEYS, True),
+                (LOOP_MAX_KEYS + 1, False),
                 (1, True),
             ]:
                 thread = await ctl.run(
-                    threading.current_thread, read_lock=lock, n_keys=n_keys
+                    threading.current_thread, lock=lock, n_keys=n_keys
                 )
                 assert (thread is here) is on_loop, n_keys
-            assert ctl._avg_batch_s < LOOP_READ_MAX_S
+            assert ctl._avg_batch_s < LOOP_MAX_S
             assert lock._readers == 0
             ctl.shutdown_pool()
 
@@ -224,8 +239,8 @@ class TestAccountingParity:
         async def scenario():
             ctl = AdmissionController(registry=MetricsRegistry(enabled=False))
             lock = _ReadWriteLock()
-            ctl._observe_batch(10 * LOOP_READ_MAX_S)
-            thread = await ctl.run(threading.current_thread, read_lock=lock)
+            ctl._observe_batch(10 * LOOP_MAX_S)
+            thread = await ctl.run(threading.current_thread, lock=lock)
             assert thread is not threading.current_thread()
             assert lock._readers == 0
             ctl.shutdown_pool()
@@ -255,10 +270,14 @@ class _SlowWrites(SlowService):
 
 def test_the_loop_never_waits_on_a_writer(rng):
     keys = np.unique(rng.integers(0, 10**8, 1_200))
+    # All 64 fresh keys land in the last of the three ~400-key shards:
+    # 64 / 400 crosses the 0.1 staleness threshold, so the insert runs
+    # (and merges) on the pool, and the loop stays free to refuse.
     fresh = np.setdiff1d(np.unique(rng.integers(10**8, 2 * 10**8, 64)), keys)
     registry = MetricsRegistry(enabled=True)
     with scoped_registry(registry):
         service = IndexService.build(keys, family=FAMILY, n_shards=N_SHARDS)
+        assert not service.stays_buffered(fresh)
         slow = _SlowWrites(service, delay_s=0.5)
         replies: dict[str, dict] = {}
         try:
@@ -299,7 +318,7 @@ def test_the_loop_never_waits_on_a_writer(rng):
 
 
 class _SlowLargeReads(SlowService):
-    """Range reads and lookups above ``LOOP_READ_MAX_KEYS`` keys sleep
+    """Range reads and lookups above ``LOOP_MAX_KEYS`` keys sleep
     ``delay_s``; small lookups run at full speed.  Each slow read notes
     its thread and sets ``started`` when it begins."""
 
@@ -314,7 +333,7 @@ class _SlowLargeReads(SlowService):
         time.sleep(self._delay_s)
 
     def lookup_many(self, keys):
-        if len(keys) > LOOP_READ_MAX_KEYS:
+        if len(keys) > LOOP_MAX_KEYS:
             self._slow()
         return self._inner.lookup_many(keys)
 
@@ -339,7 +358,7 @@ def test_health_answers_while_a_large_read_runs(rng, read):
                         if read == "range":
                             replies[read] = client.range(0, 10**8)
                         else:
-                            big = np.resize(keys, LOOP_READ_MAX_KEYS + 1)
+                            big = np.resize(keys, LOOP_MAX_KEYS + 1)
                             replies[read] = client.lookup(big.tolist())
 
                 thread = threading.Thread(target=go, daemon=True)
@@ -363,5 +382,153 @@ def test_health_answers_while_a_large_read_runs(rng, read):
     if read == "range":
         assert replies[read]["n"] == keys.size
     else:
-        assert replies[read]["n"] == LOOP_READ_MAX_KEYS + 1
+        assert replies[read]["n"] == LOOP_MAX_KEYS + 1
         assert all(replies[read]["found"])
+
+
+class _InsertThreads(SlowService):
+    """Notes the thread each insert runs on; range reads sleep
+    ``delay_s`` and set ``range_started`` when they begin."""
+
+    def __init__(self, inner: IndexService, delay_s: float = 0.0):
+        super().__init__(inner, delay_s)
+        self.insert_threads: list[str] = []
+        self.range_started = threading.Event()
+
+    def insert_many(self, keys, values=None):
+        self.insert_threads.append(threading.current_thread().name)
+        return self._inner.insert_many(keys, values)
+
+    def lookup_many(self, keys):
+        return self._inner.lookup_many(keys)
+
+    def range_arrays(self, low, high):
+        self.range_started.set()
+        time.sleep(self._delay_s)
+        return self._inner.range_arrays(low, high)
+
+
+def _fresh(rng, keys: np.ndarray, n: int, low: int = 10**8) -> np.ndarray:
+    """*n* keys in ``[low, low + 10**7)`` that *keys* does not hold."""
+    return np.setdiff1d(np.unique(rng.integers(low, low + 10**7, 4 * n)), keys)[:n]
+
+
+class TestLoopWrites:
+    """Which thread an insert batch runs on, and that it lands."""
+
+    @staticmethod
+    def _serve(service, tmp_path, inserts, *, delay_s=0.0, during_range=False):
+        """Send *inserts* (key arrays) one after another, then look
+        them up; returns each insert's thread and the op-log length."""
+        wrapped = _InsertThreads(service, delay_s)
+        log = RuntimeStore(tmp_path / "runtime.db")
+        with ServerThread(wrapped, registry=MetricsRegistry(enabled=True), store=log) as srv:
+            with HttpIndexClient(srv.host, srv.port) as client:
+                ranged = None
+                if during_range:
+
+                    def go() -> None:
+                        with HttpIndexClient(srv.host, srv.port) as other:
+                            other.range(0, 10**8)
+
+                    ranged = threading.Thread(target=go, daemon=True)
+                    ranged.start()
+                    assert wrapped.range_started.wait(10)
+                for batch in inserts:
+                    assert client.insert(batch.tolist())["accepted"] == batch.size
+                if ranged is not None:
+                    ranged.join(30)
+                for batch in inserts:
+                    assert all(client.lookup(batch.tolist())["found"])
+                logged = log.op_count()
+        return wrapped.insert_threads, logged
+
+    def test_a_small_insert_runs_on_the_loop(self, rng, tmp_path):
+        keys = np.unique(rng.integers(0, 2 * 10**8, 1_200))
+        service = IndexService.build(keys, family=FAMILY, n_shards=N_SHARDS)
+        small = _fresh(rng, keys, 8)
+        assert service.stays_buffered(small)
+        threads, logged = self._serve(service, tmp_path, [small])
+        assert threads == ["http-server"]
+        assert logged == 1  # logged before it was applied, on the loop too
+        assert service.stats.merges == 0
+
+    def test_an_insert_crossing_the_staleness_threshold_runs_on_the_pool(
+        self, rng, tmp_path
+    ):
+        keys = np.unique(rng.integers(0, 2 * 10**8, 1_200))
+        service = IndexService.build(keys, family=FAMILY, n_shards=N_SHARDS)
+        many = _fresh(rng, keys, 64)  # 64 into one ~400-key shard > 0.1
+        assert not service.stays_buffered(many)
+        threads, __ = self._serve(service, tmp_path, [many])
+        [thread] = threads
+        assert thread.startswith("http-batch")
+        assert service.stats.merges == 1
+
+    def test_an_insert_reaching_the_flush_threshold_runs_on_the_pool(
+        self, rng, tmp_path
+    ):
+        keys = np.unique(rng.integers(0, 2 * 10**8, 1_200))
+        service = IndexService.build(
+            keys, family=FAMILY, n_shards=N_SHARDS, staleness_threshold=100.0,
+            store=DurableStore(tmp_path / "data"), flush_threshold=8,
+        )
+        fresh = _fresh(rng, keys, 12)
+        threads, logged = self._serve(service, tmp_path, [fresh[:4], fresh[4:]])
+        assert threads[0] == "http-server"
+        assert threads[1].startswith("http-batch")  # 4 + 8 unflushed >= 8
+        assert service.stats.flushes == 1 and service.stats.merges == 0
+        assert logged == 0  # that flush's durable sync pruned both ops
+
+    def test_an_insert_over_the_key_bound_runs_on_the_pool(self, rng, tmp_path):
+        keys = np.unique(rng.integers(0, 2 * 10**8, 1_200))
+        service = IndexService.build(
+            keys, family=FAMILY, n_shards=N_SHARDS, staleness_threshold=100.0
+        )
+        large = _fresh(rng, keys, LOOP_MAX_KEYS + 1)
+        assert large.size == LOOP_MAX_KEYS + 1
+        assert service.stays_buffered(large)
+        threads, __ = self._serve(service, tmp_path, [large])
+        [thread] = threads
+        assert thread.startswith("http-batch")
+
+    def test_an_insert_meeting_a_pool_reader_runs_on_the_pool(self, rng, tmp_path):
+        keys = np.unique(rng.integers(0, 10**8, 1_200))
+        service = IndexService.build(keys, family=FAMILY, n_shards=N_SHARDS)
+        small = _fresh(rng, keys, 4, low=5 * 10**7)
+        assert service.stays_buffered(small)
+        threads, __ = self._serve(
+            service, tmp_path, [small], delay_s=0.3, during_range=True
+        )
+        [thread] = threads
+        assert thread.startswith("http-batch")
+
+
+class TestTryWrite:
+    def test_refused_while_anyone_holds_or_waits_for_the_lock(self):
+        lock = _ReadWriteLock()
+        assert lock.try_read()
+        assert not lock.try_write()  # a reader in flight
+        done = threading.Event()
+
+        def writer() -> None:
+            with lock.write():
+                done.wait(10)
+
+        waiting = threading.Thread(target=writer, daemon=True)
+        waiting.start()
+        _wait_for(lambda: lock._writers_waiting == 1)
+        assert not lock.try_write()  # a writer waiting
+        lock.release_read()
+        _wait_for(lambda: lock._writing)
+        assert not lock.try_write() and not lock.try_read()  # a writer holding
+        done.set()
+        waiting.join(10)
+        assert lock.try_write()
+        assert not lock.try_write() and not lock.try_read()
+        lock.release_write()
+        # A writer woken by the last reader but not yet holding the lock.
+        lock._writers_waiting += 1
+        assert not lock.try_write() and not lock.try_read()
+        lock._writers_waiting -= 1
+        assert not lock._writing and lock._readers == 0
