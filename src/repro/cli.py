@@ -37,7 +37,7 @@ from .core.exceptions import ReproError
 from .core.smoothing import smooth_keys
 from .datasets import DATASETS, load, summarize
 from .evaluation import ascii_table, run_csv_experiment, run_level_query_times
-from .indexes import INDEX_FAMILIES
+from .indexes import CSV_FAMILIES, INDEX_FAMILIES
 from .obs.log import LOG_FORMATS, configure_logging, get_logger
 from .store import make_strategy
 
@@ -113,14 +113,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--n", type=int, default=10_000)
 
     p_csv = sub.add_parser("csv", help="run one CSV experiment")
-    p_csv.add_argument("--index", choices=["lipp", "sali", "alex"], default="lipp")
+    p_csv.add_argument("--index", choices=CSV_FAMILIES, default="lipp")
     p_csv.add_argument("--dataset", choices=sorted(DATASETS), default="facebook")
     p_csv.add_argument("--n", type=int, default=10_000)
     p_csv.add_argument("--alpha", type=float, default=0.1)
     p_csv.add_argument("--export", help="append the result row to this CSV file")
 
     p_levels = sub.add_parser("levels", help="per-level query cost (Fig. 1 view)")
-    p_levels.add_argument("--index", choices=["lipp", "sali", "alex"], default="lipp")
+    p_levels.add_argument("--index", choices=CSV_FAMILIES, default="lipp")
     p_levels.add_argument("--dataset", choices=sorted(DATASETS), default="genome")
     p_levels.add_argument("--n", type=int, default=10_000)
 
@@ -128,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="serve a sharded index over HTTP until SIGINT/SIGTERM",
         allow_abbrev=False,  # a deleted flag is an error, not a prefix of a live one
     )
-    p_serve.add_argument("--index", choices=sorted(INDEX_FAMILIES), default="lipp")
+    p_serve.add_argument("--index", choices=CSV_FAMILIES, default="lipp")
     p_serve.add_argument("--dataset", choices=sorted(DATASETS), default="facebook")
     p_serve.add_argument("--n", type=int, default=20_000)
     p_serve.add_argument("--shards", type=int, default=8)

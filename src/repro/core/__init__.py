@@ -21,7 +21,6 @@ from .exceptions import (
     CalibrationError,
     IndexStateError,
     InvalidKeysError,
-    KeyNotFoundError,
     ReproError,
     SmoothingBudgetError,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "GapInsertionLayout",
     "IndexStateError",
     "InvalidKeysError",
-    "KeyNotFoundError",
     "LinearModel",
     "PoisoningResult",
     "QuadraticModel",

@@ -35,10 +35,6 @@ class IndexStateError(ReproError, RuntimeError):
     inconsistently (e.g. CSV rebuilding a node that no longer exists)."""
 
 
-class KeyNotFoundError(ReproError, KeyError):
-    """Raised by strict lookup APIs when a key is absent from an index."""
-
-
 class CalibrationError(ReproError, RuntimeError):
     """Raised when cost-model calibration cannot produce usable constants
     (e.g. an empty query sample)."""

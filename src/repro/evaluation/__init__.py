@@ -1,6 +1,7 @@
 """Experiment drivers, metrics, and reporting for reproducing the
 paper's evaluation."""
 
+from ..indexes import CSV_FAMILIES
 from .metrics import (
     PROMOTABLE_LEVEL,
     improvement_pct,
@@ -11,7 +12,6 @@ from .metrics import (
 )
 from .reporting import ascii_table, format_float, results_dir, write_result
 from .runner import (
-    CSV_FAMILIES,
     CsvExperimentRow,
     LevelTimeRow,
     run_alpha_sweep,

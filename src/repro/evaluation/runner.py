@@ -22,9 +22,8 @@ import numpy as np
 
 from ..core.cost_model import CostConstants
 from ..core.csv_algorithm import CsvConfig, apply_csv
-from ..core.exceptions import InvalidKeysError
 from ..datasets.loader import downsample, load
-from ..indexes import INDEX_FAMILIES, adapter_for
+from ..indexes import adapter_for, family_class
 from ..workloads.generators import sample_queries, split_read_write
 from ..workloads.readonly import profile_queries
 from ..workloads.readwrite import BatchObservation, run_insert_batches
@@ -45,9 +44,6 @@ __all__ = [
     "run_level_query_times",
     "run_readwrite_experiment",
 ]
-
-#: Indexes CSV integrates with (the paper's competitors).
-CSV_FAMILIES = ("lipp", "sali", "alex")
 
 #: Cap on the promoted-key query sample per experiment (keeps pure
 #: Python runtimes sane; the averages converge well before this).
@@ -86,13 +82,7 @@ class CsvExperimentRow:
 
 
 def _build(family: str, keys: np.ndarray):
-    try:
-        cls = INDEX_FAMILIES[family]
-    except KeyError:
-        raise InvalidKeysError(
-            f"unknown index family {family!r}; choose from {sorted(INDEX_FAMILIES)}"
-        ) from None
-    return cls.build(keys)
+    return family_class(family).build(keys)
 
 
 def run_csv_experiment(

@@ -1,6 +1,14 @@
 """Index substrates: the learned indexes CSV integrates with (ALEX,
-LIPP, SALI) plus classical and learned baselines."""
+LIPP, SALI) plus classical and learned baselines.
 
+The baselines (B+-tree, PGM, RMI, sorted array) are read-only: the
+figures build them and look them up.  Only the three CSV families
+take writes and answer ranges, so only they are served.
+"""
+
+from typing import Collection
+
+from ..core.exceptions import InvalidKeysError
 from .adapters import AlexCsvAdapter, LippCsvAdapter, SaliCsvAdapter, adapter_for
 from .alex import AlexDataNode, AlexIndex, AlexInnerNode
 from .base import BatchQueryStats, LearnedIndex, QueryStats
@@ -22,6 +30,21 @@ INDEX_FAMILIES = {
     "sorted_array": SortedArrayIndex,
 }
 
+#: The families CSV integrates with (the paper's competitors): the
+#: only ones smoothed, and the only ones served.
+CSV_FAMILIES = ("lipp", "sali", "alex")
+
+
+def family_class(family: str, among: Collection[str] = INDEX_FAMILIES) -> type[LearnedIndex]:
+    """The index class named *family*, which must be one of *among*;
+    :class:`InvalidKeysError` otherwise."""
+    if family not in among:
+        raise InvalidKeysError(
+            f"index family {family!r} is not one of {', '.join(sorted(among))}"
+        )
+    return INDEX_FAMILIES[family]
+
+
 __all__ = [
     "AccessTracker",
     "AlexCsvAdapter",
@@ -30,6 +53,7 @@ __all__ = [
     "AlexInnerNode",
     "BPlusTree",
     "BatchQueryStats",
+    "CSV_FAMILIES",
     "FlattenedNode",
     "INDEX_FAMILIES",
     "LearnedIndex",
@@ -45,4 +69,5 @@ __all__ = [
     "SortedArrayIndex",
     "adapter_for",
     "build_pla_segments",
+    "family_class",
 ]

@@ -294,16 +294,11 @@ class AlexDataNode:
                 return InsertStatus.UPDATED
             probe += 1
         insert_at = probe  # first slot whose (real or fill) key > key
-        if insert_at > 0 and not self.occupied[insert_at - 1]:
-            # A gap sits immediately left: take it.
-            target = insert_at - 1
-            self.slot_keys[target] = key
-            self.slot_values[target] = value
-            self.occupied[target] = True
-            self._retag_gap_run(target)
-            self.n_keys += 1
-            self._expected_steps_cache = None
-            return InsertStatus.INSERTED
+        # The slot left of insert_at is occupied: a gap there would hold
+        # the next real key to its right, which is key itself (found
+        # above) or > key (then _locate would have stopped on it).  The
+        # one exception, a TAIL_FILL key walking the trailing gaps, ends
+        # with the left shift below taking the last of them.
         # Shift the occupied run into the nearest gap (either side).
         # Gap scans are vectorised: merged CSV nodes can have long
         # occupied runs and a per-slot Python loop would dominate the
@@ -342,14 +337,6 @@ class AlexDataNode:
         self.n_keys += 1
         self._expected_steps_cache = None
         return InsertStatus.INSERTED
-
-    def _retag_gap_run(self, target: int) -> None:
-        """After occupying a gap, refresh fill keys left of it."""
-        key = int(self.slot_keys[target])
-        probe = target - 1
-        while probe >= 0 and not self.occupied[probe] and int(self.slot_keys[probe]) > key:
-            self.slot_keys[probe] = key
-            probe -= 1
 
     # ------------------------------------------------------------------
     def iter_entries(self) -> Iterator[tuple[int, int]]:

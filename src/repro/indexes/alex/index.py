@@ -191,6 +191,8 @@ class AlexIndex(LearnedIndex):
     # Updates
     # ------------------------------------------------------------------
     def insert(self, key: int, value: int) -> None:
+        """Insert (or overwrite) one key: a gapped insert into its data
+        node, which a full node first expands or splits to make room."""
         key = int(key)
         value = int(value)
         node, __ = self._descend(key)
@@ -339,6 +341,7 @@ class AlexIndex(LearnedIndex):
         return nodes
 
     def iter_keys(self) -> Iterator[int]:
+        """Every stored key in ascending order, data node by data node."""
         for node in self._data_nodes():
             yield from node.collect_arrays()[0].tolist()
 

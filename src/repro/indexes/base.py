@@ -25,27 +25,25 @@ parallel to the query array and bit-identical to the per-key loop —
 ``tests/indexes/test_batch_api.py`` asserts exact parity for every
 backend.
 
-Writes have two entry points: :meth:`LearnedIndex.insert` (one key;
-the per-key protocol Fig. 10 measures) and
-:meth:`LearnedIndex.bulk_insert_many` (one batch; what the serving
-layer's merge and the store's replay call).  Every backend overrides
-the batch write with a vectorised sorted merge — the static PGM / RMI,
-which have no ``insert``, merge their data array and refit their
-models — and the base class's per-key loop stays as the reference the
-merge-parity tests compare against.
+:class:`LearnedIndex` is what the figures call: build, point
+lookups, key levels and the structure reports.  Writes and ranges are
+declared where they are implemented, on the three CSV families
+(``LippIndex``, which SALI inherits, and ``AlexIndex``): ``insert``
+(one key; the per-key protocol Fig. 10 measures), ``bulk_insert_many``
+(one batch; what the serving layer's merge and the store's replay
+call) and ``range_query``.  The baselines are read-only.
 """
 
 from __future__ import annotations
 
-import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..core.cost_model import CostConstants
-from ..core.exceptions import IndexStateError, KeyNotFoundError
+from ..core.exceptions import IndexStateError
 from ..core.segment_stats import validate_keys
 
 __all__ = [
@@ -267,15 +265,6 @@ def range_slice(keys: np.ndarray, low: int, high: int) -> slice:
     return slice(int(lo), int(np.searchsorted(keys, high, side="right")))
 
 
-def _range_from_sorted_arrays(
-    keys: np.ndarray, values: np.ndarray, low: int, high: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The array families' ``range_query``: both in-range slices, copied
-    (a value overwrite writes *values* in place)."""
-    sl = range_slice(keys, low, high)
-    return keys[sl].copy(), values[sl].copy()
-
-
 def prepare_key_values(
     keys: np.ndarray | list,
     values: np.ndarray | list | None = None,
@@ -289,7 +278,7 @@ def prepare_key_values(
     if values is None:
         vals = arr.copy()
     else:
-        vals = np.asarray(values, dtype=np.int64)
+        vals = _as_int64(np.asarray(values), "values")
         if vals.shape != arr.shape:
             raise IndexStateError("values must parallel keys")
     return arr, vals
@@ -298,8 +287,8 @@ def prepare_key_values(
 class LearnedIndex(ABC):
     """Abstract base class for all indexes in :mod:`repro.indexes`.
 
-    Concrete classes implement point lookups with cost accounting,
-    plus (for the updatable indexes) inserts.  The structural
+    Concrete classes implement point lookups with cost accounting
+    (writes and ranges live on the CSV families only).  The structural
     inspection hooks (:meth:`height`, :meth:`node_count`,
     :meth:`key_levels`, :meth:`size_bytes`) power the paper's
     promoted-data / node-reduction / storage metrics.
@@ -309,16 +298,12 @@ class LearnedIndex(ABC):
     name: str = "abstract"
 
     # ------------------------------------------------------------------
-    # Construction and updates
+    # Construction
     # ------------------------------------------------------------------
     @classmethod
     @abstractmethod
     def build(cls, keys: np.ndarray | list, values: np.ndarray | list | None = None) -> "LearnedIndex":
         """Bulk-load the index from sorted unique *keys*."""
-
-    @abstractmethod
-    def insert(self, key: int, value: int) -> None:
-        """Insert one key (indexes without update support raise)."""
 
     # ------------------------------------------------------------------
     # Queries
@@ -331,30 +316,8 @@ class LearnedIndex(ABC):
         """Point lookup returning the value, or None if absent."""
         return self.lookup_stats(key).value
 
-    def lookup_strict(self, key: int) -> int:
-        """Point lookup that raises :class:`KeyNotFoundError` on a miss."""
-        stats = self.lookup_stats(key)
-        if not stats.found:
-            raise KeyNotFoundError(key)
-        assert stats.value is not None
-        return stats.value
-
     def __contains__(self, key: int) -> bool:
         return self.lookup_stats(int(key)).found
-
-    def range_query(self, low: int, high: int) -> tuple[np.ndarray, np.ndarray]:
-        """The stored keys in ``[low, high]`` and their values, as two
-        int64 arrays in key order.
-
-        Generic implementation: walk :meth:`iter_keys` (ascending) and
-        resolve each in-range key's value, stopping past *high*.
-        Backends with an ordered physical layout override this with a
-        direct scan; the serving layer's merge and range paths rely
-        on every backend answering it.
-        """
-        keys = [key for key in itertools.takewhile(lambda k: k <= high, self.iter_keys()) if key >= low]
-        values = [self.lookup_strict(key) for key in keys]
-        return np.asarray(keys, dtype=np.int64), np.asarray(values, dtype=np.int64)
 
     # ------------------------------------------------------------------
     # Structure inspection
@@ -380,12 +343,8 @@ class LearnedIndex(ABC):
         """Level (root = 1) of the node in which *key* is stored."""
         return int(self.key_levels([key])[0])
 
-    @abstractmethod
-    def iter_keys(self) -> Iterator[int]:
-        """Yield every stored key in ascending order."""
-
     # ------------------------------------------------------------------
-    # Batch queries and updates (the workload drivers' entry points)
+    # Batch queries (the workload drivers' entry point)
     # ------------------------------------------------------------------
     def lookup_many(self, keys: np.ndarray | list) -> BatchQueryStats:
         """Batched point lookups with full cost accounting.
@@ -399,35 +358,6 @@ class LearnedIndex(ABC):
         return BatchQueryStats.from_query_stats(
             [self.lookup_stats(int(k)) for k in arr]
         )
-
-    def bulk_insert_many(
-        self,
-        keys: np.ndarray | list,
-        values: np.ndarray | list | None = None,
-    ) -> None:
-        """Ingest a write batch (values default to the keys).
-
-        *Content*-equivalent to calling :meth:`insert` per key in batch
-        order — duplicates within the batch resolve last-wins, keys
-        already stored are overwritten, and afterwards every batch key
-        looks up to its batch value with all other stored keys
-        untouched.  The backends override this with
-        sorted-merge implementations that amortise structural
-        maintenance across the whole batch (bulk rebuilds of the
-        touched nodes/subtrees instead of one root-to-leaf descent per
-        key), so the *physical layout* after a bulk ingest may
-        legitimately differ from the per-key loop's — typically it is
-        the fresher, better-packed structure a bulk load would produce.
-        Lookup results (found/value) are exactly identical;
-        ``tests/indexes/test_bulk_insert.py`` asserts this parity per
-        backend.
-
-        This generic implementation is that per-key loop, so a new
-        updatable backend is correct before it is fast.
-        """
-        arr, vals = _as_batch_kv(keys, values)
-        for key, value in zip(arr.tolist(), vals.tolist()):
-            self.insert(key, value)
 
     # ------------------------------------------------------------------
     # Convenience batch helpers used by the evaluation harness

@@ -2,15 +2,15 @@
 
 The classical structure learned indexes are benchmarked against
 (Section 6.1 notes ALEX/LIPP/SALI all outperform it).  Leaves hold
-``(key, value)`` runs and are chained; inner nodes hold separator keys.
+``(key, value)`` runs; inner nodes hold separator keys.
 Lookup cost: one level per node on the root-to-leaf path plus a binary
-search inside each visited node.
+search inside each visited node.  Read-only: it is bulk-loaded and
+looked up, never written to.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Iterator
 
 import numpy as np
 
@@ -23,9 +23,7 @@ from .base import (
     BatchQueryStats,
     LearnedIndex,
     QueryStats,
-    _as_batch_kv,
     _as_query_array,
-    dedupe_last_wins,
     group_runs,
     prepare_key_values,
 )
@@ -36,12 +34,11 @@ DEFAULT_ORDER = 64
 
 
 class _Leaf:
-    __slots__ = ("keys", "values", "next")
+    __slots__ = ("keys", "values")
 
     def __init__(self) -> None:
         self.keys: list[int] = []
         self.values: list[int] = []
-        self.next: "_Leaf | None" = None
 
 
 class _Inner:
@@ -53,7 +50,7 @@ class _Inner:
 
 
 class BPlusTree(LearnedIndex):
-    """An in-memory B+-tree with configurable fan-out *order*."""
+    """An in-memory, bulk-loaded B+-tree with configurable fan-out *order*."""
 
     name = "btree"
 
@@ -76,8 +73,8 @@ class BPlusTree(LearnedIndex):
     def _bulk_load(self, keys: np.ndarray, values: np.ndarray) -> None:
         """Pack leaves to ~70% fill and build inner levels bottom-up.
 
-        Node-local ``keys``/``values`` stay Python lists (inserts splice
-        into them), but they are built from sliced-array ``tolist()``
+        Node-local ``keys``/``values`` are Python lists (what the scalar
+        ``bisect`` lookups search), built from sliced-array ``tolist()``
         conversions rather than per-element comprehensions.
         """
         per_leaf = max(2, int(self._order * 0.7))
@@ -88,8 +85,6 @@ class BPlusTree(LearnedIndex):
             leaf = _Leaf()
             leaf.keys = key_chunk.tolist()
             leaf.values = value_chunk.tolist()
-            if leaves:
-                leaves[-1].next = leaf
             leaves.append(leaf)
         if not leaves:
             leaves = [_Leaf()]
@@ -185,123 +180,6 @@ class BPlusTree(LearnedIndex):
                 values[hit_idx] = leaf_values[pos[hit]]
         return BatchQueryStats(keys=q, found=found, values=values, levels=levels, search_steps=steps)
 
-    def _harvest_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Current contents as sorted parallel arrays (leaf-chain scan)."""
-        node = self._root
-        while isinstance(node, _Inner):
-            node = node.children[0]
-        assert isinstance(node, _Leaf)
-        key_parts: list[np.ndarray] = []
-        val_parts: list[np.ndarray] = []
-        leaf: _Leaf | None = node
-        while leaf is not None:
-            if leaf.keys:
-                key_parts.append(np.asarray(leaf.keys, dtype=np.int64))
-                val_parts.append(np.asarray(leaf.values, dtype=np.int64))
-            leaf = leaf.next
-        if not key_parts:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        return np.concatenate(key_parts), np.concatenate(val_parts)
-
-    #: Batches smaller than ``n_keys / BULK_LOOP_DIVISOR`` take the
-    #: per-key loop: the merged-run rebuild is O(n + b) regardless of
-    #: batch size, so a rebuild only wins once b is a sizeable share
-    #: of n (crossover measured around b ~ n/6; /8 leaves margin).
-    BULK_LOOP_DIVISOR = 8
-
-    def bulk_insert_many(self, keys, values=None) -> None:
-        """Bulk ingest by re-slicing the merged sorted run.
-
-        The leaf chain already holds the stored pairs as sorted runs;
-        one concatenation + stable last-wins dedupe (batch entries
-        after stored ones, so batch values overwrite) yields the merged
-        run, which :meth:`_bulk_load` re-packs into fresh ~70%-full
-        leaves and bottom-up inner levels.  O(n + b) array work per
-        batch instead of b root-to-leaf descents with splits.  Small
-        batches (relative to the stored key count) fall back to the
-        per-key loop, which beats a full-tree rebuild there.
-        """
-        arr, vals = _as_batch_kv(keys, values)
-        if arr.size == 0:
-            return
-        if arr.size * self.BULK_LOOP_DIVISOR < self._n:
-            for key, value in zip(arr.tolist(), vals.tolist()):
-                self.insert(key, value)
-            return
-        old_keys, old_vals = self._harvest_arrays()
-        merged_keys, merged_vals = dedupe_last_wins(
-            np.concatenate([old_keys, arr]), np.concatenate([old_vals, vals])
-        )
-        self._bulk_load(merged_keys, merged_vals)
-
-    # ------------------------------------------------------------------
-    def insert(self, key: int, value: int) -> None:
-        key = int(key)
-        split = self._insert_into(self._root, key, int(value))
-        if split is not None:
-            sep, right = split
-            new_root = _Inner()
-            new_root.keys = [sep]
-            new_root.children = [self._root, right]
-            self._root = new_root
-            self._height += 1
-
-    def _insert_into(self, node: object, key: int, value: int):
-        """Recursive insert; returns (separator, new_right_sibling) on split."""
-        if isinstance(node, _Leaf):
-            pos = bisect.bisect_left(node.keys, key)
-            if pos < len(node.keys) and node.keys[pos] == key:
-                node.values[pos] = value
-                return None
-            node.keys.insert(pos, key)
-            node.values.insert(pos, value)
-            self._n += 1
-            if len(node.keys) > self._order:
-                mid = len(node.keys) // 2
-                right = _Leaf()
-                right.keys = node.keys[mid:]
-                right.values = node.values[mid:]
-                right.next = node.next
-                node.keys = node.keys[:mid]
-                node.values = node.values[:mid]
-                node.next = right
-                return right.keys[0], right
-            return None
-        assert isinstance(node, _Inner)
-        idx = bisect.bisect_right(node.keys, key)
-        split = self._insert_into(node.children[idx], key, value)
-        if split is None:
-            return None
-        sep, right = split
-        node.keys.insert(idx, sep)
-        node.children.insert(idx + 1, right)
-        if len(node.children) > self._order:
-            mid = len(node.keys) // 2
-            right_inner = _Inner()
-            right_inner.keys = node.keys[mid + 1:]
-            right_inner.children = node.children[mid + 1:]
-            sep_up = node.keys[mid]
-            node.keys = node.keys[:mid]
-            node.children = node.children[:mid + 1]
-            return sep_up, right_inner
-        return None
-
-    # ------------------------------------------------------------------
-    def range_query(self, low: int, high: int) -> tuple[np.ndarray, np.ndarray]:
-        """The keys in ``[low, high]`` and their values, as int64 arrays."""
-        node: _Leaf | None = self._descend(int(low))[0]
-        keys: list[int] = []
-        values: list[int] = []
-        while node is not None:
-            lo = bisect.bisect_left(node.keys, low)
-            hi = bisect.bisect_right(node.keys, high)
-            keys += node.keys[lo:hi]
-            values += node.values[lo:hi]
-            if hi < len(node.keys):
-                break
-            node = node.next
-        return np.asarray(keys, dtype=np.int64), np.asarray(values, dtype=np.int64)
-
     @property
     def n_keys(self) -> int:
         return self._n
@@ -331,15 +209,5 @@ class BPlusTree(LearnedIndex):
             else:
                 assert isinstance(node, _Leaf)
                 total += NODE_HEADER_BYTES + len(node.keys) * (KEY_BYTES + VALUE_BYTES)
-                total += POINTER_BYTES
+                total += POINTER_BYTES  # the sibling link of a B+-tree's leaf chain
         return total
-
-    def iter_keys(self) -> Iterator[int]:
-        node = self._root
-        while isinstance(node, _Inner):
-            node = node.children[0]
-        assert isinstance(node, _Leaf)
-        leaf: _Leaf | None = node
-        while leaf is not None:
-            yield from leaf.keys
-            leaf = leaf.next

@@ -484,6 +484,8 @@ class LippIndex(LearnedIndex):
         return self._stored_levels(self._lookup_batch(keys, track=False))
 
     def iter_keys(self) -> Iterator[int]:
+        """Every stored key in ascending order: a walk of the node tree,
+        independent of the flat view the range path reads."""
         for key, __ in self._root.iter_entries():
             yield key
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -28,10 +27,7 @@ from .base import (
     BatchQueryStats,
     LearnedIndex,
     QueryStats,
-    _as_batch_kv,
     _as_query_array,
-    _range_from_sorted_arrays,
-    dedupe_last_wins,
     prepare_key_values,
 )
 
@@ -107,19 +103,14 @@ class PGMIndex(LearnedIndex):
 
     Lookups descend the segment hierarchy (each level costs one
     traversal plus an ε-bounded local search) and finish with a binary
-    search confined to ±ε positions around the prediction.  There is
-    no per-key ``insert``; a write batch is merged into the data array
-    and the hierarchy refit (:meth:`bulk_insert_many`).
+    search confined to ±ε positions around the prediction.  Static:
+    bulk-loaded and looked up, never written to.
     """
 
     name = "pgm"
 
     def __init__(self, keys: np.ndarray, values: np.ndarray, epsilon: int):
         self._epsilon = int(epsilon)
-        self._fit(keys, values)
-
-    def _fit(self, keys: np.ndarray, values: np.ndarray) -> None:
-        """Lay the segment hierarchy over sorted unique *keys*."""
         self._keys = keys
         self._values = values
         # levels[0] indexes the data; levels[i>0] index level i-1's
@@ -152,19 +143,6 @@ class PGMIndex(LearnedIndex):
     def build(cls, keys, values=None, epsilon: int = 16) -> "PGMIndex":
         arr, vals = prepare_key_values(keys, values)
         return cls(arr, vals, epsilon)
-
-    def insert(self, key: int, value: int) -> None:
-        raise NotImplementedError("this PGM reproduction is static (bulk-load only)")
-
-    def bulk_insert_many(self, keys, values=None) -> None:
-        """Merge a write batch into the data array (last write wins) and
-        refit the hierarchy in place: the index ``build`` makes from the
-        merged content."""
-        arr, vals = _as_batch_kv(keys, values)
-        if arr.size:
-            self._fit(*dedupe_last_wins(
-                np.concatenate([self._keys, arr]), np.concatenate([self._values, vals])
-            ))
 
     def _bounded_search(self, level_keys: np.ndarray, seg: PlaSegment, key: int) -> tuple[int, int]:
         predicted = seg.predict(key)
@@ -237,16 +215,6 @@ class PGMIndex(LearnedIndex):
             seg_idx = np.minimum(pos, len(self._levels[level - 1]) - 1)
         raise AssertionError("unreachable")
 
-    def range_query(self, low: int, high: int) -> tuple[np.ndarray, np.ndarray]:
-        """The keys in ``[low, high]`` and their values, as int64 arrays.
-
-        The data level is one dense sorted array, so (as in the real
-        PGM) a range is the slice between the bounds' positions; the
-        segment hierarchy is only needed to *price* locating the first
-        key, not to enumerate the range.
-        """
-        return _range_from_sorted_arrays(self._keys, self._values, low, high)
-
     @property
     def n_keys(self) -> int:
         return int(self._keys.size)
@@ -263,9 +231,6 @@ class PGMIndex(LearnedIndex):
         for level in self._levels:
             total += NODE_HEADER_BYTES + len(level) * seg_bytes
         return total
-
-    def iter_keys(self) -> Iterator[int]:
-        yield from (int(k) for k in self._keys)
 
     @property
     def epsilon(self) -> int:

@@ -4,16 +4,13 @@ The original learned-index architecture: a root linear model routes a
 key to one of ``branching`` second-stage linear models; each
 second-stage model remembers the worst under/over-prediction observed
 over its keys at build time, so a lookup binary-searches only inside
-``[pos + min_err, pos + max_err]``.  Static (no per-key ``insert``: a
-write batch is merged into the data array and both stages refit), used
-as a baseline in the benches.
+``[pos + min_err, pos + max_err]``.  Static (bulk-loaded and looked
+up, never written to), used as a baseline in the benches.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -25,10 +22,7 @@ from .base import (
     BatchQueryStats,
     LearnedIndex,
     QueryStats,
-    _as_batch_kv,
     _as_query_array,
-    _range_from_sorted_arrays,
-    dedupe_last_wins,
     prepare_key_values,
 )
 
@@ -48,16 +42,11 @@ class RMIIndex(LearnedIndex):
     name = "rmi"
 
     def __init__(self, keys: np.ndarray, values: np.ndarray, branching: int | None):
-        #: None = one second-stage model per 512 keys, re-derived at every refit.
-        self._fixed_branching = branching
-        self._fit(keys, values)
-
-    def _fit(self, keys: np.ndarray, values: np.ndarray) -> None:
-        """Fit the root and the second stage over sorted unique *keys*."""
+        """Fit the root and the second stage over sorted unique *keys*
+        (*branching* None = one second-stage model per 512 keys)."""
         self._keys = keys
         self._values = values
         n = int(keys.size)
-        branching = self._fixed_branching
         self._branching = max(1, int(n // 512 if branching is None else branching))
         root = fit_linear(keys)  # predicts rank in [0, n)
         self._root = root.scaled(self._branching / max(n, 1))
@@ -90,19 +79,6 @@ class RMIIndex(LearnedIndex):
     def build(cls, keys, values=None, branching: int | None = None) -> "RMIIndex":
         arr, vals = prepare_key_values(keys, values)
         return cls(arr, vals, branching)
-
-    def insert(self, key: int, value: int) -> None:
-        raise NotImplementedError("this RMI reproduction is static (bulk-load only)")
-
-    def bulk_insert_many(self, keys, values=None) -> None:
-        """Merge a write batch into the data array (last write wins) and
-        refit both stages in place: the index ``build`` makes from the
-        merged content."""
-        arr, vals = _as_batch_kv(keys, values)
-        if arr.size:
-            self._fit(*dedupe_last_wins(
-                np.concatenate([self._keys, arr]), np.concatenate([self._values, vals])
-            ))
 
     def lookup_stats(self, key: int) -> QueryStats:
         key = int(key)
@@ -153,12 +129,6 @@ class RMIIndex(LearnedIndex):
             search_steps=steps,
         )
 
-    def range_query(self, low: int, high: int) -> tuple[np.ndarray, np.ndarray]:
-        """The keys in ``[low, high]`` and their values, as int64 arrays — RMI
-        stores the data as one dense sorted array, so a range is the
-        slice between the bounds' positions."""
-        return _range_from_sorted_arrays(self._keys, self._values, low, high)
-
     @property
     def n_keys(self) -> int:
         return int(self._keys.size)
@@ -175,6 +145,3 @@ class RMIIndex(LearnedIndex):
         total += self._branching * per_model
         total += self._keys.size * (KEY_BYTES + VALUE_BYTES)
         return total
-
-    def iter_keys(self) -> Iterator[int]:
-        yield from (int(k) for k in self._keys)

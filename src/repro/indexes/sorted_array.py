@@ -2,12 +2,11 @@
 
 One "node", ``log2(n)`` search steps per lookup.  Used as the ground
 truth oracle in tests and as the classical lower bound on structural
-complexity in benches.
+complexity in benches; read-only, like every baseline.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
 
 import numpy as np
 
@@ -18,10 +17,7 @@ from .base import (
     BatchQueryStats,
     LearnedIndex,
     QueryStats,
-    _as_batch_kv,
     _as_query_array,
-    _range_from_sorted_arrays,
-    dedupe_last_wins,
     prepare_key_values,
 )
 
@@ -36,46 +32,13 @@ class SortedArrayIndex(LearnedIndex):
     def __init__(self, keys: np.ndarray, values: np.ndarray):
         self._keys = keys
         self._values = values
-        #: Lazily built probe-count tables for the batch path
-        #: (invalidated whenever the array changes size).
+        #: Lazily built probe-count tables for the batch path.
         self._probe_tables: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def build(cls, keys, values=None) -> "SortedArrayIndex":
         arr, vals = prepare_key_values(keys, values)
         return cls(arr, vals)
-
-    def insert(self, key: int, value: int) -> None:
-        pos = int(np.searchsorted(self._keys, key))
-        if pos < self._keys.size and int(self._keys[pos]) == int(key):
-            self._values[pos] = value
-            return
-        self._keys = np.insert(self._keys, pos, key)
-        self._values = np.insert(self._values, pos, value)
-        self._probe_tables = None
-
-    def bulk_insert_many(self, keys, values=None) -> None:
-        """Vectorised bulk insert: one merged reallocation per batch.
-
-        Equivalent to per-key :meth:`insert` in batch order — existing
-        keys are updated in place, new keys are spliced in with a
-        single ``np.insert`` (duplicates within the batch: last value
-        wins, as in the sequential loop).
-        """
-        arr, vals = _as_batch_kv(keys, values)
-        if arr.size == 0:
-            return
-        unique_keys, unique_vals = dedupe_last_wins(arr, vals)
-        pos = np.searchsorted(self._keys, unique_keys)
-        in_range = pos < self._keys.size
-        present = np.zeros(unique_keys.size, dtype=bool)
-        present[in_range] = self._keys[pos[in_range]] == unique_keys[in_range]
-        self._values[pos[present]] = unique_vals[present]
-        fresh = ~present
-        if np.any(fresh):
-            self._keys = np.insert(self._keys, pos[fresh], unique_keys[fresh])
-            self._values = np.insert(self._values, pos[fresh], unique_vals[fresh])
-            self._probe_tables = None
 
     def lookup_stats(self, key: int) -> QueryStats:
         key = int(key)
@@ -136,7 +99,7 @@ class SortedArrayIndex(LearnedIndex):
         ``i``) — exactly the counts :meth:`lookup_stats` reports.
         """
         n = int(self._keys.size)
-        if self._probe_tables is not None and self._probe_tables[0].size == n:
+        if self._probe_tables is not None:
             return self._probe_tables
         steps_hit = np.zeros(max(n, 1), dtype=np.int64)
         steps_miss = np.zeros(n + 1, dtype=np.int64)
@@ -153,11 +116,6 @@ class SortedArrayIndex(LearnedIndex):
         self._probe_tables = (steps_hit[:n] if n else steps_hit[:0], steps_miss)
         return self._probe_tables
 
-    def range_query(self, low: int, high: int) -> tuple[np.ndarray, np.ndarray]:
-        """The keys in ``[low, high]`` and their values, as int64 arrays — a
-        contiguous slice of the backing arrays."""
-        return _range_from_sorted_arrays(self._keys, self._values, low, high)
-
     @property
     def n_keys(self) -> int:
         return int(self._keys.size)
@@ -170,6 +128,3 @@ class SortedArrayIndex(LearnedIndex):
 
     def size_bytes(self) -> int:
         return NODE_HEADER_BYTES + self._keys.size * (KEY_BYTES + VALUE_BYTES)
-
-    def iter_keys(self) -> Iterator[int]:
-        yield from (int(k) for k in self._keys)

@@ -13,10 +13,14 @@ IndexService` fronts the shards with per-shard write buffers
 (staleness-triggered merge + re-smoothing) and a ledger of what every
 read observed.
 
+The served families are the three CSV integrates with
+(:data:`~repro.indexes.CSV_FAMILIES`); the read-only baselines are
+not served.
+
 Execution: everything runs on the caller's thread.  A LIPP/SALI
 router answers a batch with one sweep over a forest view of its
-shards; for the other families it runs the batch's per-shard slices
-inline, one after another.
+shards; for ALEX it runs the batch's per-shard slices inline, one
+after another.
 
 Observability: one ledger — :class:`ServiceStats` plus reads counted
 per ``[shard, levels, search_steps]`` — priced into simulated ns only
@@ -31,7 +35,7 @@ these rather than reaching into router internals.
 
 from ..obs.health import HealthReport, ShardHealth
 
-from .partitioner import SMOOTHABLE_FAMILIES, ShardPlan, build_shard_indexes, plan_shards
+from .partitioner import ShardPlan, build_shard_indexes, plan_shards
 from .router import RoutedBatch, ShardRouter
 from .service import IndexService, ServiceStats
 
@@ -40,7 +44,6 @@ __all__ = [
     "IndexService",
     "RoutedBatch",
     "ShardHealth",
-    "SMOOTHABLE_FAMILIES",
     "ServiceStats",
     "ShardPlan",
     "ShardRouter",

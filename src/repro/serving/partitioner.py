@@ -22,18 +22,14 @@ import numpy as np
 from ..core.csv_algorithm import CsvConfig, CsvReport, apply_csv
 from ..core.exceptions import InvalidKeysError
 from ..core.segment_stats import validate_keys
-from ..indexes import INDEX_FAMILIES, adapter_for
+from ..indexes import CSV_FAMILIES, adapter_for, family_class
 from ..indexes.base import LearnedIndex, prepare_key_values
 
 __all__ = [
-    "SMOOTHABLE_FAMILIES",
     "ShardPlan",
     "build_shard_indexes",
     "plan_shards",
 ]
-
-#: Families CSV integrates with — the only ones a per-shard α affects.
-SMOOTHABLE_FAMILIES = ("alex", "lipp", "sali")
 
 
 @dataclass(frozen=True)
@@ -118,19 +114,15 @@ def build_shard_indexes(
 ) -> tuple[list[LearnedIndex | None], list[CsvReport | None]]:
     """Build (and independently smooth) one index per shard.
 
-    Empty shards build to None — the router serves them as all-miss
-    and the service lazily materialises them on first insert.  Shards
-    of a :data:`SMOOTHABLE_FAMILIES` backend with a non-None α get CSV
-    (Algorithm 2) applied in place with that shard's own budget; other
-    families ignore α.  Returns the indexes and the per-shard CSV
-    reports (None where not smoothed).
+    *family* must be one of :data:`~repro.indexes.CSV_FAMILIES` (the
+    served ones; :class:`InvalidKeysError` otherwise).  Empty shards
+    build to None — the router serves them as all-miss and the service
+    lazily materialises them on first insert.  Shards with a non-None
+    α get CSV (Algorithm 2) applied in place with that shard's own
+    budget.  Returns the indexes and the per-shard CSV reports (None
+    where not smoothed).
     """
-    try:
-        cls = INDEX_FAMILIES[family]
-    except KeyError:
-        raise InvalidKeysError(
-            f"unknown index family {family!r}; choose from {sorted(INDEX_FAMILIES)}"
-        ) from None
+    cls = family_class(family, CSV_FAMILIES)
     indexes: list[LearnedIndex | None] = []
     reports: list[CsvReport | None] = []
     for shard_keys, shard_values, shard_alpha in zip(
@@ -142,7 +134,7 @@ def build_shard_indexes(
             continue
         index = cls.build(shard_keys, shard_values)
         report = None
-        if shard_alpha is not None and shard_alpha > 0.0 and family in SMOOTHABLE_FAMILIES:
+        if shard_alpha is not None and shard_alpha > 0.0:
             report = apply_csv(adapter_for(index), CsvConfig(alpha=shard_alpha))
         indexes.append(index)
         reports.append(report)

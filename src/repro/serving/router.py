@@ -9,8 +9,8 @@ router holds a :class:`~repro.indexes.lipp.forest.LippForest` over
 them: one ``np.searchsorted`` against the boundary array gives every
 query its shard, and one flat sweep — each query starting at its own
 shard's root — answers the batch, instead of the fixed numpy-dispatch
-cost of a sweep once per shard.  The other five families have no flat
-view to concatenate, and for them the router scatters: a stable
+cost of a sweep once per shard.  ALEX, the other served family, has
+no flat view to concatenate, and for it the router scatters: a stable
 argsort groups the batch into per-shard contiguous runs, each run goes
 down its shard's ``lookup_many`` inline, one after another on the
 caller's thread, and the results are gathered back into the caller's
@@ -74,7 +74,7 @@ class RoutedBatch:
 
 class ShardRouter:
     """Router over a list of shard indexes: one sweep over a forest
-    view of LIPP/SALI shards, scatter/gather over any other family's.
+    view of LIPP/SALI shards, scatter/gather over ALEX's.
 
     ``shards[i]`` may be None (an empty shard): lookups routed there
     miss with zero traversal cost.

@@ -19,7 +19,7 @@ caller's thread): ``insert_many`` lands in the per-shard memtables
 writes reach ``flush_threshold`` freezes them into a run; and when a
 shard's staleness ``buffered / stored`` crosses the threshold the
 memtable is flushed, merged into the shard, the shard re-smoothed
-with its own α (CSV families), and the run stack compacted — all
+with its own α, and the run stack compacted — all
 before ``insert_many`` returns, so merge timing (and with it the
 ``levels`` / ``search_steps`` / buffered-hit telemetry) is a function
 of the write history alone.
@@ -50,8 +50,8 @@ import numpy as np
 
 from ..core.cost_model import CostConstants
 from ..core.csv_algorithm import CsvConfig, apply_csv
-from ..core.exceptions import IndexStateError
-from ..indexes import INDEX_FAMILIES, adapter_for
+from ..core.exceptions import IndexStateError, InvalidKeysError
+from ..indexes import CSV_FAMILIES, adapter_for, family_class
 from ..indexes.base import (
     BatchQueryStats,
     LearnedIndex,
@@ -69,7 +69,7 @@ from ..obs.health import (
     shard_status,
 )
 from ..obs.metrics import Histogram, MetricsRegistry, get_registry, metric_key
-from .partitioner import SMOOTHABLE_FAMILIES, build_shard_indexes, plan_shards
+from .partitioner import build_shard_indexes, plan_shards
 from ..store import (
     MANIFEST_NAME,
     CompactionStrategy,
@@ -257,9 +257,11 @@ class IndexService:
     ) -> "IndexService":
         """Partition → smooth → build → route, in one call.
 
-        With *store*, the plan's shard contents become its generation-1
-        base files.  An initialised directory is refused, untouched —
-        reopen it with :meth:`open_snapshot`.
+        *family* is one of :data:`~repro.indexes.CSV_FAMILIES`; a
+        read-only baseline raises :class:`InvalidKeysError`.  With
+        *store*, the plan's shard contents become its generation-1 base
+        files.  An initialised directory is refused, untouched — reopen
+        it with :meth:`open_snapshot`.
         """
         plan = plan_shards(keys, n_shards, values=values, alpha=alpha)
         shards, __ = build_shard_indexes(plan, family)
@@ -297,10 +299,11 @@ class IndexService:
         shard rebuilds from its base snapshot through the family's
         ``build`` and replays outstanding runs through
         ``bulk_insert_many`` — the same vectorised ingest path live
-        merges use — then CSV-smoothable shards are re-smoothed with
-        their recorded α, and the router is built over them.  No shard
-        is read back.  The store stays attached, so subsequent writes
-        keep flushing into the same directory.
+        merges use — then shards are re-smoothed with their recorded
+        α, and the router is built over them.  No shard is read back.
+        A manifest naming a family that is not served raises
+        :class:`StoreCorruptionError`.  The store stays attached, so
+        subsequent writes keep flushing into the same directory.
         """
         if not isinstance(store, DurableStore):
             store = DurableStore(store, metrics=metrics)
@@ -310,22 +313,16 @@ class IndexService:
                 f"no snapshot to open at {store.data_dir} "
                 "(MANIFEST.json missing; IndexService.build(store=) writes one)"
             )
-        family_cls = INDEX_FAMILIES.get(manifest.family)
-        if family_cls is None:
+        try:
+            family_cls = family_class(manifest.family, CSV_FAMILIES)
+        except InvalidKeysError as exc:
             raise StoreCorruptionError(
-                f"{store.data_dir / MANIFEST_NAME}: manifest field 'service.family' "
-                f"names no index family: {manifest.family!r} "
-                f"(known: {', '.join(sorted(INDEX_FAMILIES))})"
-            )
+                f"{store.data_dir / MANIFEST_NAME}: manifest field 'service.family': {exc}"
+            ) from None
         shards: list[LearnedIndex | None] = []
         for shard_no, alpha in enumerate(manifest.alphas):
             shard = store.build_shard(shard_no, family_cls)
-            if (
-                shard is not None
-                and alpha is not None
-                and alpha > 0.0
-                and manifest.family in SMOOTHABLE_FAMILIES
-            ):
+            if shard is not None and alpha is not None and alpha > 0.0:
                 apply_csv(adapter_for(shard), CsvConfig(alpha=alpha))
             shards.append(shard)
         return cls(
@@ -531,9 +528,9 @@ class IndexService:
         """Merge one shard's buffer into its index and re-smooth.
 
         Runs on the inserting caller's thread, start to finish.
-        Every family absorbs the memtable in place through
-        ``bulk_insert_many``.  CSV families with a per-shard α are
-        re-smoothed afterwards — the online counterpart of the paper's
+        The shard absorbs the memtable in place through
+        ``bulk_insert_many``; with a per-shard α it is re-smoothed
+        afterwards — the online counterpart of the paper's
         one-shot preprocessing.
         """
         bkeys, bvals, mark = self._buffers[shard_no].snapshot()
@@ -555,15 +552,14 @@ class IndexService:
             self._flush_shards((shard_no,))
         merged = self.router.shards[shard_no]
         if merged is None:
-            merged = INDEX_FAMILIES[self.family].build(bkeys, bvals)
+            merged = family_class(self.family).build(bkeys, bvals)
         else:
-            # The one ingest seam every family has (and the store's
-            # replay uses): the tree backends sorted-merge-rebuild their
-            # touched nodes/subtrees in one sweep, PGM / RMI merge their
-            # data array and refit.
+            # The one batch ingest seam (the store's replay uses it
+            # too): the touched nodes/subtrees are sorted-merge-rebuilt
+            # in one sweep.
             merged.bulk_insert_many(bkeys, bvals)
         alpha = self.alphas[shard_no]
-        if alpha is not None and alpha > 0.0 and self.family in SMOOTHABLE_FAMILIES:
+        if alpha is not None and alpha > 0.0:
             apply_csv(adapter_for(merged), CsvConfig(alpha=alpha))
             self.stats.resmoothed_shards += 1
         # Publication: the router (re)compiles what the merge staled

@@ -15,7 +15,7 @@ repo's sorted-int64 world:
   committed generation;
 * a **compactor** (size-tiered or full sort-merge, pluggable) folds
   runs back down, and recovery replays outstanding runs through the
-  index families' ``bulk_insert_many`` — the same vectorised ingest
+  served families' ``bulk_insert_many`` — the same vectorised ingest
   path live merges use.
 
 ``docs/PERSISTENCE.md`` specifies the on-disk format;

@@ -12,6 +12,8 @@ from repro.core.linear_model import LinearModel, fit_linear
 from repro.indexes.alex import AlexDataNode, AlexIndex, InsertStatus
 from repro.indexes.alex.data_node import TAIL_FILL
 
+INT64 = np.iinfo(np.int64)
+
 key_sets = st.lists(
     st.integers(min_value=0, max_value=10**9), min_size=2, max_size=200, unique=True
 ).map(sorted)
@@ -182,3 +184,71 @@ class TestAlexIndex:
 
     def test_size_bytes_positive(self, small_keys):
         assert AlexIndex.build(small_keys).size_bytes() > 0
+
+    def test_consecutive_inserts_split_a_full_node(self):
+        """A data node that is full at the capacity cap splits downward:
+        the only per-key path that adds a level (an expand rebuilds the
+        node in place), so the height growing is the split."""
+        keys = np.arange(200, dtype=np.int64) * 3
+        index = AlexIndex.build(keys)
+        assert (index.height(), index.node_count()) == (1, 1)
+        oracle = {int(k): int(k) for k in keys}
+        for key in range(1_000, 10_000):
+            index.insert(key, -key)
+            oracle[key] = -key
+        assert index.height() >= 2
+        assert index.node_count() >= 3  # the 2-way inner node and its halves
+        probe = np.asarray(sorted(oracle), dtype=np.int64)
+        batch = index.lookup_many(probe)
+        assert bool(batch.found.all())
+        assert batch.values.tolist() == [oracle[k] for k in probe.tolist()]
+        assert index.n_keys == len(oracle)
+        assert list(index.iter_keys()) == probe.tolist()
+
+
+def _assert_gapped_invariant(index: AlexIndex) -> None:
+    """Every data node's slot keys are non-decreasing, and every gap
+    holds the next occupied key to its right (``TAIL_FILL`` past the
+    last one) — what ``_fill_gaps`` lays out and inserts must keep."""
+    for node in index._walk():
+        if not isinstance(node, AlexDataNode):
+            continue
+        slot_keys = node.slot_keys
+        assert bool(np.all(slot_keys[1:] >= slot_keys[:-1]))
+        fill = np.where(node.occupied, slot_keys, TAIL_FILL)
+        next_key = np.minimum.accumulate(fill[::-1])[::-1]
+        gaps = ~node.occupied
+        assert np.array_equal(slot_keys[gaps], next_key[gaps])
+
+
+#: Keys for the insert property: anywhere in int64 short of
+#: ``TAIL_FILL`` (the trailing-gap sentinel, not a storable key), with
+#: the extremes and a dense band that forces shifts and overwrites.
+insert_keys = st.one_of(
+    st.integers(min_value=int(INT64.min), max_value=int(INT64.max) - 1),
+    st.integers(min_value=-64, max_value=64),
+    st.sampled_from([int(INT64.min), int(INT64.min) + 1, int(INT64.max) - 2, int(INT64.max) - 1]),
+)
+
+
+class TestGappedInsertInvariant:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        base=st.lists(st.integers(min_value=-1_000, max_value=1_000), min_size=1, max_size=150, unique=True),
+        ops=st.lists(st.tuples(insert_keys, st.integers(min_value=int(INT64.min), max_value=int(INT64.max))),
+                     min_size=50, max_size=400),
+    )
+    def test_random_inserts_keep_gaps_and_match_a_dict(self, base, ops):
+        keys = np.asarray(sorted(base), dtype=np.int64)
+        index = AlexIndex.build(keys, keys * 2)
+        oracle = {int(k): int(k) * 2 for k in keys}
+        for key, value in ops:
+            index.insert(key, value)
+            oracle[key] = value
+            _assert_gapped_invariant(index)
+        probe = np.asarray(sorted(oracle), dtype=np.int64)
+        batch = index.lookup_many(probe)
+        assert bool(batch.found.all())
+        assert batch.values.tolist() == [oracle[k] for k in probe.tolist()]
+        assert [index.lookup(k) for k in probe.tolist()] == batch.values.tolist()
+        assert index.n_keys == len(oracle)

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from repro.core.cost_model import CostConstants
-from repro.core.exceptions import IndexStateError, KeyNotFoundError
-from repro.indexes.base import QueryStats, prepare_key_values
+from repro.core.exceptions import IndexStateError
+from repro.indexes import CSV_FAMILIES, INDEX_FAMILIES, AlexIndex, LippIndex, SaliIndex
+from repro.indexes.base import LearnedIndex, QueryStats, prepare_key_values
 from repro.indexes.sorted_array import SortedArrayIndex
+from repro.serving import IndexService
 
 
 class TestQueryStats:
@@ -43,12 +45,38 @@ class TestPrepareKeyValues:
             prepare_key_values([1, 2], [10])
 
 
-class TestBaseHelpers:
-    def test_lookup_strict_raises_on_miss(self, small_keys):
-        index = SortedArrayIndex.build(small_keys)
-        with pytest.raises(KeyNotFoundError):
-            index.lookup_strict(int(small_keys[0]) - 1)
+#: Values no int64 slot can hold as given: a cast would truncate the
+#: floats and wrap the uint64 past the int64 maximum.
+UNSTORABLE_VALUES = {
+    "float": lambda keys: keys + 0.7,
+    "uint64_above_int64": lambda keys: np.full(keys.size, 2**63, dtype=np.uint64),
+}
+BUILDERS = {
+    "lipp": LippIndex.build,
+    "alex": AlexIndex.build,
+    "sali": SaliIndex.build,
+    "service": lambda keys, values: IndexService.build(keys, n_shards=2, values=values),
+}
 
+
+class TestBuildRefusesUnstorableValues:
+    """``build`` refuses what every write path refuses, instead of
+    storing ``int(3.7) == 3`` or ``-2**63`` for ``2**63``."""
+
+    @pytest.mark.parametrize("values", sorted(UNSTORABLE_VALUES))
+    @pytest.mark.parametrize("builder", sorted(BUILDERS))
+    def test_build_raises(self, builder, values):
+        keys = np.arange(0, 600, 3, dtype=np.int64)
+        with pytest.raises(IndexStateError, match="values"):
+            BUILDERS[builder](keys, UNSTORABLE_VALUES[values](keys))
+
+    def test_uint64_within_int64_is_widened(self):
+        keys = np.arange(0, 600, 3, dtype=np.int64)
+        index = LippIndex.build(keys, np.full(keys.size, 2**63 - 1, dtype=np.uint64))
+        assert index.lookup(3) == 2**63 - 1
+
+
+class TestBaseHelpers:
     def test_contains(self, small_keys):
         index = SortedArrayIndex.build(small_keys)
         assert int(small_keys[3]) in index
@@ -73,3 +101,18 @@ class TestBaseHelpers:
         index = SortedArrayIndex.build(small_keys)
         batch = index.lookup_many(small_keys[:4])
         assert [batch.stat(i).key for i in range(4)] == small_keys[:4].tolist()
+
+
+WRITE_AND_RANGE = ("insert", "bulk_insert_many", "range_query")
+
+
+class TestWriteAndRangeSurface:
+    """Writes and ranges are declared where they are implemented: on
+    the three CSV families, not on the base class or a baseline."""
+
+    def test_the_base_class_declares_none(self):
+        assert not any(hasattr(LearnedIndex, name) for name in WRITE_AND_RANGE)
+
+    @pytest.mark.parametrize("family", sorted(set(INDEX_FAMILIES) - set(CSV_FAMILIES)))
+    def test_a_baseline_is_read_only(self, family):
+        assert not any(hasattr(INDEX_FAMILIES[family], name) for name in WRITE_AND_RANGE)

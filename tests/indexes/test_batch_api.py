@@ -14,13 +14,13 @@ import pytest
 
 from repro.core.cost_model import CostConstants
 from repro.core.exceptions import IndexStateError
-from repro.indexes import INDEX_FAMILIES
+from repro.indexes import CSV_FAMILIES, INDEX_FAMILIES
 from repro.indexes.base import BatchQueryStats
 from repro.workloads.readonly import QueryProfile
 
 ALL_FAMILIES = sorted(INDEX_FAMILIES)
-UPDATABLE = ("sorted_array", "btree", "alex", "lipp", "sali")
-STATIC = ("pgm", "rmi")
+#: The families with a write path (the baselines are read-only).
+UPDATABLE = tuple(sorted(CSV_FAMILIES))
 
 
 @pytest.fixture()
@@ -135,26 +135,17 @@ class TestInsertManyParity:
         for k in fresh.tolist():
             assert index.lookup(int(k)) == int(k)
 
-    @pytest.mark.parametrize("family", STATIC)
-    def test_static_indexes_raise(self, family, small_keys):
-        """No per-key ``insert``; the batch write merges and refits."""
+    @pytest.mark.parametrize("family", UPDATABLE)
+    def test_updates_existing(self, family, small_keys):
         index = INDEX_FAMILIES[family].build(small_keys)
-        key = int(small_keys[-1]) + 10
-        with pytest.raises(NotImplementedError):
-            index.insert(key, key)
-        index.bulk_insert_many(np.array([key]))
-        assert index.lookup(key) == key and index.n_keys == small_keys.size + 1
-
-    def test_sorted_array_updates_existing(self, small_keys):
-        index = INDEX_FAMILIES["sorted_array"].build(small_keys)
         index.bulk_insert_many(small_keys[:5], small_keys[:5] * 7)
         for k in small_keys[:5].tolist():
             assert index.lookup(int(k)) == int(k) * 7
         assert index.n_keys == small_keys.size
 
-    @pytest.mark.parametrize("family", UPDATABLE + STATIC)
+    @pytest.mark.parametrize("family", UPDATABLE)
     def test_mismatched_values_raise_index_state_error(self, family, small_keys):
-        """One error type for a bad write batch, on every backend."""
+        """One error type for a bad write batch, on every writable family."""
         index = INDEX_FAMILIES[family].build(small_keys)
         with pytest.raises(IndexStateError):
             index.bulk_insert_many(small_keys[:4], small_keys[:3])

@@ -20,24 +20,17 @@ import pytest
 from repro.indexes import INDEX_FAMILIES
 from repro.indexes.alex.data_node import AlexDataNode
 from repro.indexes.alex.index import AlexIndex
-from repro.indexes.btree import BPlusTree
 from repro.indexes.lipp.index import LippIndex
 from repro.indexes.lipp.node import DEFAULT_SLOT_FACTOR, LippNode
 from repro.indexes.sali.index import SaliIndex
-from repro.indexes.sorted_array import SortedArrayIndex
 
-BULK_FAMILIES = ("sorted_array", "btree", "alex", "lipp", "sali")
-TREE_FAMILIES = ("btree", "alex", "lipp", "sali")
+BULK_FAMILIES = ("alex", "lipp", "sali")
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
 
 def _empty_index(family):
     """An empty index of *family* (build() requires non-empty keys)."""
-    if family == "sorted_array":
-        return SortedArrayIndex(_EMPTY.copy(), _EMPTY.copy())
-    if family == "btree":
-        return BPlusTree()
     if family == "alex":
         return AlexIndex(AlexDataNode.from_sorted(_EMPTY, _EMPTY, level=1))
     root = LippNode.from_keys(_EMPTY, _EMPTY, level=1)
@@ -151,7 +144,7 @@ class TestBulkParity:
         assert bool(np.all(probe.found))
         assert np.array_equal(probe.values, np.unique(batch) + 2)
 
-    @pytest.mark.parametrize("family", TREE_FAMILIES)
+    @pytest.mark.parametrize("family", BULK_FAMILIES)
     def test_large_dense_batch(self, insert_each, family, rng):
         """A batch several times the index size (the merge-heavy
         regime the bulk path exists for) keeps exact content parity."""

@@ -69,7 +69,7 @@ class TestPGMIndex:
 
     def test_static_insert_raises(self, small_keys):
         index = PGMIndex.build(small_keys)
-        with pytest.raises(NotImplementedError):
+        with pytest.raises(AttributeError):
             index.insert(1, 1)
 
     def test_height_at_least_one(self, small_keys):
@@ -90,11 +90,6 @@ class TestPGMIndex:
             < PGMIndex.build(hard, epsilon=8).segment_count
         )
 
-    def test_iter_keys(self, small_keys):
-        index = PGMIndex.build(small_keys)
-        assert list(index.iter_keys()) == small_keys.tolist()
-
-
 class TestRMIIndex:
     def test_lookup_every_key(self, clustered_keys):
         index = RMIIndex.build(clustered_keys)
@@ -112,7 +107,7 @@ class TestRMIIndex:
         assert index.key_level(int(small_keys[0])) == 2
 
     def test_static_insert_raises(self, small_keys):
-        with pytest.raises(NotImplementedError):
+        with pytest.raises(AttributeError):
             RMIIndex.build(small_keys).insert(1, 1)
 
     def test_branching_controls_node_count(self, clustered_keys):
@@ -123,58 +118,3 @@ class TestRMIIndex:
     def test_custom_values(self):
         index = RMIIndex.build(np.array([5, 10, 20, 30, 50]), np.array([1, 2, 3, 4, 5]))
         assert index.lookup(20) == 3
-
-    def test_iter_keys(self, small_keys):
-        index = RMIIndex.build(small_keys)
-        assert list(index.iter_keys()) == small_keys.tolist()
-
-
-@pytest.mark.parametrize("cls", [PGMIndex, RMIIndex], ids=["pgm", "rmi"])
-class TestBulkInsertMany:
-    """The static baselines absorb a write batch in place, and end up
-    as the index ``build`` makes from the merged content."""
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        stored=st.lists(st.integers(0, 10**6), min_size=1, max_size=1500, unique=True),
-        batch=st.lists(st.integers(0, 10**6), min_size=1, max_size=1500),
-    )
-    def test_merge_equals_a_build_of_the_merged_content(self, cls, stored, batch):
-        stored = np.asarray(sorted(stored), dtype=np.int64)
-        batch = np.asarray(batch, dtype=np.int64)
-        batch_values = -np.arange(1, batch.size + 1, dtype=np.int64)
-        merged = dict(zip(stored.tolist(), (stored * 3).tolist()))
-        merged.update(zip(batch.tolist(), batch_values.tolist()))  # last write wins
-        merged_keys = np.asarray(sorted(merged), dtype=np.int64)
-        merged_values = np.asarray([merged[k] for k in merged_keys.tolist()], dtype=np.int64)
-
-        index = cls.build(stored, stored * 3)
-        before = id(index)
-        index.bulk_insert_many(batch, batch_values)
-        built = cls.build(merged_keys, merged_values)
-        assert id(index) == before
-        probe = np.concatenate([merged_keys, merged_keys + 1, [-1, 10**7]])
-        got, want = index.lookup_many(probe), built.lookup_many(probe)
-        for field in ("found", "values", "levels", "search_steps"):
-            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
-        assert index.n_keys == built.n_keys == merged_keys.size
-        assert (index.height(), index.node_count(), index.size_bytes()) == (
-            built.height(), built.node_count(), built.size_bytes()
-        )
-
-    def test_empty_batch_changes_nothing(self, cls, small_keys):
-        index = cls.build(small_keys)
-        index.bulk_insert_many(np.empty(0, dtype=np.int64))
-        assert list(index.iter_keys()) == small_keys.tolist()
-
-
-def test_merge_keeps_the_chosen_epsilon_and_branching(clustered_keys):
-    fresh = clustered_keys[::7] + 1
-    merged = np.union1d(clustered_keys, fresh)
-    pgm = PGMIndex.build(clustered_keys, epsilon=4)
-    pgm.bulk_insert_many(fresh)
-    assert pgm.epsilon == 4
-    assert pgm.segment_count == PGMIndex.build(merged, epsilon=4).segment_count
-    rmi = RMIIndex.build(clustered_keys, branching=4)
-    rmi.bulk_insert_many(fresh)
-    assert rmi.node_count() == 1 + 4

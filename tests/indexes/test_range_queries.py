@@ -1,10 +1,8 @@
 """Cross-backend range-query parity tests.
 
-Every index family answers ``range_query`` (the base class provides a
-generic ordered-walk default; the array-backed and tree backends
-override it with direct scans), and all of them must agree with the
-brute-force oracle — the serving layer's merge and range paths sit
-on this contract.  An answer is two int64 arrays; ``range_pairs``
+Every served family answers ``range_query`` (the read-only baselines
+do not), and all of them must agree with the brute-force oracle — the
+serving layer's range path sits on this contract.  An answer is two int64 arrays; ``range_pairs``
 checks that and turns them into the oracle's pair list.
 """
 
@@ -13,19 +11,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.indexes import (
-    INDEX_FAMILIES,
-    AlexIndex,
-    BPlusTree,
-    LippIndex,
-    SaliIndex,
-    SortedArrayIndex,
-)
-from repro.indexes.base import LearnedIndex, range_slice
+from repro.indexes import AlexIndex, LippIndex, SaliIndex
+from repro.indexes.base import range_slice
 
 INT64 = np.iinfo(np.int64)
-ALL_BACKENDS = sorted(INDEX_FAMILIES.values(), key=lambda cls: cls.name)
-UPDATABLE_BACKENDS = [SortedArrayIndex, BPlusTree, AlexIndex, LippIndex, SaliIndex]
+ALL_BACKENDS = [AlexIndex, LippIndex, SaliIndex]
 
 
 def oracle(keys: np.ndarray, low: int, high: int) -> list[tuple[int, int]]:
@@ -60,7 +50,7 @@ class TestRangeQueries:
         assert range_pairs(index.range_query(low, high)) == oracle(small_keys, low, high)
 
 
-@pytest.mark.parametrize("cls", UPDATABLE_BACKENDS, ids=lambda c: c.name)
+@pytest.mark.parametrize("cls", ALL_BACKENDS, ids=lambda c: c.name)
 class TestRangeAfterInserts:
     def test_range_after_inserts(self, cls, insert_each, small_keys, rng, range_pairs):
         index = cls.build(small_keys)
@@ -97,56 +87,6 @@ class TestSaliFlattenedRange:
         assert range_pairs(index.range_query(low, high)) == oracle(clustered_keys, low, high)
 
 
-class TestBaseClassDefault:
-    def test_generic_walk_default(self, small_keys, range_pairs):
-        """A backend that only implements the abstract core still
-        answers ranges through the base-class iter_keys walk."""
-
-        class Minimal(LearnedIndex):
-            name = "minimal"
-
-            def __init__(self, keys):
-                self._store = {int(k): int(k) * 2 for k in keys}
-
-            @classmethod
-            def build(cls, keys, values=None):
-                return cls(keys)
-
-            def insert(self, key, value):
-                self._store[int(key)] = int(value)
-
-            def lookup_stats(self, key):
-                from repro.indexes.base import QueryStats
-
-                found = int(key) in self._store
-                return QueryStats(
-                    key=int(key), found=found,
-                    value=self._store.get(int(key)), levels=1, search_steps=0,
-                )
-
-            @property
-            def n_keys(self):
-                return len(self._store)
-
-            def height(self):
-                return 1
-
-            def node_count(self):
-                return 1
-
-            def size_bytes(self):
-                return 0
-
-            def iter_keys(self):
-                yield from sorted(self._store)
-
-        index = Minimal.build(small_keys)
-        low, high = int(small_keys[3]), int(small_keys[20])
-        expected = [(int(k), int(k) * 2) for k in small_keys if low <= k <= high]
-        assert range_pairs(index.range_query(low, high)) == expected
-        assert range_pairs(index.range_query(high + 1, low - 1)) == []
-
-
 class TestBoundsBeyondInt64:
     """A bound past int64 is clamped before ``searchsorted``, which
     would compare it as a float: ``2**63`` then sorts at or before the
@@ -168,7 +108,7 @@ class TestBoundsBeyondInt64:
     def test_range_slice(self, low, high, want):
         assert range_slice(self.EDGES, low, high) == want
 
-    @pytest.mark.parametrize("cls", [SortedArrayIndex, LippIndex, SaliIndex], ids=lambda c: c.name)
+    @pytest.mark.parametrize("cls", [AlexIndex, LippIndex, SaliIndex], ids=lambda c: c.name)
     def test_a_range_above_every_key_is_empty(self, cls, range_pairs):
         index = cls.build(self.EDGES, self.EDGES // 2)
         assert range_pairs(index.range_query(2**63, 2**64)) == []

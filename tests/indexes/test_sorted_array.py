@@ -31,21 +31,5 @@ class TestSortedArray:
         assert index.node_count() == 1
         assert index.key_level(int(small_keys[0])) == 1
 
-    def test_insert_new(self, small_keys):
-        index = SortedArrayIndex.build(small_keys)
-        index.insert(int(small_keys[-1]) + 5, 42)
-        assert index.lookup(int(small_keys[-1]) + 5) == 42
-        assert index.n_keys == small_keys.size + 1
-
-    def test_insert_update(self, small_keys):
-        index = SortedArrayIndex.build(small_keys)
-        index.insert(int(small_keys[0]), 9)
-        assert index.lookup(int(small_keys[0])) == 9
-        assert index.n_keys == small_keys.size
-
-    def test_iter_keys(self, small_keys):
-        index = SortedArrayIndex.build(small_keys)
-        assert list(index.iter_keys()) == small_keys.tolist()
-
     def test_size_bytes(self, small_keys):
         assert SortedArrayIndex.build(small_keys).size_bytes() > small_keys.size * 16

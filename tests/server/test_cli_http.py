@@ -131,11 +131,12 @@ class TestHttpServeProcess:
         assert stats["service"]["n_inserts"] == 5
         assert stats["http"]["http_requests_total.insert"] == 0
 
-    @pytest.mark.parametrize("index", ["lipp", "pgm"])
+    @pytest.mark.parametrize("index", ["lipp", "alex"])
     def test_data_dir_replay_across_process_restart(self, tmp_path, index):
         """No op log: the writes reach the restart only as the run the
-        SIGTERM close flushed into the data directory, and every family
-        replays it (PGM through its merge-and-refit ``bulk_insert_many``)."""
+        SIGTERM close flushed into the data directory, and every served
+        family replays it through its ``bulk_insert_many`` (ALEX, the
+        one without a forest, too)."""
         args = (
             "serve", "--port", "0", "--n", "2000", "--shards", "2",
             "--index", index, "--data-dir", str(tmp_path / "data"),

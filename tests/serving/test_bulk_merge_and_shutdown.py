@@ -1,11 +1,9 @@
 """Service-level tests for the bulk merge path and shutdown semantics.
 
 The staleness-triggered merge drains write buffers through every
-family's ``bulk_insert_many``; these tests pin (1) content parity
-between merge-via-bulk and the per-key merge-via-loop, (2) that the
-static families' merge refits them into what a build of the merged
-content is, and (3) that ``close`` is idempotent and leaves the service
-usable in process.
+served family's ``bulk_insert_many``; these tests pin (1) content
+parity between merge-via-bulk and the per-key merge-via-loop, and (2)
+that ``close`` is idempotent and leaves the service usable in process.
 """
 
 from __future__ import annotations
@@ -15,13 +13,9 @@ import functools
 import numpy as np
 import pytest
 
-from repro.indexes import INDEX_FAMILIES
-from repro.indexes.base import LearnedIndex
+from repro.indexes import CSV_FAMILIES
 from repro.serving.service import IndexService
 from repro.store import DurableStore
-
-#: The families with a per-key ``insert`` — what the loop oracle needs.
-PER_KEY_FAMILIES = ("sorted_array", "btree", "alex", "lipp", "sali")
 
 
 def _seed_keys(rng, n=3_000):
@@ -36,8 +30,8 @@ def _expected_contents(keys, batches):
 
 
 class TestMergeViaBulk:
-    @pytest.mark.parametrize("family", PER_KEY_FAMILIES)
-    def test_merge_via_bulk_matches_merge_via_loop(self, family, rng):
+    @pytest.mark.parametrize("family", CSV_FAMILIES)
+    def test_merge_via_bulk_matches_merge_via_loop(self, family, rng, insert_each):
         """The bulk-drained merge stores exactly what a per-key
         ``insert`` merge stores: every written key resolves to its
         last value after a flush, on every shard."""
@@ -48,13 +42,10 @@ class TestMergeViaBulk:
         loop_service = IndexService.build(
             keys, family=family, n_shards=3, staleness_threshold=0.05
         )
-        # Force the comparison service's merges down the per-key path
-        # (the base class's batch write is the ``insert`` loop).
+        # Force the comparison service's merges down the per-key path.
         for shard in loop_service.router.shards:
             if shard is not None:
-                shard.bulk_insert_many = functools.partial(
-                    LearnedIndex.bulk_insert_many, shard
-                )
+                shard.bulk_insert_many = functools.partial(insert_each, shard)
         batches = []
         for round_no in range(4):
             bkeys = rng.integers(0, 10**7, 900)
@@ -78,43 +69,12 @@ class TestMergeViaBulk:
         bulk_service.close()
         loop_service.close()
 
-    @pytest.mark.parametrize("family", ("pgm", "rmi"))
-    def test_static_families_still_merge_by_rebuild(self, family, rng):
-        """A PGM / RMI shard is refit in place, into exactly the index a
-        build of its merged content makes: same answers, same costs."""
-        keys = _seed_keys(rng, 2_000)
-        service = IndexService.build(
-            keys, family=family, n_shards=2, staleness_threshold=0.05
-        )
-        shards = service.router.shards
-        bkeys = rng.integers(0, 10**7, 600)
-        service.insert_many(bkeys, bkeys * 2)
-        service.flush()
-        assert service.stats.merges > 0
-        assert all(a is b for a, b in zip(service.router.shards, shards))
-        probe = np.unique(bkeys)
-        got = service.lookup_many(probe)
-        assert bool(np.all(got.found))
-        assert np.array_equal(got.values, probe * 2)
-        expected = _expected_contents(keys, [(bkeys, bkeys * 2)])
-        all_keys = np.asarray(sorted(expected), dtype=np.int64)
-        all_values = np.asarray([expected[k] for k in all_keys.tolist()], dtype=np.int64)
-        owner = service.router.shard_of(all_keys)
-        for shard_no, shard in enumerate(service.router.shards):
-            mine = owner == shard_no
-            built = INDEX_FAMILIES[family].build(all_keys[mine], all_values[mine])
-            q = np.concatenate([all_keys[mine], all_keys[mine] + 1])
-            want, have = built.lookup_many(q), shard.lookup_many(q)
-            for field in ("found", "values", "levels", "search_steps"):
-                assert getattr(have, field).tobytes() == getattr(want, field).tobytes()
-        service.close()
-
 
 class TestShutdown:
     def test_close_is_idempotent(self, rng, tmp_path):
         keys = _seed_keys(rng, 1_500)
         service = IndexService.build(
-            keys, family="btree", n_shards=2, staleness_threshold=10.0,
+            keys, family="alex", n_shards=2, staleness_threshold=10.0,
             store=DurableStore(tmp_path / "data"),
         )
         service.insert_many(rng.integers(0, 10**7, 500))
@@ -136,7 +96,7 @@ class TestShutdown:
         service object stays usable in process)."""
         keys = _seed_keys(rng, 1_000)
         service = IndexService.build(
-            keys, family="btree", n_shards=2, staleness_threshold=10.0,
+            keys, family="alex", n_shards=2, staleness_threshold=10.0,
         )
         service.close()
         bkeys = np.unique(rng.integers(0, 10**7, 300))

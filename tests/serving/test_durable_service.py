@@ -21,7 +21,7 @@ import pytest
 
 from repro.core.csv_algorithm import CsvConfig, apply_csv
 from repro.core.exceptions import IndexStateError
-from repro.indexes import INDEX_FAMILIES, LippIndex
+from repro.indexes import CSV_FAMILIES, INDEX_FAMILIES, LippIndex
 from repro.indexes.adapters import adapter_for
 from repro.serving import IndexService
 from repro.store import MANIFEST_NAME, DurableStore, make_strategy
@@ -312,7 +312,7 @@ class TestFlushPaths:
         store = DurableStore(tmp_path / "data")
         a, b, c = (int(keyset.max()) + i for i in (1, 2, 3))
         with IndexService.build(
-            keyset, family="sorted_array", n_shards=1, store=store,
+            keyset, family="alex", n_shards=1, store=store,
             staleness_threshold=10.0,
         ) as service:
             service.insert_many([a, b], [10, 20])
@@ -364,11 +364,11 @@ class TestReopenThenWrite:
 
 
 class TestEveryFamilyReopensItsRuns:
-    @pytest.mark.parametrize("family", sorted(INDEX_FAMILIES))
+    @pytest.mark.parametrize("family", sorted(CSV_FAMILIES))
     def test_reopen_answers_as_the_live_service(self, tmp_path, rng, keyset, family):
         """Writes below the staleness threshold, ``flush_durable()``,
-        ``close()``: the directory holds runs, and every family replays
-        them through its ``bulk_insert_many`` — PGM and RMI included.
+        ``close()``: the directory holds runs, and every served family
+        replays them through its ``bulk_insert_many``.
         The reopened service finds what the live one found before
         close; its levels and search steps are the live service's once
         that has merged the same writes (α None, so the merge is the
@@ -450,12 +450,12 @@ class TestShardScan:
     ``range_query`` per shard)."""
 
     @pytest.mark.parametrize("buffered", [False, True], ids=["empty-memtable", "memtable"])
-    @pytest.mark.parametrize("family", sorted(INDEX_FAMILIES))
+    @pytest.mark.parametrize("family", sorted(CSV_FAMILIES))
     def test_snapshot_reopen_roundtrips_byte_equal(self, tmp_path, rng, keyset, family, buffered):
         expected = dict(zip(keyset.tolist(), (keyset * 3 + 1).tolist()))
         with IndexService.build(
             keyset, family=family, n_shards=N_SHARDS, values=keyset * 3 + 1,
-            alpha=0.1 if family in ("lipp", "sali", "alex") else None,
+            alpha=0.1,
             store=DurableStore(tmp_path / "data"),
             staleness_threshold=10.0,  # writes stay in the memtable
         ) as service:

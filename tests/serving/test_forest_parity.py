@@ -480,7 +480,7 @@ class TestRegions:
 
 
 class TestLatencyBookkeeping:
-    @pytest.mark.parametrize("family", ["lipp", "sali", "alex", "btree"])
+    @pytest.mark.parametrize("family", ["lipp", "sali", "alex"])
     def test_report_equals_the_per_shard_mask_bookkeeping(self, rng, family):
         keys = _keys(rng)
         registry = MetricsRegistry(enabled=True)

@@ -5,7 +5,7 @@ search_steps]``, and prices nothing on the way in.  Checked here
 against oracles that never touch the ledger:
 
 * the counts, against a per-key loop over the ``BatchQueryStats`` the
-  service returned (all seven families, memtable empty and non-empty,
+  service returned (every served family, memtable empty and non-empty,
   an empty shard);
 * exactness under two threads reading at once through the front door;
 * the derivation (``price_reads``), against the order statistics of
@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cost_model import CostConstants
-from repro.indexes import INDEX_FAMILIES
+from repro.indexes import CSV_FAMILIES
 from repro.obs.health import price_reads
 from repro.obs.metrics import MetricsRegistry
 from repro.server import HttpIndexClient, ServerThread
@@ -47,7 +47,7 @@ def _ledger_classes(service: IndexService) -> Counter:
 
 
 class TestLedgerAgainstPerKeyLoop:
-    @pytest.mark.parametrize("family", sorted(INDEX_FAMILIES))
+    @pytest.mark.parametrize("family", sorted(CSV_FAMILIES))
     def test_counts_equal_a_per_key_loop(self, rng, family):
         keys = _keys(rng)
         service = IndexService.build(

@@ -109,7 +109,7 @@ def _assert_same_batch(got: BatchQueryStats, want: BatchQueryStats) -> None:
 
 @settings(max_examples=40, deadline=None)
 @given(
-    family=st.sampled_from(["lipp", "btree"]),
+    family=st.sampled_from(["lipp", "alex"]),
     threshold=st.sampled_from([0.05, 0.2, 100.0]),
     none_shard=st.booleans(),
     ops=OPS,

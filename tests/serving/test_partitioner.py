@@ -77,14 +77,14 @@ class TestBuildShardIndexes:
     def test_builds_every_nonempty_shard(self, rng):
         keys = np.unique(rng.integers(0, 10**7, 2000))
         plan = plan_shards(keys, 4)
-        shards, reports = build_shard_indexes(plan, "btree")
+        shards, reports = build_shard_indexes(plan, "alex")
         assert all(s is not None for s in shards)
         assert sum(s.n_keys for s in shards) == keys.size
         assert reports == [None, None, None, None]
 
     def test_empty_shards_build_to_none(self):
         plan = plan_shards(np.asarray([1, 2, 3], dtype=np.int64), 6)
-        shards, __ = build_shard_indexes(plan, "sorted_array")
+        shards, __ = build_shard_indexes(plan, "alex")
         assert sum(1 for s in shards if s is None) == 3
 
     def test_per_shard_smoothing_reports(self, rng):
@@ -92,9 +92,10 @@ class TestBuildShardIndexes:
         plan = plan_shards(keys, 4, alpha=0.1)
         shards, reports = build_shard_indexes(plan, "lipp")
         assert all(r is not None for r in reports)
-        # Non-smoothable families ignore alpha.
-        __, none_reports = build_shard_indexes(plan, "pgm")
-        assert none_reports == [None] * 4
+        # The read-only baselines CSV does not integrate with are not
+        # served, smoothed or not.
+        with pytest.raises(InvalidKeysError, match="'pgm'"):
+            build_shard_indexes(plan, "pgm")
 
     def test_unknown_family_rejected(self, rng):
         keys = np.unique(rng.integers(0, 10**6, 100))

@@ -1,6 +1,6 @@
 """Ranges as arrays, layer by layer, against the pair lists they replaced.
 
-Every family's ``range_query``, ``ShardRouter.range_query`` and
+Every served family's ``range_query``, ``ShardRouter.range_query`` and
 ``IndexService.range_arrays`` return ``(keys, values)`` int64 arrays;
 ``IndexService.range_query`` is their one list form.  The oracles below
 are the list-building paths those arrays replaced, kept here: a shard's
@@ -14,18 +14,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.indexes import INDEX_FAMILIES
+from repro.indexes import CSV_FAMILIES, INDEX_FAMILIES
 from repro.indexes.base import dedupe_last_wins
 from repro.serving import IndexService
 
-FAMILIES = sorted(INDEX_FAMILIES)
+FAMILIES = sorted(CSV_FAMILIES)
 N_SHARDS = 4
 INT64 = np.iinfo(np.int64)
 
 
 def list_range(index, low: int, high: int) -> list[tuple[int, int]]:
     """A shard's pairs in ``[low, high]``: the ordered walk."""
-    return [(key, index.lookup_strict(key)) for key in index.iter_keys() if low <= key <= high]
+    return [(key, index.lookup(key)) for key in index.iter_keys() if low <= key <= high]
 
 
 def list_router_range(router, low: int, high: int) -> list[tuple[int, int]]:

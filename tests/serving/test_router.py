@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from repro.core.exceptions import IndexStateError
-from repro.indexes import SortedArrayIndex
+from repro.indexes import AlexIndex
 from repro.serving import IndexService, ShardRouter, build_shard_indexes, plan_shards
 
 
-def make_router(keys, k, family="sorted_array", **kwargs) -> ShardRouter:
+def make_router(keys, k, family="alex", **kwargs) -> ShardRouter:
     plan = plan_shards(keys, k)
     shards, __ = build_shard_indexes(plan, family)
     return ShardRouter(shards, plan.boundaries, **kwargs)
@@ -58,7 +58,7 @@ class TestRoutingEdges:
     def test_k1_router_is_bit_identical_to_bare_index(self, rng):
         keys = np.unique(rng.integers(0, 10**7, 1500))
         queries = np.concatenate([rng.choice(keys, 500), rng.integers(0, 10**7, 200)])
-        bare = SortedArrayIndex.build(keys)
+        bare = AlexIndex.build(keys)
         router = make_router(keys, 1)
         routed = router.lookup_many(queries)
         reference = bare.lookup_many(queries)
@@ -74,7 +74,7 @@ class TestInsertRouting:
     def test_duplicate_keys_straddling_a_boundary_last_wins(self, rng):
         keys = np.unique(rng.integers(0, 10**7, 1000))
         service = IndexService.build(
-            keys, family="sorted_array", n_shards=4, staleness_threshold=10.0
+            keys, family="alex", n_shards=4, staleness_threshold=10.0
         )
         router = service.router
         boundary = int(router.boundaries[1])  # first key of shard 2
@@ -96,7 +96,7 @@ class TestInsertRouting:
     def test_insert_into_empty_shard_materialises_it(self):
         keys = np.asarray([10, 20, 30], dtype=np.int64)
         service = IndexService.build(
-            keys, family="sorted_array", n_shards=8, staleness_threshold=10.0
+            keys, family="alex", n_shards=8, staleness_threshold=10.0
         )
         router = service.router
         # Shard 0 (everything below the first boundary) is empty here.
@@ -111,7 +111,7 @@ class TestInsertRouting:
 
 
 class TestGatherExactness:
-    @pytest.mark.parametrize("family", ["sorted_array", "btree", "lipp"])
+    @pytest.mark.parametrize("family", ["alex", "lipp", "sali"])
     def test_gather_matches_per_key_routing(self, rng, family):
         keys = np.unique(rng.integers(0, 10**7, 1200))
         queries = np.concatenate([rng.choice(keys, 400), rng.integers(0, 10**7, 100)])
@@ -127,7 +127,7 @@ class TestGatherExactness:
     def test_per_shard_stats_sum_to_gathered(self, rng):
         keys = np.unique(rng.integers(0, 10**7, 1000))
         queries = rng.choice(keys, 500)
-        router = make_router(keys, 4, family="btree")
+        router = make_router(keys, 4, family="alex")
         routed = router.lookup_many(queries)
         total = sum(
             float(shard.lookup_many(queries[routed.shard_ids == shard_no]).simulated_ns().sum())
@@ -138,7 +138,7 @@ class TestGatherExactness:
     def test_mismatched_boundaries_rejected(self, rng):
         keys = np.unique(rng.integers(0, 10**6, 100))
         plan = plan_shards(keys, 4)
-        shards, __ = build_shard_indexes(plan, "sorted_array")
+        shards, __ = build_shard_indexes(plan, "alex")
         with pytest.raises(IndexStateError):
             ShardRouter(shards, plan.boundaries[:1])
 
@@ -146,7 +146,7 @@ class TestGatherExactness:
 class TestRangeAndIteration:
     def test_range_query_spans_shards(self, rng, range_pairs):
         keys = np.unique(rng.integers(0, 10**7, 1000))
-        router = make_router(keys, 4, family="btree")
+        router = make_router(keys, 4, family="alex")
         low, high = int(keys[100]), int(keys[800])
         expected = [(int(k), int(k)) for k in keys if low <= k <= high]
         assert range_pairs(router.range_query(low, high)) == expected

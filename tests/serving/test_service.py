@@ -2,7 +2,7 @@
 
 The load-bearing guarantees (ISSUE 2 acceptance criteria):
 
-* For every backend, a K≥4 service returns
+* For every served family, a K≥4 service returns
   batch results whose per-query entries match the per-key semantics
   of its shards exactly, whose found/values (and therefore hit rate)
   match a single index built on the same keys, and whose per-shard
@@ -15,10 +15,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.indexes import INDEX_FAMILIES
+from repro.core.exceptions import InvalidKeysError
+from repro.indexes import CSV_FAMILIES, INDEX_FAMILIES
 from repro.serving import IndexService
+from repro.store import DurableStore
 
-ALL_FAMILIES = sorted(INDEX_FAMILIES)
+ALL_FAMILIES = sorted(CSV_FAMILIES)
+BASELINES = sorted(set(INDEX_FAMILIES) - set(CSV_FAMILIES))
 
 
 def service_fixture(rng, family, **kwargs):
@@ -72,6 +75,19 @@ class TestScatterGatherParity:
             assert np.array_equal(routed.shard_ids, service.router.shard_of(queries))
 
 
+@pytest.mark.parametrize("family", BASELINES)
+def test_a_read_only_baseline_is_not_served(family, tmp_path):
+    """Only the CSV families are served: a baseline is refused before
+    anything is built or written."""
+    keys = np.arange(0, 3_000, 3, dtype=np.int64)
+    with pytest.raises(InvalidKeysError, match=family):
+        IndexService.build(keys, family=family)
+    store = DurableStore(tmp_path / "data")
+    with pytest.raises(InvalidKeysError, match=family):
+        IndexService.build(keys, family=family, store=store)
+    assert store.manifest is None
+
+
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_k1_service_is_bit_identical_to_bare_index(rng, family):
     keys, queries, service = service_fixture(rng, family, n_shards=1)
@@ -101,7 +117,7 @@ class TestWriteBuffer:
 
     def test_buffer_update_overrides_stored_value(self, rng):
         keys, __, service = service_fixture(
-            rng, "btree", n_shards=4, staleness_threshold=10.0
+            rng, "alex", n_shards=4, staleness_threshold=10.0
         )
         target = int(keys[42])
         service.insert_many(np.asarray([target]), np.asarray([999]))
@@ -123,7 +139,7 @@ class TestWriteBuffer:
 
     def test_flush_merges_everything(self, rng):
         keys, __, service = service_fixture(
-            rng, "sorted_array", n_shards=4, staleness_threshold=10.0
+            rng, "alex", n_shards=4, staleness_threshold=10.0
         )
         fresh = np.unique(rng.integers(0, 10**7, 100))
         fresh = np.setdiff1d(fresh, keys)
@@ -134,21 +150,6 @@ class TestWriteBuffer:
         assert got.found.all()
         # Post-merge reads come from the shards again.
         assert (got.levels >= 1).all()
-
-    @pytest.mark.parametrize("family", ["pgm", "rmi"])
-    def test_static_families_merge_by_rebuild(self, rng, family):
-        keys, __, service = service_fixture(
-            rng, family, n_shards=4, staleness_threshold=10.0
-        )
-        fresh = np.setdiff1d(np.unique(rng.integers(0, 10**7, 50)), keys)
-        service.insert_many(fresh, fresh + 7)
-        service.flush()
-        assert service.stats.merges > 0
-        got = service.lookup_many(fresh)
-        assert got.found.all()
-        assert np.array_equal(got.values, fresh + 7)
-        # Old keys survived the rebuild.
-        assert service.lookup_many(keys[:50]).found.all()
 
     def test_writes_landing_mid_merge_survive(self):
         """The merge path drops exactly its snapshot: entries added or
@@ -174,7 +175,7 @@ class TestWriteBuffer:
 class TestServiceRangeAndReporting:
     def test_range_query_includes_buffered_writes(self, rng, range_pairs):
         keys, __, service = service_fixture(
-            rng, "btree", n_shards=4, staleness_threshold=10.0
+            rng, "alex", n_shards=4, staleness_threshold=10.0
         )
         low, high = int(keys[100]), int(keys[900])
         inside = (low + high) // 2
@@ -201,7 +202,7 @@ class TestServiceRangeAndReporting:
 
     def test_n_keys_counts_net_new_buffered(self, rng):
         keys, __, service = service_fixture(
-            rng, "sorted_array", n_shards=2, staleness_threshold=10.0
+            rng, "alex", n_shards=2, staleness_threshold=10.0
         )
         base = service.n_keys
         assert base == keys.size

@@ -12,7 +12,7 @@ import pytest
 
 from repro.store import DurableStore
 
-FAMILY = "btree"
+FAMILY = "alex"
 N_SHARDS = 2
 SPLIT = 50_000
 

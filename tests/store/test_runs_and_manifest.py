@@ -205,6 +205,8 @@ DAMAGE = {
     "json_list": (lambda text: "[1, 2, 3]", "JSON list"),
     "service_null": (_set(["service"], None), "'service'"),
     "unknown_family": (_set(["service", "family"], "nosuch"), "'service.family'"),
+    # A read-only baseline is a family, but not a served one.
+    "baseline_family": (_set(["service", "family"], "rmi"), "'service.family': index family 'rmi'"),
     "n_shards_word": (_set(["service", "n_shards"], "two"), "'service.n_shards'"),
     "boundaries_string": (_set(["service", "boundaries"], "abc"), "'service.boundaries'"),
     "alphas_word": (_set(["service", "alphas"], ["x"]), "'service.alphas'"),

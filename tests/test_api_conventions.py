@@ -100,6 +100,10 @@ UNREFERENCED_ON_PURPOSE = {
     "SaliIndex.flattened_nodes": "introspection beside flatten_hot_subtrees",
     "GapInsertionLayout.lookup_steps": "per-key query cost under the GI layout",
     "AlexDataNode.from_positions": "lays keys out at caller-given ranks (data-node API)",
+    # The CSV families' ordered walks: the oracle tests hold range_query
+    # and bulk merges to (the range path itself reads arrays instead).
+    "LippIndex.iter_keys": "ordered walk of a LIPP/SALI tree (test oracle)",
+    "AlexIndex.iter_keys": "ordered walk of an ALEX tree (test oracle)",
     # Reference implementations tests compare against.
     "exact_refit_model": "Fraction-exact oracle of the fast refit",
     "exact_refit_loss": "Fraction-exact oracle of the fast loss",

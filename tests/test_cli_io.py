@@ -208,8 +208,25 @@ class TestCli:
         assert "Traceback" not in err
         assert builds == []
 
+    @pytest.mark.parametrize("family", ["btree", "pgm", "rmi", "sorted_array"])
+    def test_serve_refuses_a_read_only_baseline(self, family, monkeypatch, capsys):
+        """Only the CSV families are served: a baseline is argparse's
+        one-line usage error, exit 2, before anything is built."""
+        from repro.serving import IndexService
+
+        builds = []
+        monkeypatch.setattr(
+            IndexService, "build", classmethod(lambda cls, *a, **k: builds.append(a))
+        )
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--index", family, "--port", "0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "--index" in err and repr(family) in err
+        assert builds == []
+
     def test_serve_http_flag_changes_nothing_else(self):
-        rest = ["--index", "pgm", "--shards", "3", "--port", "0", "--store", "r.db"]
+        rest = ["--index", "alex", "--shards", "3", "--port", "0", "--store", "r.db"]
         with_http = vars(build_parser().parse_args(["serve", "--http", *rest]))
         without = vars(build_parser().parse_args(["serve", *rest]))
         assert with_http.pop("http") is True and without.pop("http") is False
@@ -229,7 +246,7 @@ class TestCli:
         configure_logging("plain")
         capsys.readouterr()
         service = _make_service(parse([
-            "serve", "--data-dir", data_dir, "--index", "pgm", "--dataset", "osm",
+            "serve", "--data-dir", data_dir, "--index", "alex", "--dataset", "osm",
             "--n", "500", "--shards", "8", "--alpha", "0.2",
         ]))
         try:

@@ -35,7 +35,7 @@ operations = st.lists(
 )
 
 
-@pytest.mark.parametrize("cls", [LippIndex, AlexIndex, SaliIndex, BPlusTree])
+@pytest.mark.parametrize("cls", [LippIndex, AlexIndex, SaliIndex])
 class TestMixedWorkloadFuzz:
     @settings(max_examples=20, deadline=None)
     @given(ops=operations)
