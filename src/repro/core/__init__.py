@@ -15,7 +15,14 @@ from .cost_model import (
     node_cost,
     rebuild_cost_delta,
 )
-from .csv_algorithm import CsvAdapter, CsvConfig, CsvNodeRecord, CsvReport, apply_csv
+from .csv_algorithm import (
+    CsvAdapter,
+    CsvConfig,
+    CsvNodeRecord,
+    CsvReport,
+    apply_csv,
+    replay_csv,
+)
 from .derivative import GapContext, loss_derivative
 from .exceptions import (
     CalibrationError,
@@ -88,6 +95,7 @@ __all__ = [
     "poison_keys",
     "quadratic_fit_and_loss",
     "rebuild_cost_delta",
+    "replay_csv",
     "resolve_budget",
     "smooth_keys",
     "smooth_keys_exhaustive",

@@ -22,6 +22,14 @@ structure beneath the handle (ALEX); there a rebuild replaces nodes
 rebuilt beneath it, and their records are marked ``superseded`` so
 the report counts what the final tree holds.
 
+A rebuild reads nothing of Algorithm 1's output but the subtree's
+keys, the smoothed point count ``m``, the refitted model and the
+virtual-point count, so a run's outcome is a handful of numbers per
+surviving rebuild (:meth:`CsvReport.decisions`).  :func:`replay_csv`
+applies such a record to a fresh build of the same key set and
+arrives at the same tree without running Algorithm 1 — how a durable
+store reopens a smoothed shard.
+
 The engine is index-agnostic: concrete indexes plug in through the
 :class:`CsvAdapter` protocol implemented in
 :mod:`repro.indexes.adapters`.
@@ -35,10 +43,26 @@ from typing import Any, Iterable, Protocol, runtime_checkable
 
 import numpy as np
 
-from .exceptions import SmoothingBudgetError
+from .exceptions import SmoothingBudgetError, StoreCorruptionError
+from .linear_model import LinearModel
 from .smoothing import SmoothingResult, smooth_keys
 
-__all__ = ["CsvAdapter", "CsvConfig", "CsvNodeRecord", "CsvReport", "apply_csv"]
+__all__ = [
+    "CsvAdapter",
+    "CsvConfig",
+    "CsvNodeRecord",
+    "CsvReport",
+    "DECISION_COLUMNS",
+    "apply_csv",
+    "check_decisions",
+    "replay_csv",
+]
+
+#: Columns of :meth:`CsvReport.decisions`, one row per surviving
+#: rebuild: the subtree's smallest key and its level (the root is 1),
+#: its key count, the smoothed point count, the refitted model's
+#: slope and intercept as float64 bit patterns, and its pivot.
+DECISION_COLUMNS = ("first_key", "level", "n_keys", "m", "slope", "intercept", "pivot")
 
 
 @runtime_checkable
@@ -78,9 +102,29 @@ class CsvAdapter(Protocol):
     def rebuild(
         self, handle: Any, smoothing: SmoothingResult, collected: tuple
     ) -> tuple[int, int]:
-        """Replace the subtree with a merged node; return how many of
-        its keys now sit at a shallower level (promoted) and how many
-        at a deeper one (demoted)."""
+        """Replace the subtree with a merged node (through
+        :meth:`install`); return how many of its keys now sit at a
+        shallower level (promoted) and how many at a deeper one
+        (demoted)."""
+        ...
+
+    def locate(self, key: int, level: int) -> Any | None:
+        """The handle at *level* (the root is 1) on *key*'s descent, or
+        None where that descent has no subtree-rooting node there."""
+        ...
+
+    def install(
+        self,
+        handle: Any,
+        keys: np.ndarray,
+        values: np.ndarray,
+        m: int,
+        model: LinearModel,
+        n_virtual: int,
+    ) -> Any:
+        """Build the merged node of *keys* laid out over *m* smoothed
+        points by *model*, and put it where *handle* is.  What it
+        returns is :meth:`rebuild`'s to use."""
         ...
 
 
@@ -111,6 +155,12 @@ class CsvNodeRecord:
 
     level: int
     n_keys: int
+    #: The subtree's smallest key: with ``level``, where it sits.
+    first_key: int
+    #: Size of the smoothed point set (keys + virtual points).
+    m: int
+    #: The refitted indexing function a rebuild lays the node out by.
+    model: LinearModel
     loss_before: float
     loss_after: float
     n_virtual: int
@@ -157,6 +207,17 @@ class CsvReport:
     @property
     def virtual_points_inserted(self) -> int:
         return sum(r.n_virtual for r in self._surviving())
+
+    def decisions(self) -> np.ndarray:
+        """The surviving rebuilds as one ``(n, 7)`` int64 array, in the
+        order they were made (columns: :data:`DECISION_COLUMNS`) —
+        everything :func:`replay_csv` needs to redo them."""
+        rows = np.zeros((self.nodes_rebuilt, len(DECISION_COLUMNS)), dtype=np.int64)
+        for row, r in zip(rows, self._surviving()):
+            row[:4] = (r.first_key, r.level, r.n_keys, r.m)
+            row[4:6] = np.asarray([r.model.slope, r.model.intercept], dtype=np.float64).view(np.int64)
+            row[6] = r.model.pivot
+        return rows
 
 
 def apply_csv(adapter: CsvAdapter, config: CsvConfig | None = None) -> CsvReport:
@@ -211,6 +272,9 @@ def _examine(
         CsvNodeRecord(
             level=level,
             n_keys=int(keys.size),
+            first_key=int(keys[0]),
+            m=int(smoothing.points.size),
+            model=smoothing.model,
             loss_before=smoothing.original_loss,
             loss_after=smoothing.final_loss,
             n_virtual=smoothing.n_virtual,
@@ -221,3 +285,97 @@ def _examine(
         )
     )
     return rebuilt
+
+
+def _bad_record(source: str, row: int | None, column: str | None, problem: str):
+    where = f"{source}: csv" + ("" if row is None else f" row {row}")
+    if column is not None:
+        where += f" column '{column}'"
+    return StoreCorruptionError(f"{where}: {problem}")
+
+
+def check_decisions(
+    decisions: np.ndarray, keys: np.ndarray, source: str = "decisions"
+) -> np.ndarray:
+    """Check a decision record against the sorted key set it was made
+    for, without building anything; returns each row's position of
+    ``first_key`` in *keys*.
+
+    Raises :class:`StoreCorruptionError` naming *source*, the row and
+    the column for a wrong shape or dtype, a level above the root's
+    children, a ``first_key`` that is not stored, a key slice that
+    runs out of *keys*, an ``m`` outside ``(n_keys, 2 * n_keys]``, or a
+    model that is not finite.
+    """
+    if not isinstance(decisions, np.ndarray) or decisions.dtype != np.int64:
+        dtype = getattr(decisions, "dtype", type(decisions).__name__)
+        raise _bad_record(source, None, None, f"dtype {dtype}, expected int64")
+    if decisions.ndim != 2 or decisions.shape[1] != len(DECISION_COLUMNS):
+        raise _bad_record(
+            source, None, None,
+            f"shape {decisions.shape}, expected (n, {len(DECISION_COLUMNS)})",
+        )
+    first, level, n_keys, m = decisions[:, :4].T
+    starts = np.searchsorted(keys, first)
+    stored = starts < keys.size
+    stored[stored] = keys[starts[stored]] == first[stored]
+    model = decisions[:, 4:6].view(np.float64)
+    problems = (
+        ("level", level < 2, "not below the root"),
+        ("first_key", ~stored, "not a stored key"),
+        ("n_keys", (n_keys < 1) | (n_keys > keys.size - starts), "key slice runs out of the stored keys"),
+        # α < 1 caps the virtual points at the key count.
+        ("m", (m <= n_keys) | (m > 2 * n_keys), "not in (n_keys, 2 * n_keys]"),
+        ("slope", ~np.isfinite(model[:, 0]), "not finite"),
+        ("intercept", ~np.isfinite(model[:, 1]), "not finite"),
+    )
+    for column, bad, problem in problems:
+        if bad.any():
+            row = int(np.argmax(bad))
+            value = decisions[row, DECISION_COLUMNS.index(column)]
+            if column in ("slope", "intercept"):
+                value = value.view(np.float64)
+            raise _bad_record(source, row, column, f"{problem} ({value})")
+    return starts
+
+
+def replay_csv(
+    adapter: CsvAdapter,
+    decisions: np.ndarray,
+    keys: np.ndarray,
+    values: np.ndarray,
+    source: str = "decisions",
+) -> None:
+    """Redo the rebuilds :meth:`CsvReport.decisions` recorded, on an
+    index freshly built from the same sorted *keys* / *values*.
+
+    Each row's subtree keys are the slice of *keys* from ``first_key``
+    on, ``n_keys`` long (a subtree holds a contiguous key range), so
+    no subtree is walked and Algorithm 1 does not run.  A record that
+    does not fit the index raises :class:`StoreCorruptionError` naming
+    *source*, the row and the column (see :func:`check_decisions`; in
+    addition the node at ``level`` on ``first_key``'s descent must
+    root a subtree holding exactly that slice).
+    """
+    starts = check_decisions(decisions, keys, source)
+    for row, (start, record) in enumerate(zip(starts.tolist(), decisions.tolist())):
+        first_key, level, n_keys, m, __, __, pivot = record
+        handle = adapter.locate(first_key, level)
+        if handle is None:
+            raise _bad_record(source, row, "level", f"no subtree-rooting node at level {level}")
+        end = start + n_keys
+        if not (
+            adapter.locate(int(keys[end - 1]), level) is handle
+            and (start == 0 or adapter.locate(int(keys[start - 1]), level) is not handle)
+            and (end == keys.size or adapter.locate(int(keys[end]), level) is not handle)
+        ):
+            raise _bad_record(source, row, "n_keys", f"the subtree at level {level} does not hold {n_keys} keys")
+        slope, intercept = decisions[row, 4:6].view(np.float64).tolist()
+        adapter.install(
+            handle,
+            keys[start:end],
+            values[start:end],
+            m,
+            LinearModel(slope, intercept, pivot),
+            m - n_keys,
+        )

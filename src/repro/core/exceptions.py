@@ -35,6 +35,12 @@ class IndexStateError(ReproError, RuntimeError):
     inconsistently (e.g. CSV rebuilding a node that no longer exists)."""
 
 
+class StoreCorruptionError(IndexStateError):
+    """Raised when persisted data does not match what wrote it: a run
+    file against its manifest checksum, a manifest field, or a recorded
+    CSV decision against the keys it was made for."""
+
+
 class CalibrationError(ReproError, RuntimeError):
     """Raised when cost-model calibration cannot produce usable constants
     (e.g. an empty query sample)."""

@@ -27,9 +27,10 @@ __all__ = ["AlexDataNode", "InsertStatus"]
 TARGET_DENSITY = 0.7
 MAX_DENSITY = 0.8
 
-#: Sentinel stored in trailing gaps.  Must compare greater than every
-#: real key or the gapped array loses its sorted invariant — so it is
-#: the maximum int64, and keys equal to it are not supported.
+#: Sentinel stored in trailing gaps.  Must compare greater than or
+#: equal to every real key or the gapped array loses its sorted
+#: invariant — so it is the maximum int64; a key equal to it is stored
+#: in the slot before the trailing gaps, which repeat it.
 TAIL_FILL = np.iinfo(np.int64).max
 
 
@@ -233,7 +234,9 @@ class AlexDataNode:
         key's occupied slot is the *last* slot of its equal run, so the
         per-slot walk of the scalar path collapses to one
         ``side='right'`` search; the walk's step charges are recovered
-        from the run length.
+        from the run length.  ``TAIL_FILL`` is the exception: the
+        trailing gaps repeat it too, so its walk stops at the last
+        occupied slot, or runs off the end when that holds a smaller key.
         """
         m = int(keys.size)
         cap = self.capacity
@@ -243,12 +246,17 @@ class AlexDataNode:
         first = np.searchsorted(self.slot_keys, keys, side="left")
         steps = 1 + np.ceil(np.log2(np.abs(first - predicted) + 2)).astype(np.int64)
         last = np.searchsorted(self.slot_keys, keys, side="right") - 1
+        tail = keys == TAIL_FILL
+        if tail.any():
+            occupied = np.flatnonzero(self.occupied)
+            stored = occupied.size > 0 and self.slot_keys[occupied[-1]] == TAIL_FILL
+            last[tail] = occupied[-1] if stored else cap
         safe_last = np.clip(last, 0, cap - 1)
         found = (last >= first) & self.occupied[safe_last] & (self.slot_keys[safe_last] == keys)
         values = np.zeros(m, dtype=np.int64)
         values[found] = self.slot_values[safe_last[found]]
         # The scalar walk steps once per gap slot it crosses.
-        steps += np.where(found, last - first, 0)
+        steps += np.where(found | tail, last - first, 0)
         return found, values, steps
 
     def expected_search_steps(self) -> float:

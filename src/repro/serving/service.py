@@ -260,17 +260,20 @@ class IndexService:
         *family* is one of :data:`~repro.indexes.CSV_FAMILIES`; a
         read-only baseline raises :class:`InvalidKeysError`.  With
         *store*, the plan's shard contents become its generation-1 base
-        files.  An initialised directory is refused, untouched — reopen
-        it with :meth:`open_snapshot`.
+        files, each recording the rebuilds CSV made on its shard so
+        that :meth:`open_snapshot` replays them.  An initialised
+        directory is refused, untouched — reopen it with
+        :meth:`open_snapshot`.
         """
         plan = plan_shards(keys, n_shards, values=values, alpha=alpha)
-        shards, __ = build_shard_indexes(plan, family)
+        shards, reports = build_shard_indexes(plan, family)
         if store is not None:
             store.initialize(
                 family,
                 [int(b) for b in plan.boundaries],
                 plan.alphas,
                 list(zip(plan.shard_keys, plan.shard_values)),
+                [None if report is None else report.decisions() for report in reports],
             )
         return cls(
             ShardRouter(shards, plan.boundaries),
@@ -295,12 +298,14 @@ class IndexService:
         """Recover a service from a durable data directory.
 
         The inverse of :meth:`snapshot`: the manifest supplies the
-        family, shard boundaries and per-shard smoothing α; every
-        shard rebuilds from its base snapshot through the family's
-        ``build`` and replays outstanding runs through
-        ``bulk_insert_many`` — the same vectorised ingest path live
-        merges use — then shards are re-smoothed with their recorded
-        α, and the router is built over them.  No shard is read back.
+        family, shard boundaries and per-shard smoothing α, and
+        :meth:`DurableStore.build_shard` rebuilds every shard from its
+        base snapshot through the family's ``build``.  A shard whose
+        base records CSV's rebuilds and has no run on top replays
+        them, and Algorithm 1 does not run.  Any other shard replays
+        its outstanding runs through ``bulk_insert_many`` — the same
+        vectorised ingest path live merges use — and is smoothed anew
+        with its recorded α.  The router is built over them.
         A manifest naming a family that is not served raises
         :class:`StoreCorruptionError`.  The store stays attached, so
         subsequent writes keep flushing into the same directory.
@@ -321,8 +326,8 @@ class IndexService:
             ) from None
         shards: list[LearnedIndex | None] = []
         for shard_no, alpha in enumerate(manifest.alphas):
-            shard = store.build_shard(shard_no, family_cls)
-            if shard is not None and alpha is not None and alpha > 0.0:
+            shard, replayed = store.build_shard(shard_no, family_cls)
+            if shard is not None and not replayed and alpha is not None and alpha > 0.0:
                 apply_csv(adapter_for(shard), CsvConfig(alpha=alpha))
             shards.append(shard)
         return cls(

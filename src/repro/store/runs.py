@@ -3,7 +3,10 @@
 A *run* is one sorted, deduplicated ``(keys, values)`` batch frozen
 into a compressed ``.npz`` (arrays ``keys`` and ``values``, both
 int64 — the same layout :func:`repro.io.save_keys` writes, so a run
-is inspectable with nothing but numpy).  Runs are written once and
+is inspectable with nothing but numpy).  A base written by a smoothed
+build also holds ``csv``: the rebuilds CSV made on it
+(:meth:`repro.core.csv_algorithm.CsvReport.decisions`), which a
+reopen replays instead of smoothing again.  Runs are written once and
 never modified; compaction replaces whole files, it never patches
 one.
 
@@ -25,21 +28,18 @@ from pathlib import Path
 
 import numpy as np
 
-from ..core.exceptions import IndexStateError
+from ..core.exceptions import IndexStateError, StoreCorruptionError
 from ..indexes.base import dedupe_last_wins
 from .faults import crashpoint
 
 __all__ = [
     "StoreCorruptionError",
     "fsync_dir",
+    "read_base_file",
     "read_run_file",
     "sorted_unique_run",
     "write_run_file",
 ]
-
-
-class StoreCorruptionError(IndexStateError):
-    """A run file does not match the manifest that references it."""
 
 
 def fsync_dir(path: Path) -> None:
@@ -63,16 +63,22 @@ def sorted_unique_run(
 
 
 def write_run_file(
-    directory: Path, name: str, keys: np.ndarray, values: np.ndarray
+    directory: Path,
+    name: str,
+    keys: np.ndarray,
+    values: np.ndarray,
+    csv: np.ndarray | None = None,
 ) -> tuple[str, int]:
     """Atomically write one run file; returns ``(checksum, size_bytes)``.
 
     *keys* must already be sorted unique int64 (see
     :func:`sorted_unique_run`); the payload is built in memory first
     so the checksum describes exactly the bytes that land on disk.
+    *csv*, when given, is stored beside them as the ``csv`` array.
     """
     buffer = io.BytesIO()
-    np.savez_compressed(buffer, keys=keys, values=values)
+    extra = {} if csv is None else {"csv": csv}
+    np.savez_compressed(buffer, keys=keys, values=values, **extra)
     payload = buffer.getvalue()
     checksum = "sha256:" + hashlib.sha256(payload).hexdigest()
     final = directory / name
@@ -92,6 +98,14 @@ def read_run_file(
     directory: Path, name: str, checksum: str | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Load one run file, verifying its manifest checksum when given."""
+    return read_base_file(directory, name, checksum)[:2]
+
+
+def read_base_file(
+    directory: Path, name: str, checksum: str | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """:func:`read_run_file`, plus the ``csv`` array as stored (None
+    when the file has none)."""
     path = directory / name
     try:
         payload = path.read_bytes()
@@ -106,4 +120,5 @@ def read_run_file(
     with np.load(io.BytesIO(payload)) as data:
         keys = data["keys"].astype(np.int64)
         values = data["values"].astype(np.int64)
-    return keys, values
+        csv = data["csv"] if "csv" in data.files else None
+    return keys, values, csv

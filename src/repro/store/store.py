@@ -17,7 +17,9 @@ needs no journal replay — load the manifest, sweep unreferenced files
 
 The store is deliberately ignorant of the serving layer: it moves
 ``(keys, values)`` int64 arrays and builds bare index objects through
-the families' ``build`` / ``bulk_insert_many`` ingest paths.
+the families' ``build`` / ``bulk_insert_many`` ingest paths — and,
+for a base that records CSV's rebuilds, through
+:func:`~repro.core.csv_algorithm.replay_csv`.
 ``IndexService.snapshot`` / ``open_snapshot`` own the mapping between
 a live service and a store.
 """
@@ -31,7 +33,9 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
+from ..core.csv_algorithm import check_decisions, replay_csv
 from ..core.exceptions import IndexStateError
+from ..indexes.adapters import adapter_for
 from ..obs.metrics import MetricsRegistry, get_registry
 from .compaction import CompactionPlan, CompactionStrategy
 from .faults import crashpoint
@@ -42,7 +46,7 @@ from .manifest import (
     commit_manifest,
     load_manifest,
 )
-from .runs import read_run_file, sorted_unique_run, write_run_file
+from .runs import read_base_file, read_run_file, sorted_unique_run, write_run_file
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
     from ..indexes.base import LearnedIndex
@@ -127,11 +131,16 @@ class DurableStore:
         boundaries: Sequence[int],
         alphas: Sequence[float | None],
         shard_arrays: Sequence[tuple[np.ndarray, np.ndarray]],
+        csv: Sequence[np.ndarray | None] | None = None,
     ) -> Manifest:
         """Commit generation 1: one base snapshot per shard.
 
         *shard_arrays* holds each shard's sorted-unique
-        ``(keys, values)`` pair (empty arrays for an empty shard).
+        ``(keys, values)`` pair (empty arrays for an empty shard);
+        *csv*, one entry per shard, the rebuilds CSV made on an index
+        built from that pair (:meth:`~repro.core.csv_algorithm.
+        CsvReport.decisions`; None where the shard was not smoothed),
+        which the base file records for :meth:`build_shard` to replay.
         Re-initialising an already-committed directory is an error —
         open it instead, or point the service at a fresh directory.
         """
@@ -142,10 +151,13 @@ class DurableStore:
                     f"(generation {self._manifest.generation})"
                 )
             artefacts = []
-            for shard, (keys, values) in enumerate(shard_arrays):
+            decisions = [None] * len(shard_arrays) if csv is None else csv
+            for shard, ((keys, values), record) in enumerate(
+                zip(shard_arrays, decisions, strict=True)
+            ):
                 keys, values = sorted_unique_run(keys, values)
                 name = f"base-s{shard:04d}-g{1:08d}.npz"
-                checksum, size = write_run_file(self.data_dir, name, keys, values)
+                checksum, size = write_run_file(self.data_dir, name, keys, values, record)
                 n, lo, hi = _run_stats(keys)
                 artefacts.append(
                     RunMeta(
@@ -339,7 +351,9 @@ class DurableStore:
             return empty, empty.copy()
         return sorted_unique_run(np.concatenate(parts_k), np.concatenate(parts_v))
 
-    def build_shard(self, shard: int, family_cls: "type[LearnedIndex]"):
+    def build_shard(
+        self, shard: int, family_cls: "type[LearnedIndex]"
+    ) -> "tuple[LearnedIndex | None, bool]":
         """Rebuild one shard's index: base ``build`` + per-run bulk ingest.
 
         This is the recovery half of the LSM contract: the base
@@ -347,25 +361,32 @@ class DurableStore:
         outstanding run replays through ``bulk_insert_many`` — the
         same vectorised ingest path live merges use — in commit
         order, so duplicates resolve exactly as they did in memory.
-        Returns None for a shard with no keys at all (mirroring
-        :func:`repro.serving.partitioner.build_shard_indexes`).
+        A base that records CSV's rebuilds (``csv``) and has no run
+        on top replays them (:func:`~repro.core.csv_algorithm.
+        replay_csv`): the index is then the smoothed one its build
+        made, without running Algorithm 1.  Returns the index (None
+        for a shard with no keys at all, mirroring
+        :func:`repro.serving.partitioner.build_shard_indexes`) and
+        whether it replayed — if not, smoothing it is the caller's.
         """
         with self._lock:
             manifest = self._require_manifest()
             base = manifest.base_for(shard)
             runs = manifest.runs_for(shard)
-            base_arrays = (
-                read_run_file(self.data_dir, base.name, base.checksum)
+            keys, values, csv = (
+                read_base_file(self.data_dir, base.name, base.checksum)
                 if base is not None
-                else (np.empty(0, np.int64), np.empty(0, np.int64))
+                else (np.empty(0, np.int64), np.empty(0, np.int64), None)
             )
             run_arrays = [
                 read_run_file(self.data_dir, m.name, m.checksum) for m in runs
             ]
-        keys, values = base_arrays
         index = None
         if keys.size:
             index = family_cls.build(keys, values)
+        if index is not None and csv is not None and not run_arrays:
+            replay_csv(adapter_for(index), csv, keys, values, source=base.name)
+            return index, True
         for rk, rv in run_arrays:
             if rk.size == 0:
                 continue
@@ -373,7 +394,7 @@ class DurableStore:
                 index = family_cls.build(rk, rv)
             else:
                 index.bulk_insert_many(rk, rv)
-        return index
+        return index, False
 
     # ------------------------------------------------------------------
     # Hygiene
@@ -404,12 +425,17 @@ class DurableStore:
     def verify(self) -> int:
         """Re-read and checksum every live artefact; returns the count.
 
-        Raises :class:`~repro.store.runs.StoreCorruptionError` on the
-        first mismatch — the operator drill in ``docs/OPERATIONS.md``
-        runs this after restoring a data directory from backup.
+        A base's ``csv`` record is checked against its keys too (shape,
+        dtype, anchors: :func:`~repro.core.csv_algorithm.
+        check_decisions`) without building an index.  Raises
+        :class:`~repro.store.runs.StoreCorruptionError` on the first
+        mismatch — the operator drill in ``docs/OPERATIONS.md`` runs
+        this after restoring a data directory from backup.
         """
         with self._lock:
             manifest = self._require_manifest()
             for meta in manifest.artefacts:
-                read_run_file(self.data_dir, meta.name, meta.checksum)
+                keys, __, csv = read_base_file(self.data_dir, meta.name, meta.checksum)
+                if csv is not None:
+                    check_decisions(csv, keys, source=meta.name)
             return len(manifest.artefacts)

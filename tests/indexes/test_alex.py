@@ -221,14 +221,42 @@ def _assert_gapped_invariant(index: AlexIndex) -> None:
         assert np.array_equal(slot_keys[gaps], next_key[gaps])
 
 
-#: Keys for the insert property: anywhere in int64 short of
-#: ``TAIL_FILL`` (the trailing-gap sentinel, not a storable key), with
-#: the extremes and a dense band that forces shifts and overwrites.
+#: Keys for the insert property: anywhere in int64, ``TAIL_FILL`` (the
+#: trailing-gap sentinel) included, with the extremes and a dense band
+#: that forces shifts and overwrites.
 insert_keys = st.one_of(
-    st.integers(min_value=int(INT64.min), max_value=int(INT64.max) - 1),
+    st.integers(min_value=int(INT64.min), max_value=int(INT64.max)),
     st.integers(min_value=-64, max_value=64),
-    st.sampled_from([int(INT64.min), int(INT64.min) + 1, int(INT64.max) - 2, int(INT64.max) - 1]),
+    st.sampled_from([int(INT64.min), int(INT64.min) + 1, int(INT64.max) - 1, int(INT64.max)]),
 )
+
+
+class TestTailFillKey:
+    """A stored key equal to ``TAIL_FILL`` shares its equal run with the
+    trailing gaps: the batch path must stop where the scalar walk does."""
+
+    @staticmethod
+    def assert_batch_is_scalar(index: AlexIndex, probe: list[int]) -> None:
+        batch = index.lookup_many(probe)
+        for i, key in enumerate(probe):
+            stat = index.lookup_stats(key)
+            assert (stat.found, stat.value or 0, stat.levels, stat.search_steps) == (
+                bool(batch.found[i]), int(batch.values[i]), int(batch.levels[i]),
+                int(batch.search_steps[i]),
+            )
+
+    def test_stored_before_trailing_gaps_is_found(self):
+        index = AlexIndex.build([0, 5, 10])
+        index.insert(int(TAIL_FILL), 1)
+        index.insert(int(INT64.min), 1)
+        assert index.lookup(int(TAIL_FILL)) == 1
+        assert index.lookup_many([int(TAIL_FILL)]).found.tolist() == [True]
+        self.assert_batch_is_scalar(index, [int(INT64.min), 0, 5, 10, int(TAIL_FILL)])
+
+    def test_absent_walks_the_trailing_gaps(self):
+        index = AlexIndex.build([0, 5, 10])
+        assert not index.lookup_many([int(TAIL_FILL)]).found.any()
+        self.assert_batch_is_scalar(index, [int(TAIL_FILL), int(TAIL_FILL) - 1, 11])
 
 
 class TestGappedInsertInvariant:

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.datasets import load
 from repro.server import HttpIndexClient
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
@@ -49,6 +50,17 @@ def wait_for_port(proc: subprocess.Popen, timeout: float = 60.0) -> tuple[str, i
             return match.group(1), int(match.group(2))
     proc.kill()
     raise AssertionError(f"server never announced its port; output: {lines}")
+
+
+def metric(client: HttpIndexClient, name: str) -> float:
+    """An unlabelled metric's value from ``GET /metrics`` (0 when the
+    process never touched it)."""
+    status, __, body = client.request("GET", "/metrics")
+    assert status == 200
+    for line in body.decode().splitlines():
+        if line.startswith(name + " "):
+            return float(line.split()[1])
+    return 0.0
 
 
 @pytest.mark.slow
@@ -136,16 +148,34 @@ class TestHttpServeProcess:
         """No op log: the writes reach the restart only as the run the
         SIGTERM close flushed into the data directory, and every served
         family replays it through its ``bulk_insert_many`` (ALEX, the
-        one without a forest, too)."""
+        one without a forest, too).  Before that, a restart on the
+        directory as built replays its bases' recorded CSV rebuilds, so
+        Algorithm 1 does not run (``smooth_runs_total`` stays 0); the
+        shard with a run on top is smoothed anew."""
         args = (
-            "serve", "--port", "0", "--n", "2000", "--shards", "2",
+            "serve", "--port", "0", "--n", "2000", "--shards", "2", "--alpha", "0.1",
             "--index", index, "--data-dir", str(tmp_path / "data"),
         )
+        stored = load("facebook", 2000)
         keys = [10**15 + i for i in range(5)]
-        proc = spawn(*args)
+        proc = spawn(*args)  # builds, smooths and initialises the directory
         try:
             host, port = wait_for_port(proc)
             with HttpIndexClient(host, port) as client:
+                assert all(client.lookup(stored.tolist())["found"])
+            proc.send_signal(signal.SIGTERM)
+            out, _ = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+        assert proc.returncode == 0, out
+
+        proc = spawn(*args)  # reopens the built snapshot: replays CSV
+        try:
+            host, port = wait_for_port(proc)
+            with HttpIndexClient(host, port) as client:
+                assert metric(client, "smooth_runs_total") == 0
+                assert all(client.lookup(stored.tolist())["found"])
                 client.insert(keys)
             proc.send_signal(signal.SIGTERM)
             out, _ = proc.communicate(timeout=60)
@@ -154,11 +184,13 @@ class TestHttpServeProcess:
                 proc.kill()
         assert proc.returncode == 0, out
 
-        proc = spawn(*args)  # reopens the data directory
+        proc = spawn(*args)  # reopens with a run outstanding
         try:
             host, port = wait_for_port(proc)
             with HttpIndexClient(host, port) as client:
                 resp = client.lookup(keys)
+                assert metric(client, "smooth_runs_total") > 0
+                assert all(client.lookup(stored.tolist())["found"])
             proc.send_signal(signal.SIGTERM)
             out, _ = proc.communicate(timeout=60)
         finally:

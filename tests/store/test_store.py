@@ -113,7 +113,8 @@ class TestRebuild:
         for _ in range(3):
             store.append_runs({0: flush_batch(rng, 0)})
         keys, vals = store.load_shard_arrays(0)
-        index = store.build_shard(0, INDEX_FAMILIES[FAMILY])
+        index, replayed = store.build_shard(0, INDEX_FAMILIES[FAMILY])
+        assert not replayed
         got_keys, got_vals = index.range_query(int(keys[0]), int(keys[-1]))
         assert range_pairs((got_keys, got_vals)) == list(zip(keys.tolist(), vals.tolist()))
         assert np.array_equal(got_keys, keys)
