@@ -21,7 +21,6 @@ from .csv_algorithm import (
     CsvNodeRecord,
     CsvReport,
     apply_csv,
-    replay_csv,
 )
 from .derivative import GapContext, loss_derivative
 from .exceptions import (
@@ -95,7 +94,6 @@ __all__ = [
     "poison_keys",
     "quadratic_fit_and_loss",
     "rebuild_cost_delta",
-    "replay_csv",
     "resolve_budget",
     "smooth_keys",
     "smooth_keys_exhaustive",

@@ -23,12 +23,12 @@ rebuilt beneath it, and their records are marked ``superseded`` so
 the report counts what the final tree holds.
 
 A rebuild reads nothing of Algorithm 1's output but the subtree's
-keys, the smoothed point count ``m``, the refitted model and the
-virtual-point count, so a run's outcome is a handful of numbers per
-surviving rebuild (:meth:`CsvReport.decisions`).  :func:`replay_csv`
-applies such a record to a fresh build of the same key set and
-arrives at the same tree without running Algorithm 1 — how a durable
-store reopens a smoothed shard.
+keys, the smoothed point count ``m`` and the refitted model, so a
+run's outcome is a handful of numbers per surviving rebuild
+(:meth:`CsvReport.decisions`).  A served family's ``build`` takes such
+a record (:class:`RecordedRebuilds`) and lays each recorded subtree out
+by its row the first time, so a durable store reopens a smoothed shard
+in one pass without running Algorithm 1.
 
 The engine is index-agnostic: concrete indexes plug in through the
 :class:`CsvAdapter` protocol implemented in
@@ -53,9 +53,9 @@ __all__ = [
     "CsvNodeRecord",
     "CsvReport",
     "DECISION_COLUMNS",
+    "RecordedRebuilds",
     "apply_csv",
     "check_decisions",
-    "replay_csv",
 ]
 
 #: Columns of :meth:`CsvReport.decisions`, one row per surviving
@@ -108,23 +108,13 @@ class CsvAdapter(Protocol):
         (demoted)."""
         ...
 
-    def locate(self, key: int, level: int) -> Any | None:
-        """The handle at *level* (the root is 1) on *key*'s descent, or
-        None where that descent has no subtree-rooting node there."""
-        ...
-
     def install(
-        self,
-        handle: Any,
-        keys: np.ndarray,
-        values: np.ndarray,
-        m: int,
-        model: LinearModel,
-        n_virtual: int,
+        self, handle: Any, keys: np.ndarray, values: np.ndarray, m: int, model: LinearModel
     ) -> Any:
         """Build the merged node of *keys* laid out over *m* smoothed
-        points by *model*, and put it where *handle* is.  What it
-        returns is :meth:`rebuild`'s to use."""
+        points by *model* (``m - keys.size`` of them virtual), and put
+        it where *handle* is.  What it returns is :meth:`rebuild`'s to
+        use."""
         ...
 
 
@@ -211,7 +201,7 @@ class CsvReport:
     def decisions(self) -> np.ndarray:
         """The surviving rebuilds as one ``(n, 7)`` int64 array, in the
         order they were made (columns: :data:`DECISION_COLUMNS`) —
-        everything :func:`replay_csv` needs to redo them."""
+        everything a build needs to redo them (:class:`RecordedRebuilds`)."""
         rows = np.zeros((self.nodes_rebuilt, len(DECISION_COLUMNS)), dtype=np.int64)
         for row, r in zip(rows, self._surviving()):
             row[:4] = (r.first_key, r.level, r.n_keys, r.m)
@@ -296,16 +286,16 @@ def _bad_record(source: str, row: int | None, column: str | None, problem: str):
 
 def check_decisions(
     decisions: np.ndarray, keys: np.ndarray, source: str = "decisions"
-) -> np.ndarray:
+) -> None:
     """Check a decision record against the sorted key set it was made
-    for, without building anything; returns each row's position of
-    ``first_key`` in *keys*.
+    for, without building anything.
 
     Raises :class:`StoreCorruptionError` naming *source*, the row and
     the column for a wrong shape or dtype, a level above the root's
     children, a ``first_key`` that is not stored, a key slice that
-    runs out of *keys*, an ``m`` outside ``(n_keys, 2 * n_keys]``, or a
-    model that is not finite.
+    runs out of *keys* or lies inside another row's (a rebuild's
+    descendants are never rebuilt too), an ``m`` outside
+    ``(n_keys, 2 * n_keys]``, or a model that is not finite.
     """
     if not isinstance(decisions, np.ndarray) or decisions.dtype != np.int64:
         dtype = getattr(decisions, "dtype", type(decisions).__name__)
@@ -320,10 +310,16 @@ def check_decisions(
     stored = starts < keys.size
     stored[stored] = keys[starts[stored]] == first[stored]
     model = decisions[:, 4:6].view(np.float64)
+    # By start, longest first: a slice ending within an earlier one's reach is inside it.
+    ends = starts + n_keys
+    order = np.lexsort((-ends, starts))
+    nested = np.zeros(first.size, dtype=bool)
+    nested[order[1:]] = ends[order[1:]] <= np.maximum.accumulate(ends[order])[:-1]
     problems = (
         ("level", level < 2, "not below the root"),
         ("first_key", ~stored, "not a stored key"),
         ("n_keys", (n_keys < 1) | (n_keys > keys.size - starts), "key slice runs out of the stored keys"),
+        ("first_key", nested, "key slice inside another row's"),
         # α < 1 caps the virtual points at the key count.
         ("m", (m <= n_keys) | (m > 2 * n_keys), "not in (n_keys, 2 * n_keys]"),
         ("slope", ~np.isfinite(model[:, 0]), "not finite"),
@@ -336,46 +332,51 @@ def check_decisions(
             if column in ("slope", "intercept"):
                 value = value.view(np.float64)
             raise _bad_record(source, row, column, f"{problem} ({value})")
-    return starts
 
 
-def replay_csv(
-    adapter: CsvAdapter,
-    decisions: np.ndarray,
-    keys: np.ndarray,
-    values: np.ndarray,
-    source: str = "decisions",
-) -> None:
-    """Redo the rebuilds :meth:`CsvReport.decisions` recorded, on an
-    index freshly built from the same sorted *keys* / *values*.
-
-    Each row's subtree keys are the slice of *keys* from ``first_key``
-    on, ``n_keys`` long (a subtree holds a contiguous key range), so
-    no subtree is walked and Algorithm 1 does not run.  A record that
-    does not fit the index raises :class:`StoreCorruptionError` naming
-    *source*, the row and the column (see :func:`check_decisions`; in
-    addition the node at ``level`` on ``first_key``'s descent must
-    root a subtree holding exactly that slice).
+class RecordedRebuilds:
+    """A decision record (:meth:`CsvReport.decisions`), checked against
+    the sorted *keys* it was made for, as a family's ``build`` consumes
+    it: the build asks :meth:`take` for the rows naming the nodes it is
+    about to lay out (by level and first key; the node's key count must
+    be the row's ``n_keys``), then :meth:`finish` refuses the rows no
+    node took.  Faults raise :class:`StoreCorruptionError` naming
+    *source*, the row and the column.
     """
-    starts = check_decisions(decisions, keys, source)
-    for row, (start, record) in enumerate(zip(starts.tolist(), decisions.tolist())):
-        first_key, level, n_keys, m, __, __, pivot = record
-        handle = adapter.locate(first_key, level)
-        if handle is None:
-            raise _bad_record(source, row, "level", f"no subtree-rooting node at level {level}")
-        end = start + n_keys
-        if not (
-            adapter.locate(int(keys[end - 1]), level) is handle
-            and (start == 0 or adapter.locate(int(keys[start - 1]), level) is not handle)
-            and (end == keys.size or adapter.locate(int(keys[end]), level) is not handle)
-        ):
-            raise _bad_record(source, row, "n_keys", f"the subtree at level {level} does not hold {n_keys} keys")
-        slope, intercept = decisions[row, 4:6].view(np.float64).tolist()
-        adapter.install(
-            handle,
-            keys[start:end],
-            values[start:end],
-            m,
-            LinearModel(slope, intercept, pivot),
-            m - n_keys,
-        )
+
+    def __init__(self, decisions: np.ndarray, keys: np.ndarray, source: str = "decisions"):
+        check_decisions(decisions, keys, source)
+        self.source = source
+        self._decisions = decisions
+        #: level -> first key -> row, for the rows not yet taken.
+        self._open: dict[int, dict[int, int]] = {}
+        for row, (first, level) in enumerate(decisions[:, :2].tolist()):
+            self._open.setdefault(level, {})[first] = row
+
+    def take(self, level: int, keys: np.ndarray, counts) -> dict[int, tuple[int, LinearModel]]:
+        """The rows recorded at *level* for its nodes whose keys are the
+        segments of *keys*, ``counts[i]`` keys each: segment ``i`` ->
+        the row's ``(m, model)``."""
+        open_rows = self._open.get(level)
+        if not open_rows:
+            return {}
+        taken = {}
+        for i, first in enumerate(keys[np.cumsum(counts) - counts].tolist()):
+            row = open_rows.pop(first, None)
+            if row is None:
+                continue
+            __, __, n_keys, m, __, __, pivot = self._decisions[row].tolist()
+            if n_keys != counts[i]:
+                raise _bad_record(
+                    self.source, row, "n_keys", f"the subtree at level {level} does not hold {n_keys} keys"
+                )
+            slope, intercept = self._decisions[row, 4:6].view(np.float64).tolist()
+            taken[i] = m, LinearModel(slope, intercept, pivot)
+        return taken
+
+    def finish(self) -> None:
+        """Refuse the rows no node of the build took."""
+        left = [(row, level) for level, rows in self._open.items() for row in rows.values()]
+        if left:
+            row, level = min(left)
+            raise _bad_record(self.source, row, "level", f"no subtree-rooting node at level {level}")

@@ -24,11 +24,11 @@ descendants.  ALEX's ``cost_delta`` prices the data nodes that are
 beneath the handle *now* (``_subtree_profile``), so its descendants
 must be settled before it is priced: children-first.
 
-Node construction is :meth:`install`'s alone, with two callers:
-:meth:`rebuild` (Algorithm 2) and
-:func:`~repro.core.csv_algorithm.replay_csv`, which finds each
-recorded handle with :meth:`locate` — a descent by key, as a lookup
-takes it — on a fresh build of the same keys.
+Node construction is shared with the families' builds: a LIPP/SALI
+:meth:`install` lays its node out with the same
+``LippNode.from_keys_leveled`` call that lays out a recorded rebuild
+when a build consumes CSV's record, and ALEX's uses
+``AlexDataNode.from_smoothed``, as ``AlexIndex._build_node`` does there.
 """
 
 from __future__ import annotations
@@ -39,11 +39,11 @@ from ..core.cost_model import CostConstants, expected_search_steps
 from ..core.exceptions import IndexStateError
 from ..core.linear_model import LinearModel
 from ..core.smoothing import SmoothingResult
-from .alex.data_node import TARGET_DENSITY, AlexDataNode
+from .alex.data_node import AlexDataNode
 from .alex.index import AlexIndex
 from .alex.inner_node import AlexInnerNode
 from .lipp.index import LippIndex
-from .lipp.node import SLOT_CHILD, LippNode
+from .lipp.node import LippNode
 from .sali.index import SaliIndex
 
 __all__ = ["LippCsvAdapter", "SaliCsvAdapter", "AlexCsvAdapter", "adapter_for"]
@@ -83,35 +83,15 @@ class LippCsvAdapter:
         """Replace the subtree with one smoothed node; count the keys
         it promoted and the keys it demoted."""
         keys, values, levels_before = collected
-        levels_after = self.install(
-            handle, keys, values, int(smoothing.points.size), smoothing.model, smoothing.n_virtual
-        )
+        levels_after = self.install(handle, keys, values, int(smoothing.points.size), smoothing.model)
         # Both level arrays parallel the same sorted key set.
         return (
             int(np.count_nonzero(levels_after < levels_before)),
             int(np.count_nonzero(levels_after > levels_before)),
         )
 
-    def locate(self, key: int, level: int) -> LippNode | None:
-        """The subtree-rooting node at *level* on *key*'s descent."""
-        node = self.index.root
-        for __ in range(level - 1):
-            if not isinstance(node, LippNode):
-                return None
-            slot = node.slot_of(key)
-            if int(node.slot_type[slot]) != SLOT_CHILD:
-                return None
-            node = node.children[slot]
-        return node if isinstance(node, LippNode) and node.has_subtree else None
-
     def install(
-        self,
-        handle: LippNode,
-        keys: np.ndarray,
-        values: np.ndarray,
-        m: int,
-        model: LinearModel,
-        n_virtual: int,
+        self, handle: LippNode, keys: np.ndarray, values: np.ndarray, m: int, model: LinearModel
     ) -> np.ndarray:
         """Put one precise-position node of *m* slots laid out by
         *model* in *handle*'s place; returns the level each key now
@@ -121,7 +101,7 @@ class LippCsvAdapter:
         merged, levels = LippNode.from_keys_leveled(
             keys, values, level=handle.level, slot_factor=self.index.slot_factor, m=m, model=model
         )
-        merged.virtual_slots = n_virtual
+        merged.virtual_slots = m - keys.size
         self.index._replace_subtree(handle, merged)
         return levels
 
@@ -200,50 +180,19 @@ class AlexCsvAdapter:
         for node in handle.walk():
             if isinstance(node, AlexDataNode) and node.level > handle.level:
                 promoted += node.n_keys
-        self.install(
-            handle, keys, values, int(smoothing.points.size), smoothing.model, smoothing.n_virtual
-        )
+        self.install(handle, keys, values, int(smoothing.points.size), smoothing.model)
         return promoted, 0
 
-    def locate(self, key: int, level: int) -> AlexInnerNode | None:
-        """The inner node at *level* on *key*'s descent."""
-        node = self.index.root
-        for __ in range(level - 1):
-            if not isinstance(node, AlexInnerNode):
-                return None
-            node = node.child_for(key)
-        return node if isinstance(node, AlexInnerNode) else None
-
     def install(
-        self,
-        handle: AlexInnerNode,
-        keys: np.ndarray,
-        values: np.ndarray,
-        m: int,
-        model: LinearModel,
-        n_virtual: int,
+        self, handle: AlexInnerNode, keys: np.ndarray, values: np.ndarray, m: int, model: LinearModel
     ) -> None:
-        """Put one gapped data node laid out by *model* (scaled from
-        *m* smoothed points to the node's capacity) in *handle*'s place."""
-        parent = handle.parent
-        if parent is None:
+        """Put the merged gapped data node of *keys* in *handle*'s place."""
+        if handle.parent is None:
             raise IndexStateError("CSV never rebuilds the root node")
-        # Size the merged node to whichever gap budget is larger: the
-        # smoothed point set (virtual points = gaps) or ALEX's normal
-        # density headroom.  Taking the max instead of stacking both
-        # keeps the storage overhead an α-fraction (Fig. 8h) while a
-        # near-full node would otherwise double on the first insert.
-        capacity = max(m + 1, int(np.ceil(keys.size / TARGET_DENSITY)))
-        merged = AlexDataNode.from_model(
-            keys,
-            values,
-            capacity=capacity,
-            model=model.scaled(capacity / m),
-            level=handle.level,
-        )
-        merged.virtual_slots = n_virtual
         assert handle.parent_slot is not None
-        parent.attach(handle.parent_slot, merged)
+        handle.parent.attach(
+            handle.parent_slot, AlexDataNode.from_smoothed(keys, values, m, model, handle.level)
+        )
 
 
 def adapter_for(index, constants: CostConstants | None = None):

@@ -119,23 +119,22 @@ class AlexDataNode:
         return node
 
     @classmethod
-    def from_model(
-        cls,
-        keys: np.ndarray,
-        values: np.ndarray,
-        capacity: int,
-        model: LinearModel,
-        level: int,
+    def from_smoothed(
+        cls, keys: np.ndarray, values: np.ndarray, m: int, model: LinearModel, level: int
     ) -> "AlexDataNode":
-        """Model-based placement with an explicit capacity and model.
-
-        Used by CSV rebuilds: the smoothed model (scaled to *capacity*)
-        decides where each key sits; the strictly-monotone sweep keeps
-        the gapped array sorted.
-        """
-        if keys.size == 0:
-            return cls(capacity, model, level)
-        return cls._place(keys, values, capacity, model, level)
+        """The merged node of a CSV rebuild: *keys* (never empty) laid
+        out by *model*, fitted over *m* smoothed points (``m -
+        keys.size`` of them virtual) and scaled to the node's capacity;
+        the strictly-monotone sweep keeps the gapped array sorted."""
+        # Size the merged node to whichever gap budget is larger: the
+        # smoothed point set (virtual points = gaps) or ALEX's normal
+        # density headroom.  Taking the max instead of stacking both
+        # keeps the storage overhead an α-fraction (Fig. 8h) while a
+        # near-full node would otherwise double on the first insert.
+        capacity = max(m + 1, int(np.ceil(keys.size / TARGET_DENSITY)))
+        node = cls._place(keys, values, capacity, model.scaled(capacity / m), level)
+        node.virtual_slots = m - keys.size
+        return node
 
     @classmethod
     def _place(

@@ -18,6 +18,7 @@ from typing import Iterator
 import numpy as np
 
 from ...core.cost_model import expected_search_steps
+from ...core.csv_algorithm import RecordedRebuilds
 from ...core.exceptions import IndexStateError
 from ...core.linear_model import LinearModel, fit_linear
 from ...core.loss import fit_and_loss
@@ -82,19 +83,29 @@ class AlexIndex(LearnedIndex):
     # Bulk loading
     # ------------------------------------------------------------------
     @classmethod
-    def build(cls, keys, values=None) -> "AlexIndex":
+    def build(cls, keys, values=None, record: RecordedRebuilds | None = None) -> "AlexIndex":
+        """Bulk-load from sorted unique *keys*; with *record* (CSV's
+        rebuilds on an index of them), each recorded inner node is
+        built as its merged data node."""
         arr, vals = prepare_key_values(keys, values)
-        root = cls._build_node(arr, vals, level=1)
+        root = cls._build_node(arr, vals, level=1, record=record)
+        if record is not None:
+            record.finish()
         return cls(root)
 
     @classmethod
-    def _build_node(cls, keys: np.ndarray, values: np.ndarray, level: int) -> AlexNode:
+    def _build_node(
+        cls, keys: np.ndarray, values: np.ndarray, level: int, record: RecordedRebuilds | None = None
+    ) -> AlexNode:
         n = int(keys.size)
         if n <= MIN_PARTITION_FOR_INNER:
             return AlexDataNode.from_sorted(keys, values, level)
         __, loss = fit_and_loss(keys)
         if expected_search_steps(loss, n) <= MAX_DATA_NODE_SEARCH_STEPS:
             return AlexDataNode.from_sorted(keys, values, level)
+        recorded = {} if record is None else record.take(level, keys, [n])
+        if recorded:
+            return AlexDataNode.from_smoothed(keys, values, *recorded[0], level)
         fanout = int(min(MAX_FANOUT, max(MIN_FANOUT, 2 ** int(np.ceil(np.log2(n / 256))))))
         model = fit_linear(keys).scaled(fanout / n)
         assignments = np.clip(
@@ -119,7 +130,7 @@ class AlexIndex(LearnedIndex):
                     # Could not partition (all keys one slot even after
                     # the fallback): force a data node to terminate.
                     return AlexDataNode.from_sorted(keys, values, level)
-                child = cls._build_node(keys[start:end], values[start:end], level + 1)
+                child = cls._build_node(keys[start:end], values[start:end], level + 1, record)
             else:
                 child = AlexDataNode.from_sorted(
                     np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), level + 1

@@ -52,6 +52,7 @@ from ..base import (
     prepare_key_values,
     range_slice,
 )
+from ...core.csv_algorithm import RecordedRebuilds
 from ...obs.metrics import get_registry
 from .flat import FlatLipp, StaleFlatError, _leaf_like
 from .node import DEFAULT_SLOT_FACTOR, SLOT_CHILD, SLOT_DATA, SLOT_EMPTY, LippNode
@@ -81,9 +82,14 @@ class LippIndex(LearnedIndex):
         keys,
         values=None,
         slot_factor: float = DEFAULT_SLOT_FACTOR,
+        record: RecordedRebuilds | None = None,
     ) -> "LippIndex":
+        """Bulk-load from sorted unique *keys*; with *record* (CSV's
+        rebuilds on an index of them), straight into the smoothed tree."""
         arr, vals = prepare_key_values(keys, values)
-        root = LippNode.from_keys(arr, vals, level=1, slot_factor=slot_factor)
+        root = LippNode.from_keys_leveled(arr, vals, 1, slot_factor, record=record)[0]
+        if record is not None:
+            record.finish()
         return cls(root, slot_factor)
 
     @property
@@ -443,12 +449,6 @@ class LippIndex(LearnedIndex):
             self._root = new
         else:
             parent.children[old.parent_slot] = new
-        # The replaced subtree is garbage, but cyclic (child.parent <->
-        # node.children): cut the parent links so it is freed here, by
-        # reference count, not by a later pass of the cycle collector.
-        for node in old.walk():
-            for child in node.children.values():
-                child.parent = None
         self.invalidate_flat()
 
     # ------------------------------------------------------------------

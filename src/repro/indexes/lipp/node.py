@@ -38,10 +38,12 @@ writable arrays: an in-place write through the node is never lost.
 from __future__ import annotations
 
 import math
+import weakref
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
+from ...core.csv_algorithm import RecordedRebuilds
 from ...core.linear_model import LinearModel
 
 __all__ = ["SLOT_EMPTY", "SLOT_DATA", "SLOT_CHILD", "LippNode"]
@@ -167,43 +169,44 @@ def _layout_level(
     lv: np.ndarray,
     counts: np.ndarray,
     slots: np.ndarray,
-    model: LinearModel | None,
+    given: dict[int, LinearModel],
 ) -> _Level:
     """Lay out every node of one level in one pass.
 
     *lk* (sorted, with values *lv*) is the level's segments back to
     back; segment ``i``, the next ``counts[i]`` keys, becomes a node of
-    ``slots[i]`` slots.  *model* is a caller-chosen model for a level that is one
-    segment (a CSV rebuild's root); otherwise every segment is fitted.
-    Each key is predicted and clamped, segments whose model puts all
-    their keys in one slot fall back to endpoint interpolation (first
-    key -> slot 0, last -> slot m-1: two or more distinct slots, so the
-    next level's segments are strictly smaller), runs of one key are
-    written into the level's slot buffer with one scatter, and longer
-    runs are returned as the next level's segments.
+    ``slots[i]`` slots.  Segment ``i`` in *given* is laid out by that
+    caller-chosen model (a CSV rebuild's root); every other segment is
+    fitted.  Each key is predicted and clamped, segments whose model
+    puts all their keys in one slot fall back to endpoint interpolation
+    (first key -> slot 0, last -> slot m-1: two or more distinct slots,
+    so the next level's segments are strictly smaller), runs of one key
+    are written into the level's slot buffer with one scatter, and
+    longer runs are returned as the next level's segments.
     """
     n_segs = int(counts.size)
     starts = np.cumsum(counts) - counts
     seg_of = np.repeat(np.arange(n_segs), counts)
     top = slots - 1
-    if model is None:
-        pivot = lk[starts]
-        slope, intercept = _fit_segments(lk, starts, counts, slots)
-        raw = slope[seg_of] * _ahead(lk, pivot[seg_of]) + intercept[seg_of]
-    else:
-        raw = model.predict_array(lk)
+    fitted = np.ones(n_segs, dtype=bool)
+    fitted[list(given)] = False
+    fit = fitted.nonzero()[0]
+    pivot = lk[starts]
+    slope = np.zeros(n_segs)
+    intercept = np.zeros(n_segs)
+    slope[fit], intercept[fit] = _fit_segments(lk, starts[fit], counts[fit], slots[fit])
+    raw = slope[seg_of] * _ahead(lk, pivot[seg_of]) + intercept[seg_of]
+    for i, model in given.items():
+        segment = slice(starts[i], starts[i] + counts[i])
+        raw[segment] = model.predict_array(lk[segment])
     predicted = _clamped_slots(raw, top[seg_of])
-    if model is None:
-        # A fitted pair sits at its node's two ends by construction.
-        pair = (counts == 2).nonzero()[0]
-        predicted[starts[pair]] = 0
-        predicted[starts[pair] + 1] = top[pair]
+    # A fitted pair sits at its node's two ends by construction.
+    pair = ((counts == 2) & fitted).nonzero()[0]
+    predicted[starts[pair]] = 0
+    predicted[starts[pair] + 1] = top[pair]
     same_slot = np.minimum.reduceat(predicted, starts) == np.maximum.reduceat(predicted, starts)
     degenerate = (same_slot & (counts >= 2)).nonzero()[0]
     if degenerate.size:
-        if model is not None:
-            slope, intercept, pivot = np.zeros(1), np.zeros(1), np.zeros(1, dtype=np.int64)
-            model = None
         first = lk[starts[degenerate]]
         last = lk[starts[degenerate] + counts[degenerate] - 1]
         span = (last.view(np.uint64) - first.view(np.uint64)).astype(np.float64)
@@ -211,18 +214,14 @@ def _layout_level(
         intercept[degenerate] = 0.0
         pivot[degenerate] = first
         redo = np.zeros(n_segs, dtype=bool)
-        redo[degenerate] = True
+        redo[degenerate] = fitted[degenerate] = True
         redo = redo[seg_of].nonzero()[0]
         seg = seg_of[redo]
         raw = slope[seg] * _ahead(lk[redo], pivot[seg]) + intercept[seg]
         predicted[redo] = _clamped_slots(raw, top[seg])
-    if model is None:
-        models = [
-            LinearModel(*coefficients)
-            for coefficients in zip(slope.tolist(), intercept.tolist(), pivot.tolist())
-        ]
-    else:
-        models = [model]
+    models = [LinearModel(*c) for c in zip(slope.tolist(), intercept.tolist(), pivot.tolist())]
+    for i in (~fitted).nonzero()[0].tolist():
+        models[i] = given[i]
     # Consecutive keys sharing a slot form a run (segments own disjoint
     # slot ranges, so a run never spans two of them).
     bounds = np.concatenate(([0], np.cumsum(slots)))
@@ -253,17 +252,35 @@ def _layout_level(
     )
 
 
+class WeakParent:
+    """A node's ``parent``, held as a weak reference: the link up and
+    the parent's ``children`` entry down form no reference cycle, so a
+    dropped tree or subtree is freed by reference count at once, not at
+    the cycle collector's next pass.  The owner keeps it in ``_parent``."""
+
+    def __get__(self, node, owner=None):
+        if node is None:
+            return self
+        return None if node._parent is None else node._parent()
+
+    def __set__(self, node, parent) -> None:
+        node._parent = None if parent is None else weakref.ref(parent)
+
+
 class LippNode:
     """One LIPP node (slot array + model + children)."""
 
+    parent = WeakParent()
+
     __slots__ = (
+        "__weakref__",
         "model",
         "slot_type",
         "slot_keys",
         "slot_values",
         "children",
         "level",
-        "parent",
+        "_parent",
         "parent_slot",
         "n_subtree_keys",
         "virtual_slots",
@@ -347,6 +364,7 @@ class LippNode:
         slot_factor: float = DEFAULT_SLOT_FACTOR,
         m: int | None = None,
         model: LinearModel | None = None,
+        record: RecordedRebuilds | None = None,
     ) -> tuple["LippNode", np.ndarray]:
         """:meth:`from_keys`, plus the level each key is stored at
         (parallel to *keys*).
@@ -358,6 +376,10 @@ class LippNode:
         level's segments.  Nothing recurses, so the stack stays flat on
         adversarially deep conflict chains, and the work per level is a
         fixed number of array operations however many nodes it holds.
+
+        With *record*, a segment a row of CSV's rebuilds names is laid
+        out as that rebuild laid it out (the row's ``m`` slots and
+        model, ``m - n`` virtual slots) instead of being fitted.
         """
         n = int(keys.size)
         if m is None:
@@ -374,12 +396,17 @@ class LippNode:
         lk, lv, where = keys, values, np.arange(n)
         counts = np.asarray([n], dtype=np.int64)
         slots = np.asarray([m], dtype=np.int64)
+        given = {} if model is None else {0: model}
         root: LippNode | None = None
         parents: list[LippNode] = []
         parent_of: list[int] = []
         parent_slot: list[int] = []
         while True:
-            laid = _layout_level(lk, lv, counts, slots, model)
+            taken = {} if record is None else record.take(level, lk, counts)
+            for i, (segment_m, segment_model) in taken.items():
+                slots[i] = segment_m
+                given[i] = segment_model
+            laid = _layout_level(lk, lv, counts, slots, given)
             key_level[where[laid.placed]] = level
             bounds = laid.slot_bounds
             nodes = [
@@ -393,6 +420,8 @@ class LippNode:
                 )
                 for i, (node_model, count) in enumerate(zip(laid.models, counts.tolist()))
             ]
+            for i in taken:
+                nodes[i].virtual_slots = int(slots[i] - counts[i])
             if root is None:
                 root = nodes[0]
             for node, p, slot in zip(nodes, parent_of, parent_slot):
@@ -406,7 +435,7 @@ class LippNode:
             counts = laid.next_counts
             slots = np.maximum(MIN_SLOTS, np.ceil(counts * slot_factor).astype(np.int64))
             parents, parent_of, parent_slot = nodes, laid.next_parent, laid.next_slot
-            model = None
+            given = {}
             level += 1
 
     @property

@@ -22,6 +22,7 @@ import numpy as np
 
 from ...core.exceptions import IndexStateError
 from ..base import KEY_BYTES, NODE_HEADER_BYTES, VALUE_BYTES
+from ..lipp.node import WeakParent
 from ..pgm import PlaSegment, build_pla_segments
 
 __all__ = ["FlattenedNode"]
@@ -35,6 +36,8 @@ SEGMENT_BYTES = KEY_BYTES + 8 + 8 + 8
 class FlattenedNode:
     """A PGM-segmented flat node replacing a hot LIPP subtree."""
 
+    parent = WeakParent()
+
     __slots__ = (
         "keys",
         "values",
@@ -47,7 +50,7 @@ class FlattenedNode:
         "_seg_last_pos",
         "epsilon",
         "level",
-        "parent",
+        "_parent",
         "parent_slot",
         "children",
         "n_subtree_keys",

@@ -17,6 +17,7 @@ flattened leaves' bytes.
 
 from __future__ import annotations
 
+from ...core.csv_algorithm import RecordedRebuilds
 from ..base import BatchQueryStats, QueryStats
 from ..lipp.index import LippIndex
 from ..lipp.node import DEFAULT_SLOT_FACTOR, LippNode
@@ -48,8 +49,9 @@ class SaliIndex(LippIndex):
         values=None,
         slot_factor: float = DEFAULT_SLOT_FACTOR,
         flatten_epsilon: int = DEFAULT_EPSILON,
+        record: RecordedRebuilds | None = None,
     ) -> "SaliIndex":
-        base = LippIndex.build(keys, values, slot_factor)
+        base = LippIndex.build(keys, values, slot_factor, record)
         return cls(base.root, slot_factor, flatten_epsilon)
 
     # ------------------------------------------------------------------

@@ -260,9 +260,9 @@ class IndexService:
         *family* is one of :data:`~repro.indexes.CSV_FAMILIES`; a
         read-only baseline raises :class:`InvalidKeysError`.  With
         *store*, the plan's shard contents become its generation-1 base
-        files, each recording the rebuilds CSV made on its shard so
-        that :meth:`open_snapshot` replays them.  An initialised
-        directory is refused, untouched — reopen it with
+        files, each recording the rebuilds CSV made on its shard for
+        :meth:`open_snapshot` to build the smoothed shard from.  An
+        initialised directory is refused, untouched — reopen it with
         :meth:`open_snapshot`.
         """
         plan = plan_shards(keys, n_shards, values=values, alpha=alpha)
@@ -301,8 +301,9 @@ class IndexService:
         family, shard boundaries and per-shard smoothing α, and
         :meth:`DurableStore.build_shard` rebuilds every shard from its
         base snapshot through the family's ``build``.  A shard whose
-        base records CSV's rebuilds and has no run on top replays
-        them, and Algorithm 1 does not run.  Any other shard replays
+        base records CSV's rebuilds and has no run on top is built with
+        that record, smoothed in the one pass that lays its keys out,
+        and Algorithm 1 does not run.  Any other shard replays
         its outstanding runs through ``bulk_insert_many`` — the same
         vectorised ingest path live merges use — and is smoothed anew
         with its recorded α.  The router is built over them.
@@ -326,8 +327,8 @@ class IndexService:
             ) from None
         shards: list[LearnedIndex | None] = []
         for shard_no, alpha in enumerate(manifest.alphas):
-            shard, replayed = store.build_shard(shard_no, family_cls)
-            if shard is not None and not replayed and alpha is not None and alpha > 0.0:
+            shard, recorded = store.build_shard(shard_no, family_cls)
+            if shard is not None and not recorded and alpha is not None and alpha > 0.0:
                 apply_csv(adapter_for(shard), CsvConfig(alpha=alpha))
             shards.append(shard)
         return cls(

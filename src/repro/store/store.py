@@ -17,9 +17,10 @@ needs no journal replay — load the manifest, sweep unreferenced files
 
 The store is deliberately ignorant of the serving layer: it moves
 ``(keys, values)`` int64 arrays and builds bare index objects through
-the families' ``build`` / ``bulk_insert_many`` ingest paths — and,
-for a base that records CSV's rebuilds, through
-:func:`~repro.core.csv_algorithm.replay_csv`.
+the families' ``build`` / ``bulk_insert_many`` ingest paths; a base
+that records CSV's rebuilds hands the record to ``build``
+(:class:`~repro.core.csv_algorithm.RecordedRebuilds`), which lays the
+smoothed index out in one pass.
 ``IndexService.snapshot`` / ``open_snapshot`` own the mapping between
 a live service and a store.
 """
@@ -33,9 +34,8 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from ..core.csv_algorithm import check_decisions, replay_csv
+from ..core.csv_algorithm import RecordedRebuilds, check_decisions
 from ..core.exceptions import IndexStateError
-from ..indexes.adapters import adapter_for
 from ..obs.metrics import MetricsRegistry, get_registry
 from .compaction import CompactionPlan, CompactionStrategy
 from .faults import crashpoint
@@ -140,7 +140,7 @@ class DurableStore:
         *csv*, one entry per shard, the rebuilds CSV made on an index
         built from that pair (:meth:`~repro.core.csv_algorithm.
         CsvReport.decisions`; None where the shard was not smoothed),
-        which the base file records for :meth:`build_shard` to replay.
+        which the base file records for :meth:`build_shard` to build from.
         Re-initialising an already-committed directory is an error —
         open it instead, or point the service at a fresh directory.
         """
@@ -362,13 +362,16 @@ class DurableStore:
         same vectorised ingest path live merges use — in commit
         order, so duplicates resolve exactly as they did in memory.
         A base that records CSV's rebuilds (``csv``) and has no run
-        on top replays them (:func:`~repro.core.csv_algorithm.
-        replay_csv`): the index is then the smoothed one its build
-        made, without running Algorithm 1.  Returns the index (None
-        for a shard with no keys at all, mirroring
-        :func:`repro.serving.partitioner.build_shard_indexes`) and
-        whether it replayed — if not, smoothing it is the caller's.
+        on top is built with the record (:class:`~repro.core.
+        csv_algorithm.RecordedRebuilds`): the index is then the
+        smoothed one its build made, laid out once, without running
+        Algorithm 1.  Returns the index (None for a shard with no keys
+        at all, mirroring :func:`repro.serving.partitioner.
+        build_shard_indexes`) and whether the record built it — if
+        not, smoothing it is the caller's.  Each call is one
+        ``store_build_shard_seconds{recorded=…}`` observation.
         """
+        started = time.perf_counter()
         with self._lock:
             manifest = self._require_manifest()
             base = manifest.base_for(shard)
@@ -381,12 +384,9 @@ class DurableStore:
             run_arrays = [
                 read_run_file(self.data_dir, m.name, m.checksum) for m in runs
             ]
-        index = None
-        if keys.size:
-            index = family_cls.build(keys, values)
-        if index is not None and csv is not None and not run_arrays:
-            replay_csv(adapter_for(index), csv, keys, values, source=base.name)
-            return index, True
+        recorded = bool(keys.size) and csv is not None and not run_arrays
+        record = RecordedRebuilds(csv, keys, base.name) if recorded else None
+        index = family_cls.build(keys, values, record=record) if keys.size else None
         for rk, rv in run_arrays:
             if rk.size == 0:
                 continue
@@ -394,7 +394,11 @@ class DurableStore:
                 index = family_cls.build(rk, rv)
             else:
                 index.bulk_insert_many(rk, rv)
-        return index, False
+        if self._metrics.enabled:
+            self._metrics.histogram(
+                "store_build_shard_seconds", recorded=str(recorded).lower()
+            ).observe(time.perf_counter() - started)
+        return index, recorded
 
     # ------------------------------------------------------------------
     # Hygiene

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -101,9 +102,9 @@ class TestLippAdapter:
             assert index.lookup(key) == key
 
     def test_replaced_subtrees_are_freed_without_the_cycle_collector(self, clustered_keys):
-        """A rebuilt handle's old subtree is cyclic garbage (child.parent
-        <-> node.children); the adapter cuts it loose, so a smoothed
-        index leaves nothing for ``gc`` to find."""
+        """A rebuilt handle's old subtree holds no reference cycle
+        (``child.parent`` is weak), so a smoothed index leaves nothing
+        for ``gc`` to find."""
         index = LippIndex.build(clustered_keys)
         gc.collect()
         gc.disable()
@@ -114,6 +115,26 @@ class TestLippAdapter:
             gc.enable()
         assert report.nodes_rebuilt > 0
         assert alive == index.node_count()
+
+    @pytest.mark.parametrize("cls", [LippIndex, SaliIndex])
+    def test_a_dropped_index_is_freed_without_the_cycle_collector(self, cls, clustered_keys):
+        """Parent links are weak, so dropping the last reference to a
+        smoothed index frees every node at once — SALI's flattened
+        leaves too (one holding its parent strongly would keep it)."""
+        index = cls.build(clustered_keys)
+        apply_csv(adapter_for(index), CsvConfig(alpha=0.2))
+        if cls is SaliIndex:
+            index.lookup_many(np.repeat(clustered_keys[: clustered_keys.size // 8], 20))
+            assert index.flatten_hot_subtrees(0.05) > 0
+        nodes = [weakref.ref(node) for node in index.root.walk() if isinstance(node, LippNode)]
+        gc.collect()
+        gc.disable()
+        try:
+            del index
+            alive = sum(ref() is not None for ref in nodes)
+        finally:
+            gc.enable()
+        assert nodes and alive == 0
 
     def test_rebuild_marks_virtual_slots(self, clustered_keys):
         index = LippIndex.build(clustered_keys)

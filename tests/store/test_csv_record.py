@@ -1,11 +1,12 @@
-"""The ``csv`` record of a base file: CSV's rebuilds, replayed on reopen.
+"""The ``csv`` record of a base file: CSV's rebuilds, built by on reopen.
 
 A smoothed build writes, beside each shard's keys, the rebuilds CSV
 made (:meth:`CsvReport.decisions`); :meth:`DurableStore.build_shard`
-replays them on a fresh build of the same keys.  A record that does
-not fit those keys is a :class:`StoreCorruptionError` naming the base
-file, the row and the column — raised by the replay, and, for what can
-be checked without building an index, by :meth:`DurableStore.verify`.
+hands them to the family's ``build``, which lays each recorded subtree
+out once, by its row.  A record that does not fit those keys is a
+:class:`StoreCorruptionError` naming the base file, the row and the
+column — raised by the build, and, for what can be checked without
+building an index, by :meth:`DurableStore.verify`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from repro.store import DurableStore, StoreCorruptionError
 BASE = "base-s0000-g00000001.npz"
 
 
-@pytest.fixture(params=["lipp", "alex"])
+@pytest.fixture(params=["lipp", "sali", "alex"])
 def family(request) -> str:
     return request.param
 
@@ -90,8 +91,17 @@ def tampered(decisions: np.ndarray, name: str, value) -> np.ndarray:
     return bad
 
 
+def nested(decisions: np.ndarray) -> np.ndarray:
+    """*decisions* with row 1 recording row 0's subtree again, one
+    level down: its key slice lies inside row 0's."""
+    bad = decisions.copy()
+    bad[1] = decisions[0]
+    bad[1, column("level")] += 1
+    return bad
+
+
 #: (case, record from (keys, decisions), message) for the faults that
-#: are visible without an index: verify() and the replay both refuse.
+#: are visible without an index: verify() and the build both refuse.
 STATIC_FAULTS = [
     ("dtype", lambda k, d: d.astype(np.float64), r"csv: dtype float64, expected int64"),
     ("shape", lambda k, d: d[:, :6], r"csv: shape \(\d+, 6\), expected \(n, 7\)"),
@@ -101,6 +111,8 @@ STATIC_FAULTS = [
      r"csv row 1 column 'n_keys': key slice runs out"),
     ("level at the root", lambda k, d: tampered(d, "level", 1),
      r"csv row 1 column 'level': not below the root"),
+    ("slice inside another row's", lambda k, d: nested(d),
+     r"csv row 1 column 'first_key': key slice inside another row's"),
     ("m <= n_keys", lambda k, d: tampered(d, "m", d[1, column("n_keys")]),
      r"csv row 1 column 'm': not in \(n_keys, 2 \* n_keys\]"),
     ("m > 2 * n_keys", lambda k, d: tampered(d, "m", 2 * d[1, column("n_keys")] + 1),
@@ -117,7 +129,7 @@ STATIC_FAULTS = [
 def test_verify_and_replay_refuse_a_bad_record(family, keyset, tmp_path, make, message):
     keys, values, decisions = keyset
     record = make(keys, decisions)
-    if "first_key" in message:
+    if "not a stored key" in message:
         assert record[1, 0] not in keys
     store = one_shard_store(tmp_path / "data", family, keys, values, record)
     with pytest.raises(StoreCorruptionError, match=f"{BASE}: {message}"):
@@ -126,7 +138,7 @@ def test_verify_and_replay_refuse_a_bad_record(family, keyset, tmp_path, make, m
         store.build_shard(0, INDEX_FAMILIES[family])
 
 
-#: Faults only the built index shows: verify() passes, the replay refuses.
+#: Faults only the build shows: verify() passes, the build refuses.
 STRUCTURAL_FAULTS = [
     ("no subtree at level", lambda d: tampered(d, "level", 60),
      r"csv row 1 column 'level': no subtree-rooting node at level 60"),

@@ -243,8 +243,8 @@ CATALOGUED_BUT_UNREACHED = {
 def test_operations_metric_catalog_matches_a_live_front_door(tmp_path):
     """docs/OPERATIONS.md's metric catalog lists exactly the names of
     :data:`CATALOG_PREFIXES` a front door with both stores exports once
-    it has built (smoothed), read, written, flushed, merged, compacted
-    and synced, plus :data:`CATALOGUED_BUT_UNREACHED` — a renamed or
+    it has built (smoothed), reopened, read, written, flushed, merged,
+    compacted and synced, plus :data:`CATALOGUED_BUT_UNREACHED` — a renamed or
     deleted metric cannot live on in the table, and a new one cannot
     ship without a row."""
     import numpy as np
@@ -258,9 +258,13 @@ def test_operations_metric_catalog_matches_a_live_front_door(tmp_path):
     keys = np.arange(3_000, dtype=np.int64) ** 2
     registry = MetricsRegistry(enabled=True)
     with scoped_registry(registry):
-        service = IndexService.build(
-            keys, family="lipp", n_shards=2, alpha=0.1, staleness_threshold=0.05,
-            store=DurableStore(tmp_path / "data"), flush_threshold=100,
+        IndexService.build(
+            keys, family="lipp", n_shards=2, alpha=0.1, store=DurableStore(tmp_path / "data")
+        )
+        # The front door serves the reopened snapshot: each shard built
+        # from its base's CSV record.
+        service = IndexService.open_snapshot(
+            tmp_path / "data", staleness_threshold=0.05, flush_threshold=100,
             compaction="tiered:2",
         )
         with ServerThread(
