@@ -286,7 +286,7 @@ def smooth_keys_quadratic(
     On curved CDFs the quadratic starts from a much lower loss than
     the linear model, so fewer virtual points are needed; the paper's
     caveat applies — the model itself is costlier to evaluate at query
-    time (compare in ``bench_ablation_quadratic.py``).
+    time (the ``ablation_quadratic`` claim of ``benchmarks/paper.py``).
     """
     original = validate_keys(keys)
     lam = resolve_budget(original.size, alpha, budget)

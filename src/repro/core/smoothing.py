@@ -439,38 +439,40 @@ def smooth_keys_fixed_model(
     previous_loss = original_loss
     stopped_early = False
     while len(virtual) < lam:
-        best_value = None
-        best_loss = previous_loss
+        # With f fixed, inserting v at rank r keeps the errors below r,
+        # adds f(v) - r and lowers every error from r on by one, so each
+        # candidate's SSE is two prefix sums and one term.
+        err = model.predict_array(points) - np.arange(points.size, dtype=np.float64)
+        if virtual:
+            previous_loss = float(np.dot(err, err))
+        below = np.concatenate(([0.0], np.cumsum(err * err)))
+        above = np.concatenate((np.cumsum(((err - 1.0) ** 2)[::-1])[::-1], [0.0]))
         lows = points[:-1] + 1
         highs = points[1:] - 1
-        for i in np.nonzero(highs >= lows)[0]:
-            rank = i + 1
-            # With f fixed, the loss within a gap is quadratic in the
-            # candidate value with minimum at f^{-1}(rank); only the
-            # nearest admissible integers can win.
-            if model.slope != 0.0:
-                ideal = (rank - model.intercept) / model.slope
-            else:
-                ideal = float(lows[i])
-            for value in {
-                int(np.clip(np.floor(ideal), lows[i], highs[i])),
-                int(np.clip(np.ceil(ideal), lows[i], highs[i])),
-                int(lows[i]),
-                int(highs[i]),
-            }:
-                merged = np.insert(points, rank, value)
-                ranks = np.arange(merged.size, dtype=np.float64)
-                err = model.predict_array(merged) - ranks
-                loss = float(np.dot(err, err))
-                if loss < best_loss:
-                    best_loss = loss
-                    best_value = value
-        if best_value is None:
+        gaps = np.nonzero(highs >= lows)[0]
+        ranks = gaps + 1
+        lo, hi = lows[gaps], highs[gaps]
+        # The loss within a gap is quadratic in the value with its minimum
+        # at f^{-1}(rank); only the nearest admissible integers can win.
+        if model.slope != 0.0:
+            ideal = (ranks - model.intercept) / model.slope
+        else:
+            ideal = lo.astype(np.float64)
+        candidates = np.stack(
+            [np.clip(np.floor(ideal), lo, hi), np.clip(np.ceil(ideal), lo, hi), lo, hi], axis=1
+        ).astype(np.int64)
+        inserted = model.predict_array(candidates.ravel()).reshape(candidates.shape) - ranks[:, None]
+        losses = (below[ranks] + above[ranks])[:, None] + inserted * inserted
+        best = int(np.argmin(losses)) if losses.size else -1
+        if best < 0 or not losses.flat[best] < previous_loss:
             stopped_early = True
             break
+        best_value = int(candidates.flat[best])
         points = np.insert(points, int(np.searchsorted(points, best_value)), best_value)
         virtual.append(best_value)
-        previous_loss = best_loss
+    if virtual:
+        err = model.predict_array(points) - np.arange(points.size, dtype=np.float64)
+        previous_loss = float(np.dot(err, err))
     elapsed = time.perf_counter() - start
     return SmoothingResult(
         original_keys=original,

@@ -10,8 +10,9 @@ from .metrics import (
     relative_increase_pct,
     total_time_saved_ns,
 )
-from .reporting import ascii_table, format_float, results_dir, write_result
+from .reporting import ascii_table, format_float
 from .runner import (
+    ALPHAS,
     CsvExperimentRow,
     LevelTimeRow,
     run_alpha_sweep,
@@ -22,6 +23,7 @@ from .runner import (
 )
 
 __all__ = [
+    "ALPHAS",
     "CSV_FAMILIES",
     "CsvExperimentRow",
     "LevelTimeRow",
@@ -32,7 +34,6 @@ __all__ = [
     "node_reduction_pct",
     "promoted_percentage",
     "relative_increase_pct",
-    "results_dir",
     "run_alpha_sweep",
     "run_cardinality_sweep",
     "run_csv_experiment",

@@ -1,31 +1,12 @@
-"""ASCII reporting helpers for the benchmark harness.
-
-The benches print each reproduced table/figure as text (no plotting
-dependency is available offline) and tee the same content into
-``results/<name>.txt`` so EXPERIMENTS.md can reference stable outputs.
-"""
+"""ASCII reporting helpers: the paper's reproduced tables and figures
+are printed as text (``benchmarks/paper.py``), with no plotting
+dependency."""
 
 from __future__ import annotations
 
-import os
-from pathlib import Path
 from typing import Iterable, Sequence
 
-__all__ = ["ascii_table", "format_float", "results_dir", "write_result"]
-
-
-def results_dir() -> Path:
-    """Directory for result text files (created on demand).
-
-    Defaults to ``<repo>/results``; override with ``REPRO_RESULTS_DIR``.
-    """
-    root = os.environ.get("REPRO_RESULTS_DIR")
-    if root is None:
-        path = Path(__file__).resolve().parents[3] / "results"
-    else:
-        path = Path(root)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+__all__ = ["ascii_table", "format_float"]
 
 
 def format_float(value: float, digits: int = 2) -> str:
@@ -58,10 +39,3 @@ def _cell(value: object) -> str:
     if isinstance(value, float):
         return format_float(value)
     return str(value)
-
-
-def write_result(name: str, content: str) -> Path:
-    """Write *content* to ``results/<name>.txt`` and return the path."""
-    path = results_dir() / f"{name}.txt"
-    path.write_text(content + "\n")
-    return path

@@ -36,6 +36,7 @@ from .metrics import (
 )
 
 __all__ = [
+    "ALPHAS",
     "CsvExperimentRow",
     "LevelTimeRow",
     "run_csv_experiment",
@@ -44,6 +45,9 @@ __all__ = [
     "run_level_query_times",
     "run_readwrite_experiment",
 ]
+
+#: The paper's smoothing-threshold grid (Section 6.1).
+ALPHAS = (0.05, 0.1, 0.2, 0.4, 0.8)
 
 #: Cap on the promoted-key query sample per experiment (keeps pure
 #: Python runtimes sane; the averages converge well before this).
@@ -162,7 +166,7 @@ def run_csv_experiment(
 def run_alpha_sweep(
     family: str,
     dataset: str,
-    alphas: tuple[float, ...] = (0.05, 0.1, 0.2, 0.4, 0.8),
+    alphas: tuple[float, ...] = ALPHAS,
     n: int | None = None,
     seed: int = 0,
     constants: CostConstants | None = None,

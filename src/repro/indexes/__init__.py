@@ -9,7 +9,7 @@ take writes and answer ranges, so only they are served.
 from typing import Collection
 
 from ..core.exceptions import InvalidKeysError
-from .adapters import AlexCsvAdapter, LippCsvAdapter, SaliCsvAdapter, adapter_for
+from .adapters import AlexCsvAdapter, LippCsvAdapter, adapter_for
 from .alex import AlexDataNode, AlexIndex, AlexInnerNode
 from .base import BatchQueryStats, LearnedIndex, QueryStats
 from .btree import BPlusTree
@@ -64,7 +64,6 @@ __all__ = [
     "PlaSegment",
     "QueryStats",
     "RMIIndex",
-    "SaliCsvAdapter",
     "SaliIndex",
     "SortedArrayIndex",
     "adapter_for",

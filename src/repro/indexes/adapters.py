@@ -44,13 +44,13 @@ from .alex.index import AlexIndex
 from .alex.inner_node import AlexInnerNode
 from .lipp.index import LippIndex
 from .lipp.node import LippNode
-from .sali.index import SaliIndex
 
-__all__ = ["LippCsvAdapter", "SaliCsvAdapter", "AlexCsvAdapter", "adapter_for"]
+__all__ = ["LippCsvAdapter", "AlexCsvAdapter", "adapter_for"]
 
 
 class LippCsvAdapter:
-    """CSV adapter for :class:`~repro.indexes.lipp.index.LippIndex`.
+    """CSV adapter for :class:`~repro.indexes.lipp.index.LippIndex`,
+    SALI's included: SALI keeps LIPP's precise-position query path.
 
     Handles are :class:`LippNode` objects that root a subtree.  The
     root is never a handle (CSV stops at the second level from the
@@ -104,12 +104,6 @@ class LippCsvAdapter:
         merged.virtual_slots = m - keys.size
         self.index._replace_subtree(handle, merged)
         return levels
-
-
-class SaliCsvAdapter(LippCsvAdapter):
-    """CSV adapter for SALI — identical mechanics to LIPP (SALI keeps
-    LIPP's precise-position query path; flattened nodes are left
-    untouched because they are SALI's own optimisation)."""
 
 
 class AlexCsvAdapter:
@@ -197,8 +191,6 @@ class AlexCsvAdapter:
 
 def adapter_for(index, constants: CostConstants | None = None):
     """Pick the right CSV adapter for *index*."""
-    if isinstance(index, SaliIndex):
-        return SaliCsvAdapter(index)
     if isinstance(index, LippIndex):
         return LippCsvAdapter(index)
     if isinstance(index, AlexIndex):

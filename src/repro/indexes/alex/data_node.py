@@ -20,6 +20,7 @@ from typing import Iterator
 import numpy as np
 
 from ...core.linear_model import LinearModel, fit_linear
+from ..base import WeakParent
 
 __all__ = ["AlexDataNode", "InsertStatus"]
 
@@ -45,6 +46,8 @@ class InsertStatus(Enum):
 class AlexDataNode:
     """A gapped-array leaf node."""
 
+    parent = WeakParent()
+
     __slots__ = (
         "model",
         "slot_keys",
@@ -52,7 +55,7 @@ class AlexDataNode:
         "occupied",
         "level",
         "n_keys",
-        "parent",
+        "_parent",
         "parent_slot",
         "virtual_slots",
         "_expected_steps_cache",

@@ -14,6 +14,7 @@ from typing import Iterator, Union
 import numpy as np
 
 from ...core.linear_model import LinearModel
+from ..base import WeakParent
 from .data_node import AlexDataNode
 
 __all__ = ["AlexInnerNode", "AlexNode"]
@@ -24,7 +25,9 @@ AlexNode = Union["AlexInnerNode", AlexDataNode]
 class AlexInnerNode:
     """Routing node with ``fanout`` child pointers."""
 
-    __slots__ = ("model", "children", "level", "parent", "parent_slot")
+    parent = WeakParent()
+
+    __slots__ = ("__weakref__", "model", "children", "level", "_parent", "parent_slot")
 
     def __init__(self, model: LinearModel, fanout: int, level: int):
         self.model = model

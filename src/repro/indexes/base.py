@@ -36,6 +36,7 @@ call) and ``range_query``.  The baselines are read-only.
 
 from __future__ import annotations
 
+import weakref
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Sequence
@@ -50,6 +51,7 @@ __all__ = [
     "QueryStats",
     "BatchQueryStats",
     "LearnedIndex",
+    "WeakParent",
     "alloc_batch_outputs",
     "dedupe_last_wins",
     "group_runs",
@@ -391,3 +393,18 @@ class LearnedIndex(ABC):
                 f"{self.name}: lookup({int(batch.keys[i])}) returned {got}, "
                 f"expected {int(expected[i])}"
             )
+
+
+class WeakParent:
+    """A node's ``parent``, held as a weak reference: the link up and
+    the parent's ``children`` entry down form no reference cycle, so a
+    dropped tree or subtree is freed by reference count at once, not at
+    the cycle collector's next pass.  The owner keeps it in ``_parent``."""
+
+    def __get__(self, node, owner=None):
+        if node is None:
+            return self
+        return None if node._parent is None else node._parent()
+
+    def __set__(self, node, parent) -> None:
+        node._parent = None if parent is None else weakref.ref(parent)

@@ -38,13 +38,13 @@ writable arrays: an in-place write through the node is never lost.
 from __future__ import annotations
 
 import math
-import weakref
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from ...core.csv_algorithm import RecordedRebuilds
 from ...core.linear_model import LinearModel
+from ..base import WeakParent
 
 __all__ = ["SLOT_EMPTY", "SLOT_DATA", "SLOT_CHILD", "LippNode"]
 
@@ -250,21 +250,6 @@ def _layout_level(
         next_parent=seg_of[conflict].tolist(),
         next_slot=predicted[conflict].tolist(),
     )
-
-
-class WeakParent:
-    """A node's ``parent``, held as a weak reference: the link up and
-    the parent's ``children`` entry down form no reference cycle, so a
-    dropped tree or subtree is freed by reference count at once, not at
-    the cycle collector's next pass.  The owner keeps it in ``_parent``."""
-
-    def __get__(self, node, owner=None):
-        if node is None:
-            return self
-        return None if node._parent is None else node._parent()
-
-    def __set__(self, node, parent) -> None:
-        node._parent = None if parent is None else weakref.ref(parent)
 
 
 class LippNode:

@@ -21,8 +21,7 @@ from typing import Iterator
 import numpy as np
 
 from ...core.exceptions import IndexStateError
-from ..base import KEY_BYTES, NODE_HEADER_BYTES, VALUE_BYTES
-from ..lipp.node import WeakParent
+from ..base import KEY_BYTES, NODE_HEADER_BYTES, VALUE_BYTES, WeakParent
 from ..pgm import PlaSegment, build_pla_segments
 
 __all__ = ["FlattenedNode"]

@@ -190,6 +190,33 @@ class TestFixedModelAblation:
     def test_budget_respected(self, toy_keys):
         assert smooth_keys_fixed_model(toy_keys, budget=2).n_virtual <= 2
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_inserting_each_candidate(self, seed):
+        """The prefix-sum scoring picks what inserting every candidate
+        and summing its squared errors against the fixed model picks."""
+        keys = np.unique(np.random.default_rng(seed).integers(0, 5_000, 300))
+        result = smooth_keys_fixed_model(keys, budget=60)
+        model, loss = fit_and_loss(keys)
+        points = keys.astype(np.int64)
+        virtual = []
+        while len(virtual) < 60:
+            best_value, best_loss = None, loss
+            for i in np.nonzero(points[1:] - points[:-1] > 1)[0]:
+                rank, low, high = i + 1, points[i] + 1, points[i + 1] - 1
+                ideal = (rank - model.intercept) / model.slope
+                nearest = (np.clip(np.floor(ideal), low, high), np.clip(np.ceil(ideal), low, high))
+                for value in {int(nearest[0]), int(nearest[1]), int(low), int(high)}:
+                    err = model.predict_array(np.insert(points, rank, value)) - np.arange(points.size + 1)
+                    if float(np.dot(err, err)) < best_loss:
+                        best_value, best_loss = value, float(np.dot(err, err))
+            if best_value is None:
+                break
+            points = np.insert(points, int(np.searchsorted(points, best_value)), best_value)
+            virtual.append(best_value)
+            loss = best_loss
+        assert virtual and result.virtual_points == virtual
+        assert result.final_loss == loss
+
 
 # What the four greedy entry points returned at the commit before they
 # shared :func:`repro.core.smoothing.greedy_insert`: on the Fig. 2 toy

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from pathlib import Path
-
-from repro.evaluation.reporting import ascii_table, format_float, results_dir, write_result
+from repro.evaluation.reporting import ascii_table, format_float
 
 
 class TestAsciiTable:
@@ -35,22 +33,3 @@ class TestFormatFloat:
     def test_digits(self):
         assert format_float(1.23456, digits=4) == "1.2346"
 
-
-class TestWriteResult:
-    def test_roundtrip(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
-        path = write_result("unit_test", "hello")
-        assert path.read_text() == "hello\n"
-        assert path.parent == tmp_path
-
-    def test_results_dir_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path / "sub"))
-        out = results_dir()
-        assert out == tmp_path / "sub"
-        assert out.exists()
-
-    def test_default_results_dir_inside_repo(self, monkeypatch):
-        monkeypatch.delenv("REPRO_RESULTS_DIR", raising=False)
-        out = results_dir()
-        assert out.name == "results"
-        assert (out.parent / "pyproject.toml").exists()

@@ -17,10 +17,10 @@ from repro.indexes import (
     BPlusTree,
     LippCsvAdapter,
     LippIndex,
-    SaliCsvAdapter,
     SaliIndex,
     adapter_for,
 )
+from repro.indexes.alex.data_node import AlexDataNode
 from repro.indexes.alex.inner_node import AlexInnerNode
 from repro.indexes.lipp.node import LippNode
 
@@ -36,13 +36,13 @@ def _all_handles(adapter) -> list:
 class TestAdapterFor:
     def test_dispatch(self, small_keys):
         assert isinstance(adapter_for(LippIndex.build(small_keys)), LippCsvAdapter)
-        assert isinstance(adapter_for(SaliIndex.build(small_keys)), SaliCsvAdapter)
+        assert isinstance(adapter_for(SaliIndex.build(small_keys)), LippCsvAdapter)
         assert isinstance(adapter_for(AlexIndex.build(small_keys)), AlexCsvAdapter)
 
-    def test_sali_before_lipp(self, small_keys):
-        """SALI subclasses LIPP — dispatch must pick the subclass."""
+    def test_sali_shares_lipps_adapter(self, small_keys):
+        """SALI subclasses LIPP and smooths through LIPP's adapter."""
         adapter = adapter_for(SaliIndex.build(small_keys))
-        assert type(adapter) is SaliCsvAdapter
+        assert type(adapter) is LippCsvAdapter
 
     def test_unknown_raises(self, small_keys):
         with pytest.raises(IndexStateError):
@@ -66,7 +66,6 @@ class TestLippAdapter:
 
     def test_keys_decide_the_rebuild(self):
         assert LippCsvAdapter.rebuild_depends_on_keys_alone
-        assert SaliCsvAdapter.rebuild_depends_on_keys_alone
 
     def test_collect_keys_sorted(self, clustered_keys):
         index = LippIndex.build(clustered_keys)
@@ -198,6 +197,34 @@ class TestAlexAdapter:
         assert demoted == 0  # the merge only lifts
         for key in keys.tolist():
             assert index.lookup(key) == key
+
+    def test_replaced_subtrees_are_freed_without_the_cycle_collector(self, clustered_keys):
+        """``child.parent`` is weak in ALEX too, so the inner nodes a
+        merge replaces leave nothing for ``gc`` to find."""
+        index = AlexIndex.build(clustered_keys)
+        gc.collect()
+        gc.disable()
+        try:
+            report = apply_csv(adapter_for(index), CsvConfig(alpha=0.2))
+            alive = sum(isinstance(obj, (AlexInnerNode, AlexDataNode)) for obj in gc.get_objects())
+        finally:
+            gc.enable()
+        assert report.nodes_rebuilt > 0
+        assert alive == index.node_count()
+
+    def test_a_dropped_index_is_freed_without_the_cycle_collector(self, clustered_keys):
+        """Dropping the last reference to an ALEX index (a closed
+        service, a shard a merge replaced) frees every node at once."""
+        index = AlexIndex.build(clustered_keys)
+        assert index.node_count() > 1
+        gc.collect()
+        gc.disable()
+        try:
+            del index
+            alive = sum(isinstance(obj, (AlexInnerNode, AlexDataNode)) for obj in gc.get_objects())
+        finally:
+            gc.enable()
+        assert alive == 0
 
 
 @pytest.mark.parametrize("cls", [LippIndex, SaliIndex, AlexIndex])

@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.csv_algorithm import CsvConfig, CsvReport, _examine, apply_csv
 from repro.datasets import generate
-from repro.indexes import INDEX_FAMILIES, LippCsvAdapter, SaliCsvAdapter, adapter_for
+from repro.indexes import INDEX_FAMILIES, LippCsvAdapter, adapter_for
 from repro.indexes.alex.inner_node import AlexInnerNode
 from repro.indexes.lipp.node import LippNode
 
@@ -151,7 +151,7 @@ class _DeclineDownTo:
 
 
 @pytest.mark.parametrize("floor", [2, 3])
-@pytest.mark.parametrize("family, base", [("lipp", LippCsvAdapter), ("sali", SaliCsvAdapter)])
+@pytest.mark.parametrize("family, base", [("lipp", LippCsvAdapter), ("sali", LippCsvAdapter)])
 def test_scripted_declines_send_the_walk_deep(family, base, floor):
     adapter_cls = type("Declining", (_DeclineDownTo, base), {"floor": floor})
     keys = _keys("osm", 4_000)
