@@ -16,8 +16,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.csv_algorithm import CsvConfig, apply_csv
 from repro.datasets import DATASETS, generate
 from repro.indexes import CSV_FAMILIES, INDEX_FAMILIES
+from repro.indexes.adapters import adapter_for
 from repro.indexes.alex import AlexIndex
 from repro.indexes.lipp.flat import FlatLipp
 from repro.obs.metrics import MetricsRegistry, scoped_registry
@@ -262,3 +264,25 @@ class TestReplayedReopen:
             assert replayed.stats.merges == smoothed.stats.merges > 0
             queries = np.concatenate([dataset_keys, *batches, dataset_keys + 1])
             assert_same_answers(replayed, smoothed, queries, range_pairs)
+
+
+@pytest.mark.parametrize("family", ["alex", "lipp"])
+def test_a_merge_leaves_no_deeper_keys_than_merging_in_place(family, dataset_keys, rng):
+    """Σ key levels of a shard merged by the service are at most those
+    of the same shard after ``bulk_insert_many`` of the same buffer and
+    CSV again."""
+    values = dataset_keys * 3 + 1
+    with IndexService.build(
+        dataset_keys, family=family, n_shards=1, values=values, alpha=ALPHA,
+        staleness_threshold=10.0,
+    ) as service:
+        in_place = INDEX_FAMILIES[family].build(dataset_keys, values)
+        apply_csv(adapter_for(in_place), CsvConfig(alpha=ALPHA))
+        batch = writes(rng, dataset_keys)
+        service.insert_many(batch, -batch)
+        in_place.bulk_insert_many(np.unique(batch), -np.unique(batch))
+        apply_csv(adapter_for(in_place), CsvConfig(alpha=ALPHA))
+        service.flush()
+        keys = np.union1d(dataset_keys, batch)
+        merged = service.router.shards[0]
+        assert merged.key_levels(keys).sum() <= in_place.key_levels(keys).sum()
