@@ -58,7 +58,7 @@ from .indexes import (
     adapter_for,
 )
 from .serving import IndexService, ShardRouter, plan_shards
-from .store import DurableStore, make_strategy
+from .store import DurableStore
 
 __version__ = "1.0.0"
 
@@ -93,7 +93,6 @@ __all__ = [
     "fit_linear",
     "generate",
     "load",
-    "make_strategy",
     "plan_shards",
     "poison_keys",
     "run_csv_experiment",

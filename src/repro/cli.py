@@ -39,7 +39,6 @@ from .datasets import DATASETS, load, summarize
 from .evaluation import ascii_table, run_csv_experiment, run_level_query_times
 from .indexes import CSV_FAMILIES, INDEX_FAMILIES
 from .obs.log import LOG_FORMATS, configure_logging, get_logger
-from .store import make_strategy
 
 __all__ = ["main", "build_parser"]
 
@@ -73,16 +72,6 @@ def _int_in(low: int, high: int | None = None):
         return value
 
     return parse
-
-
-def _compaction(spec: str) -> str:
-    """An argparse ``type=`` checking ``--compaction`` with the store's
-    own parser, :func:`~repro.store.make_strategy`."""
-    try:
-        make_strategy(spec)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return spec
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -150,13 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --data-dir: freeze a shard's unflushed writes into "
              "a durable run once N accumulate (0 = only flush on "
              "merge/close); default 4096",
-    )
-    p_serve.add_argument(
-        "--compaction", type=_compaction, default="tiered", metavar="STRATEGY",
-        help="with --data-dir: compaction strategy run after each merge — "
-             "'tiered' (size-tiered bin-pack, default), 'sortmerge' "
-             "(full fold into fresh bases), optionally with a run "
-             "bound like 'tiered:8' / 'sortmerge:4'",
     )
     p_serve.add_argument(
         "--http", action="store_true",
@@ -297,7 +279,6 @@ def _make_service(args: argparse.Namespace):
             store,
             staleness_threshold=args.staleness,
             flush_threshold=args.flush_threshold,
-            compaction=args.compaction,
         )
         _say(
             f"data dir: opened generation {service.durable_generation()} from "
@@ -314,13 +295,11 @@ def _make_service(args: argparse.Namespace):
         staleness_threshold=args.staleness,
         store=store,
         flush_threshold=args.flush_threshold,
-        compaction=args.compaction if store is not None else None,
     )
     if store is not None:
         _say(
             f"data dir: initialised {store.data_dir} at generation "
-            f"{service.durable_generation()} (compaction {args.compaction}, "
-            f"flush threshold {args.flush_threshold})"
+            f"{service.durable_generation()} (flush threshold {args.flush_threshold})"
         )
     return service
 

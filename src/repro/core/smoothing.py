@@ -453,9 +453,10 @@ def smooth_keys_fixed_model(
         ranks = gaps + 1
         lo, hi = lows[gaps], highs[gaps]
         # The loss within a gap is quadratic in the value with its minimum
-        # at f^{-1}(rank); only the nearest admissible integers can win.
+        # at f^{-1}(rank) = pivot + (rank - intercept) / slope; only the
+        # nearest admissible integers can win.
         if model.slope != 0.0:
-            ideal = (ranks - model.intercept) / model.slope
+            ideal = model.pivot + (ranks - model.intercept) / model.slope
         else:
             ideal = lo.astype(np.float64)
         candidates = np.stack(

@@ -18,11 +18,12 @@ caller's thread): ``insert_many`` lands in the per-shard memtables
 (last write wins); with a store attached, a shard whose unflushed
 writes reach ``flush_threshold`` freezes them into a run; and when a
 shard's staleness ``buffered / stored`` crosses the threshold the
-memtable is flushed, merged into the shard, the shard re-smoothed
-with its own α, and the run stack compacted — all
-before ``insert_many`` returns, so merge timing (and with it the
-``levels`` / ``search_steps`` / buffered-hit telemetry) is a function
-of the write history alone.
+memtable is flushed, folded with the shard's stored pairs, the shard
+built anew from the fold and smoothed with its own α, and the fold
+written as the shard's base with CSV's record — all before
+``insert_many`` returns, so merge timing (and with it the ``levels`` /
+``search_steps`` / buffered-hit telemetry) is a function of the write
+history alone.
 
 One ledger (telemetry): :class:`ServiceStats` plus one int64 count per
 ``[shard, levels, search_steps]`` — what a read *observed*, the
@@ -70,16 +71,13 @@ from ..obs.health import (
 )
 from ..obs.metrics import Histogram, MetricsRegistry, get_registry, metric_key
 from .partitioner import build_shard_indexes, plan_shards
-from ..store import (
-    MANIFEST_NAME,
-    CompactionStrategy,
-    DurableStore,
-    StoreCorruptionError,
-    make_strategy,
-)
+from ..store import MANIFEST_NAME, DurableStore, StoreCorruptionError
 from .router import ShardRouter
 
 __all__ = ["IndexService", "ServiceStats"]
+
+#: Every int64 key: a range over it is a shard's whole contents.
+_INT64_SPAN = (int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max))
 
 
 @dataclass
@@ -95,6 +93,8 @@ class ServiceStats:
     resmoothed_shards: int = 0
     flushes: int = 0
     flushed_keys: int = 0
+    #: 0: a merge rebases its shard, and nothing compacts.  Kept while
+    #: the benchmark ladder reads it from ``/v1/stats``.
     compactions: int = 0
 
 
@@ -121,6 +121,13 @@ class _Memtable:
         #: (keys, values, batch numbers, newest batch number)
         self._view = (empty, empty, empty, 0)
         self._flushed = 0
+
+    def restore(self, runs: Iterable[tuple[np.ndarray, np.ndarray]]) -> None:
+        """Put back runs already on disk (a reopen), oldest first: each
+        is one batch, and all of them are flushed."""
+        for keys, values in runs:
+            self.put_run(keys, values)
+        self._flushed = self._view[3]
 
     def put_run(self, keys: np.ndarray, values: np.ndarray) -> None:
         """Absorb one write batch (batch order, last write wins)."""
@@ -179,7 +186,6 @@ class IndexService:
         metrics: MetricsRegistry | None = None,
         store: DurableStore | None = None,
         flush_threshold: int = 0,
-        compaction: CompactionStrategy | str | None = None,
     ):
         if store is not None:
             manifest = store.manifest
@@ -223,20 +229,12 @@ class IndexService:
         #: Durability (see ``repro.store``): *store* already holds these
         #: shards (``build(store=)`` wrote them, or ``open_snapshot``
         #: read them).  Each memtable knows which of its entries are not
-        #: yet in a run on disk; merges flush first (a merge folds the
-        #: memtable into in-memory structure, the state a crash loses).
-        #: ``flush_threshold > 0`` freezes a shard's unflushed writes
-        #: into a run once that many accumulate; *compaction* (a
-        #: strategy or a CLI spec like ``"tiered"`` / ``"sortmerge:4"``)
-        #: runs after every flush-on-merge.  Both need a store.
+        #: yet in a run on disk; merges flush first, then write their
+        #: fold as the shard's base.  ``flush_threshold > 0`` (with a
+        #: store) freezes a shard's unflushed writes into a run once
+        #: that many accumulate.
         self._store = store
-        self._flush_threshold = 0
-        self._compaction: CompactionStrategy | None = None
-        if store is not None:
-            self._flush_threshold = int(flush_threshold)
-            self._compaction = (
-                make_strategy(compaction) if isinstance(compaction, str) else compaction
-            )
+        self._flush_threshold = int(flush_threshold) if store is not None else 0
 
     # ------------------------------------------------------------------
     # Construction
@@ -253,7 +251,6 @@ class IndexService:
         metrics: MetricsRegistry | None = None,
         store: DurableStore | None = None,
         flush_threshold: int = 0,
-        compaction: CompactionStrategy | str | None = None,
     ) -> "IndexService":
         """Partition → smooth → build → route, in one call.
 
@@ -283,7 +280,6 @@ class IndexService:
             metrics=metrics,
             store=store,
             flush_threshold=flush_threshold,
-            compaction=compaction,
         )
 
     @classmethod
@@ -293,23 +289,24 @@ class IndexService:
         staleness_threshold: float = 0.1,
         metrics: MetricsRegistry | None = None,
         flush_threshold: int = 0,
-        compaction: CompactionStrategy | str | None = None,
+        compaction: object = None,
     ) -> "IndexService":
         """Recover a service from a durable data directory.
 
         The inverse of :meth:`snapshot`: the manifest supplies the
-        family, shard boundaries and per-shard smoothing α, and
-        :meth:`DurableStore.build_shard` rebuilds every shard from its
-        base snapshot through the family's ``build``.  A shard whose
-        base records CSV's rebuilds and has no run on top is built with
-        that record, smoothed in the one pass that lays its keys out,
-        and Algorithm 1 does not run.  Any other shard replays
-        its outstanding runs through ``bulk_insert_many`` — the same
-        vectorised ingest path live merges use — and is smoothed anew
-        with its recorded α.  The router is built over them.
-        A manifest naming a family that is not served raises
-        :class:`StoreCorruptionError`.  The store stays attached, so
-        subsequent writes keep flushing into the same directory.
+        family, shard boundaries and per-shard α, and
+        :meth:`DurableStore.build_shard` builds each shard from its
+        base with the base's record of CSV's rebuilds, so Algorithm 1
+        does not run (a base without one, from before merges rebased
+        their shard, is smoothed here).  Each shard's runs go back
+        into its write buffer, flushed, as the live service held them;
+        a buffer restored past the staleness threshold (a crash
+        between a merge's flush and its rebase, or an older
+        directory) is merged now.  A manifest naming a family that is
+        not served raises :class:`StoreCorruptionError`.  The store
+        stays attached.  *compaction* is accepted and ignored: a merge
+        leaves no run to compact, and the benchmark ladder's
+        in-process stack still passes it.
         """
         if not isinstance(store, DurableStore):
             store = DurableStore(store, metrics=metrics)
@@ -331,7 +328,7 @@ class IndexService:
             if shard is not None and not recorded and alpha is not None and alpha > 0.0:
                 apply_csv(adapter_for(shard), CsvConfig(alpha=alpha))
             shards.append(shard)
-        return cls(
+        service = cls(
             ShardRouter(shards, np.asarray(manifest.boundaries, dtype=np.int64)),
             manifest.family,
             manifest.alphas,
@@ -339,8 +336,12 @@ class IndexService:
             metrics=metrics,
             store=store,
             flush_threshold=flush_threshold,
-            compaction=compaction,
         )
+        for shard_no, buffer in enumerate(service._buffers):
+            buffer.restore(store.load_runs(shard_no))
+            if service._due(shard_no)[1]:
+                service._merge_shard(shard_no)
+        return service
 
     # ------------------------------------------------------------------
     # Introspection
@@ -401,13 +402,12 @@ class IndexService:
     def snapshot(self) -> int:
         """Commit the full service state durably; returns the generation.
 
-        Unflushed writes freeze into runs, then a full sort-merge
-        compaction folds base + runs into fresh bases, so the
-        directory reopens with zero replay.
+        Every non-empty write buffer is merged (:meth:`flush`), which
+        writes its shard's fold as a base recording CSV's rebuilds, so
+        the directory holds no run and reopens without Algorithm 1.
         """
         store = self._require_store()
-        self.flush_durable()
-        self.stats.compactions += store.compact(make_strategy("sortmerge"))
+        self.flush()
         return store.generation
 
     def flush_durable(self) -> int:
@@ -531,57 +531,57 @@ class IndexService:
         return buffered / max(stored, 1)
 
     def _merge_shard(self, shard_no: int) -> None:
-        """Merge one shard's buffer into its index and re-smooth.
+        """Merge one shard's buffer: build the shard anew and smooth it.
 
-        Runs on the inserting caller's thread, start to finish.
-        The shard absorbs the memtable in place through
-        ``bulk_insert_many``; with a per-shard α it is re-smoothed
-        afterwards — the online counterpart of the paper's
-        one-shot preprocessing.
+        Runs on the inserting caller's thread, start to finish.  With
+        a store the buffer is flushed first, so a write is durable at
+        the same point whether or not the merge completes.  The
+        shard's stored pairs and the buffer fold into one sorted array
+        (last write wins), the family builds the shard from it, and
+        CSV smooths it with the shard's α.  With a store, the fold and
+        CSV's record then become the shard's base
+        (:meth:`DurableStore.rebase`), so the base on disk is the
+        index served.  Then the router publishes the new shard.
         """
-        bkeys, bvals, mark = self._buffers[shard_no].snapshot()
-        if not bkeys.size:
+        buffer = self._buffers[shard_no]
+        if not len(buffer):
             return
         start = time.perf_counter()
-        self._run_merge(shard_no, bkeys, bvals, mark)
-        # A real instrument, not a pulled one: the ladder reads its sum.
-        if self.metrics.enabled:
-            self._h_merge_s.observe(time.perf_counter() - start)
-
-    def _run_merge(
-        self, shard_no: int, bkeys: np.ndarray, bvals: np.ndarray, mark: int
-    ) -> None:
-        # Flush-on-merge: the buffer is about to fold into a rebuilt
-        # in-memory structure — exactly the state a crash would lose —
-        # so its unflushed entries become a durable run first.
         if self._store is not None:
             self._flush_shards((shard_no,))
-        merged = self.router.shards[shard_no]
-        if merged is None:
-            merged = family_class(self.family).build(bkeys, bvals)
-        else:
-            # The one batch ingest seam (the store's replay uses it
-            # too): the touched nodes/subtrees are sorted-merge-rebuilt
-            # in one sweep.
-            merged.bulk_insert_many(bkeys, bvals)
+        bkeys, bvals, mark = buffer.snapshot()
+        keys, values = self._fold(shard_no, bkeys, bvals)
+        merged = family_class(self.family).build(keys, values)
+        report = None
         alpha = self.alphas[shard_no]
         if alpha is not None and alpha > 0.0:
-            apply_csv(adapter_for(merged), CsvConfig(alpha=alpha))
+            report = apply_csv(adapter_for(merged), CsvConfig(alpha=alpha))
             self.stats.resmoothed_shards += 1
-        # Publication: the router (re)compiles what the merge staled
-        # here, under the writer, not on the first query after it.
+        if self._store is not None:
+            self._store.rebase(
+                shard_no, keys, values, None if report is None else report.decisions()
+            )
+        # Publication: the router compiles the new shard here, under
+        # the writer, not on the first query after it.
         self.router.replace_shard(shard_no, merged)
         self.stats.merges += 1
         self.stats.merged_keys += int(bkeys.size)
         # Drop exactly what was merged: a write that landed mid-merge
         # is numbered past the mark and stays buffered for the next one.
-        self._buffers[shard_no].drop_through(mark)
-        # Staleness crossed the merge threshold, so the on-disk run
-        # stack just grew too — let the compactor fold it back down.
-        if self._store is not None and self._compaction is not None:
-            self.stats.compactions += self._store.compact(
-                self._compaction, shard=shard_no
-            )
+        buffer.drop_through(mark)
+        # A real instrument, not a pulled one: the ladder reads its sum.
+        if self.metrics.enabled:
+            self._h_merge_s.observe(time.perf_counter() - start)
+
+    def _fold(
+        self, shard_no: int, bkeys: np.ndarray, bvals: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The shard's stored pairs with *bkeys* written over them, sorted."""
+        shard = self.router.shards[shard_no]
+        if shard is None:
+            return bkeys, bvals
+        keys, values = shard.range_query(*_INT64_SPAN)
+        return dedupe_last_wins(np.concatenate([keys, bkeys]), np.concatenate([values, bvals]))
 
     def flush(self) -> None:
         """Merge every non-empty buffer now."""

@@ -1,4 +1,4 @@
-"""Durable snapshots + LSM-style compaction for the serving layer.
+"""Durable snapshots for the serving layer.
 
 The serving stack is memory-resident: shards rebuild from the dataset
 at startup and absorbed writes live in write buffers.  This package
@@ -13,10 +13,13 @@ repo's sorted-int64 world:
   state change commits by write-temp-then-rename, so a ``kill -9``
   at any instant leaves a directory that reopens to the newest fully
   committed generation;
+* a **rebase** makes a service merge's fold — the shard's stored pairs
+  with its write buffer over them — the shard's new base, recording
+  CSV's rebuilds, and retires the old base and its runs in the same
+  commit; recovery builds each shard from its base with that record
+  and puts the runs back into the write buffer;
 * a **compactor** (size-tiered or full sort-merge, pluggable) folds
-  runs back down, and recovery replays outstanding runs through the
-  served families' ``bulk_insert_many`` — the same vectorised ingest
-  path live merges use.
+  runs down for a store driven directly — the service never calls it.
 
 ``docs/PERSISTENCE.md`` specifies the on-disk format;
 ``docs/OPERATIONS.md`` covers the operator knobs and the

@@ -13,14 +13,15 @@ Every mutation follows the same discipline: write new immutable
 files, commit a new manifest generation referencing them, *then*
 delete whatever the commit superseded.  Opening a directory therefore
 needs no journal replay — load the manifest, sweep unreferenced files
-(half-written flushes, compaction leftovers), done.
+(half-written flushes, rebase and compaction leftovers), done.
 
 The store is deliberately ignorant of the serving layer: it moves
 ``(keys, values)`` int64 arrays and builds bare index objects through
-the families' ``build`` / ``bulk_insert_many`` ingest paths; a base
-that records CSV's rebuilds hands the record to ``build``
-(:class:`~repro.core.csv_algorithm.RecordedRebuilds`), which lays the
-smoothed index out in one pass.
+the families' ``build``.  A service's merge writes its fold as the
+shard's new base (:meth:`DurableStore.rebase`), so a base holds the
+shard's index as served and records CSV's rebuilds on it
+(:class:`~repro.core.csv_algorithm.RecordedRebuilds`), which ``build``
+lays out in one pass; a run is the flushed part of a write buffer.
 ``IndexService.snapshot`` / ``open_snapshot`` own the mapping between
 a live service and a store.
 """
@@ -52,13 +53,6 @@ if TYPE_CHECKING:  # pragma: no cover - hints only
     from ..indexes.base import LearnedIndex
 
 __all__ = ["DurableStore"]
-
-
-def _run_stats(keys: np.ndarray) -> tuple[int, int, int]:
-    """(n_keys, min_key, max_key) with -1 sentinels for empty."""
-    if keys.size == 0:
-        return 0, -1, -1
-    return int(keys.size), int(keys[0]), int(keys[-1])
 
 
 class DurableStore:
@@ -122,6 +116,33 @@ class DurableStore:
         self._metrics.gauge("store_generation").set(self.generation)
         self._metrics.gauge("store_runs_outstanding").set(self.runs_outstanding())
 
+    def _write(
+        self,
+        name: str,
+        kind: str,
+        shard: int,
+        generation: int,
+        keys: np.ndarray,
+        values: np.ndarray,
+        csv: np.ndarray | None = None,
+    ) -> RunMeta:
+        """Write one sorted-unique pair as file *name*; returns its
+        manifest entry (live once a commit references it), with -1
+        bounds for an empty pair."""
+        checksum, size = write_run_file(self.data_dir, name, keys, values, csv)
+        lo, hi = (int(keys[0]), int(keys[-1])) if keys.size else (-1, -1)
+        return RunMeta(
+            name=name,
+            kind=kind,
+            shard=shard,
+            generation=generation,
+            n_keys=int(keys.size),
+            min_key=lo,
+            max_key=hi,
+            checksum=checksum,
+            size_bytes=size,
+        )
+
     # ------------------------------------------------------------------
     # Initialise: first full snapshot
     # ------------------------------------------------------------------
@@ -157,21 +178,7 @@ class DurableStore:
             ):
                 keys, values = sorted_unique_run(keys, values)
                 name = f"base-s{shard:04d}-g{1:08d}.npz"
-                checksum, size = write_run_file(self.data_dir, name, keys, values, record)
-                n, lo, hi = _run_stats(keys)
-                artefacts.append(
-                    RunMeta(
-                        name=name,
-                        kind="base",
-                        shard=shard,
-                        generation=1,
-                        n_keys=n,
-                        min_key=lo,
-                        max_key=hi,
-                        checksum=checksum,
-                        size_bytes=size,
-                    )
-                )
+                artefacts.append(self._write(name, "base", shard, 1, keys, values, record))
             manifest = Manifest(
                 generation=1,
                 family=str(family),
@@ -214,22 +221,8 @@ class DurableStore:
                         f"(store has {manifest.n_shards})"
                     )
                 name = f"run-g{generation:08d}-s{shard:04d}.npz"
-                checksum, size = write_run_file(self.data_dir, name, keys, values)
-                n, lo, hi = _run_stats(keys)
-                flushed_keys += n
-                artefacts.append(
-                    RunMeta(
-                        name=name,
-                        kind="run",
-                        shard=shard,
-                        generation=generation,
-                        n_keys=n,
-                        min_key=lo,
-                        max_key=hi,
-                        checksum=checksum,
-                        size_bytes=size,
-                    )
-                )
+                flushed_keys += int(keys.size)
+                artefacts.append(self._write(name, "run", shard, generation, keys, values))
             if not artefacts:
                 return manifest.generation
             crashpoint("flush.before_commit")
@@ -247,6 +240,46 @@ class DurableStore:
             return self._manifest.generation
 
     # ------------------------------------------------------------------
+    # Rebase: a merge's fold becomes the shard's base
+    # ------------------------------------------------------------------
+    def rebase(
+        self,
+        shard: int,
+        keys: np.ndarray,
+        values: np.ndarray,
+        csv: np.ndarray | None = None,
+    ) -> int:
+        """Make a merge's fold the shard's base; returns the new gen.
+
+        ``(keys, values)`` hold the shard's base and every run on it
+        (last write winning), so one commit replaces those files with
+        the new base, which records *csv* (``CsvReport.decisions()`` of
+        CSV on an index built from the pairs; None if not smoothed).
+        Write → commit → unlink, like a compaction plan, and not
+        counted as one.
+        """
+        with self._lock:
+            manifest = self._require_manifest()
+            if not 0 <= shard < manifest.n_shards:
+                raise IndexStateError(
+                    f"rebase of unknown shard {shard} (store has {manifest.n_shards})"
+                )
+            generation = manifest.generation + 1
+            keys, values = sorted_unique_run(keys, values)
+            name = f"base-s{shard:04d}-g{generation:08d}.npz"
+            meta = self._write(name, "base", shard, generation, keys, values, csv)
+            crashpoint("rebase.after_write")
+            stale = {m.name for m in manifest.artefacts if m.shard == shard}
+            self._manifest = commit_manifest(
+                self.data_dir, manifest.with_artefacts(add=(meta,), remove_names=stale)
+            )
+            crashpoint("rebase.after_commit")
+            for name in stale:
+                (self.data_dir / name).unlink(missing_ok=True)
+            self._publish_gauges()
+            return generation
+
+    # ------------------------------------------------------------------
     # Compaction
     # ------------------------------------------------------------------
     def compact(
@@ -254,10 +287,11 @@ class DurableStore:
     ) -> int:
         """Plan with *strategy* and execute; returns plans executed.
 
-        Each plan is its own commit (write merged file → commit
-        manifest → delete superseded inputs), so a crash between plans
-        loses at most the not-yet-committed one and never corrupts
-        the committed state.
+        A service never compacts (its merges rebase instead).  Each
+        plan is its own commit (write merged file → commit manifest →
+        delete superseded inputs), so a crash between plans loses at
+        most the not-yet-committed one and never corrupts the
+        committed state.
         """
         executed = 0
         with self._lock:
@@ -288,9 +322,6 @@ class DurableStore:
             name = f"base-s{plan.shard:04d}-g{generation:08d}.npz"
         else:
             name = f"run-g{generation:08d}-s{plan.shard:04d}.npz"
-        checksum, size = write_run_file(self.data_dir, name, keys, values)
-        crashpoint("compact.after_write")
-        n, lo, hi = _run_stats(keys)
         # The merged run replaces its inputs but must sort *before*
         # any younger surviving run, so it inherits the oldest input
         # generation rather than taking the commit's.
@@ -299,17 +330,8 @@ class DurableStore:
             if plan.output_kind == "base"
             else min(m.generation for m in plan.inputs)
         )
-        meta = RunMeta(
-            name=name,
-            kind=plan.output_kind,
-            shard=plan.shard,
-            generation=out_generation,
-            n_keys=n,
-            min_key=lo,
-            max_key=hi,
-            checksum=checksum,
-            size_bytes=size,
-        )
+        meta = self._write(name, plan.output_kind, plan.shard, out_generation, keys, values)
+        crashpoint("compact.after_write")
         self._manifest = commit_manifest(
             self.data_dir,
             manifest.with_artefacts(
@@ -337,63 +359,52 @@ class DurableStore:
     def load_shard_arrays(self, shard: int) -> tuple[np.ndarray, np.ndarray]:
         """The shard's merged ``(keys, values)`` — base + runs, last wins."""
         with self._lock:
-            manifest = self._require_manifest()
-            parts_k = []
-            parts_v = []
-            base = manifest.base_for(shard)
-            stack = ((base,) if base is not None else ()) + manifest.runs_for(shard)
-            for meta in stack:
-                k, v = read_run_file(self.data_dir, meta.name, meta.checksum)
-                parts_k.append(k)
-                parts_v.append(v)
-        if not parts_k:
+            base = self._require_manifest().base_for(shard)
+            parts = [] if base is None else [read_run_file(self.data_dir, base.name, base.checksum)]
+            parts += self.load_runs(shard)
+        if not parts:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty.copy()
-        return sorted_unique_run(np.concatenate(parts_k), np.concatenate(parts_v))
+        keys, values = zip(*parts)
+        return sorted_unique_run(np.concatenate(keys), np.concatenate(values))
+
+    def load_runs(self, shard: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The shard's outstanding runs as ``(keys, values)``, oldest first."""
+        with self._lock:
+            manifest = self._require_manifest()
+            return [
+                read_run_file(self.data_dir, m.name, m.checksum)
+                for m in manifest.runs_for(shard)
+            ]
 
     def build_shard(
         self, shard: int, family_cls: "type[LearnedIndex]"
     ) -> "tuple[LearnedIndex | None, bool]":
-        """Rebuild one shard's index: base ``build`` + per-run bulk ingest.
+        """Build one shard's index from its base through the family's ``build``.
 
-        This is the recovery half of the LSM contract: the base
-        snapshot bulk-loads through the family's ``build`` and every
-        outstanding run replays through ``bulk_insert_many`` — the
-        same vectorised ingest path live merges use — in commit
-        order, so duplicates resolve exactly as they did in memory.
-        A base that records CSV's rebuilds (``csv``) and has no run
-        on top is built with the record (:class:`~repro.core.
-        csv_algorithm.RecordedRebuilds`): the index is then the
-        smoothed one its build made, laid out once, without running
-        Algorithm 1.  Returns the index (None for a shard with no keys
-        at all, mirroring :func:`repro.serving.partitioner.
-        build_shard_indexes`) and whether the record built it — if
-        not, smoothing it is the caller's.  Each call is one
+        Runs are not read: they are the flushed part of a write buffer,
+        which the caller restores (:meth:`load_runs`).  A base that
+        records CSV's rebuilds (``csv``) is built with the record
+        (:class:`~repro.core.csv_algorithm.RecordedRebuilds`): the
+        index is then the smoothed one its build made, laid out once,
+        without running Algorithm 1.  Returns the index (None for a
+        shard whose base has no keys, mirroring
+        :func:`repro.serving.partitioner.build_shard_indexes`) and
+        whether the record built it — if not, smoothing it is the
+        caller's.  Each call is one
         ``store_build_shard_seconds{recorded=…}`` observation.
         """
         started = time.perf_counter()
         with self._lock:
-            manifest = self._require_manifest()
-            base = manifest.base_for(shard)
-            runs = manifest.runs_for(shard)
+            base = self._require_manifest().base_for(shard)
             keys, values, csv = (
                 read_base_file(self.data_dir, base.name, base.checksum)
                 if base is not None
                 else (np.empty(0, np.int64), np.empty(0, np.int64), None)
             )
-            run_arrays = [
-                read_run_file(self.data_dir, m.name, m.checksum) for m in runs
-            ]
-        recorded = bool(keys.size) and csv is not None and not run_arrays
+        recorded = bool(keys.size) and csv is not None
         record = RecordedRebuilds(csv, keys, base.name) if recorded else None
         index = family_cls.build(keys, values, record=record) if keys.size else None
-        for rk, rv in run_arrays:
-            if rk.size == 0:
-                continue
-            if index is None:
-                index = family_cls.build(rk, rv)
-            else:
-                index.bulk_insert_many(rk, rv)
         if self._metrics.enabled:
             self._metrics.histogram(
                 "store_build_shard_seconds", recorded=str(recorded).lower()

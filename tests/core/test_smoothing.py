@@ -203,7 +203,7 @@ class TestFixedModelAblation:
             best_value, best_loss = None, loss
             for i in np.nonzero(points[1:] - points[:-1] > 1)[0]:
                 rank, low, high = i + 1, points[i] + 1, points[i + 1] - 1
-                ideal = (rank - model.intercept) / model.slope
+                ideal = model.pivot + (rank - model.intercept) / model.slope
                 nearest = (np.clip(np.floor(ideal), low, high), np.clip(np.ceil(ideal), low, high))
                 for value in {int(nearest[0]), int(nearest[1]), int(low), int(high)}:
                     err = model.predict_array(np.insert(points, rank, value)) - np.arange(points.size + 1)
@@ -216,6 +216,19 @@ class TestFixedModelAblation:
             loss = best_loss
         assert virtual and result.virtual_points == virtual
         assert result.final_loss == loss
+
+    def test_candidates_follow_the_pivot(self):
+        """The fixed model is ``slope·(k − pivot) + intercept``: shifting
+        every key moves the pivot with them and every pick by the same
+        amount, and leaves each loss as it was."""
+        keys = np.unique(np.random.default_rng(3).integers(0, 5_000, 300))
+        keys -= keys[0]  # pivot 0
+        at_zero = smooth_keys_fixed_model(keys, budget=60)
+        shifted = smooth_keys_fixed_model(keys + 1_000_000, budget=60)
+        assert at_zero.model.pivot == 0 and shifted.model.pivot == 1_000_000
+        assert at_zero.virtual_points
+        assert shifted.virtual_points == [v + 1_000_000 for v in at_zero.virtual_points]
+        assert shifted.final_loss == at_zero.final_loss
 
 
 # What the four greedy entry points returned at the commit before they

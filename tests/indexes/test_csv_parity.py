@@ -181,7 +181,7 @@ def test_second_pass_is_a_fixed_point(family, dataset):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_merge_then_resmooth_three_deep(family):
-    """What ``IndexService._run_merge`` does to a shard, three times."""
+    """An in-place merge (``bulk_insert_many``) and CSV again, three times."""
     rng = np.random.default_rng(11)
     pool = rng.permutation(_keys("osm", 3_900))
     keys = np.sort(pool[:3_000])

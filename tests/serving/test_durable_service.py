@@ -1,4 +1,4 @@
-"""IndexService ↔ DurableStore: snapshot, reopen, flush, compaction.
+"""IndexService ↔ DurableStore: snapshot, reopen, flush, rebase.
 
 The serving-layer half of the durability contract: ``snapshot()``
 commits exactly what the service would answer, ``open_snapshot()``
@@ -24,8 +24,8 @@ from repro.core.exceptions import IndexStateError
 from repro.indexes import CSV_FAMILIES, INDEX_FAMILIES, LippIndex
 from repro.indexes.adapters import adapter_for
 from repro.serving import IndexService
-from repro.store import MANIFEST_NAME, DurableStore, make_strategy
-from repro.store.runs import read_run_file, write_run_file
+from repro.store import MANIFEST_NAME, DurableStore
+from repro.store.runs import read_base_file, read_run_file, write_run_file
 
 FAMILY = "lipp"
 N_SHARDS = 3
@@ -102,9 +102,12 @@ class TestSnapshotRoundtrip:
             assert reopened.n_keys == keyset.size
 
     def test_snapshot_fully_compacts(self, tmp_path, rng, keyset):
+        """``snapshot()`` merges every buffer: each shard's runs fold
+        into its base, and nothing is left buffered."""
         store = DurableStore(tmp_path / "data")
         with IndexService.build(
-            keyset, family=FAMILY, n_shards=N_SHARDS, store=store
+            keyset, family=FAMILY, n_shards=N_SHARDS, store=store,
+            staleness_threshold=10.0,
         ) as service:
             for batch in fresh_batches(rng, keyset, n_batches=3):
                 service.insert_many(batch)
@@ -112,6 +115,7 @@ class TestSnapshotRoundtrip:
             assert store.runs_outstanding() > 0
             service.snapshot()
             assert store.runs_outstanding() == 0
+            assert service.buffered_counts() == (0,) * N_SHARDS
 
     def test_open_snapshot_requires_manifest(self, tmp_path):
         with pytest.raises(IndexStateError, match="no snapshot to open"):
@@ -136,7 +140,7 @@ class TestSnapshotRoundtrip:
                     other, family=FAMILY, n_shards=n_shards, store=DurableStore(data_dir)
                 )
             assert {path.name: path.read_bytes() for path in data_dir.iterdir()} == before
-        with IndexService.open_snapshot(data_dir) as reopened:
+        with IndexService.open_snapshot(data_dir, staleness_threshold=10.0) as reopened:
             assert reopened.durable_generation() == generation > 1
             assert bool(reopened.lookup_many(np.concatenate([keyset, batch])).found.all())
             assert not reopened.lookup_many(other).found.any()
@@ -276,20 +280,23 @@ class TestFlushPaths:
             assert bool(got.found.all())
             assert np.array_equal(got.values, probe * 5)
 
-    def test_staleness_merge_flushes_and_compacts(self, tmp_path, rng, keyset):
+    def test_staleness_merge_flushes_and_rebases(self, tmp_path, rng, keyset):
+        """A merge flushes its buffer, then writes the fold as the
+        shard's base with CSV's record: no run is left, and nothing is
+        compacted."""
+        store = DurableStore(tmp_path / "data")
         with IndexService.build(
-            keyset, family=FAMILY, n_shards=1,
-            store=DurableStore(tmp_path / "data"),
-            compaction=make_strategy("sortmerge"),
+            keyset, family=FAMILY, n_shards=1, alpha=0.1, store=store,
             staleness_threshold=0.01,
         ) as service:
             for batch in fresh_batches(rng, keyset, n_batches=4, size=200):
                 service.insert_many(batch, batch * 2)
-            assert service.stats.merges > 0
-            assert service.stats.flushes > 0
-            # The post-merge trigger sort-merged every flushed run away.
-            assert service.stats.compactions > 0
-            assert service.store.runs_outstanding() == 0
+            assert service.stats.merges == service.stats.flushes == 4
+            assert service.stats.compactions == 0
+            assert store.runs_outstanding() == 0
+            base = store.manifest.base_for(0)
+            keys, values, csv = read_base_file(store.data_dir, base.name, base.checksum)
+            assert keys.size == keyset.size + 800 and csv is not None and csv.size
 
     def test_flush_durable_is_idempotent(self, tmp_path, rng, keyset):
         batch = fresh_batches(rng, keyset, n_batches=1)[0]
@@ -368,11 +375,9 @@ class TestEveryFamilyReopensItsRuns:
     def test_reopen_answers_as_the_live_service(self, tmp_path, rng, keyset, family):
         """Writes below the staleness threshold, ``flush_durable()``,
         ``close()``: the directory holds runs, and every served family
-        replays them through its ``bulk_insert_many``.
-        The reopened service finds what the live one found before
-        close; its levels and search steps are the live service's once
-        that has merged the same writes (α None, so the merge is the
-        only difference between the two)."""
+        puts them back into its write buffers.  The reopened service
+        answers as the live one did before close, levels and search
+        steps included, and again once both have merged the writes."""
         batch = np.concatenate([fresh_batches(rng, keyset, n_batches=1, size=120)[0], keyset[::40]])
         queries = np.concatenate([rng.choice(keyset, 300), batch, batch + 1])
         live = IndexService.build(
@@ -385,12 +390,15 @@ class TestEveryFamilyReopensItsRuns:
         before_close = _answers(live, queries)
         live.close()
         assert live.store.runs_outstanding() > 0
-        live.flush()  # the same writes, merged in memory
-        merged = _answers(live, queries)
-        with IndexService.open_snapshot(tmp_path / "data") as reopened:
-            got = _answers(reopened, queries)
-        assert got[:2] == before_close[:2]
-        assert got == merged
+        shutil.copytree(tmp_path / "data", tmp_path / "copy")  # both merge below
+        with IndexService.open_snapshot(
+            tmp_path / "copy", staleness_threshold=10.0
+        ) as reopened:
+            assert reopened.buffered_counts() == live.buffered_counts()
+            assert _answers(reopened, queries) == before_close
+            reopened.flush()
+            live.flush()
+            assert _answers(reopened, queries) == _answers(live, queries)
 
 
 class TestColdConcurrentReads:

@@ -14,7 +14,7 @@ that never touches the forest:
   ``(shard, levels, steps)`` and priced it on demand.
 
 The second half pins rule (b): the forest is built where a shard is
-published — construction, ``open_snapshot``, ``_run_merge`` — and a
+published — construction, ``open_snapshot``, ``_merge_shard`` — and a
 read never compiles anything.
 """
 
@@ -290,10 +290,7 @@ class TestWritesStayVisible:
         service.flush()
         assert service.buffered_counts() == (0, 0, 0, 0) and service.stats.merges > 0
         kept = [shard._flat is view for shard, view in zip(service.router.shards, views)]
-        if structural or alpha is not None:
-            assert not all(kept)  # a conflict child or a re-smooth rebuilt something
-        else:
-            assert all(kept)  # in-place: the shard views were never invalidated
+        assert not any(kept)  # every merge builds its shard anew
         everything = np.union1d(keys, new_keys)
         routed = service.router.lookup_many(everything)
         assert isinstance(routed.gathered, ForestBatch)  # one sweep, not the fallback
@@ -575,7 +572,7 @@ class TestNoLazyBuildOnTheReadPath:
 
             new_keys = np.setdiff1d(rng.choice(keys, 400) + 1, keys)
             reopened.insert_many(new_keys)
-            reopened.flush()  # _run_merge -> replace_shard
+            reopened.flush()  # _merge_shard -> replace_shard
             assert reopened.stats.merges > 0
             self._first_reads_compile_nothing(reopened, registry, new_keys)
             reopened.close()

@@ -13,6 +13,8 @@ bytes of its slot arrays.
 
 from __future__ import annotations
 
+import shutil
+
 import numpy as np
 import pytest
 
@@ -233,6 +235,9 @@ class TestReplayedReopen:
             assert_serves(reopened, content, range_pairs)
 
     def test_outstanding_runs_smooth_again(self, family, dataset_keys, snapshots, rng, range_pairs):
+        """Runs past the staleness threshold (a directory written before
+        merges rebased their shard) are merged at open: Algorithm 1
+        runs on each such shard, and its fold becomes its base."""
         values, replaying, __ = snapshots
         content = dict(zip(dataset_keys.tolist(), values.tolist()))
         batch = writes(rng, dataset_keys)
@@ -242,8 +247,9 @@ class TestReplayedReopen:
             content.update(zip(batch.tolist(), (batch * 5).tolist()))
         with scoped_registry(MetricsRegistry(enabled=True)) as registry:
             reopened = IndexService.open_snapshot(replaying)
-            assert reopened.store.runs_outstanding() > 0
             assert smooth_runs(registry) > 0
+            assert reopened.stats.merges > 0
+            assert reopened.store.runs_outstanding() == 0
         with reopened:
             assert_serves(reopened, content, range_pairs)
 
@@ -264,6 +270,78 @@ class TestReplayedReopen:
             assert replayed.stats.merges == smoothed.stats.merges > 0
             queries = np.concatenate([dataset_keys, *batches, dataset_keys + 1])
             assert_same_answers(replayed, smoothed, queries, range_pairs)
+
+
+@pytest.mark.parametrize("family", sorted(CSV_FAMILIES))
+class TestReopenEqualsLive:
+    """A merge writes its fold as the shard's base with CSV's record,
+    and a reopen puts the runs back into the write buffers: after
+    merges, flushes and a crash, the reopened service is the live one."""
+
+    def test_after_merges_flushes_and_a_crash(self, family, dataset_keys, rng, tmp_path):
+        live_dir = tmp_path / "live"
+        with scoped_registry(MetricsRegistry(enabled=True)) as registry:
+            live = IndexService.build(
+                dataset_keys, family=family, n_shards=N_SHARDS, values=dataset_keys * 3 + 1,
+                alpha=ALPHA, store=DurableStore(live_dir), flush_threshold=40,
+            )
+            rebases = np.zeros(N_SHARDS, dtype=np.int64)
+            rebase = live.store.rebase
+
+            def counted(shard, *args):
+                rebases[shard] += 1
+                return rebase(shard, *args)
+
+            live.store.rebase = counted
+            stored = dataset_keys
+            for round_no in range(8):
+                batch = writes(rng, stored)
+                live.insert_many(batch, batch + round_no)
+                stored = np.union1d(stored, batch)
+            live.insert_many(stored[::23] + 1, stored[::23])  # left buffered, then flushed
+            live.flush_durable()
+            assert bool(np.all(rebases >= 2))
+            assert live.store.runs_outstanding() > 0
+            shutil.copytree(live_dir, tmp_path / "crashed")  # a power cut: no close()
+            smoothed = smooth_runs(registry)
+            reopened = IndexService.open_snapshot(tmp_path / "crashed")
+            assert smooth_runs(registry) == smoothed
+        generation = reopened.durable_generation()
+        assert reopened.flush_durable() == generation
+        assert reopened.stats.merges == 0
+        assert reopened.buffered_counts() == live.buffered_counts()
+        absent = np.setdiff1d(rng.integers(int(stored[0]), int(stored[-1]), 500), stored)
+        for queries in (stored, stored + 1, absent):
+            got, want = reopened.lookup_many(queries), live.lookup_many(queries)
+            for field in ("found", "values", "levels", "search_steps"):
+                assert np.array_equal(getattr(got, field), getattr(want, field)), field
+        assert_same_arrays(reopened, live)
+
+    def test_a_directory_with_runs_past_the_threshold(self, family, dataset_keys, rng, tmp_path):
+        """The layout written before merges rebased their shard: bases
+        without a record, runs on them past the staleness threshold.
+        The reopen merges those shards and answers as a dict does."""
+        values = dataset_keys * 3 + 1
+        write_without_csv(tmp_path / "old", dataset_keys, values, family)
+        store = DurableStore(tmp_path / "old")
+        content = dict(zip(dataset_keys.tolist(), values.tolist()))
+        for round_no in range(2):
+            batch = writes(rng, dataset_keys)
+            shard_of = np.searchsorted(store.manifest.boundaries, batch, side="right")
+            store.append_runs({
+                shard: (batch[shard_of == shard], batch[shard_of == shard] + round_no)
+                for shard in range(N_SHARDS)
+            })
+            content.update(zip(batch.tolist(), (batch + round_no).tolist()))
+        with IndexService.open_snapshot(tmp_path / "old") as reopened:
+            assert reopened.stats.merges == N_SHARDS
+            assert reopened.store.runs_outstanding() == 0
+            want_keys = np.asarray(sorted(content), dtype=np.int64)
+            got = reopened.lookup_many(np.concatenate([want_keys, want_keys + 1]))
+            found = want_keys.size
+            assert bool(got.found[:found].all())
+            assert got.values[:found].tolist() == [content[k] for k in want_keys.tolist()]
+            assert got.found[found:].tolist() == [k + 1 in content for k in want_keys.tolist()]
 
 
 @pytest.mark.parametrize("family", ["alex", "lipp"])

@@ -2,7 +2,8 @@
 
 Each test launches a subprocess that runs a deterministic workload
 with ``REPRO_STORE_CRASH`` armed immediately before its final
-operation, so SIGKILL lands *inside* a flush or a compaction.  The
+operation, so SIGKILL lands *inside* a flush, a compaction or a
+rebase (a merge's fold written as a shard's new base).  The
 parent then reopens the half-written directory and asserts bit-parity
 — per-shard merged arrays and manifest generation — against an
 uninterrupted twin stopped at the boundary the crash point implies:
@@ -65,7 +66,10 @@ def run_workload(data_dir, n_flushes, compact, arm=None):
     if compact != "none":
         if arm and arm[0] == "compact":
             os.environ["REPRO_STORE_CRASH"] = arm[1]
-        store.compact(make_strategy(compact))
+        if compact == "rebase":
+            store.rebase(0, *store.load_shard_arrays(0))
+        else:
+            store.compact(make_strategy(compact))
     return store
 """.format(family=FAMILY)
 
@@ -161,6 +165,35 @@ class TestCrashMidCompaction:
         assert recovered.verify() == len(recovered.manifest.artefacts)
 
 
+# Crash points inside a rebase, split by the manifest commit.
+REBASE_BEFORE_COMMIT = [
+    "run.after_tmp", "run.after_rename", "rebase.after_write", "manifest.before_rename",
+]
+REBASE_AFTER_COMMIT = ["manifest.after_rename", "rebase.after_commit"]
+
+
+class TestCrashMidRebase:
+    @pytest.mark.parametrize("point", REBASE_BEFORE_COMMIT)
+    def test_pre_commit_crash_leaves_base_and_runs_live(self, tmp_path, point):
+        rc = crash_child(tmp_path / "crash", 4, "rebase", ("compact", point))
+        assert rc == -9, f"expected SIGKILL at {point}, got rc={rc}"
+        twin = run_workload(tmp_path / "twin", 4, "none")  # rebase lost
+        parity(tmp_path / "crash", twin)
+        assert DurableStore(tmp_path / "crash").runs_outstanding() == 4 * 2
+
+    @pytest.mark.parametrize("point", REBASE_AFTER_COMMIT)
+    def test_post_commit_crash_keeps_the_new_base(self, tmp_path, point):
+        # The commit stands even though the superseded base and runs
+        # were never unlinked: the reopen sweeps them.
+        rc = crash_child(tmp_path / "crash", 4, "rebase", ("compact", point))
+        assert rc == -9
+        twin = run_workload(tmp_path / "twin", 4, "rebase")  # rebase durable
+        parity(tmp_path / "crash", twin)
+        recovered = DurableStore(tmp_path / "crash")
+        assert len(recovered.manifest.runs_for(0)) == 0
+        assert len(recovered.manifest.runs_for(1)) == 4
+
+
 class TestUninterruptedControl:
     def test_workload_without_arming_just_runs(self, tmp_path):
         store = run_workload(tmp_path / "d", 3, "sortmerge")
@@ -169,7 +202,7 @@ class TestUninterruptedControl:
 
 
 OPS = st.lists(
-    st.sampled_from(["flush0", "flush1", "flushboth", "tiered", "sortmerge"]),
+    st.sampled_from(["flush0", "flush1", "flushboth", "tiered", "sortmerge", "merge"]),
     min_size=1,
     max_size=8,
 )
@@ -203,6 +236,9 @@ def test_any_prefix_of_completed_generations_reopens_cleanly(ops):
                 store.append_runs({1: batch(i, 1)})
             elif op == "flushboth":
                 store.append_runs({0: batch(i, 0), 1: batch(i, 1)})
+            elif op == "merge":  # flush-on-merge, then the fold as the base
+                store.append_runs({i % 2: batch(i, i % 2)})
+                store.rebase(i % 2, *store.load_shard_arrays(i % 2))
             elif op == "tiered":
                 store.compact(make_strategy("tiered:2"))
             else:

@@ -162,13 +162,16 @@ def test_replay_refuses_a_record_the_index_does_not_fit(family, keyset, tmp_path
         store.build_shard(0, INDEX_FAMILIES[family])
 
 
-def test_runs_on_top_ignore_the_record(family, keyset, tmp_path):
-    """A run outstanding: the base builds, the run replays, and
-    smoothing is the caller's (the record describes the base alone)."""
+def test_runs_on_top_keep_the_record(family, keyset, tmp_path):
+    """A run outstanding: the base still builds from its record (the
+    record describes the base alone), and the run is the caller's to
+    put back in a write buffer (``load_runs``)."""
     keys, values, decisions = keyset
     store = one_shard_store(tmp_path / "data", family, keys, values, decisions)
     fresh = np.asarray([int(keys[-1]) + 1, int(keys[-1]) + 2], dtype=np.int64)
     store.append_runs({0: (fresh, fresh)})
     index, replayed = store.build_shard(0, INDEX_FAMILIES[family])
-    assert not replayed
-    assert index.n_keys == keys.size + 2
+    assert replayed
+    assert index.n_keys == keys.size
+    [(run_keys, run_values)] = store.load_runs(0)
+    assert np.array_equal(run_keys, fresh) and np.array_equal(run_values, fresh)

@@ -115,6 +115,7 @@ UNREFERENCED_ON_PURPOSE = {
     "Histogram.bucket_counts": "read side of the fixed bucket layout (the instrument tests' oracle)",
     "DurableStore.load_shard_arrays": "a shard's logical content without building an index",
     "DurableStore.verify": "the restore drill in docs/OPERATIONS.md; the crash suite's integrity check",
+    "make_strategy": "parses a compaction spec for DurableStore.compact, which only a store driven directly calls (ROADMAP item 7)",
 }
 
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -243,8 +244,8 @@ CATALOGUED_BUT_UNREACHED = {
 def test_operations_metric_catalog_matches_a_live_front_door(tmp_path):
     """docs/OPERATIONS.md's metric catalog lists exactly the names of
     :data:`CATALOG_PREFIXES` a front door with both stores exports once
-    it has built (smoothed), reopened, read, written, flushed, merged,
-    compacted and synced, plus :data:`CATALOGUED_BUT_UNREACHED` — a renamed or
+    it has built (smoothed), reopened, read, written, flushed, merged
+    (rebased) and synced, plus :data:`CATALOGUED_BUT_UNREACHED` — a renamed or
     deleted metric cannot live on in the table, and a new one cannot
     ship without a row."""
     import numpy as np
@@ -265,16 +266,14 @@ def test_operations_metric_catalog_matches_a_live_front_door(tmp_path):
         # from its base's CSV record.
         service = IndexService.open_snapshot(
             tmp_path / "data", staleness_threshold=0.05, flush_threshold=100,
-            compaction="tiered:2",
         )
         with ServerThread(
             service, registry=registry, store=RuntimeStore(tmp_path / "runtime.db")
         ) as srv, HttpIndexClient(srv.host, srv.port) as client:
             client.lookup(keys[:10].tolist())
-            # The first batch is over a quarter of its shard (a bulk
-            # rebuild), the later ones are not (gapped merges).
-            # Each batch crosses the flush threshold, so each insert
-            # also syncs the op log.
+            # Each batch crosses the staleness threshold (a merge,
+            # which rebases its shard) and the flush threshold, so each
+            # insert also syncs the op log.
             for start in range(0, 1_200, 400):
                 client.insert((int(keys[-1]) + 1 + np.arange(start, start + 400)).tolist())
             views = (registry.counters(), registry.gauges(), registry.histograms())

@@ -156,12 +156,13 @@ class TestCli:
             ["--seed", "1"],
             ["--metrics-out", "x"],
             ["--metrics-every-s", "5"],
+            ["--compaction", "tiered"],
         ],
         ids=[
             "cache-blocks", "threads", "executor-thread",
             "executor-process", "workers", "replicas", "timeout-s",
             "compare", "zipf", "metrics-every", "ops", "read-frac", "batch",
-            "seed", "metrics-out", "metrics-every-s",
+            "seed", "metrics-out", "metrics-every-s", "compaction",
         ],
     )
     def test_serve_rejects_removed_flags(self, removed, capsys):
@@ -185,9 +186,8 @@ class TestCli:
             ["--max-inflight", "0"],
             ["--max-pending", "-1"],
             ["--port", "70000"],
-            ["--compaction", "bogus"],
         ],
-        ids=["max-inflight", "max-pending", "port", "compaction"],
+        ids=["max-inflight", "max-pending", "port"],
     )
     def test_serve_rejects_out_of_range_values_before_building(
         self, bad, tmp_path, monkeypatch, capsys
