@@ -25,10 +25,11 @@ beneath the handle *now* (``_subtree_profile``), so its descendants
 must be settled before it is priced: children-first.
 
 Node construction is shared with the families' builds: a LIPP/SALI
-:meth:`install` lays its node out with the same
-``LippNode.from_keys_leveled`` call that lays out a recorded rebuild
-when a build consumes CSV's record, and ALEX's uses
-``AlexDataNode.from_smoothed``, as ``AlexIndex._build_node`` does there.
+:meth:`install` lays its node out with the same ``lay_out`` level loop
+that lays out a recorded rebuild when a build consumes CSV's record
+(``LippNode.from_keys_leveled`` makes the nodes of its arrays), and
+ALEX's uses ``AlexDataNode.from_smoothed``, as ``AlexIndex._build_node``
+does there.
 """
 
 from __future__ import annotations

@@ -11,8 +11,9 @@ through the index's key order (``LippIndex._key_order``); the node
 objects serve per-key ``insert`` / ``lookup_stats`` (the scalar walk
 the parity tests use as their oracle).
 
-:class:`FlatLipp` compiles the tree into contiguous level-ordered
-arrays:
+:class:`FlatLipp` holds the tree as contiguous level-ordered arrays —
+written by the build itself (:meth:`FlatLipp.build`), or compiled from
+the node objects after a structural edit (:meth:`FlatLipp.compile`):
 
 * per node (BFS order, so each level occupies one contiguous id
   range): ``node_level``, the model coefficients ``node_a`` /
@@ -22,7 +23,10 @@ arrays:
   are bit-identical to :meth:`LinearModel.predict`), ``node_last`` (the
   node's last slot, as the float the prediction is clamped to), and the
   CSR-style ``slot_start`` offsets mapping node ``i`` to its slot range
-  ``[slot_start[i], slot_start[i+1])``;
+  ``[slot_start[i], slot_start[i+1])``; and ``node_subtree_keys`` /
+  ``node_virtual_slots``, the two counts a node object is made with
+  (:meth:`FlatLipp.materialize`; once the nodes exist, theirs are the
+  counts writes keep);
 * per slot (concatenated in node order): ``slot_type`` /
   ``slot_keys`` / ``slot_values`` exactly as in the nodes, plus
   ``slot_child`` (int32: it is the largest array a view owns outright)
@@ -44,34 +48,38 @@ count: its cost follows the batch and the levels it descends.
 
 **Who owns the slot buffers: build -> shard view -> forest.**  A node's
 ``slot_type`` / ``slot_keys`` / ``slot_values`` are always views into
-buffers someone else allocated, and the owner changes twice:
+buffers someone else allocated, and the owner changes at most twice:
 
-1. *The build.*  A :meth:`~repro.indexes.lipp.node.LippNode.from_keys`
-   build allocates one buffer per level; its nodes are views into it.
-2. *The shard's view.*  ``compile`` walks the tree once (breadth-first,
-   collecting one ``(parent id, slot, child id)`` triple per CHILD slot,
-   scattered into ``slot_child`` in one assignment), concatenates the
-   slot arrays into buffers the new view owns, and re-points every
-   node at views into them; the level buffers die with their last view.
-3. *The forest.*  :meth:`FlatLipp.concat` — the one view a router
+1. *The shard's view.*  A LIPP build lays its tree out as this view's
+   arrays (:func:`~repro.indexes.lipp.node.lay_out`), so the view owns
+   the slot buffers from the start and there are no nodes to point at
+   them.  Nodes made later (:meth:`materialize`) are views into them.
+   A tree that a structural edit changed is ``compile``-d instead: it
+   is walked once (breadth-first, collecting one ``(parent id, slot,
+   child id)`` triple per CHILD slot, scattered into ``slot_child`` in
+   one assignment), its slot arrays are concatenated into buffers the
+   new view owns, and every node is re-pointed at views into them.
+2. *The forest.*  :meth:`FlatLipp.concat` — the one view a router
    sweeps for all its shards — allocates the buffers for every tree at
-   once, a region each, and re-points each shard's view, and through it
-   each node, at its region: ``compile``'s contract one level up.  A
-   tree that was only :meth:`FlatLipp.walk`-ed (everything but step 2's
-   buffers) goes from level buffers to forest buffers directly, and a
-   shard that a merge changed structurally is walked again and written
-   back over its own region (:meth:`FlatLipp.replace_tree`).  The
-   (immutable) node arrays are handed over the same way; what the
-   forest holds beside the shards' copies is its own ``slot_child``
-   (their mappings with every id shifted) and ``slot_start``.
+   once, a region each, copies each shard's view into its region and
+   re-points the view at it; a view with node objects has each node
+   re-pointed too, and a built view has none, so placing it is array
+   copies alone.  A tree that was only :meth:`FlatLipp.walk`-ed
+   (everything but step 1's buffers) goes from its nodes' slots to
+   forest buffers directly, and a shard that a merge changed
+   structurally is walked again and written back over its own region
+   (:meth:`FlatLipp.replace_tree`).  The (immutable) node arrays are
+   handed over the same way; what the forest holds beside the shards'
+   copies is its own ``slot_child`` (their mappings with every id
+   shifted) and ``slot_start``.
 
-At every stage there is one copy of the slots, the node objects remain
-the authoritative mutable structure, and an in-place slot write — an
-EMPTY slot filled by ``insert`` or the gapped merge, a DATA value
-overwritten — through a node, a shard's view or the forest is seen by
-all three with no invalidation.  (Which is why nothing derived from the
-slots is cached on a view: it would go stale unnoticed.  A range's key
-order lives on the index, which makes every write.)  Only
+At every stage there is one copy of the slots, the node objects (once
+made) are the authoritative mutable structure, and an in-place slot
+write — an EMPTY slot filled by ``insert`` or the gapped merge, a DATA
+value overwritten — through a node, a shard's view or the forest is
+seen by all three with no invalidation.  (Which is why nothing derived
+from the slots is cached on a view: it would go stale unnoticed.  A
+range's key order lives on the index, which makes every write.)  Only
 *structural* changes — a conflict child created, a subtree rebuilt, a
 hot subtree flattened, a flattened leaf re-segmented — stale the
 compiled mapping; the index drops its view and recompiles lazily, and a
@@ -99,22 +107,25 @@ from typing import Sequence
 
 import numpy as np
 
-from ...core.exceptions import IndexStateError
-from ...core.linear_model import (
-    LinearModel,
-    QuadraticModel,
-    delta_may_wrap,
-    exact_delta,
-)
+from ...core.csv_algorithm import RecordedRebuilds
+from ...core.linear_model import delta_may_wrap, exact_delta
 from ..base import alloc_batch_outputs, group_runs
-from .node import SLOT_CHILD, SLOT_DATA, SLOT_EMPTY, LippNode
+from .node import (
+    NO_CHILD,
+    SLOT_CHILD,
+    SLOT_DATA,
+    SLOT_EMPTY,
+    LippNode,
+    lay_out,
+    materialize,
+    model_coefficients,
+)
 
 __all__ = ["FlatLipp", "StaleFlatError"]
 
 #: ``slot_child`` encoding: ``>= 0`` is a node id, ``NO_CHILD`` marks a
 #: non-CHILD slot, and ``<= FLAT_LEAF_BASE`` encodes flattened-leaf
 #: index ``FLAT_LEAF_BASE - value``.
-NO_CHILD = -1
 FLAT_LEAF_BASE = -2
 
 #: Share of a tree's node / slot / leaf count a forest leaves unused
@@ -167,6 +178,8 @@ class FlatLipp:
         "node_c",
         "node_pivot",
         "node_last",
+        "node_subtree_keys",
+        "node_virtual_slots",
         "slot_start",
         "slot_type",
         "slot_keys",
@@ -180,13 +193,47 @@ class FlatLipp:
     )
 
     def __init__(self) -> None:
+        #: The node objects by id — empty for a built view until
+        #: :meth:`materialize` (and always for a forest).
         self.nodes: list[LippNode] = []
         self.leaves: list = []
         #: None until the slot buffers exist (see :meth:`walk`).
         self.slot_type: np.ndarray | None = None
 
     # ------------------------------------------------------------------
-    # Compilation
+    # Construction
+    # ------------------------------------------------------------------
+    @classmethod
+    def build(
+        cls,
+        keys: np.ndarray,
+        values: np.ndarray,
+        slot_factor: float,
+        record: RecordedRebuilds | None = None,
+    ) -> "FlatLipp":
+        """The view of the tree a LIPP build lays *keys* out into
+        (:func:`~repro.indexes.lipp.node.lay_out`, with CSV's *record*
+        if given), straight from the layout's arrays: no node object is
+        made until :meth:`materialize`."""
+        tree = lay_out(keys, values, 1, slot_factor, record=record)[0]
+        flat = cls()
+        for name, array in zip(tree._fields, tree):
+            setattr(flat, name, array)
+        flat.node_last = (np.diff(flat.slot_start) - 1).astype(np.float64)
+        flat.pivot_min, flat.pivot_max = int(flat.node_pivot.min()), int(flat.node_pivot.max())
+        return flat
+
+    def materialize(self) -> LippNode:
+        """The root of this view's node tree, made from the arrays on
+        the first call (:func:`~repro.indexes.lipp.node.materialize`:
+        the nodes' slot arrays are views into this view's buffers) and
+        published by one assignment of :attr:`nodes`."""
+        if not self.nodes:
+            self.nodes = materialize(self)
+        return self.nodes[0]
+
+    # ------------------------------------------------------------------
+    # Compilation (of a tree a structural edit changed)
     # ------------------------------------------------------------------
     @classmethod
     def compile(cls, root: LippNode) -> "FlatLipp":
@@ -216,28 +263,18 @@ class FlatLipp:
         link_slot: list[int] = []
         link_child: list[int] = []
         level: list[int] = []
-        a: list[float] = []
-        b: list[float] = []
-        c: list[float] = []
+        coefficients: list[tuple[float, float, float]] = []
         pivot: list[int] = []
+        subtree_keys: list[int] = []
+        virtual: list[int] = []
         # BFS: children are appended strictly after their parents, so
         # node ids are level-ordered and each level is contiguous.
         for head, node in enumerate(nodes):
-            model = node.model
-            if isinstance(model, LinearModel):
-                a.append(0.0)
-                b.append(model.slope)
-                c.append(model.intercept)
-            elif isinstance(model, QuadraticModel):
-                a.append(model.a)
-                b.append(model.b)
-                c.append(model.c)
-            else:
-                raise IndexStateError(
-                    f"cannot compile a {type(model).__name__} node model"
-                )
-            pivot.append(model.pivot)
+            coefficients.append(model_coefficients(node.model))
+            pivot.append(node.model.pivot)
             level.append(node.level)
+            subtree_keys.append(node.n_subtree_keys)
+            virtual.append(node.virtual_slots)
             if not node.children:
                 continue
             for slot, child in sorted(node.children.items()):
@@ -250,10 +287,10 @@ class FlatLipp:
                     link_child.append(len(nodes))
                     nodes.append(child)
         flat.node_level = np.asarray(level, dtype=np.int64)
-        flat.node_a = np.asarray(a, dtype=np.float64)
-        flat.node_b = np.asarray(b, dtype=np.float64)
-        flat.node_c = np.asarray(c, dtype=np.float64)
+        flat.node_a, flat.node_b, flat.node_c = np.asarray(coefficients, dtype=np.float64).T.copy()
         flat.node_pivot = np.asarray(pivot, dtype=np.int64)
+        flat.node_subtree_keys = np.asarray(subtree_keys, dtype=np.int64)
+        flat.node_virtual_slots = np.asarray(virtual, dtype=np.int64)
         flat.pivot_min, flat.pivot_max = min(pivot), max(pivot)
         slot_start = np.zeros(len(nodes) + 1, dtype=np.int64)
         np.cumsum([node.slot_type.size for node in nodes], out=slot_start[1:])
@@ -332,7 +369,6 @@ class FlatLipp:
             [-1 if view is None else region[0] for view, region in zip(views, forest.regions)],
             dtype=np.int64,
         )
-        forest.nodes = [None] * n_nodes
         forest.leaves = [None] * n_leaves
         # A sweep never reads slack; ``slot_type``'s reads EMPTY so that
         # a scan over every slot finds nothing there.
@@ -365,13 +401,12 @@ class FlatLipp:
 
     def _place(self, tree: int, view: "FlatLipp") -> None:
         """Write *view* into region *tree* and re-point it there."""
-        node_off, node_cap, slot_off, __, leaf_off, leaf_cap = self.regions[tree]
+        node_off, __, slot_off, __, leaf_off, leaf_cap = self.regions[tree]
         n, n_slots, n_leaves = view.n_nodes, view.total_slots, len(view.leaves)
         old_slots = self.tree_sizes[tree]
         self.tree_sizes[tree] = n_slots
         self.pivot_min = min(self.pivot_min, view.pivot_min)
         self.pivot_max = max(self.pivot_max, view.pivot_max)
-        self.nodes[node_off : node_off + node_cap] = view.nodes + [None] * (node_cap - n)
         self.leaves[leaf_off : leaf_off + leaf_cap] = view.leaves + [None] * (leaf_cap - n_leaves)
         for name, __ in _NODE_ARRAYS:
             mine = getattr(self, name)[node_off : node_off + n]
@@ -383,11 +418,13 @@ class FlatLipp:
         child[child >= 0] += node_off
         child[child <= FLAT_LEAF_BASE] -= leaf_off
         # Each buffer is gathered before it is written: re-placed, the
-        # tree's surviving nodes are views into this very region.
+        # tree's surviving nodes are views into this very region.  A
+        # view that holds its buffers is copied as it is (an assignment
+        # between overlapping arrays is buffered by numpy).
         mine = []
         for (name, __), parts in zip(_SLOT_ARRAYS, view._slot_parts()):
             mine.append(getattr(self, name)[slot_off : slot_off + n_slots])
-            mine[-1][:] = np.concatenate(parts)
+            mine[-1][:] = parts[0] if len(parts) == 1 else np.concatenate(parts)
         del parts  # or the old per-node arrays outlive their replacements
         self.slot_type[slot_off + n_slots : slot_off + old_slots] = SLOT_EMPTY
         view._adopt_slots(*mine)
@@ -395,8 +432,9 @@ class FlatLipp:
     # ------------------------------------------------------------------
     @property
     def n_nodes(self) -> int:
-        """Number of (non-leaf) LIPP nodes in the compiled view."""
-        return len(self.nodes)
+        """Number of (non-leaf) LIPP nodes in the view (a forest's
+        slack included)."""
+        return int(self.node_level.size)
 
     @property
     def total_slots(self) -> int:

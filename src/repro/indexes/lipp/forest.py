@@ -11,8 +11,10 @@ to routing every key to its shard: the walk is the same walk, and
 ``levels`` count from 1 at the shard's root.
 
 The forest is a *read* view and is built eagerly, by the one writer:
-construction compiles any shard that has no view yet, and nothing is
-compiled or concatenated on a read.  It shares the slot buffers with
+a built shard's view is placed as it is (array copies; a built shard
+has no node objects to re-point), construction walks only a shard
+whose view a structural change dropped, and nothing is compiled or
+concatenated on a read.  It shares the slot buffers with
 the shards (see :mod:`~repro.indexes.lipp.flat`), so in-place slot
 writes — gap fills, value overwrites — need no rebuild; a structural
 change drops the shard's own view, which :meth:`LippForest.lookup_many`

@@ -12,11 +12,21 @@ There is one traversal per granularity.  Per key, ``insert`` /
 :class:`~repro.indexes.sali.index.SaliIndex` adds no walk of its own.
 Per batch, ``lookup_many`` / ``key_levels``, the sparse
 ``bulk_insert_many`` merge and the structure reports (``height``,
-``size_bytes`` …) run on the compiled flat view
-(:mod:`~repro.indexes.lipp.flat`), compiled lazily and dropped on every
-structural change, and ``range_query`` on its DATA slots in key order
+``size_bytes`` …) run on the flat view (:mod:`~repro.indexes.lipp.flat`),
+and ``range_query`` on its DATA slots in key order
 (:meth:`LippIndex._key_order`).  The shards of a service are additionally
 read through one :class:`~repro.indexes.lipp.forest.LippForest`.
+
+**The build's product is the view.**  :meth:`LippIndex.build` (plain, or
+from CSV's record on a reopen) lays the tree out as the flat view's
+arrays and holds that view and no node object, so a shard that is only
+read, ranged, sized, reported on or snapshotted never has any.  The
+first operation that walks nodes — per-key ``insert`` /
+``lookup_stats``, ``bulk_insert_many``, ``iter_keys``, CSV's adapter
+(through :attr:`LippIndex.root`), SALI's tracked lookups and flattening
+— makes them from the view, once (:meth:`LippIndex._materialize`), as
+views into its slot buffers.  A structural change drops the view; the
+nodes are then the tree, and the view is compiled from them on next use.
 
 Tree surgery is :class:`LippIndex`'s alone.  A rebuilt subtree goes in
 through :meth:`LippIndex._replace_subtree` — LIPP's adjustment
@@ -68,10 +78,16 @@ class LippIndex(LearnedIndex):
 
     name = "lipp"
 
-    def __init__(self, root: LippNode, slot_factor: float):
-        self._root = root
+    def __init__(self, tree: LippNode | FlatLipp, slot_factor: float):
+        """*tree* is the root node, or the view a build wrote, whose
+        nodes are made on the first operation that walks them."""
+        built = isinstance(tree, FlatLipp)
+        #: At least one of the two is set: None here means "not made
+        #: yet" (the view is the tree), None there "dropped by a
+        #: structural edit" (the nodes are, until it is compiled again).
+        self._root: LippNode | None = None if built else tree
         self._slot_factor = slot_factor
-        self._flat: FlatLipp | None = None
+        self._flat: FlatLipp | None = tree if built else None
         #: ``(view, sorted DATA keys, slot positions)``: :meth:`_key_order`.
         self._order: tuple[FlatLipp, np.ndarray, np.ndarray] | None = None
 
@@ -87,13 +103,21 @@ class LippIndex(LearnedIndex):
         """Bulk-load from sorted unique *keys*; with *record* (CSV's
         rebuilds on an index of them), straight into the smoothed tree."""
         arr, vals = prepare_key_values(keys, values)
-        root = LippNode.from_keys_leveled(arr, vals, 1, slot_factor, record=record)[0]
+        view = FlatLipp.build(arr, vals, slot_factor, record)
         if record is not None:
             record.finish()
-        return cls(root, slot_factor)
+        return cls(view, slot_factor)
 
     @property
     def root(self) -> LippNode:
+        return self._materialize()
+
+    def _materialize(self) -> LippNode:
+        """The root node.  A built index makes its nodes here, once, from
+        its view (:meth:`FlatLipp.materialize`), and publishes them by
+        one assignment; until then no node object exists."""
+        if self._root is None:
+            self._root = self._flat.materialize()
         return self._root
 
     @property
@@ -104,7 +128,7 @@ class LippIndex(LearnedIndex):
     # Flat-view cache management
     # ------------------------------------------------------------------
     def invalidate_flat(self) -> None:
-        """Drop the compiled flat view after a structural change.
+        """Drop the flat view after a structural change.
 
         Every structural change goes through this class
         (:meth:`_replace_subtree`, a conflict child, a bulk-attached
@@ -112,11 +136,13 @@ class LippIndex(LearnedIndex):
         the node slot arrays are views into the flat buffers.  Tests
         performing direct tree surgery must call it themselves.
         """
+        self._materialize()  # the nodes are the tree once the view is gone
         self._flat = None
         self._order = None
 
     def _flat_view(self, slots: bool = True) -> FlatLipp:
-        """The compiled flat view, compiling it on first use (``slots``
+        """The flat view: the build's, or — after a structural change
+        dropped it — compiled from the nodes on first use (``slots``
         False: short of the slot buffers — for the forest about to
         allocate them, see :meth:`FlatLipp.walk`)."""
         if self._flat is None:
@@ -157,7 +183,7 @@ class LippIndex(LearnedIndex):
         addresses terminally, or — *slot* None — at a flattened leaf
         (SALI), which searches its own dense arrays.
         """
-        node = self._root
+        node = self.root
         path = [node]
         while not _leaf_like(node):
             slot = node.slot_of(key)
@@ -198,6 +224,8 @@ class LippIndex(LearnedIndex):
         (aggregate-equivalent to SALI's per-query ``record_path``)."""
         q = _as_query_array(keys)
         found, values, levels, steps = alloc_batch_outputs(q.size)
+        if track:
+            self._materialize()  # the credit goes to the node objects
         if q.size:
             self._on_fresh_flat(FlatLipp.lookup_many_into, q, found, values, levels, steps, track)
         return BatchQueryStats(keys=q, found=found, values=values, levels=levels, search_steps=steps)
@@ -281,19 +309,19 @@ class LippIndex(LearnedIndex):
             reg.counter("bulk_insert_batches_total", family=self.name).inc()
             reg.counter("bulk_insert_keys_total", family=self.name).inc(int(arr.size))
         bkeys, bvals = dedupe_last_wins(arr, vals)
-        n = self._root.n_subtree_keys
+        root = self.root
+        n = root.n_subtree_keys
         if n > self.BULK_SMALL_SUBTREE and bkeys.size < self.BULK_REBUILD_FRACTION * n:
             self._on_fresh_flat(self._gapped_merge, bkeys, bvals)
             if reg.enabled:
                 reg.counter("bulk_gapped_merges_total", family=self.name).inc()
             return
-        old_keys, old_vals = self._root.collect_arrays()
+        old_keys, old_vals = root.collect_arrays()
         merged_k, merged_v = dedupe_last_wins(
             np.concatenate([old_keys, bkeys]), np.concatenate([old_vals, bvals])
         )
         self._replace_subtree(
-            self._root,
-            LippNode.from_keys(merged_k, merged_v, self._root.level, self._slot_factor),
+            root, LippNode.from_keys(merged_k, merged_v, root.level, self._slot_factor)
         )
         if reg.enabled:
             reg.counter("bulk_rebuilds_total", family=self.name).inc()
@@ -454,7 +482,9 @@ class LippIndex(LearnedIndex):
     # ------------------------------------------------------------------
     @property
     def n_keys(self) -> int:
-        return self._root.n_subtree_keys
+        # The view is read first: a view dropped since had its nodes made.
+        flat, root = self._flat, self._root
+        return int(flat.node_subtree_keys[0]) if root is None else root.n_subtree_keys
 
     def height(self) -> int:
         return self._flat_view().height()
@@ -486,7 +516,7 @@ class LippIndex(LearnedIndex):
     def iter_keys(self) -> Iterator[int]:
         """Every stored key in ascending order: a walk of the node tree,
         independent of the flat view the range path reads."""
-        for key, __ in self._root.iter_entries():
+        for key, __ in self.root.iter_entries():
             yield key
 
     # ------------------------------------------------------------------

@@ -16,23 +16,36 @@ would dump every key into a single slot (which would not terminate).
 **Frontier build.**  LIPP builds top-down by conflict groups, and every
 conflict group is a contiguous run of the one sorted key array.  A
 level of the tree is therefore a list of segments over that array, and
-:meth:`LippNode.from_keys` builds the tree one level per
-:func:`_layout_level` call — fit every segment, predict and clamp every
-key, scatter the keys that landed alone, hand the colliding runs on as
-the next level's segments — instead of one Python call per node (a
-10k-key shard has ~2,900 nodes, two thirds of them two-key conflict
-children, on five levels).  The tree is the one the per-node build
-produced, bit for bit; ``tests/indexes/test_lipp_build_parity.py``
-keeps that build as its oracle.
+:func:`lay_out` builds the tree one level per :func:`_layout_level`
+call — fit every segment, predict and clamp every key, scatter the keys
+that landed alone, hand the colliding runs on as the next level's
+segments — instead of one Python call per node (a 10k-key shard has
+~2,900 nodes, two thirds of them two-key conflict children, on five
+levels).  The tree is the one the per-node build produced, bit for bit;
+``tests/indexes/test_lipp_build_parity.py`` keeps that build as its
+oracle.
 
-**Who owns the slots.**  :func:`_layout_level` allocates one slot buffer
-per level and the level's nodes are created as views into it, so a
-freshly built tree owns no per-node arrays.  ``FlatLipp.compile``
-concatenates the nodes' slots into the flat view's buffers and
-re-points every node at those (see :mod:`~repro.indexes.lipp.flat`);
-the level buffers are dropped with their last view.  Either way a
-node's ``slot_type`` / ``slot_keys`` / ``slot_values`` are live,
-writable arrays: an in-place write through the node is never lost.
+**The build writes arrays, not nodes.**  A level's nodes are numbered
+after every node of the level above, which is the breadth-first order
+of :class:`~repro.indexes.lipp.flat.FlatLipp`, so :func:`lay_out`'s
+product is the flat view's arrays (:class:`LaidOut`): the node table
+(level, model coefficients, slot offsets, subtree key counts, virtual
+slots), one slot buffer, and ``slot_child`` from each level's CHILD
+slots.  An index build keeps them as its view and makes no node object
+(:meth:`~repro.indexes.lipp.flat.FlatLipp.build`); the operations that
+walk nodes — per-key ``insert`` / ``lookup_stats``, the bulk merge,
+``iter_keys``, CSV's adapter, SALI's tracking and flattening — make
+them first, once per index, with :func:`materialize`, and a subtree
+build (:meth:`LippNode.from_keys`) does so at once.
+
+**Who owns the slots.**  The arrays do: a materialized node's
+``slot_type`` / ``slot_keys`` / ``slot_values`` are views into the
+slot buffers of the arrays it was made from, and ``FlatLipp.compile``,
+which runs only on a tree a structural edit changed, concatenates the
+nodes' slots into new buffers and re-points every node at those (see
+:mod:`~repro.indexes.lipp.flat`).  Either way a node's slot arrays are
+live, writable arrays: an in-place write through the node is never
+lost.
 """
 
 from __future__ import annotations
@@ -43,7 +56,8 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from ...core.csv_algorithm import RecordedRebuilds
-from ...core.linear_model import LinearModel
+from ...core.exceptions import IndexStateError
+from ...core.linear_model import LinearModel, QuadraticModel
 from ..base import WeakParent
 
 __all__ = ["SLOT_EMPTY", "SLOT_DATA", "SLOT_CHILD", "LippNode"]
@@ -51,6 +65,9 @@ __all__ = ["SLOT_EMPTY", "SLOT_DATA", "SLOT_CHILD", "LippNode"]
 SLOT_EMPTY = 0
 SLOT_DATA = 1
 SLOT_CHILD = 2
+
+#: ``slot_child`` of a slot that links no child node.
+NO_CHILD = -1
 
 #: Slots allocated per key at build time.  1.0 reproduces the compact
 #: allocation of the original LIPP; CSV-rebuilt nodes instead size the
@@ -69,23 +86,61 @@ _EXACT_FLOAT_SPAN = 1 << 53
 class _Level(NamedTuple):
     """One laid-out level: its nodes' models and slots, and what is left."""
 
-    #: Per segment (= per node of this level).
-    models: list
+    #: Per segment (= per node of this level): the model as the flat
+    #: view holds it, ``(a * t + b) * t + c`` with ``t = key - pivot``.
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    pivot: np.ndarray
     #: The level's slot buffer; node ``i`` owns
     #: ``[slot_bounds[i], slot_bounds[i + 1])`` of each array.
     slot_type: np.ndarray
     slot_keys: np.ndarray
     slot_values: np.ndarray
-    slot_bounds: list[int]
+    slot_bounds: np.ndarray
     #: Indexes (into the level's keys) of the keys stored at this level.
     placed: np.ndarray
     #: Mask of the keys that collided; they are the next level's keys,
     #: cut into segments of ``next_counts`` keys, segment ``j`` hanging
-    #: off slot ``next_slot[j]`` of this level's node ``next_parent[j]``.
+    #: off slot ``child_slots[j]`` of this level's buffer.
     unplaced: np.ndarray
     next_counts: np.ndarray
-    next_parent: list[int]
-    next_slot: list[int]
+    child_slots: np.ndarray
+
+
+class LaidOut(NamedTuple):
+    """A tree as the arrays of its flat view
+    (:class:`~repro.indexes.lipp.flat.FlatLipp` has the same names and
+    meanings): nodes in level order, one slot buffer."""
+
+    node_level: np.ndarray
+    node_a: np.ndarray
+    node_b: np.ndarray
+    node_c: np.ndarray
+    node_pivot: np.ndarray
+    node_subtree_keys: np.ndarray
+    node_virtual_slots: np.ndarray
+    slot_start: np.ndarray
+    slot_type: np.ndarray
+    slot_keys: np.ndarray
+    slot_values: np.ndarray
+    slot_child: np.ndarray
+
+
+def model_coefficients(model) -> tuple[float, float, float]:
+    """``(a, b, c)`` of a node model in the flat view's quadratic form
+    (``a = 0`` for a linear model); :class:`IndexStateError` for a model
+    that is neither."""
+    if isinstance(model, LinearModel):
+        return 0.0, model.slope, model.intercept
+    if isinstance(model, QuadraticModel):
+        return model.a, model.b, model.c
+    raise IndexStateError(f"a {type(model).__name__} node model has no flat form")
+
+
+def _model_of(a: float, b: float, c: float, pivot: int):
+    """The node model :func:`model_coefficients` took apart."""
+    return LinearModel(b, c, pivot) if a == 0.0 else QuadraticModel(a, b, c, pivot)
 
 
 def _empty_slots(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -219,9 +274,10 @@ def _layout_level(
         seg = seg_of[redo]
         raw = slope[seg] * _ahead(lk[redo], pivot[seg]) + intercept[seg]
         predicted[redo] = _clamped_slots(raw, top[seg])
-    models = [LinearModel(*c) for c in zip(slope.tolist(), intercept.tolist(), pivot.tolist())]
+    a = np.zeros(n_segs)
     for i in (~fitted).nonzero()[0].tolist():
-        models[i] = given[i]
+        a[i], slope[i], intercept[i] = model_coefficients(given[i])
+        pivot[i] = given[i].pivot
     # Consecutive keys sharing a slot form a run (segments own disjoint
     # slot ranges, so a run never spans two of them).
     bounds = np.concatenate(([0], np.cumsum(slots)))
@@ -237,18 +293,21 @@ def _layout_level(
     slot_keys[at] = lk[placed]
     slot_values[at] = lv[placed]
     conflict = run_start[~single]
-    slot_type[gslot[conflict]] = SLOT_CHILD
+    child_slots = gslot[conflict]
+    slot_type[child_slots] = SLOT_CHILD
     return _Level(
-        models=models,
+        a=a,
+        b=slope,
+        c=intercept,
+        pivot=pivot,
         slot_type=slot_type,
         slot_keys=slot_keys,
         slot_values=slot_values,
-        slot_bounds=bounds.tolist(),
+        slot_bounds=bounds,
         placed=placed,
         unplaced=np.repeat(~single, run_len),
         next_counts=run_len[~single],
-        next_parent=seg_of[conflict].tolist(),
-        next_slot=predicted[conflict].tolist(),
+        child_slots=child_slots,
     )
 
 
@@ -291,7 +350,7 @@ class LippNode:
         self.slot_values = slot_values
         self.children: dict[int, "LippNode"] = {}
         self.level = level
-        self.parent: "LippNode | None" = None
+        self._parent = None  # ``parent`` is None (see WeakParent)
         self.parent_slot: int | None = None
         self.n_subtree_keys = n_subtree_keys
         #: Slots that exist because of CSV virtual points (gap budget).
@@ -349,79 +408,12 @@ class LippNode:
         slot_factor: float = DEFAULT_SLOT_FACTOR,
         m: int | None = None,
         model: LinearModel | None = None,
-        record: RecordedRebuilds | None = None,
     ) -> tuple["LippNode", np.ndarray]:
         """:meth:`from_keys`, plus the level each key is stored at
-        (parallel to *keys*).
-
-        The tree is built one level at a time.  Every conflict group is
-        a contiguous run of the sorted *keys*, so a level is a list of
-        segments that :func:`_layout_level` fits, places and splits in
-        one numpy pass; the runs it could not place are the next
-        level's segments.  Nothing recurses, so the stack stays flat on
-        adversarially deep conflict chains, and the work per level is a
-        fixed number of array operations however many nodes it holds.
-
-        With *record*, a segment a row of CSV's rebuilds names is laid
-        out as that rebuild laid it out (the row's ``m`` slots and
-        model, ``m - n`` virtual slots) instead of being fitted.
-        """
-        n = int(keys.size)
-        if m is None:
-            m = max(MIN_SLOTS, math.ceil(n * slot_factor))
-        if model is None and n <= 1:
-            # Zero or one key: constant model (the n == 0 case is the
-            # empty-index bulk-load seed; an OLS fit needs two keys).
-            model = LinearModel(0.0, 0.0)
-        if n == 0:
-            return cls(model, level, *_empty_slots(m), 0), np.empty(0, dtype=np.int64)
-        key_level = np.empty(n, dtype=np.int64)
-        #: The frontier: ``lk`` holds the level's segments back to back,
-        #: ``counts[i]`` keys each; ``where`` maps ``lk`` back into *keys*.
-        lk, lv, where = keys, values, np.arange(n)
-        counts = np.asarray([n], dtype=np.int64)
-        slots = np.asarray([m], dtype=np.int64)
-        given = {} if model is None else {0: model}
-        root: LippNode | None = None
-        parents: list[LippNode] = []
-        parent_of: list[int] = []
-        parent_slot: list[int] = []
-        while True:
-            taken = {} if record is None else record.take(level, lk, counts)
-            for i, (segment_m, segment_model) in taken.items():
-                slots[i] = segment_m
-                given[i] = segment_model
-            laid = _layout_level(lk, lv, counts, slots, given)
-            key_level[where[laid.placed]] = level
-            bounds = laid.slot_bounds
-            nodes = [
-                cls(
-                    node_model,
-                    level,
-                    laid.slot_type[bounds[i] : bounds[i + 1]],
-                    laid.slot_keys[bounds[i] : bounds[i + 1]],
-                    laid.slot_values[bounds[i] : bounds[i + 1]],
-                    count,
-                )
-                for i, (node_model, count) in enumerate(zip(laid.models, counts.tolist()))
-            ]
-            for i in taken:
-                nodes[i].virtual_slots = int(slots[i] - counts[i])
-            if root is None:
-                root = nodes[0]
-            for node, p, slot in zip(nodes, parent_of, parent_slot):
-                parent = parents[p]
-                node.parent = parent
-                node.parent_slot = slot
-                parent.children[slot] = node
-            if not laid.next_counts.size:
-                return root, key_level
-            lk, lv, where = lk[laid.unplaced], lv[laid.unplaced], where[laid.unplaced]
-            counts = laid.next_counts
-            slots = np.maximum(MIN_SLOTS, np.ceil(counts * slot_factor).astype(np.int64))
-            parents, parent_of, parent_slot = nodes, laid.next_parent, laid.next_slot
-            given = {}
-            level += 1
+        (parallel to *keys*): :func:`lay_out`'s arrays, made into nodes
+        (:func:`materialize`)."""
+        tree, key_level = lay_out(keys, values, level, slot_factor, m, model)
+        return materialize(tree)[0], key_level
 
     @property
     def m(self) -> int:
@@ -510,3 +502,150 @@ class LippNode:
             node = stack.pop()
             yield node
             stack.extend(node.children.values())
+
+
+def lay_out(
+    keys: np.ndarray,
+    values: np.ndarray,
+    level: int,
+    slot_factor: float = DEFAULT_SLOT_FACTOR,
+    m: int | None = None,
+    model: LinearModel | None = None,
+    record: RecordedRebuilds | None = None,
+) -> tuple[LaidOut, np.ndarray]:
+    """The tree of sorted unique *keys* as its flat view's arrays, and
+    the level each key is stored at (parallel to *keys*).
+
+    The tree is built one level at a time.  Every conflict group is a
+    contiguous run of the sorted *keys*, so a level is a list of
+    segments that :func:`_layout_level` fits, places and splits in one
+    numpy pass; the runs it could not place are the next level's
+    segments, numbered after every node of this level, so node ids come
+    out in level order.  Nothing recurses, so the stack stays flat on
+    adversarially deep conflict chains, and the work per level is a
+    fixed number of array operations however many nodes it holds.
+
+    With *m* / *model* the caller lays out the root (a CSV rebuild's
+    node: its smoothed model over an array sized to the smoothed point
+    set).  With *record*, a segment a row of CSV's rebuilds names is
+    laid out as that rebuild laid it out (the row's ``m`` slots and
+    model, ``m - n`` virtual slots) instead of being fitted.
+    """
+    n = int(keys.size)
+    if m is None:
+        m = max(MIN_SLOTS, math.ceil(n * slot_factor))
+    if model is None and n <= 1:
+        # Zero or one key: constant model (the n == 0 case is the
+        # empty-index bulk-load seed; an OLS fit needs two keys).
+        model = LinearModel(0.0, 0.0)
+    key_level = np.empty(n, dtype=np.int64)
+    if n == 0:  # one node of m EMPTY slots
+        a, b, c = model_coefficients(model)
+        zero = np.zeros(1, dtype=np.int64)
+        return LaidOut(
+            np.asarray([level]), np.asarray([a]), np.asarray([b]), np.asarray([c]),
+            np.asarray([model.pivot]), zero, zero, np.asarray([0, m]),
+            *_empty_slots(m), np.full(m, NO_CHILD, dtype=np.int32),
+        ), key_level
+    #: The frontier: ``lk`` holds the level's segments back to back,
+    #: ``counts[i]`` keys each; ``where`` maps ``lk`` back into *keys*.
+    lk, lv, where = keys, values, np.arange(n)
+    counts = np.asarray([n], dtype=np.int64)
+    slots = np.asarray([m], dtype=np.int64)
+    given = {} if model is None else {0: model}
+    laid: list[_Level] = []
+    #: Per level, every node's key count and virtual slots.
+    node_keys: list[np.ndarray] = []
+    virtual: list[np.ndarray] = []
+    while True:
+        taken = {} if record is None else record.take(level + len(laid), lk, counts)
+        node_keys.append(counts)
+        virtual.append(np.zeros(counts.size, dtype=np.int64))
+        for i, (segment_m, segment_model) in taken.items():
+            slots[i] = segment_m
+            given[i] = segment_model
+            virtual[-1][i] = segment_m - counts[i]
+        laid.append(_layout_level(lk, lv, counts, slots, given))
+        key_level[where[laid[-1].placed]] = level + len(laid) - 1
+        if not laid[-1].next_counts.size:
+            return _joined(laid, level, node_keys, virtual), key_level
+        unplaced = laid[-1].unplaced
+        lk, lv, where = lk[unplaced], lv[unplaced], where[unplaced]
+        counts = laid[-1].next_counts
+        slots = np.maximum(MIN_SLOTS, np.ceil(counts * slot_factor).astype(np.int64))
+        given = {}
+
+
+def _joined(
+    laid: list[_Level], level: int, node_keys: list[np.ndarray], virtual: list[np.ndarray]
+) -> LaidOut:
+    """The levels :func:`lay_out` laid, the first at *level*, as one
+    tree: node arrays end to end, slot buffers end to end, and each
+    level's CHILD slots pointing at the next level's nodes, which are
+    numbered after its own."""
+
+    def join(parts: list[np.ndarray]) -> np.ndarray:
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    sizes = [keys.size for keys in node_keys]
+    node_off = np.cumsum([0, *sizes]).tolist()
+    slot_off = np.cumsum([0, *(int(one.slot_bounds[-1]) for one in laid)]).tolist()
+    slot_child = np.full(slot_off[-1], NO_CHILD, dtype=np.int32)
+    for k, one in enumerate(laid[:-1]):  # the last level has no children
+        slot_child[slot_off[k] + one.child_slots] = np.arange(
+            node_off[k + 1], node_off[k + 2], dtype=np.int32
+        )
+    return LaidOut(
+        node_level=np.repeat(np.arange(level, level + len(laid)), sizes),
+        node_a=join([one.a for one in laid]),
+        node_b=join([one.b for one in laid]),
+        node_c=join([one.c for one in laid]),
+        node_pivot=join([one.pivot for one in laid]),
+        node_subtree_keys=join(node_keys),
+        node_virtual_slots=join(virtual),
+        slot_start=np.concatenate(
+            [one.slot_bounds[:-1] + off for one, off in zip(laid, slot_off)] + [slot_off[-1:]]
+        ),
+        slot_type=join([one.slot_type for one in laid]),
+        slot_keys=join([one.slot_keys for one in laid]),
+        slot_values=join([one.slot_values for one in laid]),
+        slot_child=slot_child,
+    )
+
+
+def materialize(tree) -> list["LippNode"]:
+    """Node objects for a tree held as flat-view arrays (a
+    :class:`LaidOut`, or a built :class:`~repro.indexes.lipp.flat.FlatLipp`
+    — the same names), in node-id order, the root first.
+
+    Each node's slot arrays are views into *tree*'s slot buffers, so a
+    write through a node is a write to the arrays, and the other way
+    round; the per-node counts and models are read from the arrays.
+    """
+    bounds = tree.slot_start.tolist()
+    slot_type, slot_keys, slot_values = tree.slot_type, tree.slot_keys, tree.slot_values
+    models = map(
+        _model_of,
+        tree.node_a.tolist(), tree.node_b.tolist(), tree.node_c.tolist(), tree.node_pivot.tolist(),
+    )
+    nodes = [
+        LippNode(model, level, slot_type[lo:hi], slot_keys[lo:hi], slot_values[lo:hi], count)
+        for model, level, lo, hi, count in zip(
+            models, tree.node_level.tolist(), bounds, bounds[1:], tree.node_subtree_keys.tolist()
+        )
+    ]
+    virtual = tree.node_virtual_slots
+    for i in np.flatnonzero(virtual).tolist():
+        nodes[i].virtual_slots = int(virtual[i])
+    linked = np.flatnonzero(tree.slot_child >= 0)
+    if linked.size:
+        parent_of = np.searchsorted(tree.slot_start, linked, side="right") - 1
+        local = linked - tree.slot_start[parent_of]
+        for p, slot, child_id in zip(
+            parent_of.tolist(), local.tolist(), tree.slot_child[linked].tolist()
+        ):
+            parent, child = nodes[p], nodes[child_id]
+            child.parent = parent
+            child.parent_slot = slot
+            parent.children[slot] = child
+    return nodes

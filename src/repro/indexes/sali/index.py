@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from ...core.csv_algorithm import RecordedRebuilds
 from ..base import BatchQueryStats, QueryStats
+from ..lipp.flat import FlatLipp
 from ..lipp.index import LippIndex
 from ..lipp.node import DEFAULT_SLOT_FACTOR, LippNode
 from .flatten import DEFAULT_EPSILON, FlattenedNode
@@ -34,11 +35,11 @@ class SaliIndex(LippIndex):
 
     def __init__(
         self,
-        root: LippNode,
+        tree: LippNode | FlatLipp,
         slot_factor: float,
         flatten_epsilon: int = DEFAULT_EPSILON,
     ):
-        super().__init__(root, slot_factor)
+        super().__init__(tree, slot_factor)
         self.tracker = AccessTracker()
         self._flatten_epsilon = int(flatten_epsilon)
 
@@ -51,8 +52,10 @@ class SaliIndex(LippIndex):
         flatten_epsilon: int = DEFAULT_EPSILON,
         record: RecordedRebuilds | None = None,
     ) -> "SaliIndex":
+        """LIPP's build, wrapped: the shard holds the view it wrote and
+        no node object until it first tracks, flattens or writes."""
         base = LippIndex.build(keys, values, slot_factor, record)
-        return cls(base.root, slot_factor, flatten_epsilon)
+        return cls(base._flat, slot_factor, flatten_epsilon)
 
     # ------------------------------------------------------------------
     # Queries: LIPP's, with every node on the path credited
@@ -96,7 +99,7 @@ class SaliIndex(LippIndex):
         PGM node).  Returns the number of subtrees flattened.
         """
         flattened = 0
-        stack: list[LippNode] = [self._root]
+        stack: list[LippNode] = [self.root]
         while stack:
             node = stack.pop()
             for child in list(node.children.values()):
@@ -114,7 +117,7 @@ class SaliIndex(LippIndex):
 
     def flattened_nodes(self) -> list[FlattenedNode]:
         """Every flattened node currently in the structure."""
-        return [n for n in self._root.walk() if isinstance(n, FlattenedNode)]
+        return [n for n in self.root.walk() if isinstance(n, FlattenedNode)]
 
     # ------------------------------------------------------------------
     # Structure metrics (flattened nodes accounted separately)

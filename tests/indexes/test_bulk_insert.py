@@ -176,6 +176,7 @@ def _force_flatten(index, limit=3) -> int:
             count += 1
             if count >= limit:
                 break
+    index.invalidate_flat()  # hand surgery: a built index has a view to drop
     return count
 
 

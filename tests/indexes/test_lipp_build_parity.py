@@ -10,12 +10,17 @@ tree **bit for bit** — model coefficients, the three slot arrays,
 order — and the per-key levels ``from_keys_leveled`` reports must be the
 levels the tree stores the keys at.
 
-The second half is structural: properties every tree ``from_keys``
+The second half is the view an index build writes instead of nodes: it
+must be the oracle tree's compiled view, plain and from CSV's record,
+and the nodes made from it must be the oracle's nodes.
+
+The third half is structural: properties every tree ``from_keys``
 returns must have, whatever the keys.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 import sys
 from collections import deque
@@ -26,10 +31,14 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from repro.core.csv_algorithm import CsvConfig, RecordedRebuilds, apply_csv
 from repro.core.linear_model import LinearModel, fit_linear
 from repro.core.smoothing import smooth_keys
 from repro.datasets import DATASETS, generate
+from repro.indexes import INDEX_FAMILIES
+from repro.indexes.adapters import adapter_for
 from repro.indexes.lipp import node as node_module
+from repro.indexes.lipp.flat import FlatLipp
 from repro.indexes.lipp.index import LippIndex
 from repro.indexes.lipp.node import (
     MIN_SLOTS,
@@ -382,6 +391,122 @@ class TestEdgeParity:
             index = LippIndex.build(keys)
         assert index.node_count() > 1_000
         assert 1 < kernel.call_count <= index.height()
+
+
+# -- the view an index build writes ------------------------------------------
+VIEW_ARRAYS = (
+    "node_level", "node_a", "node_b", "node_c", "node_pivot", "node_last",
+    "node_subtree_keys", "node_virtual_slots", "slot_start",
+    "slot_type", "slot_keys", "slot_values", "slot_child",
+)
+
+
+def _assert_same_view(got: FlatLipp, want: FlatLipp) -> None:
+    """Every array of the two views, bit for bit (floats as int64)."""
+    for name in VIEW_ARRAYS:
+        x, y = getattr(got, name), getattr(want, name)
+        assert x.dtype == y.dtype, name
+        if x.dtype == np.float64:  # -0.0 == 0.0 as floats, not as bits
+            x, y = x.view(np.int64), y.view(np.int64)
+        assert np.array_equal(x, y), name
+    assert (got.pivot_min, got.pivot_max) == (want.pivot_min, want.pivot_max)
+    assert got.leaves == want.leaves == []
+
+
+@functools.cache
+def _analogue(dataset: str) -> tuple[np.ndarray, np.ndarray]:
+    keys = generate(dataset, 4_000, 5)
+    return keys, keys * 3 + 1
+
+
+@functools.cache
+def _decisions(dataset: str, alpha: float) -> np.ndarray:
+    """CSV's record on a plain build of the analogue."""
+    keys, values = _analogue(dataset)
+    decisions = apply_csv(adapter_for(LippIndex.build(keys, values)), CsvConfig(alpha=alpha)).decisions()
+    assert decisions.shape[0] > 0
+    return decisions
+
+
+def _oracle(dataset: str, alpha: float | None) -> LippNode:
+    """The per-node oracle's tree of the analogue; with *alpha*, every
+    recorded rebuild redone on it, shallow first, by the oracle's own
+    build of the row's ``m`` slots and model."""
+    keys, values = _analogue(dataset)
+    root = _oracle_from_keys(keys, values, 1)
+    if alpha is None:
+        return root
+    decisions = _decisions(dataset, alpha)
+    for row in decisions[np.argsort(decisions[:, 1], kind="stable")]:
+        first, level, n, m, __, __, pivot = row.tolist()
+        slope, intercept = row[4:6].view(np.float64).tolist()
+        node = root
+        while node.level < level:
+            node = node.children[node.slot_of(first)]
+        below_keys, below_values = node.collect_arrays()
+        assert below_keys.size == n and int(below_keys[0]) == first
+        rebuilt = _oracle_from_keys(
+            below_keys, below_values, level, 1.0, m, LinearModel(slope, intercept, pivot)
+        )
+        rebuilt.virtual_slots = m - n
+        rebuilt.parent, rebuilt.parent_slot = node.parent, node.parent_slot
+        node.parent.children[node.parent_slot] = rebuilt
+    return root
+
+
+def _built(family: str, dataset: str, alpha: float | None) -> LippIndex:
+    keys, values = _analogue(dataset)
+    record = None if alpha is None else RecordedRebuilds(_decisions(dataset, alpha), keys)
+    return INDEX_FAMILIES[family].build(keys, values, record=record)
+
+
+def _assert_same_tree_counts(got: list, want: list) -> None:
+    """What the compiled arrays do not hold: the per-node counters."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.conflicts_since_build, a.access_count, a.virtual_slots, a.n_subtree_keys) == (
+            b.conflicts_since_build, b.access_count, b.virtual_slots, b.n_subtree_keys
+        )
+        assert list(a.children) == list(b.children)
+
+
+@pytest.mark.parametrize("alpha", [None, 0.05, 0.1], ids=["plain", "recorded-0.05", "recorded-0.1"])
+@pytest.mark.parametrize("dataset", sorted(DATASETS))
+@pytest.mark.parametrize("family", ["lipp", "sali"])
+class TestBuiltView:
+    def test_the_build_writes_the_oracles_compiled_view(self, family, dataset, alpha):
+        index = _built(family, dataset, alpha)
+        assert index._root is None and index._flat.nodes == []  # no node made
+        _assert_same_view(index._flat, FlatLipp.compile(_oracle(dataset, alpha)))
+
+    def test_materialize_then_compile_round_trips(self, family, dataset, alpha):
+        index = _built(family, dataset, alpha)
+        view = index._flat
+        root = index.root
+        assert index.root is root and view.nodes[0] is root
+        assert len(view.nodes) == view.n_nodes
+        bounds = view.slot_start.tolist()
+        for i, node in enumerate(view.nodes):
+            for name in ("slot_type", "slot_keys", "slot_values"):
+                assert np.shares_memory(getattr(node, name), getattr(view, name)[bounds[i] : bounds[i + 1]])
+        _assert_same_view(FlatLipp.compile(root), view)
+
+    def test_conflict_inserts_after_materializing_match_the_oracle(self, family, dataset, alpha):
+        index = _built(family, dataset, alpha)
+        oracle = type(index)(_oracle(dataset, alpha), index.slot_factor)
+        keys, __ = _analogue(dataset)
+        gaps = np.flatnonzero(np.diff(keys) > 1)
+        fresh = keys[np.random.default_rng(7).choice(gaps, 400, replace=False)] + 1
+        n_built = index._flat.n_nodes
+        for key in fresh.tolist():
+            index.insert(key, -key)
+            oracle.insert(key, -key)
+        assert index._flat_view().n_nodes > n_built  # conflict children were made
+        _assert_same_view(index._flat_view(), oracle._flat_view())
+        _assert_same_tree_counts(index._flat.nodes, oracle._flat.nodes)
+        batch = index.lookup_many(np.concatenate([keys, fresh]))
+        assert bool(batch.found.all())
+        assert np.array_equal(batch.values[keys.size :], -fresh)
 
 
 # -- structural properties of anything from_keys returns ---------------------

@@ -53,8 +53,8 @@ def wait_for_port(proc: subprocess.Popen, timeout: float = 60.0) -> tuple[str, i
 
 
 def metric(client: HttpIndexClient, name: str) -> float:
-    """An unlabelled metric's value from ``GET /metrics`` (0 when the
-    process never touched it)."""
+    """A metric's value from ``GET /metrics``, *name* with its labels
+    as exported (0 when the process never touched it)."""
     status, __, body = client.request("GET", "/metrics")
     assert status == 200
     for line in body.decode().splitlines():
@@ -151,7 +151,9 @@ class TestHttpServeProcess:
         into the shard's write buffer.  Each restart builds every shard
         from its base's recorded CSV rebuilds, the shard with a run on
         top included, so Algorithm 1 never runs (``smooth_runs_total``
-        stays 0)."""
+        stays 0), and a LIPP shard is its build's flat view as it is, so
+        no view is compiled from node objects (``flat_compiles_total``
+        stays 0 too)."""
         args = (
             "serve", "--port", "0", "--n", "2000", "--shards", "2", "--alpha", "0.1",
             "--index", index, "--data-dir", str(tmp_path / "data"),
@@ -170,10 +172,12 @@ class TestHttpServeProcess:
                 proc.kill()
         assert proc.returncode == 0, out
 
+        compiles = f'flat_compiles_total{{family="{index}"}}'
         proc = spawn(*args)  # reopens the built snapshot: replays CSV
         try:
             host, port = wait_for_port(proc)
             with HttpIndexClient(host, port) as client:
+                assert metric(client, compiles) == 0
                 assert metric(client, "smooth_runs_total") == 0
                 assert all(client.lookup(stored.tolist())["found"])
                 client.insert(keys)
@@ -190,6 +194,7 @@ class TestHttpServeProcess:
             with HttpIndexClient(host, port) as client:
                 resp = client.lookup(keys)
                 assert metric(client, "smooth_runs_total") == 0
+                assert metric(client, compiles) == 0
                 assert all(client.lookup(stored.tolist())["found"])
             proc.send_signal(signal.SIGTERM)
             out, _ = proc.communicate(timeout=60)

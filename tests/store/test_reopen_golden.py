@@ -7,7 +7,7 @@ from a base file that records CSV's rebuilds:
 
 * LIPP/SALI: the flat view's node levels, model coefficient bits and
   pivots, slot offsets, slot arrays and ``slot_child``, and each
-  node's ``virtual_slots`` and ``n_subtree_keys``;
+  node's virtual slots and subtree key count;
 * ALEX: ``node_levels()``, each data node's capacity and
   ``virtual_slots``, and ``lookup_many``'s four arrays on the stored
   keys and on ``keys + 1``.
@@ -51,9 +51,8 @@ def _digest(*arrays) -> str:
 
 def _lipp_digest(index) -> str:
     flat = index._flat_view()
-    per_node = np.asarray(
-        [(node.virtual_slots, node.n_subtree_keys) for node in flat.nodes], dtype=np.int64
-    )
+    # The build's own view: its counts, since it made no node objects.
+    per_node = np.column_stack([flat.node_virtual_slots, flat.node_subtree_keys])
     return _digest(
         flat.node_level, flat.node_a, flat.node_b, flat.node_c, flat.node_pivot,
         flat.slot_start, flat.slot_type, flat.slot_keys, flat.slot_values,
